@@ -214,12 +214,12 @@ int main() {
   for (const PipelineRun& pr : pipeline_runs) {
     const double speedup =
         pr.wall > 0 ? serial_wall / pr.wall : 0.0;
-    const std::size_t memo_total = pr.run.search_stats.mask_memo_hits +
-                                   pr.run.search_stats.mask_memo_misses;
+    const std::size_t masks_total = pr.run.search_stats.mask_memo_hits +
+                                    pr.run.search_stats.mask_memo_misses;
     std::printf("[pipeline] %zu thread(s): %.2fs (%.2fx vs strict serial), "
                 "occupancy %.1f evals/round over %zu rounds, "
                 "%zu speculative, %zu wasted, %zu horizon clips, "
-                "%zu shard steals, memo hit rate %.1f%%\n",
+                "%zu shard steals, mask reuse %.1f%%\n",
                 pr.threads, pr.wall, speedup,
                 pr.run.search_stats.mean_batch_occupancy(),
                 pr.run.search_stats.pump_rounds,
@@ -227,9 +227,9 @@ int main() {
                 pr.run.search_stats.speculative_wasted,
                 pr.run.search_stats.horizon_clips,
                 pr.run.search_stats.frontier_shard_steals,
-                memo_total ? 100.0 * pr.run.search_stats.mask_memo_hits /
-                                 static_cast<double>(memo_total)
-                           : 0.0);
+                masks_total ? 100.0 * pr.run.search_stats.mask_memo_hits /
+                                  static_cast<double>(masks_total)
+                            : 0.0);
   }
   std::printf("[pipeline] events byte-identical across the thread sweep: %s\n",
               pipeline_deterministic ? "yes" : "NO (BUG)");

@@ -3,11 +3,14 @@
 #
 #   scripts/lint.sh [--warnings-as-errors] [build-dir]
 #
-# Stage 1 (always runs, no toolchain needed): grep-enforced sync policy --
-#   * no raw std synchronization primitives outside src/util/sync.hpp; every
-#     locking site must go through the annotated relm wrappers so the clang
-#     thread-safety build (cmake --preset tsa) sees the whole library;
-#   * RELM_NO_THREAD_SAFETY_ANALYSIS may appear only inside util/sync.hpp.
+# Stage 1 (always runs, no toolchain needed):
+#   * no two tracked paths may differ only by case -- they collide on
+#     case-insensitive filesystems, where a checkout keeps only one of them;
+#   * grep-enforced sync policy: no raw std synchronization primitives
+#     outside src/util/sync.hpp (every locking site must go through the
+#     annotated relm wrappers so the clang thread-safety build, cmake
+#     --preset tsa, sees the whole library), and
+#     RELM_NO_THREAD_SAFETY_ANALYSIS may appear only inside util/sync.hpp.
 #
 # Stage 2: clang-tidy (policy: repo-root .clang-tidy) using the
 # compile_commands.json exported by any CMake build dir (default ./build).
@@ -24,14 +27,26 @@ BUILD="$ROOT/build"
 for arg in "$@"; do
   case "$arg" in
     --warnings-as-errors) WERROR=1 ;;
-    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
     *) BUILD="$arg" ;;
   esac
 done
 
-# --- Stage 1: sync-policy greps ------------------------------------------
+# --- Stage 1: path case + sync-policy greps ------------------------------
 
 fail=0
+
+if git -C "$ROOT" rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  case_dups="$(git -C "$ROOT" ls-files | sort -f | uniq -di)"
+  if [ -n "$case_dups" ]; then
+    echo "lint: tracked paths differ only by case (they collide on" >&2
+    echo "lint: case-insensitive filesystems); rename or merge:" >&2
+    echo "$case_dups" >&2
+    fail=1
+  fi
+else
+  echo "lint: not a git checkout; skipping the path-case check" >&2
+fi
 
 # grep -r returns 1 when nothing matches, which is the good case here.
 raw_sync="$(grep -rn -E \
@@ -58,7 +73,7 @@ fi
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint: sync policy ok"
+echo "lint: path case and sync policy ok"
 
 # --- Stage 2: clang-tidy -------------------------------------------------
 

@@ -14,7 +14,7 @@
 
 namespace relm::core {
 
-using model::allowed_tokens;
+using model::LanguageModel;
 using tokenizer::TokenId;
 
 namespace {
@@ -86,20 +86,10 @@ void fill_cache_stats(const model::LanguageModel& model,
   stats.cache_evictions = current->evictions - baseline.evictions;
 }
 
-// Fingerprint of everything a memoized decoding mask depends on besides the
-// context suffix: the rules and the vocabulary size.
-std::uint64_t mask_memo_tag(const model::DecodingRules& rules,
-                            std::size_t vocab) {
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-  };
-  std::uint64_t tag = mix(0x726c6d5f6d61736bULL, vocab);
-  tag = mix(tag, rules.top_k ? static_cast<std::uint64_t>(*rules.top_k) + 1
-                             : 0);
-  tag = mix(tag, rules.top_p ? std::bit_cast<std::uint64_t>(*rules.top_p) + 1
-                             : 0);
-  tag = mix(tag, std::bit_cast<std::uint64_t>(rules.temperature));
-  return tag;
+// Counts a restricted row's mask as reused or computed.
+void count_mask(const LanguageModel::Row& row, SearchStats& stats) {
+  if (!row.mask) return;
+  ++(row.mask_reused ? stats.mask_memo_hits : stats.mask_memo_misses);
 }
 
 }  // namespace
@@ -116,19 +106,6 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
       query_(query),
       pipeline_(query.speculative_expansion) {
   cache_baseline_ = cache_baseline_of(model_, model_has_cache_);
-  if (pipeline_ && !query_.decoding.unrestricted()) {
-    // Masks are only valid for one (rules, vocabulary) combination; the tag
-    // lets a run share one memo across its queries while a mismatched memo
-    // silently degrades to a private (cold but correct) one.
-    const std::uint64_t tag = mask_memo_tag(query_.decoding,
-                                            model_.vocab_size());
-    if (query_.mask_memo && query_.mask_memo->bind_tag(tag)) {
-      mask_memo_ = query_.mask_memo;
-    } else {
-      mask_memo_ = std::make_shared<MaskMemo>();
-      mask_memo_->bind_tag(tag);
-    }
-  }
   Node root;
   root.set = compiled_.initial();
   root.parent = -1;
@@ -182,7 +159,9 @@ void ShortestPathSearch::refresh_cache_stats() {
 }
 
 void ShortestPathSearch::expand(std::int32_t node_id,
-                                const std::vector<double>& lp) {
+                                const LanguageModel::Row& row) {
+  const std::vector<double>& lp = *row.log_probs;
+  const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
   RELM_DCHECK(lp.size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
   const std::size_t seq_limit = std::min(
@@ -190,11 +169,6 @@ void ShortestPathSearch::expand(std::int32_t node_id,
       model_.max_sequence_length());
   Node node = nodes_[node_id];  // copy: nodes_ may reallocate below
   if (node.depth >= seq_limit) return;
-
-  util::TokenBitset mask;
-  if (!query_.decoding.unrestricted()) {
-    mask = allowed_tokens(lp, query_.decoding);
-  }
 
   // Dynamic canonical pruning needs the body token subsequence, which is the
   // last `body_len` tokens of the path (tracked per node across the
@@ -222,7 +196,7 @@ void ShortestPathSearch::expand(std::int32_t node_id,
   std::vector<CompiledQuery::Step>& steps = scratch_steps_;
   if (fast) {
     CompiledQuery::MaskExpandStats ms;
-    compiled_.expand_masked(node.set, mask.empty() ? nullptr : &mask, steps, ms);
+    compiled_.expand_masked(node.set, mask, steps, ms);
     stats_.mask_words_scanned += ms.words_scanned;
     stats_.mask_pruned += ms.pruned;
   } else {
@@ -230,7 +204,7 @@ void ShortestPathSearch::expand(std::int32_t node_id,
   }
 
   for (const CompiledQuery::Step& step : steps) {
-    if (!fast && !step.prefix_only && !mask.empty() && !mask[step.token]) {
+    if (!fast && !step.prefix_only && mask && !(*mask)[step.token]) {
       ++stats_.pruned_by_rules;
       continue;  // pruned, and transitively all its extensions (§3.3)
     }
@@ -255,8 +229,7 @@ void ShortestPathSearch::expand(std::int32_t node_id,
   // paying for EOS.
   if (query_.require_eos && compiled_.is_match(node.set)) {
     TokenId eos = model_.eos();
-    bool eos_allowed = mask.empty() || mask[eos];
-    if (eos_allowed) {
+    if (!mask || (*mask)[eos]) {
       Node child = node;
       child.parent = node_id;
       child.token = eos;
@@ -350,16 +323,17 @@ void ShortestPathSearch::pump() {
       eval_contexts.push_back(context_of(popped[i]));
     }
   }
-  std::vector<std::vector<double>> lps =
-      model_.next_log_probs_batch(eval_contexts);
-  RELM_DCHECK(lps.size() == eval_contexts.size(),
+  const std::vector<LanguageModel::Row> rows =
+      model_.next_rows(eval_contexts, query_.decoding);
+  RELM_DCHECK(rows.size() == eval_contexts.size(),
               "batched model evaluation must return one row per context");
   stats_.llm_calls += eval_contexts.size();
   stats_.expansions += eval_contexts.size();
+  for (const LanguageModel::Row& row : rows) count_mask(row, stats_);
 
   for (std::size_t i = 0; i < popped.size(); ++i) {
     std::int32_t id = popped[i];
-    if (!nodes_[id].terminal) expand(id, lps[eval_index[i]]);
+    if (!nodes_[id].terminal) expand(id, rows[eval_index[i]]);
     emit_if_result(id);
   }
   refresh_cache_stats();
@@ -402,45 +376,21 @@ void ShortestPathSearch::make_task(std::int32_t node_id,
       task.body_text.append(tok.token_string(id));
     }
   }
-  task.suffix_hash = 0;
-  task.memo_mask = nullptr;
-  if (mask_memo_) {
-    task.suffix_hash = model::hash_tokens(task.context);
-    task.memo_mask = mask_memo_->probe(task.suffix_hash, task.context);
-  }
 }
 
 void ShortestPathSearch::evaluate_slot(const SlotTask& task,
                                        SlotOutput& out) const {
-  out.mask.reset();
-  out.mask_from_memo = false;
   out.has_eos = false;
   out.eos_cost = 0.0;
   out.mask_words = 0;
   out.mask_pruned = 0;
   out.pruned_rules = 0;
   out.pruned_non_canonical = 0;
-  out.lp = model_.next_log_probs_shared(task.context);
-  const std::vector<double>& lp = *out.lp;
+  out.row = std::move(model_.next_rows({&task.context, 1}, query_.decoding).front());
+  const std::vector<double>& lp = *out.row.log_probs;
+  const util::TokenBitset* mask = out.row.mask.get();  // null: unrestricted
   RELM_DCHECK(lp.size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
-
-  if (!query_.decoding.unrestricted()) {
-    if (task.memo_mask) {
-      out.mask = task.memo_mask;
-      out.mask_from_memo = true;
-    } else {
-      // Freshly allocated because the memo publishes it to later searches;
-      // the value-select variant still avoids the index permutation.
-      auto fresh = std::make_shared<util::TokenBitset>();
-      model::allowed_tokens_into(lp, query_.decoding, *fresh,
-                                 out.value_scratch);
-      out.mask = std::move(fresh);
-    }
-  }
-  // An empty bitset means "no restriction" (mirrors the lockstep path).
-  const util::TokenBitset* mask =
-      out.mask && !out.mask->empty() ? out.mask.get() : nullptr;
 
   const bool fast = query_.use_token_masks && compiled_.has_masks();
   if (fast) {
@@ -514,7 +464,6 @@ void ShortestPathSearch::pump_pipeline() {
   const std::size_t seq_limit = std::min(
       query_.sequence_length.value_or(model_.max_sequence_length()),
       model_.max_sequence_length());
-  const bool restricted = !query_.decoding.unrestricted();
 
   // ---- Selection: a pure function of (frontier, budget, knobs) — never of
   // thread count or timing, which is what keeps outputs byte-identical
@@ -609,17 +558,7 @@ void ShortestPathSearch::pump_pipeline() {
     stats_.mask_pruned += out.mask_pruned;
     stats_.pruned_by_rules += out.pruned_rules;
     stats_.pruned_non_canonical += out.pruned_non_canonical;
-    if (restricted && out.mask) {
-      if (out.mask_from_memo) {
-        ++stats_.mask_memo_hits;
-      } else {
-        ++stats_.mask_memo_misses;
-        // The suffix is copied (not moved) into the memo so the reused
-        // task slot keeps its buffer capacity.
-        mask_memo_->insert(round_tasks_[slot.eval].suffix_hash,
-                           round_tasks_[slot.eval].context, out.mask);
-      }
-    }
+    count_mask(out.row, stats_);
 
     const Node parent = nodes_[slot.node];  // copy: nodes_ reallocates below
     for (std::size_t s = 0; s < out.steps.size(); ++s) {
@@ -628,7 +567,7 @@ void ShortestPathSearch::pump_pipeline() {
       child.set = step.next;
       child.parent = slot.node;
       child.token = step.token;
-      child.cost = parent.cost - (*out.lp)[step.token];
+      child.cost = parent.cost - (*out.row.log_probs)[step.token];
       RELM_DCHECK(!std::isnan(child.cost) && child.cost >= parent.cost - 1e-9,
                   "Dijkstra edge costs must be non-negative (-log p)");
       child.depth = parent.depth + 1;
@@ -875,14 +814,14 @@ std::optional<SearchResult> RandomSampler::sample_once_impl() {
     // paying its probability and respecting the decoding mask.
     if (edges.empty() && at_final && !query_.require_eos) break;
 
-    std::vector<double> lp = model_.next_log_probs(context);
+    const LanguageModel::Row row =
+        std::move(model_.next_rows({&context, 1}, query_.decoding).front());
     ++stats_.llm_calls;
+    count_mask(row, stats_);
+    const std::vector<double>& lp = *row.log_probs;
+    const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
     RELM_DCHECK(lp.size() == model_.vocab_size(),
                 "model distribution size must equal the vocabulary");
-    util::TokenBitset mask;
-    if (!query_.decoding.unrestricted()) {
-      mask = allowed_tokens(lp, query_.decoding);
-    }
 
     // Edges surviving the decoding rules, as indices into `edges`. The mask
     // fast path intersects the state's bitmask with the rule mask word-wise;
@@ -892,12 +831,11 @@ std::optional<SearchResult> RandomSampler::sample_once_impl() {
     allowed_idx.reserve(edges.size());
     if (query_.use_token_masks && compiled_.has_masks()) {
       const TokenMaskTable& bm = compiled_.artifact().body.masks;
-      const std::uint64_t* row = bm.state_words(body_state);
-      const std::uint64_t* rule_words =
-          mask.empty() ? nullptr : mask.words().data();
+      const std::uint64_t* state_row = bm.state_words(body_state);
+      const std::uint64_t* rule_words = mask ? mask->words().data() : nullptr;
       std::size_t rank_base = 0;
       for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-        const std::uint64_t word = row[w];
+        const std::uint64_t word = state_row[w];
         const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
         ++stats_.mask_words_scanned;
         stats_.mask_pruned += std::size_t(std::popcount(word)) -
@@ -914,7 +852,7 @@ std::optional<SearchResult> RandomSampler::sample_once_impl() {
     } else {
       for (std::size_t i = 0; i < edges.size(); ++i) {
         TokenId t = static_cast<TokenId>(edges[i].symbol);
-        if (!mask.empty() && !mask[t]) {
+        if (mask && !(*mask)[t]) {
           ++stats_.pruned_by_rules;
           continue;
         }
@@ -945,8 +883,7 @@ std::optional<SearchResult> RandomSampler::sample_once_impl() {
     bool eos_stop_available = false;
     if (at_final) {
       TokenId eos = model_.eos();
-      bool allowed = mask.empty() || mask[eos];
-      if (allowed) {
+      if (!mask || (*mask)[eos]) {
         eos_stop_available = true;
         weights.push_back(std::exp(lp[eos]));
       }
@@ -1095,9 +1032,9 @@ std::vector<SearchResult> BeamSearch::run() {
 
   for (std::size_t step = 0; step < seq_limit && !beams.empty(); ++step) {
     RELM_TRACE_SPAN("executor.beam_step");
-    std::vector<std::vector<double>> lps =
-        model_.next_log_probs_batch(beam_contexts(beams));
-    RELM_DCHECK(lps.size() == beams.size(),
+    const std::vector<LanguageModel::Row> rows =
+        model_.next_rows(beam_contexts(beams), query_.decoding);
+    RELM_DCHECK(rows.size() == beams.size(),
                 "batched model evaluation must return one row per beam");
     stats_.llm_calls += beams.size();
     stats_.expansions += beams.size();
@@ -1110,17 +1047,15 @@ std::vector<SearchResult> BeamSearch::run() {
     const bool fast = query_.use_token_masks && compiled_.has_masks();
     for (std::size_t b = 0; b < beams.size(); ++b) {
       const Beam& beam = beams[b];
-      const std::vector<double>& lp = lps[b];
-      util::TokenBitset mask;
-      if (!query_.decoding.unrestricted()) {
-        mask = allowed_tokens(lp, query_.decoding);
-      }
+      count_mask(rows[b], stats_);
+      const std::vector<double>& lp = *rows[b].log_probs;
+      const util::TokenBitset* mask = rows[b].mask.get();  // null: unrestricted
 
       // A match at this beam is recorded now (it may fall out of the beam).
       if (compiled_.is_match(beam.set)) {
         if (query_.require_eos) {
           TokenId eos = model_.eos();
-          if (mask.empty() || mask[eos]) {
+          if (!mask || (*mask)[eos]) {
             record_match(beam, beam.log_prob + lp[eos]);
           }
         } else {
@@ -1133,15 +1068,14 @@ std::vector<SearchResult> BeamSearch::run() {
       std::vector<CompiledQuery::Step>& steps = scratch_steps;
       if (fast) {
         CompiledQuery::MaskExpandStats ms;
-        compiled_.expand_masked(beam.set, mask.empty() ? nullptr : &mask,
-                                steps, ms);
+        compiled_.expand_masked(beam.set, mask, steps, ms);
         stats_.mask_words_scanned += ms.words_scanned;
         stats_.mask_pruned += ms.pruned;
       } else {
         steps = compiled_.expand(beam.set);
       }
       for (const CompiledQuery::Step& next : steps) {
-        if (!fast && !next.prefix_only && !mask.empty() && !mask[next.token]) {
+        if (!fast && !next.prefix_only && mask && !(*mask)[next.token]) {
           ++stats_.pruned_by_rules;
           continue;
         }

@@ -10,7 +10,6 @@
 #include "automata/walks.hpp"
 #include "core/compiled_query.hpp"
 #include "core/frontier.hpp"
-#include "core/mask_memo.hpp"
 #include "model/language_model.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -53,9 +52,10 @@ struct SearchStats {
   std::size_t speculative_wasted = 0;
   std::size_t horizon_clips = 0;
   std::size_t frontier_shard_steals = 0;
-  // Rule-mask memo activity (pipeline + restricted decoding): a hit reuses
-  // the decoding mask of a suffix-equal node instead of recomputing
-  // allowed_tokens over the whole vocabulary.
+  // Rule-mask reuse (restricted decoding, every strategy): a hit is a mask
+  // the model row reused from an earlier suffix-equal evaluation — a
+  // logit-cache entry or a row of the same batch — instead of recomputing
+  // allowed_tokens over the whole vocabulary; a miss is a mask computed.
   std::size_t mask_memo_hits = 0;
   std::size_t mask_memo_misses = 0;
   // Logit-cache activity attributed to this search (deltas against the
@@ -164,13 +164,9 @@ class ShortestPathSearch {
     std::vector<tokenizer::TokenId> body_prefix;  // dynamic-canonical only
     std::string body_text;  // decoded body_prefix (dynamic-canonical only)
     CompiledQuery::CanonState canon;  // parent's settled boundary
-    std::uint64_t suffix_hash = 0;
-    std::shared_ptr<const util::TokenBitset> memo_mask;  // rule-mask memo hit
   };
   struct SlotOutput {
-    std::shared_ptr<const std::vector<double>> lp;
-    std::shared_ptr<const util::TokenBitset> mask;  // null when unrestricted
-    bool mask_from_memo = false;
+    model::LanguageModel::Row row;
     std::vector<CompiledQuery::Step> steps;  // transitions surviving all rules
     // canon_states[i] is the settled boundary for steps[i] after filtering
     // (default for body resets); children inherit it at retirement.
@@ -183,7 +179,6 @@ class ShortestPathSearch {
     std::size_t pruned_non_canonical = 0;
     std::vector<tokenizer::TokenId> body_scratch;  // reused per-step buffers
     std::string text_scratch;
-    std::vector<double> value_scratch;  // allowed_tokens_into partition buffer
   };
 
   std::vector<tokenizer::TokenId> path_of(std::int32_t node) const;
@@ -195,7 +190,7 @@ class ShortestPathSearch {
   std::vector<tokenizer::TokenId> context_of(std::int32_t node) const;
   void context_into(std::int32_t node,
                     std::vector<tokenizer::TokenId>& out) const;
-  void expand(std::int32_t node_id, const std::vector<double>& lp);
+  void expand(std::int32_t node_id, const model::LanguageModel::Row& row);
   // Pops up to expansion_batch_size nodes, batch-evaluates their contexts,
   // expands them, and pushes any matches onto pending_results_. The lockstep
   // path (speculative_expansion = false).
@@ -223,10 +218,6 @@ class ShortestPathSearch {
   // Lockstep mode's frontier; the pipeline uses the sharded one below.
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> frontier_;
   ShardedFrontier pipe_frontier_;
-  // Rule-mask memo (pipeline + restricted decoding only). The query's shared
-  // memo when its tag matches our rules + vocabulary, else a private one;
-  // null when unrestricted or lockstep (see core/mask_memo.hpp).
-  std::shared_ptr<MaskMemo> mask_memo_;
   // Per-round pipeline scratch, reused across rounds (kept capacity is what
   // makes steady-state rounds allocation-free). round_outputs_ slots are
   // written by pool workers during a round — one writer per slot, joined by

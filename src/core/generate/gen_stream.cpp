@@ -134,16 +134,15 @@ void GenStream::advance_no_model(GenerateStats& stats) {
   accept(stats);  // free stop: final state with no outgoing edge
 }
 
-void GenStream::advance(const std::vector<double>& lp, GenerateStats& stats) {
+void GenStream::advance(const model::LanguageModel::Row& row,
+                        GenerateStats& stats) {
+  const std::vector<double>& lp = *row.log_probs;
+  const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
   RELM_DCHECK(lp.size() == model_->vocab_size(),
               "model distribution size must equal the vocabulary");
   const automata::Dfa& ba = compiled_->body_automaton();
   auto edges = ba.edges(body_state_);
   const bool at_final = ba.is_final(body_state_);
-
-  const model::DecodingRules& dr = rules();
-  util::TokenBitset mask;
-  if (!dr.unrestricted()) mask = model::allowed_tokens(lp, dr);
 
   // Edges surviving the decoding rules, as indices into `edges`. Identical
   // to the sampler: the precompiled per-state bitmask intersected with the
@@ -153,12 +152,11 @@ void GenStream::advance(const std::vector<double>& lp, GenerateStats& stats) {
   allowed_idx.reserve(edges.size());
   if (query_->use_token_masks && compiled_->has_masks()) {
     const TokenMaskTable& bm = compiled_->artifact().body.masks;
-    const std::uint64_t* row = bm.state_words(body_state_);
-    const std::uint64_t* rule_words =
-        mask.empty() ? nullptr : mask.words().data();
+    const std::uint64_t* state_row = bm.state_words(body_state_);
+    const std::uint64_t* rule_words = mask ? mask->words().data() : nullptr;
     std::size_t rank_base = 0;
     for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-      const std::uint64_t word = row[w];
+      const std::uint64_t word = state_row[w];
       const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
       ++stats.mask_words_scanned;
       stats.mask_pruned += std::size_t(std::popcount(word)) -
@@ -175,7 +173,7 @@ void GenStream::advance(const std::vector<double>& lp, GenerateStats& stats) {
   } else {
     for (std::size_t i = 0; i < edges.size(); ++i) {
       TokenId t = static_cast<TokenId>(edges[i].symbol);
-      if (!mask.empty() && !mask[t]) {
+      if (mask && !(*mask)[t]) {
         ++stats.pruned_by_rules;
         continue;
       }
@@ -205,7 +203,7 @@ void GenStream::advance(const std::vector<double>& lp, GenerateStats& stats) {
   bool eos_stop_available = false;
   if (at_final) {
     TokenId eos = model_->eos();
-    if (mask.empty() || mask[eos]) {
+    if (!mask || (*mask)[eos]) {
       eos_stop_available = true;
       weights.push_back(std::exp(lp[eos]));
     }

@@ -34,7 +34,8 @@ enum class StreamState {
 
 const char* to_string(StreamState state);
 
-// Per-stream knobs. Everything not set inherits from the engine's query.
+// Per-stream knobs. Everything else — the decoding rules included — comes
+// from the engine's query, so one model call per tick serves every stream.
 struct StreamSpec {
   // StreamRng index: the stream's randomness is
   // util::StreamRng::stream(engine master seed, rng_stream), a pure function
@@ -49,10 +50,6 @@ struct StreamSpec {
   // sequence budget: accept at a final state (unless the query owes EOS),
   // dead-end otherwise.
   std::size_t max_new_tokens = SIZE_MAX;
-
-  // Per-stream decoding rules (temperature / top-k / top-p); nullopt
-  // inherits the query's rules.
-  std::optional<model::DecodingRules> decoding;
 };
 
 // Counters shared by the streams and folded by the engine; mirrors the
@@ -119,12 +116,12 @@ class GenStream {
   // unambiguous free stop. Requires !needs_model().
   void advance_no_model(GenerateStats& stats);
 
-  // One body step given this context's distribution: apply the stream's
-  // decoding mask and the automaton mask (precompiled bitmask fast path when
+  // One body step given this context's model row: apply the row's decoding
+  // mask and the automaton mask (precompiled bitmask fast path when
   // available), renormalize over the surviving candidates plus EOS-as-stop at
   // final states, and draw with the stream's own RNG. Byte-for-byte the
   // sampler's body-loop semantics.
-  void advance(const std::vector<double>& lp, GenerateStats& stats);
+  void advance(const model::LanguageModel::Row& row, GenerateStats& stats);
 
   // Cursor control. Suspend freezes the stream mid-generation (its RNG and
   // automaton state are untouched, so resuming later changes nothing about
@@ -139,9 +136,6 @@ class GenStream {
   }
 
  private:
-  const model::DecodingRules& rules() const {
-    return spec_.decoding ? *spec_.decoding : query_->decoding;
-  }
   std::size_t sequence_limit() const;
   bool budget_spent() const;
   void accept(GenerateStats& stats);

@@ -175,23 +175,23 @@ bool GenerateEngine::tick() {
     slot_of_stream_.push_back(slot);
   }
 
-  // Phase 3: ONE batched evaluation for the whole tick. The model fans the
-  // unique contexts across the shared ThreadPool; slot i holds
-  // next_log_probs(unique_contexts_[i]) regardless of thread count.
-  std::vector<std::vector<double>> lps =
-      model_.next_log_probs_batch(unique_contexts_);
+  // Phase 3: ONE row call for the whole tick. The model builds the unique
+  // contexts' distributions and rule masks across the shared ThreadPool;
+  // slot i depends on unique_contexts_[i] alone, whatever the thread count.
+  const std::vector<model::LanguageModel::Row> rows =
+      model_.next_rows(unique_contexts_, query_.decoding);
   stats_.llm_calls += unique_contexts_.size();
   metrics.llm_calls.add(unique_contexts_.size());
 
-  // Phase 4: per-stream mask + sample, fanned across the pool. Each step is
-  // a pure function of its own stream's cursor, its own RNG, and its own
-  // slot's distribution, writing only its own stream plus a private stats
+  // Phase 4: per-stream mask-and-scan + sample, fanned across the pool. Each
+  // step is a pure function of its own stream's cursor, its own RNG, and its
+  // own slot's row, writing only its own stream plus a private stats
   // slot — the parallel_for contract — so outputs are identical at every
   // thread count. Stats fold back in stream order.
   step_stats_.assign(needs_eval_.size(), GenerateStats{});
   util::ThreadPool::shared().parallel_for(
       needs_eval_.size(), [&](std::size_t i) {
-        streams_[needs_eval_[i]].advance(lps[slot_of_stream_[i]],
+        streams_[needs_eval_[i]].advance(rows[slot_of_stream_[i]],
                                          step_stats_[i]);
       });
   for (const GenerateStats& step : step_stats_) {

@@ -18,18 +18,21 @@ namespace relm::core::generate {
 //      model call (budget retirement, free stops),
 //   3. deduplicates the remaining streams' model contexts through their
 //      relevant suffixes (the same key the suffix-keyed logit cache uses),
-//   4. submits ONE LanguageModel::next_log_probs_batch over the unique
-//      contexts — fanned across util::ThreadPool::shared() by the model —
-//   5. and applies each stream's decoding + automaton mask and samples its
-//      next token with the stream's own RNG, retiring streams on EOS/budget.
+//   4. submits ONE LanguageModel::next_rows over the unique contexts under
+//      the query's decoding rules — the model builds the rows (distribution
+//      plus rule mask) across util::ThreadPool::shared(), and a logit cache
+//      serves repeats of both —
+//   5. and applies each row's rule mask and the stream's automaton mask and
+//      samples its next token with the stream's own RNG, retiring streams
+//      on EOS/budget.
 //
 // Determinism invariant (Configuration H of the differential harness, and
 // tests/test_generate.cpp): every stream's emitted token sequence is
 // byte-identical to running that stream alone, serially, at any thread count
 // and any co-tenant mix. The ingredients: per-stream RNG streams are
 // isolated (util::StreamRng — a pure function of the engine's master seed
-// and the stream's index), next_log_probs_batch fills slot i with
-// next_log_probs(contexts[i]) regardless of scheduling, and each step reads
+// and the stream's index), next_rows fills slot i from contexts[i]
+// alone regardless of scheduling, and each step reads
 // only its own stream's state plus its own slot. Batch composition therefore
 // cannot leak into sampling order.
 //

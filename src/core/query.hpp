@@ -11,8 +11,6 @@
 
 namespace relm::core {
 
-class MaskMemo;
-
 // The regex portion of a query (Fig 11): the full pattern plus the prefix
 // sub-pattern. The prefix is itself a regular expression; it is "defined to
 // be in the language" (§2.4) — decoding rules never prune it — and the
@@ -72,8 +70,8 @@ struct SimpleSearchQuery {
   bool use_token_masks = true;
 
   // Shortest path: nodes expanded per model round. 1 = strict Dijkstra.
-  // Larger values batch frontier expansions through
-  // LanguageModel::next_log_probs_batch — the CPU analogue of the paper's
+  // Larger values batch frontier expansions through one
+  // LanguageModel::next_rows call — the CPU analogue of the paper's
   // GPU test-vector scheduling (§3.3). Results are identical for every
   // batch size: matches found ahead of settlement are held back until no
   // frontier node can beat them, so emission stays exact
@@ -102,15 +100,8 @@ struct SimpleSearchQuery {
 
   // Pipeline: nodes costlier than round_min + horizon are left for a later
   // round. Speculating past this is nearly always wasted (their children
-  // cannot settle soon); executor.speculative.horizon_clips counts the cut.
+  // cannot settle soon); executor.speculative_horizon_clips counts the cut.
   double speculation_horizon = 8.0;
-
-  // Pipeline + restricted decoding: optional decoding-mask memo shared
-  // across the sequential searches of a run (core/mask_memo.hpp). Suffixes
-  // repeat mostly ACROSS searches, so sharing lifts the memo hit rate to the
-  // logit cache's. Null = the search builds a private memo. The executor
-  // fingerprints rules + vocabulary and ignores a mismatched memo.
-  std::shared_ptr<MaskMemo> mask_memo;
 
   // Random sampling: weigh prefix edges by walk counts (the paper's
   // normalization, Appendix C). Disabled only by the Figure 9 ablation.

@@ -45,19 +45,32 @@ util::TokenBitset allowed_tokens(std::span<const double> log_probs,
   }
 
   if (rules.top_k) {
-    int k = *rules.top_k;
+    const int k = *rules.top_k;
     validate_top_k(k);
-    if (static_cast<std::size_t>(k) < V) {
-      std::vector<std::size_t> order(V);
-      std::iota(order.begin(), order.end(), 0);
-      std::nth_element(order.begin(), order.begin() + k, order.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         return rank_before(effective, a, b);
-                       });
-      // Everything at rank >= k is cut; the deterministic tie order above
-      // makes "the first k" a well-defined set, not a partition accident.
+    const auto kk = static_cast<std::size_t>(k);
+    if (kk < V) {
+      // Partition copied values to find the k-th largest and admit
+      // everything at or above it. When the tie class at that value
+      // straddles rank k, drop its highest token ids: what remains is
+      // exactly the first k of the rank_before order.
+      std::vector<double> values(effective.begin(), effective.end());
+      std::nth_element(values.begin(), values.begin() + (k - 1), values.end(),
+                       std::greater<double>());
+      const double kth = values[kk - 1];
       mask.reset_all();
-      for (int i = 0; i < k; ++i) mask.set(order[i]);
+      std::size_t taken = 0;
+      for (std::size_t t = 0; t < V; ++t) {
+        if (effective[t] >= kth) {
+          mask.set(t);
+          ++taken;
+        }
+      }
+      for (std::size_t t = V; taken > kk; --t) {
+        if (effective[t - 1] == kth) {
+          mask.reset(t - 1);
+          --taken;
+        }
+      }
     }
   }
 
@@ -80,42 +93,6 @@ util::TokenBitset allowed_tokens(std::span<const double> log_probs,
   }
 
   return mask;
-}
-
-void allowed_tokens_into(std::span<const double> log_probs,
-                         const DecodingRules& rules, util::TokenBitset& mask,
-                         std::vector<double>& scratch) {
-  const std::size_t V = log_probs.size();
-  if (!rules.top_k || rules.top_p || rules.temperature != 1.0 ||
-      static_cast<std::size_t>(*rules.top_k) >= V) {
-    mask = allowed_tokens(log_probs, rules);
-    return;
-  }
-  const int k = *rules.top_k;
-  validate_top_k(k);
-  if (mask.size() != V) mask = util::TokenBitset(V, false);
-  else mask.reset_all();
-
-  // Partition copied values to find the k-th largest, then admit everything
-  // strictly above it plus just enough ties in ascending token id — exactly
-  // the first k of the rank_before order allowed_tokens uses.
-  scratch.assign(log_probs.begin(), log_probs.end());
-  std::nth_element(scratch.begin(), scratch.begin() + (k - 1), scratch.end(),
-                   std::greater<double>());
-  const double kth = scratch[static_cast<std::size_t>(k) - 1];
-  std::size_t taken = 0;
-  for (std::size_t t = 0; t < V; ++t) {
-    if (log_probs[t] > kth) {
-      mask.set(t);
-      ++taken;
-    }
-  }
-  for (std::size_t t = 0; t < V && taken < static_cast<std::size_t>(k); ++t) {
-    if (log_probs[t] == kth) {
-      mask.set(t);
-      ++taken;
-    }
-  }
 }
 
 bool token_allowed(std::span<const double> log_probs, const DecodingRules& rules,

@@ -20,6 +20,10 @@ struct DecodingRules {
   double temperature = 1.0;      // applied before top_p mass computation
 
   bool unrestricted() const { return !top_k && !top_p; }
+
+  // Field-wise exact equality: a mask built under one rule set is served
+  // only to a request with exactly the same rules (CachingModel).
+  bool operator==(const DecodingRules&) const = default;
 };
 
 // Mask of tokens admitted by the rules given full-vocabulary natural-log
@@ -31,21 +35,10 @@ struct DecodingRules {
 //
 // Rank ties resolve by a fixed total order — token u precedes token t iff
 // lp_u > lp_t, or lp_u == lp_t and u < t — so the admitted set is a pure
-// function of the distribution, shared exactly with token_allowed().
+// function of the distribution, shared exactly with token_allowed(). Top-k
+// selects on values: one nth_element over a copy plus a threshold scan.
 util::TokenBitset allowed_tokens(std::span<const double> log_probs,
                                  const DecodingRules& rules);
-
-// Scratch-reusing equivalent of allowed_tokens for hot per-expansion loops
-// (the async pipeline computes one mask per settled node). Produces a mask
-// bit-identical to allowed_tokens — same tie order — but for the common
-// top-k-only / temperature-1 rule it selects on values directly (one
-// nth_element over a reused double buffer plus a threshold scan) instead of
-// permuting an index vector, and it writes into a caller-owned bitset so the
-// O(vocab) allocations amortize away. Falls back to allowed_tokens for any
-// other rule combination.
-void allowed_tokens_into(std::span<const double> log_probs,
-                         const DecodingRules& rules, util::TokenBitset& mask,
-                         std::vector<double>& scratch);
 
 // True iff `token` survives the rules: a single-membership test in O(vocab)
 // time with NO allocation — it never materializes the full mask (the oracle

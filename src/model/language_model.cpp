@@ -1,7 +1,9 @@
 #include "model/language_model.hpp"
 
+#include "model/decoding.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/errors.hpp"
 #include "util/thread_pool.hpp"
 
 namespace relm::model {
@@ -44,9 +46,23 @@ std::vector<std::vector<double>> LanguageModel::next_log_probs_batch(
   return out;
 }
 
-std::shared_ptr<const std::vector<double>> LanguageModel::next_log_probs_shared(
-    std::span<const TokenId> context) const {
-  return std::make_shared<const std::vector<double>>(next_log_probs(context));
+std::vector<LanguageModel::Row> LanguageModel::next_rows(
+    std::span<const std::vector<TokenId>> contexts,
+    const DecodingRules& rules) const {
+  std::vector<std::vector<double>> lps;
+  if (contexts.size() == 1) {
+    lps.push_back(next_log_probs(contexts.front()));
+  } else {
+    lps = next_log_probs_batch(contexts);
+  }
+  RELM_DCHECK(lps.size() == contexts.size(),
+              "batched model evaluation must return one row per context");
+  std::vector<Row> rows(contexts.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].log_probs = std::make_shared<const std::vector<double>>(std::move(lps[i]));
+  }
+  fill_rule_masks(rows, rules);
+  return rows;
 }
 
 double LanguageModel::sequence_log_prob(std::span<const TokenId> context,
@@ -76,6 +92,21 @@ std::span<const TokenId> relevant_suffix(const LanguageModel& model,
   const std::size_t relevant = model.relevant_context_length();
   if (relevant >= context.size()) return context;
   return context.subspan(context.size() - relevant, relevant);
+}
+
+void fill_rule_masks(std::span<LanguageModel::Row> rows, const DecodingRules& rules) {
+  if (rules.unrestricted()) return;
+  auto build = [&](std::size_t i) {
+    rows[i].mask = std::make_shared<const util::TokenBitset>(
+        allowed_tokens(*rows[i].log_probs, rules));
+  };
+  if (rows.size() < 2) {
+    for (std::size_t i = 0; i < rows.size(); ++i) build(i);
+    return;
+  }
+  // Slot i is written only by index i, so masks are identical for every
+  // pool size.
+  util::ThreadPool::shared().parallel_for(rows.size(), build);
 }
 
 }  // namespace relm::model

@@ -7,10 +7,13 @@
 #include <vector>
 
 #include "tokenizer/bpe.hpp"
+#include "util/token_bitset.hpp"
 
 namespace relm::model {
 
 using tokenizer::TokenId;
+
+struct DecodingRules;  // model/decoding.hpp
 
 // Abstract autoregressive language model: p(x_i | x_1..x_{i-1}) over a token
 // vocabulary (§2.4). ReLM's engine only ever talks to this interface — the
@@ -61,15 +64,6 @@ class LanguageModel {
   // it to avoid rebuilding full root-to-node paths per expansion.
   virtual std::size_t relevant_context_length() const { return kUnboundedContext; }
 
-  // Shared-ownership variant of next_log_probs for callers that only read
-  // the distribution: a memoizing wrapper (CachingModel) serves cache hits
-  // as a pointer to the cached vector itself, eliminating the vocab-sized
-  // copy per call that dominates hit cost. The returned vector is immutable
-  // and safe to hold across further model calls (eviction only drops the
-  // cache's reference). The default wraps next_log_probs.
-  virtual std::shared_ptr<const std::vector<double>> next_log_probs_shared(
-      std::span<const TokenId> context) const;
-
   // Batched evaluation: one distribution per context. The paper's Executor
   // "schedules massive sets of test vectors on accelerators" (§3.3); this is
   // the seam a GPU-backed implementation overrides. The default fans the
@@ -78,6 +72,28 @@ class LanguageModel {
   // or scheduling (slot i always holds next_log_probs(contexts[i])).
   virtual std::vector<std::vector<double>> next_log_probs_batch(
       std::span<const std::vector<TokenId>> contexts) const;
+
+  // One evaluated context as the traversals consume it: the distribution
+  // and the decoding-rule mask over it. Both buffers are immutable and
+  // shared, so a row stays valid across later model calls (a memoizing
+  // model hands out its stored buffers without copying them).
+  struct Row {
+    std::shared_ptr<const std::vector<double>> log_probs;
+    // model::allowed_tokens(*log_probs, rules); null when the rules are
+    // unrestricted.
+    std::shared_ptr<const util::TokenBitset> mask;
+    // The mask was built for an earlier, suffix-equal evaluation and reused
+    // here instead of being computed for this call.
+    bool mask_reused = false;
+  };
+
+  // The traversals' evaluation call: row i holds contexts[i]'s distribution
+  // and its mask under `rules`, in input order whatever the thread count.
+  // The default evaluates through next_log_probs (one context) or
+  // next_log_probs_batch (several) and builds the masks across the shared
+  // pool; CachingModel serves both from its entries.
+  virtual std::vector<Row> next_rows(std::span<const std::vector<TokenId>> contexts,
+                                     const DecodingRules& rules) const;
 
   // Cache telemetry, if this model memoizes (CachingModel). Cumulative over
   // the model's lifetime; callers diff snapshots to attribute work.
@@ -98,5 +114,10 @@ std::uint64_t hash_tokens(std::span<const TokenId> tokens);
 // when the context is shorter (or the model's dependence is unbounded).
 std::span<const TokenId> relevant_suffix(const LanguageModel& model,
                                          std::span<const TokenId> context);
+
+// Sets every row's mask to the tokens `rules` admit over its log_probs,
+// across the shared pool when there are several rows; masks stay null when
+// the rules are unrestricted. Throws relm::Error on invalid rules.
+void fill_rule_masks(std::span<LanguageModel::Row> rows, const DecodingRules& rules);
 
 }  // namespace relm::model

@@ -7,6 +7,7 @@
 #include <list>
 #include <unordered_set>
 
+#include "model/decoding.hpp"
 #include "obs/metrics.hpp"
 #include "util/errors.hpp"
 #include "util/sync.hpp"
@@ -245,10 +246,15 @@ struct CachingModel::Shard {
   struct Entry {
     std::uint64_t hash;
     std::vector<TokenId> suffix;  // stored to rule out hash collisions
-    // Shared so hits can hand the vector out without a vocab-sized copy;
-    // eviction merely drops the cache's reference while readers keep theirs.
+    // Shared so hits hand the buffers out without copying them; eviction
+    // merely drops the cache's references while readers keep theirs.
     std::shared_ptr<const std::vector<double>> log_probs;
+    // The mask last built over log_probs and the exact rules it was built
+    // for; null until a restricted request fills it.
+    DecodingRules mask_rules;
+    std::shared_ptr<const util::TokenBitset> mask;
   };
+  using Iter = std::list<Entry>::iterator;
 
   mutable util::Mutex mutex{util::LockRank::kModelCacheShard};
   // Set once in the CachingModel constructor before any concurrent use, and
@@ -257,51 +263,55 @@ struct CachingModel::Shard {
   // LRU list, front = most recently used; the index maps a suffix hash to
   // every live entry with that hash (collisions resolved by comparison).
   std::list<Entry> lru RELM_GUARDED_BY(mutex);
-  std::unordered_map<std::uint64_t, std::vector<std::list<Entry>::iterator>>
-      index RELM_GUARDED_BY(mutex);
+  std::unordered_map<std::uint64_t, std::vector<Iter>> index RELM_GUARDED_BY(mutex);
   std::size_t hits RELM_GUARDED_BY(mutex) = 0;
   std::size_t misses RELM_GUARDED_BY(mutex) = 0;
   std::size_t evictions RELM_GUARDED_BY(mutex) = 0;
 
-  // Looks up `suffix`, refreshing recency. Returns null on miss. Counts the
-  // hit/miss. The returned shared_ptr stays valid after `mutex` is released.
-  std::shared_ptr<const std::vector<double>> find(std::uint64_t hash,
-                                                  std::span<const TokenId> suffix)
+  // The live entry for `suffix`, or lru.end().
+  Iter locate(std::uint64_t hash, std::span<const TokenId> suffix)
       RELM_REQUIRES(mutex) {
     auto bucket = index.find(hash);
     if (bucket != index.end()) {
-      for (auto entry_it : bucket->second) {
-        if (entry_it->suffix.size() == suffix.size() &&
-            std::equal(entry_it->suffix.begin(), entry_it->suffix.end(),
-                       suffix.begin())) {
-          ++hits;
-          // Recency order only matters once eviction is plausible; below half
-          // capacity the splice is pure overhead on the hit path.
-          if (lru.size() * 2 >= capacity) lru.splice(lru.begin(), lru, entry_it);
-          return entry_it->log_probs;
-        }
+      for (Iter entry_it : bucket->second) {
+        if (std::ranges::equal(entry_it->suffix, suffix)) return entry_it;
       }
     }
-    ++misses;
-    return nullptr;
+    return lru.end();
   }
 
-  // Inserts unless an equal entry raced in meanwhile; evicts the LRU tail to
-  // stay within capacity.
-  void insert(std::uint64_t hash, std::span<const TokenId> suffix,
-              std::shared_ptr<const std::vector<double>> log_probs)
-      RELM_REQUIRES(mutex) {
-    if (capacity == 0) return;
-    auto bucket = index.find(hash);
-    if (bucket != index.end()) {
-      for (auto entry_it : bucket->second) {
-        if (entry_it->suffix.size() == suffix.size() &&
-            std::equal(entry_it->suffix.begin(), entry_it->suffix.end(),
-                       suffix.begin())) {
-          return;  // another thread filled it between our probe and now
-        }
-      }
+  // Looks up `suffix` for one request, refreshing recency and counting the
+  // hit or miss; null on miss. `retry` retracts the miss the request's
+  // previous probe counted (it then waited for another caller's evaluation
+  // of the suffix), so every request counts once. The entry may be read
+  // only while `mutex` is held.
+  const Entry* find(std::uint64_t hash, std::span<const TokenId> suffix,
+                    bool retry) RELM_REQUIRES(mutex) {
+    if (retry) --misses;
+    const Iter entry_it = locate(hash, suffix);
+    if (entry_it == lru.end()) {
+      ++misses;
+      return nullptr;
     }
+    ++hits;
+    // Recency order only matters once eviction is plausible; below half
+    // capacity the splice is pure overhead on the hit path.
+    if (lru.size() * 2 >= capacity) lru.splice(lru.begin(), lru, entry_it);
+    return &*entry_it;
+  }
+
+  // Stores `row` for `suffix`: a live entry takes its mask, otherwise a new
+  // entry is inserted, evicting the LRU tail to stay within capacity.
+  void store(std::uint64_t hash, std::span<const TokenId> suffix,
+             const Row& row, const DecodingRules& rules) RELM_REQUIRES(mutex) {
+    if (const Iter live = locate(hash, suffix); live != lru.end()) {
+      if (row.mask) {
+        live->mask_rules = rules;
+        live->mask = row.mask;
+      }
+      return;
+    }
+    if (capacity == 0) return;
     while (lru.size() >= capacity) {
       const Entry& victim = lru.back();
       auto victim_bucket = index.find(victim.hash);
@@ -314,9 +324,8 @@ struct CachingModel::Shard {
       CacheMetrics::get().evictions.add();
       CacheMetrics::get().entries.add(-1.0);
     }
-    lru.push_front(Entry{hash,
-                         std::vector<TokenId>(suffix.begin(), suffix.end()),
-                         std::move(log_probs)});
+    lru.push_front(Entry{hash, std::vector<TokenId>(suffix.begin(), suffix.end()),
+                         row.log_probs, rules, row.mask});
     index[hash].push_back(lru.begin());
     CacheMetrics::get().entries.add(1.0);
   }
@@ -371,130 +380,158 @@ CachingModel::Shard& CachingModel::shard_for(std::uint64_t hash) const {
   return shards_[x & (kCacheShards - 1)];
 }
 
-std::vector<double> CachingModel::next_log_probs(std::span<const TokenId> context) const {
-  return *next_log_probs_shared(context);
-}
+template <typename ContextAt>
+void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
+                         std::span<Row> out) const {
+  CacheMetrics& metrics = CacheMetrics::get();
+  const bool restricted = !rules.unrestricted();
 
-std::shared_ptr<const std::vector<double>> CachingModel::next_log_probs_shared(
-    std::span<const TokenId> context) const {
-  const std::span<const TokenId> suffix = relevant_suffix(*inner_, context);
-  const std::uint64_t hash = hash_tokens(suffix);
-  Shard& shard = shard_for(hash);
-  std::size_t waits = 0;
-  for (;;) {
-    {
-      util::ScopedLock lock(shard.mutex);
-      if (std::shared_ptr<const std::vector<double>> cached =
-              shard.find(hash, suffix)) {
-        // Each wait iteration probed once and counted a miss, but the
-        // in-flight computation served this call without a model eval:
-        // reclassify, mirroring the batch-dedup accounting.
-        shard.misses -= waits;
-        CacheMetrics::get().hits.add();
-        return cached;
+  // A distinct suffix this round evaluates (a miss) or masks (a hit whose
+  // stored mask is missing or was built for other rules); job_rows[j] is
+  // its row. outputs[0] owns the work, later outputs reuse it.
+  struct Job {
+    std::uint64_t hash;
+    std::span<const TokenId> suffix;
+    bool evaluate;
+    std::vector<std::size_t> outputs;
+  };
+  // This round's in-flight claims, released however the round ends so
+  // waiters wake and re-probe (after the entries are stored).
+  struct Claims {
+    Inflight& table;
+    std::vector<std::uint64_t> hashes;
+    ~Claims() { release(); }
+    void release() {
+      if (hashes.empty()) return;
+      util::ScopedLock lock(table.mutex);
+      for (std::uint64_t hash : hashes) table.pending.erase(hash);
+      hashes.clear();
+      table.done.notify_all();
+    }
+  };
+
+  // Rows whose suffix another caller was evaluating; re-probed next round.
+  std::vector<std::size_t> waiting;
+  for (bool retry = false;; retry = true) {
+    const std::vector<std::size_t> todo = std::move(waiting);
+    waiting.clear();
+    std::vector<Job> jobs;
+    std::vector<Row> job_rows;
+    Claims claims{*inflight_, {}};
+    const std::size_t probes = retry ? todo.size() : out.size();
+    for (std::size_t p = 0; p < probes; ++p) {
+      const std::size_t i = retry ? todo[p] : p;
+      const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
+      const std::uint64_t hash = hash_tokens(suffix);
+      Shard& shard = shard_for(hash);
+      bool hit = false;
+      {
+        util::ScopedLock lock(shard.mutex);
+        if (const Shard::Entry* entry = shard.find(hash, suffix, retry)) {
+          hit = true;
+          out[i].log_probs = entry->log_probs;
+          if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
+        }
+      }
+      if (hit) {
+        metrics.hits.add();
+        if (!restricted || out[i].mask) {
+          out[i].mask_reused = restricted;
+          continue;
+        }
+      }
+      const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
+        return j.hash == hash && std::ranges::equal(j.suffix, suffix);
+      });
+      if (job != jobs.end()) {
+        job->outputs.push_back(i);
+        if (!hit) {
+          // The probe counted a miss, but this round's pending evaluation
+          // serves the row without another model call: reclassify, so hit
+          // rates reflect evaluations saved.
+          util::ScopedLock lock(shard.mutex);
+          --shard.misses;
+          ++shard.hits;
+          metrics.hits.add();
+          metrics.batch_dedup.add();
+        }
+        continue;
+      }
+      if (!hit) {
+        bool claimed = false;
+        {
+          util::ScopedLock lock(inflight_->mutex);
+          claimed = inflight_->pending.insert(hash).second;
+        }
+        if (!claimed) {
+          metrics.inflight_dedup.add();
+          waiting.push_back(i);
+          continue;
+        }
+        claims.hashes.push_back(hash);
+        metrics.misses.add();
+      }
+      jobs.push_back(Job{hash, suffix, !hit, {i}});
+      job_rows.push_back(Row{out[i].log_probs, nullptr, false});
+    }
+
+    std::vector<std::vector<TokenId>> eval_contexts;
+    for (const Job& job : jobs) {
+      if (job.evaluate) eval_contexts.emplace_back(job.suffix.begin(), job.suffix.end());
+    }
+    if (!eval_contexts.empty()) {
+      std::vector<Row> fresh = inner_->next_rows(eval_contexts, DecodingRules{});
+      std::size_t e = 0;
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        if (jobs[j].evaluate) job_rows[j].log_probs = std::move(fresh[e++].log_probs);
       }
     }
+    fill_rule_masks(job_rows, rules);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      Shard& shard = shard_for(jobs[j].hash);
+      util::ScopedLock lock(shard.mutex);
+      shard.store(jobs[j].hash, jobs[j].suffix, job_rows[j], rules);
+    }
+    claims.release();
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      for (std::size_t k = 0; k < jobs[j].outputs.size(); ++k) {
+        Row& row = out[jobs[j].outputs[k]];
+        row = job_rows[j];
+        row.mask_reused = restricted && k > 0;
+      }
+    }
+
+    if (waiting.empty()) return;
     util::ScopedLock lock(inflight_->mutex);
-    if (inflight_->pending.insert(hash).second) break;  // we own the eval
-    CacheMetrics::get().inflight_dedup.add();
-    ++waits;
-    while (inflight_->pending.count(hash) > 0) inflight_->done.wait(lock);
+    for (const std::size_t i : waiting) {
+      const std::uint64_t hash = hash_tokens(relevant_suffix(*inner_, context_at(i)));
+      while (inflight_->pending.count(hash) > 0) inflight_->done.wait(lock);
+    }
   }
-  CacheMetrics::get().misses.add();
-  std::shared_ptr<const std::vector<double>> lp;
-  try {
-    lp = std::make_shared<const std::vector<double>>(
-        inner_->next_log_probs(suffix));
-  } catch (...) {
-    util::ScopedLock lock(inflight_->mutex);
-    inflight_->pending.erase(hash);
-    inflight_->done.notify_all();
-    throw;
-  }
-  {
-    util::ScopedLock lock(shard.mutex);
-    shard.insert(hash, suffix, lp);
-  }
-  {
-    util::ScopedLock lock(inflight_->mutex);
-    inflight_->pending.erase(hash);
-    inflight_->done.notify_all();
-  }
-  return lp;
+}
+
+std::vector<double> CachingModel::next_log_probs(std::span<const TokenId> context) const {
+  Row row;
+  serve([&](std::size_t) { return context; }, DecodingRules{}, {&row, 1});
+  return *row.log_probs;
 }
 
 std::vector<std::vector<double>> CachingModel::next_log_probs_batch(
     std::span<const std::vector<TokenId>> contexts) const {
-  std::vector<std::vector<double>> out(contexts.size());
-
-  // Probe phase: serve hits, dedup misses by suffix so each distinct context
-  // is evaluated once per batch.
-  struct Miss {
-    std::uint64_t hash;
-    std::vector<TokenId> suffix;
-    std::vector<std::size_t> outputs;  // batch slots waiting on this suffix
-  };
-  std::vector<Miss> misses;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> miss_index;
-  for (std::size_t i = 0; i < contexts.size(); ++i) {
-    const std::span<const TokenId> suffix = relevant_suffix(*inner_, contexts[i]);
-    const std::uint64_t hash = hash_tokens(suffix);
-    Shard& shard = shard_for(hash);
-    {
-      util::ScopedLock lock(shard.mutex);
-      if (std::shared_ptr<const std::vector<double>> cached =
-              shard.find(hash, suffix)) {
-        CacheMetrics::get().hits.add();
-        out[i] = *cached;
-        continue;
-      }
-    }
-    auto& candidates = miss_index[hash];
-    bool joined = false;
-    for (std::size_t m : candidates) {
-      if (misses[m].suffix.size() == suffix.size() &&
-          std::equal(misses[m].suffix.begin(), misses[m].suffix.end(),
-                     suffix.begin())) {
-        misses[m].outputs.push_back(i);
-        joined = true;
-        // The probe above counted this slot as a miss, but it is served by
-        // the batch's pending evaluation without an extra model call:
-        // reclassify as a hit so hit rates reflect evaluations saved.
-        util::ScopedLock lock(shard.mutex);
-        --shard.misses;
-        ++shard.hits;
-        CacheMetrics::get().hits.add();
-        CacheMetrics::get().batch_dedup.add();
-        break;
-      }
-    }
-    if (!joined) {
-      CacheMetrics::get().misses.add();
-      candidates.push_back(misses.size());
-      misses.push_back(Miss{hash,
-                            std::vector<TokenId>(suffix.begin(), suffix.end()),
-                            {i}});
-    }
+  std::vector<std::vector<double>> out;
+  out.reserve(contexts.size());
+  for (const Row& row : next_rows(contexts, DecodingRules{})) {
+    out.push_back(*row.log_probs);
   }
+  return out;
+}
 
-  if (misses.empty()) return out;
-
-  // Evaluate the distinct missing suffixes in one (parallel) inner batch.
-  std::vector<std::vector<TokenId>> eval_contexts;
-  eval_contexts.reserve(misses.size());
-  for (const Miss& m : misses) eval_contexts.push_back(m.suffix);
-  std::vector<std::vector<double>> lps = inner_->next_log_probs_batch(eval_contexts);
-
-  // Insert + scatter in input order.
-  for (std::size_t m = 0; m < misses.size(); ++m) {
-    Shard& shard = shard_for(misses[m].hash);
-    auto lp = std::make_shared<const std::vector<double>>(std::move(lps[m]));
-    {
-      util::ScopedLock lock(shard.mutex);
-      shard.insert(misses[m].hash, misses[m].suffix, lp);
-    }
-    for (std::size_t slot : misses[m].outputs) out[slot] = *lp;
-  }
+std::vector<LanguageModel::Row> CachingModel::next_rows(
+    std::span<const std::vector<TokenId>> contexts,
+    const DecodingRules& rules) const {
+  std::vector<Row> out(contexts.size());
+  serve([&](std::size_t i) { return std::span<const TokenId>(contexts[i]); },
+        rules, out);
   return out;
 }
 

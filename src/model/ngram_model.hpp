@@ -155,10 +155,13 @@ class UniformModel : public LanguageModel {
 // Entries are keyed on the inner model's *relevant suffix* (see
 // LanguageModel::relevant_context_length): for an order-n n-gram, two
 // distinct traversal paths ending in the same n-1 tokens share one cache
-// entry — full-path keys would make almost every lookup a miss. Eviction is
-// true LRU over a sharded table (one mutex per shard), safe under the
-// parallel next_log_probs_batch path; the capacity bounds *entries* across
-// all shards, never exceeded regardless of hash collisions.
+// entry — full-path keys would make almost every lookup a miss. An entry
+// keeps the distribution and the decoding-rule mask last built over it,
+// tagged with the exact rules that asked for it, so a hit under the same
+// rules returns both from one shard lookup. Eviction is true LRU over a
+// sharded table (one mutex per shard), safe under concurrent callers; the
+// capacity bounds *entries* across all shards, never exceeded regardless of
+// hash collisions.
 class CachingModel : public LanguageModel {
  public:
   CachingModel(std::shared_ptr<const LanguageModel> inner, std::size_t capacity = 1 << 16);
@@ -172,21 +175,22 @@ class CachingModel : public LanguageModel {
   std::size_t relevant_context_length() const override {
     return inner_->relevant_context_length();
   }
+  // Both copy their distributions out of next_rows (unrestricted rules).
   std::vector<double> next_log_probs(std::span<const TokenId> context) const override;
-
-  // Zero-copy hit path: returns the cached vector itself. Misses are
-  // deduplicated across concurrent callers through an in-flight table — when
-  // two threads miss on the same suffix simultaneously (speculative executor
-  // batches in flight), one computes and the other waits and re-probes
-  // instead of evaluating the model twice (model.cache.inflight_dedup).
-  std::shared_ptr<const std::vector<double>> next_log_probs_shared(
-      std::span<const TokenId> context) const override;
-
-  // Probes the cache for every context, batch-evaluates the distinct missing
-  // suffixes through the inner model (one parallel batch), and fills results
-  // in input order. Duplicate suffixes within a batch are evaluated once.
   std::vector<std::vector<double>> next_log_probs_batch(
       std::span<const std::vector<TokenId>> contexts) const override;
+
+  // Serves each context from its suffix's entry, with the stored mask when
+  // it was built for exactly `rules` (no O(vocab) work on such a hit).
+  // Distinct missing suffixes are evaluated once through the inner model's
+  // next_rows — so decorators see every evaluation — and their masks, plus
+  // those of hits whose stored mask was built for other rules, are built
+  // across the shared pool and stored. Misses are deduplicated within the
+  // call and across concurrent callers: a caller that misses on a suffix
+  // another thread is evaluating waits and re-probes instead of evaluating
+  // the model a second time (model.cache.inflight_dedup).
+  std::vector<Row> next_rows(std::span<const std::vector<TokenId>> contexts,
+                             const DecodingRules& rules) const override;
 
   std::optional<CacheStats> cache_stats() const override;
 
@@ -201,6 +205,12 @@ class CachingModel : public LanguageModel {
   struct Inflight;
 
   Shard& shard_for(std::uint64_t hash) const;
+
+  // The one lookup path behind next_rows and next_log_probs: fills out[i]
+  // for context_at(i) (a std::span<const TokenId>) under `rules`.
+  template <typename ContextAt>
+  void serve(ContextAt context_at, const DecodingRules& rules,
+             std::span<Row> out) const;
 
   std::shared_ptr<const LanguageModel> inner_;
   std::size_t capacity_;

@@ -475,7 +475,7 @@ int cmd_sample(const Args& args) {
 
 // `relm generate` — batched multi-stream mask-guided generation
 // (core/generate): N independent sampling streams multiplexed through one
-// next_log_probs_batch per tick, one JSONL line per stream on stdout.
+// next_rows call per tick, one JSONL line per stream on stdout.
 // Determinism: stream i's line is a pure function of (artifacts, query,
 // --seed, i) — independent of --streams, --threads, and co-tenants.
 int cmd_generate(const Args& args) {

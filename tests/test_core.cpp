@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "automata/levenshtein.hpp"
@@ -14,6 +15,7 @@
 #include "core/compiled_query.hpp"
 #include "core/compiler.hpp"
 #include "core/executor.hpp"
+#include "core/generate/generate_engine.hpp"
 #include "core/preprocessors.hpp"
 #include "core/relm.hpp"
 #include "model/ngram_model.hpp"
@@ -754,6 +756,12 @@ struct RankingCase {
   const char* prefix;
 };
 
+// Names each case by its strings rather than the bytes of its pointers, so
+// the registered test names are the same in every build.
+void PrintTo(const RankingCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" prefix \"" << c.prefix << '"';
+}
+
 class ShortestPathRanking : public ::testing::TestWithParam<RankingCase> {};
 
 TEST_P(ShortestPathRanking, MatchesBruteForceOrdering) {
@@ -849,32 +857,35 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(BatchedExpansion, SameResultSetAsStrictDijkstra) {
+  // Emission is exact at every batch size: matches found ahead of
+  // settlement are held back until no frontier node can beat them, so a
+  // batched lockstep run emits exactly the strict (batch-1) sequence —
+  // texts in order, log-probs bit-equal — with or without a rule mask.
   auto model = fixture_model();
   const BpeTokenizer& tok = fixture_tokenizer();
-  SimpleSearchQuery query;
-  query.query_string = {"The ((cat)|(dog)|(mat))( (sat|ran))?", "The"};
-  query.max_results = 20;
-  query.speculative_expansion = false;  // the lockstep batch path under test
-  CompiledQuery compiled = CompiledQuery::compile(query, tok);
+  for (std::optional<int> top_k : {std::optional<int>{}, std::optional<int>{3},
+                                   std::optional<int>{40}}) {
+    SimpleSearchQuery query;
+    query.query_string = {"The ((cat)|(dog)|(mat))( (sat|ran))?", "The"};
+    query.max_results = 20;
+    query.decoding.top_k = top_k;
+    query.speculative_expansion = false;  // the lockstep batch path under test
+    CompiledQuery compiled = CompiledQuery::compile(query, tok);
 
-  auto strict = ShortestPathSearch(*model, compiled, query).all();
-  query.expansion_batch_size = 8;
-  auto batched = ShortestPathSearch(*model, compiled, query).all();
-
-  ASSERT_EQ(strict.size(), batched.size());
-  // Same result set; emission order may differ only within a batch window,
-  // and scores are identical per text.
-  std::map<std::string, double> strict_scores, batched_scores;
-  for (const auto& r : strict) strict_scores[r.text] = r.log_prob;
-  for (const auto& r : batched) batched_scores[r.text] = r.log_prob;
-  EXPECT_EQ(strict_scores.size(), batched_scores.size());
-  for (const auto& [text, score] : strict_scores) {
-    ASSERT_TRUE(batched_scores.contains(text)) << text;
-    EXPECT_NEAR(batched_scores[text], score, 1e-9) << text;
+    const auto strict = ShortestPathSearch(*model, compiled, query).all();
+    ASSERT_FALSE(strict.empty());
+    for (std::size_t batch : {2u, 8u, 32u}) {
+      query.expansion_batch_size = batch;
+      const auto batched = ShortestPathSearch(*model, compiled, query).all();
+      ASSERT_EQ(batched.size(), strict.size()) << "batch " << batch;
+      for (std::size_t i = 0; i < strict.size(); ++i) {
+        EXPECT_EQ(batched[i].text, strict[i].text)
+            << "batch " << batch << " top_k " << top_k.value_or(0) << " #" << i;
+        EXPECT_EQ(batched[i].log_prob, strict[i].log_prob)
+            << "batch " << batch << " top_k " << top_k.value_or(0) << " #" << i;
+      }
+    }
   }
-  // The top result is still the global optimum (the first pump's best pop
-  // precedes everything it could spawn).
-  EXPECT_EQ(strict[0].text, batched[0].text);
 }
 
 TEST(BatchedExpansion, BatchModelCalledWithMultipleContexts) {
@@ -1048,6 +1059,86 @@ TEST(ParallelBatch, SearchStatsReportCacheActivity) {
   EXPECT_GT(second.stats().cache_hits, 0u);
   EXPECT_GT(second.stats().cache_hit_rate(), 0.0);
   EXPECT_LT(second.stats().cache_misses, first.stats().cache_misses);
+}
+
+TEST(ParallelBatch, CachedMasksNeverCrossRuleSets) {
+  // One logit cache serves every strategy under three rule sets over the
+  // same suffixes, the rule sets alternating run by run. A mask built for
+  // one rule set and served to another would change the pruning, so every
+  // run must equal the same query on a fresh cache; the second pass must
+  // reuse stored masks.
+  auto inner = fixture_model();
+  const BpeTokenizer& tok = fixture_tokenizer();
+  std::vector<model::DecodingRules> rule_sets(3);
+  rule_sets[0].top_k = 5;
+  rule_sets[1].top_k = 40;
+  rule_sets[2].top_p = 0.9;
+  enum class Kind { kPipeline, kLockstep, kSampler, kBeam, kGenerate };
+
+  // Runs one query; returns what it emitted and adds its mask reuse.
+  auto run = [&](const model::LanguageModel& model, Kind kind,
+                 const model::DecodingRules& rules, std::size_t& mask_reused) {
+    SimpleSearchQuery query;
+    query.query_string = {"The ((cat)|(dog)|(mat))( (sat|ran))?", "The"};
+    query.decoding = rules;
+    query.max_results = 20;
+    query.num_samples = 12;
+    query.speculative_expansion = kind != Kind::kLockstep;
+    query.expansion_batch_size = 4;
+    const CompiledQuery compiled = CompiledQuery::compile(query, tok);
+    std::vector<SearchResult> out;
+    if (kind == Kind::kGenerate) {
+      generate::GenerateEngine engine(model, compiled, query, 11);
+      for (int s = 0; s < 8; ++s) engine.add_stream();
+      engine.run();
+      for (std::size_t s = 0; s < engine.num_streams(); ++s) {
+        if (engine.result(s)) out.push_back(*engine.result(s));
+      }
+      return out;
+    }
+    SearchStats stats;
+    if (kind == Kind::kSampler) {
+      RandomSampler sampler(model, compiled, query, 11);
+      out = sampler.sample_all();
+      stats = sampler.stats();
+    } else if (kind == Kind::kBeam) {
+      BeamSearch beam(model, compiled, query);
+      out = beam.run();
+      stats = beam.stats();
+    } else {
+      ShortestPathSearch search(model, compiled, query);
+      out = search.all();
+      stats = search.stats();
+    }
+    EXPECT_GT(stats.mask_memo_hits + stats.mask_memo_misses, 0u);
+    mask_reused += stats.mask_memo_hits;
+    return out;
+  };
+
+  model::CachingModel shared(inner);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::size_t mask_reused = 0;
+    for (Kind kind : {Kind::kPipeline, Kind::kLockstep, Kind::kSampler,
+                      Kind::kBeam, Kind::kGenerate}) {
+      for (std::size_t r = 0; r < rule_sets.size(); ++r) {
+        std::size_t unused = 0;
+        model::CachingModel fresh(inner);
+        const auto want = run(fresh, kind, rule_sets[r], unused);
+        const auto got = run(shared, kind, rule_sets[r], mask_reused);
+        ASSERT_EQ(got.size(), want.size())
+            << "pass " << pass << " kind " << int(kind) << " rules " << r;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].tokens, want[i].tokens)
+              << "pass " << pass << " kind " << int(kind) << " rules " << r;
+          EXPECT_EQ(got[i].log_prob, want[i].log_prob)
+              << "pass " << pass << " kind " << int(kind) << " rules " << r;
+        }
+      }
+    }
+    if (pass == 1) {
+      EXPECT_GT(mask_reused, 0u);
+    }
+  }
 }
 
 TEST(FailureInjection, ZeroExpansionBatchTreatedAsOne) {

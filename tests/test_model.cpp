@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <thread>
 
 #include "model/decoding.hpp"
 #include "model/ngram_model.hpp"
@@ -224,6 +225,69 @@ TEST(CachingModel, BatchDeduplicatesMisses) {
 
   // The inner model reports no cache.
   EXPECT_FALSE(f.model->cache_stats().has_value());
+}
+
+TEST(CachingModel, ConcurrentRowsMatchFreshEvaluation) {
+  // Pool threads call next_rows at once on overlapping suffixes under two
+  // rule sets, in single-row and batch calls, through a cache small enough
+  // to evict: misses race on in-flight claims, hits on stored masks. Every
+  // row must hold the bare model's distribution and the mask built fresh
+  // for its own rules, whichever thread evaluated it.
+  Fixture f;
+  CachingModel cached(f.model, /*capacity=*/24);
+  std::vector<std::vector<tokenizer::TokenId>> contexts;
+  for (const char* text : {"The cat sat on the", "The dog ran to the",
+                           "https://www.example", "The cat", "The dog",
+                           "sat on the mat.", "ran to the park.", "The"}) {
+    contexts.push_back(f.tok.encode(text));
+  }
+  std::vector<DecodingRules> rule_sets(2);
+  rule_sets[0].top_k = 3;
+  rule_sets[1].top_p = 0.9;
+  auto check = [&](const LanguageModel::Row& row, std::size_t c,
+                   const DecodingRules& rules) {
+    EXPECT_EQ(*row.log_probs, f.model->next_log_probs(contexts[c]));
+    ASSERT_TRUE(row.mask);
+    EXPECT_EQ(*row.mask, allowed_tokens(*row.log_probs, rules));
+  };
+
+  // Plain threads, not a pool: a batch call fans its masks out over the
+  // shared pool, which a pool task may not enter.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kCalls = 96;
+  std::vector<std::vector<LanguageModel::Row>> got(kCalls);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = t; i < kCalls; i += kThreads) {
+        const DecodingRules& rules = rule_sets[i % 2];
+        if (i % 3 == 0) {
+          got[i] = cached.next_rows(contexts, rules);
+        } else {
+          got[i] = cached.next_rows({&contexts[i % contexts.size()], 1}, rules);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    if (i % 3 == 0) {
+      ASSERT_EQ(got[i].size(), contexts.size());
+      for (std::size_t c = 0; c < contexts.size(); ++c) {
+        check(got[i][c], c, rule_sets[i % 2]);
+      }
+    } else {
+      ASSERT_EQ(got[i].size(), 1u);
+      check(got[i][0], i % contexts.size(), rule_sets[i % 2]);
+    }
+  }
+  const auto stats = cached.cache_stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_LE(stats->entries, cached.capacity());
+  // One outcome per requested row: a probe that waited on another caller's
+  // evaluation counts once, as its final hit or miss.
+  EXPECT_EQ(stats->hits + stats->misses,
+            (kCalls / 3) * contexts.size() + (kCalls - kCalls / 3));
 }
 
 // ---------------------------------------------------------------------------

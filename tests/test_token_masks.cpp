@@ -13,11 +13,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/invariants.hpp"
@@ -499,6 +501,53 @@ TEST(TokenAllowed, AgreesWithAllowedTokensIncludingTies) {
                   model::token_allowed(lp, rules, static_cast<TokenId>(t)))
             << "trial " << trial << " token " << t
             << (uniform ? " (uniform)" : "");
+      }
+    }
+  }
+
+  // Quantized rows — a few distinct probability levels, so the tie class
+  // at rank k straddles the cut — some with -inf entries (tokens the model
+  // rules out), under top-k at the vocabulary edges k in {1, V-1, V, V+1}
+  // alone and combined with top-p and temperature: 50 rows x 4 k x 7 rule
+  // variants.
+  const std::pair<double, std::optional<double>> variants[] = {
+      {1.0, std::nullopt}, {1.0, 0.3}, {1.0, 0.9}, {0.7, std::nullopt},
+      {0.7, 0.5},          {1.6, std::nullopt}, {1.6, 0.8}};
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t vocab = 6 + static_cast<std::size_t>(trial);
+    const std::uint32_t levels = 2 + static_cast<std::uint32_t>(trial % 4);
+    std::vector<double> p(vocab);
+    double total = 0.0;
+    for (double& v : p) {
+      v = 1.0 + rng.bounded(levels);
+      total += v;
+    }
+    std::vector<double> lp(vocab);
+    for (std::size_t i = 0; i < vocab; ++i) lp[i] = std::log(p[i] / total);
+    if (trial % 3 == 0) {
+      // Rule out about a quarter of the tokens, always keeping token 0.
+      for (std::size_t i = 1; i < vocab; ++i) {
+        if (rng.bounded(4) == 0) lp[i] = -std::numeric_limits<double>::infinity();
+      }
+    }
+    const int V = static_cast<int>(vocab);
+    for (int k : {1, V - 1, V, V + 1}) {
+      for (const auto& [temperature, top_p] : variants) {
+        DecodingRules rules;
+        rules.top_k = k;
+        rules.top_p = top_p;
+        rules.temperature = temperature;
+        TokenBitset mask = model::allowed_tokens(lp, rules);
+        if (!top_p) {
+          EXPECT_EQ(mask.count(), std::min(vocab, static_cast<std::size_t>(k)))
+              << "trial " << trial << " k " << k;
+        }
+        for (std::size_t t = 0; t < vocab; ++t) {
+          EXPECT_EQ(mask[t],
+                    model::token_allowed(lp, rules, static_cast<TokenId>(t)))
+              << "quantized trial " << trial << " k " << k << " T "
+              << temperature << " token " << t;
+        }
       }
     }
   }
