@@ -3,22 +3,20 @@
 // (n = 16) is still 15x slower than ReLM. We report throughput both per
 // 1000 LLM calls (deterministic) and per wall-clock second.
 //
-// On top of the paper comparison, this binary measures the engine-level
-// optimizations: the same ReLM query re-run with batched frontier expansion
-// and the suffix-keyed logit cache, on 1 thread and on the full pool. The
-// two batched runs must produce byte-identical event streams (the
-// determinism guarantee of the parallel batch API); the batched runs must
-// produce the same URL set as the strict serial Dijkstra. The async frontier
-// pipeline (speculative expansion + occupancy controller) then runs once per
-// RELM_BENCH_THREADS entry, with byte-identical event streams required
-// across the whole sweep. With RELM_BENCH_JSON=1 a machine-readable
-// BENCH_JSON line is appended for scripts/bench.sh.
+// The paper's ReLM row is strict serial Dijkstra: the async frontier pipeline
+// at max_in_flight = 1, one node selected, evaluated and settled per round,
+// no logit cache. On top of the paper comparison, this binary measures the
+// engine-level optimizations: the same query through the speculative
+// pipeline (max_in_flight = 64, occupancy controller) and the suffix-keyed
+// logit cache, once per RELM_BENCH_THREADS entry. The event streams must be
+// byte-identical across the whole sweep, and the URL set must equal the
+// strict run's. With RELM_BENCH_JSON=1 a machine-readable BENCH_JSON line is
+// appended for scripts/bench.sh.
 
 #include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <optional>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -58,8 +56,8 @@ std::vector<std::string> sorted_urls(const MemorizationRun& run) {
 // one configuration back-to-back and taking its median still biases the
 // RATIOS, because the serial baseline and the pipeline sweep then sample
 // different epochs of the process. So the whole configuration sweep runs as
-// three interleaved passes (serial, batched, pipeline sweep; then again,
-// then again): every configuration samples early, middle, and late epochs,
+// three interleaved passes (serial, pipeline sweep; then again, then
+// again): every configuration samples early, middle, and late epochs,
 // and per-configuration medians make the ratios drift-free. Runs come from
 // the final pass — counters, events, and URL sets are deterministic across
 // passes, only the clock varies.
@@ -82,21 +80,15 @@ int main() {
   const std::size_t max_results = static_cast<std::size_t>(4000 * scale);
   const std::size_t max_expansions = static_cast<std::size_t>(40000 * scale);
 
-  // Engine-optimization runs: batched expansion + suffix-keyed cache, first
-  // pinned to one thread, then on the full shared pool. The async-pipeline
-  // sweep runs one configuration per RELM_BENCH_THREADS entry (default
-  // "1 2 4 8" via scripts/bench.sh), each with speculative expansion and the
-  // suffix-keyed cache. Pipeline scheduling is a pure function of search
-  // state — never thread count — so the event streams must be byte-identical
-  // across the sweep.
-  const std::size_t pool_threads =
-      std::max<std::size_t>(2, std::thread::hardware_concurrency());
-  RelmRunOptions batched;
-  batched.expansion_batch = 16;
-  batched.cache_capacity = 1 << 16;
+  // Engine-optimization runs: the async-pipeline sweep runs one
+  // configuration per RELM_BENCH_THREADS entry (default "1 2 4 8" via
+  // scripts/bench.sh), each with speculative expansion and the suffix-keyed
+  // cache. Pipeline scheduling is a pure function of search state — never
+  // thread count — so the event streams must be byte-identical across the
+  // sweep.
   RelmRunOptions pipe;
   pipe.cache_capacity = 1 << 16;
-  pipe.speculative = true;
+  pipe.max_in_flight = 64;
   const std::vector<std::size_t> pipe_threads = bench::bench_threads_from_env();
 
   struct PipelineRun {
@@ -104,9 +96,9 @@ int main() {
     MemorizationRun run;
     double wall;
   };
-  std::optional<MemorizationRun> relm_run_slot, bt1_slot, btn_slot;
+  std::optional<MemorizationRun> relm_run_slot;
   std::vector<PipelineRun> pipeline_runs;
-  std::array<double, kPasses> serial_walls{}, bt1_walls{}, btn_walls{};
+  std::array<double, kPasses> serial_walls{};
   std::vector<std::array<double, kPasses>> pipe_walls(pipe_threads.size());
 
   for (int pass = 0; pass < kPasses; ++pass) {
@@ -117,24 +109,6 @@ int main() {
           run_relm_url_extraction(world, *world.xl, max_results, max_expansions);
       serial_walls[static_cast<std::size_t>(pass)] = timer.seconds();
       if (last_pass) relm_run_slot = std::move(run);
-    }
-    {
-      batched.label = "relm_bt1";
-      util::ThreadPool::set_shared_threads(1);
-      util::Timer timer;
-      MemorizationRun run = run_relm_url_extraction(
-          world, *world.xl, max_results, max_expansions, batched);
-      bt1_walls[static_cast<std::size_t>(pass)] = timer.seconds();
-      if (last_pass) bt1_slot = std::move(run);
-    }
-    {
-      batched.label = "relm_bt" + std::to_string(pool_threads);
-      util::ThreadPool::set_shared_threads(pool_threads);
-      util::Timer timer;
-      MemorizationRun run = run_relm_url_extraction(
-          world, *world.xl, max_results, max_expansions, batched);
-      btn_walls[static_cast<std::size_t>(pass)] = timer.seconds();
-      if (last_pass) btn_slot = std::move(run);
     }
     for (std::size_t i = 0; i < pipe_threads.size(); ++i) {
       pipe.label = "relm_pipe" + std::to_string(pipe_threads[i]);
@@ -151,11 +125,7 @@ int main() {
     util::ThreadPool::set_shared_threads(1);
   }
   MemorizationRun relm_run = std::move(*relm_run_slot);
-  MemorizationRun bt1 = std::move(*bt1_slot);
-  MemorizationRun btn = std::move(*btn_slot);
   const double serial_wall = median(serial_walls);
-  const double bt1_wall = median(bt1_walls);
-  const double btn_wall = median(btn_walls);
   for (std::size_t i = 0; i < pipeline_runs.size(); ++i) {
     pipeline_runs[i].wall = median(pipe_walls[i]);
   }
@@ -171,8 +141,6 @@ int main() {
                 run.throughput_per_1k_calls(), per_sec);
   };
   row(relm_run);
-  row(bt1);
-  row(btn);
   for (const PipelineRun& pr : pipeline_runs) row(pr.run);
 
   bool pipeline_deterministic = true;
@@ -183,30 +151,21 @@ int main() {
     }
   }
 
-  const bool deterministic =
-      event_fingerprint(bt1) == event_fingerprint(btn);
   // Set-equality with strict serial holds for full enumerations; when a
-  // budget truncates the run, the batched frontier may cross the boundary
-  // with different tail members (same guarantee as the unit tests pin on
-  // finite languages), so the check is advisory there.
+  // budget truncates the run, the speculative frontier may cross the
+  // boundary with different tail members (same guarantee as the unit tests
+  // pin on finite languages), so the check is advisory there.
+  const MemorizationRun& pipe_run = pipeline_runs.front().run;
   const bool truncated =
       relm_run.events.size() >= max_results ||
       relm_run.search_stats.expansions >= max_expansions ||
-      bt1.events.size() >= max_results ||
-      bt1.search_stats.expansions >= max_expansions;
-  const bool same_urls = sorted_urls(relm_run) == sorted_urls(bt1);
-  std::printf("\n[engine] batch=16 cache=%zu: serial %.2fs -> 1-thread %.2fs "
-              "(%.2fx) -> %zu-thread %.2fs (%.2fx); cache hit rate %.1f%% "
-              "(%zu hits / %zu misses, %zu evictions)\n",
-              batched.cache_capacity, serial_wall, bt1_wall,
-              bt1_wall > 0 ? serial_wall / bt1_wall : 0.0, pool_threads,
-              btn_wall, btn_wall > 0 ? serial_wall / btn_wall : 0.0,
-              100.0 * btn.search_stats.cache_hit_rate(),
-              btn.search_stats.cache_hits, btn.search_stats.cache_misses,
-              btn.search_stats.cache_evictions);
-  std::printf("[engine] %zu-thread events byte-identical to 1-thread: %s; "
-              "URL set identical to strict serial: %s\n",
-              pool_threads, deterministic ? "yes" : "NO (BUG)",
+      pipe_run.events.size() >= max_results ||
+      pipe_run.search_stats.expansions >= max_expansions;
+  const bool same_urls = sorted_urls(relm_run) == sorted_urls(pipe_run);
+  std::printf("\n[strict] max_in_flight=1, no cache: %.2fs, %zu model calls "
+              "(nodes at the sequence limit settle without one)\n",
+              serial_wall, relm_run.total_llm_calls());
+  std::printf("[pipeline] URL set identical to strict serial: %s\n",
               same_urls ? "yes"
                         : (truncated ? "differs at budget boundary (expected "
                                        "for truncated runs)"
@@ -219,14 +178,14 @@ int main() {
     std::printf("[pipeline] %zu thread(s): %.2fs (%.2fx vs strict serial), "
                 "occupancy %.1f evals/round over %zu rounds, "
                 "%zu speculative, %zu wasted, %zu horizon clips, "
-                "%zu shard steals, mask reuse %.1f%%\n",
+                "cache hit rate %.1f%%, mask reuse %.1f%%\n",
                 pr.threads, pr.wall, speedup,
                 pr.run.search_stats.mean_batch_occupancy(),
                 pr.run.search_stats.pump_rounds,
                 pr.run.search_stats.speculative_expanded,
                 pr.run.search_stats.speculative_wasted,
                 pr.run.search_stats.horizon_clips,
-                pr.run.search_stats.frontier_shard_steals,
+                100.0 * pr.run.search_stats.cache_hit_rate(),
                 masks_total ? 100.0 * pr.run.search_stats.mask_memo_hits /
                                   static_cast<double>(masks_total)
                             : 0.0);
@@ -308,24 +267,12 @@ int main() {
         "BENCH_JSON {\"bench\":\"fig06_throughput\",\"scale\":%.3f,"
         "\"serial\":{\"wall_seconds\":%.4f,\"llm_calls\":%zu,"
         "\"valid_unique\":%zu},"
-        "\"batched_1_thread\":{\"wall_seconds\":%.4f,\"llm_calls\":%zu,"
-        "\"cache_hit_rate\":%.4f},"
-        "\"batched_%zu_threads\":{\"wall_seconds\":%.4f,\"llm_calls\":%zu,"
-        "\"cache_hit_rate\":%.4f},"
         "%s"
-        "\"threads\":%zu,\"expansion_batch\":16,"
-        "\"speedup_batched_1_thread\":%.3f,\"speedup_batched_%zu_threads\":%.3f,"
-        "\"deterministic_across_threads\":%s,"
         "\"pipeline_deterministic_across_threads\":%s,"
         "\"same_urls_as_serial\":%s,"
         "\"budget_truncated\":%s,\"metrics\":%s}\n",
         scale, serial_wall, relm_run.total_llm_calls(), relm_run.valid_unique(),
-        bt1_wall, bt1.total_llm_calls(), bt1.search_stats.cache_hit_rate(),
-        pool_threads, btn_wall, btn.total_llm_calls(),
-        btn.search_stats.cache_hit_rate(), pipeline_json.c_str(), pool_threads,
-        bt1_wall > 0 ? serial_wall / bt1_wall : 0.0, pool_threads,
-        btn_wall > 0 ? serial_wall / btn_wall : 0.0,
-        deterministic ? "true" : "false",
+        pipeline_json.c_str(),
         pipeline_deterministic ? "true" : "false",
         same_urls ? "true" : "false",
         truncated ? "true" : "false", bench::metrics_json().c_str());
@@ -334,7 +281,7 @@ int main() {
   // Determinism and (untruncated) set-equivalence are correctness
   // properties, not performance: fail loudly so CI's bench smoke catches
   // regressions.
-  if (!deterministic || !pipeline_deterministic || (!same_urls && !truncated)) {
+  if (!pipeline_deterministic || (!same_urls && !truncated)) {
     return 1;
   }
   return 0;

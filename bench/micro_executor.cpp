@@ -103,10 +103,10 @@ core::SimpleSearchQuery url_query(std::optional<int> top_k) {
   query.max_results = 50;
   query.max_expansions = 400;
   query.sequence_length = 20;
-  // The BM_ShortestPath* benchmarks measure the lockstep paths their names
-  // promise (and the bench-gate pins BM_ShortestPath at 3%); the async
+  // The BM_ShortestPath* benchmarks measure strict Dijkstra, one node per
+  // round (and the bench-gate pins BM_ShortestPath at 3%); the speculative
   // pipeline is priced separately by BM_ShortestPathPipeline.
-  query.speculative_expansion = false;
+  query.max_in_flight = 1;
   return query;
 }
 
@@ -125,40 +125,15 @@ void BM_ShortestPathTopK40(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathTopK40);
 
-// The same URL query through the batched frontier + suffix-keyed cache.
-// Arg(0) is the thread count. Compare against BM_ShortestPathTopK40 (strict
-// serial Dijkstra, no cache) for the end-to-end engine speedup.
-void BM_ShortestPathBatchedCached(benchmark::State& state) {
-  util::ThreadPool::set_shared_threads(static_cast<std::size_t>(state.range(0)));
-  core::SimpleSearchQuery query = url_query(40);
-  query.expansion_batch_size = 16;
-  core::CompiledQuery compiled =
-      core::CompiledQuery::compile(query, *world().tokenizer);
-  model::CachingModel cached(world().xl, 1 << 16);
-  std::size_t hits = 0, misses = 0;
-  for (auto _ : state) {
-    core::ShortestPathSearch search(cached, compiled, query);
-    benchmark::DoNotOptimize(search.all());
-    hits += search.stats().cache_hits;
-    misses += search.stats().cache_misses;
-  }
-  state.counters["hit_rate"] =
-      hits + misses > 0
-          ? static_cast<double>(hits) / static_cast<double>(hits + misses)
-          : 0.0;
-  util::ThreadPool::set_shared_threads(1);
-}
-BENCHMARK(BM_ShortestPathBatchedCached)->Arg(1)->Arg(2)->Arg(4);
-
 // The async frontier pipeline on the same URL query: speculative expansion
-// with the target-occupancy controller and the suffix-keyed cache, which
-// also serves the rule masks. Arg(0) is the thread count. Compare against
-// BM_ShortestPathTopK40 (strict serial) and BM_ShortestPathBatchedCached
-// (lockstep batching).
+// (the default max_in_flight) with the target-occupancy controller and the
+// suffix-keyed cache, which also serves the rule masks. Arg(0) is the thread
+// count. Compare against BM_ShortestPathTopK40 (strict serial, no cache) for
+// the end-to-end engine speedup.
 void BM_ShortestPathPipeline(benchmark::State& state) {
   util::ThreadPool::set_shared_threads(static_cast<std::size_t>(state.range(0)));
   core::SimpleSearchQuery query = url_query(40);
-  query.speculative_expansion = true;
+  query.max_in_flight = core::SimpleSearchQuery{}.max_in_flight;
   core::CompiledQuery compiled =
       core::CompiledQuery::compile(query, *world().tokenizer);
   // Shared across iterations: suffixes repeat across searches far more than

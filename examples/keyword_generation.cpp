@@ -45,7 +45,7 @@ int main() {
   // --- Part 2: keywords in free prose ----------------------------------------
   core::SimpleSearchQuery loose;
   loose.query_string.query_str =
-      "[A-Z][a-z ]{2,40}lantern[a-z ]{1,24}harbor(\\.|!)";
+      "[A-Z][a-z ]{2,40}lantern[a-z ]{1,24}harbor(\\.|\\!)";
   loose.decoding.top_k = 40;
   loose.max_results = 3;
   loose.max_expansions = 4000;

@@ -1,11 +1,10 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
-#include "core/token_masks.hpp"
+#include "core/generate/gen_stream.hpp"
 #include "model/decoding.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -101,10 +100,7 @@ void count_mask(const LanguageModel::Row& row, SearchStats& stats) {
 ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
                                        const CompiledQuery& compiled,
                                        const SimpleSearchQuery& query)
-    : model_(model),
-      compiled_(compiled),
-      query_(query),
-      pipeline_(query.speculative_expansion) {
+    : model_(model), compiled_(compiled), query_(query) {
   cache_baseline_ = cache_baseline_of(model_, model_has_cache_);
   Node root;
   root.set = compiled_.initial();
@@ -119,11 +115,7 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
   nodes_.reserve(std::min<std::size_t>(
       std::max<std::size_t>(query_.max_expansions, 1024), 1u << 16));
   nodes_.push_back(root);
-  if (pipeline_) {
-    pipe_frontier_.push(0.0, 0);
-  } else {
-    frontier_.push(QueueEntry{0.0, 0});
-  }
+  frontier_.push(QueueEntry{0.0, 0});
 }
 
 std::vector<TokenId> ShortestPathSearch::path_of(std::int32_t node) const {
@@ -133,12 +125,6 @@ std::vector<TokenId> ShortestPathSearch::path_of(std::int32_t node) const {
   }
   std::reverse(path.begin(), path.end());
   return path;
-}
-
-std::vector<TokenId> ShortestPathSearch::context_of(std::int32_t node) const {
-  std::vector<TokenId> context;
-  context_into(node, context);
-  return context;
 }
 
 void ShortestPathSearch::context_into(std::int32_t node,
@@ -158,97 +144,8 @@ void ShortestPathSearch::refresh_cache_stats() {
   fill_cache_stats(model_, cache_baseline_, model_has_cache_, stats_);
 }
 
-void ShortestPathSearch::expand(std::int32_t node_id,
-                                const LanguageModel::Row& row) {
-  const std::vector<double>& lp = *row.log_probs;
-  const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
-  RELM_DCHECK(lp.size() == model_.vocab_size(),
-              "model distribution size must equal the vocabulary");
-  const std::size_t seq_limit = std::min(
-      query_.sequence_length.value_or(model_.max_sequence_length()),
-      model_.max_sequence_length());
-  Node node = nodes_[node_id];  // copy: nodes_ may reallocate below
-  if (node.depth >= seq_limit) return;
-
-  // Dynamic canonical pruning needs the body token subsequence, which is the
-  // last `body_len` tokens of the path (tracked per node across the
-  // prefix->body hand-off).
-  auto body_path_ok = [&](TokenId next_token, const CompiledQuery::Step& step) {
-    if (!compiled_.dynamic_canonical() || !step.body_advanced) return true;
-    std::vector<TokenId> body_tokens;
-    body_tokens.push_back(next_token);
-    std::int32_t cur = node_id;
-    for (std::uint32_t i = 0; i < node.body_len; ++i) {
-      body_tokens.push_back(nodes_[cur].token);
-      cur = nodes_[cur].parent;
-    }
-    std::reverse(body_tokens.begin(), body_tokens.end());
-    std::string body_text = compiled_.tokenizer().decode(body_tokens);
-    bool ok = compiled_.canonical_prefix_ok(body_tokens, body_text);
-    if (!ok) ++stats_.pruned_non_canonical;
-    return ok;
-  };
-
-  // Mask-and-scan fast path: the rule filter happens inside expand_masked
-  // as a word-wise bitset intersection, so the per-edge probe loop (and its
-  // O(vocab) worst case per expansion) disappears entirely.
-  const bool fast = query_.use_token_masks && compiled_.has_masks();
-  std::vector<CompiledQuery::Step>& steps = scratch_steps_;
-  if (fast) {
-    CompiledQuery::MaskExpandStats ms;
-    compiled_.expand_masked(node.set, mask, steps, ms);
-    stats_.mask_words_scanned += ms.words_scanned;
-    stats_.mask_pruned += ms.pruned;
-  } else {
-    steps = compiled_.expand(node.set);
-  }
-
-  for (const CompiledQuery::Step& step : steps) {
-    if (!fast && !step.prefix_only && mask && !(*mask)[step.token]) {
-      ++stats_.pruned_by_rules;
-      continue;  // pruned, and transitively all its extensions (§3.3)
-    }
-    if (!body_path_ok(step.token, step)) continue;
-    RELM_DCHECK(step.token < lp.size(),
-                "compiled query emitted a token outside the vocabulary");
-    Node child;
-    child.set = step.next;
-    child.parent = node_id;
-    child.token = step.token;
-    child.cost = node.cost - lp[step.token];
-    RELM_DCHECK(!std::isnan(child.cost) && child.cost >= node.cost - 1e-9,
-                "Dijkstra edge costs must be non-negative (-log p)");
-    child.depth = node.depth + 1;
-    child.body_len = step.body_advanced ? node.body_len + 1 : 0;
-    child.terminal = false;
-    nodes_.push_back(child);
-    frontier_.push(QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
-  }
-
-  // EOS closure for terminated queries: a match becomes a result only after
-  // paying for EOS.
-  if (query_.require_eos && compiled_.is_match(node.set)) {
-    TokenId eos = model_.eos();
-    if (!mask || (*mask)[eos]) {
-      Node child = node;
-      child.parent = node_id;
-      child.token = eos;
-      child.cost = node.cost - lp[eos];
-      child.depth = node.depth + 1;
-      child.terminal = true;
-      child.expanded = false;
-      nodes_.push_back(child);
-      frontier_.push(
-          QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
-    } else {
-      ++stats_.pruned_by_rules;
-    }
-  }
-}
-
-// Queues `node_id` onto pending_results_ when it is a match (shared by the
-// lockstep and pipeline retirement paths; both call it for every settled
-// node, in deterministic order).
+// Queues `node_id` onto pending_results_ when it is a match. Retirement calls
+// it for every settled node, in deterministic order.
 void ShortestPathSearch::emit_if_result(std::int32_t id) {
   const bool is_result =
       nodes_[id].terminal ||
@@ -267,8 +164,8 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
     std::span<const TokenId> body(tokens.data() + (tokens.size() - body_len),
                                   body_len);
     // The body text is the tail of the already-decoded result text; the
-    // settled boundary carried on the node (default/empty for the lockstep
-    // path) lets the finalizer walk only the unsettled suffix.
+    // settled boundary carried on the node lets the finalizer walk only the
+    // unsettled suffix.
     std::size_t body_bytes = 0;
     for (TokenId t : body) {
       body_bytes += compiled_.tokenizer().token_string(t).size();
@@ -281,7 +178,7 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
     }
   }
   // No dedup here: a costlier encoding of a text can reach this point
-  // before a cheaper one is discovered (batched rounds pop ahead of
+  // before a cheaper one is discovered (speculative rounds pop ahead of
   // discovery). Dedup happens at release time in next(), once the result
   // is provably optimal.
   stats_.elapsed_seconds = timer_.seconds();
@@ -290,67 +187,6 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
       SearchResult{std::move(tokens), std::move(text), -nodes_[id].cost,
                    stats_.llm_calls, stats_.elapsed_seconds}});
 }
-
-void ShortestPathSearch::pump() {
-  // Pop the best frontier nodes; evaluate their contexts in one model batch
-  // (default batch size 1 = strict Dijkstra); expand; queue any matches.
-  RELM_TRACE_SPAN("executor.pump");
-  ExecutorMetrics& metrics = ExecutorMetrics::get();
-  const std::size_t pruned_rules_before = stats_.pruned_by_rules;
-  const std::size_t pruned_non_canonical_before = stats_.pruned_non_canonical;
-  const std::size_t mask_words_before = stats_.mask_words_scanned;
-  const std::size_t mask_pruned_before = stats_.mask_pruned;
-  const std::size_t results_before = pending_results_.size();
-  const std::size_t batch = std::max<std::size_t>(query_.expansion_batch_size, 1);
-  std::vector<std::int32_t> popped;
-  while (popped.size() < batch && !frontier_.empty()) {
-    QueueEntry entry = frontier_.top();
-    frontier_.pop();
-    if (nodes_[entry.node].expanded) continue;
-    nodes_[entry.node].expanded = true;
-    popped.push_back(entry.node);
-  }
-  if (popped.empty()) return;
-
-  // Terminal nodes need no model call; the others evaluate in one parallel
-  // batch over their model-relevant context suffixes (context_of walks only
-  // the suffix, not the whole root-to-node path).
-  std::vector<std::vector<TokenId>> eval_contexts;
-  std::vector<std::size_t> eval_index(popped.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < popped.size(); ++i) {
-    if (!nodes_[popped[i]].terminal) {
-      eval_index[i] = eval_contexts.size();
-      eval_contexts.push_back(context_of(popped[i]));
-    }
-  }
-  const std::vector<LanguageModel::Row> rows =
-      model_.next_rows(eval_contexts, query_.decoding);
-  RELM_DCHECK(rows.size() == eval_contexts.size(),
-              "batched model evaluation must return one row per context");
-  stats_.llm_calls += eval_contexts.size();
-  stats_.expansions += eval_contexts.size();
-  for (const LanguageModel::Row& row : rows) count_mask(row, stats_);
-
-  for (std::size_t i = 0; i < popped.size(); ++i) {
-    std::int32_t id = popped[i];
-    if (!nodes_[id].terminal) expand(id, rows[eval_index[i]]);
-    emit_if_result(id);
-  }
-  refresh_cache_stats();
-  metrics.llm_calls.add(eval_contexts.size());
-  metrics.expansions.add(eval_contexts.size());
-  metrics.pruned_rules.add(stats_.pruned_by_rules - pruned_rules_before);
-  metrics.pruned_non_canonical.add(stats_.pruned_non_canonical -
-                                   pruned_non_canonical_before);
-  metrics.mask_words_scanned.add(stats_.mask_words_scanned - mask_words_before);
-  metrics.mask_pruned.add(stats_.mask_pruned - mask_pruned_before);
-  metrics.results.add(pending_results_.size() - results_before);
-  metrics.batch_size.observe(static_cast<double>(popped.size()));
-}
-
-// ---------------------------------------------------------------------------
-// Async pipeline (speculative_expansion)
-// ---------------------------------------------------------------------------
 
 void ShortestPathSearch::make_task(std::int32_t node_id,
                                    SlotTask& task) const {
@@ -453,7 +289,7 @@ void ShortestPathSearch::evaluate_slot(const SlotTask& task,
   }
 }
 
-void ShortestPathSearch::pump_pipeline() {
+void ShortestPathSearch::pump() {
   RELM_TRACE_SPAN("executor.pump");
   ExecutorMetrics& metrics = ExecutorMetrics::get();
   const std::size_t pruned_rules_before = stats_.pruned_by_rules;
@@ -478,17 +314,17 @@ void ShortestPathSearch::pump_pipeline() {
   // classic keep-the-pipe-full setpoint), floor 1, ceiling max_in_flight.
   const std::size_t want = std::min(
       cap, std::max<std::size_t>(
-               1, std::min(pipe_frontier_.size(), 2 * target)));
+               1, std::min(frontier_.size(), 2 * target)));
 
   round_slots_.clear();
   round_tasks_.clear();
   double round_min = 0.0;
   bool have_min = false;
-  while (round_slots_.size() < want && !pipe_frontier_.empty()) {
-    const ShardedFrontier::Entry top = pipe_frontier_.min();
-    const std::int32_t id = static_cast<std::int32_t>(top.node);
+  while (round_slots_.size() < want && !frontier_.empty()) {
+    const QueueEntry top = frontier_.top();
+    const std::int32_t id = top.node;
     if (nodes_[id].expanded) {  // defensive: ids are pushed exactly once
-      pipe_frontier_.pop();
+      frontier_.pop();
       continue;
     }
     if (!have_min) {
@@ -509,7 +345,7 @@ void ShortestPathSearch::pump_pipeline() {
       ++stats_.speculative_cancelled;
       break;
     }
-    pipe_frontier_.pop();
+    frontier_.pop();
     nodes_[id].expanded = true;
     std::size_t eval = SIZE_MAX;
     if (needs_eval) {
@@ -575,8 +411,8 @@ void ShortestPathSearch::pump_pipeline() {
       child.canon = out.canon_states[s];
       child.terminal = false;
       nodes_.push_back(child);
-      pipe_frontier_.push(child.cost,
-                          static_cast<std::uint32_t>(nodes_.size() - 1));
+      frontier_.push(
+          QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
     }
     if (out.has_eos) {
       Node child = parent;
@@ -588,8 +424,8 @@ void ShortestPathSearch::pump_pipeline() {
       child.expanded = false;
       child.evaluated = false;
       nodes_.push_back(child);
-      pipe_frontier_.push(child.cost,
-                          static_cast<std::uint32_t>(nodes_.size() - 1));
+      frontier_.push(
+          QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
     }
     emit_if_result(slot.node);
   }
@@ -597,7 +433,6 @@ void ShortestPathSearch::pump_pipeline() {
   batch.rethrow_if_error();
 
   ++stats_.pump_rounds;
-  stats_.frontier_shard_steals = pipe_frontier_.shard_steals();
   refresh_cache_stats();
   metrics.llm_calls.add(n_tasks);
   metrics.expansions.add(n_tasks);
@@ -616,16 +451,8 @@ void ShortestPathSearch::pump_pipeline() {
   }
 }
 
-bool ShortestPathSearch::frontier_empty() const {
-  return pipeline_ ? pipe_frontier_.empty() : frontier_.empty();
-}
-
-double ShortestPathSearch::frontier_min_cost() const {
-  return pipeline_ ? pipe_frontier_.min().cost : frontier_.top().cost;
-}
-
 void ShortestPathSearch::count_speculative_waste() {
-  if (!pipeline_ || waste_counted_) return;
+  if (waste_counted_) return;
   waste_counted_ = true;
   std::size_t wasted = 0;
   for (const Node& node : nodes_) {
@@ -651,16 +478,16 @@ std::optional<SearchResult> ShortestPathSearch::next() {
     // itself be an undiscovered member of the same tie class, and holding the
     // release until the whole class is pending makes tie emission follow the
     // heap's canonical (cost, token-path) order instead of discovery order.
-    // Discovery order differs between the lockstep and speculative pipelines
-    // (and is why they would otherwise disagree on exact-cost ties); the
-    // settled class is identical in both, so draining it from the heap is
-    // what keeps their outputs byte-identical. When the expansion budget is
-    // spent the frontier is dead and the held-back matches drain in cost
-    // order.
+    // Discovery order depends on max_in_flight and the speculation horizon
+    // (and is why rounds of different widths would otherwise disagree on
+    // exact-cost ties); the settled class is identical for all of them, so
+    // draining it from the heap is what keeps their outputs byte-identical.
+    // When the expansion budget is spent the frontier is dead and the
+    // held-back matches drain in cost order.
     const bool budget_spent = stats_.expansions >= query_.max_expansions;
     while (!pending_results_.empty() &&
-           (budget_spent || frontier_empty() ||
-            pending_results_.top().cost < frontier_min_cost())) {
+           (budget_spent || frontier_.empty() ||
+            pending_results_.top().cost < frontier_.top().cost)) {
       if (emitted_ >= query_.max_results) {
         count_speculative_waste();
         return std::nullopt;
@@ -682,16 +509,12 @@ std::optional<SearchResult> ShortestPathSearch::next() {
       count_speculative_waste();
       return std::nullopt;
     }
-    if (frontier_empty()) {
+    if (frontier_.empty()) {
       stats_.elapsed_seconds = timer_.seconds();
       count_speculative_waste();
       return std::nullopt;
     }
-    if (pipeline_) {
-      pump_pipeline();
-    } else {
-      pump();
-    }
+    pump();
   }
 }
 
@@ -730,205 +553,51 @@ std::optional<SearchResult> RandomSampler::sample_once() {
   RELM_TRACE_SPAN("executor.sample");
   // Empty-language fast path: every attempt would dead-end; skip the model.
   if (compiled_.empty_language()) return std::nullopt;
-  ExecutorMetrics& metrics = ExecutorMetrics::get();
-  const std::size_t llm_calls_before = stats_.llm_calls;
-  const std::size_t pruned_rules_before = stats_.pruned_by_rules;
-  const std::size_t pruned_non_canonical_before = stats_.pruned_non_canonical;
-  const std::size_t mask_words_before = stats_.mask_words_scanned;
-  const std::size_t mask_pruned_before = stats_.mask_pruned;
-  std::optional<SearchResult> result = sample_once_impl();
-  refresh_cache_stats();
-  metrics.llm_calls.add(stats_.llm_calls - llm_calls_before);
-  metrics.pruned_rules.add(stats_.pruned_by_rules - pruned_rules_before);
-  metrics.pruned_non_canonical.add(stats_.pruned_non_canonical -
-                                   pruned_non_canonical_before);
-  metrics.mask_words_scanned.add(stats_.mask_words_scanned - mask_words_before);
-  metrics.mask_pruned.add(stats_.mask_pruned - mask_pruned_before);
-  if (result) metrics.results.add(1);
-  return result;
-}
-
-bool RandomSampler::sample_prefix_tokens(std::vector<TokenId>& out) {
-  out.clear();
-  const automata::Dfa& pa = compiled_.prefix_automaton();
-  if (query_.walk_normalized_sampling) {
-    std::vector<automata::Symbol> walk;
-    if (!prefix_walks_.sample_uniform_walk(pa, rng_, walk)) return false;
-    out.assign(walk.begin(), walk.end());
-    return true;
-  }
-  // Unnormalized ablation (Appendix C / Figure 9): each decision — stop here
-  // (if final) or take an outgoing edge — is uniform, which biases toward
-  // early edits.
-  automata::StateId state = pa.start();
-  const std::size_t limit = prefix_walks_.max_len();
-  for (std::size_t step = 0; step <= limit; ++step) {
-    auto edges = pa.edges(state);
-    bool can_stop = pa.is_final(state);
-    std::size_t options = edges.size() + (can_stop ? 1 : 0);
-    if (options == 0) return false;
-    std::size_t pick = rng_.bounded(static_cast<std::uint32_t>(options));
-    if (can_stop && pick == edges.size()) return true;
-    const automata::Edge& e = edges[pick];
-    out.push_back(static_cast<TokenId>(e.symbol));
-    state = e.to;
-  }
-  return pa.is_final(state);
-}
-
-std::optional<SearchResult> RandomSampler::sample_once_impl() {
   ++stats_.sample_attempts;
-  const std::size_t seq_limit = std::min(
-      query_.sequence_length.value_or(model_.max_sequence_length()),
-      model_.max_sequence_length());
-
-  // Phase 1: prefix, uniform over prefix walks (bypasses decoding rules).
-  std::vector<TokenId> prefix_tokens;
-  if (!sample_prefix_tokens(prefix_tokens)) {
-    ++stats_.sample_dead_ends;
-    return std::nullopt;
-  }
-
-  // Phase 2: body, LLM-weighted within the automaton.
-  std::vector<TokenId> context(prefix_tokens);
-  std::vector<TokenId> body_tokens;
-  std::string body_text;
-  double body_log_prob = 0.0;
-  automata::StateId body_state = compiled_.body_automaton().start();
-  const automata::Dfa& ba = compiled_.body_automaton();
-
-  for (;;) {
-    if (context.size() >= seq_limit) {
-      // Budget exhausted. A plain query accepts whatever the automaton
-      // accepts; a terminated (require_eos) query cannot accept here — the
-      // EOS token it still owes would exceed the sequence budget.
-      if (ba.is_final(body_state) && !query_.require_eos) break;
-      ++stats_.sample_dead_ends;
-      return std::nullopt;
+  generate::GenerateStats attempt;
+  generate::GenStream stream(model_, compiled_, query_, prefix_walks_, {},
+                             rng_);
+  stream.activate(attempt);
+  std::vector<TokenId> context;
+  while (stream.state() == generate::StreamState::kRunning) {
+    if (!stream.needs_model()) {
+      stream.advance_no_model(attempt);
+      continue;
     }
-    auto edges = ba.edges(body_state);
-    bool at_final = ba.is_final(body_state);
-    // An unambiguous stop (final state, no way to continue) ends a plain
-    // sample for free. A terminated query still owes p(EOS | string): fall
-    // through so the candidate loop below offers EOS as the only option —
-    // paying its probability and respecting the decoding mask.
-    if (edges.empty() && at_final && !query_.require_eos) break;
-
+    const std::span<const TokenId> suffix = stream.context();
+    context.assign(suffix.begin(), suffix.end());
     const LanguageModel::Row row =
         std::move(model_.next_rows({&context, 1}, query_.decoding).front());
-    ++stats_.llm_calls;
+    ++attempt.llm_calls;
     count_mask(row, stats_);
-    const std::vector<double>& lp = *row.log_probs;
-    const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
-    RELM_DCHECK(lp.size() == model_.vocab_size(),
-                "model distribution size must equal the vocabulary");
-
-    // Edges surviving the decoding rules, as indices into `edges`. The mask
-    // fast path intersects the state's bitmask with the rule mask word-wise;
-    // a surviving bit's rank within the state row *is* its edge index
-    // (edges are token-sorted, and the CSR index was built in that order).
-    std::vector<std::size_t> allowed_idx;
-    allowed_idx.reserve(edges.size());
-    if (query_.use_token_masks && compiled_.has_masks()) {
-      const TokenMaskTable& bm = compiled_.artifact().body.masks;
-      const std::uint64_t* state_row = bm.state_words(body_state);
-      const std::uint64_t* rule_words = mask ? mask->words().data() : nullptr;
-      std::size_t rank_base = 0;
-      for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-        const std::uint64_t word = state_row[w];
-        const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
-        ++stats_.mask_words_scanned;
-        stats_.mask_pruned += std::size_t(std::popcount(word)) -
-                              std::size_t(std::popcount(surv));
-        std::uint64_t bits = surv;
-        while (bits != 0) {
-          const int b = std::countr_zero(bits);
-          bits &= bits - 1;
-          allowed_idx.push_back(
-              rank_base + std::size_t(std::popcount(word & ((1ull << b) - 1))));
-        }
-        rank_base += std::size_t(std::popcount(word));
-      }
-    } else {
-      for (std::size_t i = 0; i < edges.size(); ++i) {
-        TokenId t = static_cast<TokenId>(edges[i].symbol);
-        if (mask && !(*mask)[t]) {
-          ++stats_.pruned_by_rules;
-          continue;
-        }
-        allowed_idx.push_back(i);
-      }
-    }
-
-    // Candidate weights: surviving automaton edges (plus EOS-as-stop at
-    // final states), renormalized over true model probabilities (§3.3).
-    std::vector<double> weights;
-    weights.reserve(allowed_idx.size() + 1);
-    std::vector<std::size_t> candidate_edges;
-    for (std::size_t i : allowed_idx) {
-      TokenId t = static_cast<TokenId>(edges[i].symbol);
-      // Dynamic canonical pruning of the candidate.
-      if (compiled_.dynamic_canonical()) {
-        std::vector<TokenId> candidate(body_tokens);
-        candidate.push_back(t);
-        std::string text = body_text + compiled_.tokenizer().token_string(t);
-        if (!compiled_.canonical_prefix_ok(candidate, text)) {
-          ++stats_.pruned_non_canonical;
-          continue;
-        }
-      }
-      candidate_edges.push_back(i);
-      weights.push_back(std::exp(lp[t]));
-    }
-    bool eos_stop_available = false;
-    if (at_final) {
-      TokenId eos = model_.eos();
-      if (!mask || (*mask)[eos]) {
-        eos_stop_available = true;
-        weights.push_back(std::exp(lp[eos]));
-      }
-    }
-    if (weights.empty()) {
-      ++stats_.sample_dead_ends;
-      return std::nullopt;
-    }
-    std::size_t pick = rng_.weighted(weights);
-    if (pick >= weights.size()) {
-      ++stats_.sample_dead_ends;
-      return std::nullopt;
-    }
-    if (eos_stop_available && pick == weights.size() - 1) {
-      body_log_prob += lp[model_.eos()];
-      break;  // EOS: accept
-    }
-
-    const automata::Edge& e = edges[candidate_edges[pick]];
-    TokenId t = static_cast<TokenId>(e.symbol);
-    body_log_prob += lp[t];
-    context.push_back(t);
-    body_tokens.push_back(t);
-    body_text += compiled_.tokenizer().token_string(t);
-    body_state = e.to;
+    stream.advance(row, attempt);
   }
+  rng_ = stream.rng();
 
-  // Final canonicality gate for dynamic-canonical queries: the completed
-  // body must be exactly its canonical encoding.
-  if (compiled_.dynamic_canonical()) {
-    std::vector<TokenId> canonical = compiled_.tokenizer().encode(body_text);
-    if (canonical != body_tokens) {
-      ++stats_.pruned_non_canonical;
-      ++stats_.sample_dead_ends;
-      return std::nullopt;
-    }
-  }
+  stats_.llm_calls += attempt.llm_calls;
+  stats_.pruned_by_rules += attempt.pruned_by_rules;
+  stats_.pruned_non_canonical += attempt.pruned_non_canonical;
+  stats_.mask_words_scanned += attempt.mask_words_scanned;
+  stats_.mask_pruned += attempt.mask_pruned;
+  stats_.sample_dead_ends += attempt.streams_dead_end;
+  refresh_cache_stats();
+  ExecutorMetrics& metrics = ExecutorMetrics::get();
+  metrics.llm_calls.add(attempt.llm_calls);
+  metrics.pruned_rules.add(attempt.pruned_by_rules);
+  metrics.pruned_non_canonical.add(attempt.pruned_non_canonical);
+  metrics.mask_words_scanned.add(attempt.mask_words_scanned);
+  metrics.mask_pruned.add(attempt.mask_pruned);
+  if (stream.state() != generate::StreamState::kDone) return std::nullopt;
+  metrics.results.add(1);
 
-  last_prefix_text_ = compiled_.tokenizer().decode(prefix_tokens);
-  std::string text = last_prefix_text_ + body_text;
+  SearchResult result = *stream.result();
+  const std::size_t prefix_len = result.tokens.size() - stream.body_len();
+  last_prefix_text_ = compiled_.tokenizer().decode(
+      std::span<const TokenId>(result.tokens.data(), prefix_len));
   stats_.elapsed_seconds = timer_.seconds();
-  // log_prob covers the body given the prefix (the prefix is uniform by
-  // construction, not model-weighted).
-  return SearchResult{std::move(context), std::move(text), body_log_prob,
-                      stats_.llm_calls, stats_.elapsed_seconds};
+  result.llm_calls_at_emission = stats_.llm_calls;
+  result.seconds_at_emission = stats_.elapsed_seconds;
+  return result;
 }
 
 std::vector<SearchResult> RandomSampler::sample_all() {
@@ -1063,8 +732,8 @@ std::vector<SearchResult> BeamSearch::run() {
         }
       }
 
-      // Mask-and-scan fast path, as in ShortestPathSearch::expand: the rule
-      // filter runs as a word-wise intersection inside expand_masked.
+      // Mask-and-scan fast path, as in ShortestPathSearch::evaluate_slot: the
+      // rule filter runs as a word-wise intersection inside expand_masked.
       std::vector<CompiledQuery::Step>& steps = scratch_steps;
       if (fast) {
         CompiledQuery::MaskExpandStats ms;

@@ -9,7 +9,6 @@
 
 #include "automata/walks.hpp"
 #include "core/compiled_query.hpp"
-#include "core/frontier.hpp"
 #include "model/language_model.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -39,18 +38,19 @@ struct SearchStats {
   std::size_t mask_pruned = 0;
   std::size_t sample_attempts = 0;     // random: attempts incl. dead ends
   std::size_t sample_dead_ends = 0;
-  // Async-pipeline counters (speculative_expansion; all zero in lockstep
-  // mode). pump_rounds counts pipeline rounds; speculative_expanded the
-  // nodes popped beyond the first per round (work done ahead of
-  // settlement); speculative_cancelled nodes deferred by the mid-selection
-  // expansion-budget clamp; horizon_clips selections cut by the cost
-  // horizon; speculative_wasted evaluations whose node cost exceeded the
-  // last emitted result (counted once, when the search ends).
+  // Async-pipeline counters. pump_rounds counts pipeline rounds;
+  // speculative_expanded the nodes popped beyond the first per round (work
+  // done ahead of settlement); speculative_cancelled nodes deferred by the
+  // mid-selection expansion-budget clamp; horizon_clips selections cut by
+  // the cost horizon; speculative_wasted evaluations whose node cost
+  // exceeded the last emitted result (counted once, when the search ends).
   std::size_t pump_rounds = 0;
   std::size_t speculative_expanded = 0;
   std::size_t speculative_cancelled = 0;
   std::size_t speculative_wasted = 0;
   std::size_t horizon_clips = 0;
+  // Always 0: the frontier is one heap owned by the coordinator. Kept so
+  // existing readers of the field still compile.
   std::size_t frontier_shard_steals = 0;
   // Rule-mask reuse (restricted decoding, every strategy): a hit is a mask
   // the model row reused from an earlier suffix-equal evaluation — a
@@ -114,9 +114,9 @@ class ShortestPathSearch {
     double cost;                // cumulative -log p
     std::uint32_t depth;
     std::uint32_t body_len;     // tokens consumed by the body machine
-    // Settled canonicality boundary of this node's body run (pipeline only):
-    // children resume the greedy-deviation check here instead of re-walking
-    // the whole body, keeping per-child verification O(newly settled).
+    // Settled canonicality boundary of this node's body run: children resume
+    // the greedy-deviation check here instead of re-walking the whole body,
+    // keeping per-child verification O(newly settled).
     CompiledQuery::CanonState canon;
     bool terminal;              // EOS attached; emit on pop
     bool expanded = false;
@@ -125,21 +125,22 @@ class ShortestPathSearch {
   struct QueueEntry {
     double cost;
     std::int32_t node;
-    // Ties break on node id — the same (cost, node_id) total order the
-    // pipeline's ShardedFrontier pops in, so lockstep and pipeline visit
-    // equal-cost nodes in the same sequence instead of heap-shape order.
+    // Ties break on node id: node ids are assigned in deterministic order by
+    // the coordinator, so the pop sequence is a pure function of search
+    // state, never of heap shape or thread count.
     bool operator>(const QueueEntry& other) const {
       if (cost != other.cost) return cost > other.cost;
       return node > other.node;
     }
   };
 
-  // A match held back until it is provably optimal. With expansion_batch > 1
-  // a round pops the k cheapest *discovered* nodes, so a popped match can be
-  // costlier than a not-yet-discovered encoding of the same text (its parent
-  // may sit in the same batch). Matches therefore wait in a cost-ordered
-  // heap and are released only once no frontier node could still beat them;
-  // text dedup happens at release time, keeping the most probable path.
+  // A match held back until it is provably optimal. A pipeline round pops up
+  // to max_in_flight of the cheapest *discovered* nodes, so a popped match
+  // can be costlier than a not-yet-discovered encoding of the same text (its
+  // parent may sit in the same round). Matches therefore wait in a
+  // cost-ordered heap and are released only once no frontier node could
+  // still beat them; text dedup happens at release time, keeping the most
+  // probable path.
   struct PendingResult {
     double cost;
     SearchResult result;
@@ -185,39 +186,30 @@ class ShortestPathSearch {
   // The model-visible context for a node: the last
   // model_.relevant_context_length() tokens of its path (the full path when
   // the model's dependence is unbounded). Walking only the relevant suffix
-  // keeps per-pop cost O(window) instead of O(depth). context_into writes
-  // into a caller-owned buffer so hot paths can reuse its capacity.
-  std::vector<tokenizer::TokenId> context_of(std::int32_t node) const;
+  // keeps per-pop cost O(window) instead of O(depth). It writes into a
+  // caller-owned buffer so hot paths can reuse its capacity.
   void context_into(std::int32_t node,
                     std::vector<tokenizer::TokenId>& out) const;
-  void expand(std::int32_t node_id, const model::LanguageModel::Row& row);
-  // Pops up to expansion_batch_size nodes, batch-evaluates their contexts,
-  // expands them, and pushes any matches onto pending_results_. The lockstep
-  // path (speculative_expansion = false).
+  // One async pipeline round: deterministic selection up to the cost
+  // horizon / occupancy target, async submission, in-order retirement
+  // overlapping later slots' evaluation. With max_in_flight = 1 a round is
+  // one strict Dijkstra step.
   void pump();
-  // The async pipeline round (speculative_expansion = true): deterministic
-  // selection up to the cost horizon / occupancy target, async submission,
-  // in-order retirement overlapping later slots' evaluation.
-  void pump_pipeline();
   // Fill-in-place forms: the pipeline reuses one SlotTask/SlotOutput per
   // round slot across rounds, so steady-state rounds allocate nothing.
   void make_task(std::int32_t node_id, SlotTask& task) const;
   void evaluate_slot(const SlotTask& task, SlotOutput& out) const;
   void emit_if_result(std::int32_t node_id);
-  bool frontier_empty() const;
-  double frontier_min_cost() const;
   void count_speculative_waste();
   void refresh_cache_stats();
 
   const model::LanguageModel& model_;
   const CompiledQuery& compiled_;
   const SimpleSearchQuery& query_;
-  const bool pipeline_;  // speculative_expansion: async pipeline vs lockstep
   std::vector<Node> nodes_;
-  std::vector<CompiledQuery::Step> scratch_steps_;  // reused across expansions
-  // Lockstep mode's frontier; the pipeline uses the sharded one below.
+  // Min-heap on (cost, node_id). Only the coordinator pushes (at retirement)
+  // and pops (at selection), so it needs no lock.
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> frontier_;
-  ShardedFrontier pipe_frontier_;
   // Per-round pipeline scratch, reused across rounds (kept capacity is what
   // makes steady-state rounds allocation-free). round_outputs_ slots are
   // written by pool workers during a round — one writer per slot, joined by
@@ -251,6 +243,8 @@ class ShortestPathSearch {
 // disambiguating stop-vs-continue at final states.
 class RandomSampler {
  public:
+  // Each attempt runs one generate::GenStream to retirement on this
+  // sampler's RNG, which carries over from one attempt to the next.
   RandomSampler(const model::LanguageModel& model, const CompiledQuery& compiled,
                 const SimpleSearchQuery& query, std::uint64_t seed);
 
@@ -268,8 +262,6 @@ class RandomSampler {
   const std::string& last_prefix_text() const { return last_prefix_text_; }
 
  private:
-  bool sample_prefix_tokens(std::vector<tokenizer::TokenId>& out);
-  std::optional<SearchResult> sample_once_impl();
   void refresh_cache_stats();
 
   const model::LanguageModel& model_;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "core/token_masks.hpp"
-#include "util/logging.hpp"
+#include "util/errors.hpp"
 
 namespace relm::core::generate {
 
@@ -53,15 +53,13 @@ bool GenStream::budget_spent() const {
 void GenStream::activate(GenerateStats& stats) {
   state_ = StreamState::kRunning;
   activated_ = true;
-  // Empty-language fast path, before any RNG draw: the sampler skips the
-  // attempt entirely, so the stream's RNG sequence stays aligned with it.
+  // Empty-language fast path, before any RNG draw.
   if (compiled_->empty_language()) {
     dead_end(stats);
     return;
   }
 
-  // Prefix phase: uniform over prefix walks (bypasses decoding rules),
-  // byte-for-byte RandomSampler::sample_prefix_tokens.
+  // Prefix phase: uniform over prefix walks (bypasses decoding rules).
   std::vector<TokenId> prefix;
   const automata::Dfa& pa = compiled_->prefix_automaton();
   if (query_->walk_normalized_sampling) {
@@ -123,7 +121,7 @@ void GenStream::advance_no_model(GenerateStats& stats) {
   if (budget_spent()) {
     // Budget exhausted: a plain query accepts whatever the automaton
     // accepts; a terminated query cannot — the EOS it still owes would
-    // exceed the budget. Exactly the sampler's budget semantics.
+    // exceed the budget.
     if (at_final && !query_->require_eos) {
       accept(stats);
     } else {
@@ -144,10 +142,10 @@ void GenStream::advance(const model::LanguageModel::Row& row,
   auto edges = ba.edges(body_state_);
   const bool at_final = ba.is_final(body_state_);
 
-  // Edges surviving the decoding rules, as indices into `edges`. Identical
-  // to the sampler: the precompiled per-state bitmask intersected with the
-  // rule mask word-wise, a surviving bit's rank within the state row being
-  // its edge index; or the per-edge probe loop when masks are off.
+  // Edges surviving the decoding rules, as indices into `edges`: the
+  // precompiled per-state bitmask intersected with the rule mask word-wise,
+  // a surviving bit's rank within the state row being its edge index; or the
+  // per-edge probe loop when masks are off.
   std::vector<std::size_t> allowed_idx;
   allowed_idx.reserve(edges.size());
   if (query_->use_token_masks && compiled_->has_masks()) {

@@ -15,13 +15,13 @@
 
 namespace relm::core::generate {
 
-// One mask-guided generation stream: a resumable cursor over the sampler's
-// attempt loop (RandomSampler::sample_once_impl), advanced one body token per
-// engine tick instead of run-to-completion. The stream's emitted token
-// sequence is a pure function of (compiled query, model, decoding rules,
-// its own RNG stream) — never of co-tenant streams, admission order, or
-// thread count — which is the invariant the whole generate subsystem is
-// built around (and what Configuration H of the differential harness pins).
+// One mask-guided generation stream: a resumable cursor over one sampling
+// attempt, advanced one body token per engine tick. RandomSampler runs one
+// stream to retirement per attempt. The stream's emitted token sequence is
+// a pure function of (compiled query, model, decoding rules, its own RNG
+// stream) — never of co-tenant streams, admission order, or thread count —
+// which is the invariant the whole generate subsystem is built around (and
+// what Configuration H of the differential harness pins).
 
 enum class StreamState {
   kPending,    // admitted; enters the scheduler at the next tick
@@ -46,9 +46,9 @@ struct StreamSpec {
   std::optional<std::uint64_t> rng_stream;
 
   // Budget on generated body tokens; the query/model sequence budget applies
-  // on top. Exhausting it retires the stream exactly like the sampler's
-  // sequence budget: accept at a final state (unless the query owes EOS),
-  // dead-end otherwise.
+  // on top. Exhausting it retires the stream exactly like the sequence
+  // budget: accept at a final state (unless the query owes EOS), dead-end
+  // otherwise.
   std::size_t max_new_tokens = SIZE_MAX;
 };
 
@@ -95,6 +95,9 @@ class GenStream {
   // testing::Oracle::check_samples validates them unchanged.
   const std::optional<SearchResult>& result() const { return result_; }
   std::size_t body_len() const { return body_tokens_.size(); }
+  // The stream's RNG as it stands after the draws made so far; RandomSampler
+  // carries it into its next attempt.
+  const util::Pcg32& rng() const { return rng_; }
 
   // --- engine driver interface (one call sequence per tick) ---------------
 
@@ -119,8 +122,7 @@ class GenStream {
   // One body step given this context's model row: apply the row's decoding
   // mask and the automaton mask (precompiled bitmask fast path when
   // available), renormalize over the surviving candidates plus EOS-as-stop at
-  // final states, and draw with the stream's own RNG. Byte-for-byte the
-  // sampler's body-loop semantics.
+  // final states, and draw with the stream's own RNG.
   void advance(const model::LanguageModel::Row& row, GenerateStats& stats);
 
   // Cursor control. Suspend freezes the stream mid-generation (its RNG and

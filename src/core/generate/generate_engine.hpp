@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/generate/gen_stream.hpp"
+#include "util/errors.hpp"
 #include "util/logging.hpp"
 
 namespace relm::core::generate {

@@ -69,29 +69,21 @@ struct SimpleSearchQuery {
   // the artifact cache key, and the outputs are identical either way.
   bool use_token_masks = true;
 
-  // Shortest path: nodes expanded per model round. 1 = strict Dijkstra.
-  // Larger values batch frontier expansions through one
-  // LanguageModel::next_rows call — the CPU analogue of the paper's
-  // GPU test-vector scheduling (§3.3). Results are identical for every
-  // batch size: matches found ahead of settlement are held back until no
-  // frontier node can beat them, so emission stays exact
-  // most-probable-first.
-  std::size_t expansion_batch_size = 1;
-
-  // Shortest path: run the asynchronous producer/consumer pipeline instead
-  // of pop-batch-settle lockstep. The coordinator speculatively pops nodes
-  // ahead of settlement (up to `speculation_horizon` beyond the round's
-  // minimum cost), submits their model evaluations as an async batch, and
-  // retires slots in submission order while later slots still evaluate.
-  // Batch size tracks frontier depth via `target_occupancy` (replacing the
-  // fixed expansion_batch_size, which only the lockstep path reads). All
-  // scheduling decisions are pure functions of search state — never thread
-  // count — so outputs are byte-identical to the lockstep path and across
-  // 1/2/4/8 threads (enforced by the differential harness).
-  bool speculative_expansion = true;
-
+  // Shortest path runs as an asynchronous producer/consumer pipeline. The
+  // coordinator speculatively pops nodes ahead of settlement (up to
+  // `speculation_horizon` beyond the round's minimum cost), submits their
+  // model evaluations as an async batch — the CPU analogue of the paper's
+  // GPU test-vector scheduling (§3.3) — and retires slots in submission
+  // order while later slots still evaluate. Matches found ahead of
+  // settlement are held back until no frontier node can beat them, so
+  // emission stays exact most-probable-first. All scheduling decisions are
+  // pure functions of search state — never thread count — so outputs are
+  // byte-identical for every max_in_flight and across 1/2/4/8 threads
+  // (enforced by the differential harness).
+  //
   // Pipeline: hard cap on nodes popped per round (bounds wasted speculative
-  // work after the last true match).
+  // work after the last true match). 1 = strict Dijkstra: one node is
+  // selected, evaluated and settled per round. 0 is treated as 1.
   std::size_t max_in_flight = 64;
 
   // Pipeline: the controller aims to keep this many evaluations in flight;

@@ -97,14 +97,7 @@ MemorizationRun run_relm_url_extraction(const World& world,
   query.max_results = max_results;
   query.max_expansions = max_expansions;
   query.sequence_length = 24;
-  if (options.expansion_batch > 1) {
-    query.expansion_batch_size = options.expansion_batch;
-  }
-  query.speculative_expansion = options.speculative;
-  if (options.speculative) {
-    query.target_occupancy = options.target_occupancy;
-    query.max_in_flight = options.max_in_flight;
-  }
+  query.max_in_flight = options.max_in_flight;
 
   // Non-owning view of the caller's model; the CachingModel wrapper (when
   // requested) shares it without taking ownership.

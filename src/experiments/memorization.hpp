@@ -39,20 +39,16 @@ struct MemorizationRun {
 };
 
 // Execution knobs for the ReLM run. Defaults reproduce the strict serial
-// Dijkstra the paper's comparison uses; expansion_batch > 1 pops that many
-// frontier nodes per (parallel) model batch, and cache_capacity > 0 wraps
-// the model in the suffix-keyed CachingModel. Results are identical across
-// thread counts for a fixed expansion_batch (see docs/PERFORMANCE.md).
+// Dijkstra the paper's comparison uses (max_in_flight = 1); the
+// engine-optimization rows in fig06 raise max_in_flight so the async
+// frontier pipeline evaluates that many nodes per round, and
+// cache_capacity > 0 wraps the model in the suffix-keyed CachingModel.
+// Results are identical across thread counts and max_in_flight values (see
+// docs/PERFORMANCE.md).
 struct RelmRunOptions {
   std::string label = "relm";
-  std::size_t expansion_batch = 1;
   std::size_t cache_capacity = 0;
-  // Async frontier pipeline (core::SimpleSearchQuery::speculative_expansion).
-  // Off by default so the paper comparison keeps the strict serial Dijkstra;
-  // the engine-optimization rows in fig06 turn it on per thread count.
-  bool speculative = false;
-  std::size_t target_occupancy = 16;
-  std::size_t max_in_flight = 64;
+  std::size_t max_in_flight = 1;  // core::SimpleSearchQuery::max_in_flight
   // One-pass difference-automaton mode: URLs listed here are subtracted from
   // the query language itself — the pattern becomes `(URL body) - (url_1 |
   // url_2 | ...)` and the executor never visits an excluded URL at all. This

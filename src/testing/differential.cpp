@@ -30,8 +30,8 @@ namespace {
 // Everything one configuration produces. Only (tokens, text, log_prob) are
 // compared; the timing/attribution fields legitimately differ per run.
 struct ExecutorOutputs {
-  std::vector<SearchResult> shortest1;  // expansion_batch_size = 1 (ordered)
-  std::vector<SearchResult> shortest3;  // expansion_batch_size = 3 (batched)
+  std::vector<SearchResult> shortest1;  // max_in_flight = 1 (ordered)
+  std::vector<SearchResult> shortest3;  // max_in_flight = 3 (speculative)
   std::vector<SearchResult> beam;
   std::vector<SearchResult> samples;
 };
@@ -42,18 +42,16 @@ ExecutorOutputs run_executors(const LanguageModel& model,
                               std::uint64_t sampler_seed) {
   ExecutorOutputs out;
   {
-    // Pinned to the lockstep path: this is the strict-Dijkstra comparison
-    // target the async pipeline (Configuration F) must reproduce bytewise.
+    // Strict Dijkstra: the comparison target the default pipeline
+    // (Configuration F) must reproduce bytewise.
     SimpleSearchQuery q = base;
-    q.expansion_batch_size = 1;
-    q.speculative_expansion = false;
+    q.max_in_flight = 1;
     ShortestPathSearch search(model, compiled, q);
     out.shortest1 = search.all();
   }
   {
     SimpleSearchQuery q = base;
-    q.expansion_batch_size = 3;
-    q.speculative_expansion = false;
+    q.max_in_flight = 3;
     ShortestPathSearch search(model, compiled, q);
     out.shortest3 = search.all();
   }
@@ -223,10 +221,11 @@ TrialReport run_trial(const TrialCase& trial,
       if (!check_config(out, "masks-off")) return report;
     }
 
-    // Configuration F: the async pipeline (speculative expansion on) across
-    // a shared-pool thread sweep. Pipeline scheduling is defined to be a
-    // pure function of deterministic search state, so its output must be
-    // byte-identical to the strict lockstep run at every thread count.
+    // Configuration F: the default pipeline (max_in_flight left at its
+    // default) across a shared-pool thread sweep. Pipeline scheduling is
+    // defined to be a pure function of deterministic search state, so its
+    // output must be byte-identical to the strict (max_in_flight = 1) run at
+    // every thread count.
     {
       const std::size_t restore = util::ThreadPool::shared().threads();
       std::optional<std::string> diff;
@@ -234,10 +233,7 @@ TrialReport run_trial(const TrialCase& trial,
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{4}, std::size_t{8}}) {
         util::ThreadPool::set_shared_threads(threads);
-        SimpleSearchQuery spec = query;
-        spec.expansion_batch_size = 1;
-        spec.speculative_expansion = true;
-        ShortestPathSearch search(*base_model, compiled, spec);
+        ShortestPathSearch search(*base_model, compiled, query);
         std::vector<SearchResult> got = search.all();
         diff = diff_exact(got, plain.shortest1, "pipeline");
         if (diff) {
@@ -312,18 +308,15 @@ TrialReport run_trial(const TrialCase& trial,
                           "\" is outside L(A)-L(B)");
         }
       }
-      // Thread sweep with masks on: the async pipeline over the difference
-      // automaton must reproduce its own lockstep run bytewise.
+      // Thread sweep with masks on: the default pipeline over the difference
+      // automaton must reproduce its own strict run bytewise.
       const std::size_t restore = util::ThreadPool::shared().threads();
       std::optional<std::string> diff;
       std::size_t bad_threads = 0;
       for (std::size_t threads :
            {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
         util::ThreadPool::set_shared_threads(threads);
-        SimpleSearchQuery spec = one_pass_query;
-        spec.expansion_batch_size = 1;
-        spec.speculative_expansion = true;
-        ShortestPathSearch search(*base_model, one_compiled, spec);
+        ShortestPathSearch search(*base_model, one_compiled, one_pass_query);
         std::vector<SearchResult> got = search.all();
         diff = diff_exact(got, one_pass.shortest1, "difference-pipeline");
         if (diff) {

@@ -469,7 +469,6 @@ core::SimpleSearchQuery TrialCase::query() const {
   q.sequence_length = sequence_length;
   q.require_eos = require_eos;
   q.num_samples = num_samples;
-  q.expansion_batch_size = expansion_batch;
   q.canonical_enumeration_budget = canonical_enumeration_budget;
   return q;
 }
@@ -493,8 +492,6 @@ Json TrialCase::to_json() const {
   j.set("sequence_length",
         Json::number(static_cast<std::int64_t>(sequence_length)));
   j.set("num_samples", Json::number(static_cast<std::int64_t>(num_samples)));
-  j.set("expansion_batch",
-        Json::number(static_cast<std::int64_t>(expansion_batch)));
   j.set("sampler_seed", Json::number(static_cast<std::int64_t>(sampler_seed)));
   j.set("canonical_enumeration_budget",
         Json::number(static_cast<std::int64_t>(canonical_enumeration_budget)));
@@ -524,8 +521,6 @@ TrialCase TrialCase::from_json(const Json& j) {
   c.sequence_length =
       static_cast<std::size_t>(j.at("sequence_length").as_int());
   c.num_samples = static_cast<std::size_t>(j.at("num_samples").as_int());
-  c.expansion_batch =
-      static_cast<std::size_t>(j.at("expansion_batch").as_int());
   c.sampler_seed = static_cast<std::uint64_t>(j.at("sampler_seed").as_int());
   c.canonical_enumeration_budget = static_cast<std::size_t>(
       j.at("canonical_enumeration_budget").as_int());

@@ -123,7 +123,6 @@ struct TrialCase {
   double temperature = 1.0;
   std::size_t sequence_length = 8;
   std::size_t num_samples = 24;
-  std::size_t expansion_batch = 1;
   std::uint64_t sampler_seed = 1;
   std::size_t canonical_enumeration_budget = 50000;
 

@@ -9,7 +9,7 @@
 //               [--encodings canonical|all] [--edits N] [--top-k K]
 //               [--top-p P] [--temperature T]
 //               [--results N] [--samples N] [--require-eos] [--seed N]
-//               [--threads N] [--cache-capacity N] [--batch N]
+//               [--threads N] [--cache-capacity N]
 //               [--compile-cache [DIR]] [--no-compile-cache]
 //               [--no-token-masks] [--determinize-budget N]
 //               [--trace-out FILE] [--trace-jsonl FILE] [--metrics]
@@ -22,9 +22,8 @@
 //       (`relm run` is an alias.)
 //       --threads sizes the shared evaluation pool (default: RELM_THREADS or
 //       hardware concurrency); --cache-capacity bounds the suffix-keyed
-//       logit cache (default 65536 entries, 0 disables); --batch sets the
-//       shortest-path frontier expansion batch (default 1 = strict
-//       Dijkstra). See docs/PERFORMANCE.md.
+//       logit cache (default 65536 entries, 0 disables). See
+//       docs/PERFORMANCE.md.
 //       --no-token-masks disables the precomputed per-state token bitmask
 //       fast path (mask-and-scan) and uses the per-edge probe loop instead;
 //       results are identical, only the executor hot-loop cost changes.
@@ -392,8 +391,6 @@ int cmd_query(const Args& args) {
   query.max_results = static_cast<std::size_t>(args.get_long("results", 10));
   query.num_samples = static_cast<std::size_t>(args.get_long("samples", 10));
   query.require_eos = args.has("require-eos");
-  long batch = args.get_long("batch", 1);
-  if (batch > 1) query.expansion_batch_size = static_cast<std::size_t>(batch);
   std::uint64_t seed = static_cast<std::uint64_t>(args.get_long("seed", 0));
 
   util::Timer timer;

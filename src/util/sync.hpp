@@ -110,11 +110,6 @@ enum class LockRank : int {
   kPoolState = 12,   // worker wake state: current job + stop flag
   kPoolJob = 13,     // per-job/batch error slot + completion condvar
 
-  // core (executor sharded frontier). Between the pool (whose workers run
-  // expansion tasks that never touch the frontier) and the caches (which a
-  // frontier holder must never need): pushes/pops take exactly one shard.
-  kFrontierShard = 15,
-
   // core/pipeline/cache (compiled-artifact cache).
   kCompileCacheConfig = 20,  // global cache singleton pointer
   kCompileCacheShard = 21,   // the 8 LRU shards
@@ -144,7 +139,6 @@ inline const char* lock_rank_name(LockRank rank) {
     case LockRank::kPoolCaller: return "pool.caller";
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolJob: return "pool.job";
-    case LockRank::kFrontierShard: return "frontier.shard";
     case LockRank::kCompileCacheConfig: return "compile_cache.config";
     case LockRank::kCompileCacheShard: return "compile_cache.shard";
     case LockRank::kModelCacheInflight: return "model_cache.inflight";

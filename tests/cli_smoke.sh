@@ -25,7 +25,7 @@ test "$(echo "$OUT" | wc -l)" -eq 4
 PAR="$("$RELM" query --dir "$DIR" \
   --pattern 'The ((man)|(woman)) was trained in ((art)|(science))' \
   --prefix 'The ((man)|(woman)) was trained in' --results 4 \
-  --threads 2 --cache-capacity 1024 --batch 4 2>"$DIR/stderr.txt")"
+  --threads 2 --cache-capacity 1024 2>"$DIR/stderr.txt")"
 test "$PAR" = "$OUT"
 grep -q "cache:" "$DIR/stderr.txt"
 

@@ -144,6 +144,12 @@ struct RegexCase {
   const char* alphabet;
 };
 
+// Names each case by its strings rather than the bytes of its pointers, so
+// the registered test names are the same in every build.
+void PrintTo(const RegexCase& c, std::ostream* os) {
+  *os << '"' << c.pattern << "\" alphabet \"" << c.alphabet << '"';
+}
+
 class RegexAgreement : public ::testing::TestWithParam<RegexCase> {};
 
 TEST_P(RegexAgreement, MatchesStdRegex) {

@@ -857,9 +857,9 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(BatchedExpansion, SameResultSetAsStrictDijkstra) {
-  // Emission is exact at every batch size: matches found ahead of
+  // Emission is exact at every round width: matches found ahead of
   // settlement are held back until no frontier node can beat them, so a
-  // batched lockstep run emits exactly the strict (batch-1) sequence —
+  // speculative run emits exactly the strict (max_in_flight = 1) sequence —
   // texts in order, log-probs bit-equal — with or without a rule mask.
   auto model = fixture_model();
   const BpeTokenizer& tok = fixture_tokenizer();
@@ -869,13 +869,13 @@ TEST(BatchedExpansion, SameResultSetAsStrictDijkstra) {
     query.query_string = {"The ((cat)|(dog)|(mat))( (sat|ran))?", "The"};
     query.max_results = 20;
     query.decoding.top_k = top_k;
-    query.speculative_expansion = false;  // the lockstep batch path under test
+    query.max_in_flight = 1;
     CompiledQuery compiled = CompiledQuery::compile(query, tok);
 
     const auto strict = ShortestPathSearch(*model, compiled, query).all();
     ASSERT_FALSE(strict.empty());
     for (std::size_t batch : {2u, 8u, 32u}) {
-      query.expansion_batch_size = batch;
+      query.max_in_flight = batch;
       const auto batched = ShortestPathSearch(*model, compiled, query).all();
       ASSERT_EQ(batched.size(), strict.size()) << "batch " << batch;
       for (std::size_t i = 0; i < strict.size(); ++i) {
@@ -889,7 +889,8 @@ TEST(BatchedExpansion, SameResultSetAsStrictDijkstra) {
 }
 
 TEST(BatchedExpansion, BatchModelCalledWithMultipleContexts) {
-  // Instrumented model: records the largest batch it saw.
+  // Beam search evaluates all live beams in one batch model call, bounded
+  // by beam_width. Instrumented model: records the largest batch it saw.
   class CountingModel : public model::LanguageModel {
    public:
     explicit CountingModel(std::shared_ptr<model::LanguageModel> inner)
@@ -918,10 +919,9 @@ TEST(BatchedExpansion, BatchModelCalledWithMultipleContexts) {
   SimpleSearchQuery query;
   query.query_string = {"The ((cat)|(dog)|(mat)) ((sat)|(ran))", "The"};
   query.max_results = 6;
-  query.expansion_batch_size = 4;
-  query.speculative_expansion = false;  // batching exists only in lockstep mode
+  query.beam_width = 4;
   CompiledQuery compiled = CompiledQuery::compile(query, fixture_tokenizer());
-  ShortestPathSearch(counting, compiled, query).all();
+  BeamSearch(counting, compiled, query).run();
   EXPECT_GT(counting.max_batch_, 1u);
   EXPECT_LE(counting.max_batch_, 4u);
 }
@@ -977,13 +977,13 @@ TEST(FailureInjection, AllMassOnEosStillTerminates) {
 TEST(ParallelBatch, SearchResultsIndependentOfThreadCount) {
   // The determinism guarantee: identical result streams (tokens, text,
   // scores, call counts) for any shared-pool size, including pool sizes
-  // larger and smaller than the expansion batch.
+  // larger and smaller than the round width.
   auto model = fixture_model();
   const BpeTokenizer& tok = fixture_tokenizer();
   SimpleSearchQuery query;
   query.query_string = {"The ((cat)|(dog)|(mat))( (sat|ran))?", "The"};
   query.max_results = 20;
-  query.expansion_batch_size = 8;
+  query.max_in_flight = 8;
   CompiledQuery compiled = CompiledQuery::compile(query, tok);
 
   util::ThreadPool::set_shared_threads(1);
@@ -1033,7 +1033,6 @@ TEST(ParallelBatch, SearchStatsReportCacheActivity) {
   SimpleSearchQuery query;
   query.query_string = {"The ((cat)|(dog)|(mat)) ((sat)|(ran))", "The"};
   query.max_results = 10;
-  query.expansion_batch_size = 4;
   CompiledQuery compiled = CompiledQuery::compile(query, fixture_tokenizer());
 
   ShortestPathSearch bare(*inner, compiled, query);
@@ -1073,7 +1072,7 @@ TEST(ParallelBatch, CachedMasksNeverCrossRuleSets) {
   rule_sets[0].top_k = 5;
   rule_sets[1].top_k = 40;
   rule_sets[2].top_p = 0.9;
-  enum class Kind { kPipeline, kLockstep, kSampler, kBeam, kGenerate };
+  enum class Kind { kPipeline, kStrict, kSampler, kBeam, kGenerate };
 
   // Runs one query; returns what it emitted and adds its mask reuse.
   auto run = [&](const model::LanguageModel& model, Kind kind,
@@ -1083,8 +1082,7 @@ TEST(ParallelBatch, CachedMasksNeverCrossRuleSets) {
     query.decoding = rules;
     query.max_results = 20;
     query.num_samples = 12;
-    query.speculative_expansion = kind != Kind::kLockstep;
-    query.expansion_batch_size = 4;
+    if (kind == Kind::kStrict) query.max_in_flight = 1;
     const CompiledQuery compiled = CompiledQuery::compile(query, tok);
     std::vector<SearchResult> out;
     if (kind == Kind::kGenerate) {
@@ -1118,7 +1116,7 @@ TEST(ParallelBatch, CachedMasksNeverCrossRuleSets) {
   model::CachingModel shared(inner);
   for (int pass = 0; pass < 2; ++pass) {
     std::size_t mask_reused = 0;
-    for (Kind kind : {Kind::kPipeline, Kind::kLockstep, Kind::kSampler,
+    for (Kind kind : {Kind::kPipeline, Kind::kStrict, Kind::kSampler,
                       Kind::kBeam, Kind::kGenerate}) {
       for (std::size_t r = 0; r < rule_sets.size(); ++r) {
         std::size_t unused = 0;
@@ -1145,7 +1143,7 @@ TEST(FailureInjection, ZeroExpansionBatchTreatedAsOne) {
   auto model = fixture_model();
   SimpleSearchQuery query;
   query.query_string = {"The ((cat)|(dog))", "The"};
-  query.expansion_batch_size = 0;
+  query.max_in_flight = 0;
   query.max_results = 2;
   CompiledQuery compiled = CompiledQuery::compile(query, fixture_tokenizer());
   auto results = ShortestPathSearch(*model, compiled, query).all();

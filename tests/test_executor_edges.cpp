@@ -269,7 +269,7 @@ TEST(ExecutorEdges, BeamDedupKeepsMostProbablePath) {
   EXPECT_EQ(sp[0].tokens, results[0].tokens);
 }
 
-// Regression: with expansion_batch > 1, a batched round pops the cheapest
+// Regression: with max_in_flight > 1, a speculative round pops the cheapest
 // DISCOVERED nodes — a match can pop before a cheaper encoding of the same
 // text is even discovered (its parent sits in the same batch). Matches must
 // be held back until provably optimal, or first-wins text dedup locks in
@@ -283,7 +283,7 @@ TEST(ExecutorEdges, BatchedDijkstraHoldsMatchesUntilSettled) {
   query.query_string = {"ab", ""};
   query.tokenization_strategy = TokenizationStrategy::kAllTokens;
   query.sequence_length = 4;
-  query.expansion_batch_size = 2;
+  query.max_in_flight = 2;
   const CompiledQuery compiled = CompiledQuery::compile(query, tok);
 
   ShortestPathSearch batched(model, compiled, query);
@@ -294,7 +294,7 @@ TEST(ExecutorEdges, BatchedDijkstraHoldsMatchesUntilSettled) {
 
   // Batched and strict traversals must produce identical results.
   SimpleSearchQuery strict_query = query;
-  strict_query.expansion_batch_size = 1;
+  strict_query.max_in_flight = 1;
   ShortestPathSearch strict(model, compiled, strict_query);
   const auto strict_results = strict.all();
   ASSERT_EQ(strict_results.size(), 1u);
@@ -358,8 +358,8 @@ TEST(ExecutorEdges, SamplerRequireEosPaysTerminationCost) {
 // --------------------------------------------------------------------------
 // Async-pipeline edges. The pipeline's scheduling (selection horizon,
 // occupancy controller, budget clamp) is a pure function of search state, so
-// its OUTPUT must be byte-identical to lockstep at any thread count; only the
-// speculative-work counters are allowed to differ from zero.
+// its OUTPUT must be byte-identical to strict Dijkstra (max_in_flight = 1) at
+// any thread count; only the speculative-work counters may differ.
 
 // Like uniform_fixture but with a skewed ngram model so sibling costs differ
 // strictly — uniform models tie at every depth, which hides any scheduling
@@ -399,9 +399,9 @@ TEST(ExecutorEdges, PipelineMatchesLockstepAcrossThreadCounts) {
   base.max_results = 100;
   Fixture f = uniform_fixture({"", "a", "b"}, "(a|b)*", base);
 
-  SimpleSearchQuery lockstep = f.query;
-  lockstep.speculative_expansion = false;
-  ShortestPathSearch serial(*f.model, f.compiled, lockstep);
+  SimpleSearchQuery strict = f.query;
+  strict.max_in_flight = 1;
+  ShortestPathSearch serial(*f.model, f.compiled, strict);
   const auto want = serial.all();
   ASSERT_GT(want.size(), 4u);
 
@@ -409,9 +409,7 @@ TEST(ExecutorEdges, PipelineMatchesLockstepAcrossThreadCounts) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     util::ThreadPool::set_shared_threads(threads);
-    SimpleSearchQuery pipe = f.query;
-    pipe.speculative_expansion = true;
-    ShortestPathSearch search(*f.model, f.compiled, pipe);
+    ShortestPathSearch search(*f.model, f.compiled, f.query);
     const auto got = search.all();
     expect_exact_match(got, want);
     EXPECT_GT(search.stats().pump_rounds, 0u) << "threads=" << threads;
@@ -421,7 +419,7 @@ TEST(ExecutorEdges, PipelineMatchesLockstepAcrossThreadCounts) {
 
 // The selection horizon must defer nodes costlier than round_min + horizon:
 // with a near-zero horizon and strictly skewed sibling costs, at least one
-// selection round clips — and the output is still exactly the lockstep one,
+// selection round clips — and the output is still exactly the strict one,
 // because clipping only DELAYS an expansion, never changes its result.
 TEST(ExecutorEdges, SpeculationHorizonClipsCostlierNodes) {
   SimpleSearchQuery base;
@@ -429,14 +427,13 @@ TEST(ExecutorEdges, SpeculationHorizonClipsCostlierNodes) {
   base.max_results = 8;
   Fixture f = skewed_fixture({"", "a", "b"}, "(a|b)a?", base);
 
-  SimpleSearchQuery lockstep = f.query;
-  lockstep.speculative_expansion = false;
-  ShortestPathSearch serial(*f.model, f.compiled, lockstep);
+  SimpleSearchQuery strict = f.query;
+  strict.max_in_flight = 1;
+  ShortestPathSearch serial(*f.model, f.compiled, strict);
   const auto want = serial.all();
   ASSERT_FALSE(want.empty());
 
   SimpleSearchQuery pipe = f.query;
-  pipe.speculative_expansion = true;
   pipe.speculation_horizon = 1e-9;
   pipe.target_occupancy = 8;
   ShortestPathSearch clipped(*f.model, f.compiled, pipe);
@@ -449,7 +446,7 @@ TEST(ExecutorEdges, SpeculationHorizonClipsCostlierNodes) {
 // overrun max_expansions, the selector cancels the remainder of the round
 // (speculative_cancelled) instead of blowing the budget — and the truncated
 // emission sequence is a prefix of the unconstrained one, exactly as in the
-// lockstep budget test above.
+// budget test above.
 TEST(ExecutorEdges, BudgetClampCancelsSpeculativeSelection) {
   SimpleSearchQuery base;
   base.sequence_length = 6;
@@ -457,7 +454,6 @@ TEST(ExecutorEdges, BudgetClampCancelsSpeculativeSelection) {
   Fixture f = uniform_fixture({"", "a", "b"}, "(a|b)*", base);
 
   SimpleSearchQuery full_query = f.query;
-  full_query.speculative_expansion = true;
   full_query.target_occupancy = 8;
   ShortestPathSearch full(*f.model, f.compiled, full_query);
   const auto full_results = full.all();
@@ -484,9 +480,7 @@ TEST(ExecutorEdges, SpeculativeWasteCountedWhenNothingEmits) {
   base.sequence_length = 3;
   Fixture f = uniform_fixture({"", "a"}, "a{5}", base);
 
-  SimpleSearchQuery pipe = f.query;
-  pipe.speculative_expansion = true;
-  ShortestPathSearch search(*f.model, f.compiled, pipe);
+  ShortestPathSearch search(*f.model, f.compiled, f.query);
   EXPECT_TRUE(search.all().empty());
   EXPECT_GE(search.stats().speculative_wasted, 1u);
 }
@@ -502,7 +496,6 @@ TEST(ExecutorEdges, SpeculativeWasteCountsEvalsBeyondLastEmission) {
   Fixture f = skewed_fixture({"", "a", "b"}, "(a|b)a?", base);
 
   SimpleSearchQuery pipe = f.query;
-  pipe.speculative_expansion = true;
   pipe.target_occupancy = 8;
   pipe.speculation_horizon = 100.0;  // admit the costlier sibling
   ShortestPathSearch search(*f.model, f.compiled, pipe);

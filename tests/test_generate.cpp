@@ -7,6 +7,7 @@
 // used, bit for bit.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -19,6 +20,7 @@
 #include "core/executor.hpp"
 #include "core/generate/generate_engine.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/generators.hpp"
 #include "testing/oracle.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/rng.hpp"
@@ -140,21 +142,71 @@ StreamOutput solo_run(const Fixture& f, std::uint64_t master_seed,
 // Engine <-> sampler equivalence: a default-spec stream at rng_stream 0 is
 // exactly one RandomSampler attempt with the same seed.
 
-TEST(GenerateEngine, SingleStreamMatchesSamplerAttemptByteForByte) {
-  Fixture f = uniform_fixture({"", "a", "b", "ab", "c"}, "(a|b|c){1,4}");
-  for (std::uint64_t seed = 0; seed < 24; ++seed) {
-    RandomSampler sampler(*f.model, f.compiled, f.query, seed);
-    std::optional<SearchResult> want = sampler.sample_once();
+// FNV-1a over each attempt's (state, tokens, log_prob bits).
+struct AttemptDigest {
+  std::uint64_t value = 14695981039346656037ull;
 
-    StreamOutput got = solo_run(f, seed, /*rng_stream=*/0);
-    if (want) {
-      ASSERT_EQ(got.state, StreamState::kDone) << "seed " << seed;
-      EXPECT_EQ(got.tokens, want->tokens) << "seed " << seed;
-      EXPECT_EQ(got.text, want->text) << "seed " << seed;
-      EXPECT_EQ(got.log_prob, want->log_prob) << "seed " << seed;
-    } else {
-      EXPECT_EQ(got.state, StreamState::kDeadEnd) << "seed " << seed;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffu;
+      value *= 1099511628211ull;
     }
+  }
+  void add(StreamState state, const std::vector<TokenId>& tokens,
+           double log_prob) {
+    mix(static_cast<std::uint64_t>(state));
+    if (state != StreamState::kDone) return;
+    mix(tokens.size());
+    for (TokenId t : tokens) mix(t);
+    mix(std::bit_cast<std::uint64_t>(log_prob));
+  }
+};
+
+// Skewed n-gram model under top-k 3 over an infinite canonical language, so
+// the rule mask prunes and dynamic canonicality rejects candidates.
+Fixture topk_canonical_fixture() {
+  std::vector<std::string> vocab{"", "a", "b", "c", "ab", "bc"};
+  auto tok = std::make_shared<tokenizer::BpeTokenizer>(
+      tokenizer::BpeTokenizer::from_vocab(vocab));
+  testing::ModelSpec spec;
+  spec.kind = testing::ModelSpec::Kind::kNgram;
+  spec.vocab_size = vocab.size();
+  spec.eos = 0;
+  spec.sequences = {{1, 2, 3}, {4, 3}, {1, 5}, {2, 2, 1}, {3, 1, 4}};
+  SimpleSearchQuery query;
+  query.query_string = {"[abc]+", ""};
+  query.decoding.top_k = 3;
+  query.sequence_length = 6;
+  CompiledQuery compiled = CompiledQuery::compile(query, *tok);
+  return {std::move(tok), spec.build(), std::move(query), std::move(compiled)};
+}
+
+TEST(GenerateEngine, SingleStreamMatchesSamplerAttemptByteForByte) {
+  // The digests over seeds 0-23 were recorded while the sampler still ran
+  // its own body loop, so they pin both draw sequences to that reference.
+  struct Case {
+    Fixture f;
+    std::uint64_t digest;
+  };
+  Case cases[] = {
+      {uniform_fixture({"", "a", "b", "ab", "c"}, "(a|b|c){1,4}"),
+       0xb68a549c1f0721e4ull},
+      {topk_canonical_fixture(), 0xea9460309b10cf6aull},
+  };
+  ASSERT_TRUE(cases[1].f.compiled.dynamic_canonical());
+  for (const Case& c : cases) {
+    AttemptDigest sampler_digest, stream_digest;
+    for (std::uint64_t seed = 0; seed < 24; ++seed) {
+      RandomSampler sampler(*c.f.model, c.f.compiled, c.f.query, seed);
+      const std::optional<SearchResult> want = sampler.sample_once();
+      sampler_digest.add(want ? StreamState::kDone : StreamState::kDeadEnd,
+                         want ? want->tokens : std::vector<TokenId>{},
+                         want ? want->log_prob : 0.0);
+      const StreamOutput got = solo_run(c.f, seed, /*rng_stream=*/0);
+      stream_digest.add(got.state, got.tokens, got.log_prob);
+    }
+    EXPECT_EQ(sampler_digest.value, c.digest);
+    EXPECT_EQ(stream_digest.value, c.digest);
   }
 }
 
