@@ -18,6 +18,7 @@
 #include "model/decoding.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "testing/differential.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
@@ -160,15 +161,14 @@ void BM_ShortestPathPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathPipeline)->Arg(1)->Arg(2)->Arg(4);
 
-// The same query with the precompiled-bitmask fast path disabled: every
-// expansion returns to probing each automaton edge against the rule mask.
-// Compare against BM_ShortestPathTopK40 (masks on by default) for the
-// end-to-end hot-loop saving.
+// The same query on a copy of its artifact without mask tables (what an
+// over-budget token_masks pass leaves): every expansion returns to probing
+// each automaton edge against the rule mask. Compare against
+// BM_ShortestPathTopK40 for the end-to-end hot-loop saving.
 void BM_ShortestPathTopK40MasksOff(benchmark::State& state) {
   core::SimpleSearchQuery query = url_query(40);
-  query.use_token_masks = false;
-  core::CompiledQuery compiled =
-      core::CompiledQuery::compile(query, *world().tokenizer);
+  core::CompiledQuery compiled = testing::without_masks(
+      core::CompiledQuery::compile(query, *world().tokenizer));
   for (auto _ : state) {
     core::ShortestPathSearch search(*world().xl, compiled, query);
     benchmark::DoNotOptimize(search.all());

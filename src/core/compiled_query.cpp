@@ -87,7 +87,7 @@ std::vector<CompiledQuery::Step> CompiledQuery::expand(const StateSet& set) cons
 void CompiledQuery::expand_masked(const StateSet& set,
                                   const util::TokenBitset* rule_mask,
                                   std::vector<Step>& out,
-                                  MaskExpandStats& stats) const {
+                                  StepCounters& counters) const {
   const TokenMaskTable& pmask = artifact_->prefix.masks;
   const TokenMaskTable& bmask = artifact_->body.masks;
   const automata::Dfa& prefix = artifact_->prefix.dfa;
@@ -120,9 +120,9 @@ void CompiledQuery::expand_masked(const StateSet& set,
       const std::uint64_t word = body_row[w];
       const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
       const std::uint64_t pword = prefix_live ? prefix_row[w] : 0;
-      stats.words_scanned += 1;
-      stats.pruned +=
-          std::uint64_t(std::popcount(word)) - std::uint64_t(std::popcount(surv));
+      counters.mask_words_scanned += 1;
+      counters.mask_pruned +=
+          std::size_t(std::popcount(word)) - std::size_t(std::popcount(surv));
       std::uint64_t bits = surv;
       while (bits != 0) {
         const int b = std::countr_zero(bits);
@@ -158,7 +158,7 @@ void CompiledQuery::expand_masked(const StateSet& set,
     std::uint32_t prefix_base = pmask.edge_offsets[set.prefix_state];
     for (std::uint32_t w = 0; w < W; ++w) {
       const std::uint64_t pword = prefix_row[w];
-      stats.words_scanned += 1;
+      counters.mask_words_scanned += 1;
       std::uint64_t bits = pword & ~(body_live ? body_row[w] : 0ull);
       while (bits != 0) {
         const int b = std::countr_zero(bits);
@@ -255,6 +255,53 @@ bool CompiledQuery::canonical_body(std::span<const TokenId> body_tokens,
     ++idx;
   }
   return idx == body_tokens.size();
+}
+
+void CompiledQuery::decode_step(const StateSet& set,
+                                const util::TokenBitset* rule_mask,
+                                TokenId eos, const BodyCursor& body,
+                                StepOutput& out) const {
+  out.counters = {};
+  out.canon.clear();
+  const bool masked = has_masks();
+  if (masked) {
+    expand_masked(set, rule_mask, out.steps, out.counters);
+  } else {
+    out.steps = expand(set);
+  }
+
+  const bool check_canon = artifact_->body.dynamic_canonical;
+  if (check_canon) {
+    // Scratch = parent body + one placeholder slot, rewritten per step below
+    // (cheaper than re-assembling the prefix for every candidate token).
+    out.body_scratch.assign(body.tokens.begin(), body.tokens.end());
+    out.body_scratch.push_back(0);
+    out.text_scratch.assign(body.text);
+  }
+  std::size_t kept = 0;
+  for (const Step& step : out.steps) {
+    if (!masked && !step.prefix_only && rule_mask && !(*rule_mask)[step.token]) {
+      ++out.counters.pruned_by_rules;
+      continue;  // pruned, and transitively all its extensions (§3.3)
+    }
+    CanonState canon;  // default: body run resets
+    if (check_canon && step.body_advanced) {
+      // Child body = parent body + this token; resume the settled-boundary
+      // check from the parent's state instead of re-walking the body.
+      out.body_scratch.back() = step.token;
+      out.text_scratch.resize(body.text.size());
+      out.text_scratch.append(tok_->token_string(step.token));
+      canon = body.canon;
+      if (!canonical_prefix_advance(out.body_scratch, out.text_scratch, canon)) {
+        ++out.counters.pruned_non_canonical;
+        continue;
+      }
+    }
+    out.steps[kept++] = step;
+    out.canon.push_back(canon);
+  }
+  out.steps.resize(kept);
+  out.eos_allowed = !rule_mask || (*rule_mask)[eos];
 }
 
 }  // namespace relm::core

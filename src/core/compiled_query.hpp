@@ -67,11 +67,23 @@ class CompiledQuery {
   // All token transitions out of `set`, prefix hand-off included.
   std::vector<Step> expand(const StateSet& set) const;
 
-  // Counters fed into SearchStats by the executors: words examined by the
-  // word-wise scan, and tokens whose body edge the rule mask eliminated.
-  struct MaskExpandStats {
-    std::uint64_t words_scanned = 0;
-    std::uint64_t pruned = 0;
+  // What one decoding step pruned, and what its mask scan cost. The
+  // traversals fold it into SearchStats / GenerateStats with one +=.
+  struct StepCounters {
+    std::size_t pruned_by_rules = 0;  // edges the rule mask cut (probe path)
+    std::size_t pruned_non_canonical = 0;
+    // Mask-and-scan: words of the state∩rule scan, and the tokens it cut —
+    // exactly what the probe path counts in pruned_by_rules.
+    std::size_t mask_words_scanned = 0;
+    std::size_t mask_pruned = 0;
+
+    StepCounters& operator+=(const StepCounters& other) {
+      pruned_by_rules += other.pruned_by_rules;
+      pruned_non_canonical += other.pruned_non_canonical;
+      mask_words_scanned += other.mask_words_scanned;
+      mask_pruned += other.mask_pruned;
+      return *this;
+    }
   };
 
   // The mask-and-scan fast path: equivalent to expand(set) followed by the
@@ -84,7 +96,7 @@ class CompiledQuery {
   // token order, then unshadowed prefix transitions in token order.
   // Requires has_masks().
   void expand_masked(const StateSet& set, const util::TokenBitset* rule_mask,
-                     std::vector<Step>& out, MaskExpandStats& stats) const;
+                     std::vector<Step>& out, StepCounters& counters) const;
 
   // True when both automata carry mask tables (the token_masks pass ran and
   // stayed within its memory budget), i.e. expand_masked is available.
@@ -143,6 +155,35 @@ class CompiledQuery {
   // comparing, without the two temporary buffers.
   bool canonical_body(std::span<const tokenizer::TokenId> body_tokens,
                       std::string_view body_text, CanonState state) const;
+
+  // The body run a step extends: its tokens, their decoded text and its
+  // settled canonicality boundary. Read only by dynamic-canonical queries.
+  struct BodyCursor {
+    std::span<const tokenizer::TokenId> tokens;
+    std::string_view text;
+    CanonState canon;
+  };
+
+  // One decode_step's result. steps[i] survived the automaton, the decoding
+  // rules (prefix edges exempt, §2.4) and canonicality (§3.2); canon[i] is
+  // its child's settled boundary (default when the body run resets).
+  struct StepOutput {
+    std::vector<Step> steps;
+    std::vector<CanonState> canon;
+    bool eos_allowed = false;  // the rule mask admits EOS
+    StepCounters counters;     // this call's prunes only
+    std::vector<tokenizer::TokenId> body_scratch;  // reused across calls
+    std::string text_scratch;
+  };
+
+  // The constrained-decoding step every traversal takes (shortest path,
+  // beam, generate streams): automaton edges out of `set` ∩ the rule mask,
+  // then the resumable canonicality check against `body`. Uses the
+  // mask-and-scan path when the artifact carries masks, the per-edge probe
+  // otherwise; both yield the same steps in the same order.
+  void decode_step(const StateSet& set, const util::TokenBitset* rule_mask,
+                   tokenizer::TokenId eos, const BodyCursor& body,
+                   StepOutput& out) const;
 
   const tokenizer::BpeTokenizer& tokenizer() const { return *tok_; }
   const pipeline::QueryArtifact& artifact() const { return *artifact_; }

@@ -41,6 +41,16 @@ struct ExecutorMetrics {
   obs::Counter& speculative_wasted;
   obs::Counter& horizon_clips;
 
+  // Adds the step counters accrued since `before`.
+  void add(const CompiledQuery::StepCounters& now,
+           const CompiledQuery::StepCounters& before = {}) {
+    pruned_rules.add(now.pruned_by_rules - before.pruned_by_rules);
+    pruned_non_canonical.add(now.pruned_non_canonical -
+                             before.pruned_non_canonical);
+    mask_words_scanned.add(now.mask_words_scanned - before.mask_words_scanned);
+    mask_pruned.add(now.mask_pruned - before.mask_pruned);
+  }
+
   static ExecutorMetrics& get() {
     static ExecutorMetrics m{
         obs::Registry::instance().counter("executor.llm_calls"),
@@ -85,13 +95,13 @@ void fill_cache_stats(const model::LanguageModel& model,
   stats.cache_evictions = current->evictions - baseline.evictions;
 }
 
-// Counts a restricted row's mask as reused or computed.
-void count_mask(const LanguageModel::Row& row, SearchStats& stats) {
-  if (!row.mask) return;
-  ++(row.mask_reused ? stats.mask_memo_hits : stats.mask_memo_misses);
-}
-
 }  // namespace
+
+std::size_t sequence_budget(const SimpleSearchQuery& query,
+                            const model::LanguageModel& model) {
+  return std::min(query.sequence_length.value_or(model.max_sequence_length()),
+                  model.max_sequence_length());
+}
 
 // ---------------------------------------------------------------------------
 // ShortestPathSearch
@@ -118,20 +128,8 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
   frontier_.push(QueueEntry{0.0, 0});
 }
 
-std::vector<TokenId> ShortestPathSearch::path_of(std::int32_t node) const {
-  std::vector<TokenId> path;
-  for (std::int32_t cur = node; cur > 0; cur = nodes_[cur].parent) {
-    path.push_back(nodes_[cur].token);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-void ShortestPathSearch::context_into(std::int32_t node,
-                                      std::vector<TokenId>& out) const {
-  const std::size_t depth = nodes_[node].depth;
-  const std::size_t len = std::min<std::size_t>(
-      depth, model_.relevant_context_length());
+void ShortestPathSearch::path_tail_into(std::int32_t node, std::size_t len,
+                                        std::vector<TokenId>& out) const {
   out.resize(len);
   std::int32_t cur = node;
   for (std::size_t i = len; i > 0; --i) {
@@ -153,7 +151,8 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
   if (!is_result) return;
 
   // Only result nodes pay for a full path reconstruction.
-  std::vector<TokenId> tokens = path_of(id);
+  std::vector<TokenId> tokens;
+  path_tail_into(id, nodes_[id].depth, tokens);
   if (nodes_[id].terminal) tokens.pop_back();  // drop EOS from the tuple
   std::string text = compiled_.tokenizer().decode(tokens);
   // Final canonicality gate (§3.2 option 2): the incremental check can
@@ -192,8 +191,9 @@ void ShortestPathSearch::make_task(std::int32_t node_id,
                                    SlotTask& task) const {
   const Node& node = nodes_[node_id];
   task.set = node.set;
-  task.cost = node.cost;
-  context_into(node_id, task.context);
+  path_tail_into(node_id,
+                 std::min<std::size_t>(node.depth, model_.relevant_context_length()),
+                 task.context);
   task.body_prefix.clear();
   task.body_text.clear();
   task.canon = node.canon;
@@ -201,12 +201,7 @@ void ShortestPathSearch::make_task(std::int32_t node_id,
     // The body token subsequence is the last body_len tokens of the path;
     // captured here because workers must not walk nodes_ (the coordinator
     // reallocates it while they run).
-    task.body_prefix.resize(node.body_len);
-    std::int32_t cur = node_id;
-    for (std::size_t i = node.body_len; i > 0; --i) {
-      task.body_prefix[i - 1] = nodes_[cur].token;
-      cur = nodes_[cur].parent;
-    }
+    path_tail_into(node_id, node.body_len, task.body_prefix);
     const tokenizer::BpeTokenizer& tok = compiled_.tokenizer();
     for (TokenId id : task.body_prefix) {
       task.body_text.append(tok.token_string(id));
@@ -216,90 +211,19 @@ void ShortestPathSearch::make_task(std::int32_t node_id,
 
 void ShortestPathSearch::evaluate_slot(const SlotTask& task,
                                        SlotOutput& out) const {
-  out.has_eos = false;
-  out.eos_cost = 0.0;
-  out.mask_words = 0;
-  out.mask_pruned = 0;
-  out.pruned_rules = 0;
-  out.pruned_non_canonical = 0;
   out.row = std::move(model_.next_rows({&task.context, 1}, query_.decoding).front());
-  const std::vector<double>& lp = *out.row.log_probs;
-  const util::TokenBitset* mask = out.row.mask.get();  // null: unrestricted
-  RELM_DCHECK(lp.size() == model_.vocab_size(),
+  RELM_DCHECK(out.row.log_probs->size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
-
-  const bool fast = query_.use_token_masks && compiled_.has_masks();
-  if (fast) {
-    CompiledQuery::MaskExpandStats ms;
-    compiled_.expand_masked(task.set, mask, out.steps, ms);
-    out.mask_words = ms.words_scanned;
-    out.mask_pruned = ms.pruned;
-  } else {
-    out.steps = compiled_.expand(task.set);
-  }
-
-  std::size_t kept = 0;
-  out.canon_states.clear();
-  const bool check_canon = compiled_.dynamic_canonical();
-  if (check_canon) {
-    // Scratch = parent body + one placeholder slot, rewritten per step below
-    // (cheaper than re-assembling the prefix for every candidate token).
-    out.body_scratch.assign(task.body_prefix.begin(), task.body_prefix.end());
-    out.body_scratch.push_back(0);
-    out.text_scratch.assign(task.body_text);
-  }
-  const std::size_t text_base = task.body_text.size();
-  for (const CompiledQuery::Step& step : out.steps) {
-    if (!fast && !step.prefix_only && mask && !(*mask)[step.token]) {
-      ++out.pruned_rules;
-      continue;  // pruned, and transitively all its extensions (§3.3)
-    }
-    CompiledQuery::CanonState canon;  // default: body run resets
-    if (check_canon && step.body_advanced) {
-      // Child body = task body + this token; resume the settled-boundary
-      // check from the parent's state instead of re-walking the body
-      // (canonical_prefix_advance), on reused scratch buffers.
-      out.body_scratch.back() = step.token;
-      out.text_scratch.resize(text_base);
-      out.text_scratch.append(compiled_.tokenizer().token_string(step.token));
-      canon = task.canon;
-      const bool ok = compiled_.canonical_prefix_advance(
-          out.body_scratch, out.text_scratch, canon);
-      if (!ok) {
-        ++out.pruned_non_canonical;
-        continue;
-      }
-    }
-    RELM_DCHECK(step.token < lp.size(),
-                "compiled query emitted a token outside the vocabulary");
-    out.steps[kept] = step;
-    out.canon_states.push_back(canon);
-    ++kept;
-  }
-  out.steps.resize(kept);
-
-  if (query_.require_eos && compiled_.is_match(task.set)) {
-    const TokenId eos = model_.eos();
-    if (!mask || (*mask)[eos]) {
-      out.has_eos = true;
-      out.eos_cost = task.cost - lp[eos];
-    } else {
-      ++out.pruned_rules;
-    }
-  }
+  compiled_.decode_step(task.set, out.row.mask.get(), model_.eos(),
+                        {task.body_prefix, task.body_text, task.canon}, out.step);
 }
 
 void ShortestPathSearch::pump() {
   RELM_TRACE_SPAN("executor.pump");
   ExecutorMetrics& metrics = ExecutorMetrics::get();
-  const std::size_t pruned_rules_before = stats_.pruned_by_rules;
-  const std::size_t pruned_non_canonical_before = stats_.pruned_non_canonical;
-  const std::size_t mask_words_before = stats_.mask_words_scanned;
-  const std::size_t mask_pruned_before = stats_.mask_pruned;
+  const CompiledQuery::StepCounters counters_before = stats_;
   const std::size_t results_before = pending_results_.size();
-  const std::size_t seq_limit = std::min(
-      query_.sequence_length.value_or(model_.max_sequence_length()),
-      model_.max_sequence_length());
+  const std::size_t seq_limit = sequence_budget(query_, model_);
 
   // ---- Selection: a pure function of (frontier, budget, knobs) — never of
   // thread count or timing, which is what keeps outputs byte-identical
@@ -389,36 +313,40 @@ void ShortestPathSearch::pump() {
     batch.rethrow_if_error();
     ++stats_.llm_calls;
     ++stats_.expansions;
-    SlotOutput& out = round_outputs_[slot.eval];
-    stats_.mask_words_scanned += out.mask_words;
-    stats_.mask_pruned += out.mask_pruned;
-    stats_.pruned_by_rules += out.pruned_rules;
-    stats_.pruned_non_canonical += out.pruned_non_canonical;
+    const SlotOutput& out = round_outputs_[slot.eval];
+    const std::vector<double>& lp = *out.row.log_probs;
+    stats_ += out.step.counters;
     count_mask(out.row, stats_);
 
     const Node parent = nodes_[slot.node];  // copy: nodes_ reallocates below
-    for (std::size_t s = 0; s < out.steps.size(); ++s) {
-      const CompiledQuery::Step& step = out.steps[s];
+    for (std::size_t s = 0; s < out.step.steps.size(); ++s) {
+      const CompiledQuery::Step& step = out.step.steps[s];
       Node child;
       child.set = step.next;
       child.parent = slot.node;
       child.token = step.token;
-      child.cost = parent.cost - (*out.row.log_probs)[step.token];
+      RELM_DCHECK(step.token < lp.size(),
+                  "compiled query emitted a token outside the vocabulary");
+      child.cost = parent.cost - lp[step.token];
       RELM_DCHECK(!std::isnan(child.cost) && child.cost >= parent.cost - 1e-9,
                   "Dijkstra edge costs must be non-negative (-log p)");
       child.depth = parent.depth + 1;
       child.body_len = step.body_advanced ? parent.body_len + 1 : 0;
-      child.canon = out.canon_states[s];
+      child.canon = out.step.canon[s];
       child.terminal = false;
       nodes_.push_back(child);
       frontier_.push(
           QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
     }
-    if (out.has_eos) {
+    // EOS closure (require_eos): a match's terminated child, unless the
+    // rule mask cuts EOS.
+    const bool wants_eos = query_.require_eos && compiled_.is_match(parent.set);
+    if (wants_eos && !out.step.eos_allowed) ++stats_.pruned_by_rules;
+    if (wants_eos && out.step.eos_allowed) {
       Node child = parent;
       child.parent = slot.node;
       child.token = model_.eos();
-      child.cost = out.eos_cost;
+      child.cost = parent.cost - lp[child.token];
       child.depth = parent.depth + 1;
       child.terminal = true;
       child.expanded = false;
@@ -436,11 +364,7 @@ void ShortestPathSearch::pump() {
   refresh_cache_stats();
   metrics.llm_calls.add(n_tasks);
   metrics.expansions.add(n_tasks);
-  metrics.pruned_rules.add(stats_.pruned_by_rules - pruned_rules_before);
-  metrics.pruned_non_canonical.add(stats_.pruned_non_canonical -
-                                   pruned_non_canonical_before);
-  metrics.mask_words_scanned.add(stats_.mask_words_scanned - mask_words_before);
-  metrics.mask_pruned.add(stats_.mask_pruned - mask_pruned_before);
+  metrics.add(stats_, counters_before);
   metrics.results.add(pending_results_.size() - results_before);
   metrics.batch_size.observe(static_cast<double>(round_slots_.size()));
   if (n_tasks > 0) {
@@ -465,6 +389,7 @@ void ShortestPathSearch::count_speculative_waste() {
 }
 
 std::optional<SearchResult> ShortestPathSearch::next() {
+  if (error_) std::rethrow_exception(error_);
   // Empty-language fast path: a vacuous query (`a & !a`) has no frontier
   // worth expanding — return exhausted with zero model calls.
   if (compiled_.empty_language()) {
@@ -514,7 +439,14 @@ std::optional<SearchResult> ShortestPathSearch::next() {
       count_speculative_waste();
       return std::nullopt;
     }
-    pump();
+    try {
+      pump();
+    } catch (...) {
+      // The round already marked its nodes expanded; resuming would lose
+      // their subtrees without a signal.
+      error_ = std::current_exception();
+      throw;
+    }
   }
 }
 
@@ -534,9 +466,7 @@ RandomSampler::RandomSampler(const model::LanguageModel& model,
     : model_(model),
       compiled_(compiled),
       query_(query),
-      prefix_walks_(compiled.prefix_automaton(),
-                    std::min(query.sequence_length.value_or(model.max_sequence_length()),
-                             model.max_sequence_length())),
+      prefix_walks_(compiled.prefix_automaton(), sequence_budget(query, model)),
       // Stream 0 of the counter-based scheme is Pcg32(seed) exactly, so the
       // sampler's draw sequence is unchanged by the StreamRng extraction
       // (pinned bit-for-bit by a regression test). The generate engine seeds
@@ -575,18 +505,12 @@ std::optional<SearchResult> RandomSampler::sample_once() {
   rng_ = stream.rng();
 
   stats_.llm_calls += attempt.llm_calls;
-  stats_.pruned_by_rules += attempt.pruned_by_rules;
-  stats_.pruned_non_canonical += attempt.pruned_non_canonical;
-  stats_.mask_words_scanned += attempt.mask_words_scanned;
-  stats_.mask_pruned += attempt.mask_pruned;
+  stats_ += attempt;  // the step counters
   stats_.sample_dead_ends += attempt.streams_dead_end;
   refresh_cache_stats();
   ExecutorMetrics& metrics = ExecutorMetrics::get();
   metrics.llm_calls.add(attempt.llm_calls);
-  metrics.pruned_rules.add(attempt.pruned_by_rules);
-  metrics.pruned_non_canonical.add(attempt.pruned_non_canonical);
-  metrics.mask_words_scanned.add(attempt.mask_words_scanned);
-  metrics.mask_pruned.add(attempt.mask_pruned);
+  metrics.add(attempt);
   if (stream.state() != generate::StreamState::kDone) return std::nullopt;
   metrics.results.add(1);
 
@@ -641,30 +565,23 @@ std::vector<SearchResult> BeamSearch::run() {
     return {};
   }
   ExecutorMetrics& metrics = ExecutorMetrics::get();
-  const std::size_t seq_limit = std::min(
-      query_.sequence_length.value_or(model_.max_sequence_length()),
-      model_.max_sequence_length());
+  const std::size_t seq_limit = sequence_budget(query_, model_);
   const std::size_t width = std::max<std::size_t>(query_.beam_width, 1);
+  const TokenId eos = model_.eos();
+  const tokenizer::BpeTokenizer& tok = compiled_.tokenizer();
 
-  std::vector<Beam> beams{Beam{{}, compiled_.initial(), 0.0, 0}};
+  std::vector<Beam> beams(1);
+  beams[0].set = compiled_.initial();
   std::vector<SearchResult> matches;
   std::unordered_map<std::string, std::size_t> emitted;  // text -> match index
 
   auto record_match = [&](const Beam& beam, double final_log_prob) {
-    if (compiled_.dynamic_canonical()) {
-      // Final canonicality gate, as in the other traversals.
-      std::span<const TokenId> body(
-          beam.tokens.data() + (beam.tokens.size() - beam.body_len),
-          beam.body_len);
-      std::string body_text = compiled_.tokenizer().decode(body);
-      std::vector<TokenId> canonical = compiled_.tokenizer().encode(body_text);
-      if (canonical.size() != body.size() ||
-          !std::equal(canonical.begin(), canonical.end(), body.begin())) {
-        ++stats_.pruned_non_canonical;
-        return;
-      }
+    // Final canonicality gate, as in the other traversals.
+    if (!compiled_.canonical_body(beam.body().tokens, beam.body_text, beam.canon)) {
+      ++stats_.pruned_non_canonical;
+      return;
     }
-    std::string text = compiled_.tokenizer().decode(beam.tokens);
+    std::string text = tok.decode(beam.tokens);
     // Text dedup keeps the most probable token path for each string —
     // matching ShortestPathSearch, whose cheapest-first pops make its
     // first-wins dedup equivalent. Beam matches are recorded in depth
@@ -699,6 +616,16 @@ std::vector<SearchResult> BeamSearch::run() {
     return contexts;
   };
 
+  // Candidates carry their parent beam and step; only the `width` survivors
+  // of the cut build a token path.
+  struct Candidate {
+    std::size_t parent;
+    CompiledQuery::Step step;
+    double log_prob;
+    CompiledQuery::CanonState canon;
+  };
+  std::vector<Candidate> candidates;
+  CompiledQuery::StepOutput out;
   for (std::size_t step = 0; step < seq_limit && !beams.empty(); ++step) {
     RELM_TRACE_SPAN("executor.beam_step");
     const std::vector<LanguageModel::Row> rows =
@@ -711,72 +638,53 @@ std::vector<SearchResult> BeamSearch::run() {
     metrics.expansions.add(beams.size());
     metrics.batch_size.observe(static_cast<double>(beams.size()));
 
-    std::vector<Beam> candidates;
-    std::vector<CompiledQuery::Step> scratch_steps;
-    const bool fast = query_.use_token_masks && compiled_.has_masks();
+    candidates.clear();
     for (std::size_t b = 0; b < beams.size(); ++b) {
       const Beam& beam = beams[b];
       count_mask(rows[b], stats_);
       const std::vector<double>& lp = *rows[b].log_probs;
-      const util::TokenBitset* mask = rows[b].mask.get();  // null: unrestricted
+      compiled_.decode_step(beam.set, rows[b].mask.get(), eos, beam.body(), out);
+      stats_ += out.counters;
 
       // A match at this beam is recorded now (it may fall out of the beam).
       if (compiled_.is_match(beam.set)) {
-        if (query_.require_eos) {
-          TokenId eos = model_.eos();
-          if (!mask || (*mask)[eos]) {
-            record_match(beam, beam.log_prob + lp[eos]);
-          }
-        } else {
+        if (!query_.require_eos) {
           record_match(beam, beam.log_prob);
+        } else if (out.eos_allowed) {
+          record_match(beam, beam.log_prob + lp[eos]);
         }
       }
-
-      // Mask-and-scan fast path, as in ShortestPathSearch::evaluate_slot: the
-      // rule filter runs as a word-wise intersection inside expand_masked.
-      std::vector<CompiledQuery::Step>& steps = scratch_steps;
-      if (fast) {
-        CompiledQuery::MaskExpandStats ms;
-        compiled_.expand_masked(beam.set, mask, steps, ms);
-        stats_.mask_words_scanned += ms.words_scanned;
-        stats_.mask_pruned += ms.pruned;
-      } else {
-        steps = compiled_.expand(beam.set);
-      }
-      for (const CompiledQuery::Step& next : steps) {
-        if (!fast && !next.prefix_only && mask && !(*mask)[next.token]) {
-          ++stats_.pruned_by_rules;
-          continue;
-        }
-        Beam child;
-        child.tokens = beam.tokens;
-        child.tokens.push_back(next.token);
-        child.set = next.next;
-        child.log_prob = beam.log_prob + lp[next.token];
-        child.body_len = next.body_advanced ? beam.body_len + 1 : 0;
-        if (compiled_.dynamic_canonical() && next.body_advanced) {
-          std::span<const TokenId> body(
-              child.tokens.data() + (child.tokens.size() - child.body_len),
-              child.body_len);
-          std::string body_text = compiled_.tokenizer().decode(body);
-          if (!compiled_.canonical_prefix_ok(body, body_text)) {
-            ++stats_.pruned_non_canonical;
-            continue;
-          }
-        }
-        candidates.push_back(std::move(child));
+      for (std::size_t s = 0; s < out.steps.size(); ++s) {
+        candidates.push_back(Candidate{b, out.steps[s],
+                                       beam.log_prob + lp[out.steps[s].token],
+                                       out.canon[s]});
       }
     }
 
     if (candidates.size() > width) {
       std::partial_sort(candidates.begin(),
                         candidates.begin() + static_cast<std::ptrdiff_t>(width),
-                        candidates.end(), [](const Beam& a, const Beam& b) {
+                        candidates.end(), [](const Candidate& a, const Candidate& b) {
                           return a.log_prob > b.log_prob;
                         });
       candidates.resize(width);
     }
-    beams = std::move(candidates);
+    std::vector<Beam> next;
+    next.reserve(candidates.size());
+    for (const Candidate& c : candidates) {
+      const Beam& parent = beams[c.parent];
+      Beam& child = next.emplace_back();
+      child.tokens = parent.tokens;
+      child.tokens.push_back(c.step.token);
+      child.set = c.step.next;
+      child.log_prob = c.log_prob;
+      if (c.step.body_advanced) {
+        child.body_len = parent.body_len + 1;
+        child.body_text = parent.body_text + tok.token_string(c.step.token);
+        child.canon = c.canon;
+      }
+    }
+    beams = std::move(next);
   }
 
   // Sequence limit reached: surviving beams that sit on a match state are
@@ -797,10 +705,7 @@ std::vector<SearchResult> BeamSearch::run() {
   if (matches.size() > query_.max_results) matches.resize(query_.max_results);
   stats_.elapsed_seconds = timer_.seconds();
   refresh_cache_stats();
-  metrics.pruned_rules.add(stats_.pruned_by_rules);
-  metrics.pruned_non_canonical.add(stats_.pruned_non_canonical);
-  metrics.mask_words_scanned.add(stats_.mask_words_scanned);
-  metrics.mask_pruned.add(stats_.mask_pruned);
+  metrics.add(stats_);
   metrics.results.add(matches.size());
   return matches;
 }

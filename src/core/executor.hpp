@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <queue>
@@ -25,17 +26,12 @@ struct SearchResult {
   double seconds_at_emission;              // since search start
 };
 
-struct SearchStats {
+// The step counters (pruned_by_rules, pruned_non_canonical,
+// mask_words_scanned, mask_pruned) come from CompiledQuery::decode_step;
+// shortest path also counts EOS-closure prunes in pruned_by_rules.
+struct SearchStats : CompiledQuery::StepCounters {
   std::size_t llm_calls = 0;
   std::size_t expansions = 0;          // shortest path: nodes expanded
-  std::size_t pruned_by_rules = 0;     // edges cut by top-k/top-p (probe path)
-  std::size_t pruned_non_canonical = 0;
-  // Mask fast-path counters (use_token_masks): words examined by the
-  // word-wise state∩rule intersection, and tokens it eliminated. On the
-  // fast path mask_pruned carries exactly the prunes the probe path would
-  // have counted in pruned_by_rules (EOS-closure prunes stay there).
-  std::size_t mask_words_scanned = 0;
-  std::size_t mask_pruned = 0;
   std::size_t sample_attempts = 0;     // random: attempts incl. dead ends
   std::size_t sample_dead_ends = 0;
   // Async-pipeline counters. pump_rounds counts pipeline rounds;
@@ -81,6 +77,17 @@ struct SearchStats {
   }
 };
 
+// The token budget of one traversal: the query's sequence_length, capped by
+// (and defaulting to) the model's maximum.
+std::size_t sequence_budget(const SimpleSearchQuery& query,
+                            const model::LanguageModel& model);
+
+// Counts a restricted row's rule mask as reused (hit) or computed (miss).
+template <typename Stats>
+void count_mask(const model::LanguageModel::Row& row, Stats& stats) {
+  if (row.mask) ++(row.mask_reused ? stats.mask_memo_hits : stats.mask_memo_misses);
+}
+
 // Dijkstra / shortest-path traversal (§3.3): yields matches in decreasing
 // probability order. Costs are -log p, non-negative, so the first pop of a
 // match is globally optimal and subsequent pops enumerate the language in
@@ -93,8 +100,8 @@ class ShortestPathSearch {
 
   // Next match, or nullopt when the language (or a budget) is exhausted.
   // Matches with identical decoded text are emitted once (first = cheapest);
-  // set dedup_text=false in the constructor-time query via
-  // `SimpleSearchQuery` extensions if token-tuple granularity is wanted.
+  // set_dedup_text(false) reports every token tuple instead. A model error
+  // poisons the search: next() and all() rethrow it from then on.
   std::optional<SearchResult> next();
 
   const SearchStats& stats() const { return stats_; }
@@ -160,7 +167,6 @@ class ShortestPathSearch {
   // side effect comes back in the SlotOutput.
   struct SlotTask {
     CompiledQuery::StateSet set;
-    double cost = 0.0;
     std::vector<tokenizer::TokenId> context;      // model-relevant suffix
     std::vector<tokenizer::TokenId> body_prefix;  // dynamic-canonical only
     std::string body_text;  // decoded body_prefix (dynamic-canonical only)
@@ -168,28 +174,15 @@ class ShortestPathSearch {
   };
   struct SlotOutput {
     model::LanguageModel::Row row;
-    std::vector<CompiledQuery::Step> steps;  // transitions surviving all rules
-    // canon_states[i] is the settled boundary for steps[i] after filtering
-    // (default for body resets); children inherit it at retirement.
-    std::vector<CompiledQuery::CanonState> canon_states;
-    bool has_eos = false;   // EOS closure fires for this node
-    double eos_cost = 0.0;
-    std::size_t mask_words = 0;
-    std::size_t mask_pruned = 0;
-    std::size_t pruned_rules = 0;
-    std::size_t pruned_non_canonical = 0;
-    std::vector<tokenizer::TokenId> body_scratch;  // reused per-step buffers
-    std::string text_scratch;
+    CompiledQuery::StepOutput step;  // children inherit step.canon[i]
   };
 
-  std::vector<tokenizer::TokenId> path_of(std::int32_t node) const;
-  // The model-visible context for a node: the last
-  // model_.relevant_context_length() tokens of its path (the full path when
-  // the model's dependence is unbounded). Walking only the relevant suffix
-  // keeps per-pop cost O(window) instead of O(depth). It writes into a
-  // caller-owned buffer so hot paths can reuse its capacity.
-  void context_into(std::int32_t node,
-                    std::vector<tokenizer::TokenId>& out) const;
+  // The last `len` tokens of a node's path: its depth for the whole path,
+  // model_.relevant_context_length() for the model-visible context (walking
+  // only that suffix keeps per-pop cost O(window), not O(depth)). It writes
+  // into a caller-owned buffer so hot paths can reuse its capacity.
+  void path_tail_into(std::int32_t node, std::size_t len,
+                      std::vector<tokenizer::TokenId>& out) const;
   // One async pipeline round: deterministic selection up to the cost
   // horizon / occupancy target, async submission, in-order retirement
   // overlapping later slots' evaluation. With max_in_flight = 1 a round is
@@ -229,6 +222,7 @@ class ShortestPathSearch {
   double last_emitted_cost_ = 0.0;
   bool any_emitted_ = false;
   bool waste_counted_ = false;
+  std::exception_ptr error_;  // first model error; every later next() rethrows
   SearchStats stats_;
   model::LanguageModel::CacheStats cache_baseline_;
   bool model_has_cache_ = false;
@@ -300,6 +294,14 @@ class BeamSearch {
     CompiledQuery::StateSet set;
     double log_prob = 0.0;
     std::uint32_t body_len = 0;
+    std::string body_text;  // decoded last body_len tokens
+    CompiledQuery::CanonState canon;
+
+    CompiledQuery::BodyCursor body() const {
+      return {{tokens.data() + (tokens.size() - body_len), body_len},
+              body_text,
+              canon};
+    }
   };
 
   void refresh_cache_stats();

@@ -1,9 +1,7 @@
 #include "core/generate/gen_stream.hpp"
 
-#include <bit>
 #include <cmath>
 
-#include "core/token_masks.hpp"
 #include "util/errors.hpp"
 
 namespace relm::core::generate {
@@ -40,13 +38,8 @@ GenStream::GenStream(const model::LanguageModel& model,
       spec_(std::move(spec)),
       rng_(rng) {}
 
-std::size_t GenStream::sequence_limit() const {
-  return std::min(query_->sequence_length.value_or(model_->max_sequence_length()),
-                  model_->max_sequence_length());
-}
-
 bool GenStream::budget_spent() const {
-  return context_.size() >= sequence_limit() ||
+  return context_.size() >= sequence_budget(*query_, *model_) ||
          body_tokens_.size() >= spec_.max_new_tokens;
 }
 
@@ -135,112 +128,56 @@ void GenStream::advance_no_model(GenerateStats& stats) {
 void GenStream::advance(const model::LanguageModel::Row& row,
                         GenerateStats& stats) {
   const std::vector<double>& lp = *row.log_probs;
-  const util::TokenBitset* mask = row.mask.get();  // null: unrestricted
   RELM_DCHECK(lp.size() == model_->vocab_size(),
               "model distribution size must equal the vocabulary");
-  const automata::Dfa& ba = compiled_->body_automaton();
-  auto edges = ba.edges(body_state_);
-  const bool at_final = ba.is_final(body_state_);
-
-  // Edges surviving the decoding rules, as indices into `edges`: the
-  // precompiled per-state bitmask intersected with the rule mask word-wise,
-  // a surviving bit's rank within the state row being its edge index; or the
-  // per-edge probe loop when masks are off.
-  std::vector<std::size_t> allowed_idx;
-  allowed_idx.reserve(edges.size());
-  if (query_->use_token_masks && compiled_->has_masks()) {
-    const TokenMaskTable& bm = compiled_->artifact().body.masks;
-    const std::uint64_t* state_row = bm.state_words(body_state_);
-    const std::uint64_t* rule_words = mask ? mask->words().data() : nullptr;
-    std::size_t rank_base = 0;
-    for (std::uint32_t w = 0; w < bm.words_per_state; ++w) {
-      const std::uint64_t word = state_row[w];
-      const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
-      ++stats.mask_words_scanned;
-      stats.mask_pruned += std::size_t(std::popcount(word)) -
-                           std::size_t(std::popcount(surv));
-      std::uint64_t bits = surv;
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        allowed_idx.push_back(
-            rank_base + std::size_t(std::popcount(word & ((1ull << b) - 1))));
-      }
-      rank_base += std::size_t(std::popcount(word));
-    }
-  } else {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      TokenId t = static_cast<TokenId>(edges[i].symbol);
-      if (mask && !(*mask)[t]) {
-        ++stats.pruned_by_rules;
-        continue;
-      }
-      allowed_idx.push_back(i);
-    }
-  }
+  const TokenId eos = model_->eos();
+  const CompiledQuery::StateSet set{automata::kNoState, body_state_};
+  // Per-thread scratch: an engine keeps its retired streams.
+  thread_local CompiledQuery::StepOutput out;
+  compiled_->decode_step(set, row.mask.get(), eos,
+                         {body_tokens_, body_text_, canon_}, out);
+  stats += out.counters;
 
   // Candidate weights: surviving automaton edges (plus EOS-as-stop at final
   // states), renormalized over true model probabilities (§3.3).
+  const std::vector<CompiledQuery::Step>& steps = out.steps;
   std::vector<double> weights;
-  weights.reserve(allowed_idx.size() + 1);
-  std::vector<std::size_t> candidate_edges;
-  for (std::size_t i : allowed_idx) {
-    TokenId t = static_cast<TokenId>(edges[i].symbol);
-    if (compiled_->dynamic_canonical()) {
-      std::vector<TokenId> candidate(body_tokens_);
-      candidate.push_back(t);
-      std::string text = body_text_ + compiled_->tokenizer().token_string(t);
-      if (!compiled_->canonical_prefix_ok(candidate, text)) {
-        ++stats.pruned_non_canonical;
-        continue;
-      }
-    }
-    candidate_edges.push_back(i);
-    weights.push_back(std::exp(lp[t]));
+  weights.reserve(steps.size() + 1);
+  for (const CompiledQuery::Step& step : steps) {
+    weights.push_back(std::exp(lp[step.token]));
   }
-  bool eos_stop_available = false;
-  if (at_final) {
-    TokenId eos = model_->eos();
-    if (!mask || (*mask)[eos]) {
-      eos_stop_available = true;
-      weights.push_back(std::exp(lp[eos]));
-    }
+  if (compiled_->is_match(set) && out.eos_allowed) {
+    weights.push_back(std::exp(lp[eos]));
   }
-  if (weights.empty()) {
-    dead_end(stats);
-    return;
-  }
+  // No candidate, or no weight: weighted() returns size() without a draw.
   std::size_t pick = rng_.weighted(weights);
   if (pick >= weights.size()) {
     dead_end(stats);
     return;
   }
-  if (eos_stop_available && pick == weights.size() - 1) {
-    body_log_prob_ += lp[model_->eos()];
+  if (pick == steps.size()) {  // EOS-as-stop
+    body_log_prob_ += lp[eos];
     accept(stats);
     return;
   }
 
-  const automata::Edge& e = edges[candidate_edges[pick]];
-  TokenId t = static_cast<TokenId>(e.symbol);
+  const TokenId t = steps[pick].token;
   body_log_prob_ += lp[t];
   context_.push_back(t);
   body_tokens_.push_back(t);
   body_text_ += compiled_->tokenizer().token_string(t);
-  body_state_ = e.to;
+  body_state_ = steps[pick].next.body_state;
+  canon_ = out.canon[pick];
   ++stats.tokens_emitted;
 }
 
 void GenStream::accept(GenerateStats& stats) {
-  // Final canonicality gate for dynamic-canonical queries: the completed
-  // body must be exactly its canonical encoding.
-  if (compiled_->dynamic_canonical()) {
-    std::vector<TokenId> canonical = compiled_->tokenizer().encode(body_text_);
-    if (canonical != body_tokens_) {
-      ++stats.pruned_non_canonical;
-      dead_end(stats);
-      return;
-    }
+  // Final canonicality gate: a dynamic-canonical body must be exactly its
+  // canonical encoding.
+  if (!compiled_->canonical_body(body_tokens_, body_text_, canon_)) {
+    ++stats.pruned_non_canonical;
+    dead_end(stats);
+    return;
   }
   std::span<const TokenId> prefix(context_.data(), prefix_len_);
   std::string text = compiled_->tokenizer().decode(prefix) + body_text_;

@@ -53,20 +53,20 @@ struct StreamSpec {
 };
 
 // Counters shared by the streams and folded by the engine; mirrors the
-// executor's SearchStats naming so dashboards read the same.
-struct GenerateStats {
+// executor's SearchStats naming so dashboards read the same. The step
+// counters come from CompiledQuery::decode_step.
+struct GenerateStats : CompiledQuery::StepCounters {
   std::size_t ticks = 0;
   std::size_t llm_calls = 0;          // unique contexts evaluated
   std::size_t batch_dedup_hits = 0;   // stream-steps served by a tick-mate's eval
+  // Rule-mask reuse per unique row (see SearchStats); sums to llm_calls.
+  std::size_t mask_memo_hits = 0;
+  std::size_t mask_memo_misses = 0;
   std::size_t tokens_emitted = 0;     // body tokens across all streams
   std::size_t streams_retired = 0;    // kDone + kDeadEnd + kCancelled
   std::size_t streams_done = 0;
   std::size_t streams_dead_end = 0;
   std::size_t streams_cancelled = 0;
-  std::size_t pruned_by_rules = 0;
-  std::size_t pruned_non_canonical = 0;
-  std::size_t mask_words_scanned = 0;
-  std::size_t mask_pruned = 0;
   double elapsed_seconds = 0.0;
 
   double tokens_per_second() const {
@@ -119,10 +119,10 @@ class GenStream {
   // unambiguous free stop. Requires !needs_model().
   void advance_no_model(GenerateStats& stats);
 
-  // One body step given this context's model row: apply the row's decoding
-  // mask and the automaton mask (precompiled bitmask fast path when
-  // available), renormalize over the surviving candidates plus EOS-as-stop at
-  // final states, and draw with the stream's own RNG.
+  // One body step given this context's model row: CompiledQuery::decode_step
+  // applies the row's decoding mask, the automaton and canonicality;
+  // renormalize over the survivors plus EOS-as-stop at final states, and draw
+  // with the stream's own RNG.
   void advance(const model::LanguageModel::Row& row, GenerateStats& stats);
 
   // Cursor control. Suspend freezes the stream mid-generation (its RNG and
@@ -138,7 +138,6 @@ class GenStream {
   }
 
  private:
-  std::size_t sequence_limit() const;
   bool budget_spent() const;
   void accept(GenerateStats& stats);
   void dead_end(GenerateStats& stats);
@@ -156,6 +155,7 @@ class GenStream {
   std::size_t prefix_len_ = 0;
   std::vector<tokenizer::TokenId> body_tokens_;
   std::string body_text_;
+  CompiledQuery::CanonState canon_;  // settled boundary of body_tokens_
   double body_log_prob_ = 0.0;
   automata::StateId body_state_ = automata::kNoState;
   std::optional<SearchResult> result_;

@@ -52,10 +52,7 @@ GenerateEngine::GenerateEngine(const model::LanguageModel& model,
       compiled_(compiled),
       query_(query),
       master_seed_(master_seed),
-      prefix_walks_(
-          compiled.prefix_automaton(),
-          std::min(query.sequence_length.value_or(model.max_sequence_length()),
-                   model.max_sequence_length())) {}
+      prefix_walks_(compiled.prefix_automaton(), sequence_budget(query, model)) {}
 
 GenerateEngine::StreamId GenerateEngine::add_stream(StreamSpec spec) {
   const StreamId id = streams_.size();
@@ -182,6 +179,7 @@ bool GenerateEngine::tick() {
       model_.next_rows(unique_contexts_, query_.decoding);
   stats_.llm_calls += unique_contexts_.size();
   metrics.llm_calls.add(unique_contexts_.size());
+  for (const model::LanguageModel::Row& row : rows) count_mask(row, stats_);
 
   // Phase 4: per-stream mask-and-scan + sample, fanned across the pool. Each
   // step is a pure function of its own stream's cursor, its own RNG, and its
@@ -199,10 +197,7 @@ bool GenerateEngine::tick() {
     stats_.streams_retired += step.streams_retired;
     stats_.streams_done += step.streams_done;
     stats_.streams_dead_end += step.streams_dead_end;
-    stats_.pruned_by_rules += step.pruned_by_rules;
-    stats_.pruned_non_canonical += step.pruned_non_canonical;
-    stats_.mask_words_scanned += step.mask_words_scanned;
-    stats_.mask_pruned += step.mask_pruned;
+    stats_ += step;  // the step counters
     metrics.tokens.add(step.tokens_emitted);
     metrics.streams_retired.add(step.streams_retired);
     metrics.streams_dead_end.add(step.streams_dead_end);

@@ -62,13 +62,6 @@ struct SimpleSearchQuery {
   std::size_t max_sample_attempts_factor = 16;  // retries per requested sample
   std::size_t beam_width = 8;           // beam search: live paths per step
 
-  // Use the precompiled per-state token bitmasks (the token_masks pipeline
-  // pass): executors intersect the decoding-rule mask with the state's mask
-  // word-wise and visit only surviving bits instead of probing every edge.
-  // An executor flag, not a compile input — it is deliberately excluded from
-  // the artifact cache key, and the outputs are identical either way.
-  bool use_token_masks = true;
-
   // Shortest path runs as an asynchronous producer/consumer pipeline. The
   // coordinator speculatively pops nodes ahead of settlement (up to
   // `speculation_horizon` beyond the round's minimum cost), submits their

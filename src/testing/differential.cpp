@@ -115,6 +115,14 @@ void apply_mutation(std::vector<SearchResult>& results, Mutation mutation) {
 
 }  // namespace
 
+CompiledQuery without_masks(const CompiledQuery& compiled) {
+  auto copy =
+      std::make_shared<core::pipeline::QueryArtifact>(compiled.artifact());
+  copy->prefix.masks = {};
+  copy->body.masks = {};
+  return CompiledQuery::from_artifact(std::move(copy), compiled.tokenizer());
+}
+
 TrialReport run_trial(const TrialCase& trial,
                       const DifferentialOptions& options) {
   TrialReport report;
@@ -209,15 +217,14 @@ TrialReport run_trial(const TrialCase& trial,
       if (!check_config(out, "artifact-io")) return report;
     }
 
-    // Configuration E: token-mask fast path disabled. Plain runs with the
-    // precompiled per-state bitmasks (the default); this run takes the
+    // Configuration E: the artifact without its token-mask tables. Plain
+    // runs with the precompiled per-state bitmasks; this run takes the
     // per-edge probe path instead. Any divergence means the mask-and-scan
     // expansion is not a faithful replacement for edge probing.
     {
-      SimpleSearchQuery no_masks = query;
-      no_masks.use_token_masks = false;
+      CompiledQuery probe_only = without_masks(compiled);
       ExecutorOutputs out =
-          run_executors(*base_model, compiled, no_masks, trial.sampler_seed);
+          run_executors(*base_model, probe_only, query, trial.sampler_seed);
       if (!check_config(out, "masks-off")) return report;
     }
 

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiled_query.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracle.hpp"
 
@@ -59,5 +60,10 @@ struct TrialReport {
 
 TrialReport run_trial(const TrialCase& trial,
                       const DifferentialOptions& options = {});
+
+// `compiled` rebound to a copy of its artifact with both token-mask tables
+// cleared — what the token_masks pass leaves when an artifact exceeds its
+// memory budget — so every traversal takes the per-edge probe path.
+core::CompiledQuery without_masks(const core::CompiledQuery& compiled);
 
 }  // namespace relm::testing

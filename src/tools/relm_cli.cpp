@@ -11,7 +11,7 @@
 //               [--results N] [--samples N] [--require-eos] [--seed N]
 //               [--threads N] [--cache-capacity N]
 //               [--compile-cache [DIR]] [--no-compile-cache]
-//               [--no-token-masks] [--determinize-budget N]
+//               [--determinize-budget N]
 //               [--trace-out FILE] [--trace-jsonl FILE] [--metrics]
 //       Run a ReLM query against a saved model and stream the matches.
 //       Patterns may use the boolean query algebra — `A&B` (intersection),
@@ -24,9 +24,6 @@
 //       hardware concurrency); --cache-capacity bounds the suffix-keyed
 //       logit cache (default 65536 entries, 0 disables). See
 //       docs/PERFORMANCE.md.
-//       --no-token-masks disables the precomputed per-state token bitmask
-//       fast path (mask-and-scan) and uses the per-edge probe loop instead;
-//       results are identical, only the executor hot-loop cost changes.
 //       --compile-cache persists compiled query artifacts to DIR (default
 //       .relm-cache) so repeated queries skip compilation entirely;
 //       --no-compile-cache disables the artifact cache (memory and disk).
@@ -43,8 +40,7 @@
 //               [--seed S] [--max-tokens K] [--model xl|small]
 //               [--top-k K] [--top-p P] [--temperature T] [--require-eos]
 //               [--sequence-length N] [--threads N] [--cache-capacity N]
-//               [--no-token-masks] [--compile-cache [DIR]]
-//               [--no-compile-cache] [--metrics]
+//               [--compile-cache [DIR]] [--no-compile-cache] [--metrics]
 //       Batched multi-stream mask-guided generation: N independent sampling
 //       streams share one batched model evaluation per scheduler tick, each
 //       guided by the compiled query automaton and its own isolated RNG
@@ -278,10 +274,6 @@ core::SimpleSearchQuery query_from_flags(const Args& args) {
     query.preprocessors.push_back(std::make_shared<core::LevenshteinPreprocessor>(
         static_cast<int>(edits)));
   }
-  // --no-token-masks falls back to the per-edge probe path in the executors
-  // (outputs are identical either way; the flag exists for benchmarking and
-  // for bisecting fast-path suspicions in the field).
-  if (args.has("no-token-masks")) query.use_token_masks = false;
   // --determinize-budget caps the states the (lazy) subset construction may
   // materialize for this query; 0 defers to RELM_DETERMINIZE_BUDGET. The
   // compile fails with a StateBudgetError instead of consuming unbounded
@@ -542,12 +534,14 @@ int cmd_generate(const Args& args) {
   const core::generate::GenerateStats& stats = engine.stats();
   std::fprintf(stderr,
                "[generate: %zu streams (%zu done, %zu dead-end), %zu ticks, "
-               "%zu tokens, %zu llm calls, %zu dedup hits, "
-               "occupancy %.1f streams/tick, %.0f tokens/sec, %.2fs]\n",
+               "%zu tokens, %zu llm calls, %zu dedup hits, %zu/%zu masks "
+               "reused, occupancy %.1f streams/tick, %.0f tokens/sec, %.2fs]\n",
                engine.num_streams(), stats.streams_done, stats.streams_dead_end,
                stats.ticks, stats.tokens_emitted, stats.llm_calls,
-               stats.batch_dedup_hits, stats.mean_tick_occupancy(),
-               stats.tokens_per_second(), timer.seconds());
+               stats.batch_dedup_hits, stats.mask_memo_hits,
+               stats.mask_memo_hits + stats.mask_memo_misses,
+               stats.mean_tick_occupancy(), stats.tokens_per_second(),
+               timer.seconds());
   print_compile_cache_stats(stderr);
   if (print_metrics) {
     std::printf("METRICS %s\n",

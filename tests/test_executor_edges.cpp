@@ -5,6 +5,7 @@
 // fuzzer found (beam text-dedup keeping the wrong path, beam require_eos at
 // the sequence limit, sampler require_eos termination).
 
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -19,6 +20,7 @@
 #include "testing/generators.hpp"
 #include "testing/oracle.hpp"
 #include "tokenizer/bpe.hpp"
+#include "util/errors.hpp"
 #include "util/thread_pool.hpp"
 
 namespace relm::core {
@@ -104,6 +106,54 @@ class CallCountingModel : public model::LanguageModel {
   }
   mutable std::size_t calls = 0;
 };
+
+// A model whose `throw_at`-th evaluation (counted across pool threads)
+// throws; every other call returns a uniform distribution.
+class ThrowingModel : public model::LanguageModel {
+ public:
+  explicit ThrowingModel(std::size_t throw_at) : throw_at_(throw_at) {}
+  std::size_t vocab_size() const override { return 3; }
+  TokenId eos() const override { return 0; }
+  std::size_t max_sequence_length() const override { return 24; }
+  std::vector<double> next_log_probs(std::span<const TokenId>) const override {
+    if (++calls_ == throw_at_) throw relm::Error("injected model failure");
+    return std::vector<double>(3, std::log(1.0 / 3.0));
+  }
+  std::size_t calls() const { return calls_.load(); }
+
+ private:
+  std::size_t throw_at_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+// A model error poisons a shortest-path search: the round that failed had
+// already marked its nodes expanded, so resuming would silently drop their
+// subtrees. Every later next()/all() rethrows instead, without calling the
+// model again.
+TEST(ExecutorEdges, ModelErrorPoisonsShortestPath) {
+  tokenizer::BpeTokenizer tok = tokenizer::BpeTokenizer::from_vocab({"", "a", "b"});
+  for (std::size_t in_flight : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(in_flight);
+    ThrowingModel model(/*throw_at=*/5);
+    SimpleSearchQuery query;
+    query.query_string = {"(a|b)+", ""};
+    query.max_results = 1000;
+    query.max_in_flight = in_flight;
+    const CompiledQuery compiled = CompiledQuery::compile(query, tok);
+    ShortestPathSearch search(model, compiled, query);
+    EXPECT_THROW(
+        {
+          while (search.next()) {
+          }
+        },
+        relm::Error);
+    const std::size_t calls = model.calls();
+    EXPECT_GE(calls, 5u);
+    EXPECT_THROW(search.next(), relm::Error);
+    EXPECT_THROW(search.all(), relm::Error);
+    EXPECT_EQ(model.calls(), calls);
+  }
+}
 
 TEST(ExecutorEdges, EmptyLanguageSkipsModelEntirely) {
   tokenizer::BpeTokenizer tok = tokenizer::BpeTokenizer::from_vocab({"", "a"});

@@ -397,6 +397,33 @@ TEST(GenerateEngine, DoneResultsPassOracleCheckSamples) {
             std::nullopt);
 }
 
+// Mask reuse is counted once per unique row: every row of a restricted run
+// carries a mask, and a second pass through a warm logit cache reuses them
+// all. An unrestricted run carries none.
+TEST(GenerateEngine, CountsMaskReusePerUniqueRow) {
+  Fixture f = topk_canonical_fixture();
+  auto cached = std::make_shared<model::CachingModel>(f.model, 1 << 12);
+  auto run = [&](const model::LanguageModel& model, const Fixture& fx) {
+    GenerateEngine engine(model, fx.compiled, fx.query, 3);
+    for (int i = 0; i < 16; ++i) engine.add_stream();
+    engine.run();
+    return engine.stats();
+  };
+  const GenerateStats cold = run(*cached, f);
+  EXPECT_GT(cold.llm_calls, 0u);
+  EXPECT_GT(cold.mask_memo_misses, 0u);
+  EXPECT_EQ(cold.mask_memo_hits + cold.mask_memo_misses, cold.llm_calls);
+  const GenerateStats warm = run(*cached, f);
+  EXPECT_EQ(warm.llm_calls, cold.llm_calls);
+  EXPECT_EQ(warm.mask_memo_hits, warm.llm_calls);
+  EXPECT_EQ(warm.mask_memo_misses, 0u);
+
+  Fixture plain = uniform_fixture({"", "a", "b"}, "(a|b){2,8}");
+  const GenerateStats unrestricted = run(*plain.model, plain);
+  EXPECT_GT(unrestricted.llm_calls, 0u);
+  EXPECT_EQ(unrestricted.mask_memo_hits + unrestricted.mask_memo_misses, 0u);
+}
+
 // Engine bookkeeping: dedup hits are real (lock-step streams share evals)
 // and the stats add up.
 TEST(GenerateEngine, LockStepStreamsShareModelEvaluations) {

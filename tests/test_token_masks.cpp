@@ -25,12 +25,14 @@
 #include "analysis/invariants.hpp"
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
+#include "core/generate/generate_engine.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
 #include "core/pipeline/pipeline.hpp"
 #include "core/token_masks.hpp"
 #include "model/decoding.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/differential.hpp"
 #include "testing/fuzz_targets.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
@@ -351,17 +353,17 @@ void check_expand_equivalence(const SimpleSearchQuery& query) {
         }
         rule = &mask;
       }
-      CompiledQuery::MaskExpandStats stats;
+      CompiledQuery::StepCounters stats;
       cq.expand_masked(set, rule, fast, stats);
       expect_steps_equal(fast, reference_expand(cq, set, rule));
-      EXPECT_GT(stats.words_scanned, 0u);
+      EXPECT_GT(stats.mask_words_scanned, 0u);
 
       // mask_pruned must equal the rule-filtered non-prefix-only step count.
       std::size_t want_pruned = 0;
       for (const CompiledQuery::Step& step : cq.expand(set)) {
         if (!step.prefix_only && rule && !(*rule)[step.token]) ++want_pruned;
       }
-      EXPECT_EQ(stats.pruned, want_pruned);
+      EXPECT_EQ(stats.mask_pruned, want_pruned);
     }
 
     for (const CompiledQuery::Step& step : cq.expand(set)) {
@@ -398,8 +400,74 @@ TEST(ExpandMasked, MatchesReferenceNoPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Executors: masks on vs off must be byte-identical; counters move
+// Executors: an artifact and its mask-less copy must be byte-identical;
+// counters move
 // ---------------------------------------------------------------------------
+
+void expect_same_results(const std::vector<core::SearchResult>& got,
+                         const std::vector<core::SearchResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].tokens, want[i].tokens) << i;
+    EXPECT_EQ(got[i].text, want[i].text) << i;
+    EXPECT_EQ(got[i].log_prob, want[i].log_prob) << i;  // exact
+  }
+}
+
+// The probe path's per-edge rule prunes move wholesale to mask_pruned;
+// EOS-closure prunes (if any) are the only pruned_by_rules left.
+template <typename Stats>
+void expect_prunes_moved(const Stats& masked, const Stats& probed) {
+  EXPECT_GT(masked.mask_words_scanned, 0u);
+  EXPECT_EQ(probed.mask_words_scanned, 0u);
+  EXPECT_EQ(masked.mask_pruned + masked.pruned_by_rules, probed.pruned_by_rules);
+  EXPECT_EQ(masked.pruned_non_canonical, probed.pruned_non_canonical);
+}
+
+// Runs every traversal — shortest path, beam, sampler and a GenerateEngine
+// cohort — on the compiled query and on its mask-less copy (the probe path).
+void expect_masks_invisible(const SimpleSearchQuery& query) {
+  CompiledQuery cq = CompiledQuery::compile(query, fixture_tokenizer());
+  ASSERT_TRUE(cq.has_masks());
+  CompiledQuery probe = testing::without_masks(cq);
+  ASSERT_FALSE(probe.has_masks());
+
+  core::ShortestPathSearch on_search(*fixture_model(), cq, query);
+  core::ShortestPathSearch off_search(*fixture_model(), probe, query);
+  auto on_results = on_search.all();
+  ASSERT_FALSE(on_results.empty());
+  expect_same_results(on_results, off_search.all());
+  expect_prunes_moved(on_search.stats(), off_search.stats());
+
+  core::BeamSearch on_beam(*fixture_model(), cq, query);
+  core::BeamSearch off_beam(*fixture_model(), probe, query);
+  expect_same_results(on_beam.run(), off_beam.run());
+  expect_prunes_moved(on_beam.stats(), off_beam.stats());
+
+  // Sampler: identical draws from identical seeds.
+  core::RandomSampler on_sampler(*fixture_model(), cq, query, 42);
+  core::RandomSampler off_sampler(*fixture_model(), probe, query, 42);
+  expect_same_results(on_sampler.sample_all(), off_sampler.sample_all());
+  expect_prunes_moved(on_sampler.stats(), off_sampler.stats());
+
+  core::generate::GenerateEngine on_engine(*fixture_model(), cq, query, 7);
+  core::generate::GenerateEngine off_engine(*fixture_model(), probe, query, 7);
+  for (int i = 0; i < 8; ++i) {
+    on_engine.add_stream();
+    off_engine.add_stream();
+  }
+  on_engine.run();
+  off_engine.run();
+  std::size_t done = 0;
+  for (std::size_t id = 0; id < on_engine.num_streams(); ++id) {
+    ASSERT_EQ(on_engine.state(id), off_engine.state(id)) << id;
+    if (!on_engine.result(id)) continue;
+    ++done;
+    expect_same_results({*on_engine.result(id)}, {*off_engine.result(id)});
+  }
+  EXPECT_GT(done, 0u);
+  expect_prunes_moved(on_engine.stats(), off_engine.stats());
+}
 
 TEST(Executors, MaskFastPathIsByteIdenticalAndCounted) {
   SimpleSearchQuery query = make_query("The ((cat)|(dog))",
@@ -407,56 +475,22 @@ TEST(Executors, MaskFastPathIsByteIdenticalAndCounted) {
                                        "The ");
   query.decoding.top_k = 200;  // prunes plenty of the 400-token vocab while
                                // leaving the query's language reachable
-  CompiledQuery cq = CompiledQuery::compile(query, fixture_tokenizer());
-  ASSERT_TRUE(cq.has_masks());
+  expect_masks_invisible(query);
 
-  SimpleSearchQuery off = query;
-  off.use_token_masks = false;
-
-  core::ShortestPathSearch on_search(*fixture_model(), cq, query);
-  core::ShortestPathSearch off_search(*fixture_model(), cq, off);
-  auto on_results = on_search.all();
-  auto off_results = off_search.all();
-  ASSERT_EQ(on_results.size(), off_results.size());
-  ASSERT_FALSE(on_results.empty());
-  for (std::size_t i = 0; i < on_results.size(); ++i) {
-    EXPECT_EQ(on_results[i].tokens, off_results[i].tokens);
-    EXPECT_EQ(on_results[i].text, off_results[i].text);
-    EXPECT_EQ(on_results[i].log_prob, off_results[i].log_prob);  // exact
-  }
-
-  // The probe path's per-edge rule prunes move wholesale to mask_pruned;
-  // EOS-closure prunes (if any) are the only pruned_by_rules left.
-  const core::SearchStats& on_stats = on_search.stats();
-  const core::SearchStats& off_stats = off_search.stats();
-  EXPECT_GT(on_stats.mask_words_scanned, 0u);
-  EXPECT_EQ(off_stats.mask_words_scanned, 0u);
-  EXPECT_EQ(on_stats.mask_pruned + on_stats.pruned_by_rules,
-            off_stats.pruned_by_rules);
-
-  // Beam: same comparison.
-  core::BeamSearch on_beam(*fixture_model(), cq, query);
-  core::BeamSearch off_beam(*fixture_model(), cq, off);
-  auto beam_on = on_beam.run();
-  auto beam_off = off_beam.run();
-  ASSERT_EQ(beam_on.size(), beam_off.size());
-  for (std::size_t i = 0; i < beam_on.size(); ++i) {
-    EXPECT_EQ(beam_on[i].tokens, beam_off[i].tokens);
-    EXPECT_EQ(beam_on[i].log_prob, beam_off[i].log_prob);
-  }
-  EXPECT_GT(on_beam.stats().mask_words_scanned, 0u);
-
-  // Sampler: identical draws from identical seeds.
-  core::RandomSampler on_sampler(*fixture_model(), cq, query, 42);
-  core::RandomSampler off_sampler(*fixture_model(), cq, off, 42);
-  auto samples_on = on_sampler.sample_all();
-  auto samples_off = off_sampler.sample_all();
-  ASSERT_EQ(samples_on.size(), samples_off.size());
-  for (std::size_t i = 0; i < samples_on.size(); ++i) {
-    EXPECT_EQ(samples_on[i].tokens, samples_off[i].tokens);
-    EXPECT_EQ(samples_on[i].log_prob, samples_off[i].log_prob);
-  }
-  EXPECT_GT(on_sampler.stats().mask_words_scanned, 0u);
+  // Dynamic canonicality under a rule mask: the canonical check runs after
+  // the rule filter on both paths, so its prunes must agree too.
+  SimpleSearchQuery dynamic = make_query(
+      "The (cat|dog) (sat|ran) on the mat\\.", TokenizationStrategy::kCanonicalTokens);
+  dynamic.canonical_enumeration_budget = 1;  // force dynamic canonicality
+  dynamic.decoding.top_k = 100;
+  dynamic.num_samples = 16;
+  expect_masks_invisible(dynamic);
+  CompiledQuery dynamic_cq = CompiledQuery::compile(dynamic, fixture_tokenizer());
+  ASSERT_TRUE(dynamic_cq.dynamic_canonical());
+  core::ShortestPathSearch search(*fixture_model(), dynamic_cq, dynamic);
+  search.all();
+  EXPECT_GT(search.stats().pruned_non_canonical, 0u);
+  EXPECT_GT(search.stats().mask_pruned, 0u);
 }
 
 // ---------------------------------------------------------------------------
