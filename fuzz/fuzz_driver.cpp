@@ -1,6 +1,8 @@
 // Unified driver for the structured fuzz targets (src/testing/fuzz_targets.*).
 // Compiled once per target: CMake defines RELM_FUZZ_TARGET to the entry
-// point's name (fuzz_regex_parser, fuzz_dfa_loader, ...).
+// point's name (fuzz_regex_parser, fuzz_dfa_loader, ...). Most targets parse
+// the bytes; fuzz_canonical_settlement decodes them into a vocabulary and a
+// token path, so any byte string is a valid case.
 //
 // Two personalities, selected at configure time:
 //   - RELM_LIBFUZZER (Clang only): exports LLVMFuzzerTestOneInput and links

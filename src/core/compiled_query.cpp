@@ -193,46 +193,45 @@ bool CompiledQuery::has_continuation(const StateSet& set) const {
   return false;
 }
 
-bool CompiledQuery::canonical_prefix_ok(std::span<const TokenId> body_tokens,
-                                        const std::string& body_text) const {
-  CanonState state;
-  return canonical_prefix_advance(body_tokens, body_text, state);
-}
-
-bool CompiledQuery::canonical_prefix_advance(
+void CompiledQuery::canonical_prefix_advance(
     std::span<const TokenId> body_tokens, std::string_view body_text,
     CanonState& state) const {
-  if (!artifact_->body.dynamic_canonical || body_tokens.empty()) return true;
+  if (!artifact_->body.dynamic_canonical || state.doomed()) return;
 
-  // Greedy longest-match decisions are final ("settled") at byte offset p as
-  // soon as p + max_token_length <= len: every candidate token starting at p
-  // is fully visible, so appending more input cannot change the choice. The
-  // path must agree with the canonical encoding on every settled decision;
-  // the canonical token at p is the longest vocabulary match, so any
-  // *different* valid token there is a strict deviation from canonical form.
-  // Resuming from `state` is sound because settled decisions depend only on
-  // bytes that were already visible when they settled.
+  // Walk the vocabulary trie from the first unsettled boundary. The path's
+  // own token there is always on the walk, so the canonical token is either
+  // it or a longer one: seeing a longer one dooms the path, and a walk that
+  // falls off or ends at a leaf settles the decision to the path's token.
   const std::size_t len = body_text.size();
-  const std::size_t max_tok = tok_->max_token_length();
-
-  std::size_t canon_pos = state.pos;
-  std::size_t path_idx = state.idx;
-  while (canon_pos + max_tok <= len && path_idx < body_tokens.size()) {
-    auto match = tok_->longest_match(body_text.substr(canon_pos));
-    if (!match) return true;  // byte outside vocab: cannot judge, do not prune
-    if (body_tokens[path_idx] != *match) return false;
-    canon_pos += tok_->token_string(*match).size();
-    ++path_idx;
-    state.pos = static_cast<std::uint32_t>(canon_pos);
-    state.idx = static_cast<std::uint32_t>(path_idx);
+  while (state.idx < body_tokens.size()) {
+    const std::size_t own = tok_->token_string(body_tokens[state.idx]).size();
+    std::uint32_t node = state.node;
+    std::size_t end = state.walked;
+    while (end < len) {
+      node = tok_->trie_child(node, static_cast<unsigned char>(body_text[end]));
+      if (node == tokenizer::BpeTokenizer::kNoTrieNode) break;
+      if (++end - state.pos > own && tok_->trie_token(node)) {
+        state.doomed_at = state.pos;
+        return;
+      }
+    }
+    if (end == len && tok_->trie_has_children(node)) {  // undecided
+      state.walked = static_cast<std::uint32_t>(end);
+      state.node = node;
+      return;
+    }
+    state.pos += static_cast<std::uint32_t>(own);
+    ++state.idx;
+    state.walked = state.pos;
+    state.node = tok_->trie_root();
   }
-  return true;
 }
 
 bool CompiledQuery::canonical_body(std::span<const TokenId> body_tokens,
                                    std::string_view body_text,
                                    CanonState state) const {
   if (!artifact_->body.dynamic_canonical) return true;
+  if (state.doomed()) return false;
 
   // The string is complete, so every greedy decision is final: continue the
   // longest-match walk from the settled boundary and require the path tokens
@@ -292,8 +291,10 @@ void CompiledQuery::decode_step(const StateSet& set,
       out.text_scratch.resize(body.text.size());
       out.text_scratch.append(tok_->token_string(step.token));
       canon = body.canon;
-      if (!canonical_prefix_advance(out.body_scratch, out.text_scratch, canon)) {
-        ++out.counters.pruned_non_canonical;
+      canonical_prefix_advance(out.body_scratch, out.text_scratch, canon);
+      if (canon.doomed() &&
+          canon.doomed_at + tok_->max_token_length() <= out.text_scratch.size()) {
+        ++out.counters.pruned_non_canonical;  // the distance rule's cut
         continue;
       }
     }

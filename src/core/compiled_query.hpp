@@ -124,40 +124,42 @@ class CompiledQuery {
     return artifact_->prefix.dynamic_canonical;
   }
 
-  // Dynamic canonicality pruning (§3.2 option 2). `body_text` is the decoded
-  // body-so-far and `body_tokens` its token path; returns false when the
-  // path already deviates from the canonical (greedy longest-match) encoding
-  // on a settled boundary — i.e. a boundary more than max_token_length bytes
-  // from the end, which no future input can re-merge.
-  bool canonical_prefix_ok(std::span<const tokenizer::TokenId> body_tokens,
-                           const std::string& body_text) const;
-
-  // Resumable form of canonical_prefix_ok. Settled greedy decisions are
-  // final, so a path that passed the check with `state` settled need not
-  // re-verify them when it grows: the child check resumes from the parent's
-  // state in O(newly settled decisions) instead of re-walking the whole body
-  // (which made per-path verification quadratic in depth). A default state
-  // means "nothing settled yet"; on return `state` holds the new settled
-  // boundary and is valid for every extension of (body_tokens, body_text).
+  // Dynamic canonicality (§3.2 option 2), settled exactly. `body_text` is
+  // the decoded body-so-far and `body_tokens` its token path. The greedy
+  // (longest-match) decision at a token boundary is final once the
+  // vocabulary-trie walk from it falls off or reaches a leaf: no later byte
+  // can change it. The path is doomed there as soon as the walk passes a
+  // token longer than the path's own: whatever follows, the canonical
+  // encoding takes that longer token or a longer one still.
   struct CanonState {
-    std::uint32_t pos = 0;  // settled byte offset into body_text
-    std::uint32_t idx = 0;  // settled token index into body_tokens
+    static constexpr std::uint32_t kLive = 0xffffffffu;
+    std::uint32_t pos = 0;  // first unsettled boundary: byte offset
+    std::uint32_t idx = 0;  // ... and token index
+    std::uint32_t walked = 0;  // the trie walk from pos reached this byte
+    std::uint32_t node = 0;    // ... at this trie node (0 = the root)
+    std::uint32_t doomed_at = kLive;  // byte offset of the doomed boundary
+    bool doomed() const { return doomed_at != kLive; }
   };
-  bool canonical_prefix_advance(std::span<const tokenizer::TokenId> body_tokens,
+  // Settles every boundary from `state` on that the visible text decides,
+  // or marks the state doomed. Settled decisions depend only on bytes that
+  // were visible when they settled, so a child resumes from its parent's
+  // state, trie walk included, instead of re-walking the body, and a doomed
+  // state's children inherit it without walking. A default state means
+  // "nothing settled".
+  void canonical_prefix_advance(std::span<const tokenizer::TokenId> body_tokens,
                                 std::string_view body_text,
                                 CanonState& state) const;
 
   // Emission-time finalization: true iff `body_tokens` IS the canonical
   // (greedy longest-match) encoding of the complete `body_text`. `state` must
-  // be a settled boundary previously produced for this body by
-  // canonical_prefix_advance (default state = verify from scratch); only the
-  // unsettled tail is walked. Equivalent to re-encoding the text and
-  // comparing, without the two temporary buffers.
+  // come from canonical_prefix_advance on this body (default state = verify
+  // from scratch); only the unsettled tail is walked. Equivalent to
+  // re-encoding the text and comparing, without the two temporary buffers.
   bool canonical_body(std::span<const tokenizer::TokenId> body_tokens,
                       std::string_view body_text, CanonState state) const;
 
   // The body run a step extends: its tokens, their decoded text and its
-  // settled canonicality boundary. Read only by dynamic-canonical queries.
+  // CanonState. Read only by dynamic-canonical queries.
   struct BodyCursor {
     std::span<const tokenizer::TokenId> tokens;
     std::string_view text;
@@ -166,7 +168,12 @@ class CompiledQuery {
 
   // One decode_step's result. steps[i] survived the automaton, the decoding
   // rules (prefix edges exempt, §2.4) and canonicality (§3.2); canon[i] is
-  // its child's settled boundary (default when the body run resets).
+  // its child's CanonState (default when the body run resets). A step whose
+  // canon[i] is doomed is flagged: its body can never end canonically, but
+  // only a boundary doomed max_token_length bytes back is dropped here —
+  // the cut of the older distance rule, which beam's width cut and the
+  // streams' weighted draw still see. Shortest path drops flagged steps
+  // itself.
   struct StepOutput {
     std::vector<Step> steps;
     std::vector<CanonState> canon;
@@ -178,7 +185,7 @@ class CompiledQuery {
 
   // The constrained-decoding step every traversal takes (shortest path,
   // beam, generate streams): automaton edges out of `set` ∩ the rule mask,
-  // then the resumable canonicality check against `body`. Uses the
+  // then canonical_prefix_advance from `body`'s state. Uses the
   // mask-and-scan path when the artifact carries masks, the per-edge probe
   // otherwise; both yield the same steps in the same order.
   void decode_step(const StateSet& set, const util::TokenBitset* rule_mask,

@@ -155,15 +155,15 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
   path_tail_into(id, nodes_[id].depth, tokens);
   if (nodes_[id].terminal) tokens.pop_back();  // drop EOS from the tuple
   std::string text = compiled_.tokenizer().decode(tokens);
-  // Final canonicality gate (§3.2 option 2): the incremental check can
-  // only reject *settled* deviations; at emission the string is complete,
-  // so the body tokens must equal the canonical encoding exactly.
+  // Final canonicality gate (§3.2 option 2): the incremental check cannot
+  // judge the unsettled tail; at emission the string is complete, so the
+  // body tokens must equal the canonical encoding exactly.
   if (compiled_.dynamic_canonical()) {
     const std::uint32_t body_len = nodes_[id].body_len;
     std::span<const TokenId> body(tokens.data() + (tokens.size() - body_len),
                                   body_len);
     // The body text is the tail of the already-decoded result text; the
-    // settled boundary carried on the node lets the finalizer walk only the
+    // CanonState carried on the node lets the finalizer walk only the
     // unsettled suffix.
     std::size_t body_bytes = 0;
     for (TokenId t : body) {
@@ -214,8 +214,24 @@ void ShortestPathSearch::evaluate_slot(const SlotTask& task,
   out.row = std::move(model_.next_rows({&task.context, 1}, query_.decoding).front());
   RELM_DCHECK(out.row.log_probs->size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
+  CompiledQuery::StepOutput& step = out.step;
   compiled_.decode_step(task.set, out.row.mask.get(), model_.eos(),
-                        {task.body_prefix, task.body_text, task.canon}, out.step);
+                        {task.body_prefix, task.body_text, task.canon}, step);
+  // A flagged (doomed) body can never be emitted, so its subtree is dropped
+  // here, before it reaches the frontier or the model — unless a live
+  // prefix can still restart the body run below it.
+  std::size_t kept = 0;
+  for (std::size_t s = 0; s < step.steps.size(); ++s) {
+    if (step.canon[s].doomed() &&
+        step.steps[s].next.prefix_state == automata::kNoState) {
+      ++step.counters.pruned_non_canonical;
+      continue;
+    }
+    step.steps[kept] = step.steps[s];
+    step.canon[kept++] = step.canon[s];
+  }
+  step.steps.resize(kept);
+  step.canon.resize(kept);
 }
 
 void ShortestPathSearch::pump() {

@@ -28,7 +28,8 @@ struct SearchResult {
 
 // The step counters (pruned_by_rules, pruned_non_canonical,
 // mask_words_scanned, mask_pruned) come from CompiledQuery::decode_step;
-// shortest path also counts EOS-closure prunes in pruned_by_rules.
+// shortest path also counts EOS-closure prunes in pruned_by_rules and the
+// flagged steps it drops in pruned_non_canonical.
 struct SearchStats : CompiledQuery::StepCounters {
   std::size_t llm_calls = 0;
   std::size_t expansions = 0;          // shortest path: nodes expanded
@@ -121,9 +122,8 @@ class ShortestPathSearch {
     double cost;                // cumulative -log p
     std::uint32_t depth;
     std::uint32_t body_len;     // tokens consumed by the body machine
-    // Settled canonicality boundary of this node's body run: children resume
-    // the greedy-deviation check here instead of re-walking the whole body,
-    // keeping per-child verification O(newly settled).
+    // Canonicality state of this node's body run: children resume the
+    // settlement walk here instead of re-walking the whole body.
     CompiledQuery::CanonState canon;
     bool terminal;              // EOS attached; emit on pop
     bool expanded = false;
@@ -170,11 +170,11 @@ class ShortestPathSearch {
     std::vector<tokenizer::TokenId> context;      // model-relevant suffix
     std::vector<tokenizer::TokenId> body_prefix;  // dynamic-canonical only
     std::string body_text;  // decoded body_prefix (dynamic-canonical only)
-    CompiledQuery::CanonState canon;  // parent's settled boundary
+    CompiledQuery::CanonState canon;  // the parent's
   };
   struct SlotOutput {
     model::LanguageModel::Row row;
-    CompiledQuery::StepOutput step;  // children inherit step.canon[i]
+    CompiledQuery::StepOutput step;  // flagged steps already dropped
   };
 
   // The last `len` tokens of a node's path: its depth for the whole path,

@@ -155,7 +155,7 @@ class GenStream {
   std::size_t prefix_len_ = 0;
   std::vector<tokenizer::TokenId> body_tokens_;
   std::string body_text_;
-  CompiledQuery::CanonState canon_;  // settled boundary of body_tokens_
+  CompiledQuery::CanonState canon_;  // canonicality of body_tokens_
   double body_log_prob_ = 0.0;
   automata::StateId body_state_ = automata::kNoState;
   std::optional<SearchResult> result_;

@@ -1,18 +1,23 @@
 #include "testing/fuzz_targets.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "analysis/invariants.hpp"
 #include "automata/algebra.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/serialize.hpp"
+#include "core/compiled_query.hpp"
 #include "core/pipeline/artifact.hpp"
+#include "core/pipeline/cache.hpp"
 #include "testing/generators.hpp"
 #include "testing/json.hpp"
+#include "testing/oracle.hpp"
 #include "util/errors.hpp"
 
 namespace relm::testing {
@@ -154,6 +159,55 @@ int fuzz_repro_json(const std::uint8_t* data, std::size_t size) {
   }
   if (again.to_json().dump() != dumped) {
     die("fuzz_repro_json", "case does not round-trip byte-identically");
+  }
+  return 0;
+}
+
+int fuzz_canonical_settlement(const std::uint8_t* data, std::size_t size) {
+  std::size_t at = 0;
+  auto next = [&] { return at < size ? data[at++] : std::uint8_t{0}; };
+  std::vector<std::string> vocab{"", "a", "b", "c"};
+  const std::size_t merged = next() % 9;
+  for (std::size_t m = 0; m < merged; ++m) {
+    std::string token(2 + next() % 3, 'a');
+    for (char& c : token) c = static_cast<char>('a' + next() % 3);
+    if (std::find(vocab.begin(), vocab.end(), token) == vocab.end()) {
+      vocab.push_back(token);
+    }
+  }
+  const auto tok = tokenizer::BpeTokenizer::from_vocab(vocab);
+  core::SimpleSearchQuery query;
+  query.query_string = {"[abc]+", ""};
+  query.tokenization_strategy = core::TokenizationStrategy::kCanonicalTokens;
+  const core::CompiledQuery compiled = core::CompiledQuery::from_artifact(
+      core::pipeline::compile_cached(query, tok, nullptr), tok);
+  if (!compiled.dynamic_canonical()) {
+    die("fuzz_canonical_settlement",
+        "[abc]+ compiled without dynamic canonicality");
+  }
+
+  const std::size_t max_tok = tok.max_token_length();
+  std::vector<tokenizer::TokenId> path;
+  std::string text;
+  core::CompiledQuery::CanonState state;
+  bool doom_checked = false;
+  while (at < size && path.size() < 8) {
+    path.push_back(
+        static_cast<tokenizer::TokenId>(1 + next() % (vocab.size() - 1)));
+    text += tok.token_string(path.back());
+    compiled.canonical_prefix_advance(path, text, state);
+    const bool cut = state.doomed() && state.doomed_at + max_tok <= text.size();
+    if (distance_rule_cuts(tok, path, text) != cut) {
+      die("fuzz_canonical_settlement",
+          "distance rule and settlement disagree on \"" + text + "\"");
+    }
+    if (state.doomed() && !doom_checked) {
+      doom_checked = true;
+      if (canonical_continuation_exists(tok, path, text, "abc", max_tok + 1)) {
+        die("fuzz_canonical_settlement",
+            "doomed body \"" + text + "\" has a canonical continuation");
+      }
+    }
   }
   return 0;
 }

@@ -36,4 +36,12 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size);
 // serialize/parse round-trip.
 int fuzz_repro_json(const std::uint8_t* data, std::size_t size);
 
+// Canonicality settlement: the bytes decode into a vocabulary over {a, b, c}
+// (every single byte present, merged tokens of 2-4 bytes) and a body token
+// path. At every prefix of the path, CompiledQuery::canonical_prefix_advance
+// must cut exactly where the distance rule over encode() cuts (doomed
+// max_token_length bytes back), and the first doomed prefix must have no
+// continuation of up to max_token_length + 1 bytes that encodes through it.
+int fuzz_canonical_settlement(const std::uint8_t* data, std::size_t size);
+
 }  // namespace relm::testing

@@ -117,7 +117,7 @@ struct Walker {
         }
         body.push_back(step.token);
         std::string body_text = compiled.tokenizer().decode(body);
-        if (!compiled.canonical_prefix_ok(body, body_text)) continue;
+        if (distance_rule_cuts(compiled.tokenizer(), body, body_text)) continue;
       }
       tokens.push_back(step.token);
       visit(step.next, tokens, log_prob + lp[step.token],
@@ -149,6 +149,40 @@ struct Walker {
 };
 
 }  // namespace
+
+bool distance_rule_cuts(const tokenizer::BpeTokenizer& tok,
+                        std::span<const TokenId> body, std::string_view text) {
+  const std::vector<TokenId> canonical = tok.encode(text);
+  std::size_t pos = 0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (pos + tok.max_token_length() > text.size()) return false;
+    if (body[i] != canonical[i]) return true;
+    pos += tok.token_string(body[i]).size();
+  }
+  return false;
+}
+
+bool canonical_continuation_exists(const tokenizer::BpeTokenizer& tok,
+                                   std::span<const TokenId> body,
+                                   const std::string& text,
+                                   std::string_view alphabet,
+                                   std::size_t max_extra) {
+  const std::vector<TokenId> canonical = tok.encode(text);
+  if (canonical.size() >= body.size() &&
+      std::equal(body.begin(), body.end(), canonical.begin())) {
+    return true;
+  }
+  if (max_extra == 0) return false;
+  std::string longer = text + ' ';
+  for (char c : alphabet) {
+    longer.back() = c;
+    if (canonical_continuation_exists(tok, body, longer, alphabet,
+                                      max_extra - 1)) {
+      return true;
+    }
+  }
+  return false;
+}
 
 std::optional<double> Oracle::log_prob_of(const std::string& text) const {
   for (const OraclePath& path : by_text) {

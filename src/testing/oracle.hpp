@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/compiled_query.hpp"
@@ -29,8 +31,10 @@ namespace relm::testing {
 //     bypass the mask but carry true costs;
 //   - require_eos appends p(EOS | string) and consumes one budget slot, so a
 //     match whose path already fills the sequence budget cannot terminate;
-//   - dynamic-canonical queries prune settled deviations incrementally and
-//     re-check the completed body against the canonical encoding;
+//   - dynamic-canonical queries prune with the oracle's own distance rule
+//     (distance_rule_cuts, not the executors' exact settlement, so the
+//     oracle explores a superset of their paths) and re-check the completed
+//     body against encode();
 //   - matches are deduplicated by decoded text keeping the most probable
 //     token path (what the shortest-path traversal's first-pop-wins gives).
 //
@@ -67,6 +71,22 @@ Oracle build_oracle(const model::LanguageModel& model,
                     const core::CompiledQuery& compiled,
                     const core::SimpleSearchQuery& query,
                     const OracleConfig& config = {});
+
+// The oracle's canonicality prune, written over encode(): true when `body`
+// disagrees with encode(`text`) at a boundary at least max_token_length
+// bytes before the end of `text`, a decision no later byte can change.
+bool distance_rule_cuts(const tokenizer::BpeTokenizer& tok,
+                        std::span<const tokenizer::TokenId> body,
+                        std::string_view text);
+
+// Brute-force liveness of a body: true when some continuation of at most
+// `max_extra` bytes drawn from `alphabet` makes encode(text + continuation)
+// start with `body`. A doomed CanonState must never have one.
+bool canonical_continuation_exists(const tokenizer::BpeTokenizer& tok,
+                                   std::span<const tokenizer::TokenId> body,
+                                   const std::string& text,
+                                   std::string_view alphabet,
+                                   std::size_t max_extra);
 
 // Verifies a shortest-path or (exact-width) beam result list against the
 // oracle: set-completeness, per-result log-prob equality within `tolerance`,

@@ -190,6 +190,7 @@ void BpeTokenizer::build_trie() {
     for (unsigned char c : s) {
       if (trie_[node].child[c] == kNoChild) {
         trie_[node].child[c] = static_cast<std::uint32_t>(trie_.size());
+        trie_[node].has_children = true;
         TrieNode fresh;
         fresh.child.fill(kNoChild);
         fresh.token_at = static_cast<TokenId>(-1);

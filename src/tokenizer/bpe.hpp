@@ -107,6 +107,10 @@ class BpeTokenizer {
     TokenId t = trie_[node].token_at;
     return t == static_cast<TokenId>(-1) ? std::nullopt : std::optional<TokenId>(t);
   }
+  // False at a leaf: no token extends the string spelled by `node`.
+  bool trie_has_children(std::uint32_t node) const {
+    return trie_[node].has_children;
+  }
 
  private:
   BpeTokenizer() = default;
@@ -123,6 +127,7 @@ class BpeTokenizer {
   struct TrieNode {
     std::array<std::uint32_t, 256> child;
     TokenId token_at;
+    bool has_children = false;
   };
   std::vector<TrieNode> trie_;
 };

@@ -6,6 +6,7 @@
 // the sequence limit, sampler require_eos termination).
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <span>
@@ -17,10 +18,12 @@
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/differential.hpp"
 #include "testing/generators.hpp"
 #include "testing/oracle.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
+#include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
 namespace relm::core {
@@ -557,49 +560,207 @@ TEST(ExecutorEdges, SpeculativeWasteCountsEvalsBeyondLastEmission) {
 }
 
 // --------------------------------------------------------------------------
-// Incremental canonicality: canonical_prefix_advance resumed token-by-token
-// must agree with the from-scratch canonical_prefix_ok at every prefix, and
-// canonical_body from the settled state must agree with re-encode-and-compare
-// on the complete body — for the canonical path and both impostors.
-TEST(ExecutorEdges, CanonicalAdvanceAndBodyMatchFromScratchChecks) {
-  auto tok = tokenizer::BpeTokenizer::from_vocab({"", "a", "b", "c", "ab", "bc"});
-  SimpleSearchQuery query;
-  // Infinite language: canonical encodings cannot be enumerated at compile
-  // time, so the artifact carries dynamic_canonical and the executor prunes
-  // non-greedy paths at traversal time — the machinery under test here.
-  query.query_string = {"[abc]+", ""};
-  query.tokenization_strategy = TokenizationStrategy::kCanonicalTokens;
-  query.sequence_length = 4;
-  const CompiledQuery compiled = CompiledQuery::compile(query, tok);
-  ASSERT_TRUE(compiled.dynamic_canonical());
+// Exact canonical settlement.
 
-  const std::vector<std::vector<TokenId>> paths = {
-      {4, 3},     // [ab, c]   — the canonical (greedy) encoding
-      {1, 5},     // [a, bc]   — same text, non-canonical split
-      {1, 2, 3},  // [a, b, c] — fully unmerged
-  };
-  for (const auto& path : paths) {
-    CompiledQuery::CanonState state;
-    std::string text;
-    bool advance_ok = true;
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      text += tok.token_string(path[i]);
-      const std::span<const TokenId> prefix(path.data(), i + 1);
-      if (advance_ok) {
-        advance_ok = compiled.canonical_prefix_advance(prefix, text, state);
-      }
-      EXPECT_EQ(advance_ok, compiled.canonical_prefix_ok(prefix, text))
-          << "path[0]=" << path[0] << " prefix_len=" << (i + 1);
-    }
-    if (advance_ok) {
-      const bool canonical = tok.encode(text) == path;
-      EXPECT_EQ(compiled.canonical_body(path, text, state), canonical)
-          << "path[0]=" << path[0];
-      // A default (nothing-settled) state must give the same verdict.
-      EXPECT_EQ(compiled.canonical_body(path, text, {}), canonical)
-          << "path[0]=" << path[0];
+// Skewed n-gram model under top-k 3 over an infinite canonical language, on
+// a vocabulary with 3-byte tokens: a body like [a, b] is doomed (the longer
+// "ab" is visible at its first boundary) well before max_token_length more
+// bytes arrive, so shortest path drops it while beam and streams keep it.
+Fixture settlement_fixture() {
+  std::vector<std::string> vocab{"", "a", "b", "c", "ab", "bc", "abc", "bca"};
+  auto tok = std::make_shared<tokenizer::BpeTokenizer>(
+      tokenizer::BpeTokenizer::from_vocab(vocab));
+  testing::ModelSpec spec;
+  spec.kind = testing::ModelSpec::Kind::kNgram;
+  spec.vocab_size = vocab.size();
+  spec.eos = 0;
+  spec.sequences = {{1, 2, 3}, {4, 3}, {1, 5}, {2, 2, 1},
+                    {3, 1, 4}, {1, 2, 1, 2}, {7, 6}};
+  SimpleSearchQuery query;
+  query.query_string = {"[abc]+", ""};
+  query.decoding.top_k = 3;
+  query.sequence_length = 6;
+  query.max_results = 1000;
+  CompiledQuery compiled = CompiledQuery::compile(query, *tok);
+  return {std::move(tok), spec.build(), std::move(query), std::move(compiled)};
+}
+
+// FNV-1a over 64-bit words.
+struct Fnv {
+  std::uint64_t value = 14695981039346656037ull;
+  void mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      value ^= (v >> (8 * i)) & 0xffu;
+      value *= 1099511628211ull;
     }
   }
+};
+
+// Beam's width cut must see the candidates the max_token_length distance
+// rule leaves, flagged doomed steps included. The digest was recorded
+// before the exact rule replaced the distance rule.
+TEST(ExecutorEdges, BeamCandidatesUnchangedByExactSettlement) {
+  const Fixture f = settlement_fixture();
+  ASSERT_TRUE(f.compiled.dynamic_canonical());
+  Fnv digest;
+  for (std::size_t width : {1u, 3u, 8u}) {
+    SimpleSearchQuery query = f.query;
+    query.beam_width = width;
+    BeamSearch beam(*f.model, f.compiled, query);
+    for (const SearchResult& r : beam.run()) {
+      for (TokenId t : r.tokens) digest.mix(t);
+      digest.mix(std::bit_cast<std::uint64_t>(r.log_prob));
+    }
+    digest.mix(beam.stats().llm_calls);
+    digest.mix(beam.stats().pruned_non_canonical);
+  }
+  EXPECT_EQ(digest.value, 0x29fbc81ac3705bc1ull) << std::hex << digest.value;
+}
+
+// Exact settlement against brute force, on every body path of up to 4
+// tokens over a vocabulary with 3-byte tokens, the state resumed token by
+// token: (i) a doomed path has no continuation of up to max_token_length + 1
+// bytes whose canonical encoding starts with it, and (this vocabulary being
+// prefix-closed) a live path has one; (ii) the distance rule over encode()
+// cuts a path exactly when it is doomed max_token_length bytes back;
+// (iii) some path is doomed strictly before the distance rule cuts it;
+// (iv) canonical_body from the resumed state agrees with encode-and-compare.
+TEST(ExecutorEdges, CanonicalAdvanceAndBodyMatchFromScratchChecks) {
+  const Fixture f = settlement_fixture();
+  const tokenizer::BpeTokenizer& tok = *f.tok;
+  ASSERT_TRUE(f.compiled.dynamic_canonical());
+  const std::size_t max_tok = tok.max_token_length();
+  ASSERT_EQ(max_tok, 3u);
+
+  std::size_t paths = 0;
+  std::size_t doomed_early = 0;
+  std::vector<TokenId> path;
+  std::string text;
+  // Extends `path` by every token, checking each extension with the state
+  // resumed from its parent's.
+  auto visit = [&](auto& self, CompiledQuery::CanonState parent) -> void {
+    if (path.size() == 4) return;
+    for (TokenId t = 1; t < tok.vocab_size(); ++t) {
+      path.push_back(t);
+      text += tok.token_string(t);
+      CompiledQuery::CanonState state = parent;
+      f.compiled.canonical_prefix_advance(path, text, state);
+      ++paths;
+      SCOPED_TRACE(text + " in " + std::to_string(path.size()) + " tokens");
+      EXPECT_EQ(testing::canonical_continuation_exists(tok, path, text, "abc",
+                                                       max_tok + 1),
+                !state.doomed());
+      const bool cut = state.doomed() && state.doomed_at + max_tok <= text.size();
+      EXPECT_EQ(testing::distance_rule_cuts(tok, path, text), cut);
+      if (state.doomed() && !cut) ++doomed_early;
+      const bool canonical = tok.encode(text) == path;
+      EXPECT_EQ(f.compiled.canonical_body(path, text, state), canonical);
+      EXPECT_EQ(f.compiled.canonical_body(path, text, {}), canonical);
+      self(self, state);
+      text.resize(text.size() - tok.token_string(t).size());
+      path.pop_back();
+    }
+  };
+  visit(visit, {});
+  EXPECT_EQ(paths, 7u + 49u + 343u + 2401u);
+  EXPECT_GT(doomed_early, 0u);
+}
+
+// A model that records every context it scores (full contexts: it promises
+// no bounded relevant suffix).
+class RecordingModel : public model::LanguageModel {
+ public:
+  explicit RecordingModel(const model::LanguageModel& inner) : inner_(inner) {}
+  std::size_t vocab_size() const override { return inner_.vocab_size(); }
+  TokenId eos() const override { return inner_.eos(); }
+  std::size_t max_sequence_length() const override {
+    return inner_.max_sequence_length();
+  }
+  std::vector<double> next_log_probs(
+      std::span<const TokenId> context) const override {
+    {
+      ScopedLock lock(mutex_);
+      contexts_.emplace_back(context.begin(), context.end());
+    }
+    return inner_.next_log_probs(context);
+  }
+  std::vector<std::vector<TokenId>> contexts() const {
+    ScopedLock lock(mutex_);
+    return contexts_;
+  }
+
+ private:
+  const model::LanguageModel& inner_;
+  mutable Mutex mutex_{LockRank::kModelCacheShard};
+  mutable std::vector<std::vector<TokenId>> contexts_ RELM_GUARDED_BY(mutex_);
+};
+
+// Shortest path drops flagged steps on the worker, so the model never
+// scores a doomed body: every context it sees still has a canonical
+// continuation. The results stay those of the mask-less copy (the probe
+// path) and of the oracle, which prunes with the weaker distance rule.
+TEST(ExecutorEdges, ShortestPathNeverEvaluatesDoomedBodies) {
+  const Fixture f = settlement_fixture();
+  const testing::Oracle oracle =
+      testing::build_oracle(*f.model, f.compiled, f.query);
+  ASSERT_FALSE(oracle.truncated);
+  SimpleSearchQuery query = f.query;
+  query.max_results = oracle.by_text.size() + 4;
+
+  RecordingModel model(*f.model);
+  ShortestPathSearch search(model, f.compiled, query);
+  const std::vector<SearchResult> results = search.all();
+  EXPECT_EQ(testing::compare_results(oracle, results, 1e-9, true), std::nullopt);
+  EXPECT_GT(search.stats().pruned_non_canonical, 0u);
+  const std::vector<std::vector<TokenId>> contexts = model.contexts();
+  ASSERT_EQ(contexts.size(), search.stats().llm_calls);
+  for (const std::vector<TokenId>& context : contexts) {
+    const std::string text = f.tok->decode(context);
+    EXPECT_TRUE(testing::canonical_continuation_exists(
+        *f.tok, context, text, "abc", f.tok->max_token_length() + 1))
+        << "evaluated a doomed body: " << text;
+  }
+
+  const CompiledQuery probed = testing::without_masks(f.compiled);
+  ShortestPathSearch plain(*f.model, probed, query);
+  expect_exact_match(results, plain.all());
+}
+
+// A flagged step whose prefix is still live is kept: a later prefix-only
+// step restarts the body run below it. Here [x, a, b] dooms the body [a, b]
+// ("ab" is a token) less than max_token_length (3, from "zzz") bytes back,
+// yet z continues the prefix x(a|b|z)* and y then matches a fresh body, so
+// [x, a, b, z, y] is a match — and, under this model, the most probable
+// encoding of "xabzy".
+TEST(ExecutorEdges, LivePrefixKeepsDoomedBodyStep) {
+  std::vector<std::string> vocab{"", "a", "b", "ab", "x", "y", "z", "zzz"};
+  auto tok = std::make_shared<tokenizer::BpeTokenizer>(
+      tokenizer::BpeTokenizer::from_vocab(vocab));
+  testing::ModelSpec spec;
+  spec.kind = testing::ModelSpec::Kind::kNgram;
+  spec.vocab_size = vocab.size();
+  spec.eos = 0;
+  for (int i = 0; i < 8; ++i) spec.sequences.push_back({4, 1, 2, 6, 5});
+  SimpleSearchQuery query;
+  query.query_string = {"x(a|b|z)*(a|b)*y", "x(a|b|z)*"};
+  query.sequence_length = 5;
+  CompiledQuery compiled = CompiledQuery::compile(query, *tok);
+  ASSERT_TRUE(compiled.dynamic_canonical());
+  const Fixture f{std::move(tok), spec.build(), std::move(query),
+                  std::move(compiled)};
+
+  SimpleSearchQuery all = f.query;
+  all.max_results = 1000;
+  ShortestPathSearch search(*f.model, f.compiled, all);
+  bool found = false;
+  for (const SearchResult& r : search.all()) {
+    if (r.text == "xabzy") {
+      EXPECT_EQ(r.tokens, (std::vector<TokenId>{4, 1, 2, 6, 5}));
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  expect_all_executors_match_oracle(f);
 }
 
 }  // namespace

@@ -181,9 +181,32 @@ Fixture topk_canonical_fixture() {
   return {std::move(tok), spec.build(), std::move(query), std::move(compiled)};
 }
 
+// topk_canonical_fixture with 3-byte tokens: a body like [a, b] is doomed
+// ("ab" is visible) before max_token_length more bytes arrive.
+Fixture settlement_fixture() {
+  std::vector<std::string> vocab{"", "a", "b", "c", "ab", "bc", "abc", "bca"};
+  auto tok = std::make_shared<tokenizer::BpeTokenizer>(
+      tokenizer::BpeTokenizer::from_vocab(vocab));
+  testing::ModelSpec spec;
+  spec.kind = testing::ModelSpec::Kind::kNgram;
+  spec.vocab_size = vocab.size();
+  spec.eos = 0;
+  spec.sequences = {{1, 2, 3}, {4, 3}, {1, 5}, {2, 2, 1},
+                    {3, 1, 4}, {1, 2, 1, 2}, {7, 6}};
+  SimpleSearchQuery query;
+  query.query_string = {"[abc]+", ""};
+  query.decoding.top_k = 3;
+  query.sequence_length = 6;
+  CompiledQuery compiled = CompiledQuery::compile(query, *tok);
+  return {std::move(tok), spec.build(), std::move(query), std::move(compiled)};
+}
+
 TEST(GenerateEngine, SingleStreamMatchesSamplerAttemptByteForByte) {
   // The digests over seeds 0-23 were recorded while the sampler still ran
   // its own body loop, so they pin both draw sequences to that reference.
+  // The settlement case was recorded before exact canonical settlement:
+  // streams still draw from doomed bodies, as under the max_token_length
+  // distance rule.
   struct Case {
     Fixture f;
     std::uint64_t digest;
@@ -192,8 +215,10 @@ TEST(GenerateEngine, SingleStreamMatchesSamplerAttemptByteForByte) {
       {uniform_fixture({"", "a", "b", "ab", "c"}, "(a|b|c){1,4}"),
        0xb68a549c1f0721e4ull},
       {topk_canonical_fixture(), 0xea9460309b10cf6aull},
+      {settlement_fixture(), 0x081b77429fc3e53aull},
   };
   ASSERT_TRUE(cases[1].f.compiled.dynamic_canonical());
+  ASSERT_TRUE(cases[2].f.compiled.dynamic_canonical());
   for (const Case& c : cases) {
     AttemptDigest sampler_digest, stream_digest;
     for (std::uint64_t seed = 0; seed < 24; ++seed) {
