@@ -441,63 +441,49 @@ void check_compiled_query(const core::CompiledQuery& compiled,
   }
 }
 
-void check_query_artifact(const core::pipeline::QueryArtifact& artifact,
-                          const tokenizer::BpeTokenizer* tok,
-                          InvariantReport& report, const std::string& name) {
-  // File-level checksum validation happens in load_artifact; here the
-  // artifact is already in memory, so the audit is structural.
-  check_dfa(artifact.prefix.dfa, report, name + ".prefix");
-  check_dfa(artifact.body.dfa, report, name + ".body");
-  check_trim(artifact.prefix.dfa, report, name + ".prefix");
-  check_trim(artifact.body.dfa, report, name + ".body");
-
-  if (artifact.prefix.dfa.num_symbols() != artifact.body.dfa.num_symbols()) {
-    report.fail("artifact.alphabet",
-                name + " prefix alphabet (" +
-                    std::to_string(artifact.prefix.dfa.num_symbols()) +
-                    ") does not match body alphabet (" +
-                    std::to_string(artifact.body.dfa.num_symbols()) + ")");
-  }
+void check_component(const core::pipeline::Component& component,
+                     const tokenizer::BpeTokenizer* tok,
+                     InvariantReport& report, const std::string& name) {
+  // The loaders validate checksums; in memory, the audit is structural.
+  const core::TokenAutomaton& ta = component.automaton;
+  check_dfa(ta.dfa, report, name);
+  check_trim(ta.dfa, report, name);
   // All-tokens automata admit every encoding by construction; a set
   // dynamic-canonical flag under that strategy marks a buggy writer (and
   // would make the executor prune encodings the query asked for).
-  if (artifact.strategy == core::TokenizationStrategy::kAllTokens &&
-      (artifact.prefix.dynamic_canonical || artifact.body.dynamic_canonical)) {
+  if (component.strategy == core::TokenizationStrategy::kAllTokens &&
+      ta.dynamic_canonical) {
     report.fail("artifact.strategy-flags",
                 name + " uses the all-tokens strategy but has a "
                        "dynamic-canonical flag set");
   }
-
-  // Persisted token-mask tables must equal the edge sets recomputed from
-  // their automata — a mask that disagrees would silently steer the
-  // executor fast path off the automaton. Empty tables are legal (the
-  // compile-time memory budget skipped the pass); a half-present pair is
-  // not, because the executors treat masks as all-or-nothing per artifact.
-  if (artifact.prefix.masks.empty() != artifact.body.masks.empty()) {
-    report.fail("artifact.token-masks",
-                name + " has a mask table for only one automaton "
-                       "(executors require both or neither)");
-  }
-  if (!artifact.prefix.masks.empty()) {
-    if (auto mismatch =
-            core::masks_mismatch(artifact.prefix.dfa, artifact.prefix.masks)) {
+  // A mask table that disagrees with its automaton would silently steer the
+  // executor off it. An empty table is legal (the memory budget skipped it;
+  // executors then probe edges).
+  if (!ta.masks.empty()) {
+    if (auto mismatch = core::masks_mismatch(ta.dfa, ta.masks)) {
       report.fail("artifact.token-masks",
-                  name + ".prefix masks disagree with the automaton: " +
-                      *mismatch);
+                  name + " masks disagree with the automaton: " + *mismatch);
     }
   }
-  if (!artifact.body.masks.empty()) {
-    if (auto mismatch =
-            core::masks_mismatch(artifact.body.dfa, artifact.body.masks)) {
-      report.fail("artifact.token-masks",
-                  name + ".body masks disagree with the automaton: " + *mismatch);
-    }
+  if (tok != nullptr && component.vocab_fingerprint == tok->fingerprint()) {
+    check_token_automaton(ta.dfa, *tok, report, name);
   }
+}
 
-  if (tok != nullptr &&
-      artifact.vocab_fingerprint == core::pipeline::vocab_fingerprint(*tok)) {
-    check_token_automaton(artifact.prefix.dfa, *tok, report, name + ".prefix");
-    check_token_automaton(artifact.body.dfa, *tok, report, name + ".body");
+void check_query_artifact(const core::pipeline::QueryArtifact& artifact,
+                          const tokenizer::BpeTokenizer* tok,
+                          InvariantReport& report, const std::string& name) {
+  check_component(*artifact.prefix, tok, report, name + ".prefix");
+  check_component(*artifact.body, tok, report, name + ".body");
+  const automata::Dfa& prefix = artifact.prefix->automaton.dfa;
+  const automata::Dfa& body = artifact.body->automaton.dfa;
+  if (prefix.num_symbols() != body.num_symbols()) {
+    report.fail("artifact.alphabet",
+                name + " prefix alphabet (" +
+                    std::to_string(prefix.num_symbols()) +
+                    ") does not match body alphabet (" +
+                    std::to_string(body.num_symbols()) + ")");
   }
 }
 

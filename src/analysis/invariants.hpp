@@ -138,15 +138,20 @@ void check_compiled_query(const core::CompiledQuery& compiled,
                           InvariantReport& report,
                           const std::string& name = "query");
 
-// Pipeline-artifact audit (what `relm verify --cache DIR` runs on every
-// cached .relmq entry): the embedded checksum must re-verify, both token
-// automata must pass check_dfa and check_trim, and the strategy flags must
-// be coherent — an all-tokens artifact never needs dynamic canonical
-// pruning. When `tok` is non-null and the artifact's vocabulary fingerprint
-// matches it, the automata are additionally audited as token automata over
-// that vocabulary (alphabet totality, no EOS edges); a fingerprint mismatch
+// Component audit (what `relm verify --cache DIR` runs on every cached
+// .relmc entry): check_dfa and check_trim, a present mask table equal to the
+// recomputed edge set, and a coherent strategy flag (all-tokens never needs
+// dynamic canonical pruning). When `tok` is non-null and the component's
+// vocabulary fingerprint matches it, check_token_automaton too; a mismatch
 // alone is NOT a violation (a shared cache directory can legitimately hold
 // entries for several vocabularies).
+void check_component(const core::pipeline::Component& component,
+                     const tokenizer::BpeTokenizer* tok,
+                     InvariantReport& report,
+                     const std::string& name = "component");
+
+// Whole-artifact audit: check_component on both sides, and both automata
+// over one alphabet.
 void check_query_artifact(const core::pipeline::QueryArtifact& artifact,
                           const tokenizer::BpeTokenizer* tok,
                           InvariantReport& report,

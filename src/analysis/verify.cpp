@@ -139,7 +139,7 @@ std::size_t verify_compile_cache_dir(const std::string& cache_dir,
   // Sort for deterministic report ordering across filesystems.
   std::vector<std::string> entries;
   for (const fs::directory_entry& entry : fs::directory_iterator(cache_dir)) {
-    if (entry.path().extension() == ".relmq") {
+    if (entry.path().extension() == ".relmc") {
       entries.push_back(entry.path().string());
     }
   }
@@ -147,9 +147,9 @@ std::size_t verify_compile_cache_dir(const std::string& cache_dir,
 
   for (const std::string& path : entries) {
     const std::string stem = fs::path(path).stem().string();
-    core::pipeline::QueryArtifact artifact;
+    core::pipeline::Component component;
     try {
-      artifact = core::pipeline::load_artifact_file(path);
+      component = core::pipeline::load_component_file(path);
     } catch (const relm::Error& e) {
       // The cache treats a corrupt entry as a miss and recompiles over it;
       // verify's job is to surface it anyway.
@@ -161,13 +161,13 @@ std::size_t verify_compile_cache_dir(const std::string& cache_dir,
     auto expected = core::pipeline::ArtifactKey::from_hex(stem);
     if (!expected) {
       report.fail("cache.entry-name",
-                  path + ": filename is not a 32-hex-digit artifact key");
-    } else if (!(artifact.key == *expected)) {
+                  path + ": filename is not a 32-hex-digit component key");
+    } else if (!(component.key == *expected)) {
       report.fail("cache.key-mismatch",
-                  path + ": stored key " + artifact.key.hex() +
+                  path + ": stored key " + component.key.hex() +
                       " does not match the filename");
     }
-    check_query_artifact(artifact, tok, report, "cache[" + stem + "]");
+    check_component(component, tok, report, "cache[" + stem + "]");
   }
   return entries.size();
 }

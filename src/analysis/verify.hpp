@@ -56,11 +56,11 @@ InvariantReport verify_artifact_dir(const std::string& dir,
                                     const VerifyOptions& options = {});
 
 // Audits an on-disk compile-cache directory (`relm verify --cache DIR`, see
-// src/core/pipeline/cache.hpp): every *.relmq entry must load (version,
-// fields, checksum — a corrupt entry is a violation here, even though the
+// src/core/pipeline/cache.hpp): every *.relmc component must load (version,
+// fields, checksums — a corrupt entry is a violation here, even though the
 // cache itself tolerates it at lookup time), its stored key must match its
-// filename, and the artifact must pass check_query_artifact. `tok` may be
-// null; when given, entries compiled against that vocabulary get the full
+// filename, and the component must pass check_component. `tok` may be null;
+// when given, entries compiled against that vocabulary get the full
 // token-automaton audit. Returns the number of entries examined.
 std::size_t verify_compile_cache_dir(const std::string& cache_dir,
                                      const tokenizer::BpeTokenizer* tok,

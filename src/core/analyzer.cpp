@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 
 #include "automata/ops.hpp"
 #include "automata/walks.hpp"
-#include "core/compiled_query.hpp"
 #include "core/pipeline/pipeline.hpp"
 
 namespace relm::core {
@@ -14,33 +14,34 @@ QueryAnalysis analyze_query(const SimpleSearchQuery& query,
                             const tokenizer::BpeTokenizer& tok) {
   QueryAnalysis analysis;
 
-  // One pipeline run yields both the post-preprocessor character automata
-  // (intermediates of the preprocess pass) and the final token artifact —
-  // the analyzer no longer re-derives the char DFAs on its own.
-  pipeline::CompileState state =
-      pipeline::Pipeline::standard().run_to_state(query, tok);
-  const automata::Dfa& body_chars = *state.body_chars;
-  // An empty prefix never enters the char pipeline; its language is {ε},
-  // a single-state machine.
-  analysis.prefix_char_states =
-      state.prefix_chars ? state.prefix_chars->num_states() : 1;
+  // One pipeline run per side yields both the post-preprocessor character
+  // automaton (an intermediate of the preprocess pass) and the final token
+  // automaton — the analyzer no longer re-derives the char DFAs on its own.
+  // An empty prefix never enters the pipeline; its language is {ε}, a
+  // single-state machine.
+  const pipeline::Pipeline& standard = pipeline::Pipeline::standard();
+  pipeline::CompileState body =
+      standard.run_to_state(query, pipeline::Side::kBody, tok);
+  std::optional<pipeline::CompileState> prefix;
+  if (!query.query_string.prefix_str.empty()) {
+    prefix = standard.run_to_state(query, pipeline::Side::kPrefix, tok);
+  }
+  const automata::Dfa& body_chars = *body.chars;
+  analysis.prefix_char_states = prefix ? prefix->chars->num_states() : 1;
   analysis.body_char_states = body_chars.num_states();
   analysis.body_infinite = automata::is_infinite_language(body_chars);
   analysis.body_string_count = automata::count_strings(
       body_chars, analysis.body_infinite ? 64 : body_chars.num_states() + 1);
   analysis.shortest_match_length = automata::shortest_string_length(body_chars);
 
-  // Token automata via the real compiled artifact.
-  CompiledQuery compiled = CompiledQuery::from_artifact(
-      std::make_shared<pipeline::QueryArtifact>(std::move(*state.artifact)),
-      tok);
-  const automata::Dfa& prefix_ta = compiled.prefix_automaton();
-  const automata::Dfa& body_ta = compiled.body_automaton();
+  const TokenAutomaton epsilon = epsilon_token_automaton(tok);
+  const automata::Dfa& prefix_ta = prefix ? prefix->tokens->dfa : epsilon.dfa;
+  const automata::Dfa& body_ta = body.tokens->dfa;
   analysis.prefix_token_states = prefix_ta.num_states();
   analysis.prefix_token_edges = prefix_ta.num_edges();
   analysis.body_token_states = body_ta.num_states();
   analysis.body_token_edges = body_ta.num_edges();
-  analysis.dynamic_canonical = compiled.dynamic_canonical();
+  analysis.dynamic_canonical = body.tokens->dynamic_canonical;
 
   const std::size_t horizon = query.sequence_length.value_or(64);
   automata::WalkCounts prefix_walks(prefix_ta, horizon);

@@ -21,14 +21,16 @@ CompiledQuery CompiledQuery::compile(const SimpleSearchQuery& query,
 CompiledQuery CompiledQuery::from_artifact(
     std::shared_ptr<const pipeline::QueryArtifact> artifact,
     const tokenizer::BpeTokenizer& tok) {
-  if (!artifact) throw relm::QueryError("null query artifact");
-  if (artifact->vocab_fingerprint != pipeline::vocab_fingerprint(tok)) {
+  if (!artifact || !artifact->prefix || !artifact->body) {
+    throw relm::QueryError("null query artifact");
+  }
+  if (artifact->vocab_fingerprint != tok.fingerprint()) {
     throw relm::QueryError(
         "query artifact was compiled against a different vocabulary "
         "(stale cache entry?)");
   }
-  if (artifact->prefix.dfa.num_symbols() != tok.vocab_size() ||
-      artifact->body.dfa.num_symbols() != tok.vocab_size()) {
+  if (artifact->prefix->automaton.dfa.num_symbols() != tok.vocab_size() ||
+      artifact->body->automaton.dfa.num_symbols() != tok.vocab_size()) {
     throw relm::QueryError(
         "query artifact alphabet does not match the tokenizer vocabulary");
   }
@@ -36,18 +38,17 @@ CompiledQuery CompiledQuery::from_artifact(
 }
 
 CompiledQuery::StateSet CompiledQuery::initial() const {
-  const pipeline::QueryArtifact& a = *artifact_;
   StateSet set;
-  set.prefix_state = a.prefix.dfa.start();
-  if (a.prefix.dfa.is_final(set.prefix_state)) {
-    set.body_state = a.body.dfa.start();
+  set.prefix_state = prefix_->dfa.start();
+  if (prefix_->dfa.is_final(set.prefix_state)) {
+    set.body_state = body_->dfa.start();
   }
   return set;
 }
 
 std::vector<CompiledQuery::Step> CompiledQuery::expand(const StateSet& set) const {
-  const automata::Dfa& prefix = artifact_->prefix.dfa;
-  const automata::Dfa& body = artifact_->body.dfa;
+  const automata::Dfa& prefix = prefix_->dfa;
+  const automata::Dfa& body = body_->dfa;
   std::vector<Step> steps;
 
   // Body transitions.
@@ -88,10 +89,10 @@ void CompiledQuery::expand_masked(const StateSet& set,
                                   const util::TokenBitset* rule_mask,
                                   std::vector<Step>& out,
                                   StepCounters& counters) const {
-  const TokenMaskTable& pmask = artifact_->prefix.masks;
-  const TokenMaskTable& bmask = artifact_->body.masks;
-  const automata::Dfa& prefix = artifact_->prefix.dfa;
-  const automata::Dfa& body = artifact_->body.dfa;
+  const TokenMaskTable& pmask = prefix_->masks;
+  const TokenMaskTable& bmask = body_->masks;
+  const automata::Dfa& prefix = prefix_->dfa;
+  const automata::Dfa& body = body_->dfa;
   out.clear();
 
   const std::uint32_t W = bmask.words_per_state;  // == pmask.words_per_state
@@ -178,16 +179,15 @@ void CompiledQuery::expand_masked(const StateSet& set,
 }
 
 bool CompiledQuery::is_match(const StateSet& set) const {
-  return set.body_state != kNoState && artifact_->body.dfa.is_final(set.body_state);
+  return set.body_state != kNoState && body_->dfa.is_final(set.body_state);
 }
 
 bool CompiledQuery::has_continuation(const StateSet& set) const {
-  const pipeline::QueryArtifact& a = *artifact_;
-  if (set.body_state != kNoState && !a.body.dfa.edges(set.body_state).empty()) {
+  if (set.body_state != kNoState && !body_->dfa.edges(set.body_state).empty()) {
     return true;
   }
   if (set.prefix_state != kNoState &&
-      !a.prefix.dfa.edges(set.prefix_state).empty()) {
+      !prefix_->dfa.edges(set.prefix_state).empty()) {
     return true;
   }
   return false;
@@ -196,7 +196,7 @@ bool CompiledQuery::has_continuation(const StateSet& set) const {
 void CompiledQuery::canonical_prefix_advance(
     std::span<const TokenId> body_tokens, std::string_view body_text,
     CanonState& state) const {
-  if (!artifact_->body.dynamic_canonical || state.doomed()) return;
+  if (!body_->dynamic_canonical || state.doomed()) return;
 
   // Walk the vocabulary trie from the first unsettled boundary. The path's
   // own token there is always on the walk, so the canonical token is either
@@ -230,7 +230,7 @@ void CompiledQuery::canonical_prefix_advance(
 bool CompiledQuery::canonical_body(std::span<const TokenId> body_tokens,
                                    std::string_view body_text,
                                    CanonState state) const {
-  if (!artifact_->body.dynamic_canonical) return true;
+  if (!body_->dynamic_canonical) return true;
   if (state.doomed()) return false;
 
   // The string is complete, so every greedy decision is final: continue the
@@ -269,7 +269,7 @@ void CompiledQuery::decode_step(const StateSet& set,
     out.steps = expand(set);
   }
 
-  const bool check_canon = artifact_->body.dynamic_canonical;
+  const bool check_canon = body_->dynamic_canonical;
   if (check_canon) {
     // Scratch = parent body + one placeholder slot, rewritten per step below
     // (cheaper than re-assembling the prefix for every candidate token).

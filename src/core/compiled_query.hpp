@@ -13,14 +13,15 @@
 
 namespace relm::core {
 
-// A fully compiled query: an immutable pipeline::QueryArtifact (the prefix
-// and body token automata plus identity metadata) bound to the tokenizer,
-// with the glue the executor needs. The prefix automaton's strings bypass
-// decoding rules (§2.4/§3.3); the body automaton's transitions are subject
-// to them. The artifact is shared, not owned: the same compiled artifact —
-// fresh from the pass pipeline, from the in-memory cache, or reloaded from
-// disk — backs any number of CompiledQuery instances, which is what makes
-// cached and fresh compiles byte-identical by construction.
+// A fully compiled query: an immutable pipeline::QueryArtifact (pointers to
+// the prefix and body components plus identity metadata) bound to the
+// tokenizer, with the glue the executor needs. The prefix automaton's
+// strings bypass decoding rules (§2.4/§3.3); the body automaton's
+// transitions are subject to them. The artifact and its components are
+// shared, not owned: the same compiled component — fresh from the pass
+// pipeline, from the in-memory cache, or reloaded from disk — backs any
+// number of CompiledQuery instances, which is what makes cached and fresh
+// compiles byte-identical by construction.
 //
 // Execution state is a (prefix state, body state) pair with kNoState marking
 // an inactive machine. Both machines are DFAs; nondeterminism only arises at
@@ -50,8 +51,8 @@ class CompiledQuery {
 
   // Compiles a query against a tokenizer through the pass pipeline
   // (src/core/pipeline/), consulting the process-global artifact cache: a
-  // hot (pattern, preprocessors, strategy, vocabulary) tuple is served from
-  // memory or disk instead of recompiled.
+  // prefix or body already compiled under the same preprocessors, strategy
+  // and vocabulary is served from memory or disk instead of recompiled.
   static CompiledQuery compile(const SimpleSearchQuery& query,
                                const tokenizer::BpeTokenizer& tok);
 
@@ -101,7 +102,7 @@ class CompiledQuery {
   // True when both automata carry mask tables (the token_masks pass ran and
   // stayed within its memory budget), i.e. expand_masked is available.
   bool has_masks() const {
-    return !artifact_->prefix.masks.empty() && !artifact_->body.masks.empty();
+    return !prefix_->masks.empty() && !body_->masks.empty();
   }
 
   // True when the compiled language is empty (vacuous algebra query like
@@ -117,12 +118,9 @@ class CompiledQuery {
   // stop; used for EOS disambiguation in sampling, §3.3).
   bool has_continuation(const StateSet& set) const;
 
-  const automata::Dfa& prefix_automaton() const { return artifact_->prefix.dfa; }
-  const automata::Dfa& body_automaton() const { return artifact_->body.dfa; }
-  bool dynamic_canonical() const { return artifact_->body.dynamic_canonical; }
-  bool prefix_dynamic_canonical() const {
-    return artifact_->prefix.dynamic_canonical;
-  }
+  const automata::Dfa& prefix_automaton() const { return prefix_->dfa; }
+  const automata::Dfa& body_automaton() const { return body_->dfa; }
+  bool dynamic_canonical() const { return body_->dynamic_canonical; }
 
   // Dynamic canonicality (§3.2 option 2), settled exactly. `body_text` is
   // the decoded body-so-far and `body_tokens` its token path. The greedy
@@ -194,16 +192,19 @@ class CompiledQuery {
 
   const tokenizer::BpeTokenizer& tokenizer() const { return *tok_; }
   const pipeline::QueryArtifact& artifact() const { return *artifact_; }
-  std::shared_ptr<const pipeline::QueryArtifact> shared_artifact() const {
-    return artifact_;
-  }
 
  private:
   CompiledQuery(std::shared_ptr<const pipeline::QueryArtifact> artifact,
                 const tokenizer::BpeTokenizer& tok)
-      : artifact_(std::move(artifact)), tok_(&tok) {}
+      : artifact_(std::move(artifact)),
+        prefix_(&artifact_->prefix->automaton),
+        body_(&artifact_->body->automaton),
+        tok_(&tok) {}
 
   std::shared_ptr<const pipeline::QueryArtifact> artifact_;
+  // The automata of artifact_'s components, read in place.
+  const TokenAutomaton* prefix_;
+  const TokenAutomaton* body_;
   const tokenizer::BpeTokenizer* tok_;
 };
 

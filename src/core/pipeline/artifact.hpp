@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -11,12 +12,10 @@
 
 namespace relm::core::pipeline {
 
-// Content address of a compiled query: a stable 128-bit hash over everything
-// that determines the compile output — prefix pattern, body pattern, the
-// ordered preprocessor configuration (Preprocessor::cache_key), tokenization
-// strategy, enumeration budget, artifact format version, and the vocabulary
-// fingerprint. Equal keys imply byte-identical artifacts, which is what lets
-// the cache substitute a stored artifact for a fresh compile.
+// Content address of a compiled component or query: a stable 128-bit hash
+// over everything that determines the compile output (see
+// derive_component_key). Equal keys imply byte-identical output, which is
+// what lets the cache substitute a stored component for a fresh compile.
 struct ArtifactKey {
   std::uint64_t hi = 0;
   std::uint64_t lo = 0;
@@ -28,80 +27,118 @@ struct ArtifactKey {
   friend bool operator==(const ArtifactKey&, const ArtifactKey&) = default;
 };
 
-// The pipeline's end product: a self-contained compiled query. Everything
-// the executors need — both token automata, their dynamic-canonical flags —
-// plus the identity metadata that makes it safe to reuse: the content
-// address, the fingerprint of the vocabulary it was compiled against, and
-// the format version. Immutable after construction; CompiledQuery and the
-// cache share artifacts by shared_ptr<const>.
+// Which half of a query a component compiles: kPrefix or kBody. The
+// preprocessors that apply to it are those targeting that side or kBoth.
+using Side = Preprocessor::Target;
+
+// One compiled half of a query: a token automaton with its masks and
+// dynamic-canonical flag, plus the identity that makes it safe to share —
+// its content address, the fingerprint of the vocabulary it was compiled
+// against, and the tokenization strategy. Queries whose prefixes (or bodies)
+// compile alike share one Component; the cache stores components.
+struct Component {
+  // The RELM_COMPONENT container version, folded into every component key.
+  static constexpr std::uint32_t kFormatVersion = 1;
+
+  ArtifactKey key;                      // zero when the side is unkeyable
+  std::uint64_t vocab_fingerprint = 0;  // tokenizer identity at compile time
+  TokenizationStrategy strategy = TokenizationStrategy::kCanonicalTokens;
+  // Dfa has no default constructor; a 1-symbol empty machine stands in
+  // until the compile (or the loader) fills it.
+  TokenAutomaton automaton{automata::Dfa(1), false, {}};
+  // No token sequence is accepted. Derived from the automaton — never
+  // serialized; the loader recomputes it.
+  bool empty_language = false;
+};
+
+// A compiled query: its two components, shared by pointer (a cache hit
+// copies no automaton), plus the identity metadata executors check.
+// Immutable after assembly; CompiledQuery shares it by shared_ptr<const>.
 struct QueryArtifact {
-  // v2 added the persisted per-state token mask tables (token_masks pass).
-  // The version is folded into the artifact key, so a version bump retires
-  // every cached key at once; v1 *files* remain loadable (see load_artifact).
+  // Version of the RELM_ARTIFACT container (save_artifact). v2 added the
+  // persisted per-state token mask tables; v1 files remain loadable.
   static constexpr std::uint32_t kFormatVersion = 2;
 
-  // Version of the *query grammar*, folded into the artifact key but NOT
-  // into the container format: bumping it retires cached keys for patterns
-  // whose meaning changed without invalidating existing artifact files.
+  // Version of the *query grammar*, folded into component keys but NOT
+  // into any container format: bumping it retires cached keys for patterns
+  // whose meaning changed without invalidating existing files.
   // 2 = the boolean query algebra (`&`, `~`/`!`, `-` became metacharacters,
   // so e.g. "a-b" now names a different language than it did under v1).
   static constexpr std::uint32_t kGrammarVersion = 2;
 
-  ArtifactKey key;                      // zero when the query is unkeyable
-  std::uint64_t vocab_fingerprint = 0;  // tokenizer identity at compile time
+  ArtifactKey key;  // from the component keys; zero when either is zero
+  std::uint64_t vocab_fingerprint = 0;
   TokenizationStrategy strategy = TokenizationStrategy::kCanonicalTokens;
-  // Dfa has no default constructor; a 1-symbol empty machine stands in
-  // until the assemble pass (or the loader) fills these.
-  TokenAutomaton prefix{automata::Dfa(1), false, {}};
-  TokenAutomaton body{automata::Dfa(1), false, {}};
+  std::shared_ptr<const Component> prefix;
+  std::shared_ptr<const Component> body;
   // True when no token sequence can match (vacuous algebra query such as
-  // `a & !a`, or an over-restrictive preprocessor). Derived from the
-  // automata — never serialized; the loader recomputes it.
+  // `a & !a`, an over-restrictive preprocessor, a prefix no token sequence
+  // can spell): either component's language is empty.
   bool empty_language = false;
 };
 
-// Order-sensitive fingerprint of a tokenizer's observable identity: every
-// token string, the EOS id, and max_token_length. Token automata are defined
-// over token *ids*, so any vocabulary change invalidates them — the cache
-// folds this into the key and artifact loading re-checks it.
+// BpeTokenizer::fingerprint(). Token automata are defined over token *ids*,
+// so any vocabulary change invalidates them — component keys fold it in and
+// artifact binding re-checks it.
 std::uint64_t vocab_fingerprint(const tokenizer::BpeTokenizer& tok);
 
-// Derives the content address, or nullopt when the query carries a
-// preprocessor without a stable cache_key() (such queries compile fine but
-// bypass the cache).
+// The pattern one side compiles: the prefix pattern, or the body remainder
+// (QueryString::body_str). Empty for an unconditional query's prefix.
+std::string component_pattern(const SimpleSearchQuery& query, Side side);
+
+// A component's content address, over exactly what determines its bytes:
+// the side's pattern, the ordered cache_key()s of the preprocessors that
+// apply to it, strategy, enumeration budget, format and grammar versions,
+// and the vocabulary fingerprint. The ε prefix has its own address. nullopt
+// when an applicable preprocessor has no stable cache_key(): that side
+// compiles fine but bypasses the cache; the other side still caches.
+std::optional<ArtifactKey> derive_component_key(
+    const SimpleSearchQuery& query, Side side,
+    const tokenizer::BpeTokenizer& tok);
+
+// The query's content address, hashed from its two component keys; nullopt
+// when either side is unkeyable.
 std::optional<ArtifactKey> derive_artifact_key(
     const SimpleSearchQuery& query, const tokenizer::BpeTokenizer& tok);
 
-// RELM_ARTIFACT v2 container — a versioned envelope around two RELM_DFA
-// sections plus the TokenAutomaton metadata and per-state mask tables:
+// Binds two components into a query artifact: the key hashed from theirs,
+// their shared fingerprint and strategy, and the empty-language bit. Throws
+// relm::QueryError when the components disagree on vocabulary or strategy.
+QueryArtifact assemble_artifact(std::shared_ptr<const Component> prefix,
+                                std::shared_ptr<const Component> body);
+
+// RELM_COMPONENT v1 — one component; the compile cache's disk format
+// (<key hex>.relmc):
 //
-//   RELM_ARTIFACT v2
+//   RELM_COMPONENT v1
 //   key <32 hex>
 //   vocab <16 hex>
 //   strategy <all|canonical>
-//   prefix_dynamic_canonical <0|1>
-//   body_dynamic_canonical <0|1>
-//   checksum <16 hex>          (structural hash over both DFAs + flags)
-//   masks_checksum <16 hex>    (hash over both mask tables)
-//   prefix
+//   dynamic_canonical <0|1>
+//   checksum <16 hex>          (structural hash over the DFA + flag)
+//   masks_checksum <16 hex>    (hash over the mask table)
 //   RELM_DFA v1 ...
 //   RELM_MASKS v1 ...          (dense bitmask words + CSR edge index)
-//   body
-//   RELM_DFA v1 ...
-//   RELM_MASKS v1 ...
 //
-// load_artifact validates the version, every field, both DFA sections
-// (hardened automata::load_dfa), the payload checksums, and — for every
-// non-empty mask section — that the persisted masks equal the edge set
-// recomputed from the DFA (core::masks_mismatch), throwing relm::Error with
-// a located diagnostic on any mismatch: a truncated or bit-flipped file is
-// always detected, never half-loaded, and a forged mask section can never
-// silently steer the executor off the automaton.
+// RELM_ARTIFACT v2 — a whole query — opens with the same identity lines,
+// then `prefix_dynamic_canonical`, `body_dynamic_canonical`, and checksums
+// over both sides, followed by the same two sections for each side under a
+// `prefix` / `body` line.
 //
-// v1 files (written before the mask pass existed) still load: their masks
-// are recomputed from the deserialized automata under the same budget rule
-// the compile pipeline uses, so a v1 artifact drives the executors
-// bit-identically to a fresh v2 compile of the same query.
+// Both loaders run the same section checks: every header field, the DFA
+// (hardened automata::load_dfa), mask dimensions against the DFA before any
+// allocation, both payload checksums, persisted masks against the edge set
+// recomputed from the DFA (core::masks_mismatch), and strategy/flag
+// coherence. Any mismatch throws relm::Error with a located diagnostic: a
+// truncated or bit-flipped file is always detected, never half-loaded, and
+// a forged mask section can never silently steer the executor off the
+// automaton. v1 artifact files (written before the mask pass existed) still
+// load: their masks are recomputed under the compile's budget rule.
+void save_component(const Component& component, std::ostream& out);
+Component load_component(std::istream& in);
+void save_component_file(const Component& component, const std::string& path);
+Component load_component_file(const std::string& path);
+
 void save_artifact(const QueryArtifact& artifact, std::ostream& out);
 QueryArtifact load_artifact(std::istream& in);
 
@@ -109,9 +146,6 @@ QueryArtifact load_artifact(std::istream& in);
 // backward-compatibility tests and for generating v1 fixtures; production
 // code always writes the current version via save_artifact.
 void save_artifact_v1(const QueryArtifact& artifact, std::ostream& out);
-
-void save_artifact_file(const QueryArtifact& artifact, const std::string& path);
-QueryArtifact load_artifact_file(const std::string& path);
 
 // The checksum stored in the container: structural hash of both automata
 // and their flags (not the key/fingerprint header lines, which are covered

@@ -38,7 +38,7 @@ GlobalCounters& counters() {
 struct ArtifactCache::Shard {
   struct Entry {
     ArtifactKey key;
-    std::shared_ptr<const QueryArtifact> artifact;
+    std::shared_ptr<const Component> component;
   };
   struct KeyHash {
     std::size_t operator()(const ArtifactKey& k) const noexcept {
@@ -56,8 +56,6 @@ struct ArtifactCache::Shard {
   std::size_t capacity = 0;
 
   // Instance counters (the obs registry mirrors are process-global).
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> misses{0};
   std::atomic<std::size_t> evictions{0};
   std::atomic<std::size_t> disk_loads{0};
   std::atomic<std::size_t> disk_stores{0};
@@ -79,11 +77,10 @@ ArtifactCache::Shard& ArtifactCache::shard_for(const ArtifactKey& key) {
 }
 
 std::string ArtifactCache::disk_path(const ArtifactKey& key) const {
-  return config_.disk_dir + "/" + key.hex() + ".relmq";
+  return config_.disk_dir + "/" + key.hex() + ".relmc";
 }
 
-std::shared_ptr<const QueryArtifact> ArtifactCache::lookup(
-    const ArtifactKey& key) {
+std::shared_ptr<const Component> ArtifactCache::lookup(const ArtifactKey& key) {
   if (!enabled() || key.is_zero()) return nullptr;
   Shard& shard = shard_for(key);
   {
@@ -91,9 +88,7 @@ std::shared_ptr<const QueryArtifact> ArtifactCache::lookup(
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      counters().hit.add();
-      return it->second->artifact;
+      return it->second->component;
     }
   }
 
@@ -102,17 +97,15 @@ std::shared_ptr<const QueryArtifact> ArtifactCache::lookup(
     std::error_code ec;
     if (std::filesystem::exists(path, ec)) {
       try {
-        auto artifact =
-            std::make_shared<const QueryArtifact>(load_artifact_file(path));
-        if (artifact->key != key) {
+        auto component =
+            std::make_shared<const Component>(load_component_file(path));
+        if (component->key != key) {
           throw relm::Error("stored key does not match its filename");
         }
         shard.disk_loads.fetch_add(1, std::memory_order_relaxed);
-        shard.hits.fetch_add(1, std::memory_order_relaxed);
         counters().load.add();
-        counters().hit.add();
-        insert_memory_(shard, key, artifact);
-        return artifact;
+        insert_memory_(shard, key, component);
+        return component;
       } catch (const relm::Error&) {
         // Corrupt entry: count it and fall through to a miss. The caller
         // recompiles and insert() overwrites the bad file.
@@ -121,23 +114,20 @@ std::shared_ptr<const QueryArtifact> ArtifactCache::lookup(
       }
     }
   }
-
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
-  counters().miss.add();
   return nullptr;
 }
 
 void ArtifactCache::insert_memory_(
     Shard& shard, const ArtifactKey& key,
-    const std::shared_ptr<const QueryArtifact>& artifact) {
+    const std::shared_ptr<const Component>& component) {
   util::ScopedLock lock(shard.mutex);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    it->second->artifact = artifact;
+    it->second->component = component;
     return;
   }
-  shard.lru.push_front(Shard::Entry{key, artifact});
+  shard.lru.push_front(Shard::Entry{key, component});
   shard.index[key] = shard.lru.begin();
   while (shard.lru.size() > shard.capacity) {
     shard.index.erase(shard.lru.back().key);
@@ -148,10 +138,10 @@ void ArtifactCache::insert_memory_(
 }
 
 void ArtifactCache::insert(const ArtifactKey& key,
-                           std::shared_ptr<const QueryArtifact> artifact) {
-  if (!enabled() || key.is_zero() || !artifact) return;
+                           std::shared_ptr<const Component> component) {
+  if (!enabled() || key.is_zero() || !component) return;
   Shard& shard = shard_for(key);
-  insert_memory_(shard, key, artifact);
+  insert_memory_(shard, key, component);
 
   if (config_.disk_dir.empty()) return;
   try {
@@ -164,7 +154,7 @@ void ArtifactCache::insert(const ArtifactKey& key,
     const std::string tmp =
         path + ".tmp" + std::to_string(store_seq.fetch_add(1)) + "-" +
         std::to_string(reinterpret_cast<std::uintptr_t>(this) & 0xffff);
-    save_artifact_file(*artifact, tmp);
+    save_component_file(*component, tmp);
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
       std::filesystem::remove(tmp, ec);
@@ -175,17 +165,17 @@ void ArtifactCache::insert(const ArtifactKey& key,
     counters().store.add();
   } catch (const relm::Error&) {
     // An unwritable disk store degrades to memory-only; it must never fail
-    // the compile that produced the artifact.
+    // the compile that produced the component.
     shard.disk_errors.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
   Stats stats;
+  stats.hits = hits_.load(std::memory_order_relaxed);
+  stats.misses = misses_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < kShards; ++i) {
     const Shard& s = shards_[i];
-    stats.hits += s.hits.load(std::memory_order_relaxed);
-    stats.misses += s.misses.load(std::memory_order_relaxed);
     stats.evictions += s.evictions.load(std::memory_order_relaxed);
     stats.disk_loads += s.disk_loads.load(std::memory_order_relaxed);
     stats.disk_stores += s.disk_stores.load(std::memory_order_relaxed);
@@ -238,17 +228,32 @@ void ArtifactCache::configure_global(ArtifactCacheConfig config) {
 std::shared_ptr<const QueryArtifact> compile_cached(
     const SimpleSearchQuery& query, const tokenizer::BpeTokenizer& tok,
     ArtifactCache* cache) {
-  std::optional<ArtifactKey> key;
-  if (cache && cache->enabled()) {
-    key = derive_artifact_key(query, tok);
-    if (key) {
-      if (auto hit = cache->lookup(*key)) return hit;
+  if (cache && !cache->enabled()) cache = nullptr;
+  bool compiled = false;
+  auto component = [&](Side side) {
+    const ArtifactKey key =
+        derive_component_key(query, side, tok).value_or(ArtifactKey{});
+    if (cache) {
+      if (auto hit = cache->lookup(key)) return hit;
     }
+    auto fresh = compile_component(query, side, tok, key);
+    compiled = true;
+    if (cache) cache->insert(key, fresh);
+    return fresh;
+  };
+  auto body = component(Side::kBody);
+  auto prefix = component(Side::kPrefix);
+  if (cache) {
+    (compiled ? cache->misses_ : cache->hits_).fetch_add(1);
+    (compiled ? counters().miss : counters().hit).add();
   }
-  auto artifact =
-      std::make_shared<const QueryArtifact>(compile_query_artifact(query, tok));
-  if (cache && key) cache->insert(*key, artifact);
-  return artifact;
+  return std::make_shared<const QueryArtifact>(
+      assemble_artifact(std::move(prefix), std::move(body)));
+}
+
+QueryArtifact compile_query_artifact(const SimpleSearchQuery& query,
+                                     const tokenizer::BpeTokenizer& tok) {
+  return *compile_cached(query, tok, nullptr);
 }
 
 }  // namespace relm::core::pipeline

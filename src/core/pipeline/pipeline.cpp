@@ -25,12 +25,8 @@ class ParsePass : public Pass {
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.parse");
     RELM_TRACE_SPAN("regex.parse");  // legacy name, kept for trace tooling
-    s.body_pattern = s.query->query_string.body_str();
-    s.prefix_pattern = s.query->query_string.prefix_str;
-    s.body_ast = automata::parse_regex(s.body_pattern);
-    if (!s.prefix_pattern.empty()) {
-      s.prefix_ast = automata::parse_regex(s.prefix_pattern);
-    }
+    s.pattern = component_pattern(*s.query, s.side);
+    s.ast = automata::parse_regex(s.pattern);
   }
 };
 
@@ -42,11 +38,8 @@ class ThompsonPass : public Pass {
     RELM_TRACE_SPAN("regex.thompson");  // legacy name, kept for trace tooling
     // Boolean-algebra ASTs have no Thompson form; the determinize pass
     // compiles them whole through the algebra product construction.
-    if (!automata::has_boolean_ops(*s.body_ast)) {
-      s.body_nfa = automata::thompson_construct(*s.body_ast);
-    }
-    if (s.prefix_ast && !automata::has_boolean_ops(*s.prefix_ast)) {
-      s.prefix_nfa = automata::thompson_construct(*s.prefix_ast);
+    if (!automata::has_boolean_ops(*s.ast)) {
+      s.nfa = automata::thompson_construct(*s.ast);
     }
   }
 };
@@ -62,20 +55,14 @@ class DeterminizePass : public Pass {
         s.query->determinize_state_budget != 0
             ? s.query->determinize_state_budget
             : automata::determinize_budget_from_env();
+    if (s.nfa) {
+      s.chars = automata::trim(automata::determinize(*s.nfa, budget));
+      return;
+    }
     automata::AlgebraOptions options;
     options.state_budget = budget;
     options.lazy = automata::lazy_determinize_from_env();
-
-    auto compile_chars =
-        [&](const automata::RegexPtr& ast,
-            const std::optional<automata::Nfa>& nfa) -> automata::Dfa {
-      if (nfa) return automata::trim(automata::determinize(*nfa, budget));
-      return automata::compile_ast(*ast, options);
-    };
-    s.body_chars = compile_chars(s.body_ast, s.body_nfa);
-    if (s.prefix_ast) {
-      s.prefix_chars = compile_chars(s.prefix_ast, s.prefix_nfa);
-    }
+    s.chars = automata::compile_ast(*s.ast, options);
   }
 };
 
@@ -84,10 +71,7 @@ class MinimizePass : public Pass {
   const char* name() const override { return "minimize"; }
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.minimize");
-    s.body_chars = automata::minimize(*s.body_chars);
-    if (s.prefix_chars) {
-      s.prefix_chars = automata::minimize(*s.prefix_chars);
-    }
+    s.chars = automata::minimize(*s.chars);
   }
 };
 
@@ -97,18 +81,13 @@ class PreprocessPass : public Pass {
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.preprocess");
     for (const auto& pre : s.query->preprocessors) {
-      using Target = Preprocessor::Target;
-      Target t = pre->target();
-      if (t == Target::kBody || t == Target::kBoth) {
-        s.body_chars = pre->apply(*s.body_chars);
-      }
-      if ((t == Target::kPrefix || t == Target::kBoth) && s.prefix_chars) {
-        s.prefix_chars = pre->apply(*s.prefix_chars);
+      if (pre->target() == s.side || pre->target() == Side::kBoth) {
+        s.chars = pre->apply(*s.chars);
       }
     }
-    // An empty body language (a vacuous algebra query like `a & !a`, or a
+    // An empty language (a vacuous algebra query like `a & !a`, or a
     // preprocessor that filtered everything out) is NOT an error: the
-    // assemble pass flags it and executors return zero matches with zero
+    // component records it and executors return zero matches with zero
     // model calls (the empty-language fast path).
   }
 };
@@ -118,16 +97,9 @@ class TokenLiftPass : public Pass {
   const char* name() const override { return "token_lift"; }
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.token_lift");
-    const SimpleSearchQuery& q = *s.query;
-    s.body_tokens = compile_token_automaton(*s.body_chars, *s.tok,
-                                            q.tokenization_strategy,
-                                            q.canonical_enumeration_budget);
-    s.prefix_tokens =
-        s.prefix_chars
-            ? compile_token_automaton(*s.prefix_chars, *s.tok,
-                                      q.tokenization_strategy,
-                                      q.canonical_enumeration_budget)
-            : epsilon_token_automaton(*s.tok);
+    s.tokens = compile_token_automaton(*s.chars, *s.tok,
+                                       s.query->tokenization_strategy,
+                                       s.query->canonical_enumeration_budget);
   }
 };
 
@@ -136,42 +108,9 @@ class TokenMasksPass : public Pass {
   const char* name() const override { return "token_masks"; }
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.token_masks");
-    // Combined budget for both tables: masks are all-or-nothing per artifact
-    // so the executors never mix fast and slow paths within one query. The
-    // budget depends only on the automata (never on executor flags), keeping
-    // cached/fresh/reloaded compiles byte-identical.
-    const std::size_t bytes = token_mask_table_bytes(s.prefix_tokens->dfa) +
-                              token_mask_table_bytes(s.body_tokens->dfa);
-    if (bytes > kTokenMaskBudgetBytes) return;
-    s.prefix_tokens->masks = build_token_masks(s.prefix_tokens->dfa);
-    s.body_tokens->masks = build_token_masks(s.body_tokens->dfa);
-  }
-};
-
-class AssemblePass : public Pass {
- public:
-  const char* name() const override { return "assemble"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.assemble");
-    QueryArtifact artifact;
-    artifact.key = derive_artifact_key(*s.query, *s.tok)
-                       .value_or(ArtifactKey{});  // zero = unkeyable
-    artifact.vocab_fingerprint = vocab_fingerprint(*s.tok);
-    artifact.strategy = s.query->tokenization_strategy;
-    artifact.prefix = std::move(*s.prefix_tokens);
-    artifact.body = std::move(*s.body_tokens);
-    // Vacuous-query detection (`a & !a`, over-restrictive preprocessors, a
-    // prefix no token sequence can spell): flagged here so executors bail
-    // out before their first model call. Derived from the automata — the
-    // loader recomputes it rather than trusting a file.
-    artifact.empty_language = automata::is_empty_language(artifact.body.dfa) ||
-                              automata::is_empty_language(artifact.prefix.dfa);
-    if (artifact.empty_language) {
-      static obs::Counter& empties =
-          obs::Registry::instance().counter("compile.empty_language");
-      empties.add();
-    }
-    s.artifact = std::move(artifact);
+    // The budget depends only on the automaton (never on executor flags),
+    // keeping cached/fresh/reloaded compiles byte-identical.
+    s.tokens->masks = budgeted_token_masks(s.tokens->dfa);
   }
 };
 
@@ -187,7 +126,6 @@ const Pipeline& Pipeline::standard() {
     p.add(std::make_unique<PreprocessPass>());
     p.add(std::make_unique<TokenLiftPass>());
     p.add(std::make_unique<TokenMasksPass>());
-    p.add(std::make_unique<AssemblePass>());
     return p;
   }();
   return pipeline;
@@ -205,12 +143,13 @@ std::vector<const char*> Pipeline::pass_names() const {
   return names;
 }
 
-CompileState Pipeline::run_to_state(const SimpleSearchQuery& query,
+CompileState Pipeline::run_to_state(const SimpleSearchQuery& query, Side side,
                                     const tokenizer::BpeTokenizer& tok,
                                     std::vector<PassRecord>* records) const {
   RELM_TRACE_SPAN("compile.query");
   CompileState state;
   state.query = &query;
+  state.side = side;
   state.tok = &tok;
   for (const auto& pass : passes_) {
     util::Timer timer;
@@ -220,21 +159,36 @@ CompileState Pipeline::run_to_state(const SimpleSearchQuery& query,
   return state;
 }
 
-CompileResult Pipeline::run(const SimpleSearchQuery& query,
+CompileResult Pipeline::run(const SimpleSearchQuery& query, Side side,
                             const tokenizer::BpeTokenizer& tok) const {
-  CompileResult result;
-  CompileState state = run_to_state(query, tok, &result.passes);
-  if (!state.artifact) {
-    throw relm::QueryError(
-        "compile pipeline produced no artifact (missing assemble pass?)");
-  }
-  result.artifact = std::move(*state.artifact);
-  return result;
+  std::vector<PassRecord> passes;
+  CompileState state = run_to_state(query, side, tok, &passes);
+  if (!state.tokens) throw relm::QueryError("pipeline made no token automaton");
+  return CompileResult{std::move(*state.tokens), std::move(passes)};
 }
 
-QueryArtifact compile_query_artifact(const SimpleSearchQuery& query,
-                                     const tokenizer::BpeTokenizer& tok) {
-  return Pipeline::standard().run(query, tok).artifact;
+std::shared_ptr<const Component> compile_component(
+    const SimpleSearchQuery& query, Side side,
+    const tokenizer::BpeTokenizer& tok, const ArtifactKey& key) {
+  auto component = std::make_shared<Component>();
+  component->key = key;
+  component->vocab_fingerprint = tok.fingerprint();
+  component->strategy = query.tokenization_strategy;
+  if (side == Side::kPrefix && query.query_string.prefix_str.empty()) {
+    component->automaton = epsilon_token_automaton(tok);
+    component->automaton.masks =
+        budgeted_token_masks(component->automaton.dfa);
+  } else {
+    component->automaton = Pipeline::standard().run(query, side, tok).automaton;
+  }
+  component->empty_language =
+      automata::is_empty_language(component->automaton.dfa);
+  if (component->empty_language) {
+    static obs::Counter& empties =
+        obs::Registry::instance().counter("compile.empty_language");
+    empties.add();
+  }
+  return component;
 }
 
 }  // namespace relm::core::pipeline

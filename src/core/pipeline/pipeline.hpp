@@ -12,43 +12,35 @@
 
 namespace relm::core::pipeline {
 
-// The query compile path as an explicit pass pipeline. Each pass is a
-// named, introspectable stage that reads the intermediates earlier passes
-// produced and fills in its own; the standard sequence mirrors the paper's
-// compile chain:
+// The query compile path as an explicit pass pipeline. One run compiles one
+// component — the prefix or the body of a query — and each pass is a named,
+// introspectable stage that transforms that side's one automaton; the
+// standard sequence mirrors the paper's compile chain:
 //
 //   parse -> thompson -> determinize -> minimize -> preprocess
-//         -> token_lift -> assemble
+//         -> token_lift -> token_masks
 //
-// ending in a self-contained QueryArtifact. Intermediates are write-once
-// (each pass only fills fields that are still empty-for-it), so a completed
-// CompileState is a faithful record of the compilation that tools can
-// inspect — `relm analyze` reports sizes from it and tests assert on
-// individual stages without re-deriving them.
+// Intermediates are write-once (each pass only fills fields that are still
+// empty-for-it), so a completed CompileState is a faithful record of the
+// compilation that tools can inspect — `relm analyze` reports sizes from it
+// and tests assert on individual stages without re-deriving them.
+// assemble_artifact then binds two components into a QueryArtifact.
 
-// Shared scratchpad. `prefix_*` fields stay unset (nullopt / null AST) for
-// an empty prefix pattern — the lift pass then produces the epsilon token
-// automaton directly, like the paper's unconditional-generation case.
+// Shared scratchpad for one side of one query.
 struct CompileState {
   const SimpleSearchQuery* query = nullptr;
+  Side side = Side::kBody;  // which pattern, and which preprocessors apply
   const tokenizer::BpeTokenizer* tok = nullptr;
 
   // parse
-  std::string prefix_pattern;
-  std::string body_pattern;
-  automata::RegexPtr prefix_ast;
-  automata::RegexPtr body_ast;
-  // thompson
-  std::optional<automata::Nfa> prefix_nfa;
-  std::optional<automata::Nfa> body_nfa;
-  // determinize / minimize / preprocess (each pass replaces these)
-  std::optional<automata::Dfa> prefix_chars;
-  std::optional<automata::Dfa> body_chars;
-  // token_lift
-  std::optional<TokenAutomaton> prefix_tokens;
-  std::optional<TokenAutomaton> body_tokens;
-  // assemble
-  std::optional<QueryArtifact> artifact;
+  std::string pattern;
+  automata::RegexPtr ast;
+  // thompson (unset for boolean-algebra ASTs)
+  std::optional<automata::Nfa> nfa;
+  // determinize / minimize / preprocess (each pass replaces it)
+  std::optional<automata::Dfa> chars;
+  // token_lift, then token_masks
+  std::optional<TokenAutomaton> tokens;
 };
 
 // One named stage. `name()` must return a string literal (trace spans store
@@ -67,7 +59,7 @@ struct PassRecord {
 };
 
 struct CompileResult {
-  QueryArtifact artifact;
+  TokenAutomaton automaton;
   std::vector<PassRecord> passes;
 };
 
@@ -81,16 +73,16 @@ class Pipeline {
 
   std::vector<const char*> pass_names() const;
 
-  // Runs every pass in order. Each pass runs under a "compile.pass.<name>"
-  // trace span and its wall time lands in the returned records. Throws
-  // relm::RegexError / relm::QueryError exactly like the pre-pipeline
-  // compile path did.
-  CompileResult run(const SimpleSearchQuery& query,
+  // Runs every pass in order over one side of `query`. Each pass runs under
+  // a "compile.pass.<name>" trace span and its wall time lands in the
+  // returned records. Throws relm::RegexError / relm::QueryError exactly
+  // like the pre-pipeline compile path did.
+  CompileResult run(const SimpleSearchQuery& query, Side side,
                     const tokenizer::BpeTokenizer& tok) const;
 
   // As run(), but hands back the full CompileState for callers that want
   // the intermediates (relm analyze, tests).
-  CompileState run_to_state(const SimpleSearchQuery& query,
+  CompileState run_to_state(const SimpleSearchQuery& query, Side side,
                             const tokenizer::BpeTokenizer& tok,
                             std::vector<PassRecord>* records = nullptr) const;
 
@@ -98,7 +90,16 @@ class Pipeline {
   std::vector<std::unique_ptr<Pass>> passes_;
 };
 
-// Convenience: standard pipeline, artifact only.
+// Compiles one side of `query` into a component under `key` (zero when the
+// side is unkeyable; see derive_component_key). An empty prefix is the ε
+// token automaton, built without a pipeline run — like the paper's
+// unconditional-generation case — and no preprocessor touches it.
+std::shared_ptr<const Component> compile_component(
+    const SimpleSearchQuery& query, Side side,
+    const tokenizer::BpeTokenizer& tok, const ArtifactKey& key);
+
+// Both components, compiled fresh and assembled: compile_cached without a
+// cache (cache.cpp).
 QueryArtifact compile_query_artifact(const SimpleSearchQuery& query,
                                      const tokenizer::BpeTokenizer& tok);
 

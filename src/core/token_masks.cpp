@@ -41,6 +41,11 @@ TokenMaskTable build_token_masks(const Dfa& dfa) {
   return table;
 }
 
+TokenMaskTable budgeted_token_masks(const Dfa& dfa) {
+  if (token_mask_table_bytes(dfa) > kTokenMaskBudgetBytes) return {};
+  return build_token_masks(dfa);
+}
+
 std::optional<std::string> masks_mismatch(const Dfa& dfa,
                                           const TokenMaskTable& table) {
   if (table.num_states != dfa.num_states()) {

@@ -55,12 +55,12 @@ struct TokenMaskTable {
   friend bool operator==(const TokenMaskTable&, const TokenMaskTable&) = default;
 };
 
-// Hard cap on the combined dense-mask footprint of one artifact (prefix +
-// body tables). Dense masks cost num_states * ceil(vocab/64) * 8 bytes, which
-// explodes for huge automata over large vocabularies; past the budget the
-// compile skips mask materialization and executors keep the per-edge path.
-// Must stay a compile-time constant independent of the query so that cache
-// keys and artifacts remain deterministic.
+// Hard cap on the dense-mask footprint of one token automaton (one prefix
+// or body component). Dense masks cost num_states * ceil(vocab/64) * 8
+// bytes, which explodes for huge automata over large vocabularies; past the
+// budget the compile skips mask materialization and executors keep the
+// per-edge path. Must stay a compile-time constant independent of the query
+// so that cache keys and artifacts remain deterministic.
 inline constexpr std::size_t kTokenMaskBudgetBytes = 256ull << 20;  // 256 MiB
 
 // Bytes build_token_masks(dfa) would allocate, without building it.
@@ -69,6 +69,10 @@ std::size_t token_mask_table_bytes(const automata::Dfa& dfa);
 // Builds the dense mask + CSR index for a token automaton. The Dfa's
 // per-state edge sortedness makes rank order == token order by construction.
 TokenMaskTable build_token_masks(const automata::Dfa& dfa);
+
+// The table a compile attaches to `dfa`: build_token_masks within
+// kTokenMaskBudgetBytes, an empty table past it.
+TokenMaskTable budgeted_token_masks(const automata::Dfa& dfa);
 
 // Structural cross-check of a (possibly untrusted, e.g. deserialized) table
 // against the automaton it claims to index: state/edge counts, offsets

@@ -118,8 +118,11 @@ void apply_mutation(std::vector<SearchResult>& results, Mutation mutation) {
 CompiledQuery without_masks(const CompiledQuery& compiled) {
   auto copy =
       std::make_shared<core::pipeline::QueryArtifact>(compiled.artifact());
-  copy->prefix.masks = {};
-  copy->body.masks = {};
+  for (auto* side : {&copy->prefix, &copy->body}) {
+    auto stripped = std::make_shared<core::pipeline::Component>(**side);
+    stripped->automaton.masks = {};
+    *side = std::move(stripped);
+  }
   return CompiledQuery::from_artifact(std::move(copy), compiled.tokenizer());
 }
 
@@ -190,12 +193,30 @@ TrialReport run_trial(const TrialCase& trial,
       if (!check_config(out, "logit-cache")) return report;
     }
 
-    // Configuration C: second compile through a warm artifact cache. The
-    // cached artifact must drive executors to byte-identical output.
+    // Configuration C: compile through sibling queries. A cache warmed with
+    // the prefix over another body (the same language, spelled differently)
+    // and with the body under an empty prefix holds both of the query's
+    // components: compiling the query must compile nothing (a cache hit),
+    // and the assembled artifact must drive executors to byte-identical
+    // output.
     {
-      core::pipeline::ArtifactCache cache({/*capacity=*/16, /*disk_dir=*/""});
-      (void)core::pipeline::compile_cached(query, tok, &cache);   // cold
+      // The default capacity (32 entries per shard): the siblings' four
+      // components never evict each other.
+      core::pipeline::ArtifactCache cache(core::pipeline::ArtifactCacheConfig{});
+      SimpleSearchQuery prefix_sibling = query;
+      prefix_sibling.query_string.query_str =
+          trial.prefix + "(" + trial.body + ")";
+      SimpleSearchQuery body_sibling = query;
+      body_sibling.query_string = {trial.body, ""};
+      (void)core::pipeline::compile_cached(prefix_sibling, tok, &cache);
+      (void)core::pipeline::compile_cached(body_sibling, tok, &cache);
+      const std::size_t hits = cache.stats().hits;
       auto warm = core::pipeline::compile_cached(query, tok, &cache);
+      if (cache.stats().hits != hits + 1) {
+        return fail("config:compile-cache",
+                    "compile-cache: the query compiled a component its "
+                    "siblings had already compiled");
+      }
       CompiledQuery recompiled = CompiledQuery::from_artifact(warm, tok);
       ExecutorOutputs out =
           run_executors(*base_model, recompiled, query, trial.sampler_seed);

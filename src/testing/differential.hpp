@@ -16,7 +16,8 @@ namespace relm::testing {
 // Configurations exercised per trial (satellite: cache-config differential):
 //   plain        — the model and a fresh compile, no caches anywhere
 //   logit-cache  — the model behind CachingModel (sharded logit LRU)
-//   compile-cache— second compile through a warm local ArtifactCache
+//   compile-cache— compile through a local ArtifactCache warmed by two
+//                  sibling queries that hold both components: no compile
 //   artifact-io  — artifact serialized and reloaded (save/load roundtrip),
 //                  model behind CachingModel
 // Executor output must be BYTE-identical across configurations (exact double

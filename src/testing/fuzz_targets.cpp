@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,16 +78,27 @@ int fuzz_dfa_loader(const std::uint8_t* data, std::size_t size) {
 }
 
 int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size) {
-  std::istringstream in(
-      std::string(reinterpret_cast<const char*>(data), size));
-  core::pipeline::QueryArtifact artifact;
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  std::istringstream in(text);
+  // Dispatch on the magic: a compile-cache component or a whole artifact.
+  std::optional<core::pipeline::Component> component;
+  std::optional<core::pipeline::QueryArtifact> artifact;
   try {
-    artifact = core::pipeline::load_artifact(in);
+    if (text.starts_with("RELM_COMPONENT")) {
+      component = core::pipeline::load_component(in);
+    } else {
+      artifact = core::pipeline::load_artifact(in);
+    }
   } catch (const relm::Error&) {
     return 0;
   }
   analysis::InvariantReport report;
-  analysis::check_query_artifact(artifact, /*tok=*/nullptr, report, "fuzzed");
+  if (component) {
+    analysis::check_component(*component, /*tok=*/nullptr, report, "fuzzed");
+  } else {
+    analysis::check_query_artifact(*artifact, /*tok=*/nullptr, report,
+                                   "fuzzed");
+  }
   if (!report.ok()) die("fuzz_artifact_loader", report.to_string());
   return 0;
 }

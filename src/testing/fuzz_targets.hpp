@@ -21,8 +21,9 @@ int fuzz_regex_parser(const std::uint8_t* data, std::size_t size);
 // the check_dfa structural invariants.
 int fuzz_dfa_loader(const std::uint8_t* data, std::size_t size);
 
-// Compiled-query artifact deserializer (RELM_ARTIFACT v1, the compile
-// cache's disk format). A successful load must satisfy check_query_artifact.
+// Compiled-query deserializers, dispatched on the magic: RELM_COMPONENT v1
+// (the compile cache's disk format) must satisfy check_component after a
+// successful load, RELM_ARTIFACT v1/v2 check_query_artifact.
 int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size);
 
 // Boolean-algebra compiler: parse, then compile through the algebra

@@ -151,7 +151,7 @@ BpeTokenizer BpeTokenizer::train(std::string_view corpus, const TrainConfig& con
   for (const auto& t : tok.tokens_) {
     tok.max_token_length_ = std::max(tok.max_token_length_, t.size());
   }
-  tok.build_trie();
+  tok.finish();
   return tok;
 }
 
@@ -173,11 +173,25 @@ BpeTokenizer BpeTokenizer::from_vocab(std::vector<std::string> tokens) {
     tok.max_token_length_ = std::max(tok.max_token_length_, s.size());
   }
   if (!saw_eos) throw relm::Error("from_vocab: missing empty (EOS) token");
-  tok.build_trie();
+  tok.finish();
   return tok;
 }
 
-void BpeTokenizer::build_trie() {
+void BpeTokenizer::finish() {
+  // FNV-1a over length-prefixed fields, each u64 as 8 little-endian bytes.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto u64 = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i, v >>= 8) h = (h ^ (v & 0xff)) * 0x100000001b3ull;
+  };
+  u64(tokens_.size());
+  u64(eos_);
+  u64(max_token_length_);
+  for (const std::string& t : tokens_) {
+    u64(t.size());
+    for (unsigned char c : t) h = (h ^ c) * 0x100000001b3ull;
+  }
+  fingerprint_ = h;
+
   trie_.clear();
   TrieNode root;
   root.child.fill(kNoChild);

@@ -74,6 +74,10 @@ class BpeTokenizer {
   const std::string& token_string(TokenId id) const { return tokens_[id]; }
   std::size_t max_token_length() const { return max_token_length_; }
 
+  // Order-sensitive hash of the observable identity: every token string,
+  // the EOS id and max_token_length. Computed once at construction.
+  std::uint64_t fingerprint() const { return fingerprint_; }
+
   // Token id whose string equals `text` exactly, if any.
   std::optional<TokenId> find(std::string_view text) const;
 
@@ -114,12 +118,14 @@ class BpeTokenizer {
 
  private:
   BpeTokenizer() = default;
-  void build_trie();
+  // Builds the trie and the fingerprint once the vocabulary is final.
+  void finish();
 
   std::vector<std::string> tokens_;
   std::unordered_map<std::string, TokenId> index_;
   TokenId eos_ = 0;
   std::size_t max_token_length_ = 1;
+  std::uint64_t fingerprint_ = 0;
 
   // Byte trie for longest-match lookups. Node 0 is the root; kNoChild marks
   // an absent edge; `token_at` is the token ending at this node, if any.

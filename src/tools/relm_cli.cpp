@@ -24,9 +24,10 @@
 //       hardware concurrency); --cache-capacity bounds the suffix-keyed
 //       logit cache (default 65536 entries, 0 disables). See
 //       docs/PERFORMANCE.md.
-//       --compile-cache persists compiled query artifacts to DIR (default
-//       .relm-cache) so repeated queries skip compilation entirely;
-//       --no-compile-cache disables the artifact cache (memory and disk).
+//       --compile-cache persists compiled prefix and body components to
+//       DIR (default .relm-cache), so a query whose components were
+//       compiled before skips compilation entirely; --no-compile-cache
+//       disables the component cache (memory and disk).
 //       RELM_COMPILE_CACHE=<dir|off> is the env equivalent. Cache hit/miss
 //       counters appear in --metrics output (compile_cache.*). See
 //       docs/ARCHITECTURE.md.
@@ -66,8 +67,8 @@
 //       distributions, and probe-query compilation (src/analysis). Prints a
 //       diagnostic report and exits non-zero if any invariant is violated.
 //       --cache DIR additionally audits an on-disk compile-cache directory:
-//       every .relmq entry must load, checksum, match its filename key, and
-//       pass the query-artifact invariants.
+//       every .relmc component must load, checksum, match its filename key,
+//       and pass the component invariants.
 //
 //   relm verify --equivalent A.dfa B.dfa
 //       Decide language equivalence of two serialized automata (RELM_DFA
@@ -286,7 +287,7 @@ core::SimpleSearchQuery query_from_flags(const Args& args) {
   return query;
 }
 
-// Compile-cache flags: --compile-cache [DIR] adds an on-disk artifact store
+// Compile-cache flags: --compile-cache [DIR] adds an on-disk component store
 // (default directory .relm-cache when DIR is omitted); --no-compile-cache
 // disables artifact caching entirely. Without either flag the global cache
 // keeps its RELM_COMPILE_CACHE-derived configuration (see
@@ -643,7 +644,7 @@ int cmd_verify(const Args& args) {
   std::string cache_note =
       cache_dir.empty()
           ? ""
-          : ", " + std::to_string(cache_entries) + " cached artifacts";
+          : ", " + std::to_string(cache_entries) + " cached components";
   std::printf("verify: %s ok (tokenizer, sim-xl, sim-small%s%s in %.2fs)\n",
               dir.c_str(), options.check_queries ? ", probe queries" : "",
               cache_note.c_str(), timer.seconds());

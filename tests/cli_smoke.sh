@@ -85,9 +85,9 @@ awk 'NR == 4 { $2 = $2 + 1000 } { print }' "$DIR/sim-small.relm" \
 if "$RELM" verify --dir "$CORRUPT" 2>/dev/null; then exit 1; fi
 "$RELM" verify --dir "$CORRUPT" 2>&1 >/dev/null | grep -q "ngram.row-total"
 
-# Compile-cache lifecycle: cold compile stores an artifact on disk, a warm
-# run serves it back (identical results), and a corrupted entry falls back
-# to a recompile instead of crashing.
+# Compile-cache lifecycle: a cold compile stores the query's two components
+# (prefix and body) on disk, a warm run serves both back (identical results),
+# and a corrupted entry falls back to a recompile instead of crashing.
 CACHE="$DIR/compile-cache"
 COLD="$("$RELM" query --dir "$DIR" \
   --pattern 'The ((man)|(woman)) was trained in ((art)|(science))' \
@@ -95,7 +95,8 @@ COLD="$("$RELM" query --dir "$DIR" \
   --compile-cache "$CACHE" 2>"$DIR/cold.txt")"
 test "$COLD" = "$OUT"
 grep -q "compile cache: 0 hits / 1 misses" "$DIR/cold.txt"
-ENTRY="$(ls "$CACHE"/*.relmq)"
+test "$(ls "$CACHE"/*.relmc | wc -l)" -eq 2
+ENTRY="$(ls "$CACHE"/*.relmc | head -n 1)"
 test -f "$ENTRY"
 
 WARM="$("$RELM" query --dir "$DIR" \
@@ -103,7 +104,7 @@ WARM="$("$RELM" query --dir "$DIR" \
   --prefix 'The ((man)|(woman)) was trained in' --results 4 \
   --compile-cache "$CACHE" --metrics 2>"$DIR/warm.txt")"
 test "$(echo "$WARM" | grep -v '^METRICS ')" = "$OUT"
-grep -q "compile cache: 1 hits / 0 misses, 1 disk loads" "$DIR/warm.txt"
+grep -q "compile cache: 1 hits / 0 misses, 2 disk loads" "$DIR/warm.txt"
 echo "$WARM" | grep -q '"compile_cache.hit":1'
 
 # The cache directory passes verification while its entries are intact.

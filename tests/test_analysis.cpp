@@ -436,7 +436,9 @@ TEST(CheckQueryArtifact, FlagsIncoherentStrategyFlags) {
   tokenizer::BpeTokenizer tok = tiny_tokenizer();
   core::pipeline::QueryArtifact artifact =
       tiny_artifact(tok, core::TokenizationStrategy::kAllTokens);
-  artifact.body.dynamic_canonical = true;
+  auto body = std::make_shared<core::pipeline::Component>(*artifact.body);
+  body->automaton.dynamic_canonical = true;
+  artifact.body = body;
   InvariantReport report;
   check_query_artifact(artifact, &tok, report);
   EXPECT_TRUE(report.has("artifact.strategy-flags")) << report.to_string();
@@ -448,7 +450,9 @@ TEST(CheckQueryArtifact, FlagsAlphabetSplit) {
   // Replace the prefix machine with one over a different alphabet.
   Dfa other(7);
   other.set_start(other.add_state(true));
-  artifact.prefix = core::TokenAutomaton{std::move(other), false, {}};
+  auto prefix = std::make_shared<core::pipeline::Component>(*artifact.prefix);
+  prefix->automaton = core::TokenAutomaton{std::move(other), false, {}};
+  artifact.prefix = prefix;
   InvariantReport report;
   check_query_artifact(artifact, /*tok=*/nullptr, report);
   EXPECT_TRUE(report.has("artifact.alphabet")) << report.to_string();
@@ -460,6 +464,11 @@ TEST(CheckQueryArtifact, SkipsVocabularyChecksOnFingerprintMismatch) {
   tokenizer::BpeTokenizer tok = tiny_tokenizer();
   core::pipeline::QueryArtifact artifact = tiny_artifact(tok);
   artifact.vocab_fingerprint ^= 1;
+  for (auto* side : {&artifact.prefix, &artifact.body}) {
+    auto other = std::make_shared<core::pipeline::Component>(**side);
+    other->vocab_fingerprint ^= 1;
+    *side = other;
+  }
   InvariantReport report;
   check_query_artifact(artifact, &tok, report);
   EXPECT_TRUE(report.ok()) << report.to_string();
@@ -473,20 +482,21 @@ TEST(VerifyCompileCacheDir, CleanStoreAndEveryCorruptionMode) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  core::pipeline::QueryArtifact artifact = tiny_artifact(tok);
-  core::pipeline::save_artifact_file(
-      artifact, (dir / (artifact.key.hex() + ".relmq")).string());
+  const core::pipeline::QueryArtifact artifact = tiny_artifact(tok);
+  const core::pipeline::Component& component = *artifact.body;
+  core::pipeline::save_component_file(
+      component, (dir / (component.key.hex() + ".relmc")).string());
   InvariantReport clean;
   EXPECT_EQ(verify_compile_cache_dir(dir.string(), &tok, clean), 1u);
   EXPECT_TRUE(clean.ok()) << clean.to_string();
 
   // Truncated entry, misnamed entry, key/filename mismatch — each must be
-  // reported with its own check id; non-.relmq files are ignored.
-  std::ofstream(dir / (std::string(32, '0') + ".relmq")) << "RELM_ART";
-  core::pipeline::save_artifact_file(artifact,
-                                     (dir / "notakey.relmq").string());
-  core::pipeline::save_artifact_file(
-      artifact, (dir / (std::string(31, '0') + "1.relmq")).string());
+  // reported with its own check id; non-.relmc files are ignored.
+  std::ofstream(dir / (std::string(32, '0') + ".relmc")) << "RELM_COMP";
+  core::pipeline::save_component_file(component,
+                                      (dir / "notakey.relmc").string());
+  core::pipeline::save_component_file(
+      component, (dir / (std::string(31, '0') + "1.relmc")).string());
   std::ofstream(dir / "README.txt") << "not an artifact";
 
   InvariantReport report;

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
@@ -33,7 +34,9 @@ using core::TokenizationStrategy;
 using core::pipeline::ArtifactCache;
 using core::pipeline::ArtifactCacheConfig;
 using core::pipeline::ArtifactKey;
+using core::pipeline::Component;
 using core::pipeline::QueryArtifact;
+using core::pipeline::Side;
 using tokenizer::BpeTokenizer;
 
 const BpeTokenizer& fixture_tokenizer() {
@@ -106,65 +109,68 @@ TEST(Pipeline, StandardPassSequence) {
   EXPECT_THAT(names,
               testing::ElementsAre("parse", "thompson", "determinize",
                                    "minimize", "preprocess", "token_lift",
-                                   "token_masks", "assemble"));
+                                   "token_masks"));
 }
 
 TEST(Pipeline, RunRecordsEveryPass) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
-  core::pipeline::CompileResult result =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer());
-  ASSERT_EQ(result.passes.size(), 8u);
+  core::pipeline::CompileResult result = core::pipeline::Pipeline::standard().run(
+      query, Side::kBody, fixture_tokenizer());
+  ASSERT_EQ(result.passes.size(), 7u);
   EXPECT_STREQ(result.passes.front().name, "parse");
-  EXPECT_STREQ(result.passes.back().name, "assemble");
+  EXPECT_STREQ(result.passes.back().name, "token_masks");
   for (const auto& record : result.passes) {
     EXPECT_GE(record.seconds, 0.0) << record.name;
   }
-  EXPECT_FALSE(result.artifact.key.is_zero());
+  EXPECT_EQ(result.automaton.dfa.num_symbols(), fixture_tokenizer().vocab_size());
+  EXPECT_FALSE(result.automaton.masks.empty());
 }
 
 TEST(Pipeline, StateExposesIntermediates) {
   SimpleSearchQuery query = make_query(
       "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
-  core::pipeline::CompileState state =
-      core::pipeline::Pipeline::standard().run_to_state(query,
-                                                        fixture_tokenizer());
-  ASSERT_TRUE(state.body_ast != nullptr);
-  ASSERT_TRUE(state.body_nfa.has_value());
-  ASSERT_TRUE(state.body_chars.has_value());
-  ASSERT_TRUE(state.prefix_chars.has_value());
-  ASSERT_TRUE(state.body_tokens.has_value());
-  ASSERT_TRUE(state.artifact.has_value());
-  EXPECT_EQ(state.body_pattern, "((cat)|(dog))");
-  EXPECT_EQ(state.prefix_pattern, "The ");
+  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
+  core::pipeline::CompileState body =
+      standard.run_to_state(query, Side::kBody, fixture_tokenizer());
+  core::pipeline::CompileState prefix =
+      standard.run_to_state(query, Side::kPrefix, fixture_tokenizer());
+  ASSERT_TRUE(body.ast != nullptr);
+  ASSERT_TRUE(body.nfa.has_value());
+  ASSERT_TRUE(body.chars.has_value());
+  ASSERT_TRUE(prefix.chars.has_value());
+  ASSERT_TRUE(body.tokens.has_value());
+  EXPECT_FALSE(body.tokens->masks.empty());  // token_masks ran last
+  EXPECT_EQ(body.pattern, "((cat)|(dog))");
+  EXPECT_EQ(prefix.pattern, "The ");
   // The char-level DFA operates over bytes; the token automaton over the
   // vocabulary.
-  EXPECT_EQ(state.body_chars->num_symbols(), 256u);
-  EXPECT_EQ(state.body_tokens->dfa.num_symbols(),
-            fixture_tokenizer().vocab_size());
+  EXPECT_EQ(body.chars->num_symbols(), 256u);
+  EXPECT_EQ(body.tokens->dfa.num_symbols(), fixture_tokenizer().vocab_size());
 }
 
 TEST(Pipeline, EmptyPrefixSkipsPrefixStages) {
+  // A prefix-only preprocessor that would rewrite any language it touched:
+  // the ε prefix is built without a pipeline run, so it stays {ε}.
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
-  core::pipeline::CompileState state =
-      core::pipeline::Pipeline::standard().run_to_state(query,
-                                                        fixture_tokenizer());
-  EXPECT_TRUE(state.prefix_ast == nullptr);
-  EXPECT_FALSE(state.prefix_chars.has_value());
-  ASSERT_TRUE(state.artifact.has_value());
+  query.preprocessors.push_back(std::make_shared<core::LevenshteinPreprocessor>(
+      1, core::Preprocessor::Target::kPrefix));
+  QueryArtifact artifact =
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
   // The epsilon prefix automaton: accepts only the empty token sequence.
-  EXPECT_EQ(state.artifact->prefix.dfa.num_states(), 1u);
-  EXPECT_TRUE(
-      state.artifact->prefix.dfa.is_final(state.artifact->prefix.dfa.start()));
+  const automata::Dfa& prefix = artifact.prefix->automaton.dfa;
+  EXPECT_EQ(prefix.num_states(), 1u);
+  EXPECT_TRUE(prefix.is_final(prefix.start()));
+  EXPECT_EQ(prefix, core::epsilon_token_automaton(fixture_tokenizer()).dfa);
 }
 
 TEST(Pipeline, InvalidRegexThrowsRegexError) {
   SimpleSearchQuery query =
       make_query("(unclosed", TokenizationStrategy::kCanonicalTokens);
-  EXPECT_THROW(
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer()),
-      relm::RegexError);
+  EXPECT_THROW(core::pipeline::Pipeline::standard().run(query, Side::kBody,
+                                                        fixture_tokenizer()),
+               relm::RegexError);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,6 +278,118 @@ TEST(ArtifactKey, HexRoundTrip) {
   EXPECT_FALSE(ArtifactKey::from_hex(std::string(32, 'z')));
 }
 
+// The vocabulary fingerprint's formula: FNV-1a over the vocabulary size, the
+// EOS id, max_token_length and every length-prefixed token string, each u64
+// as 8 little-endian bytes.
+std::uint64_t recompute_fingerprint(const BpeTokenizer& tok) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto byte = [&h](unsigned char c) { h = (h ^ c) * 0x100000001b3ull; };
+  auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<unsigned char>(v >> (8 * i)));
+  };
+  u64(tok.vocab_size());
+  u64(tok.eos());
+  u64(tok.max_token_length());
+  for (tokenizer::TokenId t = 0; t < tok.vocab_size(); ++t) {
+    u64(tok.token_string(t).size());
+    for (unsigned char c : tok.token_string(t)) byte(c);
+  }
+  return h;
+}
+
+TEST(VocabFingerprint, MemoizedValueMatchesTheFormula) {
+  const BpeTokenizer tiny = BpeTokenizer::from_vocab({"", "a", "b", "ab"});
+  for (const BpeTokenizer* tok : {&fixture_tokenizer(), &tiny}) {
+    EXPECT_EQ(tok->fingerprint(), recompute_fingerprint(*tok));
+    EXPECT_EQ(core::pipeline::vocab_fingerprint(*tok), tok->fingerprint());
+  }
+  EXPECT_NE(fixture_tokenizer().fingerprint(), tiny.fingerprint());
+}
+
+// Both component keys of a query, which must be keyable.
+std::pair<ArtifactKey, ArtifactKey> component_keys(const SimpleSearchQuery& query,
+                                                   const BpeTokenizer& tok) {
+  auto prefix = core::pipeline::derive_component_key(query, Side::kPrefix, tok);
+  auto body = core::pipeline::derive_component_key(query, Side::kBody, tok);
+  EXPECT_TRUE(prefix && body);
+  return {prefix.value_or(ArtifactKey{}), body.value_or(ArtifactKey{})};
+}
+
+TEST(ComponentKey, PreprocessorChangesOnlyTheSidesItTargets) {
+  const BpeTokenizer& tok = fixture_tokenizer();
+  SimpleSearchQuery base = make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+  const auto [prefix, body] = component_keys(base, tok);
+  EXPECT_NE(prefix, body);
+
+  using Target = core::Preprocessor::Target;
+  for (Target target : {Target::kPrefix, Target::kBody, Target::kBoth}) {
+    SCOPED_TRACE(static_cast<int>(target));
+    SimpleSearchQuery other = base;
+    other.preprocessors.push_back(
+        std::make_shared<core::CaseInsensitivePreprocessor>(target));
+    const auto [other_prefix, other_body] = component_keys(other, tok);
+    EXPECT_EQ(other_prefix != prefix, target != Target::kBody);
+    EXPECT_EQ(other_body != body, target != Target::kPrefix);
+  }
+}
+
+TEST(ComponentKey, StrategyBudgetAndVocabularyChangeBothKeys) {
+  const BpeTokenizer& tok = fixture_tokenizer();
+  SimpleSearchQuery base = make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+  const auto [prefix, body] = component_keys(base, tok);
+
+  auto expect_both_change = [&](const SimpleSearchQuery& query,
+                                const BpeTokenizer& with) {
+    const auto [other_prefix, other_body] = component_keys(query, with);
+    EXPECT_NE(other_prefix, prefix);
+    EXPECT_NE(other_body, body);
+  };
+  SimpleSearchQuery other = base;
+  other.tokenization_strategy = TokenizationStrategy::kAllTokens;
+  expect_both_change(other, tok);
+  other = base;
+  other.canonical_enumeration_budget = 7;
+  expect_both_change(other, tok);
+  BpeTokenizer::TrainConfig config;
+  config.vocab_size = 300;
+  expect_both_change(
+      base, BpeTokenizer::train("The cat dog The cat dog mat hat", config));
+}
+
+TEST(ComponentKey, SidesShareKeysButNotTheEmptyPrefix) {
+  // The same pattern compiles alike on either side, so "cat" as a body and
+  // "cat" as a prefix share one component. The empty prefix is the ε
+  // automaton, not a compile of the empty pattern, and keys apart from an
+  // empty body.
+  const BpeTokenizer& tok = fixture_tokenizer();
+  SimpleSearchQuery body_cat =
+      make_query("cat", TokenizationStrategy::kCanonicalTokens);
+  SimpleSearchQuery prefix_cat =
+      make_query("cat", TokenizationStrategy::kCanonicalTokens, "cat");
+  const auto [epsilon, body] = component_keys(body_cat, tok);
+  const auto [prefix, empty_body] = component_keys(prefix_cat, tok);
+  EXPECT_EQ(prefix, body);
+  EXPECT_NE(epsilon, empty_body);
+}
+
+TEST(ComponentKey, UnkeyablePreprocessorDisablesOnlyItsSide) {
+  class OpaquePreprocessor : public core::Preprocessor {
+   public:
+    automata::Dfa apply(const automata::Dfa& dfa) const override { return dfa; }
+    Target target() const override { return Target::kBody; }
+    std::string name() const override { return "opaque"; }
+  };
+  SimpleSearchQuery query = make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+  query.preprocessors.push_back(std::make_shared<OpaquePreprocessor>());
+  const BpeTokenizer& tok = fixture_tokenizer();
+  EXPECT_TRUE(core::pipeline::derive_component_key(query, Side::kPrefix, tok));
+  EXPECT_FALSE(core::pipeline::derive_component_key(query, Side::kBody, tok));
+  EXPECT_FALSE(core::pipeline::derive_artifact_key(query, tok));
+}
+
 // ---------------------------------------------------------------------------
 // Artifact serialization
 // ---------------------------------------------------------------------------
@@ -290,10 +408,12 @@ TEST(ArtifactSerialize, RoundTripPreservesEverything) {
   EXPECT_EQ(loaded.key, artifact.key);
   EXPECT_EQ(loaded.vocab_fingerprint, artifact.vocab_fingerprint);
   EXPECT_EQ(loaded.strategy, artifact.strategy);
-  EXPECT_EQ(loaded.prefix.dynamic_canonical, artifact.prefix.dynamic_canonical);
-  EXPECT_EQ(loaded.body.dynamic_canonical, artifact.body.dynamic_canonical);
-  EXPECT_EQ(loaded.prefix.dfa, artifact.prefix.dfa);
-  EXPECT_EQ(loaded.body.dfa, artifact.body.dfa);
+  EXPECT_EQ(loaded.prefix->automaton.dynamic_canonical,
+            artifact.prefix->automaton.dynamic_canonical);
+  EXPECT_EQ(loaded.body->automaton.dynamic_canonical,
+            artifact.body->automaton.dynamic_canonical);
+  EXPECT_EQ(loaded.prefix->automaton.dfa, artifact.prefix->automaton.dfa);
+  EXPECT_EQ(loaded.body->automaton.dfa, artifact.body->automaton.dfa);
 }
 
 TEST(ArtifactSerialize, RejectsCorruptContainers) {
@@ -330,10 +450,12 @@ TEST(ArtifactSerialize, RejectsIncoherentStrategyFlags) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kAllTokens);
   QueryArtifact artifact = compile_artifact(query);
-  ASSERT_FALSE(artifact.body.dynamic_canonical);
+  ASSERT_FALSE(artifact.body->automaton.dynamic_canonical);
   // Forge the flag (and its checksum, to get past integrity) — the semantic
   // invariant must still reject it.
-  artifact.body.dynamic_canonical = true;
+  auto forged = std::make_shared<Component>(*artifact.body);
+  forged->automaton.dynamic_canonical = true;
+  artifact.body = forged;
   std::stringstream buffer;
   core::pipeline::save_artifact(artifact, buffer);
   std::stringstream in(buffer.str());
@@ -345,11 +467,14 @@ TEST(ArtifactSerialize, FileRoundTrip) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kAllTokens);
   QueryArtifact artifact = compile_artifact(query);
-  const std::string path = dir.str() + "/artifact.relmq";
-  core::pipeline::save_artifact_file(artifact, path);
-  QueryArtifact loaded = core::pipeline::load_artifact_file(path);
-  EXPECT_EQ(loaded.body.dfa, artifact.body.dfa);
-  EXPECT_THROW(core::pipeline::load_artifact_file(dir.str() + "/missing"),
+  // Files hold components: the compile cache's disk format.
+  const std::string path = dir.str() + "/component.relmc";
+  core::pipeline::save_component_file(*artifact.body, path);
+  Component loaded = core::pipeline::load_component_file(path);
+  EXPECT_EQ(loaded.key, artifact.body->key);
+  EXPECT_EQ(loaded.automaton.dfa, artifact.body->automaton.dfa);
+  EXPECT_EQ(loaded.automaton.masks, artifact.body->automaton.masks);
+  EXPECT_THROW(core::pipeline::load_component_file(dir.str() + "/missing"),
                relm::Error);
 }
 
@@ -397,7 +522,11 @@ void check_equivalence(const SimpleSearchQuery& query) {
   ArtifactCache cache(ArtifactCacheConfig{});
   auto first = core::pipeline::compile_cached(query, tok, &cache);
   auto second = core::pipeline::compile_cached(query, tok, &cache);
-  EXPECT_EQ(first.get(), second.get());  // the hit IS the stored artifact
+  // The hit IS the stored components.
+  EXPECT_EQ(first->prefix.get(), second->prefix.get());
+  EXPECT_EQ(first->body.get(), second->body.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   core::CompiledQuery from_cache =
       core::CompiledQuery::from_artifact(second, tok);
 
@@ -425,7 +554,7 @@ TEST(Equivalence, DynamicCanonicalFallback) {
       make_query("a(b|(cd))*e", TokenizationStrategy::kCanonicalTokens);
   auto artifact = std::make_shared<const QueryArtifact>(
       core::pipeline::compile_query_artifact(query, fixture_tokenizer()));
-  ASSERT_TRUE(artifact->body.dynamic_canonical);
+  ASSERT_TRUE(artifact->body->automaton.dynamic_canonical);
   check_equivalence(query);
 }
 
@@ -463,26 +592,32 @@ TEST(ArtifactCache, MissThenHitAndStats) {
   ArtifactCache cache(ArtifactCacheConfig{});
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
-  auto key = core::pipeline::derive_artifact_key(query, fixture_tokenizer());
-  ASSERT_TRUE(key);
+  const auto [prefix_key, body_key] = component_keys(query, fixture_tokenizer());
 
-  EXPECT_EQ(cache.lookup(*key), nullptr);
+  EXPECT_EQ(cache.lookup(prefix_key), nullptr);
+  EXPECT_EQ(cache.lookup(body_key), nullptr);
   auto artifact = core::pipeline::compile_cached(query, fixture_tokenizer(),
                                                  &cache);
   ASSERT_TRUE(artifact);
-  EXPECT_EQ(cache.lookup(*key).get(), artifact.get());
+  EXPECT_EQ(cache.lookup(prefix_key).get(), artifact->prefix.get());
+  EXPECT_EQ(cache.lookup(body_key).get(), artifact->body.get());
+  auto again = core::pipeline::compile_cached(query, fixture_tokenizer(),
+                                              &cache);
+  EXPECT_EQ(again->prefix.get(), artifact->prefix.get());
+  EXPECT_EQ(again->body.get(), artifact->body.get());
 
+  // Hits and misses count compile_cached calls, not component lookups.
   ArtifactCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);  // explicit lookup + compile_cached's probe
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.entries, 2u);  // the ε prefix and the body
 }
 
 TEST(ArtifactCache, ZeroKeyNeverCached) {
   ArtifactCache cache(ArtifactCacheConfig{});
-  auto artifact = std::make_shared<const QueryArtifact>(compile_artifact(
-      make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens)));
-  cache.insert(ArtifactKey{}, artifact);
+  QueryArtifact artifact = compile_artifact(
+      make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens));
+  cache.insert(ArtifactKey{}, artifact.body);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.lookup(ArtifactKey{}), nullptr);
   // The zero-key lookup must not even count as a miss (nothing was keyed).
@@ -499,7 +634,8 @@ TEST(ArtifactCache, DisabledCacheCompilesEveryTime) {
   auto a = core::pipeline::compile_cached(query, fixture_tokenizer(), &cache);
   auto b = core::pipeline::compile_cached(query, fixture_tokenizer(), &cache);
   ASSERT_TRUE(a && b);
-  EXPECT_NE(a.get(), b.get());
+  EXPECT_NE(a->prefix.get(), b->prefix.get());
+  EXPECT_NE(a->body.get(), b->body.get());
   EXPECT_EQ(cache.stats().hits, 0u);
 }
 
@@ -509,12 +645,12 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsed) {
   ArtifactCacheConfig config;
   config.capacity = 8;
   ArtifactCache cache(config);
-  auto artifact = std::make_shared<const QueryArtifact>(compile_artifact(
-      make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens)));
+  QueryArtifact artifact = compile_artifact(
+      make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens));
   ArtifactKey k1{1, 8};   // shard 0
   ArtifactKey k2{2, 16};  // shard 0
-  cache.insert(k1, artifact);
-  cache.insert(k2, artifact);
+  cache.insert(k1, artifact.body);
+  cache.insert(k2, artifact.body);
   EXPECT_EQ(cache.lookup(k1), nullptr);
   EXPECT_NE(cache.lookup(k2), nullptr);
   EXPECT_GE(cache.stats().evictions, 1u);
@@ -527,22 +663,27 @@ TEST(ArtifactCache, DiskStoreSurvivesProcessRestart) {
   ArtifactCacheConfig config;
   config.disk_dir = dir.str();
 
-  ArtifactKey key;
+  std::shared_ptr<const QueryArtifact> compiled;
   {
     ArtifactCache warm(config);
-    auto artifact =
-        core::pipeline::compile_cached(query, fixture_tokenizer(), &warm);
-    key = artifact->key;
-    EXPECT_EQ(warm.stats().disk_stores, 1u);
+    compiled = core::pipeline::compile_cached(query, fixture_tokenizer(), &warm);
+    EXPECT_EQ(warm.stats().disk_stores, 2u);
   }
-  // A fresh cache instance simulates a new process: the entry must come back
-  // from disk, not from a recompile.
+  // A fresh cache instance simulates a new process: both components must
+  // come back from disk, not from a recompile.
   ArtifactCache cold(config);
-  auto loaded = cold.lookup(key);
+  auto loaded = core::pipeline::compile_cached(query, fixture_tokenizer(), &cold);
   ASSERT_TRUE(loaded);
-  EXPECT_EQ(loaded->key, key);
-  EXPECT_EQ(cold.stats().disk_loads, 1u);
+  EXPECT_EQ(loaded->key, compiled->key);
+  EXPECT_EQ(loaded->prefix->key, compiled->prefix->key);
+  EXPECT_EQ(loaded->body->key, compiled->body->key);
+  EXPECT_EQ(core::pipeline::artifact_checksum(*loaded),
+            core::pipeline::artifact_checksum(*compiled));
+  EXPECT_EQ(core::pipeline::artifact_masks_checksum(*loaded),
+            core::pipeline::artifact_masks_checksum(*compiled));
+  EXPECT_EQ(cold.stats().disk_loads, 2u);
   EXPECT_EQ(cold.stats().hits, 1u);
+  EXPECT_EQ(cold.stats().misses, 0u);
 }
 
 TEST(ArtifactCache, CorruptDiskEntryFallsBackToRecompile) {
@@ -556,10 +697,10 @@ TEST(ArtifactCache, CorruptDiskEntryFallsBackToRecompile) {
   {
     ArtifactCache warm(config);
     key = core::pipeline::compile_cached(query, fixture_tokenizer(), &warm)
-              ->key;
+              ->body->key;
   }
-  // Truncate the stored entry mid-payload.
-  const std::string path = dir.str() + "/" + key.hex() + ".relmq";
+  // Truncate the stored body component mid-payload.
+  const std::string path = dir.str() + "/" + key.hex() + ".relmc";
   {
     std::ifstream in(path);
     std::string contents((std::istreambuf_iterator<char>(in)),
@@ -572,14 +713,18 @@ TEST(ArtifactCache, CorruptDiskEntryFallsBackToRecompile) {
   ArtifactCache cold(config);
   EXPECT_EQ(cold.lookup(key), nullptr);  // corrupt = miss, never a crash
   EXPECT_EQ(cold.stats().disk_errors, 1u);
-  EXPECT_EQ(cold.stats().misses, 1u);
 
-  // compile_cached must recover transparently and overwrite the bad entry.
+  // compile_cached must recover transparently and overwrite the bad entry:
+  // the call compiled the body, so it is a miss.
   auto artifact =
       core::pipeline::compile_cached(query, fixture_tokenizer(), &cold);
   ASSERT_TRUE(artifact);
-  QueryArtifact reread = core::pipeline::load_artifact_file(path);
+  EXPECT_EQ(cold.stats().disk_errors, 2u);
+  EXPECT_EQ(cold.stats().misses, 1u);
+  EXPECT_EQ(cold.stats().hits, 0u);
+  Component reread = core::pipeline::load_component_file(path);
   EXPECT_EQ(reread.key, key);
+  EXPECT_EQ(reread.automaton.dfa, artifact->body->automaton.dfa);
 }
 
 TEST(ArtifactCache, MismatchedKeyOnDiskTreatedAsCorrupt) {
@@ -587,10 +732,10 @@ TEST(ArtifactCache, MismatchedKeyOnDiskTreatedAsCorrupt) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
   QueryArtifact artifact = compile_artifact(query);
-  // Store a valid artifact under a *different* key's filename.
+  // Store a valid component under a *different* key's filename.
   ArtifactKey wrong{0xdead, 0xbeef};
-  core::pipeline::save_artifact_file(artifact,
-                                     dir.str() + "/" + wrong.hex() + ".relmq");
+  core::pipeline::save_component_file(*artifact.body,
+                                      dir.str() + "/" + wrong.hex() + ".relmc");
   ArtifactCacheConfig config;
   config.disk_dir = dir.str();
   ArtifactCache cache(config);
@@ -612,8 +757,132 @@ TEST(ArtifactCache, UnkeyableQueryBypassesCache) {
   auto a = core::pipeline::compile_cached(query, fixture_tokenizer(), &cache);
   auto b = core::pipeline::compile_cached(query, fixture_tokenizer(), &cache);
   ASSERT_TRUE(a && b);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.stats().entries, 0u);
+  // The opaque preprocessor makes only the body uncacheable: it compiles on
+  // every call, while the ε prefix is cached and shared.
+  EXPECT_NE(a->body.get(), b->body.get());
+  EXPECT_EQ(a->prefix.get(), b->prefix.get());
+  EXPECT_TRUE(a->key.is_zero());
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+// The four Table 1 LAMBADA shapes over one passage, as the cloze experiment
+// builds them: the passage is every shape's prefix; the baseline and
+// terminated shapes share their body, the no-stop body is the same for every
+// passage, and the words body is the passage's own words.
+std::vector<SimpleSearchQuery> lambada_shapes(const std::string& passage) {
+  std::string words;
+  std::istringstream split(passage);
+  for (std::string w; split >> w;) words += (words.empty() ? "(" : "|(") + w + ")";
+  std::vector<SimpleSearchQuery> shapes;
+  const std::string word = " ([a-zA-Z]+)(\\.)?";
+  for (const std::string& body : {word, word, " (" + words + ")(\\.)?", word}) {
+    shapes.push_back(make_query(passage + body,
+                                TokenizationStrategy::kCanonicalTokens, passage));
+  }
+  shapes[1].require_eos = true;  // terminated: same compile as the baseline
+  shapes[3].preprocessors.push_back(std::make_shared<core::FilterPreprocessor>(
+      " ((the)|(on))(\\.)?", core::Preprocessor::Target::kBody));
+  return shapes;
+}
+
+TEST(ArtifactCache, SiblingQueriesShareComponents) {
+  ArtifactCache cache(ArtifactCacheConfig{});
+  const BpeTokenizer& tok = fixture_tokenizer();
+  // Per passage: its prefix, then bodies word, word, words, no_stop.
+  std::vector<std::shared_ptr<const QueryArtifact>> first, second;
+  for (const SimpleSearchQuery& q : lambada_shapes("The cat sat on the")) {
+    first.push_back(core::pipeline::compile_cached(q, tok, &cache));
+  }
+  // Shape 0 compiles both components, shape 1 none, shapes 2 and 3 a body.
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  for (const SimpleSearchQuery& q : lambada_shapes("The dog ran to the")) {
+    second.push_back(core::pipeline::compile_cached(q, tok, &cache));
+  }
+  // The second passage compiles its prefix (shape 0) and its words body
+  // (shape 2); shapes 1 and 3 compile nothing.
+  EXPECT_EQ(cache.stats().misses, 5u);
+  EXPECT_EQ(cache.stats().hits, 3u);
+  // 2 prefixes + the word and no-stop bodies + 2 words bodies.
+  EXPECT_EQ(cache.stats().entries, 6u);
+
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(first[i]->prefix.get(), first[0]->prefix.get()) << i;
+    EXPECT_EQ(second[i]->prefix.get(), second[0]->prefix.get()) << i;
+    if (i != 2) {
+      EXPECT_EQ(first[i]->body.get(), second[i]->body.get()) << i;
+    }
+  }
+  EXPECT_NE(first[0]->prefix.get(), second[0]->prefix.get());
+  EXPECT_NE(first[2]->body.get(), second[2]->body.get());
+  EXPECT_EQ(first[0]->body.get(), first[1]->body.get());
+  EXPECT_NE(first[0]->body.get(), first[2]->body.get());
+  EXPECT_NE(first[0]->body.get(), first[3]->body.get());
+
+  // Every assembled artifact equals a fresh compile of its query.
+  for (const auto& [artifacts, passage] :
+       {std::pair{&first, "The cat sat on the"},
+        std::pair{&second, "The dog ran to the"}}) {
+    const std::vector<SimpleSearchQuery> shapes = lambada_shapes(passage);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      QueryArtifact fresh = core::pipeline::compile_query_artifact(shapes[i], tok);
+      EXPECT_EQ((*artifacts)[i]->key, fresh.key);
+      EXPECT_EQ(core::pipeline::artifact_checksum(*(*artifacts)[i]),
+                core::pipeline::artifact_checksum(fresh));
+      EXPECT_EQ(core::pipeline::artifact_masks_checksum(*(*artifacts)[i]),
+                core::pipeline::artifact_masks_checksum(fresh));
+    }
+  }
+}
+
+TEST(ArtifactCache, ConcurrentSiblingCompiles) {
+  // Four threads compile overlapping sibling queries through one cache, each
+  // in its own order, so components are looked up and inserted concurrently.
+  const BpeTokenizer& tok = fixture_tokenizer();
+  std::vector<SimpleSearchQuery> queries;
+  for (const char* passage :
+       {"The cat sat on the", "The dog ran to the", "abe acde abbbe "}) {
+    for (SimpleSearchQuery& q : lambada_shapes(passage)) {
+      queries.push_back(std::move(q));
+    }
+  }
+  std::vector<QueryArtifact> fresh;
+  for (const SimpleSearchQuery& q : queries) {
+    fresh.push_back(core::pipeline::compile_query_artifact(q, tok));
+  }
+
+  ArtifactCache cache(ArtifactCacheConfig{});
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::shared_ptr<const QueryArtifact>>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[t].resize(queries.size());
+      for (std::size_t n = 0; n < queries.size(); ++n) {
+        const std::size_t k = (n + 5 * t) % queries.size();
+        const std::size_t i = t % 2 == 0 ? k : queries.size() - 1 - k;
+        got[t][i] = core::pipeline::compile_cached(queries[i], tok, &cache);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(got[t][i]) << t << " " << i;
+      EXPECT_EQ(got[t][i]->key, fresh[i].key);
+      EXPECT_EQ(got[t][i]->empty_language, fresh[i].empty_language);
+      EXPECT_EQ(core::pipeline::artifact_checksum(*got[t][i]),
+                core::pipeline::artifact_checksum(fresh[i]));
+      EXPECT_EQ(core::pipeline::artifact_masks_checksum(*got[t][i]),
+                core::pipeline::artifact_masks_checksum(fresh[i]));
+    }
+  }
+  const ArtifactCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * queries.size());
+  // 3 prefixes + the word and no-stop bodies + 3 words bodies.
+  EXPECT_EQ(stats.entries, 8u);
 }
 
 }  // namespace

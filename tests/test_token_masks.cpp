@@ -288,13 +288,12 @@ TEST(TokenMasks, PipelineBuildsMasksForBothAutomata) {
                                        TokenizationStrategy::kCanonicalTokens,
                                        "The ");
   auto artifact =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-          .artifact;
-  ASSERT_FALSE(artifact.prefix.masks.empty());
-  ASSERT_FALSE(artifact.body.masks.empty());
-  EXPECT_EQ(core::masks_mismatch(artifact.prefix.dfa, artifact.prefix.masks),
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+  ASSERT_FALSE(artifact.prefix->automaton.masks.empty());
+  ASSERT_FALSE(artifact.body->automaton.masks.empty());
+  EXPECT_EQ(core::masks_mismatch(artifact.prefix->automaton.dfa, artifact.prefix->automaton.masks),
             std::nullopt);
-  EXPECT_EQ(core::masks_mismatch(artifact.body.dfa, artifact.body.masks),
+  EXPECT_EQ(core::masks_mismatch(artifact.body->automaton.dfa, artifact.body->automaton.masks),
             std::nullopt);
 }
 
@@ -615,8 +614,7 @@ TEST(ArtifactV2, RoundTripPreservesMasks) {
                                        TokenizationStrategy::kCanonicalTokens,
                                        "The ");
   auto artifact =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-          .artifact;
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
   std::ostringstream sink;
   core::pipeline::save_artifact(artifact, sink);
   EXPECT_NE(sink.str().find("RELM_ARTIFACT v2"), std::string::npos);
@@ -624,8 +622,8 @@ TEST(ArtifactV2, RoundTripPreservesMasks) {
 
   std::istringstream source(sink.str());
   core::pipeline::QueryArtifact reloaded = core::pipeline::load_artifact(source);
-  EXPECT_EQ(reloaded.prefix.masks, artifact.prefix.masks);
-  EXPECT_EQ(reloaded.body.masks, artifact.body.masks);
+  EXPECT_EQ(reloaded.prefix->automaton.masks, artifact.prefix->automaton.masks);
+  EXPECT_EQ(reloaded.body->automaton.masks, artifact.body->automaton.masks);
   EXPECT_EQ(core::pipeline::artifact_checksum(reloaded),
             core::pipeline::artifact_checksum(artifact));
 }
@@ -635,8 +633,7 @@ std::string v2_container_text() {
                                        TokenizationStrategy::kCanonicalTokens,
                                        "The ");
   auto artifact =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-          .artifact;
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
   std::ostringstream sink;
   core::pipeline::save_artifact(artifact, sink);
   return sink.str();
@@ -697,8 +694,7 @@ TEST(ArtifactV1, LegacyWriterOutputReloadsWithRecomputedMasks) {
     SimpleSearchQuery query =
         make_query("The ((cat)|(dog))", strategy, "The ");
     auto artifact =
-        core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-            .artifact;
+        core::pipeline::compile_query_artifact(query, fixture_tokenizer());
     std::ostringstream sink;
     core::pipeline::save_artifact_v1(artifact, sink);
     EXPECT_NE(sink.str().find("RELM_ARTIFACT v1"), std::string::npos);
@@ -709,8 +705,8 @@ TEST(ArtifactV1, LegacyWriterOutputReloadsWithRecomputedMasks) {
         core::pipeline::load_artifact(source);
     // Masks were not in the file; the loader recomputes them, bit-identical
     // to the fresh compile's token_masks pass.
-    EXPECT_EQ(reloaded.prefix.masks, artifact.prefix.masks);
-    EXPECT_EQ(reloaded.body.masks, artifact.body.masks);
+    EXPECT_EQ(reloaded.prefix->automaton.masks, artifact.prefix->automaton.masks);
+    EXPECT_EQ(reloaded.body->automaton.masks, artifact.body->automaton.masks);
   }
 }
 
@@ -720,9 +716,8 @@ TEST(ArtifactV1, DynamicCanonicalReloadDrivesExecutorsIdentically) {
   query.canonical_enumeration_budget = 1;  // force dynamic canonicality
   query.require_eos = false;
   auto fresh =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-          .artifact;
-  ASSERT_TRUE(fresh.body.dynamic_canonical);
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+  ASSERT_TRUE(fresh.body->automaton.dynamic_canonical);
 
   std::ostringstream sink;
   core::pipeline::save_artifact_v1(fresh, sink);
@@ -761,14 +756,20 @@ TEST(ArtifactV1, CheckedInFixtureMatchesFreshCompile) {
   std::istringstream in(text);
   auto reloaded = std::make_shared<core::pipeline::QueryArtifact>(
       core::pipeline::load_artifact(in));
-  ASSERT_FALSE(reloaded->prefix.masks.empty());
-  ASSERT_FALSE(reloaded->body.masks.empty());
+  ASSERT_FALSE(reloaded->prefix->automaton.masks.empty());
+  ASSERT_FALSE(reloaded->body->automaton.masks.empty());
 
   SimpleSearchQuery query = tiny_fixture_query();
-  auto fresh = core::pipeline::Pipeline::standard().run(query, tok).artifact;
-  EXPECT_EQ(reloaded->key, fresh.key) << "fixture was built for another query";
-  EXPECT_EQ(reloaded->prefix.masks, fresh.prefix.masks);
-  EXPECT_EQ(reloaded->body.masks, fresh.body.masks);
+  auto fresh = core::pipeline::compile_query_artifact(query, tok);
+  // The fixture's stored key predates component keys, so its automata
+  // identify the query it was built for.
+  EXPECT_EQ(core::pipeline::artifact_checksum(*reloaded),
+            core::pipeline::artifact_checksum(fresh))
+      << "fixture was built for another query";
+  EXPECT_EQ(reloaded->prefix->automaton.dfa, fresh.prefix->automaton.dfa);
+  EXPECT_EQ(reloaded->body->automaton.dfa, fresh.body->automaton.dfa);
+  EXPECT_EQ(reloaded->prefix->automaton.masks, fresh.prefix->automaton.masks);
+  EXPECT_EQ(reloaded->body->automaton.masks, fresh.body->automaton.masks);
 
   model::NgramModel::Config config;
   config.order = 2;
@@ -788,6 +789,103 @@ TEST(ArtifactV1, CheckedInFixtureMatchesFreshCompile) {
     EXPECT_EQ(fixture_results[i].tokens, fresh_results[i].tokens);
     EXPECT_EQ(fixture_results[i].log_prob, fresh_results[i].log_prob);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Component container (the compile cache's disk format): the same section
+// checks as the v2 artifact container
+// ---------------------------------------------------------------------------
+
+std::string component_text(TokenizationStrategy strategy =
+                               TokenizationStrategy::kCanonicalTokens) {
+  SimpleSearchQuery query = make_query("The ((cat)|(dog))", strategy, "The ");
+  auto artifact =
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+  std::ostringstream sink;
+  core::pipeline::save_component(*artifact.body, sink);
+  return sink.str();
+}
+
+void expect_component_load_fails_with(const std::string& text,
+                                      const std::string& needle) {
+  std::istringstream in(text);
+  try {
+    (void)core::pipeline::load_component(in);
+    FAIL() << "corrupt component loaded cleanly (wanted \"" << needle << "\")";
+  } catch (const relm::Error& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "diagnostic was: " << e.what();
+  }
+}
+
+TEST(ComponentV1, RoundTripPreservesEverything) {
+  for (auto strategy : {TokenizationStrategy::kCanonicalTokens,
+                        TokenizationStrategy::kAllTokens}) {
+    SimpleSearchQuery query = make_query("The a(b|(cd))*e", strategy, "The ");
+    auto artifact =
+        core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+    for (const auto& component : {artifact.prefix, artifact.body}) {
+      std::ostringstream sink;
+      core::pipeline::save_component(*component, sink);
+      EXPECT_EQ(sink.str().rfind("RELM_COMPONENT v1\n", 0), 0u);
+      std::istringstream source(sink.str());
+      core::pipeline::Component loaded = core::pipeline::load_component(source);
+      EXPECT_EQ(loaded.key, component->key);
+      EXPECT_EQ(loaded.vocab_fingerprint, component->vocab_fingerprint);
+      EXPECT_EQ(loaded.strategy, component->strategy);
+      EXPECT_EQ(loaded.automaton.dynamic_canonical,
+                component->automaton.dynamic_canonical);
+      EXPECT_EQ(loaded.automaton.dfa, component->automaton.dfa);
+      EXPECT_EQ(loaded.automaton.masks, component->automaton.masks);
+      EXPECT_EQ(loaded.empty_language, component->empty_language);
+    }
+  }
+}
+
+TEST(ComponentV1, CorruptionRejectedWithLocation) {
+  const std::string good = component_text();
+  const std::size_t bits_pos = good.find("\nbits ");
+  ASSERT_NE(bits_pos, std::string::npos);
+
+  std::string flipped = good;
+  flipped[bits_pos + 6] = flipped[bits_pos + 6] == '0' ? '1' : '0';
+  expect_component_load_fails_with(flipped, "masks_checksum mismatch");
+  expect_component_load_fails_with(good.substr(0, bits_pos + 8), "masks");
+
+  std::string forged = good;
+  const std::size_t states = forged.find("states ", forged.find("RELM_MASKS"));
+  ASSERT_NE(states, std::string::npos);
+  forged.replace(states + 7, forged.find(' ', states + 7) - (states + 7),
+                 "99999999");
+  expect_component_load_fails_with(forged, "states");
+
+  // A bit-flip in the DFA payload: the last digit before the masks section.
+  std::string payload = good;
+  const std::size_t digit =
+      payload.find_last_of("0123456789", payload.find("RELM_MASKS"));
+  ASSERT_GT(digit, payload.find("RELM_DFA v1\n"));
+  payload[digit] = payload[digit] == '0' ? '1' : '0';
+  std::istringstream payload_in(payload);
+  EXPECT_THROW((void)core::pipeline::load_component(payload_in), relm::Error);
+
+  expect_component_load_fails_with("RELM_COMPONENT v2\nkey junk\n", "v1-v1");
+  expect_component_load_fails_with(v2_container_text(), "bad magic");
+  for (std::size_t cut : {std::size_t{10}, good.size() / 2, good.size() - 4}) {
+    std::istringstream in(good.substr(0, cut));
+    EXPECT_THROW((void)core::pipeline::load_component(in), relm::Error) << cut;
+  }
+}
+
+TEST(ComponentV1, RejectsIncoherentStrategyFlag) {
+  SimpleSearchQuery query =
+      make_query("(cat)|(dog)", TokenizationStrategy::kAllTokens);
+  auto artifact =
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+  core::pipeline::Component forged = *artifact.body;
+  forged.automaton.dynamic_canonical = true;  // checksum rewritten to match
+  std::ostringstream sink;
+  core::pipeline::save_component(forged, sink);
+  expect_component_load_fails_with(sink.str(), "dynamic_canonical");
 }
 
 // ---------------------------------------------------------------------------
@@ -818,6 +916,37 @@ TEST(FuzzCorpus, CorruptV2ArtifactsRejectedWithDiagnostics) {
   }
 }
 
+// The checked-in component seeds: the valid one loads, passes the audit and
+// equals a fresh compile of its query; the two corrupt ones are rejected by
+// both the loader and the fuzz entry point.
+TEST(FuzzCorpus, ComponentSeedsLoadOrRejectWithDiagnostics) {
+  const std::string dir = std::string(RELM_FUZZ_CORPUS_DIR) + "/";
+  BpeTokenizer tok = tiny_tokenizer();
+  core::pipeline::Component valid =
+      core::pipeline::load_component_file(dir + "component-v1-tiny.relmc");
+  analysis::InvariantReport report;
+  analysis::check_component(valid, &tok, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  auto fresh = core::pipeline::compile_query_artifact(tiny_fixture_query(), tok);
+  EXPECT_EQ(valid.vocab_fingerprint, tok.fingerprint());
+  EXPECT_EQ(valid.automaton.dfa, fresh.body->automaton.dfa);
+  EXPECT_EQ(valid.automaton.masks, fresh.body->automaton.masks);
+
+  for (const char* name : {"component-v1-tiny.relmc",
+                           "component-v1-truncated-masks.relmc",
+                           "component-v1-mask-bitflip.relmc"}) {
+    SCOPED_TRACE(name);
+    std::string text = slurp(dir + name);
+    ASSERT_FALSE(text.empty());
+    EXPECT_EQ(testing::fuzz_artifact_loader(
+                  reinterpret_cast<const std::uint8_t*>(text.data()),
+                  text.size()),
+              0);
+    if (std::string(name) == "component-v1-tiny.relmc") continue;
+    expect_component_load_fails_with(text, "masks");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Compile cache: a disk entry with a corrupted mask section falls back to
 // recompilation (counted), never crashes or serves wrong masks
@@ -837,9 +966,10 @@ TEST(ArtifactCache, CorruptMaskSectionFallsBackToRecompile) {
   ArtifactKey key;
   {
     ArtifactCache warm(config);
-    key = core::pipeline::compile_cached(query, fixture_tokenizer(), &warm)->key;
+    key = core::pipeline::compile_cached(query, fixture_tokenizer(), &warm)
+              ->body->key;
   }
-  const std::string path = dir.str() + "/" + key.hex() + ".relmq";
+  const std::string path = dir.str() + "/" + key.hex() + ".relmc";
   {
     std::string contents = slurp(path);
     std::size_t bits_pos = contents.find("\nbits ");
@@ -856,8 +986,13 @@ TEST(ArtifactCache, CorruptMaskSectionFallsBackToRecompile) {
 
   auto artifact = core::pipeline::compile_cached(query, fixture_tokenizer(), &cold);
   ASSERT_NE(artifact, nullptr);
-  EXPECT_EQ(core::masks_mismatch(artifact->body.dfa, artifact->body.masks),
+  EXPECT_EQ(cold.stats().misses, 1u);  // the body was recompiled
+  EXPECT_EQ(core::masks_mismatch(artifact->body->automaton.dfa,
+                                 artifact->body->automaton.masks),
             std::nullopt);
+  // The recompile overwrote the bad entry.
+  EXPECT_EQ(core::pipeline::load_component_file(path).automaton.masks,
+            artifact->body->automaton.masks);
 }
 
 // ---------------------------------------------------------------------------
@@ -868,8 +1003,7 @@ TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
   SimpleSearchQuery query = make_query("(cat)|(dog)",
                                        TokenizationStrategy::kCanonicalTokens);
   auto artifact =
-      core::pipeline::Pipeline::standard().run(query, fixture_tokenizer())
-          .artifact;
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
 
   {
     analysis::InvariantReport report;
@@ -878,17 +1012,40 @@ TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
   }
   {
     core::pipeline::QueryArtifact bad = artifact;
-    bad.body.masks.words[0] ^= 1;  // one flipped mask bit
+    auto body = std::make_shared<core::pipeline::Component>(*artifact.body);
+    body->automaton.masks.words[0] ^= 1;  // one flipped mask bit
+    bad.body = body;
     analysis::InvariantReport report;
     analysis::check_query_artifact(bad, nullptr, report);
     EXPECT_TRUE(report.has("artifact.token-masks")) << report.to_string();
+    analysis::InvariantReport component_report;
+    analysis::check_component(*body, nullptr, component_report);
+    EXPECT_TRUE(component_report.has("artifact.token-masks"))
+        << component_report.to_string();
   }
   {
-    core::pipeline::QueryArtifact bad = artifact;
-    bad.prefix.masks = core::TokenMaskTable{};  // half-present pair
+    // The mask budget applies per component, so a half-present pair is a
+    // legal artifact: executors need both tables, and take the probe path.
+    core::pipeline::QueryArtifact half = artifact;
+    auto prefix = std::make_shared<core::pipeline::Component>(*artifact.prefix);
+    prefix->automaton.masks = core::TokenMaskTable{};
+    half.prefix = prefix;
     analysis::InvariantReport report;
-    analysis::check_query_artifact(bad, nullptr, report);
-    EXPECT_TRUE(report.has("artifact.token-masks")) << report.to_string();
+    analysis::check_query_artifact(half, nullptr, report);
+    EXPECT_FALSE(report.has("artifact.token-masks")) << report.to_string();
+    CompiledQuery probe = CompiledQuery::from_artifact(
+        std::make_shared<const core::pipeline::QueryArtifact>(half),
+        fixture_tokenizer());
+    EXPECT_FALSE(probe.has_masks());
+    CompiledQuery masked = CompiledQuery::from_artifact(
+        std::make_shared<const core::pipeline::QueryArtifact>(artifact),
+        fixture_tokenizer());
+    ASSERT_TRUE(masked.has_masks());
+    core::ShortestPathSearch probe_search(*fixture_model(), probe, query);
+    core::ShortestPathSearch masked_search(*fixture_model(), masked, query);
+    auto masked_results = masked_search.all();
+    ASSERT_FALSE(masked_results.empty());
+    expect_same_results(probe_search.all(), masked_results);
   }
 }
 
