@@ -171,7 +171,7 @@ class CompiledQuery {
   // only a boundary doomed max_token_length bytes back is dropped here —
   // the cut of the older distance rule, which beam's width cut and the
   // streams' weighted draw still see. Shortest path drops flagged steps
-  // itself.
+  // itself, and a generate stream retires when its draw picks one.
   struct StepOutput {
     std::vector<Step> steps;
     std::vector<CanonState> canon;

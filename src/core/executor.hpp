@@ -238,7 +238,9 @@ class ShortestPathSearch {
 class RandomSampler {
  public:
   // Each attempt runs one generate::GenStream to retirement on this
-  // sampler's RNG, which carries over from one attempt to the next.
+  // sampler's RNG, which carries over from one attempt to the next. An
+  // attempt ends on the draw that dooms its body's canonicality, so on a
+  // dynamic-canonical query it makes no draws past that point.
   RandomSampler(const model::LanguageModel& model, const CompiledQuery& compiled,
                 const SimpleSearchQuery& query, std::uint64_t seed);
 

@@ -160,6 +160,13 @@ void GenStream::advance(const model::LanguageModel::Row& row,
     accept(stats);
     return;
   }
+  if (out.canon[pick].doomed()) {
+    // No continuation can make this body canonical, so accept()'s gate
+    // would reject it: retire now instead of paying a model row per token.
+    ++stats.pruned_non_canonical;
+    dead_end(stats);
+    return;
+  }
 
   const TokenId t = steps[pick].token;
   body_log_prob_ += lp[t];
@@ -181,8 +188,7 @@ void GenStream::accept(GenerateStats& stats) {
   }
   std::span<const TokenId> prefix(context_.data(), prefix_len_);
   std::string text = compiled_->tokenizer().decode(prefix) + body_text_;
-  result_ = SearchResult{context_, std::move(text), body_log_prob_,
-                         stats.llm_calls, stats.elapsed_seconds};
+  result_ = SearchResult{context_, std::move(text), body_log_prob_, 0, 0.0};
   state_ = StreamState::kDone;
   ++stats.streams_retired;
   ++stats.streams_done;

@@ -28,7 +28,8 @@ enum class StreamState {
   kRunning,    // live cursor; steps every tick
   kSuspended,  // frozen mid-generation; resume() re-enters at the next tick
   kDone,       // accepted: result() holds the emitted sample
-  kDeadEnd,    // the attempt dead-ended (no admissible continuation)
+  kDeadEnd,    // no admissible continuation, or the body drew a step that
+               // can never be canonical (§3.2)
   kCancelled,  // retired by the caller; no result
 };
 
@@ -92,11 +93,19 @@ class GenStream {
   const StreamSpec& spec() const { return spec_; }
   // The accepted sample; engaged exactly when state() == kDone. Fields mirror
   // RandomSampler's results (log_prob covers the body given the prefix), so
-  // testing::Oracle::check_samples validates them unchanged.
+  // testing::Oracle::check_samples validates them unchanged. The emission
+  // stamps read 0 until whoever runs the stream sets them with
+  // stamp_emission().
   const std::optional<SearchResult>& result() const { return result_; }
+  void stamp_emission(std::size_t llm_calls, double seconds) {
+    if (!result_) return;
+    result_->llm_calls_at_emission = llm_calls;
+    result_->seconds_at_emission = seconds;
+  }
   std::size_t body_len() const { return body_tokens_.size(); }
   // The stream's RNG as it stands after the draws made so far; RandomSampler
-  // carries it into its next attempt.
+  // carries it into its next attempt. A stream that retires on a doomed draw
+  // makes no further draws.
   const util::Pcg32& rng() const { return rng_; }
 
   // --- engine driver interface (one call sequence per tick) ---------------
@@ -122,7 +131,9 @@ class GenStream {
   // One body step given this context's model row: CompiledQuery::decode_step
   // applies the row's decoding mask, the automaton and canonicality;
   // renormalize over the survivors plus EOS-as-stop at final states, and draw
-  // with the stream's own RNG.
+  // with the stream's own RNG. The draw still sees steps decode_step flagged
+  // doomed; drawing one retires the stream kDeadEnd at once, since the final
+  // canonicality gate would reject every sample below it.
   void advance(const model::LanguageModel::Row& row, GenerateStats& stats);
 
   // Cursor control. Suspend freezes the stream mid-generation (its RNG and

@@ -118,29 +118,12 @@ bool GenerateEngine::tick() {
     return false;
   }
 
-  ++stats_.ticks;
-  metrics.ticks.add(1);
-  metrics.tick_occupancy.observe(static_cast<double>(runnable_.size()));
-
-  // Phase 1: resolve steps that need no distribution (budget retirement,
-  // free stops) and collect the rest for the batch.
+  // Phase 1: split the runnable streams into steps that need a distribution
+  // and steps resolved without one (budget retirement, free stops).
   needs_eval_.clear();
+  no_model_.clear();
   for (StreamId id : runnable_) {
-    GenStream& s = streams_[id];
-    if (s.needs_model()) {
-      needs_eval_.push_back(id);
-    } else {
-      const std::size_t dead_before = stats_.streams_dead_end;
-      s.advance_no_model(stats_);
-      metrics.streams_retired.add(1);
-      if (stats_.streams_dead_end != dead_before) {
-        metrics.streams_dead_end.add(1);
-      }
-    }
-  }
-  if (needs_eval_.empty()) {
-    stats_.elapsed_seconds = timer_.seconds();
-    return true;
+    (streams_[id].needs_model() ? needs_eval_ : no_model_).push_back(id);
   }
 
   // Phase 2: context dedup through the relevant suffix — the same key the
@@ -152,6 +135,7 @@ bool GenerateEngine::tick() {
   unique_contexts_.clear();
   slot_of_stream_.clear();
   slot_of_stream_.reserve(needs_eval_.size());
+  std::size_t dedup_hits = 0;
   for (StreamId id : needs_eval_) {
     std::span<const TokenId> ctx = streams_[id].context();
     std::size_t slot = unique_contexts_.size();
@@ -166,8 +150,7 @@ bool GenerateEngine::tick() {
     if (slot == unique_contexts_.size()) {
       unique_contexts_.emplace_back(ctx.begin(), ctx.end());
     } else {
-      ++stats_.batch_dedup_hits;
-      metrics.batch_dedup_hits.add(1);
+      ++dedup_hits;
     }
     slot_of_stream_.push_back(slot);
   }
@@ -175,11 +158,30 @@ bool GenerateEngine::tick() {
   // Phase 3: ONE row call for the whole tick. The model builds the unique
   // contexts' distributions and rule masks across the shared ThreadPool;
   // slot i depends on unique_contexts_[i] alone, whatever the thread count.
-  const std::vector<model::LanguageModel::Row> rows =
-      model_.next_rows(unique_contexts_, query_.decoding);
+  // Nothing above changed a stream or a counter, so a tick whose model call
+  // throws is undone: a retry replays it byte-identically and counts it once.
+  std::vector<model::LanguageModel::Row> rows;
+  if (!unique_contexts_.empty()) {
+    rows = model_.next_rows(unique_contexts_, query_.decoding);
+  }
+  ++stats_.ticks;
+  metrics.ticks.add(1);
+  metrics.tick_occupancy.observe(static_cast<double>(runnable_.size()));
+  stats_.batch_dedup_hits += dedup_hits;
+  metrics.batch_dedup_hits.add(dedup_hits);
   stats_.llm_calls += unique_contexts_.size();
   metrics.llm_calls.add(unique_contexts_.size());
   for (const model::LanguageModel::Row& row : rows) count_mask(row, stats_);
+
+  // The steps set aside in phase 1 resolve now that the tick cannot fail.
+  for (StreamId id : no_model_) {
+    const std::size_t dead_before = stats_.streams_dead_end;
+    streams_[id].advance_no_model(stats_);
+    metrics.streams_retired.add(1);
+    if (stats_.streams_dead_end != dead_before) {
+      metrics.streams_dead_end.add(1);
+    }
+  }
 
   // Phase 4: per-stream mask-and-scan + sample, fanned across the pool. Each
   // step is a pure function of its own stream's cursor, its own RNG, and its
@@ -203,7 +205,12 @@ bool GenerateEngine::tick() {
     metrics.streams_dead_end.add(step.streams_dead_end);
   }
 
+  // Every sample accepted this tick, however its stream stopped, carries the
+  // engine's totals at the tick's end.
   stats_.elapsed_seconds = timer_.seconds();
+  for (StreamId id : runnable_) {
+    streams_[id].stamp_emission(stats_.llm_calls, stats_.elapsed_seconds);
+  }
   return true;
 }
 

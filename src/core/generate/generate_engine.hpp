@@ -15,7 +15,7 @@ namespace relm::core::generate {
 // with a step scheduler. Every tick it
 //
 //   1. admits pending streams (late joiners entered since the last tick),
-//   2. gathers all runnable streams and resolves the steps that need no
+//   2. gathers all runnable streams and sets aside the steps that need no
 //      model call (budget retirement, free stops),
 //   3. deduplicates the remaining streams' model contexts through their
 //      relevant suffixes (the same key the suffix-keyed logit cache uses),
@@ -23,9 +23,15 @@ namespace relm::core::generate {
 //      the query's decoding rules — the model builds the rows (distribution
 //      plus rule mask) across util::ThreadPool::shared(), and a logit cache
 //      serves repeats of both —
-//   5. and applies each row's rule mask and the stream's automaton mask and
+//   5. resolves the steps set aside in 2,
+//   6. and applies each row's rule mask and the stream's automaton mask and
 //      samples its next token with the stream's own RNG, retiring streams
-//      on EOS/budget.
+//      on EOS/budget or on a draw that dooms the body's canonicality.
+//
+// Ticks are atomic: after admission (done once per stream, so a retry does
+// not repeat it) no stream or counter changes before next_rows returns. When
+// the model throws, tick() rethrows with the tick undone, and a retry is
+// byte-identical to a run that never failed, counters included.
 //
 // Determinism invariant (Configuration H of the differential harness, and
 // tests/test_generate.cpp): every stream's emitted token sequence is
@@ -73,7 +79,8 @@ class GenerateEngine {
 
   StreamState state(StreamId id) const { return at(id).state(); }
   // The accepted sample of a kDone stream (Oracle::check_samples-compatible;
-  // see GenStream::result).
+  // see GenStream::result). Its llm_calls_at_emission and seconds_at_emission
+  // are the engine's totals at the end of the tick the stream retired in.
   const std::optional<SearchResult>& result(StreamId id) const {
     return at(id).result();
   }
@@ -106,6 +113,7 @@ class GenerateEngine {
   // Per-tick scratch, reused across ticks.
   std::vector<StreamId> runnable_;
   std::vector<StreamId> needs_eval_;
+  std::vector<StreamId> no_model_;
   std::vector<std::vector<tokenizer::TokenId>> unique_contexts_;
   std::vector<std::size_t> slot_of_stream_;
   std::vector<GenerateStats> step_stats_;

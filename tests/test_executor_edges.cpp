@@ -17,6 +17,7 @@
 
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
+#include "core/generate/generate_engine.hpp"
 #include "model/ngram_model.hpp"
 #include "testing/differential.hpp"
 #include "testing/generators.hpp"
@@ -565,7 +566,8 @@ TEST(ExecutorEdges, SpeculativeWasteCountsEvalsBeyondLastEmission) {
 // Skewed n-gram model under top-k 3 over an infinite canonical language, on
 // a vocabulary with 3-byte tokens: a body like [a, b] is doomed (the longer
 // "ab" is visible at its first boundary) well before max_token_length more
-// bytes arrive, so shortest path drops it while beam and streams keep it.
+// bytes arrive, so shortest path drops it and a stream retires on drawing
+// it, while beam keeps it.
 Fixture settlement_fixture() {
   std::vector<std::string> vocab{"", "a", "b", "c", "ab", "bc", "abc", "bca"};
   auto tok = std::make_shared<tokenizer::BpeTokenizer>(
@@ -724,6 +726,63 @@ TEST(ExecutorEdges, ShortestPathNeverEvaluatesDoomedBodies) {
   const CompiledQuery probed = testing::without_masks(f.compiled);
   ShortestPathSearch plain(*f.model, probed, query);
   expect_exact_match(results, plain.all());
+}
+
+// Streams draw among flagged steps but retire on drawing one, so neither a
+// GenerateEngine (at any thread count) nor RandomSampler scores a doomed
+// body: every context the model sees still has a canonical continuation.
+// Retiring early changes no engine stream's output: each matches its solo
+// run.
+TEST(ExecutorEdges, StreamsNeverEvaluateDoomedBodies) {
+  const Fixture f = settlement_fixture();
+  constexpr std::size_t kStreams = 64;
+  constexpr std::uint64_t kSeed = 7;
+  auto expect_no_doomed_context = [&](const RecordingModel& model,
+                                      std::size_t llm_calls) {
+    const std::vector<std::vector<TokenId>> contexts = model.contexts();
+    ASSERT_EQ(contexts.size(), llm_calls);
+    for (const std::vector<TokenId>& context : contexts) {
+      const std::string text = f.tok->decode(context);
+      EXPECT_TRUE(testing::canonical_continuation_exists(
+          *f.tok, context, text, "abc", f.tok->max_token_length() + 1))
+          << "evaluated a doomed body: " << text;
+    }
+  };
+
+  const std::size_t restore = util::ThreadPool::shared().threads();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    util::ThreadPool::set_shared_threads(threads);
+    RecordingModel model(*f.model);
+    generate::GenerateEngine engine(model, f.compiled, f.query, kSeed);
+    for (std::size_t i = 0; i < kStreams; ++i) engine.add_stream();
+    engine.run();
+    EXPECT_GT(engine.stats().pruned_non_canonical, 0u);
+    expect_no_doomed_context(model, engine.stats().llm_calls);
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      generate::GenerateEngine solo(*f.model, f.compiled, f.query, kSeed);
+      generate::StreamSpec spec;
+      spec.rng_stream = i;
+      const generate::GenerateEngine::StreamId id = solo.add_stream(spec);
+      solo.run();
+      ASSERT_EQ(engine.state(i), solo.state(id)) << "stream " << i;
+      if (const auto& want = solo.result(id)) {
+        expect_exact_match({*engine.result(i)}, {*want});
+      }
+    }
+  }
+  util::ThreadPool::set_shared_threads(restore);
+
+  SimpleSearchQuery query = f.query;
+  query.num_samples = kStreams;
+  RecordingModel model(*f.model);
+  RandomSampler sampler(model, f.compiled, query, kSeed);
+  const std::vector<SearchResult> samples = sampler.sample_all();
+  EXPECT_FALSE(samples.empty());
+  EXPECT_EQ(testing::check_samples(*f.model, f.compiled, query, samples, 1e-9),
+            std::nullopt);
+  EXPECT_GT(sampler.stats().pruned_non_canonical, 0u);
+  expect_no_doomed_context(model, sampler.stats().llm_calls);
 }
 
 // A flagged step whose prefix is still live is kept: a later prefix-only

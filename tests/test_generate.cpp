@@ -1,12 +1,14 @@
 // Properties of the batched multi-stream generation engine
 // (src/core/generate/): per-stream RNG isolation, batched-vs-solo
 // equivalence across thread counts, suspend/resume and late-join
-// equivalence, EOS/budget retirement edges, and oracle-checked conditional
-// probabilities of the emitted samples. Plus the StreamRng regression pin:
+// equivalence, EOS/budget retirement edges, emission stamps, atomic ticks
+// under a throwing model, and oracle-checked conditional probabilities of
+// the emitted samples. Plus the StreamRng regression pin:
 // stream 0 must reproduce the bare Pcg32 sequence the sampler has always
 // used, bit for bit.
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -23,6 +25,7 @@
 #include "testing/generators.hpp"
 #include "testing/oracle.hpp"
 #include "tokenizer/bpe.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -204,9 +207,10 @@ Fixture settlement_fixture() {
 TEST(GenerateEngine, SingleStreamMatchesSamplerAttemptByteForByte) {
   // The digests over seeds 0-23 were recorded while the sampler still ran
   // its own body loop, so they pin both draw sequences to that reference.
-  // The settlement case was recorded before exact canonical settlement:
-  // streams still draw from doomed bodies, as under the max_token_length
-  // distance rule.
+  // The settlement case was recorded before exact canonical settlement,
+  // when a doomed body ran on until the final gate. Streams now retire on
+  // the doomed draw, which keeps every first attempt's state and sample;
+  // only a sampler's later attempts, which inherit fewer draws, can move.
   struct Case {
     Fixture f;
     std::uint64_t digest;
@@ -369,6 +373,119 @@ TEST(GenerateEngine, EosRetirementEmitsOnlyLanguageStrings) {
   EXPECT_GT(done, 0u);
   EXPECT_EQ(engine.live_streams(), 0u);
   EXPECT_EQ(engine.stats().streams_retired, engine.num_streams());
+}
+
+// A sample carries the engine's totals at the end of the tick its stream
+// retired in, whether it stopped on an EOS draw or for free (a final state
+// with no way on).
+TEST(GenerateEngine, StampsEmissionWithTheRetiringTicksTotals) {
+  Fixture f = uniform_fixture({"", "a", "b"}, "(a|b){1,4}");
+  GenerateEngine engine(*f.model, f.compiled, f.query, 5);
+  constexpr std::size_t kStreams = 8;
+  for (std::size_t i = 0; i < kStreams; ++i) engine.add_stream();
+  std::vector<bool> stamped(kStreams, false);
+  std::size_t eos_stops = 0;
+  std::size_t free_stops = 0;
+  while (engine.tick()) {
+    for (GenerateEngine::StreamId id = 0; id < kStreams; ++id) {
+      if (engine.state(id) != StreamState::kDone || stamped[id]) continue;
+      stamped[id] = true;
+      const SearchResult& r = *engine.result(id);
+      EXPECT_EQ(r.llm_calls_at_emission, engine.stats().llm_calls)
+          << "stream " << id;
+      EXPECT_EQ(r.seconds_at_emission, engine.stats().elapsed_seconds)
+          << "stream " << id;
+      EXPECT_GT(r.seconds_at_emission, 0.0) << "stream " << id;
+      ++(engine.body_len(id) == 4 ? free_stops : eos_stops);
+    }
+  }
+  EXPECT_GT(eos_stops, 0u);
+  EXPECT_GT(free_stops, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Atomic ticks: a tick whose model call throws is undone.
+
+// Wraps a model; its `throw_at`-th evaluation (counted across pool threads)
+// throws, every other one is the inner model's. throw_at 0 never throws.
+class ThrowOnceModel : public model::LanguageModel {
+ public:
+  ThrowOnceModel(const model::LanguageModel& inner, std::size_t throw_at)
+      : inner_(inner), throw_at_(throw_at) {}
+  std::size_t vocab_size() const override { return inner_.vocab_size(); }
+  TokenId eos() const override { return inner_.eos(); }
+  std::size_t max_sequence_length() const override {
+    return inner_.max_sequence_length();
+  }
+  std::size_t relevant_context_length() const override {
+    return inner_.relevant_context_length();
+  }
+  std::vector<double> next_log_probs(
+      std::span<const TokenId> context) const override {
+    if (++calls_ == throw_at_) throw relm::Error("injected model failure");
+    return inner_.next_log_probs(context);
+  }
+
+ private:
+  const model::LanguageModel& inner_;
+  std::size_t throw_at_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+// Every GenerateStats counter (all but elapsed_seconds).
+std::vector<std::size_t> counters(const GenerateStats& s) {
+  return {s.ticks, s.llm_calls, s.batch_dedup_hits, s.mask_memo_hits,
+          s.mask_memo_misses, s.tokens_emitted, s.streams_retired,
+          s.streams_done, s.streams_dead_end, s.streams_cancelled,
+          s.pruned_by_rules, s.pruned_non_canonical, s.mask_words_scanned,
+          s.mask_pruned};
+}
+
+// Retrying after a throwing tick gives the clean run's outputs and every
+// one of its counters, at any thread count.
+TEST(GenerateEngine, ThrowingTickRetriesByteIdentical) {
+  const Fixture f = settlement_fixture();
+  constexpr std::size_t kStreams = 16;
+  struct Run {
+    std::vector<StreamOutput> outputs;
+    GenerateStats stats;
+    std::size_t throws = 0;
+  };
+  auto run = [&](std::size_t throw_at) {
+    ThrowOnceModel model(*f.model, throw_at);
+    GenerateEngine engine(model, f.compiled, f.query, /*master_seed=*/3);
+    for (std::size_t i = 0; i < kStreams; ++i) engine.add_stream();
+    Run r;
+    for (;;) {
+      try {
+        if (!engine.tick()) break;
+      } catch (const relm::Error&) {
+        ++r.throws;
+      }
+    }
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      r.outputs.push_back(snapshot(engine, i));
+    }
+    r.stats = engine.stats();
+    return r;
+  };
+
+  const std::size_t restore = util::ThreadPool::shared().threads();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    util::ThreadPool::set_shared_threads(threads);
+    const Run clean = run(0);
+    ASSERT_EQ(clean.throws, 0u);
+    for (std::size_t throw_at :
+         {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " throw at " +
+                   std::to_string(throw_at));
+      const Run retried = run(throw_at);
+      EXPECT_EQ(retried.throws, 1u);
+      EXPECT_EQ(retried.outputs, clean.outputs);
+      EXPECT_EQ(counters(retried.stats), counters(clean.stats));
+    }
+  }
+  util::ThreadPool::set_shared_threads(restore);
 }
 
 // ---------------------------------------------------------------------------
