@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <mutex>
+#include <set>
 
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
@@ -34,6 +35,8 @@ const experiments::World& world() {
   return w;
 }
 
+// One context evaluated over and over: its rows stay in L1, so this prices
+// a row's arithmetic alone.
 void BM_NgramNextLogProbs(benchmark::State& state) {
   auto ctx = world().tokenizer->encode("The man was trained in computer");
   for (auto _ : state) {
@@ -41,6 +44,34 @@ void BM_NgramNextLogProbs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NgramNextLogProbs);
+
+// 2,048 fixed distinct contexts, the full-window suffixes of the corpus'
+// first documents, evaluated in turn: the rows come from all over the
+// tables, as in a search.
+void BM_NgramNextLogProbsSpread(benchmark::State& state) {
+  static const std::vector<std::vector<tokenizer::TokenId>> contexts = [] {
+    const std::size_t window = world().xl->relevant_context_length();
+    std::set<std::vector<tokenizer::TokenId>> seen;
+    std::vector<std::vector<tokenizer::TokenId>> out;
+    for (const std::string& doc : world().corpus.documents) {
+      const auto tokens = world().tokenizer->encode(doc);
+      for (std::size_t end = window; end <= tokens.size() && out.size() < 2048; ++end) {
+        std::vector<tokenizer::TokenId> ctx(tokens.begin() + (end - window),
+                                            tokens.begin() + end);
+        if (seen.insert(ctx).second) out.push_back(std::move(ctx));
+      }
+      if (out.size() == 2048) break;
+    }
+    return out;
+  }();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(world().xl->next_log_probs(contexts[i]));
+    i = (i + 1) % contexts.size();
+  }
+  state.counters["contexts"] = static_cast<double>(contexts.size());
+}
+BENCHMARK(BM_NgramNextLogProbsSpread);
 
 void BM_CachedNextLogProbs(benchmark::State& state) {
   model::CachingModel cached(world().xl);

@@ -371,13 +371,13 @@ void check_ngram_model(const model::NgramModel& model, InvariantReport& report,
   model.visit_context_rows([&](const model::NgramModel::ContextRowView& row) {
     std::string where = name + " order-" + std::to_string(row.order_k) +
                         " row " + std::to_string(row.key);
-    if (row.counts->empty() || row.total == 0) {
+    if (row.counts.empty() || row.total == 0) {
       report.fail("ngram.row-empty",
                   where + " is stored but has no continuations");
       return;
     }
     std::uint64_t sum = 0;
-    for (const auto& [token, count] : *row.counts) {
+    for (const auto& [token, count] : row.counts) {
       if (token >= model.vocab_size()) {
         tokens_in_range = false;
         report.fail("ngram.token-range",
@@ -402,9 +402,9 @@ void check_ngram_model(const model::NgramModel& model, InvariantReport& report,
     }
   });
 
-  // Evaluating a table that references out-of-vocabulary tokens is undefined:
-  // next_log_probs scatters counts by token id into a vocab_size_-long buffer.
-  // The structural violation is already reported; don't compound it.
+  // A table that references out-of-vocabulary tokens has no distribution
+  // (next_log_probs throws on it). The structural violation is already
+  // reported; don't compound it.
   if (tokens_in_range) {
     check_model_distributions(model, report, options, name);
   }

@@ -1,11 +1,15 @@
 #include "model/ngram_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <list>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "model/decoding.hpp"
 #include "obs/metrics.hpp"
@@ -13,6 +17,75 @@
 #include "util/sync.hpp"
 
 namespace relm::model {
+
+namespace {
+
+// MurmurHash3's fmix64 finalizer: full avalanche, so any bit range of the
+// result is usable as a table index.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
+
+// Counts the (context key, token) observations of one context length in an
+// open-addressing table: linear probing, at most half full.
+class PairCounter {
+ public:
+  struct Entry {
+    std::uint64_t key;
+    TokenId token;
+    std::uint32_t count;  // 0 marks an empty slot
+  };
+
+  void add(std::uint64_t key, TokenId token) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    Entry& slot = probe(slots_, key, token);
+    if (slot.count == 0) {
+      slot.key = key;
+      slot.token = token;
+      ++used_;
+    }
+    ++slot.count;
+  }
+
+  // The counted entries in (key, token) order; leaves the counter empty.
+  std::vector<Entry> take_sorted() {
+    std::vector<Entry> entries = std::exchange(slots_, {});
+    used_ = 0;
+    std::erase_if(entries, [](const Entry& e) { return e.count == 0; });
+    std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+      return a.key != b.key ? a.key < b.key : a.token < b.token;
+    });
+    return entries;
+  }
+
+ private:
+  static Entry& probe(std::vector<Entry>& slots, std::uint64_t key, TokenId token) {
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t s = mix64(key + token * 0x9e3779b97f4a7c15ULL) & mask;;
+         s = (s + 1) & mask) {
+      Entry& slot = slots[s];
+      if (slot.count == 0 || (slot.key == key && slot.token == token)) return slot;
+    }
+  }
+
+  void grow() {
+    std::vector<Entry> old = std::exchange(
+        slots_, std::vector<Entry>(std::max<std::size_t>(1024, 2 * slots_.size())));
+    for (const Entry& e : old) {
+      if (e.count != 0) probe(slots_, e.key, e.token) = e;
+    }
+  }
+
+  std::vector<Entry> slots_;
+  std::size_t used_ = 0;
+};
+
+}  // namespace
 
 std::uint64_t NgramModel::context_key(std::span<const TokenId> ctx) {
   // 64-bit keys over short contexts make collisions (which would silently
@@ -51,37 +124,98 @@ std::shared_ptr<NgramModel> NgramModel::train_on_tokens(
   model->eos_ = eos;
   model->tables_.resize(config.order);
 
+  // EOS acts as both document start and end marker: the empty context plus
+  // EOS-delimited boundaries give the model document-initial statistics.
+  // Document d occupies stream[starts[d], starts[d + 1]).
+  std::vector<TokenId> stream;
+  std::vector<std::size_t> starts;
   for (const auto& seq : sequences) {
-    // EOS acts as both document start and end marker: the empty context plus
-    // EOS-delimited boundaries give the model document-initial statistics.
-    std::vector<TokenId> wrapped;
-    wrapped.reserve(seq.size() + 2);
-    wrapped.push_back(eos);
-    wrapped.insert(wrapped.end(), seq.begin(), seq.end());
-    wrapped.push_back(eos);
-    model->count_sequence(wrapped);
+    starts.push_back(stream.size());
+    stream.push_back(eos);
+    stream.insert(stream.end(), seq.begin(), seq.end());
+    stream.push_back(eos);
   }
+  starts.push_back(stream.size());
+
+  // Position i of a document predicts its token from the k tokens before
+  // it, for every context length k < order; position 0 (the leading EOS) is
+  // context only. One context length at a time, so one counter is alive.
+  for (std::size_t k = 0; k < config.order; ++k) {
+    PairCounter counter;
+    for (std::size_t d = 0; d + 1 < starts.size(); ++d) {
+      for (std::size_t i = starts[d] + std::max<std::size_t>(k, 1);
+           i < starts[d + 1]; ++i) {
+        counter.add(context_key({stream.data() + i - k, k}), stream[i]);
+      }
+    }
+    Table& table = model->tables_[k];
+    for (const PairCounter::Entry& e : counter.take_sorted()) {
+      if (table.rows.empty() || table.rows.back().key != e.key) {
+        table.rows.push_back(ContextRow{
+            e.key, 0, 0.0, 0.0,
+            static_cast<std::uint32_t>(table.continuations.size()), 0});
+      }
+      ContextRow& row = table.rows.back();
+      row.total += e.count;
+      ++row.size;
+      table.continuations.push_back(Continuation{e.token, e.count});
+    }
+  }
+  model->finish();
   return model;
 }
 
-void NgramModel::count_sequence(const std::vector<TokenId>& seq) {
-  // Position i predicts seq[i] from the k tokens before it, for every
-  // context length k < order. Position 0 (the leading EOS) is context only.
-  for (std::size_t i = 1; i < seq.size(); ++i) {
-    for (std::size_t k = 0; k < tables_.size(); ++k) {
-      if (k > i) break;
-      std::span<const TokenId> ctx(seq.data() + (i - k), k);
-      ContextStats& stats = tables_[k][context_key(ctx)];
-      ++stats.counts[seq[i]];
-      ++stats.total;
+void NgramModel::finish() {
+  for (Table& table : tables_) {
+    for (ContextRow& row : table.rows) {
+      // Witten-Bell-flavored interpolation weight: contexts with many
+      // distinct continuations lean more on the backoff distribution.
+      const double fanout = static_cast<double>(row.size);
+      row.lambda = config_.alpha * fanout /
+                   (static_cast<double>(row.total) + config_.alpha * fanout);
+      row.scale = (1.0 - row.lambda) / static_cast<double>(row.total);
     }
+    for (const Continuation& c : table.continuations) {
+      if (c.token >= vocab_size_) out_of_vocabulary_ = true;
+    }
+    table.slots.assign(std::bit_ceil(std::max<std::size_t>(2, 2 * table.rows.size())), 0);
+    const std::size_t mask = table.slots.size() - 1;
+    for (std::size_t r = 0; r < table.rows.size(); ++r) {
+      std::size_t s = mix64(table.rows[r].key) & mask;
+      while (table.slots[s] != 0) s = (s + 1) & mask;
+      table.slots[s] = static_cast<std::uint32_t>(r + 1);
+    }
+  }
+  // Start from uniform and interpolate the empty context's row, once. A
+  // model with out-of-vocabulary rows never evaluates, so it keeps uniform.
+  base_.assign(vocab_size_, 1.0 / static_cast<double>(vocab_size_));
+  const ContextRow* row = tables_[0].find(context_key({}));
+  if (row && !out_of_vocabulary_) tables_[0].interpolate(*row, base_);
+}
+
+const NgramModel::ContextRow* NgramModel::Table::find(std::uint64_t key) const {
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t s = mix64(key) & mask;; s = (s + 1) & mask) {
+    const std::uint32_t r = slots[s];
+    if (r == 0) return nullptr;
+    if (rows[r - 1].key == key) return &rows[r - 1];
+  }
+}
+
+void NgramModel::Table::interpolate(const ContextRow& row,
+                                    std::span<double> probs) const {
+  for (double& p : probs) p *= row.lambda;
+  for (const Continuation& c : run(row)) {
+    probs[c.token] += row.scale * static_cast<double>(c.count);
   }
 }
 
 std::vector<double> NgramModel::next_log_probs(std::span<const TokenId> context) const {
-  const std::size_t V = vocab_size_;
-  // Start from uniform and interpolate upward through the orders.
-  std::vector<double> probs(V, 1.0 / static_cast<double>(V));
+  if (out_of_vocabulary_) {
+    throw relm::Error("n-gram model counts tokens outside its vocabulary of " +
+                      std::to_string(vocab_size_));
+  }
+  std::vector<double> probs = base_;
 
   // Generation is document-anchored: a context shorter than the window is
   // implicitly preceded by the document boundary (GPT-2's <|endoftext|>),
@@ -95,28 +229,15 @@ std::vector<double> NgramModel::next_log_probs(std::span<const TokenId> context)
   }
 
   const std::size_t max_k = std::min(context.size(), tables_.size() - 1);
-  for (std::size_t k = 0; k <= max_k; ++k) {
-    std::span<const TokenId> ctx = context.subspan(context.size() - k, k);
-    auto it = tables_[k].find(context_key(ctx));
-    if (it == tables_[k].end()) continue;  // unseen context: keep backoff
-    const ContextStats& stats = it->second;
-    // Witten-Bell-flavored interpolation weight: contexts with many distinct
-    // continuations lean more on the backoff distribution.
-    const double fanout = static_cast<double>(stats.counts.size());
-    const double lambda = config_.alpha * fanout /
-                          (static_cast<double>(stats.total) + config_.alpha * fanout);
-    for (double& p : probs) p *= lambda;
-    const double scale = (1.0 - lambda) / static_cast<double>(stats.total);
-    for (const auto& [token, count] : stats.counts) {
-      probs[token] += scale * static_cast<double>(count);
+  for (std::size_t k = 1; k <= max_k; ++k) {
+    const Table& table = tables_[k];
+    // An unseen context keeps the backoff distribution.
+    if (const ContextRow* row = table.find(context_key(context.last(k)))) {
+      table.interpolate(*row, probs);
     }
   }
-
-  std::vector<double> log_probs(V);
-  for (std::size_t t = 0; t < V; ++t) {
-    log_probs[t] = std::log(probs[t]);
-  }
-  return log_probs;
+  for (double& p : probs) p = std::log(p);
+  return probs;
 }
 
 void NgramModel::save(std::ostream& out) const {
@@ -125,12 +246,13 @@ void NgramModel::save(std::ostream& out) const {
       << config_.max_sequence_length << ' ' << vocab_size_ << ' ' << eos_
       << '\n';
   for (std::size_t k = 0; k < tables_.size(); ++k) {
-    out << "table " << k << ' ' << tables_[k].size() << '\n';
-    for (const auto& [key, stats] : tables_[k]) {
-      out << std::hex << key << std::dec << ' ' << stats.total << ' '
-          << stats.counts.size();
-      for (const auto& [token, count] : stats.counts) {
-        out << ' ' << token << ' ' << count;
+    const Table& table = tables_[k];
+    out << "table " << k << ' ' << table.rows.size() << '\n';
+    for (const ContextRow& row : table.rows) {
+      out << std::hex << row.key << std::dec << ' ' << row.total << ' '
+          << row.size;
+      for (const Continuation& c : table.run(row)) {
+        out << ' ' << c.token << ' ' << c.count;
       }
       out << '\n';
     }
@@ -157,22 +279,54 @@ std::shared_ptr<NgramModel> NgramModel::load(std::istream& in) {
     if (!in || tag != "table" || index != k) {
       throw relm::Error("model file: corrupt table header");
     }
-    model->tables_[k].reserve(contexts);
-    for (std::size_t i = 0; i < contexts; ++i) {
-      std::uint64_t key = 0;
-      ContextStats stats;
+    // Rows as stored, their continuations appended to one array.
+    std::vector<ContextRow> rows;
+    std::vector<Continuation> stored;
+    for (std::size_t i = 0; i < contexts && in; ++i) {
+      ContextRow row{};
       std::size_t entries = 0;
-      in >> std::hex >> key >> std::dec >> stats.total >> entries;
-      for (std::size_t e = 0; e < entries; ++e) {
-        TokenId token = 0;
-        std::uint32_t count = 0;
-        in >> token >> count;
-        stats.counts.emplace(token, count);
+      in >> std::hex >> row.key >> std::dec >> row.total >> entries;
+      row.begin = static_cast<std::uint32_t>(stored.size());
+      for (std::size_t e = 0; e < entries && in; ++e) {
+        Continuation c{};
+        in >> c.token >> c.count;
+        stored.push_back(c);
       }
-      if (!in) throw relm::Error("model file: truncated");
-      model->tables_[k].emplace(key, std::move(stats));
+      // Row spans are 32-bit offsets into the table's continuations.
+      if (stored.size() > std::numeric_limits<std::uint32_t>::max()) {
+        throw relm::Error("model file: table too large");
+      }
+      row.size = static_cast<std::uint32_t>(stored.size() - row.begin);
+      rows.push_back(row);
+    }
+    if (!in) throw relm::Error("model file: truncated");
+
+    // Canonical layout whatever the file's order: rows by key, each run by
+    // token. A repeated key or token keeps its first occurrence.
+    std::stable_sort(rows.begin(), rows.end(),
+                     [](const ContextRow& a, const ContextRow& b) { return a.key < b.key; });
+    rows.erase(std::unique(rows.begin(), rows.end(),
+                           [](const ContextRow& a, const ContextRow& b) {
+                             return a.key == b.key;
+                           }),
+               rows.end());
+    Table& table = model->tables_[k];
+    for (ContextRow row : rows) {
+      const auto first = stored.begin() + row.begin;
+      auto last = first + row.size;
+      std::stable_sort(first, last, [](const Continuation& a, const Continuation& b) {
+        return a.token < b.token;
+      });
+      last = std::unique(first, last, [](const Continuation& a, const Continuation& b) {
+        return a.token == b.token;
+      });
+      row.begin = static_cast<std::uint32_t>(table.continuations.size());
+      row.size = static_cast<std::uint32_t>(last - first);
+      table.continuations.insert(table.continuations.end(), first, last);
+      table.rows.push_back(row);
     }
   }
+  model->finish();
   return model;
 }
 
@@ -191,15 +345,15 @@ std::shared_ptr<NgramModel> NgramModel::load_file(const std::string& path) {
 void NgramModel::visit_context_rows(
     const std::function<void(const ContextRowView&)>& fn) const {
   for (std::size_t k = 0; k < tables_.size(); ++k) {
-    for (const auto& [key, stats] : tables_[k]) {
-      fn(ContextRowView{k, key, stats.total, &stats.counts});
+    for (const ContextRow& row : tables_[k].rows) {
+      fn(ContextRowView{k, row.key, row.total, tables_[k].run(row)});
     }
   }
 }
 
 std::size_t NgramModel::num_contexts() const {
   std::size_t n = 0;
-  for (const auto& table : tables_) n += table.size();
+  for (const Table& table : tables_) n += table.rows.size();
   return n;
 }
 
@@ -371,13 +525,7 @@ CachingModel::Shard& CachingModel::shard_for(std::uint64_t hash) const {
   // suffixes (nearby token ids cluster into a few shards), so run the value
   // through a full-avalanche finalizer (MurmurHash3 fmix64) before taking
   // shard bits. The raw hash still keys the in-shard bucket.
-  std::uint64_t x = hash;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return shards_[x & (kCacheShards - 1)];
+  return shards_[mix64(hash) & (kCacheShards - 1)];
 }
 
 template <typename ContextAt>

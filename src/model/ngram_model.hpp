@@ -3,8 +3,8 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "model/language_model.hpp"
@@ -25,6 +25,15 @@ namespace relm::model {
 // high alpha behaves like a small model that has "seen" patterns but cannot
 // recite them — exactly the small-vs-XL contrast the paper's experiments
 // exercise.
+//
+// The counts live in flat tables, one per context length k: rows sorted by
+// context key, each holding its stored total, its interpolation weight
+// lambda = alpha·f / (total + alpha·f), its per-count weight
+// scale = (1 - lambda) / total, and a span of one (token, count) array sorted
+// by token. The order-0 step every distribution starts with
+// (uniform · lambda_0 + scale_0 · count) is precomputed as a base vector, so
+// a distribution is a copy of the base, one dense multiply by lambda and one
+// sparse add of scale · count per matched order k >= 1, and a log.
 class NgramModel : public LanguageModel {
  public:
   struct Config {
@@ -68,6 +77,9 @@ class NgramModel : public LanguageModel {
   std::size_t max_sequence_length() const override {
     return config_.max_sequence_length;
   }
+  // Throws relm::Error when a stored row counts a token outside the
+  // vocabulary (a corrupt model file; relm verify reports it as
+  // ngram.token-range).
   std::vector<double> next_log_probs(std::span<const TokenId> context) const override;
 
   // An order-n model reads at most the last n-1 tokens: next_log_probs
@@ -82,19 +94,25 @@ class NgramModel : public LanguageModel {
   const Config& config() const { return config_; }
   std::size_t num_contexts() const;
 
+  // One stored continuation of a context row.
+  struct Continuation {
+    TokenId token;
+    std::uint32_t count;
+  };
+
   // Read-only view of one stored context row, for the relm::analysis
   // verification layer: context length `order_k`, the row's hashed key, the
-  // stored continuation total, and the per-token counts. `counts` points
-  // into the model and is valid only during the visit.
+  // stored continuation total, and the row's continuations in token order.
+  // `counts` points into the model and is valid only during the visit.
   struct ContextRowView {
     std::size_t order_k;
     std::uint64_t key;
     std::uint64_t total;
-    const std::unordered_map<TokenId, std::uint32_t>* counts;
+    std::span<const Continuation> counts;
   };
 
-  // Calls `fn` for every stored context row (all orders). Rows within an
-  // order are visited in unspecified (hash-map) order.
+  // Calls `fn` for every stored context row: order by order, and within an
+  // order in key order.
   void visit_context_rows(
       const std::function<void(const ContextRowView&)>& fn) const;
 
@@ -104,6 +122,10 @@ class NgramModel : public LanguageModel {
   //   <order> <alpha> <max_seq_len> <vocab_size> <eos>
   //   per order k: "table <k> <num_contexts>" then one line per context:
   //   "<key_hex> <total> <n> (<token> <count>)*n"
+  // save writes contexts in key order and each context's continuations in
+  // token order, so save -> load -> save is byte-identical. load accepts any
+  // order (a repeated key or token keeps its first occurrence) and derives
+  // every row's interpolation weights from its *stored* total.
   void save(std::ostream& out) const;
   static std::shared_ptr<NgramModel> load(std::istream& in);
   void save_file(const std::string& path) const;
@@ -112,18 +134,45 @@ class NgramModel : public LanguageModel {
  private:
   NgramModel() = default;
 
-  struct ContextStats {
-    std::unordered_map<TokenId, std::uint32_t> counts;
-    std::uint64_t total = 0;
+  // One context row of a flat table.
+  struct ContextRow {
+    std::uint64_t key;
+    std::uint64_t total;  // stored continuation total (the normalizer)
+    double lambda;        // weight kept on the backoff distribution
+    double scale;         // (1 - lambda) / total: the weight of one count
+    std::uint32_t begin;  // the row's run in Table::continuations
+    std::uint32_t size;   // distinct continuations, f(ctx)
+  };
+
+  // The rows of one context length, in key order; their continuations share
+  // one array, each row's run in token order. `slots` is an open-addressing
+  // index from key to row (row index + 1, 0 = empty).
+  struct Table {
+    std::vector<ContextRow> rows;
+    std::vector<Continuation> continuations;
+    std::vector<std::uint32_t> slots;
+
+    std::span<const Continuation> run(const ContextRow& row) const {
+      return {continuations.data() + row.begin, row.size};
+    }
+    const ContextRow* find(std::uint64_t key) const;
+    // probs <- lambda · probs + scale · counts. Every token of the row must
+    // index probs: callers check the model's out-of-vocabulary flag first.
+    void interpolate(const ContextRow& row, std::span<double> probs) const;
   };
 
   static std::uint64_t context_key(std::span<const TokenId> ctx);
 
-  void count_sequence(const std::vector<TokenId>& seq);
+  // Derives each row's lambda and scale, the key indexes, the base vector
+  // and the out-of-vocabulary flag from the stored rows.
+  void finish();
 
-  // tables_[k]: statistics for contexts of length k (k = 0 is the unigram
-  // table with the single empty context).
-  std::vector<std::unordered_map<std::uint64_t, ContextStats>> tables_;
+  // tables_[k]: rows for contexts of length k (k = 0 is the unigram table
+  // with the single empty context).
+  std::vector<Table> tables_;
+  // The order-0 step every distribution starts with.
+  std::vector<double> base_;
+  bool out_of_vocabulary_ = false;
   Config config_;
   std::size_t vocab_size_ = 0;
   TokenId eos_ = 0;

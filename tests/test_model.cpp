@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <iomanip>
+#include <map>
 #include <numeric>
+#include <set>
+#include <sstream>
 #include <thread>
+#include <unordered_map>
 
+#include "experiments/setup.hpp"
 #include "model/decoding.hpp"
 #include "model/ngram_model.hpp"
 #include "tokenizer/bpe.hpp"
@@ -115,6 +122,229 @@ TEST(NgramModel, RejectsZeroOrder) {
   config.order = 0;
   EXPECT_THROW(
       NgramModel::train_on_tokens(10, 0, {{1, 2, 3}}, config), relm::Error);
+}
+
+// The estimator as first written, kept as the reference for the flat rows:
+// one hash map per stored context, rebuilt from visit_context_rows, and an
+// evaluation that starts uniform, then for k = 0..max_k multiplies by lambda
+// and adds scale · count, then takes the log.
+class ReferenceNgram {
+ public:
+  explicit ReferenceNgram(const NgramModel& model)
+      : alpha_(model.config().alpha),
+        vocab_size_(model.vocab_size()),
+        eos_(model.eos()),
+        tables_(model.config().order) {
+    model.visit_context_rows([&](const NgramModel::ContextRowView& row) {
+      Stats& stats = tables_[row.order_k][row.key];
+      stats.total = row.total;
+      for (const auto& [token, count] : row.counts) stats.counts.emplace(token, count);
+    });
+  }
+
+  std::vector<double> next_log_probs(std::span<const tokenizer::TokenId> context) const {
+    const std::size_t V = vocab_size_;
+    std::vector<double> probs(V, 1.0 / static_cast<double>(V));
+    std::vector<tokenizer::TokenId> anchored;
+    if (context.size() + 1 < tables_.size()) {
+      anchored.push_back(eos_);
+      anchored.insert(anchored.end(), context.begin(), context.end());
+      context = anchored;
+    }
+    const std::size_t max_k = std::min(context.size(), tables_.size() - 1);
+    for (std::size_t k = 0; k <= max_k; ++k) {
+      auto it = tables_[k].find(hash_tokens(context.subspan(context.size() - k, k)));
+      if (it == tables_[k].end()) continue;
+      const Stats& stats = it->second;
+      const double fanout = static_cast<double>(stats.counts.size());
+      const double lambda =
+          alpha_ * fanout / (static_cast<double>(stats.total) + alpha_ * fanout);
+      for (double& p : probs) p *= lambda;
+      const double scale = (1.0 - lambda) / static_cast<double>(stats.total);
+      for (const auto& [token, count] : stats.counts) {
+        probs[token] += scale * static_cast<double>(count);
+      }
+    }
+    std::vector<double> log_probs(V);
+    for (std::size_t t = 0; t < V; ++t) log_probs[t] = std::log(probs[t]);
+    return log_probs;
+  }
+
+ private:
+  struct Stats {
+    std::unordered_map<tokenizer::TokenId, std::uint32_t> counts;
+    std::uint64_t total = 0;
+  };
+  double alpha_;
+  std::size_t vocab_size_;
+  tokenizer::TokenId eos_;
+  std::vector<std::unordered_map<std::uint64_t, Stats>> tables_;
+};
+
+using Contexts = std::vector<std::vector<tokenizer::TokenId>>;
+
+// Fails on the first entry whose bits differ between `model`'s rows and the
+// reference's (or `twin`'s, when given) over `contexts`.
+void expect_rows_bit_identical(const NgramModel& model, const Contexts& contexts,
+                               const std::string& label,
+                               const NgramModel* twin = nullptr) {
+  ASSERT_FALSE(contexts.empty()) << label;
+  const ReferenceNgram reference(model);
+  for (std::size_t c = 0; c < contexts.size(); ++c) {
+    const std::vector<double> got = model.next_log_probs(contexts[c]);
+    const std::vector<double> want =
+        twin ? twin->next_log_probs(contexts[c]) : reference.next_log_probs(contexts[c]);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (std::size_t t = 0; t < got.size(); ++t) {
+      if (std::bit_cast<std::uint64_t>(got[t]) != std::bit_cast<std::uint64_t>(want[t])) {
+        FAIL() << label << ": context " << c << " (" << contexts[c].size()
+               << " tokens), token " << t << ": " << std::setprecision(17)
+               << got[t] << " vs " << want[t];
+      }
+    }
+  }
+}
+
+// Every window of up to `max_len` tokens of every sequence (the empty
+// context and the sequences' short prefixes included), deduplicated.
+Contexts windows(const Contexts& sequences, std::size_t max_len) {
+  std::set<std::vector<tokenizer::TokenId>> seen;
+  Contexts out;
+  for (const auto& seq : sequences) {
+    for (std::size_t end = 0; end <= seq.size(); ++end) {
+      for (std::size_t len = 0; len <= std::min(end, max_len); ++len) {
+        std::vector<tokenizer::TokenId> ctx(seq.begin() + static_cast<std::ptrdiff_t>(end - len),
+                                            seq.begin() + static_cast<std::ptrdiff_t>(end));
+        if (seen.insert(ctx).second) out.push_back(std::move(ctx));
+      }
+    }
+  }
+  return out;
+}
+
+// `n` seeded random contexts of up to `max_len` tokens.
+Contexts random_contexts(std::size_t n, std::size_t vocab_size, std::size_t max_len,
+                         std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  Contexts out(n);
+  for (auto& ctx : out) {
+    ctx.resize(rng.bounded(static_cast<std::uint32_t>(max_len + 1)));
+    for (auto& t : ctx) t = rng.bounded(static_cast<std::uint32_t>(vocab_size));
+  }
+  return out;
+}
+
+// A save -> load copy of `model`.
+std::shared_ptr<NgramModel> reloaded(const NgramModel& model) {
+  std::stringstream buffer;
+  model.save(buffer);
+  return NgramModel::load(buffer);
+}
+
+TEST(NgramModel, FlatRowsMatchReferenceBitForBit) {
+  // 200 token sequences over a 40-token vocabulary whose successors are
+  // drawn from three per token, so contexts recur with several
+  // continuations at every order.
+  constexpr std::size_t kVocab = 40;
+  util::Pcg32 rng(2023);
+  Contexts sequences(200);
+  for (auto& seq : sequences) {
+    tokenizer::TokenId t = 1 + rng.bounded(kVocab - 1);
+    for (std::size_t n = 1 + rng.bounded(12); n > 0; --n) {
+      seq.push_back(t);
+      t = 1 + (t * 7 + rng.bounded(3)) % (kVocab - 1);
+    }
+  }
+  for (std::size_t order : {1u, 3u, 6u}) {
+    for (double alpha : {0.15, 1.2}) {
+      NgramModel::Config config;
+      config.order = order;
+      config.alpha = alpha;
+      auto model = NgramModel::train_on_tokens(kVocab, /*eos=*/0, sequences, config);
+      Contexts contexts = windows(sequences, order);
+      for (auto& ctx : random_contexts(200, kVocab, order + 2, order)) {
+        contexts.push_back(std::move(ctx));
+      }
+      const std::string label =
+          "order " + std::to_string(order) + " alpha " + std::to_string(alpha);
+      expect_rows_bit_identical(*model, contexts, label);
+
+      // The stored rows are the counts of the training sequences.
+      std::map<std::pair<std::size_t, std::uint64_t>,
+               std::pair<std::uint64_t, std::map<tokenizer::TokenId, std::uint32_t>>>
+          stored, counted;
+      model->visit_context_rows([&](const NgramModel::ContextRowView& row) {
+        auto& [total, counts] = stored[{row.order_k, row.key}];
+        total = row.total;
+        for (const auto& [token, count] : row.counts) counts[token] = count;
+      });
+      for (const auto& seq : sequences) {
+        std::vector<tokenizer::TokenId> wrapped{0};
+        wrapped.insert(wrapped.end(), seq.begin(), seq.end());
+        wrapped.push_back(0);
+        for (std::size_t i = 1; i < wrapped.size(); ++i) {
+          for (std::size_t k = 0; k < order && k <= i; ++k) {
+            auto& [total, counts] = counted[{k, hash_tokens({wrapped.data() + i - k, k})}];
+            ++total;
+            ++counts[wrapped[i]];
+          }
+        }
+      }
+      EXPECT_EQ(stored, counted) << label;
+
+      if (order == 6 && alpha == 0.15) {
+        auto copy = reloaded(*model);
+        expect_rows_bit_identical(*copy, contexts, label + " reloaded");
+        expect_rows_bit_identical(*copy, contexts, label + " reloaded vs trained",
+                                  model.get());
+      }
+    }
+  }
+
+  // The scale-0.25 world's sim-xl over windows of its first documents.
+  const experiments::World world =
+      experiments::build_world(experiments::WorldConfig::scaled(0.25));
+  Contexts documents;
+  for (std::size_t d = 0; d < 12; ++d) {
+    documents.push_back(world.tokenizer->encode(world.corpus.documents[d]));
+  }
+  Contexts contexts = windows(documents, world.xl->config().order);
+  for (auto& ctx : random_contexts(200, world.xl->vocab_size(), 8, 5)) {
+    contexts.push_back(std::move(ctx));
+  }
+  expect_rows_bit_identical(*world.xl, contexts, "sim-xl");
+  auto copy = reloaded(*world.xl);
+  expect_rows_bit_identical(*copy, contexts, "sim-xl reloaded");
+  expect_rows_bit_identical(*copy, contexts, "sim-xl reloaded vs trained",
+                            world.xl.get());
+}
+
+TEST(NgramModel, OutOfVocabularyRowThrowsOnEvaluation) {
+  // Rows that count tokens past the vocabulary are built without writing
+  // past it (the base vector included), and evaluating the model throws.
+  NgramModel::Config config;
+  config.order = 3;
+  auto trained = NgramModel::train_on_tokens(4, /*eos=*/0, {{1, 2, 7}, {9, 1}}, config);
+  EXPECT_THROW(trained->next_log_probs({}), relm::Error);
+  EXPECT_THROW(trained->next_log_probs(std::vector<tokenizer::TokenId>{1, 2}),
+               relm::Error);
+
+  // The same model file with a header claiming 3 tokens instead of 8: the
+  // rows load (relm verify reports them as ngram.token-range).
+  auto clean = NgramModel::train_on_tokens(8, /*eos=*/0, {{1, 2, 3, 1, 2}, {6, 7, 6}},
+                                           config);
+  EXPECT_NO_THROW(clean->next_log_probs({}));
+  std::stringstream saved;
+  clean->save(saved);
+  std::string text = saved.str();
+  const std::size_t line2 = text.find('\n') + 1;
+  const std::size_t vocab_at = text.find(" 8 ", line2);
+  ASSERT_LT(vocab_at, text.find('\n', line2));
+  text.replace(vocab_at, 3, " 3 ");
+  std::istringstream in(text);
+  auto corrupt = NgramModel::load(in);
+  EXPECT_EQ(corrupt->vocab_size(), 3u);
+  EXPECT_THROW(corrupt->next_log_probs({}), relm::Error);
 }
 
 TEST(UniformModel, AllTokensEqual) {

@@ -8,6 +8,7 @@
 #include "model/ngram_model.hpp"
 #include "tokenizer/serialize.hpp"
 #include "util/errors.hpp"
+#include "util/rng.hpp"
 
 namespace relm {
 namespace {
@@ -88,15 +89,125 @@ TEST(ModelSerialize, RoundTripPreservesDistributions) {
   EXPECT_EQ(loaded->config().order, model->config().order);
   EXPECT_DOUBLE_EQ(loaded->config().alpha, model->config().alpha);
 
+  // Rows derive from the stored counts alone, so they come back exactly.
   for (const char* ctx_text : {"", "The", "The cat sat on"}) {
     auto ctx = tok.encode(ctx_text);
-    auto a = model->next_log_probs(ctx);
-    auto b = loaded->next_log_probs(ctx);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t t = 0; t < a.size(); ++t) {
-      EXPECT_DOUBLE_EQ(a[t], b[t]) << ctx_text << " token " << t;
+    EXPECT_EQ(model->next_log_probs(ctx), loaded->next_log_probs(ctx)) << ctx_text;
+  }
+}
+
+// Checks that `text` is a model file whose contexts ascend by key within
+// each table and whose continuations ascend by token within each row.
+void expect_canonical_order(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line;
+  std::getline(lines, line);  // magic
+  std::getline(lines, line);  // header
+  std::uint64_t previous_key = 0;
+  bool first_row = true;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    if (line.rfind("table ", 0) == 0) {
+      first_row = true;
+      continue;
+    }
+    std::uint64_t key = 0, total = 0;
+    std::size_t n = 0;
+    fields >> std::hex >> key >> std::dec >> total >> n;
+    EXPECT_TRUE(first_row || key > previous_key) << line;
+    previous_key = key;
+    first_row = false;
+    tokenizer::TokenId token = 0, previous_token = 0;
+    std::uint32_t count = 0;
+    for (std::size_t i = 0; i < n && fields >> token >> count; ++i) {
+      EXPECT_TRUE(i == 0 || token > previous_token) << line;
+      previous_token = token;
     }
   }
+}
+
+// `text` with every table's rows, and every row's continuations, reversed.
+std::string reverse_rows(const std::string& text) {
+  std::istringstream lines(text);
+  std::string line, out;
+  std::vector<std::string> rows;
+  auto flush = [&] {
+    for (auto it = rows.rbegin(); it != rows.rend(); ++it) out += *it + "\n";
+    rows.clear();
+  };
+  for (int n = 1; std::getline(lines, line); ++n) {
+    if (n <= 2 || line.rfind("table ", 0) == 0) {
+      flush();
+      out += line + "\n";
+      continue;
+    }
+    std::istringstream fields(line);
+    std::string key, total;
+    std::size_t count = 0;
+    fields >> key >> total >> count;
+    std::vector<std::string> pairs(count);
+    for (auto& pair : pairs) {
+      std::string token, c;
+      fields >> token >> c;
+      pair = token + " " + c;
+    }
+    std::string reversed = key + " " + total + " " + std::to_string(count);
+    for (auto it = pairs.rbegin(); it != pairs.rend(); ++it) reversed += " " + *it;
+    rows.push_back(reversed);
+  }
+  flush();
+  return out;
+}
+
+TEST(ModelSerialize, SaveIsCanonical) {
+  std::vector<std::shared_ptr<model::NgramModel>> models;
+  model::NgramModel::Config config;
+  config.order = 3;
+  models.push_back(model::NgramModel::train_on_tokens(
+      8, /*eos=*/0, {{1, 2, 3, 1, 2}, {2, 3, 1, 2, 3}, {1, 1, 4, 5}, {6, 7, 6, 7, 6}},
+      config));
+  util::Pcg32 rng(99);
+  std::vector<std::vector<tokenizer::TokenId>> sequences(200);
+  for (auto& seq : sequences) {
+    for (std::size_t n = 1 + rng.bounded(10); n > 0; --n) {
+      seq.push_back(1 + rng.bounded(30));
+    }
+  }
+  config.order = 5;
+  config.alpha = 0.15;
+  models.push_back(model::NgramModel::train_on_tokens(31, /*eos=*/0, sequences, config));
+
+  for (const auto& model : models) {
+    std::stringstream first;
+    model->save(first);
+    expect_canonical_order(first.str());
+    auto loaded = model::NgramModel::load(first);
+    std::stringstream second;
+    loaded->save(second);
+    EXPECT_EQ(first.str(), second.str());
+
+    // A file in any other order (as hash-map order wrote them) loads to the
+    // same model and saves canonically.
+    std::istringstream scrambled(reverse_rows(first.str()));
+    ASSERT_NE(scrambled.str(), first.str());
+    auto unscrambled = model::NgramModel::load(scrambled);
+    std::stringstream third;
+    unscrambled->save(third);
+    EXPECT_EQ(first.str(), third.str());
+  }
+
+  // A repeated context or continuation keeps its first occurrence.
+  std::ostringstream text;
+  text << "RELM_NGRAM v1\n1 0.5 16 4 0\ntable 0 2\n"
+       << std::hex << model::hash_tokens({}) << std::dec << " 3 2 2 2 2 9\n"
+       << std::hex << model::hash_tokens({}) << std::dec << " 5 1 3 5\n";
+  std::istringstream in(text.str());
+  std::stringstream saved;
+  model::NgramModel::load(in)->save(saved);
+  std::ostringstream expected;
+  expected << "RELM_NGRAM v1\n1 0.5 16 4 0\ntable 0 1\n" << std::hex
+           << model::hash_tokens({}) << std::dec << " 3 1 2 2\n";
+  EXPECT_EQ(saved.str(), expected.str());
 }
 
 TEST(ModelSerialize, RejectsGarbage) {
