@@ -47,32 +47,20 @@ void BM_RegexCompileDate(benchmark::State& state) {
 }
 BENCHMARK(BM_RegexCompileDate);
 
-// Boolean-algebra compilation, lazy (on-the-fly product/subset) vs eager
-// (determinize every leaf, compose DFA ops bottom-up). The pattern is the
-// adversarial case the lazy path exists for: the left operand's subset
-// space is ~2^15 states, but intersecting with a 4-string language makes
-// almost all of it unreachable — lazy explores only the reachable product.
+// Boolean-algebra compilation through the on-the-fly product/subset
+// construction. The pattern is the adversarial case it exists for: the left
+// operand's subset space is ~2^15 states, but intersecting with a 4-string
+// language makes almost all of it unreachable, so only the reachable
+// product is explored.
 const char* kAlgebraPattern = "((a|b)*a(a|b){14})&(a{0,3})";
 
 void BM_CompileAlgebraLazy(benchmark::State& state) {
   automata::RegexPtr ast = automata::parse_regex(kAlgebraPattern);
-  automata::AlgebraOptions options;
-  options.lazy = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(automata::compile_ast(*ast, options));
+    benchmark::DoNotOptimize(automata::compile_ast(*ast));
   }
 }
 BENCHMARK(BM_CompileAlgebraLazy);
-
-void BM_CompileAlgebraEager(benchmark::State& state) {
-  automata::RegexPtr ast = automata::parse_regex(kAlgebraPattern);
-  automata::AlgebraOptions options;
-  options.lazy = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(automata::compile_ast(*ast, options));
-  }
-}
-BENCHMARK(BM_CompileAlgebraEager);
 
 void BM_TokenAutomatonAllTokensUrl(benchmark::State& state) {
   automata::Dfa chars = automata::compile_regex(kUrlPattern);
@@ -84,17 +72,6 @@ void BM_TokenAutomatonAllTokensUrl(benchmark::State& state) {
   state.counters["dfa_states"] = static_cast<double>(chars.num_states());
 }
 BENCHMARK(BM_TokenAutomatonAllTokensUrl);
-
-void BM_TokenAutomatonTrieVariant(benchmark::State& state) {
-  // The trie-sharing alternative construction over the same pattern.
-  automata::Dfa chars = automata::compile_regex(kUrlPattern);
-  (void)world();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_all_tokens_trie_variant(chars, *world().tokenizer));
-  }
-}
-BENCHMARK(BM_TokenAutomatonTrieVariant);
 
 void BM_TokenAutomatonCanonicalDate(benchmark::State& state) {
   // Finite language: exercises the enumerate-and-encode path (§3.2 option 1).
@@ -117,8 +94,7 @@ void BM_LevenshteinExpandWord(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinExpandWord)->Arg(1)->Arg(2);
 
-// Moore vs Hopcroft on a mid-sized machine (the Levenshtein expansion's
-// intermediate determinized automaton).
+// Moore minimization of a mid-sized unminimized machine.
 void BM_MinimizeMoore(benchmark::State& state) {
   automata::Dfa big = automata::compile_regex_unminimized(
       "((the )|(a ))?((cat)|(dog)|(cow)|(fox)|(owl))s? ((ran)|(sat)|(slept))"
@@ -129,16 +105,6 @@ void BM_MinimizeMoore(benchmark::State& state) {
   state.counters["input_states"] = static_cast<double>(big.num_states());
 }
 BENCHMARK(BM_MinimizeMoore);
-
-void BM_MinimizeHopcroft(benchmark::State& state) {
-  automata::Dfa big = automata::compile_regex_unminimized(
-      "((the )|(a ))?((cat)|(dog)|(cow)|(fox)|(owl))s? ((ran)|(sat)|(slept))"
-      "( (quickly|slowly|quietly))?");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(automata::minimize_hopcroft(big));
-  }
-}
-BENCHMARK(BM_MinimizeHopcroft);
 
 void BM_WalkCounts(benchmark::State& state) {
   automata::Dfa lang = automata::levenshtein_expand(

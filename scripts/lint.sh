@@ -10,7 +10,10 @@
 #     outside src/util/sync.hpp (every locking site must go through the
 #     annotated relm wrappers so the clang thread-safety build, cmake
 #     --preset tsa, sees the whole library), and
-#     RELM_NO_THREAD_SAFETY_ANALYSIS may appear only inside util/sync.hpp.
+#     RELM_NO_THREAD_SAFETY_ANALYSIS may appear only inside util/sync.hpp;
+#   * production sources (src/ outside src/testing/ and src/tools/) include
+#     no testing/ header: the reference algorithms and oracles there are
+#     what tests compare production code against, never a dependency of it.
 #
 # Stage 2: clang-tidy (policy: repo-root .clang-tidy) using the
 # compile_commands.json exported by any CMake build dir (default ./build).
@@ -27,12 +30,12 @@ BUILD="$ROOT/build"
 for arg in "$@"; do
   case "$arg" in
     --warnings-as-errors) WERROR=1 ;;
-    -h|--help) sed -n '2,20p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,23p' "$0"; exit 0 ;;
     *) BUILD="$arg" ;;
   esac
 done
 
-# --- Stage 1: path case + sync-policy greps ------------------------------
+# --- Stage 1: path case, sync-policy and include greps -------------------
 
 fail=0
 
@@ -70,10 +73,20 @@ if [ -n "$escapes" ]; then
   fail=1
 fi
 
+testing_deps="$(grep -rn -E '#include[[:space:]]+"testing/' \
+  "$ROOT/src" --include='*.cpp' --include='*.hpp' \
+  | grep -v -e '/src/testing/' -e '/src/tools/' || true)"
+if [ -n "$testing_deps" ]; then
+  echo "lint: production source includes a testing/ header (move the code" >&2
+  echo "lint: it needs into production, or the caller into src/testing/):" >&2
+  echo "$testing_deps" >&2
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint: path case and sync policy ok"
+echo "lint: path case, sync policy and testing/ includes ok"
 
 # --- Stage 2: clang-tidy -------------------------------------------------
 

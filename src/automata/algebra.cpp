@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "automata/determinize.hpp"
-#include "automata/ops.hpp"
 #include "automata/thompson.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -247,14 +246,12 @@ class AlgebraCompiler {
   };
 
   // Flattens a maximal boolean subtree into an expression over NFA leaves
-  // and evaluates it with one product construction (lazy) or bottom-up with
-  // the classic DFA ops (eager).
+  // and evaluates it with one product construction.
   Dfa compile_boolean(const RegexNode& node) {
     std::vector<Expr> exprs;
     std::vector<Nfa> leaves;
     int root = build_expr(node, exprs, leaves);
-    if (opts_.lazy) return lazy_product(exprs, leaves, root);
-    return eager_eval(exprs, leaves, root);
+    return lazy_product(exprs, leaves, root);
   }
 
   int build_expr(const RegexNode& node, std::vector<Expr>& exprs,
@@ -293,8 +290,6 @@ class AlgebraCompiler {
     exprs.push_back(std::move(e));
     return static_cast<int>(exprs.size() - 1);
   }
-
-  // --- lazy path ---------------------------------------------------------
 
   // A product state: one epsilon-closed subset per leaf. The empty subset
   // is a valid "dead" value — under complement a dead leaf is accepting.
@@ -425,76 +420,6 @@ class AlgebraCompiler {
     throw relm::Error("unreachable: unknown algebra expr kind");
   }
 
-  // --- eager path --------------------------------------------------------
-
-  Dfa eager_eval(const std::vector<Expr>& exprs, const std::vector<Nfa>& leaves,
-                 int node) {
-    const Expr& e = exprs[node];
-    switch (e.kind) {
-      case Expr::kLeaf: {
-        Dfa dfa = determinize(leaves[e.leaf], meter_.remaining());
-        meter_.charge(dfa.num_states());
-        return trim(dfa);
-      }
-      case Expr::kAnd: {
-        Dfa acc = eager_eval(exprs, leaves, e.children[0]);
-        for (std::size_t i = 1; i < e.children.size(); ++i) {
-          acc = intersect(acc, eager_eval(exprs, leaves, e.children[i]));
-          meter_.charge(acc.num_states());
-        }
-        return acc;
-      }
-      case Expr::kNot: {
-        // `~` is universe-restricted: drop the child's non-universe edges
-        // first so both modes agree that strings outside universe^* are
-        // never in a complement.
-        Dfa child = restrict_to(eager_eval(exprs, leaves, e.children[0]),
-                                opts_.universe);
-        Dfa result = complement(child, opts_.universe);
-        meter_.charge(result.num_states());
-        return result;
-      }
-      case Expr::kDiff: {
-        // `-` is exact set difference: complement the right side over a
-        // universe wide enough to cover every symbol either operand uses,
-        // so no string of the left is lost to an incomplete complement.
-        Dfa left = eager_eval(exprs, leaves, e.children[0]);
-        Dfa right = eager_eval(exprs, leaves, e.children[1]);
-        ByteSet wide = opts_.universe | edge_symbols(left) | edge_symbols(right);
-        Dfa result = intersect(left, complement(right, wide));
-        meter_.charge(result.num_states());
-        return result;
-      }
-    }
-    throw relm::Error("unreachable: unknown algebra expr kind");
-  }
-
-  static ByteSet edge_symbols(const Dfa& dfa) {
-    ByteSet out;
-    for (StateId s = 0; s < dfa.num_states(); ++s) {
-      for (const Edge& e : dfa.edges(s)) {
-        if (e.symbol < 256) out.set(e.symbol);
-      }
-    }
-    return out;
-  }
-
-  static Dfa restrict_to(const Dfa& dfa, const ByteSet& universe) {
-    Dfa out(dfa.num_symbols());
-    for (StateId s = 0; s < dfa.num_states(); ++s) {
-      out.add_state(dfa.is_final(s));
-    }
-    for (StateId s = 0; s < dfa.num_states(); ++s) {
-      for (const Edge& e : dfa.edges(s)) {
-        if (e.symbol < 256 && universe.test(e.symbol)) {
-          out.add_edge(s, e.symbol, e.to);
-        }
-      }
-    }
-    out.set_start(dfa.start());
-    return trim(out);
-  }
-
   AlgebraOptions opts_;
   BudgetMeter meter_;
 };
@@ -515,11 +440,6 @@ std::size_t determinize_budget_from_env() {
   unsigned long long parsed = std::strtoull(value, &end, 10);
   if (end == value || *end != '\0') return kDefaultDeterminizeBudget;
   return static_cast<std::size_t>(parsed);  // "0" = unlimited
-}
-
-bool lazy_determinize_from_env() {
-  const char* value = std::getenv("RELM_DETERMINIZE_MODE");
-  return value == nullptr || std::string_view(value) != "eager";
 }
 
 }  // namespace relm::automata

@@ -37,12 +37,6 @@ struct AlgebraOptions {
   // 0 = unlimited.
   std::size_t state_budget = 0;
 
-  // Lazy (on-the-fly, default) vs eager evaluation. Eager fully determinizes
-  // every leaf and composes with the classic DFA ops bottom-up — same
-  // language, but complements pay for their full subset space; it exists as
-  // the reference/benchmark baseline for the lazy path.
-  bool lazy = true;
-
   // Complement universe. Default-constructed to printable_ascii_and_ws().
   ByteSet universe = kDefaultUniverse();
 
@@ -62,9 +56,5 @@ inline constexpr std::size_t kDefaultDeterminizeBudget = 1u << 20;
 // Resolves the budget from the RELM_DETERMINIZE_BUDGET environment variable
 // ("0" = unlimited), falling back to kDefaultDeterminizeBudget.
 std::size_t determinize_budget_from_env();
-
-// Resolves the evaluation mode from RELM_DETERMINIZE_MODE ("eager" selects
-// the eager reference path; anything else, including unset, is lazy).
-bool lazy_determinize_from_env();
 
 }  // namespace relm::automata

@@ -23,11 +23,4 @@ Dfa trim(const Dfa& dfa);
 // DFAs are unique up to isomorphism, and BFS numbering fixes the isomorphism.
 Dfa minimize(const Dfa& dfa);
 
-// Hopcroft's O(n k log n) minimization — the asymptotically better
-// alternative to minimize(); produces the identical canonical machine
-// (property-tested against minimize(); bench/micro_compiler compares their
-// constants). Prefer this for automata with many states, e.g. Levenshtein
-// expansions of long patterns.
-Dfa minimize_hopcroft(const Dfa& dfa);
-
 }  // namespace relm::automata

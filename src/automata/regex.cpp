@@ -25,7 +25,6 @@ Dfa compile_regex_unminimized(std::string_view pattern) {
   // boolean-free ASTs this is exactly thompson + budgeted determinize.
   AlgebraOptions options;
   options.state_budget = determinize_budget_from_env();
-  options.lazy = lazy_determinize_from_env();
   RELM_TRACE_SPAN("regex.determinize");
   return compile_ast(*ast, options);
 }

@@ -13,7 +13,7 @@ namespace relm::automata {
 // most expensive compile step (see bench/micro_compiler) and is fully
 // determined by (pattern, vocabulary), so tools can persist it. The query
 // compiler's artifact cache (src/core/pipeline/) embeds this format inside
-// its RELM_ARTIFACT container, one section per token automaton.
+// its RELM_COMPONENT container, one section per token automaton.
 //
 // Format:
 //   RELM_DFA v1
@@ -37,7 +37,7 @@ Dfa load_dfa_file(const std::string& path);
 // state, per-state finality, and every edge in canonical (state, symbol)
 // order. Two structurally equal DFAs (operator==) hash equal; since
 // minimize() renumbers canonically, minimized DFAs of the same language
-// collide exactly. Used as the integrity checksum in RELM_ARTIFACT files
+// collide exactly. Used as the integrity checksum in RELM_COMPONENT files
 // and to fingerprint preprocessor configuration for cache keys.
 std::uint64_t dfa_structural_hash(const Dfa& dfa);
 

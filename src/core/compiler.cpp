@@ -12,7 +12,6 @@ namespace relm::core {
 namespace {
 
 using automata::Dfa;
-using automata::Edge;
 using automata::StateId;
 using tokenizer::BpeTokenizer;
 using tokenizer::TokenId;
@@ -20,9 +19,8 @@ using tokenizer::TokenId;
 // Appendix B, Algorithms 1 + 2, literally: for every DFA state and every
 // vocabulary token, DFS-match the token's string from that state; surviving
 // walks become shortcut edges. O(V * k * m_max), exactly the paper's bound.
-// Measured (bench/micro_compiler) about 2x faster than the trie-sharing
-// variant below on the dense cyclic automata real queries produce; the trie
-// wins only when long shared literal prefixes dominate.
+// A trie-sharing walk (a cross-check in tests/test_core.cpp) is faster only
+// on long literals compiled with all encodings (EXPERIMENTS.md).
 Dfa build_all_tokens(const Dfa& char_dfa, const BpeTokenizer& tok) {
   RELM_TRACE_SPAN("compile.all_tokens");
   Dfa source = automata::trim(char_dfa);
@@ -45,44 +43,6 @@ Dfa build_all_tokens(const Dfa& char_dfa, const BpeTokenizer& tok) {
         }
       }
       if (alive) out.add_edge(origin, token, state);
-    }
-  }
-  return automata::trim(out);
-}
-
-// The trie-sharing alternative: from every DFA state, walk (trie node, DFA
-// state) pairs; every trie node carrying a token contributes a shortcut
-// edge. Shares prefix work across tokens — a win only for large sparse
-// automata (long literals); kept as a property-tested alternative.
-Dfa build_all_tokens_trie(const Dfa& char_dfa, const BpeTokenizer& tok) {
-  Dfa source = automata::trim(char_dfa);
-  Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
-  for (StateId s = 0; s < source.num_states(); ++s) {
-    out.add_state(source.is_final(s));
-  }
-  out.set_start(source.start());
-
-  struct WalkItem {
-    std::uint32_t trie_node;
-    StateId dfa_state;
-  };
-  std::vector<WalkItem> stack;
-  for (StateId origin = 0; origin < source.num_states(); ++origin) {
-    stack.clear();
-    stack.push_back({tok.trie_root(), origin});
-    while (!stack.empty()) {
-      WalkItem item = stack.back();
-      stack.pop_back();
-      for (const Edge& e : source.edges(item.dfa_state)) {
-        if (e.symbol > 255) continue;  // character automaton invariant
-        std::uint32_t child =
-            tok.trie_child(item.trie_node, static_cast<unsigned char>(e.symbol));
-        if (child == BpeTokenizer::kNoTrieNode) continue;
-        if (auto token = tok.trie_token(child)) {
-          out.add_edge(origin, *token, e.to);
-        }
-        stack.push_back({child, e.to});
-      }
     }
   }
   return automata::trim(out);
@@ -150,14 +110,6 @@ TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
   RELM_DCHECK(result.dfa.num_symbols() == tok.vocab_size(),
               "token automaton alphabet must equal the vocabulary");
   return result;
-}
-
-automata::Dfa build_all_tokens_trie_variant(const automata::Dfa& char_dfa,
-                                            const tokenizer::BpeTokenizer& tok) {
-  if (char_dfa.num_symbols() != 256) {
-    throw relm::QueryError("token compilation requires a byte-level automaton");
-  }
-  return build_all_tokens_trie(char_dfa, tok);
 }
 
 TokenAutomaton epsilon_token_automaton(const tokenizer::BpeTokenizer& tok) {

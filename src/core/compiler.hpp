@@ -31,9 +31,7 @@ struct TokenAutomaton {
 // kAllTokens implements the shortcut-edge construction of Appendix B
 // literally: for every automaton state and every vocabulary token, the
 // token's string is walked through the character DFA; surviving walks become
-// token edges — O(V · k · m_max), the paper's bound. (A trie-sharing variant
-// exists below; measured, the literal algorithm is ~2x faster on the dense
-// cyclic automata real queries produce.)
+// token edges — O(V · k · m_max), the paper's bound.
 //
 // kCanonicalTokens implements §3.2's options in order of preference:
 //   1. if the language is finite and has at most `enumeration_budget`
@@ -49,12 +47,5 @@ TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
 // The trivial token automaton accepting only the empty string (used for
 // empty prefixes).
 TokenAutomaton epsilon_token_automaton(const tokenizer::BpeTokenizer& tok);
-
-// The trie-sharing alternative construction: walks the vocabulary trie and
-// the DFA in lockstep, sharing prefix work across tokens. Profitable only
-// for large sparse automata (long literals); property-tested identical to
-// the production construction and compared in bench/micro_compiler.
-automata::Dfa build_all_tokens_trie_variant(const automata::Dfa& char_dfa,
-                                            const tokenizer::BpeTokenizer& tok);
 
 }  // namespace relm::core

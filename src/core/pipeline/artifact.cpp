@@ -3,7 +3,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
-#include <initializer_list>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -153,8 +152,8 @@ namespace {
 
 using Sections = std::vector<const TokenAutomaton*>;
 
-// Structural hash of the automata and their flags: the containers'
-// `checksum` field.
+// Structural hash of the automata and their flags: a component's `checksum`
+// field, and artifact_checksum over both sides.
 std::uint64_t checksum_of(const Sections& sections) {
   KeyHasher h;
   for (const TokenAutomaton* ta : sections) {
@@ -164,7 +163,8 @@ std::uint64_t checksum_of(const Sections& sections) {
   return h.a;
 }
 
-// Hash over the mask tables: the containers' `masks_checksum` field.
+// Hash over the mask tables: a component's `masks_checksum` field, and
+// artifact_masks_checksum over both sides.
 std::uint64_t masks_checksum_of(const Sections& sections) {
   KeyHasher h;
   for (const TokenAutomaton* ta : sections) {
@@ -200,56 +200,67 @@ void save_masks(const core::TokenMaskTable& table, std::ostream& out) {
   out << "\n";
 }
 
-// One side's RELM_DFA section, then (v2 and components) its RELM_MASKS.
-void save_section(const TokenAutomaton& ta, std::ostream& out, bool with_masks) {
-  automata::save_dfa(ta.dfa, out);
-  if (with_masks) save_masks(ta.masks, out);
-}
-
-void save_identity(std::ostream& out, const char* magic, std::uint32_t version,
-                   const ArtifactKey& key, std::uint64_t vocab,
-                   TokenizationStrategy strategy) {
-  out << magic << " v" << version << "\nkey " << key.hex() << "\nvocab "
-      << hex64(vocab) << "\nstrategy " << strategy_tag(strategy) << "\n";
-}
-
-// Parses one container. Every diagnostic names the container, and both
-// containers read their sections through the same checks.
+// Parses one RELM_COMPONENT container. Every diagnostic names the container.
 class Reader {
  public:
-  Reader(std::istream& in, const char* magic) : in_(in), magic_(magic) {}
+  explicit Reader(std::istream& in) : in_(in) {}
 
   [[noreturn]] void corrupt(const std::string& what) const {
-    throw relm::Error(std::string(magic_) + " file: " + what);
+    throw relm::Error("RELM_COMPONENT file: " + what);
   }
 
-  // The lines both containers open with — "<magic> v<N>", key, vocab,
-  // strategy — into `identity`; returns N (1 <= N <= max_version).
-  std::uint32_t identity(std::uint32_t max_version, Component& identity) {
+  // The header, the DFA and its masks, then the checks that need them all:
+  // both checksums, persisted masks against the edge sets recomputed from
+  // the DFA (a consistently forged section passes the checksum), and
+  // strategy/flag coherence.
+  Component component() {
+    Component c;
     std::string magic, version;
     in_ >> magic >> version;
     if (!in_) corrupt("truncated before header");
-    if (magic != magic_) corrupt("bad magic \"" + magic + "\"");
-    std::uint32_t v = 1;
-    while (v <= max_version && version != "v" + std::to_string(v)) ++v;
-    if (v > max_version) {
-      corrupt("unsupported version \"" + version + "\" (this build reads v1-v" +
-              std::to_string(max_version) + ")");
+    if (magic != "RELM_COMPONENT") corrupt("bad magic \"" + magic + "\"");
+    if (version != "v" + std::to_string(Component::kFormatVersion)) {
+      corrupt("unsupported version \"" + version + "\" (this build reads v" +
+              std::to_string(Component::kFormatVersion) + ")");
     }
     auto key = ArtifactKey::from_hex(field("key"));
     if (!key) corrupt("malformed key");
-    identity.key = *key;
-    identity.vocab_fingerprint = hex_field("vocab");
+    c.key = *key;
+    c.vocab_fingerprint = hex_field("vocab");
     const std::string strategy = field("strategy");
     if (strategy != "all" && strategy != "canonical") {
       corrupt("unknown strategy \"" + strategy + "\"");
     }
-    identity.strategy = strategy == "all"
-                            ? TokenizationStrategy::kAllTokens
-                            : TokenizationStrategy::kCanonicalTokens;
-    return v;
+    c.strategy = strategy == "all" ? TokenizationStrategy::kAllTokens
+                                   : TokenizationStrategy::kCanonicalTokens;
+    TokenAutomaton& ta = c.automaton;
+    ta.dynamic_canonical = flag_field("dynamic_canonical");
+    const std::uint64_t checksum = hex_field("checksum");
+    const std::uint64_t masks_checksum = hex_field("masks_checksum");
+    ta.dfa = automata::load_dfa(in_);  // throws relm::Error with its own detail
+    ta.masks = masks(ta.dfa);
+
+    if (checksum_of({&ta}) != checksum) {
+      corrupt("checksum mismatch (payload corrupted)");
+    }
+    if (masks_checksum_of({&ta}) != masks_checksum) {
+      corrupt("masks_checksum mismatch (mask payload corrupted)");
+    }
+    if (!ta.masks.empty()) {
+      if (auto mismatch = core::masks_mismatch(ta.dfa, ta.masks)) {
+        corrupt("masks disagree with the automaton: " + *mismatch);
+      }
+    }
+    // All-tokens automata never need dynamic pruning, so a set flag means
+    // the writer was buggy.
+    if (c.strategy == TokenizationStrategy::kAllTokens && ta.dynamic_canonical) {
+      corrupt("dynamic_canonical set on an all-tokens component");
+    }
+    c.empty_language = automata::is_empty_language(ta.dfa);
+    return c;
   }
 
+ private:
   // Reads "<label> <value>" and returns the value, diagnosing a wrong label
   // or truncation.
   std::string field(const char* label) {
@@ -275,61 +286,12 @@ class Reader {
     return value == "1";
   }
 
-  // One side's sections; an artifact names each side on a line before it.
-  void section(TokenAutomaton& ta, const char* name, bool labelled,
-               bool with_masks) {
-    std::string label;
-    if (labelled && (!(in_ >> label) || label != name)) {
-      corrupt(std::string("missing \"") + name + "\" automaton section");
-    }
-    ta.dfa = automata::load_dfa(in_);  // throws relm::Error with its own detail
-    if (with_masks) ta.masks = masks(ta.dfa, name);
-  }
-
-  // Once the sections have parsed: checksums; persisted masks against the
-  // recomputed edge sets (a consistently forged section passes the
-  // checksum), or for a v1 file masks rebuilt under the compile's budget;
-  // strategy/flag coherence; and the derived empty-language bit.
-  void finish(std::initializer_list<std::pair<const char*, Component*>> sections,
-              std::uint64_t checksum,
-              std::optional<std::uint64_t> masks_checksum) {
-    Sections all;
-    for (const auto& [name, c] : sections) all.push_back(&c->automaton);
-    if (checksum_of(all) != checksum) {
-      corrupt("checksum mismatch (payload corrupted)");
-    }
-    if (masks_checksum && masks_checksum_of(all) != *masks_checksum) {
-      corrupt("masks_checksum mismatch (mask payload corrupted)");
-    }
-    for (const auto& [name, c] : sections) {
-      TokenAutomaton* ta = &c->automaton;
-      if (!masks_checksum) {
-        ta->masks = core::budgeted_token_masks(ta->dfa);
-      } else if (!ta->masks.empty()) {
-        if (auto mismatch = core::masks_mismatch(ta->dfa, ta->masks)) {
-          corrupt(std::string(name) + " masks disagree with the automaton: " +
-                  *mismatch);
-        }
-      }
-      // All-tokens automata never need dynamic pruning, so a set flag means
-      // the writer was buggy.
-      if (c->strategy == TokenizationStrategy::kAllTokens &&
-          ta->dynamic_canonical) {
-        corrupt("dynamic_canonical set on an all-tokens artifact");
-      }
-      c->empty_language = automata::is_empty_language(ta->dfa);
-    }
-  }
-
- private:
   // Reads a RELM_MASKS section for an automaton whose DFA is already
   // loaded. Dimensions are validated against the DFA *before* any array
   // allocation, so a forged header can never trigger a multi-gigabyte
-  // allocation; the bit-for-bit agreement check runs in finish().
-  core::TokenMaskTable masks(const automata::Dfa& dfa, const char* name) {
-    auto here = [&](const std::string& what) {
-      corrupt(std::string(name) + " masks: " + what);
-    };
+  // allocation; the bit-for-bit agreement check runs in component().
+  core::TokenMaskTable masks(const automata::Dfa& dfa) {
+    auto here = [&](const std::string& what) { corrupt("masks: " + what); };
     std::string magic, version;
     in_ >> magic >> version;
     if (!in_) here("truncated before RELM_MASKS header");
@@ -405,28 +367,7 @@ class Reader {
   }
 
   std::istream& in_;
-  const char* magic_;
 };
-
-void save_artifact_impl(const QueryArtifact& artifact, std::ostream& out,
-                        std::uint32_t version) {
-  const TokenAutomaton& prefix = artifact.prefix->automaton;
-  const TokenAutomaton& body = artifact.body->automaton;
-  save_identity(out, "RELM_ARTIFACT", version, artifact.key,
-                artifact.vocab_fingerprint, artifact.strategy);
-  out << "prefix_dynamic_canonical " << (prefix.dynamic_canonical ? 1 : 0)
-      << "\n";
-  out << "body_dynamic_canonical " << (body.dynamic_canonical ? 1 : 0) << "\n";
-  out << "checksum " << hex64(checksum_of({&prefix, &body})) << "\n";
-  if (version >= 2) {
-    out << "masks_checksum " << hex64(masks_checksum_of({&prefix, &body}))
-        << "\n";
-  }
-  out << "prefix\n";
-  save_section(prefix, out, version >= 2);
-  out << "body\n";
-  save_section(body, out, version >= 2);
-}
 
 }  // namespace
 
@@ -441,26 +382,17 @@ std::uint64_t artifact_masks_checksum(const QueryArtifact& artifact) {
 
 void save_component(const Component& component, std::ostream& out) {
   const TokenAutomaton& ta = component.automaton;
-  save_identity(out, "RELM_COMPONENT", Component::kFormatVersion, component.key,
-                component.vocab_fingerprint, component.strategy);
+  out << "RELM_COMPONENT v" << Component::kFormatVersion << "\nkey "
+      << component.key.hex() << "\nvocab " << hex64(component.vocab_fingerprint)
+      << "\nstrategy " << strategy_tag(component.strategy) << "\n";
   out << "dynamic_canonical " << (ta.dynamic_canonical ? 1 : 0) << "\n";
   out << "checksum " << hex64(checksum_of({&ta})) << "\n";
   out << "masks_checksum " << hex64(masks_checksum_of({&ta})) << "\n";
-  save_section(ta, out, /*with_masks=*/true);
+  automata::save_dfa(ta.dfa, out);
+  save_masks(ta.masks, out);
 }
 
-Component load_component(std::istream& in) {
-  Reader reader(in, "RELM_COMPONENT");
-  Component component;
-  reader.identity(Component::kFormatVersion, component);
-  component.automaton.dynamic_canonical = reader.flag_field("dynamic_canonical");
-  const std::uint64_t checksum = reader.hex_field("checksum");
-  const std::uint64_t masks_checksum = reader.hex_field("masks_checksum");
-  reader.section(component.automaton, "component", /*labelled=*/false,
-                 /*with_masks=*/true);
-  reader.finish({{"component", &component}}, checksum, masks_checksum);
-  return component;
-}
+Component load_component(std::istream& in) { return Reader(in).component(); }
 
 void save_component_file(const Component& component, const std::string& path) {
   std::ofstream out(path);
@@ -474,41 +406,6 @@ Component load_component_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw relm::Error("cannot open for reading: " + path);
   return load_component(in);
-}
-
-void save_artifact(const QueryArtifact& artifact, std::ostream& out) {
-  save_artifact_impl(artifact, out, QueryArtifact::kFormatVersion);
-}
-
-void save_artifact_v1(const QueryArtifact& artifact, std::ostream& out) {
-  save_artifact_impl(artifact, out, 1);
-}
-
-QueryArtifact load_artifact(std::istream& in) {
-  Reader reader(in, "RELM_ARTIFACT");
-  Component prefix;
-  const std::uint32_t version =
-      reader.identity(QueryArtifact::kFormatVersion, prefix);
-  // A whole-query file carries the query's key; its components have none.
-  const ArtifactKey key = std::exchange(prefix.key, ArtifactKey{});
-  Component body = prefix;
-  prefix.automaton.dynamic_canonical =
-      reader.flag_field("prefix_dynamic_canonical");
-  body.automaton.dynamic_canonical = reader.flag_field("body_dynamic_canonical");
-  const std::uint64_t checksum = reader.hex_field("checksum");
-  std::optional<std::uint64_t> masks_checksum;
-  if (version >= 2) masks_checksum = reader.hex_field("masks_checksum");
-  for (auto [name, component] :
-       {std::pair{"prefix", &prefix}, std::pair{"body", &body}}) {
-    reader.section(component->automaton, name, /*labelled=*/true, version >= 2);
-  }
-  reader.finish({{"prefix", &prefix}, {"body", &body}}, checksum,
-                masks_checksum);
-  QueryArtifact artifact =
-      assemble_artifact(std::make_shared<const Component>(std::move(prefix)),
-                        std::make_shared<const Component>(std::move(body)));
-  artifact.key = key;
-  return artifact;
 }
 
 }  // namespace relm::core::pipeline

@@ -55,10 +55,6 @@ struct Component {
 // copies no automaton), plus the identity metadata executors check.
 // Immutable after assembly; CompiledQuery shares it by shared_ptr<const>.
 struct QueryArtifact {
-  // Version of the RELM_ARTIFACT container (save_artifact). v2 added the
-  // persisted per-state token mask tables; v1 files remain loadable.
-  static constexpr std::uint32_t kFormatVersion = 2;
-
   // Version of the *query grammar*, folded into component keys but NOT
   // into any container format: bumping it retires cached keys for patterns
   // whose meaning changed without invalidating existing files.
@@ -120,42 +116,26 @@ QueryArtifact assemble_artifact(std::shared_ptr<const Component> prefix,
 //   RELM_DFA v1 ...
 //   RELM_MASKS v1 ...          (dense bitmask words + CSR edge index)
 //
-// RELM_ARTIFACT v2 — a whole query — opens with the same identity lines,
-// then `prefix_dynamic_canonical`, `body_dynamic_canonical`, and checksums
-// over both sides, followed by the same two sections for each side under a
-// `prefix` / `body` line.
-//
-// Both loaders run the same section checks: every header field, the DFA
-// (hardened automata::load_dfa), mask dimensions against the DFA before any
+// The loader checks every header field, the DFA (hardened
+// automata::load_dfa), mask dimensions against the DFA before any
 // allocation, both payload checksums, persisted masks against the edge set
 // recomputed from the DFA (core::masks_mismatch), and strategy/flag
 // coherence. Any mismatch throws relm::Error with a located diagnostic: a
 // truncated or bit-flipped file is always detected, never half-loaded, and
 // a forged mask section can never silently steer the executor off the
-// automaton. v1 artifact files (written before the mask pass existed) still
-// load: their masks are recomputed under the compile's budget rule.
+// automaton. A whole query persists as its two components, reassembled with
+// assemble_artifact.
 void save_component(const Component& component, std::ostream& out);
 Component load_component(std::istream& in);
 void save_component_file(const Component& component, const std::string& path);
 Component load_component_file(const std::string& path);
 
-void save_artifact(const QueryArtifact& artifact, std::ostream& out);
-QueryArtifact load_artifact(std::istream& in);
-
-// Writes the legacy v1 container (no mask sections). Kept for the
-// backward-compatibility tests and for generating v1 fixtures; production
-// code always writes the current version via save_artifact.
-void save_artifact_v1(const QueryArtifact& artifact, std::ostream& out);
-
-// The checksum stored in the container: structural hash of both automata
-// and their flags (not the key/fingerprint header lines, which are covered
-// by their own validation). Deliberately excludes the mask tables — it is
-// the same value a v1 writer would have stored, which is what lets one
-// checksum definition cover both container versions.
+// The hash a component's `checksum` field holds (structural hash of the
+// automaton and its flag), taken over both sides in one stream.
 std::uint64_t artifact_checksum(const QueryArtifact& artifact);
 
-// Hash over both mask tables (dimensions, bitmask words, CSR arrays); the
-// v2 container's masks_checksum header field.
+// Likewise for `masks_checksum`: dimensions, bitmask words and CSR arrays
+// of both mask tables.
 std::uint64_t artifact_masks_checksum(const QueryArtifact& artifact);
 
 }  // namespace relm::core::pipeline

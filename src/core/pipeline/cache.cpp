@@ -6,6 +6,8 @@
 #include <list>
 #include <unordered_map>
 
+#include <unistd.h>
+
 #include "core/pipeline/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -147,13 +149,14 @@ void ArtifactCache::insert(const ArtifactKey& key,
   try {
     std::error_code ec;
     std::filesystem::create_directories(config_.disk_dir, ec);
-    // Unique temp name per store, then an atomic rename: concurrent
-    // processes warming the same directory never expose a partial file.
+    // Unique temp name per store (the process id, then a per-process
+    // sequence number), then an atomic rename: concurrent processes warming
+    // the same directory never expose a partial file. Forked children
+    // inherit the sequence, so the process id is what keeps them apart.
     static std::atomic<std::uint64_t> store_seq{0};
     const std::string path = disk_path(key);
-    const std::string tmp =
-        path + ".tmp" + std::to_string(store_seq.fetch_add(1)) + "-" +
-        std::to_string(reinterpret_cast<std::uintptr_t>(this) & 0xffff);
+    const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "-" +
+                            std::to_string(store_seq.fetch_add(1));
     save_component_file(*component, tmp);
     std::filesystem::rename(tmp, path, ec);
     if (ec) {

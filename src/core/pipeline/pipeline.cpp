@@ -61,7 +61,6 @@ class DeterminizePass : public Pass {
     }
     automata::AlgebraOptions options;
     options.state_budget = budget;
-    options.lazy = automata::lazy_determinize_from_env();
     s.chars = automata::compile_ast(*s.ast, options);
   }
 };

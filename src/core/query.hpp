@@ -94,7 +94,13 @@ struct SimpleSearchQuery {
 
   // Canonical compilation: languages with at most this many strings are
   // enumerated and encoded exactly (§3.2 option 1); larger ones fall back to
-  // dynamic canonicality pruning during traversal (option 2).
+  // dynamic canonicality pruning during traversal (option 2). Shortest path
+  // returns the same matches either way; sampling does not. Enumeration
+  // draws among canonical edges only, while dynamic pruning draws among all
+  // encodings and retires the stream whose draw dooms it, so the budget
+  // changes how often each string is sampled: on Fig 7b's query "art" takes
+  // a 0.042 share under enumeration and 0.831 at budget 0 (ROADMAP.md,
+  // item 1).
   std::size_t canonical_enumeration_budget = 50000;
 
   // Determinize pass: cap on character-DFA states materialized by subset /

@@ -25,7 +25,7 @@ namespace relm::core {
 // probing and no lockstep pointer walk.
 //
 // An empty table (num_states == 0) means "masks not built" (memory budget
-// exceeded, or a v2 artifact saved without them); executors then fall back to
+// exceeded, or a component saved without them); executors then fall back to
 // the per-edge path. Emptiness is decided only by the query-independent
 // budget below, so cached, fresh, and reloaded compiles agree on it.
 struct TokenMaskTable {

@@ -8,6 +8,7 @@
 #include "automata/regex.hpp"
 #include "core/executor.hpp"
 #include "core/generate/generate_engine.hpp"
+#include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
 #include "model/ngram_model.hpp"
 #include "util/errors.hpp"
@@ -126,6 +127,19 @@ CompiledQuery without_masks(const CompiledQuery& compiled) {
   return CompiledQuery::from_artifact(std::move(copy), compiled.tokenizer());
 }
 
+std::shared_ptr<const core::pipeline::QueryArtifact> reload_through_components(
+    const core::pipeline::QueryArtifact& artifact) {
+  auto reload = [](const core::pipeline::Component& component) {
+    std::stringstream io;
+    core::pipeline::save_component(component, io);
+    return std::make_shared<const core::pipeline::Component>(
+        core::pipeline::load_component(io));
+  };
+  return std::make_shared<const core::pipeline::QueryArtifact>(
+      core::pipeline::assemble_artifact(reload(*artifact.prefix),
+                                        reload(*artifact.body)));
+}
+
 TrialReport run_trial(const TrialCase& trial,
                       const DifferentialOptions& options) {
   TrialReport report;
@@ -223,15 +237,12 @@ TrialReport run_trial(const TrialCase& trial,
       if (!check_config(out, "compile-cache")) return report;
     }
 
-    // Configuration D: artifact serialized and reloaded, plus the logit
-    // cache — the belt-and-braces stack a real deployment runs with.
+    // Configuration D: both components serialized and reloaded as the disk
+    // store does, plus the logit cache — the belt-and-braces stack a real
+    // deployment runs with.
     {
-      std::ostringstream sink;
-      core::pipeline::save_artifact(*artifact, sink);
-      std::istringstream source(sink.str());
-      auto reloaded = std::make_shared<core::pipeline::QueryArtifact>(
-          core::pipeline::load_artifact(source));
-      CompiledQuery rebound = CompiledQuery::from_artifact(reloaded, tok);
+      CompiledQuery rebound =
+          CompiledQuery::from_artifact(reload_through_components(*artifact), tok);
       model::CachingModel cached(base_model, /*capacity=*/1 << 12);
       ExecutorOutputs out =
           run_executors(cached, rebound, query, trial.sampler_seed);

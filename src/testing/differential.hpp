@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,8 +19,8 @@ namespace relm::testing {
 //   logit-cache  — the model behind CachingModel (sharded logit LRU)
 //   compile-cache— compile through a local ArtifactCache warmed by two
 //                  sibling queries that hold both components: no compile
-//   artifact-io  — artifact serialized and reloaded (save/load roundtrip),
-//                  model behind CachingModel
+//   artifact-io  — each component serialized and reloaded, then reassembled
+//                  (reload_through_components), model behind CachingModel
 // Executor output must be BYTE-identical across configurations (exact double
 // equality — the caches replay stored vectors, so even the last bit must
 // match), and the plain configuration must agree with the oracle.
@@ -66,5 +67,11 @@ TrialReport run_trial(const TrialCase& trial,
 // cleared — what the token_masks pass leaves when an artifact exceeds its
 // memory budget — so every traversal takes the per-edge probe path.
 core::CompiledQuery without_masks(const core::CompiledQuery& compiled);
+
+// `artifact` after the disk store's round trip: each component written with
+// save_component, read back with load_component, and the two reassembled
+// with assemble_artifact.
+std::shared_ptr<const core::pipeline::QueryArtifact> reload_through_components(
+    const core::pipeline::QueryArtifact& artifact);
 
 }  // namespace relm::testing

@@ -16,6 +16,7 @@
 #include "core/compiled_query.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
+#include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
 #include "testing/json.hpp"
 #include "testing/oracle.hpp"
@@ -78,27 +79,16 @@ int fuzz_dfa_loader(const std::uint8_t* data, std::size_t size) {
 }
 
 int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size) {
-  const std::string text(reinterpret_cast<const char*>(data), size);
-  std::istringstream in(text);
-  // Dispatch on the magic: a compile-cache component or a whole artifact.
+  std::istringstream in(
+      std::string(reinterpret_cast<const char*>(data), size));
   std::optional<core::pipeline::Component> component;
-  std::optional<core::pipeline::QueryArtifact> artifact;
   try {
-    if (text.starts_with("RELM_COMPONENT")) {
-      component = core::pipeline::load_component(in);
-    } else {
-      artifact = core::pipeline::load_artifact(in);
-    }
+    component = core::pipeline::load_component(in);
   } catch (const relm::Error&) {
     return 0;
   }
   analysis::InvariantReport report;
-  if (component) {
-    analysis::check_component(*component, /*tok=*/nullptr, report, "fuzzed");
-  } else {
-    analysis::check_query_artifact(*artifact, /*tok=*/nullptr, report,
-                                   "fuzzed");
-  }
+  analysis::check_component(*component, /*tok=*/nullptr, report, "fuzzed");
   if (!report.ok()) die("fuzz_artifact_loader", report.to_string());
   return 0;
 }
@@ -114,12 +104,11 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
   } catch (const relm::Error&) {
     return 0;
   }
-  automata::AlgebraOptions lazy;
-  lazy.lazy = true;
-  lazy.state_budget = 4096;  // adversarial complements must terminate
+  automata::AlgebraOptions options;
+  options.state_budget = 4096;  // adversarial complements must terminate
   automata::Dfa lazy_dfa(1);
   try {
-    lazy_dfa = automata::compile_ast(*ast, lazy);
+    lazy_dfa = automata::compile_ast(*ast, options);
   } catch (const relm::StateBudgetError&) {
     return 0;  // over budget is an accepted outcome, not a finding
   } catch (const relm::Error& e) {
@@ -130,12 +119,10 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
   analysis::InvariantReport report;
   analysis::check_dfa(lazy_dfa, report, "algebra-lazy");
   if (!report.ok()) die("fuzz_algebra_compile", report.to_string());
-  // Differential check against the eager reference path when it also fits
-  // the budget: same language, or one of the two compilers is wrong.
-  automata::AlgebraOptions eager = lazy;
-  eager.lazy = false;
+  // Differential check against the eager reference when it also fits the
+  // budget: same language, or one of the two compilers is wrong.
   try {
-    automata::Dfa eager_dfa = automata::compile_ast(*ast, eager);
+    automata::Dfa eager_dfa = compile_ast_eager(*ast, options);
     if (!automata::dfa_equivalent(lazy_dfa, eager_dfa)) {
       die("fuzz_algebra_compile",
           "lazy and eager compiles disagree on \"" + pattern + "\"");

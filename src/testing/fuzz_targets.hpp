@@ -21,15 +21,14 @@ int fuzz_regex_parser(const std::uint8_t* data, std::size_t size);
 // the check_dfa structural invariants.
 int fuzz_dfa_loader(const std::uint8_t* data, std::size_t size);
 
-// Compiled-query deserializers, dispatched on the magic: RELM_COMPONENT v1
-// (the compile cache's disk format) must satisfy check_component after a
-// successful load, RELM_ARTIFACT v1/v2 check_query_artifact.
+// Compiled-component deserializer (RELM_COMPONENT v1, the compile cache's
+// disk format). A successful load must satisfy check_component.
 int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size);
 
 // Boolean-algebra compiler: parse, then compile through the algebra
 // product/subset construction under a small state budget (so adversarial
-// complements terminate). On success with both evaluation modes inside the
-// budget, the lazy and eager DFAs must be language-equivalent.
+// complements terminate). When the eager reference (compile_ast_eager) also
+// fits the budget, the two DFAs must be language-equivalent.
 int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size);
 
 // Fuzz-repro JSON reader: strict Json::parse, then TrialCase::from_json on

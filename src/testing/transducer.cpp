@@ -1,4 +1,4 @@
-#include "automata/transducer.hpp"
+#include "testing/transducer.hpp"
 
 #include <deque>
 #include <map>
@@ -6,7 +6,14 @@
 #include "automata/determinize.hpp"
 #include "util/errors.hpp"
 
-namespace relm::automata {
+namespace relm::testing {
+
+using automata::ByteSet;
+using automata::Dfa;
+using automata::Edge;
+using automata::kEpsilon;
+using automata::Nfa;
+using automata::StateId;
 
 Fst Fst::identity(const Dfa& language) {
   Fst fst(language.num_symbols());
@@ -80,7 +87,7 @@ Dfa project(const Fst& t, bool output_side) {
     }
   }
   nfa.set_start(t.start());
-  return minimize(determinize(nfa));
+  return automata::minimize(automata::determinize(nfa));
 }
 }  // namespace
 
@@ -119,7 +126,7 @@ Fst case_fold_transducer() {
   Fst fst(256);
   StateId s = fst.add_state(true);
   fst.set_start(s);
-  ByteSet all = printable_ascii_and_ws();
+  ByteSet all = automata::printable_ascii_and_ws();
   for (unsigned c = 0; c < 256; ++c) {
     if (!all.test(c)) continue;
     fst.add_edge(s, c, c, s);
@@ -154,4 +161,4 @@ Fst replace_transducer(std::string_view from, std::string_view to,
   return fst;
 }
 
-}  // namespace relm::automata
+}  // namespace relm::testing

@@ -7,57 +7,60 @@
 #include "automata/automaton.hpp"
 #include "automata/regex_ast.hpp"
 
-namespace relm::automata {
+namespace relm::testing {
 
 // Finite-state transducers (Mohri, 1997; Pereira & Riley, 1996) — the §2.3
 // machinery the paper phrases its preprocessors and token compilation in.
 // Each edge reads an input symbol and writes an output symbol; kEpsilon on
 // either side reads/writes nothing. Weights are tropical (added along a
-// path); the library's current users are boolean (weight 0), but the field
-// keeps the door open for weighted rewrites.
+// path); every transducer here is boolean (weight 0).
 //
-// The preprocessors in core/preprocessors.cpp are direct DFA constructions
-// for speed; the constructors below express the same rewrites as honest
-// transducer compositions, and the test suite proves the two routes
-// equivalent (tests/test_transducer.cpp) — each implementation checks the
-// other.
+// The preprocessors in core/preprocessors.cpp and automata::levenshtein_expand
+// are direct DFA constructions; the constructors below express the same
+// rewrites as transducer compositions, and tests/test_transducer.cpp proves
+// the two routes equivalent — each implementation checks the other.
 struct FstEdge {
-  Symbol in;    // consumed input symbol, or kEpsilon
-  Symbol out;   // emitted output symbol, or kEpsilon
-  StateId to;
+  automata::Symbol in;   // consumed input symbol, or kEpsilon
+  automata::Symbol out;  // emitted output symbol, or kEpsilon
+  automata::StateId to;
   double weight = 0.0;
 };
 
 class Fst {
  public:
-  explicit Fst(Symbol num_symbols) : num_symbols_(num_symbols) {}
+  explicit Fst(automata::Symbol num_symbols) : num_symbols_(num_symbols) {}
 
-  StateId add_state(bool is_final = false) {
+  automata::StateId add_state(bool is_final = false) {
     edges_.emplace_back();
     final_.push_back(is_final);
-    return static_cast<StateId>(edges_.size() - 1);
+    return static_cast<automata::StateId>(edges_.size() - 1);
   }
-  void add_edge(StateId from, Symbol in, Symbol out, StateId to,
+  void add_edge(automata::StateId from, automata::Symbol in,
+                automata::Symbol out, automata::StateId to,
                 double weight = 0.0) {
     edges_[from].push_back(FstEdge{in, out, to, weight});
   }
-  void set_start(StateId s) { start_ = s; }
-  void set_final(StateId s, bool is_final = true) { final_[s] = is_final; }
+  void set_start(automata::StateId s) { start_ = s; }
+  void set_final(automata::StateId s, bool is_final = true) {
+    final_[s] = is_final;
+  }
 
-  StateId start() const { return start_; }
-  bool is_final(StateId s) const { return final_[s]; }
+  automata::StateId start() const { return start_; }
+  bool is_final(automata::StateId s) const { return final_[s]; }
   std::size_t num_states() const { return edges_.size(); }
-  Symbol num_symbols() const { return num_symbols_; }
-  std::span<const FstEdge> edges(StateId s) const { return edges_[s]; }
+  automata::Symbol num_symbols() const { return num_symbols_; }
+  std::span<const FstEdge> edges(automata::StateId s) const {
+    return edges_[s];
+  }
 
   // Identity transducer of a language: maps every string in L to itself.
-  static Fst identity(const Dfa& language);
+  static Fst identity(const automata::Dfa& language);
 
  private:
   std::vector<std::vector<FstEdge>> edges_;
   std::vector<bool> final_;
-  StateId start_ = 0;
-  Symbol num_symbols_;
+  automata::StateId start_ = 0;
+  automata::Symbol num_symbols_;
 };
 
 // Relation composition a ∘ b: (x, z) iff exists y with (x,y) ∈ a, (y,z) ∈ b.
@@ -65,18 +68,18 @@ class Fst {
 Fst compose(const Fst& a, const Fst& b);
 
 // Range/domain of the relation as minimized DFAs.
-Dfa output_projection(const Fst& t);
-Dfa input_projection(const Fst& t);
+automata::Dfa output_projection(const Fst& t);
+automata::Dfa input_projection(const Fst& t);
 
 // The image of `input` under `t`: output_projection(compose(identity(input), t)).
-Dfa apply(const Fst& t, const Dfa& input);
+automata::Dfa apply(const Fst& t, const automata::Dfa& input);
 
 // --- Useful transducers ------------------------------------------------------
 
 // Levenshtein edit transducer: relates every string to every string within
 // `max_edits` insertions/deletions/substitutions over `alphabet`.
 // apply(edit_transducer(k, A), L) == levenshtein_expand(L, k, A).
-Fst edit_transducer(int max_edits, const ByteSet& alphabet);
+Fst edit_transducer(int max_edits, const automata::ByteSet& alphabet);
 
 // Case-folding: relates each letter to both of its cases (other symbols to
 // themselves). apply() of it reproduces CaseInsensitivePreprocessor.
@@ -87,6 +90,6 @@ Fst case_fold_transducer();
 // this notion for its shortcut-edge construction ("the sequence T-h-e is
 // optionally rewritten to The") and for synonym-style preprocessors.
 Fst replace_transducer(std::string_view from, std::string_view to,
-                       const ByteSet& passthrough);
+                       const automata::ByteSet& passthrough);
 
-}  // namespace relm::automata
+}  // namespace relm::testing

@@ -98,9 +98,9 @@ class BpeTokenizer {
   // encoding-count DP.
   std::vector<TokenId> matches_at(std::string_view text, std::size_t pos) const;
 
-  // Read-only view of the vocabulary byte trie, used by ReLM's graph
-  // compiler (§3.2) to walk the trie and a character automaton in lockstep
-  // when adding token "shortcut" edges. kNoTrieNode marks an absent child.
+  // Read-only view of the vocabulary byte trie, which canonical settlement
+  // (CompiledQuery::canonical_prefix_advance) walks byte by byte.
+  // kNoTrieNode marks an absent child.
   static constexpr std::uint32_t kNoTrieNode = 0xffffffffu;
   std::uint32_t trie_root() const { return 0; }
   std::uint32_t trie_child(std::uint32_t node, unsigned char c) const {

@@ -1,7 +1,7 @@
 // Tests for the boolean query algebra (src/automata/algebra.*): operator
 // semantics, the algebraic laws (decided by dfa_equivalent, not examples),
-// lazy vs eager determinization under a state budget, and the
-// distinguishing-word machinery itself.
+// the lazy product against the eager reference (testing/eager_algebra.hpp)
+// under a state budget, and the distinguishing-word machinery itself.
 
 #include <cstdlib>
 #include <string>
@@ -16,6 +16,7 @@
 #include "automata/regex_ast.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/thompson.hpp"
+#include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -225,12 +226,7 @@ TEST_F(AlgebraLaws, LazyAndEagerAgree) {
     RegexPtr ast = rt::random_regex(rng, config);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " +
                  rt::pattern_of(*ast));
-    AlgebraOptions lazy;
-    lazy.lazy = true;
-    AlgebraOptions eager;
-    eager.lazy = false;
-    EXPECT_TRUE(dfa_equivalent(compile_ast(*ast, lazy),
-                               compile_ast(*ast, eager)));
+    EXPECT_TRUE(dfa_equivalent(compile_ast(*ast), rt::compile_ast_eager(*ast)));
   }
 }
 
@@ -249,7 +245,6 @@ constexpr std::size_t kAdversarialBudget = 4096;
 
 TEST(AlgebraBudget, LazyCompilesAdversarialQueryWithinBudget) {
   AlgebraOptions options;
-  options.lazy = true;
   options.state_budget = kAdversarialBudget;
   Dfa dfa = compile(kAdversarialPattern, options);
   // The intersection is empty (the left operand needs length >= 15).
@@ -258,10 +253,9 @@ TEST(AlgebraBudget, LazyCompilesAdversarialQueryWithinBudget) {
 
 TEST(AlgebraBudget, EagerExceedsTheSameBudget) {
   AlgebraOptions options;
-  options.lazy = false;
   options.state_budget = kAdversarialBudget;
   try {
-    compile(kAdversarialPattern, options);
+    rt::compile_ast_eager(*automata::parse_regex(kAdversarialPattern), options);
     FAIL() << "expected StateBudgetError";
   } catch (const relm::StateBudgetError& e) {
     EXPECT_EQ(e.budget(), kAdversarialBudget);
@@ -270,17 +264,14 @@ TEST(AlgebraBudget, EagerExceedsTheSameBudget) {
 }
 
 TEST(AlgebraBudget, EagerSucceedsUnbounded) {
-  AlgebraOptions lazy;
-  lazy.lazy = true;
-  AlgebraOptions eager;
-  eager.lazy = false;  // state_budget = 0: unlimited
-  EXPECT_TRUE(dfa_equivalent(compile(kAdversarialPattern, lazy),
-                             compile(kAdversarialPattern, eager)));
+  // state_budget = 0: unlimited
+  EXPECT_TRUE(dfa_equivalent(
+      compile(kAdversarialPattern),
+      rt::compile_ast_eager(*automata::parse_regex(kAdversarialPattern))));
 }
 
 TEST(AlgebraBudget, TinyBudgetFailsEvenLazy) {
   AlgebraOptions options;
-  options.lazy = true;
   options.state_budget = 2;
   EXPECT_THROW(compile("(abcdefgh)&(abcdefgh)", options),
                relm::StateBudgetError);
@@ -302,11 +293,6 @@ TEST(AlgebraBudget, EnvVariableControlsDefault) {
   ASSERT_EQ(unsetenv("RELM_DETERMINIZE_BUDGET"), 0);
   EXPECT_EQ(automata::determinize_budget_from_env(),
             automata::kDefaultDeterminizeBudget);
-
-  ASSERT_EQ(setenv("RELM_DETERMINIZE_MODE", "eager", 1), 0);
-  EXPECT_FALSE(automata::lazy_determinize_from_env());
-  ASSERT_EQ(unsetenv("RELM_DETERMINIZE_MODE"), 0);
-  EXPECT_TRUE(automata::lazy_determinize_from_env());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "automata/levenshtein.hpp"
+#include "automata/determinize.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex.hpp"
 #include "util/strings.hpp"
@@ -1218,6 +1219,46 @@ namespace {
 // ---------------------------------------------------------------------------
 // Appendix-B reference construction == trie-optimized construction
 // ---------------------------------------------------------------------------
+
+// The trie-sharing construction of the all-tokens automaton: from every DFA
+// state, walk (trie node, DFA state) pairs in lockstep; every trie node that
+// carries a token contributes a shortcut edge. It shares prefix work across
+// tokens, where the production construction walks each token separately.
+automata::Dfa build_all_tokens_trie_variant(const automata::Dfa& char_dfa,
+                                            const BpeTokenizer& tok) {
+  using automata::StateId;
+  automata::Dfa source = automata::trim(char_dfa);
+  automata::Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
+  for (StateId s = 0; s < source.num_states(); ++s) {
+    out.add_state(source.is_final(s));
+  }
+  out.set_start(source.start());
+
+  struct WalkItem {
+    std::uint32_t trie_node;
+    StateId dfa_state;
+  };
+  std::vector<WalkItem> stack;
+  for (StateId origin = 0; origin < source.num_states(); ++origin) {
+    stack.clear();
+    stack.push_back({tok.trie_root(), origin});
+    while (!stack.empty()) {
+      WalkItem item = stack.back();
+      stack.pop_back();
+      for (const automata::Edge& e : source.edges(item.dfa_state)) {
+        if (e.symbol > 255) continue;  // character automaton invariant
+        std::uint32_t child =
+            tok.trie_child(item.trie_node, static_cast<unsigned char>(e.symbol));
+        if (child == BpeTokenizer::kNoTrieNode) continue;
+        if (auto token = tok.trie_token(child)) {
+          out.add_edge(origin, *token, e.to);
+        }
+        stack.push_back({child, e.to});
+      }
+    }
+  }
+  return automata::trim(out);
+}
 
 class ShortcutEdgeEquivalence : public ::testing::TestWithParam<const char*> {};
 

@@ -1,18 +1,25 @@
-// Tests for the compile pass pipeline, the RELM_ARTIFACT container, and the
+// Tests for the compile pass pipeline, the RELM_COMPONENT container, and the
 // content-addressed artifact cache (src/core/pipeline/).
 //
 // The load-bearing guarantee is byte-identity: a query compiled fresh, served
-// from the in-memory cache, or reloaded from a serialized artifact must drive
-// the executors to exactly the same matches at exactly the same costs. The
-// Equivalence tests prove that end to end for both tokenization strategies,
-// including the dynamic-canonical fallback.
+// from the in-memory cache, or reloaded from its serialized components must
+// drive the executors to exactly the same matches at exactly the same costs.
+// The Equivalence tests prove that end to end for both tokenization
+// strategies, including the dynamic-canonical fallback.
 
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <thread>
 
@@ -23,6 +30,7 @@
 #include "core/pipeline/pipeline.hpp"
 #include "core/preprocessors.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/differential.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
 
@@ -107,7 +115,7 @@ TEST(Pipeline, StandardPassSequence) {
     names.push_back(name);
   }
   EXPECT_THAT(names,
-              testing::ElementsAre("parse", "thompson", "determinize",
+              ::testing::ElementsAre("parse", "thompson", "determinize",
                                    "minimize", "preprocess", "token_lift",
                                    "token_masks"));
 }
@@ -398,68 +406,25 @@ QueryArtifact compile_artifact(const SimpleSearchQuery& query) {
   return core::pipeline::compile_query_artifact(query, fixture_tokenizer());
 }
 
+// A query persists as its two components; reassembled, they must give back
+// the same artifact, down to its key and both mask tables.
 TEST(ArtifactSerialize, RoundTripPreservesEverything) {
   SimpleSearchQuery query = make_query(
       "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
   QueryArtifact artifact = compile_artifact(query);
-  std::stringstream buffer;
-  core::pipeline::save_artifact(artifact, buffer);
-  QueryArtifact loaded = core::pipeline::load_artifact(buffer);
-  EXPECT_EQ(loaded.key, artifact.key);
-  EXPECT_EQ(loaded.vocab_fingerprint, artifact.vocab_fingerprint);
-  EXPECT_EQ(loaded.strategy, artifact.strategy);
-  EXPECT_EQ(loaded.prefix->automaton.dynamic_canonical,
+  auto loaded = relm::testing::reload_through_components(artifact);
+  EXPECT_EQ(loaded->key, artifact.key);
+  EXPECT_EQ(loaded->vocab_fingerprint, artifact.vocab_fingerprint);
+  EXPECT_EQ(loaded->strategy, artifact.strategy);
+  EXPECT_EQ(loaded->empty_language, artifact.empty_language);
+  EXPECT_EQ(loaded->prefix->automaton.dynamic_canonical,
             artifact.prefix->automaton.dynamic_canonical);
-  EXPECT_EQ(loaded.body->automaton.dynamic_canonical,
+  EXPECT_EQ(loaded->body->automaton.dynamic_canonical,
             artifact.body->automaton.dynamic_canonical);
-  EXPECT_EQ(loaded.prefix->automaton.dfa, artifact.prefix->automaton.dfa);
-  EXPECT_EQ(loaded.body->automaton.dfa, artifact.body->automaton.dfa);
-}
-
-TEST(ArtifactSerialize, RejectsCorruptContainers) {
-  SimpleSearchQuery query =
-      make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
-  QueryArtifact artifact = compile_artifact(query);
-  std::stringstream buffer;
-  core::pipeline::save_artifact(artifact, buffer);
-  const std::string good = buffer.str();
-
-  auto load_from = [](const std::string& text) {
-    std::stringstream in(text);
-    return core::pipeline::load_artifact(in);
-  };
-
-  EXPECT_THROW(load_from(""), relm::Error);
-  EXPECT_THROW(load_from("RELM_NOPE v1\n"), relm::Error);
-  EXPECT_THROW(load_from("RELM_ARTIFACT v999\n"), relm::Error);
-  // Truncation anywhere must be detected.
-  EXPECT_THROW(load_from(good.substr(0, 40)), relm::Error);
-  EXPECT_THROW(load_from(good.substr(0, good.size() / 2)), relm::Error);
-  EXPECT_THROW(load_from(good.substr(0, good.size() - 4)), relm::Error);
-
-  // A bit-flip in the DFA payload must fail the checksum (flip a digit in
-  // the last edge line, keeping the file well-formed).
-  std::string flipped = good;
-  std::size_t digit = flipped.find_last_of("0123456789");
-  ASSERT_NE(digit, std::string::npos);
-  flipped[digit] = flipped[digit] == '0' ? '1' : '0';
-  EXPECT_THROW(load_from(flipped), relm::Error);
-}
-
-TEST(ArtifactSerialize, RejectsIncoherentStrategyFlags) {
-  SimpleSearchQuery query =
-      make_query("(cat)|(dog)", TokenizationStrategy::kAllTokens);
-  QueryArtifact artifact = compile_artifact(query);
-  ASSERT_FALSE(artifact.body->automaton.dynamic_canonical);
-  // Forge the flag (and its checksum, to get past integrity) — the semantic
-  // invariant must still reject it.
-  auto forged = std::make_shared<Component>(*artifact.body);
-  forged->automaton.dynamic_canonical = true;
-  artifact.body = forged;
-  std::stringstream buffer;
-  core::pipeline::save_artifact(artifact, buffer);
-  std::stringstream in(buffer.str());
-  EXPECT_THROW(core::pipeline::load_artifact(in), relm::Error);
+  EXPECT_EQ(loaded->prefix->automaton.dfa, artifact.prefix->automaton.dfa);
+  EXPECT_EQ(loaded->body->automaton.dfa, artifact.body->automaton.dfa);
+  EXPECT_EQ(loaded->prefix->automaton.masks, artifact.prefix->automaton.masks);
+  EXPECT_EQ(loaded->body->automaton.masks, artifact.body->automaton.masks);
 }
 
 TEST(ArtifactSerialize, FileRoundTrip) {
@@ -510,13 +475,9 @@ void check_equivalence(const SimpleSearchQuery& query) {
       core::pipeline::compile_query_artifact(query, tok));
   core::CompiledQuery from_fresh = core::CompiledQuery::from_artifact(fresh, tok);
 
-  // Serialize, reload, rebind.
-  std::stringstream buffer;
-  core::pipeline::save_artifact(*fresh, buffer);
-  auto reloaded = std::make_shared<const QueryArtifact>(
-      core::pipeline::load_artifact(buffer));
-  core::CompiledQuery from_disk =
-      core::CompiledQuery::from_artifact(reloaded, tok);
+  // Serialize and reload both components, reassemble, rebind.
+  core::CompiledQuery from_disk = core::CompiledQuery::from_artifact(
+      relm::testing::reload_through_components(*fresh), tok);
 
   // Serve the same query through a private cache: miss then hit.
   ArtifactCache cache(ArtifactCacheConfig{});
@@ -684,6 +645,68 @@ TEST(ArtifactCache, DiskStoreSurvivesProcessRestart) {
   EXPECT_EQ(cold.stats().disk_loads, 2u);
   EXPECT_EQ(cold.stats().hits, 1u);
   EXPECT_EQ(cold.stats().misses, 0u);
+}
+
+// Processes forked from one parent store the same components into one
+// directory at the same moments. Their temp files must never share a name:
+// a shared temp file lets one writer truncate the other's file or rename it
+// away first, so a store fails (a disk error) or a partial file lands.
+TEST(ArtifactCache, ForkedWritersNeverShareTempFiles) {
+  TempDir dir("forked_writers");
+  const QueryArtifact artifact = compile_artifact(make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The "));
+  constexpr std::uint32_t kWriters = 2;
+  constexpr std::uint32_t kRounds = 200;
+
+  // A barrier in shared memory starts every round in all writers at once.
+  void* shared = mmap(nullptr, sizeof(std::atomic<std::uint32_t>),
+                      PROT_READ | PROT_WRITE, MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(shared, MAP_FAILED);
+  auto* arrived = new (shared) std::atomic<std::uint32_t>(0);
+
+  std::vector<pid_t> writers;
+  for (std::uint32_t w = 0; w < kWriters; ++w) {
+    const pid_t pid = fork();
+    ASSERT_NE(pid, -1);
+    if (pid == 0) {
+      // The child reports through its exit status only: 0 clean, 1 a disk
+      // error, 2 a barrier that never filled.
+      ArtifactCacheConfig config;
+      config.disk_dir = dir.str();
+      ArtifactCache cache(config);
+      for (std::uint32_t round = 0; round < kRounds; ++round) {
+        arrived->fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (arrived->load() < kWriters * (round + 1)) {
+          if (std::chrono::steady_clock::now() > deadline) _exit(2);
+          std::this_thread::yield();
+        }
+        cache.insert(artifact.prefix->key, artifact.prefix);
+        cache.insert(artifact.body->key, artifact.body);
+      }
+      _exit(cache.stats().disk_errors == 0 ? 0 : 1);
+    }
+    writers.push_back(pid);
+  }
+  for (pid_t pid : writers) {
+    int status = 0;
+    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "0 clean, 1 disk error, 2 stalled";
+  }
+  munmap(shared, sizeof(std::atomic<std::uint32_t>));
+
+  // Exactly the two entries remain, no temp file, and both load intact.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir.path),
+                          std::filesystem::directory_iterator{}),
+            2);
+  for (const auto& component : {artifact.prefix, artifact.body}) {
+    Component loaded = core::pipeline::load_component_file(
+        dir.str() + "/" + component->key.hex() + ".relmc");
+    EXPECT_EQ(loaded.automaton.dfa, component->automaton.dfa);
+    EXPECT_EQ(loaded.automaton.masks, component->automaton.masks);
+  }
 }
 
 TEST(ArtifactCache, CorruptDiskEntryFallsBackToRecompile) {

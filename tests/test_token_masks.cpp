@@ -1,7 +1,7 @@
 // Tests for the precomputed per-state token bitmask fast path: the
 // util::TokenBitset currency, the token_masks compile pass and its
 // TokenMaskTable, the expand_masked executor primitive (vs the per-edge
-// reference path), the v2 artifact container with its v1 back-compat, the
+// reference path), the RELM_COMPONENT container's mask section, the
 // decoding-rule membership test, and the `relm verify` mask invariants.
 
 #include <gtest/gtest.h>
@@ -111,10 +111,10 @@ std::shared_ptr<model::NgramModel> fixture_model() {
   return model;
 }
 
-// The stable tiny vocabulary the checked-in v1 fixture artifact was compiled
-// against (see tests/fuzz_corpus/README-like comment in the fixture
-// generator test below). from_vocab is exact — no training randomness — so
-// the vocab fingerprint is reproducible forever.
+// The stable tiny vocabulary the checked-in component seeds
+// (tests/fuzz_corpus/component-v1-*.relmc) were compiled against. from_vocab
+// is exact — no training randomness — so the vocab fingerprint is
+// reproducible forever.
 BpeTokenizer tiny_tokenizer() {
   return BpeTokenizer::from_vocab({"", "a", "b", "c", "ab", "bc", "abc"});
 }
@@ -606,194 +606,8 @@ TEST(TokenAllowed, NoAllocation) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact container: v2 round-trip, corruption rejection, v1 back-compat
-// ---------------------------------------------------------------------------
-
-TEST(ArtifactV2, RoundTripPreservesMasks) {
-  SimpleSearchQuery query = make_query("The ((cat)|(dog))",
-                                       TokenizationStrategy::kCanonicalTokens,
-                                       "The ");
-  auto artifact =
-      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-  std::ostringstream sink;
-  core::pipeline::save_artifact(artifact, sink);
-  EXPECT_NE(sink.str().find("RELM_ARTIFACT v2"), std::string::npos);
-  EXPECT_NE(sink.str().find("RELM_MASKS v1"), std::string::npos);
-
-  std::istringstream source(sink.str());
-  core::pipeline::QueryArtifact reloaded = core::pipeline::load_artifact(source);
-  EXPECT_EQ(reloaded.prefix->automaton.masks, artifact.prefix->automaton.masks);
-  EXPECT_EQ(reloaded.body->automaton.masks, artifact.body->automaton.masks);
-  EXPECT_EQ(core::pipeline::artifact_checksum(reloaded),
-            core::pipeline::artifact_checksum(artifact));
-}
-
-std::string v2_container_text() {
-  SimpleSearchQuery query = make_query("The ((cat)|(dog))",
-                                       TokenizationStrategy::kCanonicalTokens,
-                                       "The ");
-  auto artifact =
-      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-  std::ostringstream sink;
-  core::pipeline::save_artifact(artifact, sink);
-  return sink.str();
-}
-
-void expect_load_fails_with(const std::string& text, const std::string& needle) {
-  std::istringstream in(text);
-  try {
-    (void)core::pipeline::load_artifact(in);
-    FAIL() << "corrupt container loaded cleanly (wanted \"" << needle << "\")";
-  } catch (const relm::Error& e) {
-    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
-        << "diagnostic was: " << e.what();
-  }
-}
-
-TEST(ArtifactV2, BitFlippedMaskWordRejected) {
-  std::string text = v2_container_text();
-  // Flip one hex digit inside the first "bits" payload line.
-  std::size_t bits_pos = text.find("\nbits ");
-  ASSERT_NE(bits_pos, std::string::npos);
-  std::size_t digit = bits_pos + 6;
-  text[digit] = text[digit] == '0' ? '1' : '0';
-  expect_load_fails_with(text, "masks_checksum mismatch");
-}
-
-TEST(ArtifactV2, TruncatedMaskSectionRejectedWithLocation) {
-  std::string text = v2_container_text();
-  std::size_t bits_pos = text.find("\nbits ");
-  ASSERT_NE(bits_pos, std::string::npos);
-  expect_load_fails_with(text.substr(0, bits_pos + 8), "masks");
-}
-
-TEST(ArtifactV2, MaskDimensionForgeryRejectedBeforeAllocation) {
-  std::string text = v2_container_text();
-  // Forge an absurd state count in the first RELM_MASKS header (the DFA
-  // section's own dimensions line carries no field labels, so anchor on the
-  // masks section). The loader must refuse by comparing against the
-  // already-loaded DFA instead of allocating what the header claims.
-  std::size_t masks_pos = text.find("RELM_MASKS");
-  ASSERT_NE(masks_pos, std::string::npos);
-  std::size_t pos = text.find("states ", masks_pos);
-  ASSERT_NE(pos, std::string::npos);
-  std::size_t digits = pos + 7;
-  std::size_t digits_end = text.find(' ', digits);
-  ASSERT_NE(digits_end, std::string::npos);
-  text.replace(digits, digits_end - digits, "99999999");
-  expect_load_fails_with(text, "states");
-}
-
-TEST(ArtifactV2, UnsupportedVersionNamesReadableRange) {
-  expect_load_fails_with("RELM_ARTIFACT v3\nkey junk\n", "v1-v2");
-}
-
-TEST(ArtifactV1, LegacyWriterOutputReloadsWithRecomputedMasks) {
-  for (auto strategy : {TokenizationStrategy::kCanonicalTokens,
-                        TokenizationStrategy::kAllTokens}) {
-    SimpleSearchQuery query =
-        make_query("The ((cat)|(dog))", strategy, "The ");
-    auto artifact =
-        core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-    std::ostringstream sink;
-    core::pipeline::save_artifact_v1(artifact, sink);
-    EXPECT_NE(sink.str().find("RELM_ARTIFACT v1"), std::string::npos);
-    EXPECT_EQ(sink.str().find("RELM_MASKS"), std::string::npos);
-
-    std::istringstream source(sink.str());
-    core::pipeline::QueryArtifact reloaded =
-        core::pipeline::load_artifact(source);
-    // Masks were not in the file; the loader recomputes them, bit-identical
-    // to the fresh compile's token_masks pass.
-    EXPECT_EQ(reloaded.prefix->automaton.masks, artifact.prefix->automaton.masks);
-    EXPECT_EQ(reloaded.body->automaton.masks, artifact.body->automaton.masks);
-  }
-}
-
-TEST(ArtifactV1, DynamicCanonicalReloadDrivesExecutorsIdentically) {
-  SimpleSearchQuery query =
-      make_query("ab+e", TokenizationStrategy::kCanonicalTokens);
-  query.canonical_enumeration_budget = 1;  // force dynamic canonicality
-  query.require_eos = false;
-  auto fresh =
-      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-  ASSERT_TRUE(fresh.body->automaton.dynamic_canonical);
-
-  std::ostringstream sink;
-  core::pipeline::save_artifact_v1(fresh, sink);
-  std::istringstream source(sink.str());
-  auto reloaded = std::make_shared<core::pipeline::QueryArtifact>(
-      core::pipeline::load_artifact(source));
-
-  CompiledQuery from_fresh = CompiledQuery::from_artifact(
-      std::make_shared<core::pipeline::QueryArtifact>(fresh),
-      fixture_tokenizer());
-  CompiledQuery from_v1 =
-      CompiledQuery::from_artifact(reloaded, fixture_tokenizer());
-
-  core::ShortestPathSearch fresh_search(*fixture_model(), from_fresh, query);
-  core::ShortestPathSearch v1_search(*fixture_model(), from_v1, query);
-  auto fresh_results = fresh_search.all();
-  auto v1_results = v1_search.all();
-  ASSERT_FALSE(fresh_results.empty());
-  ASSERT_EQ(fresh_results.size(), v1_results.size());
-  for (std::size_t i = 0; i < fresh_results.size(); ++i) {
-    EXPECT_EQ(fresh_results[i].tokens, v1_results[i].tokens);
-    EXPECT_EQ(fresh_results[i].log_prob, v1_results[i].log_prob);  // bitwise
-  }
-}
-
-// The checked-in fixture: a v1 container written by the legacy writer against
-// the stable tiny_tokenizer() vocabulary. It must keep loading forever, and
-// drive the executors exactly like a fresh v2 compile of the same query.
-TEST(ArtifactV1, CheckedInFixtureMatchesFreshCompile) {
-  const std::string path =
-      std::string(RELM_FUZZ_CORPUS_DIR) + "/artifact-v1-tiny.relmq";
-  BpeTokenizer tok = tiny_tokenizer();
-  std::string text = slurp(path);
-  ASSERT_NE(text.find("RELM_ARTIFACT v1"), std::string::npos);
-
-  std::istringstream in(text);
-  auto reloaded = std::make_shared<core::pipeline::QueryArtifact>(
-      core::pipeline::load_artifact(in));
-  ASSERT_FALSE(reloaded->prefix->automaton.masks.empty());
-  ASSERT_FALSE(reloaded->body->automaton.masks.empty());
-
-  SimpleSearchQuery query = tiny_fixture_query();
-  auto fresh = core::pipeline::compile_query_artifact(query, tok);
-  // The fixture's stored key predates component keys, so its automata
-  // identify the query it was built for.
-  EXPECT_EQ(core::pipeline::artifact_checksum(*reloaded),
-            core::pipeline::artifact_checksum(fresh))
-      << "fixture was built for another query";
-  EXPECT_EQ(reloaded->prefix->automaton.dfa, fresh.prefix->automaton.dfa);
-  EXPECT_EQ(reloaded->body->automaton.dfa, fresh.body->automaton.dfa);
-  EXPECT_EQ(reloaded->prefix->automaton.masks, fresh.prefix->automaton.masks);
-  EXPECT_EQ(reloaded->body->automaton.masks, fresh.body->automaton.masks);
-
-  model::NgramModel::Config config;
-  config.order = 2;
-  config.max_sequence_length = 16;
-  auto model = model::NgramModel::train(tok, {"aba", "cbc", "abc"}, config);
-
-  CompiledQuery from_fixture = CompiledQuery::from_artifact(reloaded, tok);
-  CompiledQuery from_fresh = CompiledQuery::from_artifact(
-      std::make_shared<core::pipeline::QueryArtifact>(fresh), tok);
-  core::ShortestPathSearch fixture_search(*model, from_fixture, query);
-  core::ShortestPathSearch fresh_search(*model, from_fresh, query);
-  auto fixture_results = fixture_search.all();
-  auto fresh_results = fresh_search.all();
-  ASSERT_FALSE(fresh_results.empty());
-  ASSERT_EQ(fixture_results.size(), fresh_results.size());
-  for (std::size_t i = 0; i < fresh_results.size(); ++i) {
-    EXPECT_EQ(fixture_results[i].tokens, fresh_results[i].tokens);
-    EXPECT_EQ(fixture_results[i].log_prob, fresh_results[i].log_prob);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Component container (the compile cache's disk format): the same section
-// checks as the v2 artifact container
+// Component container (the compile cache's disk format): round trip,
+// corruption rejection, and reloads that drive the executors identically
 // ---------------------------------------------------------------------------
 
 std::string component_text(TokenizationStrategy strategy =
@@ -868,9 +682,11 @@ TEST(ComponentV1, CorruptionRejectedWithLocation) {
   std::istringstream payload_in(payload);
   EXPECT_THROW((void)core::pipeline::load_component(payload_in), relm::Error);
 
-  expect_component_load_fails_with("RELM_COMPONENT v2\nkey junk\n", "v1-v1");
-  expect_component_load_fails_with(v2_container_text(), "bad magic");
-  for (std::size_t cut : {std::size_t{10}, good.size() / 2, good.size() - 4}) {
+  expect_component_load_fails_with("RELM_COMPONENT v2\nkey junk\n",
+                                   "this build reads v1)");
+  expect_component_load_fails_with("RELM_NOPE v1\nkey junk\n", "bad magic");
+  for (std::size_t cut :
+       {std::size_t{0}, std::size_t{10}, good.size() / 2, good.size() - 4}) {
     std::istringstream in(good.substr(0, cut));
     EXPECT_THROW((void)core::pipeline::load_component(in), relm::Error) << cut;
   }
@@ -888,33 +704,36 @@ TEST(ComponentV1, RejectsIncoherentStrategyFlag) {
   expect_component_load_fails_with(sink.str(), "dynamic_canonical");
 }
 
-// ---------------------------------------------------------------------------
-// Fuzz corpus: corrupt v2 containers must be rejected, never crash
-// ---------------------------------------------------------------------------
+TEST(ComponentV1, DynamicCanonicalReloadDrivesExecutorsIdentically) {
+  SimpleSearchQuery query =
+      make_query("ab+e", TokenizationStrategy::kCanonicalTokens);
+  query.canonical_enumeration_budget = 1;  // force dynamic canonicality
+  query.require_eos = false;
+  auto fresh =
+      core::pipeline::compile_query_artifact(query, fixture_tokenizer());
+  ASSERT_TRUE(fresh.body->automaton.dynamic_canonical);
 
-TEST(FuzzCorpus, CorruptV2ArtifactsRejectedWithDiagnostics) {
-  for (const char* name :
-       {"artifact-v2-truncated-masks.relmq", "artifact-v2-mask-bitflip.relmq"}) {
-    SCOPED_TRACE(name);
-    std::string text = slurp(std::string(RELM_FUZZ_CORPUS_DIR) + "/" + name);
-    ASSERT_FALSE(text.empty());
-    // The fuzz entry point must treat the input as a clean rejection (return
-    // 0 without aborting) ...
-    EXPECT_EQ(testing::fuzz_artifact_loader(
-                  reinterpret_cast<const std::uint8_t*>(text.data()),
-                  text.size()),
-              0);
-    // ... and the loader must say *where* it gave up.
-    std::istringstream in(text);
-    try {
-      (void)core::pipeline::load_artifact(in);
-      FAIL() << "corrupt corpus file loaded cleanly";
-    } catch (const relm::Error& e) {
-      EXPECT_NE(std::string(e.what()).find("masks"), std::string::npos)
-          << "diagnostic was: " << e.what();
-    }
+  CompiledQuery from_fresh = CompiledQuery::from_artifact(
+      std::make_shared<core::pipeline::QueryArtifact>(fresh),
+      fixture_tokenizer());
+  CompiledQuery from_disk = CompiledQuery::from_artifact(
+      testing::reload_through_components(fresh), fixture_tokenizer());
+
+  core::ShortestPathSearch fresh_search(*fixture_model(), from_fresh, query);
+  core::ShortestPathSearch disk_search(*fixture_model(), from_disk, query);
+  auto fresh_results = fresh_search.all();
+  auto disk_results = disk_search.all();
+  ASSERT_FALSE(fresh_results.empty());
+  ASSERT_EQ(fresh_results.size(), disk_results.size());
+  for (std::size_t i = 0; i < fresh_results.size(); ++i) {
+    EXPECT_EQ(fresh_results[i].tokens, disk_results[i].tokens);
+    EXPECT_EQ(fresh_results[i].log_prob, disk_results[i].log_prob);  // bitwise
   }
 }
+
+// ---------------------------------------------------------------------------
+// Fuzz corpus
+// ---------------------------------------------------------------------------
 
 // The checked-in component seeds: the valid one loads, passes the audit and
 // equals a fresh compile of its query; the two corrupt ones are rejected by

@@ -3,12 +3,21 @@
 #include "automata/levenshtein.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex.hpp"
-#include "automata/transducer.hpp"
 #include "core/preprocessors.hpp"
+#include "testing/transducer.hpp"
 #include "util/errors.hpp"
 
 namespace relm::automata {
 namespace {
+
+using relm::testing::apply;
+using relm::testing::case_fold_transducer;
+using relm::testing::compose;
+using relm::testing::edit_transducer;
+using relm::testing::Fst;
+using relm::testing::input_projection;
+using relm::testing::output_projection;
+using relm::testing::replace_transducer;
 
 ByteSet abc() {
   ByteSet set;
