@@ -94,8 +94,9 @@ void BM_LevenshteinExpandWord(benchmark::State& state) {
 }
 BENCHMARK(BM_LevenshteinExpandWord)->Arg(1)->Arg(2);
 
-// Moore minimization of a mid-sized unminimized machine.
-void BM_MinimizeMoore(benchmark::State& state) {
+// Minimization of a mid-sized unminimized finite language: an acyclic
+// machine, so minimize takes the post-order pass.
+void BM_MinimizeFiniteWords(benchmark::State& state) {
   automata::Dfa big = automata::compile_regex_unminimized(
       "((the )|(a ))?((cat)|(dog)|(cow)|(fox)|(owl))s? ((ran)|(sat)|(slept))"
       "( (quickly|slowly|quietly))?");
@@ -104,7 +105,39 @@ void BM_MinimizeMoore(benchmark::State& state) {
   }
   state.counters["input_states"] = static_cast<double>(big.num_states());
 }
-BENCHMARK(BM_MinimizeMoore);
+BENCHMARK(BM_MinimizeFiniteWords);
+
+// Minimization of the URL body's unminimized character DFA: cyclic, so
+// minimize runs Moore refinement.
+void BM_MinimizeUrl(benchmark::State& state) {
+  automata::Dfa url = automata::compile_regex_unminimized(kUrlPattern);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(automata::minimize(url));
+  }
+  state.counters["input_states"] = static_cast<double>(url.num_states());
+}
+BENCHMARK(BM_MinimizeUrl);
+
+// One cloze-style prefix component: a regex-escaped passage of about 200
+// bytes through the full component pipeline (parse, literal chain,
+// minimize, canonical lift by enumeration, token masks).
+void BM_CompileLiteralPrefix(benchmark::State& state) {
+  core::SimpleSearchQuery query;
+  query.query_string.prefix_str =
+      "\"I can't believe it,\" Mara said\\. The keeper of the old lighthouse "
+      "had left at dawn \\(without a word\\) and the boats \\- all three of "
+      "them \\- were gone before the tide turned\\. Who would follow him "
+      "now\\? Not the";
+  query.query_string.query_str = query.query_string.prefix_str + " ([a-z]+)";
+  query.tokenization_strategy = core::TokenizationStrategy::kCanonicalTokens;
+  (void)world();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::pipeline::compile_component(
+        query, core::pipeline::Side::kPrefix, *world().tokenizer,
+        core::pipeline::ArtifactKey{}));
+  }
+}
+BENCHMARK(BM_CompileLiteralPrefix);
 
 void BM_WalkCounts(benchmark::State& state) {
   automata::Dfa lang = automata::levenshtein_expand(

@@ -471,20 +471,4 @@ void check_component(const core::pipeline::Component& component,
   }
 }
 
-void check_query_artifact(const core::pipeline::QueryArtifact& artifact,
-                          const tokenizer::BpeTokenizer* tok,
-                          InvariantReport& report, const std::string& name) {
-  check_component(*artifact.prefix, tok, report, name + ".prefix");
-  check_component(*artifact.body, tok, report, name + ".body");
-  const automata::Dfa& prefix = artifact.prefix->automaton.dfa;
-  const automata::Dfa& body = artifact.body->automaton.dfa;
-  if (prefix.num_symbols() != body.num_symbols()) {
-    report.fail("artifact.alphabet",
-                name + " prefix alphabet (" +
-                    std::to_string(prefix.num_symbols()) +
-                    ") does not match body alphabet (" +
-                    std::to_string(body.num_symbols()) + ")");
-  }
-}
-
 }  // namespace relm::analysis

@@ -150,11 +150,4 @@ void check_component(const core::pipeline::Component& component,
                      InvariantReport& report,
                      const std::string& name = "component");
 
-// Whole-artifact audit: check_component on both sides, and both automata
-// over one alphabet.
-void check_query_artifact(const core::pipeline::QueryArtifact& artifact,
-                          const tokenizer::BpeTokenizer* tok,
-                          InvariantReport& report,
-                          const std::string& name = "artifact");
-
 }  // namespace relm::analysis

@@ -4,6 +4,9 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
+#include <optional>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "automata/determinize.hpp"
@@ -25,12 +28,13 @@ struct BudgetMeter {
     if (budget == 0) return 0;  // "unlimited" in determinize() terms
     return budget > used ? budget - used : 1;
   }
-  void charge(std::size_t states) {
+  void charge(std::size_t states,
+              const char* construction = "boolean-algebra construction") {
     used += states;
     if (budget != 0 && used > budget) {
       throw relm::StateBudgetError(
-          "boolean-algebra construction exceeded the determinization state "
-          "budget",
+          std::string(construction) +
+              " exceeded the determinization state budget",
           budget);
     }
   }
@@ -78,6 +82,9 @@ class AlgebraCompiler {
   }
 
   Dfa compile(const RegexNode& root) {
+    if (std::optional<std::string> bytes = literal_bytes(root)) {
+      return chain(*bytes);
+    }
     if (!has_boolean_ops(root)) {
       Nfa nfa = thompson_construct(root);
       Dfa dfa = determinize(nfa, meter_.remaining());
@@ -99,6 +106,20 @@ class AlgebraCompiler {
   }
 
  private:
+  // A literal's minimal DFA: states 0..n in BFS order, byte i from state i
+  // to i + 1, final n. Its n + 1 states are charged as subset construction
+  // would charge them, so the budget fails exactly where it did for Thompson.
+  Dfa chain(const std::string& bytes) {
+    meter_.charge(bytes.size() + 1, "literal chain construction");
+    Dfa dfa(256);
+    dfa.set_start(dfa.add_state(bytes.empty()));
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      StateId next = dfa.add_state(i + 1 == bytes.size());
+      dfa.add_edge(next - 1, static_cast<unsigned char>(bytes[i]), next);
+    }
+    return dfa;
+  }
+
   static bool is_boolean(const RegexNode& node) {
     return node.kind == RegexKind::kIntersect ||
            node.kind == RegexKind::kComplement ||
@@ -291,10 +312,21 @@ class AlgebraCompiler {
     return static_cast<int>(exprs.size() - 1);
   }
 
-  // A product state: one epsilon-closed subset per leaf. The empty subset
-  // is a valid "dead" value — under complement a dead leaf is accepting.
+  // A product state: one epsilon-closed subset per leaf (the empty subset
+  // is a valid "dead" value — under complement a dead leaf is accepting),
+  // and whether every byte read so far is in the complement universe: `~r`
+  // holds only strings over the universe, even where `-` explores its left
+  // side's bytes outside it.
   using Subset = std::vector<StateId>;
-  using PState = std::vector<Subset>;
+  struct PState {
+    std::vector<Subset> subsets;
+    bool in_universe = true;
+
+    friend bool operator<(const PState& a, const PState& b) {
+      return std::tie(a.in_universe, a.subsets) <
+             std::tie(b.in_universe, b.subsets);
+    }
+  };
 
   Dfa lazy_product(const std::vector<Expr>& exprs,
                    const std::vector<Nfa>& leaves, int root) {
@@ -320,9 +352,9 @@ class AlgebraCompiler {
     };
 
     PState start;
-    start.reserve(leaves.size());
+    start.subsets.reserve(leaves.size());
     for (const Nfa& leaf : leaves) {
-      start.push_back(closure_of(leaf, {leaf.start()}));
+      start.subsets.push_back(closure_of(leaf, {leaf.start()}));
     }
     out.set_start(intern(std::move(start)));
 
@@ -334,10 +366,12 @@ class AlgebraCompiler {
       for (unsigned b = 0; b < 256; ++b) {
         if (!syms.test(b)) continue;
         PState next;
-        next.reserve(leaves.size());
+        next.subsets.reserve(leaves.size());
         for (std::size_t i = 0; i < leaves.size(); ++i) {
-          next.push_back(step(leaves[i], st[i], static_cast<Symbol>(b)));
+          next.subsets.push_back(
+              step(leaves[i], st.subsets[i], static_cast<Symbol>(b)));
         }
+        next.in_universe = st.in_universe && opts_.universe.test(b);
         // `st` may dangle after intern() rehashes nothing (std::map nodes
         // are stable), but `from` was captured before any insertion.
         StateId to = intern(std::move(next));
@@ -364,7 +398,7 @@ class AlgebraCompiler {
     switch (e.kind) {
       case Expr::kLeaf: {
         const Nfa& leaf = leaves[e.leaf];
-        for (StateId s : st[e.leaf]) {
+        for (StateId s : st.subsets[e.leaf]) {
           if (leaf.is_final(s)) return true;
         }
         return false;
@@ -375,7 +409,7 @@ class AlgebraCompiler {
         }
         return true;
       case Expr::kNot:
-        return !eval(exprs, leaves, e.children[0], st);
+        return st.in_universe && !eval(exprs, leaves, e.children[0], st);
       case Expr::kDiff:
         return eval(exprs, leaves, e.children[0], st) &&
                !eval(exprs, leaves, e.children[1], st);
@@ -394,7 +428,7 @@ class AlgebraCompiler {
       case Expr::kLeaf: {
         ByteSet out;
         const Nfa& leaf = leaves[e.leaf];
-        for (StateId s : st[e.leaf]) {
+        for (StateId s : st.subsets[e.leaf]) {
           for (const Edge& edge : leaf.edges(s)) {
             if (edge.symbol != kEpsilon && edge.symbol < 256) {
               out.set(edge.symbol);

@@ -44,8 +44,9 @@ struct AlgebraOptions {
 };
 
 // Compiles an AST to a trim (not minimized) DFA over the byte alphabet.
-// Boolean-free trees take the classic thompson+determinize path (budgeted);
-// results are identical to compile_regex_unminimized for such trees.
+// A literal tree (regex_ast.hpp's literal_bytes) becomes its chain DFA
+// directly, which is already minimal; other boolean-free trees take the
+// classic thompson+determinize path. Both are budgeted.
 Dfa compile_ast(const RegexNode& root, const AlgebraOptions& options = {});
 
 // Default determinization state budget when RELM_DETERMINIZE_BUDGET is

@@ -1,8 +1,10 @@
 #include "automata/determinize.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -115,47 +117,54 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states) {
 Dfa trim(const Dfa& dfa) {
   RELM_DCHECK(dfa.num_states() > 0 && dfa.start() < dfa.num_states(),
               "trim: DFA start state out of range");
-  std::size_t n = dfa.num_states();
+  const std::size_t n = dfa.num_states();
+  std::vector<StateId> work;
 
   // Forward reachability from the start state.
   std::vector<bool> reachable(n, false);
-  {
-    std::deque<StateId> work{dfa.start()};
-    reachable[dfa.start()] = true;
-    while (!work.empty()) {
-      StateId s = work.front();
-      work.pop_front();
-      for (const Edge& e : dfa.edges(s)) {
-        if (!reachable[e.to]) {
-          reachable[e.to] = true;
-          work.push_back(e.to);
-        }
+  reachable[dfa.start()] = true;
+  work.push_back(dfa.start());
+  while (!work.empty()) {
+    StateId s = work.back();
+    work.pop_back();
+    for (const Edge& e : dfa.edges(s)) {
+      if (!reachable[e.to]) {
+        reachable[e.to] = true;
+        work.push_back(e.to);
       }
     }
   }
 
-  // Backward reachability to any final state (co-reachability).
-  std::vector<bool> productive(n, false);
+  // Backward reachability to any final state (co-reachability), over the
+  // reverse edges in one flat array: state t's predecessors are
+  // preds[first_pred[t] .. first_pred[t + 1]).
+  std::vector<std::size_t> first_pred(n + 1, 0);
+  for (StateId s = 0; s < n; ++s) {
+    for (const Edge& e : dfa.edges(s)) ++first_pred[e.to + 1];
+  }
+  for (std::size_t t = 0; t < n; ++t) first_pred[t + 1] += first_pred[t];
+  std::vector<StateId> preds(first_pred[n]);
   {
-    std::vector<std::vector<StateId>> reverse(n);
+    std::vector<std::size_t> next_slot(first_pred.begin(), first_pred.end() - 1);
     for (StateId s = 0; s < n; ++s) {
-      for (const Edge& e : dfa.edges(s)) reverse[e.to].push_back(s);
+      for (const Edge& e : dfa.edges(s)) preds[next_slot[e.to]++] = s;
     }
-    std::deque<StateId> work;
-    for (StateId s = 0; s < n; ++s) {
-      if (dfa.is_final(s)) {
-        productive[s] = true;
-        work.push_back(s);
-      }
+  }
+  std::vector<bool> productive(n, false);
+  for (StateId s = 0; s < n; ++s) {
+    if (dfa.is_final(s)) {
+      productive[s] = true;
+      work.push_back(s);
     }
-    while (!work.empty()) {
-      StateId s = work.front();
-      work.pop_front();
-      for (StateId p : reverse[s]) {
-        if (!productive[p]) {
-          productive[p] = true;
-          work.push_back(p);
-        }
+  }
+  while (!work.empty()) {
+    StateId s = work.back();
+    work.pop_back();
+    for (std::size_t i = first_pred[s]; i < first_pred[s + 1]; ++i) {
+      StateId p = preds[i];
+      if (!productive[p]) {
+        productive[p] = true;
+        work.push_back(p);
       }
     }
   }
@@ -217,21 +226,75 @@ Dfa bfs_renumber(const Dfa& dfa) {
 
 }  // namespace
 
-Dfa minimize(const Dfa& input) {
-  RELM_TRACE_SPAN("automata.minimize");
-  static obs::Counter& runs = obs::Registry::instance().counter("automata.minimize.runs");
-  runs.add();
-  Dfa dfa = trim(input);
-  std::size_t n = dfa.num_states();
-  RELM_DCHECK(n <= input.num_states(),
-              "minimize: trim must never grow the automaton");
-  if (n <= 1) return bfs_renumber(dfa);
+std::optional<std::vector<StateId>> acyclic_post_order(const Dfa& dfa) {
+  enum Color : std::uint8_t { kWhite, kGray, kBlack };
+  std::vector<Color> color(dfa.num_states(), kWhite);
+  std::vector<StateId> order;
+  order.reserve(dfa.num_states());
+  // (state, index of its next edge to follow)
+  std::vector<std::pair<StateId, std::size_t>> stack{{dfa.start(), 0}};
+  color[dfa.start()] = kGray;
+  while (!stack.empty()) {
+    auto& [s, next_edge] = stack.back();
+    auto edges = dfa.edges(s);
+    if (next_edge == edges.size()) {
+      color[s] = kBlack;
+      order.push_back(s);
+      stack.pop_back();
+      continue;
+    }
+    StateId to = edges[next_edge++].to;
+    if (color[to] == kGray) return std::nullopt;  // back edge: a cycle
+    if (color[to] == kWhite) {
+      color[to] = kGray;
+      stack.emplace_back(to, 0);
+    }
+  }
+  return order;
+}
 
-  // Moore partition refinement. Missing transitions map to the implicit dead
-  // class (absent from the signature entirely, which distinguishes them from
-  // any real class). The partition only refines, so the class count is
-  // non-decreasing and an unchanged count means a fixed point.
-  std::vector<StateId> cls(n);
+namespace {
+
+struct SignatureHash {
+  std::size_t operator()(const std::vector<StateId>& sig) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ sig.size();
+    for (StateId v : sig) {
+      h = (h ^ v) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+// Revuz's pass: in post-order every edge's target already has its class, so
+// one exact signature lookup per state classifies it. Two states of a trim
+// acyclic DFA are equivalent iff their signatures are equal (induction on
+// the longest path to a final state). Returns the number of classes.
+StateId post_order_classes(const Dfa& dfa, const std::vector<StateId>& order,
+                           std::vector<StateId>& cls) {
+  std::unordered_map<std::vector<StateId>, StateId, SignatureHash> ids;
+  ids.reserve(order.size());
+  std::vector<StateId> sig;
+  for (StateId s : order) {
+    sig.clear();
+    sig.push_back(dfa.is_final(s) ? 1 : 0);
+    for (const Edge& e : dfa.edges(s)) {
+      sig.push_back(e.symbol);
+      sig.push_back(cls[e.to]);
+    }
+    auto [it, _] = ids.try_emplace(sig, static_cast<StateId>(ids.size()));
+    cls[s] = it->second;
+  }
+  return static_cast<StateId>(ids.size());
+}
+
+// Moore partition refinement. Missing transitions map to the implicit dead
+// class (absent from the signature entirely, which distinguishes them from
+// any real class). The partition only refines, so the class count is
+// non-decreasing and an unchanged count means a fixed point. Returns the
+// number of classes.
+StateId moore_classes(const Dfa& dfa, std::vector<StateId>& cls) {
+  const std::size_t n = dfa.num_states();
   for (StateId s = 0; s < n; ++s) cls[s] = dfa.is_final(s) ? 1 : 0;
 
   std::size_t prev_count = 0;  // forces at least one refinement pass
@@ -255,11 +318,28 @@ Dfa minimize(const Dfa& input) {
     cls = std::move(next_cls);
     if (stable) break;
   }
+  return static_cast<StateId>(prev_count);
+}
 
-  StateId num_classes = 0;
-  for (StateId c : cls) num_classes = std::max(num_classes, c);
-  ++num_classes;
+}  // namespace
 
+Dfa minimize(const Dfa& input) {
+  RELM_TRACE_SPAN("automata.minimize");
+  static obs::Counter& runs = obs::Registry::instance().counter("automata.minimize.runs");
+  runs.add();
+  Dfa dfa = trim(input);
+  std::size_t n = dfa.num_states();
+  RELM_DCHECK(n <= input.num_states(),
+              "minimize: trim must never grow the automaton");
+  if (n <= 1) return bfs_renumber(dfa);
+
+  std::vector<StateId> cls(n);
+  std::optional<std::vector<StateId>> order = acyclic_post_order(dfa);
+  const StateId num_classes = order ? post_order_classes(dfa, *order, cls)
+                                    : moore_classes(dfa, cls);
+  if (num_classes == n) return bfs_renumber(dfa);  // already minimal
+
+  // The quotient of a trim DFA is trim, so it goes straight to renumbering.
   Dfa merged(dfa.num_symbols());
   std::vector<StateId> representative(num_classes, kNoState);
   for (StateId c = 0; c < num_classes; ++c) merged.add_state(false);
@@ -272,7 +352,7 @@ Dfa minimize(const Dfa& input) {
     for (const Edge& e : dfa.edges(s)) merged.add_edge(c, e.symbol, cls[e.to]);
   }
   merged.set_start(cls[dfa.start()]);
-  return bfs_renumber(trim(merged));
+  return bfs_renumber(merged);
 }
 
 }  // namespace relm::automata

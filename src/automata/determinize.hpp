@@ -1,5 +1,8 @@
 #pragma once
 
+#include <optional>
+#include <vector>
+
 #include "automata/automaton.hpp"
 
 namespace relm::automata {
@@ -16,11 +19,22 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states = 0);
 // state with no edges.
 Dfa trim(const Dfa& dfa);
 
-// Minimizes a (partial) DFA by partition refinement (Moore's algorithm over
-// transition signatures), after trimming. The result is renumbered in BFS
-// order with per-state edges sorted by symbol, so two minimized DFAs accept
-// the same language iff they are structurally equal (operator==): minimal
-// DFAs are unique up to isomorphism, and BFS numbering fixes the isomorphism.
+// The states reachable from the start in DFS post-order (every state after
+// all of its successors), or nullopt when the DFS meets a back edge, i.e. a
+// cycle is reachable. One O(states + edges) pass; minimize and
+// finite_string_count (ops.hpp) share it.
+std::optional<std::vector<StateId>> acyclic_post_order(const Dfa& dfa);
+
+// Minimizes a (partial) DFA after trimming. The input picks the algorithm:
+// an acyclic DFA (a finite language) gets each state's class in one
+// post-order pass (Revuz 1992) — a state's signature is its final bit and
+// one (symbol, class of target) pair per edge, and post-order classifies
+// every target before its source — while a cyclic one runs Moore's
+// partition refinement over the same signatures. Both yield the unique
+// minimal DFA. The result is renumbered in BFS order with per-state edges
+// sorted by symbol, so two minimized DFAs accept the same language iff they
+// are structurally equal (operator==): minimal DFAs are unique up to
+// isomorphism, and BFS numbering fixes the isomorphism.
 Dfa minimize(const Dfa& dfa);
 
 }  // namespace relm::automata

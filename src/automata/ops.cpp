@@ -153,10 +153,20 @@ Dfa concat(const Dfa& a, const Dfa& b) {
 }
 
 bool is_empty_language(const Dfa& a) {
-  Dfa t = trim(a);
-  // After trim, any remaining final state is reachable.
-  for (StateId s = 0; s < t.num_states(); ++s) {
-    if (t.is_final(s)) return false;
+  // Empty iff no final state is reachable from the start.
+  std::vector<bool> seen(a.num_states(), false);
+  std::vector<StateId> work{a.start()};
+  seen[a.start()] = true;
+  while (!work.empty()) {
+    StateId s = work.back();
+    work.pop_back();
+    if (a.is_final(s)) return false;
+    for (const Edge& e : a.edges(s)) {
+      if (!seen[e.to]) {
+        seen[e.to] = true;
+        work.push_back(e.to);
+      }
+    }
   }
   return true;
 }
@@ -236,41 +246,32 @@ bool dfa_equivalent(const Dfa& a, const Dfa& b) {
 
 bool equivalent(const Dfa& a, const Dfa& b) { return dfa_equivalent(a, b); }
 
-bool is_infinite_language(const Dfa& a) {
-  Dfa t = trim(a);
-  // Cycle detection via iterative DFS with colors.
-  enum Color : char { kWhite, kGray, kBlack };
-  std::vector<Color> color(t.num_states(), kWhite);
-  std::vector<std::pair<StateId, std::size_t>> stack;
-  for (StateId root = 0; root < t.num_states(); ++root) {
-    if (color[root] != kWhite) continue;
-    stack.push_back({root, 0});
-    color[root] = kGray;
-    while (!stack.empty()) {
-      auto& [s, idx] = stack.back();
-      auto edges = t.edges(s);
-      if (idx < edges.size()) {
-        StateId to = edges[idx++].to;
-        if (color[to] == kGray) return true;
-        if (color[to] == kWhite) {
-          color[to] = kGray;
-          stack.push_back({to, 0});
-        }
-      } else {
-        color[s] = kBlack;
-        stack.pop_back();
-      }
-    }
+namespace {
+
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t saturating_add(std::uint64_t x, std::uint64_t y) {
+  return x > kMaxCount - y ? kMaxCount : x + y;
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> finite_string_count(const Dfa& a) {
+  std::optional<std::vector<StateId>> order = acyclic_post_order(a);
+  if (!order) return std::nullopt;
+  // paths[s] = accepting paths from s; post-order fills every successor
+  // before s.
+  std::vector<std::uint64_t> paths(a.num_states(), 0);
+  for (StateId s : *order) {
+    std::uint64_t total = a.is_final(s) ? 1 : 0;
+    for (const Edge& e : a.edges(s)) total = saturating_add(total, paths[e.to]);
+    paths[s] = total;
   }
-  return false;
+  return paths[a.start()];
 }
 
 std::uint64_t count_strings(const Dfa& a, std::size_t max_len) {
   Dfa t = trim(a);
-  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  auto sat_add = [&](std::uint64_t x, std::uint64_t y) {
-    return (x > kMax - y) ? kMax : x + y;
-  };
   // counts[s] = number of accepting walks from s with <= l steps, built up
   // length by length.
   std::vector<std::uint64_t> prev(t.num_states(), 0);
@@ -279,7 +280,7 @@ std::uint64_t count_strings(const Dfa& a, std::size_t max_len) {
     std::vector<std::uint64_t> cur(t.num_states(), 0);
     for (StateId s = 0; s < t.num_states(); ++s) {
       std::uint64_t total = t.is_final(s) ? 1 : 0;
-      for (const Edge& e : t.edges(s)) total = sat_add(total, prev[e.to]);
+      for (const Edge& e : t.edges(s)) total = saturating_add(total, prev[e.to]);
       cur[s] = total;
     }
     if (cur == prev) break;  // fixed point: no longer strings exist
@@ -293,9 +294,8 @@ std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
   if (a.num_symbols() != 256) {
     throw relm::Error("enumerate_strings requires a byte-alphabet automaton");
   }
-  Dfa t = trim(a);
   std::vector<std::string> out;
-  if (t.num_states() == 0) return out;
+  if (a.num_states() == 0) return out;
 
   // BFS by length; within a level, states are expanded in insertion order and
   // edges in symbol order, which yields shortest-first, lexicographic-within-
@@ -304,8 +304,8 @@ std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
     StateId state;
     std::string text;
   };
-  std::deque<Item> frontier{{t.start(), ""}};
-  if (t.is_final(t.start())) out.push_back("");
+  std::deque<Item> frontier{{a.start(), ""}};
+  if (a.is_final(a.start())) out.push_back("");
 
   std::size_t depth = 0;
   while (!frontier.empty() && out.size() < limit && depth < max_len) {
@@ -314,9 +314,9 @@ std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
     while (!frontier.empty()) {
       Item item = std::move(frontier.front());
       frontier.pop_front();
-      for (const Edge& e : t.edges(item.state)) {
+      for (const Edge& e : a.edges(item.state)) {
         Item child{e.to, item.text + static_cast<char>(e.symbol)};
-        if (t.is_final(e.to) && out.size() < limit) out.push_back(child.text);
+        if (a.is_final(e.to) && out.size() < limit) out.push_back(child.text);
         next.push_back(std::move(child));
       }
     }

@@ -49,16 +49,23 @@ bool dfa_equivalent(const Dfa& a, const Dfa& b);
 // for existing call sites.
 bool equivalent(const Dfa& a, const Dfa& b);
 
-// True iff the language is infinite (trim automaton has a cycle).
-bool is_infinite_language(const Dfa& a);
+// |L(a)|, saturating at UINT64_MAX, or nullopt when L(a) is infinite. `a`
+// must be trim (as trim() and minimize() return it): on a trim automaton a
+// reachable cycle means an infinite language, while a cycle through dead
+// states would read as one too. One DFS post-order pass over the states
+// (acyclic_post_order) decides finiteness and counts the accepting paths.
+std::optional<std::uint64_t> finite_string_count(const Dfa& a);
 
 // Number of accepted strings with length <= max_len, saturating at
 // UINT64_MAX. For finite languages, a max_len >= num_states is exhaustive.
+// Loops once per length; finite_string_count counts a finite language in one
+// pass.
 std::uint64_t count_strings(const Dfa& a, std::size_t max_len);
 
 // Enumerates accepted strings shortest-first (and lexicographically within a
 // length), stopping at `limit` strings or length > max_len. Requires the
-// byte alphabet.
+// byte alphabet. Dead states are explored like live ones, so pass a trim
+// automaton (as trim() and minimize() return it).
 std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
                                            std::size_t max_len);
 

@@ -21,8 +21,9 @@ Dfa compile_regex_unminimized(std::string_view pattern) {
     ast = parse_regex(pattern);
   }
   // Boolean-algebra patterns (and plain ones alike) compile through the
-  // algebra compiler under the environment-configured state budget; for
-  // boolean-free ASTs this is exactly thompson + budgeted determinize.
+  // algebra compiler under the environment-configured state budget; a
+  // literal becomes its chain, any other boolean-free AST goes through
+  // thompson + budgeted determinize.
   AlgebraOptions options;
   options.state_budget = determinize_budget_from_env();
   RELM_TRACE_SPAN("regex.determinize");

@@ -6,7 +6,8 @@
 
 namespace relm::automata {
 
-// One-call pipeline: parse -> Thompson -> determinize -> minimize.
+// One-call pipeline: parse -> Thompson -> determinize -> minimize (a
+// literal pattern skips Thompson and determinize: it is its chain DFA).
 // This is the "Natural Language Automaton" of §3.1: a minimal byte-level DFA
 // equivalent to the regular expression. Throws relm::RegexError on parse
 // failure.

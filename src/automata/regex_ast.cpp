@@ -1,5 +1,8 @@
 #include "automata/regex_ast.hpp"
 
+#include <bit>
+#include <cstdint>
+
 namespace relm::automata {
 
 RegexPtr RegexNode::empty_set() {
@@ -94,6 +97,45 @@ bool has_boolean_ops(const RegexNode& node) {
     if (has_boolean_ops(*child)) return true;
   }
   return false;
+}
+
+namespace {
+
+bool append_literal(const RegexNode& node, std::string& bytes) {
+  switch (node.kind) {
+    case RegexKind::kEpsilon:
+      return true;
+    case RegexKind::kCharClass: {
+      if (node.char_class.count() != 1) return false;
+      // The one set bit, found a 64-bit word at a time.
+      const ByteSet low_word(~0ull);
+      for (unsigned word = 0; word < 4; ++word) {
+        std::uint64_t bits =
+            ((node.char_class >> (64 * word)) & low_word).to_ullong();
+        if (bits != 0) {
+          bytes.push_back(
+              static_cast<char>(64 * word + std::countr_zero(bits)));
+          break;
+        }
+      }
+      return true;
+    }
+    case RegexKind::kConcat:
+      for (const auto& child : node.children) {
+        if (!append_literal(*child, bytes)) return false;
+      }
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+std::optional<std::string> literal_bytes(const RegexNode& node) {
+  std::string bytes;
+  if (!append_literal(node, bytes)) return std::nullopt;
+  return bytes;
 }
 
 RegexPtr RegexNode::clone() const {

@@ -29,9 +29,12 @@ QueryAnalysis analyze_query(const SimpleSearchQuery& query,
   const automata::Dfa& body_chars = *body.chars;
   analysis.prefix_char_states = prefix ? prefix->chars->num_states() : 1;
   analysis.body_char_states = body_chars.num_states();
-  analysis.body_infinite = automata::is_infinite_language(body_chars);
-  analysis.body_string_count = automata::count_strings(
-      body_chars, analysis.body_infinite ? 64 : body_chars.num_states() + 1);
+  // The pipeline leaves body_chars minimized, hence trim.
+  const std::optional<std::uint64_t> finite_count =
+      automata::finite_string_count(body_chars);
+  analysis.body_infinite = !finite_count;
+  analysis.body_string_count =
+      finite_count ? *finite_count : automata::count_strings(body_chars, 64);
   analysis.shortest_match_length = automata::shortest_string_length(body_chars);
 
   const TokenAutomaton epsilon = epsilon_token_automaton(tok);

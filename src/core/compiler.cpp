@@ -1,5 +1,7 @@
 #include "core/compiler.hpp"
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "automata/determinize.hpp"
@@ -20,10 +22,10 @@ using tokenizer::TokenId;
 // vocabulary token, DFS-match the token's string from that state; surviving
 // walks become shortcut edges. O(V * k * m_max), exactly the paper's bound.
 // A trie-sharing walk (a cross-check in tests/test_core.cpp) is faster only
-// on long literals compiled with all encodings (EXPERIMENTS.md).
-Dfa build_all_tokens(const Dfa& char_dfa, const BpeTokenizer& tok) {
+// on long literals compiled with all encodings (EXPERIMENTS.md). `source`
+// must be trim.
+Dfa build_all_tokens(const Dfa& source, const BpeTokenizer& tok) {
   RELM_TRACE_SPAN("compile.all_tokens");
-  Dfa source = automata::trim(char_dfa);
   Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
   for (StateId s = 0; s < source.num_states(); ++s) {
     out.add_state(source.is_final(s));
@@ -48,16 +50,15 @@ Dfa build_all_tokens(const Dfa& char_dfa, const BpeTokenizer& tok) {
   return automata::trim(out);
 }
 
-// §3.2 option 1: enumerate every string, encode canonically, build a token
-// trie, minimize.
-Dfa build_canonical_by_enumeration(const Dfa& char_dfa, const BpeTokenizer& tok,
-                                   std::size_t count_hint) {
+// §3.2 option 1: enumerate every string of the trim, finite `source` (it
+// has `count` strings), encode canonically, build a token trie, minimize.
+Dfa build_canonical_by_enumeration(const Dfa& source, const BpeTokenizer& tok,
+                                   std::uint64_t count) {
   RELM_TRACE_SPAN("compile.canonical_enumeration");
-  Dfa source = automata::trim(char_dfa);
   std::vector<std::string> strings = automata::enumerate_strings(
-      source, count_hint, /*max_len=*/source.num_states() + 1);
-  RELM_DCHECK(strings.size() == count_hint,
-              "canonical enumeration and count_strings disagree on |L|");
+      source, count, /*max_len=*/source.num_states() + 1);
+  RELM_DCHECK(strings.size() == count,
+              "canonical enumeration and finite_string_count disagree on |L|");
 
   Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
   StateId root = out.add_state(false);
@@ -89,20 +90,19 @@ TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
     throw relm::QueryError("token compilation requires a byte-level automaton");
   }
   TokenAutomaton result{automata::Dfa(1), false, {}};
+  // One trim serves every construction below.
+  automata::Dfa trimmed = automata::trim(char_dfa);
   if (strategy == TokenizationStrategy::kAllTokens) {
-    result.dfa = build_all_tokens(char_dfa, tok);
+    result.dfa = build_all_tokens(trimmed, tok);
     RELM_DCHECK(result.dfa.num_symbols() == tok.vocab_size(),
                 "token automaton alphabet must equal the vocabulary");
     return result;
   }
 
   // Canonical strategy.
-  automata::Dfa trimmed = automata::trim(char_dfa);
-  bool infinite = automata::is_infinite_language(trimmed);
-  std::uint64_t count =
-      infinite ? 0 : automata::count_strings(trimmed, trimmed.num_states() + 1);
-  if (!infinite && count <= enumeration_budget) {
-    result.dfa = build_canonical_by_enumeration(trimmed, tok, count);
+  std::optional<std::uint64_t> count = automata::finite_string_count(trimmed);
+  if (count && *count <= enumeration_budget) {
+    result.dfa = build_canonical_by_enumeration(trimmed, tok, *count);
   } else {
     result.dfa = build_all_tokens(trimmed, tok);
     result.dynamic_canonical = true;

@@ -36,9 +36,10 @@ class ThompsonPass : public Pass {
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.thompson");
     RELM_TRACE_SPAN("regex.thompson");  // legacy name, kept for trace tooling
-    // Boolean-algebra ASTs have no Thompson form; the determinize pass
-    // compiles them whole through the algebra product construction.
-    if (!automata::has_boolean_ops(*s.ast)) {
+    // Boolean-algebra ASTs have no Thompson form, and a literal needs none;
+    // the determinize pass compiles both through automata::compile_ast (the
+    // algebra product construction, or the literal's chain).
+    if (!automata::has_boolean_ops(*s.ast) && !automata::literal_bytes(*s.ast)) {
       s.nfa = automata::thompson_construct(*s.ast);
     }
   }

@@ -35,7 +35,7 @@ struct CompileState {
   // parse
   std::string pattern;
   automata::RegexPtr ast;
-  // thompson (unset for boolean-algebra ASTs)
+  // thompson (unset for boolean-algebra and literal ASTs)
   std::optional<automata::Nfa> nfa;
   // determinize / minimize / preprocess (each pass replaces it)
   std::optional<automata::Dfa> chars;

@@ -10,14 +10,17 @@
 
 #include "analysis/invariants.hpp"
 #include "automata/algebra.hpp"
+#include "automata/determinize.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/serialize.hpp"
+#include "automata/thompson.hpp"
 #include "core/compiled_query.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
 #include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
+#include "testing/hopcroft.hpp"
 #include "testing/json.hpp"
 #include "testing/oracle.hpp"
 #include "util/errors.hpp"
@@ -119,6 +122,20 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
   analysis::InvariantReport report;
   analysis::check_dfa(lazy_dfa, report, "algebra-lazy");
   if (!report.ok()) die("fuzz_algebra_compile", report.to_string());
+  // A boolean-free pattern compiles as a literal chain or through Thompson
+  // and subset construction, and minimizes by the post-order pass or Moore;
+  // every combination must equal Hopcroft over the Thompson path exactly.
+  // compile_ast fit the budget, so this subset construction (of the same
+  // NFA, or one with a chain's n + 1 subsets) does too.
+  if (!automata::has_boolean_ops(*ast)) {
+    automata::Dfa reference = minimize_hopcroft(automata::trim(
+        automata::determinize(automata::thompson_construct(*ast))));
+    if (automata::minimize(lazy_dfa) != reference) {
+      die("fuzz_algebra_compile",
+          "minimize(compile_ast) differs from Hopcroft over Thompson on \"" +
+              pattern + "\"");
+    }
+  }
   // Differential check against the eager reference when it also fits the
   // budget: same language, or one of the two compilers is wrong.
   try {

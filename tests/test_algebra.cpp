@@ -93,6 +93,25 @@ TEST(Algebra, DifferenceKeepsNonUniverseBytesComplementDrops) {
   EXPECT_FALSE(and_not.accepts_bytes(std::string("\x01", 1)));
 }
 
+TEST(Algebra, DifferenceFromComplementKeepsNonUniverseBytes) {
+  // `~a` holds only universe strings, so subtracting it from a string with
+  // a byte outside the universe removes nothing: \xed - ~a = {"\xed"}.
+  RegexPtr ast = automata::parse_regex("\\xed-~a");
+  Dfa dfa = compile_ast(*ast);
+  EXPECT_TRUE(dfa.accepts_bytes("\xed"));
+  EXPECT_FALSE(dfa.accepts_bytes("a"));
+  EXPECT_TRUE(dfa_equivalent(dfa, rt::compile_ast_eager(*ast)));
+}
+
+TEST(Algebra, FuzzSeed7DifferenceFromComplementMatchesEager) {
+  // fuzz_algebra_compile --seed 7, reduced: raw bytes, both outside the
+  // universe. ~\xc2 is every universe string, and \x9f is not one.
+  RegexPtr ast = automata::parse_regex("\x9f-~\xc2");
+  Dfa dfa = compile_ast(*ast);
+  EXPECT_TRUE(dfa.accepts_bytes("\x9f"));
+  EXPECT_TRUE(dfa_equivalent(dfa, rt::compile_ast_eager(*ast)));
+}
+
 TEST(Algebra, OperatorsComposeWithRegularOperators) {
   // Boolean subexpressions nest under concatenation and repetition.
   Dfa dfa = compile("x((ab|cd)-(cd))y");
@@ -283,6 +302,22 @@ TEST(AlgebraBudget, PlainDeterminizeHonoursBudget) {
   EXPECT_THROW(automata::determinize(nfa, 16), relm::StateBudgetError);
   Dfa unbounded = automata::determinize(nfa);
   EXPECT_TRUE(unbounded.accepts_bytes("babbbbbbbbbb"));
+}
+
+TEST(AlgebraBudget, LiteralChainFailsWhereSubsetConstructionDid) {
+  // "abcdef" is a 7-state chain; Thompson + subset construction made the
+  // same 7 states, so budgets of 6 and 7 split the same way.
+  RegexPtr ast = automata::parse_regex("abcdef");
+  AlgebraOptions options;
+  options.state_budget = 6;
+  EXPECT_THROW(compile_ast(*ast, options), relm::StateBudgetError);
+  EXPECT_THROW(automata::determinize(automata::thompson_construct(*ast), 6),
+               relm::StateBudgetError);
+  options.state_budget = 7;
+  EXPECT_EQ(compile_ast(*ast, options).num_states(), 7u);
+  EXPECT_EQ(automata::determinize(automata::thompson_construct(*ast), 7)
+                .num_states(),
+            7u);
 }
 
 TEST(AlgebraBudget, EnvVariableControlsDefault) {

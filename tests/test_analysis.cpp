@@ -18,6 +18,7 @@
 #include "core/pipeline/pipeline.hpp"
 #include "model/mlp_model.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/artifact_checks.hpp"
 #include "tokenizer/bpe.hpp"
 
 namespace relm::analysis {
@@ -28,6 +29,7 @@ using automata::Edge;
 using automata::Nfa;
 using automata::StateId;
 using automata::Symbol;
+using relm::testing::check_query_artifact;
 using tokenizer::TokenId;
 
 // ---------------------------------------------------------------------------

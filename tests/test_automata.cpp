@@ -1,11 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
 #include <regex>
-#include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "automata/determinize.hpp"
@@ -15,7 +12,9 @@
 #include "automata/ops.hpp"
 #include "automata/regex.hpp"
 #include "automata/regex_parser.hpp"
+#include "automata/thompson.hpp"
 #include "automata/walks.hpp"
+#include "testing/hopcroft.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
 
@@ -328,9 +327,25 @@ TEST(Ops, EnumerateHonorsLimit) {
 }
 
 TEST(Ops, InfiniteLanguageDetection) {
-  EXPECT_TRUE(is_infinite_language(compile_regex("ab*")));
-  EXPECT_FALSE(is_infinite_language(compile_regex("ab{0,100}")));
-  EXPECT_FALSE(is_infinite_language(compile_regex("(cat)|(dog)")));
+  EXPECT_FALSE(finite_string_count(compile_regex("ab*")).has_value());
+  EXPECT_EQ(finite_string_count(compile_regex("ab{0,100}")), 101u);
+  EXPECT_EQ(finite_string_count(compile_regex("(cat)|(dog)")), 2u);
+}
+
+TEST(Ops, LiteralChainEqualsSubsetConstruction) {
+  // compile_ast builds a literal's chain directly; Thompson + subset
+  // construction numbers the same n + 1 states in the same BFS order.
+  for (const char* pattern :
+       {"", "a", "abc", "a()b", "(ab)(c(d))", "x\\.y\\-z", "\\x00\\xff"}) {
+    SCOPED_TRACE(pattern);
+    RegexPtr ast = parse_regex(pattern);
+    ASSERT_TRUE(literal_bytes(*ast).has_value());
+    EXPECT_EQ(compile_regex_unminimized(pattern),
+              trim(determinize(thompson_construct(*ast))));
+  }
+  for (const char* pattern : {"a|b", "[ab]c", "a*", "a{2}", "a&a", "~a"}) {
+    EXPECT_FALSE(literal_bytes(*parse_regex(pattern)).has_value()) << pattern;
+  }
 }
 
 TEST(Ops, ShortestStringLength) {
@@ -536,134 +551,12 @@ namespace relm::automata {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Hopcroft minimization: must agree exactly with the Moore implementation.
+// Minimization against the test-side Hopcroft reference
+// (testing/hopcroft.hpp): the post-order pass and Moore must both agree with
+// it exactly.
 // ---------------------------------------------------------------------------
 
-// Renumbers states in BFS-from-start order over symbol-sorted edges, the
-// canonical numbering minimize() ends with, so the two minimizers' outputs
-// compare structurally.
-Dfa bfs_renumber(const Dfa& dfa) {
-  std::vector<StateId> remap(dfa.num_states(), kNoState);
-  std::vector<StateId> order{dfa.start()};
-  remap[dfa.start()] = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    for (const Edge& e : dfa.edges(order[i])) {
-      if (remap[e.to] == kNoState) {
-        remap[e.to] = static_cast<StateId>(order.size());
-        order.push_back(e.to);
-      }
-    }
-  }
-  Dfa out(dfa.num_symbols());
-  for (StateId s : order) out.add_state(dfa.is_final(s));
-  for (StateId s : order) {
-    for (const Edge& e : dfa.edges(s)) {
-      out.add_edge(remap[s], e.symbol, remap[e.to]);
-    }
-  }
-  out.set_start(0);
-  return out;
-}
-
-// Hopcroft's O(n k log n) partition refinement: the asymptotically better
-// alternative to minimize()'s Moore refinement, kept as its reference. It
-// loses to Moore on every input measured (EXPERIMENTS.md).
-Dfa minimize_hopcroft(const Dfa& input) {
-  Dfa dfa = trim(input);
-  const std::size_t n = dfa.num_states();
-  if (n <= 1) return bfs_renumber(dfa);
-
-  // Reverse edges grouped by symbol: inverse[symbol] -> (to -> [from...]).
-  // Only symbols that actually occur are materialized.
-  std::unordered_map<Symbol, std::unordered_map<StateId, std::vector<StateId>>>
-      inverse;
-  for (StateId s = 0; s < n; ++s) {
-    for (const Edge& e : dfa.edges(s)) inverse[e.symbol][e.to].push_back(s);
-  }
-
-  // Partition as block lists plus membership index.
-  std::vector<std::vector<StateId>> blocks;
-  std::vector<std::size_t> block_of(n);
-  {
-    std::vector<StateId> finals, nonfinals;
-    for (StateId s = 0; s < n; ++s) {
-      (dfa.is_final(s) ? finals : nonfinals).push_back(s);
-    }
-    if (!finals.empty()) blocks.push_back(std::move(finals));
-    if (!nonfinals.empty()) blocks.push_back(std::move(nonfinals));
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      for (StateId s : blocks[b]) block_of[s] = b;
-    }
-  }
-
-  // Worklist of (block index, symbol). Seeding with every (block, symbol)
-  // pair is the textbook-correct simplification; the smaller-half rule below
-  // keeps the refinement loop O(n k log n).
-  std::deque<std::pair<std::size_t, Symbol>> work;
-  std::set<std::pair<std::size_t, Symbol>> queued;
-  auto enqueue = [&](std::size_t block, Symbol symbol) {
-    if (queued.insert({block, symbol}).second) work.push_back({block, symbol});
-  };
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    for (const auto& [symbol, _] : inverse) enqueue(b, symbol);
-  }
-
-  std::vector<char> marked(n, 0);
-  while (!work.empty()) {
-    auto [splitter, symbol] = work.front();
-    work.pop_front();
-    queued.erase({splitter, symbol});
-
-    // X = states with a `symbol`-transition into the splitter block.
-    std::vector<StateId> x;
-    const auto& by_to = inverse[symbol];
-    for (StateId t : blocks[splitter]) {
-      auto it = by_to.find(t);
-      if (it != by_to.end()) x.insert(x.end(), it->second.begin(), it->second.end());
-    }
-    if (x.empty()) continue;
-    for (StateId s : x) marked[s] = 1;
-
-    // Find blocks partially covered by X and split them.
-    std::set<std::size_t> touched;
-    for (StateId s : x) touched.insert(block_of[s]);
-    for (std::size_t b : touched) {
-      std::vector<StateId> inside, outside;
-      for (StateId s : blocks[b]) (marked[s] ? inside : outside).push_back(s);
-      if (inside.empty() || outside.empty()) continue;
-      // Replace b with the larger part; the smaller becomes a new block.
-      bool inside_smaller = inside.size() <= outside.size();
-      std::vector<StateId>& small = inside_smaller ? inside : outside;
-      std::vector<StateId>& large = inside_smaller ? outside : inside;
-      std::size_t fresh = blocks.size();
-      for (StateId s : small) block_of[s] = fresh;
-      blocks.push_back(std::move(small));
-      blocks[b] = std::move(large);
-      // Hopcroft's rule: the smaller half always joins the worklist; when
-      // (b, sym) is still pending it now denotes the larger half, so both
-      // halves end up processed.
-      for (const auto& [sym, _] : inverse) enqueue(fresh, sym);
-    }
-    for (StateId s : x) marked[s] = 0;
-  }
-
-  // Rebuild the quotient automaton.
-  Dfa merged(dfa.num_symbols());
-  for (std::size_t b = 0; b < blocks.size(); ++b) merged.add_state(false);
-  for (StateId s = 0; s < n; ++s) {
-    if (dfa.is_final(s)) merged.set_final(block_of[s]);
-  }
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    StateId representative = blocks[b].front();
-    for (const Edge& e : dfa.edges(representative)) {
-      merged.add_edge(static_cast<StateId>(b), e.symbol,
-                      static_cast<StateId>(block_of[e.to]));
-    }
-  }
-  merged.set_start(static_cast<StateId>(block_of[dfa.start()]));
-  return bfs_renumber(trim(merged));
-}
-
+using relm::testing::minimize_hopcroft;
 
 class MinimizationAgreement : public ::testing::TestWithParam<const char*> {};
 
@@ -677,12 +570,26 @@ TEST_P(MinimizationAgreement, HopcroftEqualsMoore) {
   EXPECT_EQ(moore, hopcroft) << GetParam();
 }
 
+// The last four are the compile shapes of a cloze query: a regex-escaped
+// passage of about 200 bytes (a literal, compiled as its chain), a 30-word
+// disjunction under the cloze suffix, a bounded repeat, and the empty pattern.
 INSTANTIATE_TEST_SUITE_P(
     Patterns, MinimizationAgreement,
     ::testing::Values("(a|b)*abb", "a*", "(a|ab)(c|bc)", "((a)|(bb))*",
                       "[a-f]{2,5}", "(cat)|(dog)|(cow)|(c.t)",
                       "x(y|z)*x|zz*", "(0|1(01*0)*1)*",  // binary multiples of 3
-                      "a{3,7}b{0,4}", "(the )?((cat)|(dog)) (ran|sat)"));
+                      "a{3,7}b{0,4}", "(the )?((cat)|(dog)) (ran|sat)",
+                      "\"I can't believe it,\" Mara said\\. The keeper of the old "
+                      "lighthouse had left at dawn \\(without a word\\) and the "
+                      "boats \\- all three of them \\- were gone before the tide "
+                      "turned\\. Who would follow him now\\? Not the",
+                      "((keeper)|(lighthouse)|(boats)|(tide)|(dawn)|(Mara)|(word)|"
+                      "(three)|(morning)|(harbor)|(island)|(storm)|(lantern)|"
+                      "(rope)|(sailor)|(village)|(mother)|(brother)|(window)|"
+                      "(stairs)|(shore)|(night)|(gulls)|(rocks)|(signal)|"
+                      "(captain)|(letter)|(winter)|(beacon)|(ferry))"
+                      "(\\.|\\!|\\?)?(\")?",
+                      "(ab|c){2,4}d", ""));
 
 TEST(Hopcroft, LevenshteinAutomaton) {
   // A bigger machine: the Levenshtein-1 expansion of a sentence prefix.
@@ -695,6 +602,43 @@ TEST(Hopcroft, LevenshteinAutomaton) {
   Dfa again = minimize_hopcroft(edited);
   EXPECT_EQ(again.num_states(), edited.num_states());
   EXPECT_TRUE(equivalent(again, edited));
+}
+
+TEST(Hopcroft, EnumerationTrieOverTokenAlphabet) {
+  // The canonical lift's token trie (core/compiler.cpp): one path per
+  // encoded string over a 774-token vocabulary, with shared suffixes for the
+  // post-order pass to merge.
+  constexpr Symbol kVocab = 774;
+  util::Pcg32 rng(774);
+  std::vector<std::vector<Symbol>> endings;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<Symbol> ending(1 + rng.bounded(3));
+    for (Symbol& t : ending) t = rng.bounded(kVocab);
+    endings.push_back(ending);
+  }
+  Dfa trie(kVocab);
+  trie.set_start(trie.add_state(false));
+  for (int i = 0; i < 400; ++i) {
+    std::vector<Symbol> path(1 + rng.bounded(3));
+    for (Symbol& t : path) t = rng.bounded(kVocab);
+    const auto& ending = endings[rng.bounded(30)];
+    path.insert(path.end(), ending.begin(), ending.end());
+    if (rng.bounded(2) == 0) path.push_back(kVocab - 1 - rng.bounded(3));
+    StateId cur = trie.start();
+    for (Symbol t : path) {
+      StateId next = trie.next(cur, t);
+      if (next == kNoState) {
+        next = trie.add_state(false);
+        trie.add_edge(cur, t, next);
+      }
+      cur = next;
+    }
+    trie.set_final(cur);
+  }
+  Dfa minimal = minimize(trie);
+  EXPECT_LT(minimal.num_states(), trie.num_states());
+  EXPECT_EQ(minimal, minimize_hopcroft(trie));
+  EXPECT_TRUE(equivalent(minimal, trie));
 }
 
 TEST(Hopcroft, EmptyAndTrivial) {

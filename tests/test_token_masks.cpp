@@ -32,6 +32,7 @@
 #include "core/token_masks.hpp"
 #include "model/decoding.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/artifact_checks.hpp"
 #include "testing/differential.hpp"
 #include "testing/fuzz_targets.hpp"
 #include "tokenizer/bpe.hpp"
@@ -826,7 +827,7 @@ TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
 
   {
     analysis::InvariantReport report;
-    analysis::check_query_artifact(artifact, nullptr, report);
+    testing::check_query_artifact(artifact, nullptr, report);
     EXPECT_FALSE(report.has("artifact.token-masks")) << report.to_string();
   }
   {
@@ -835,7 +836,7 @@ TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
     body->automaton.masks.words[0] ^= 1;  // one flipped mask bit
     bad.body = body;
     analysis::InvariantReport report;
-    analysis::check_query_artifact(bad, nullptr, report);
+    testing::check_query_artifact(bad, nullptr, report);
     EXPECT_TRUE(report.has("artifact.token-masks")) << report.to_string();
     analysis::InvariantReport component_report;
     analysis::check_component(*body, nullptr, component_report);
@@ -850,7 +851,7 @@ TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
     prefix->automaton.masks = core::TokenMaskTable{};
     half.prefix = prefix;
     analysis::InvariantReport report;
-    analysis::check_query_artifact(half, nullptr, report);
+    testing::check_query_artifact(half, nullptr, report);
     EXPECT_FALSE(report.has("artifact.token-masks")) << report.to_string();
     CompiledQuery probe = CompiledQuery::from_artifact(
         std::make_shared<const core::pipeline::QueryArtifact>(half),
