@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "testing/differential.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 #include "util/token_bitset.hpp"
@@ -206,6 +207,38 @@ void BM_ShortestPathTopK40MasksOff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShortestPathTopK40MasksOff);
+
+// A search to its first result, the shape of Table 1's cloze queries (and of
+// perfbench's cloze_suite): a corpus passage as an escaped literal prefix, a
+// word body, canonical tokens, top-k 40, max_results 1, on the default
+// pipeline and a one-thread pool. The logit cache is shared across
+// iterations, so after the first search every row is a hit and the
+// executor's own work (selection, frontier, canonicality) is what is timed.
+// The URL benchmarks above all enumerate; this one stops after a few dozen
+// expansions, most of whose children are never popped.
+void BM_ShortestPathFirstResult(benchmark::State& state) {
+  util::ThreadPool::set_shared_threads(1);
+  const std::string prefix =
+      util::regex_escape(world().corpus.cloze_passages.front().context);
+  core::SimpleSearchQuery query;
+  query.query_string.prefix_str = prefix;
+  query.query_string.query_str = prefix + " ([a-zA-Z]+)(\\.|\\!|\\?)?(\")?";
+  query.tokenization_strategy = core::TokenizationStrategy::kCanonicalTokens;
+  query.decoding.top_k = 40;
+  query.max_results = 1;
+  core::CompiledQuery compiled =
+      core::CompiledQuery::compile(query, *world().tokenizer);
+  model::CachingModel cached(world().xl, 1 << 16);
+  std::size_t expansions = 0;
+  for (auto _ : state) {
+    core::ShortestPathSearch search(cached, compiled, query);
+    benchmark::DoNotOptimize(search.next());
+    expansions += search.stats().expansions;
+  }
+  state.counters["expansions/iter"] =
+      static_cast<double>(expansions) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ShortestPathFirstResult);
 
 // Isolated expansion primitives on a synthetic dense token automaton, away
 // from model-inference noise. Arg(0) is the vocabulary size; the state under

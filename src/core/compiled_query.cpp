@@ -256,45 +256,54 @@ bool CompiledQuery::canonical_body(std::span<const TokenId> body_tokens,
   return idx == body_tokens.size();
 }
 
+void CompiledQuery::decode_candidates(const StateSet& set,
+                                      const util::TokenBitset* rule_mask,
+                                      TokenId eos, StepOutput& out) const {
+  out.counters = {};
+  out.canon.clear();
+  if (has_masks()) {
+    expand_masked(set, rule_mask, out.steps, out.counters);
+  } else {
+    out.steps = expand(set);
+    if (rule_mask) {
+      // Pruned, and transitively all its extensions (§3.3).
+      const std::size_t before = out.steps.size();
+      std::erase_if(out.steps, [&](const Step& step) {
+        return !step.prefix_only && !(*rule_mask)[step.token];
+      });
+      out.counters.pruned_by_rules += before - out.steps.size();
+    }
+  }
+  out.eos_allowed = !rule_mask || (*rule_mask)[eos];
+}
+
+bool CompiledQuery::extend_canon(BodyScratch& run, TokenId token,
+                                 CanonState& canon) const {
+  run.tokens.back() = token;
+  run.text.resize(run.parent_bytes);
+  run.text.append(tok_->token_string(token));
+  canonical_prefix_advance(run.tokens, run.text, canon);
+  return !canon.doomed() ||
+         canon.doomed_at + tok_->max_token_length() > run.text.size();
+}
+
 void CompiledQuery::decode_step(const StateSet& set,
                                 const util::TokenBitset* rule_mask,
                                 TokenId eos, const BodyCursor& body,
                                 StepOutput& out) const {
-  out.counters = {};
-  out.canon.clear();
-  const bool masked = has_masks();
-  if (masked) {
-    expand_masked(set, rule_mask, out.steps, out.counters);
-  } else {
-    out.steps = expand(set);
+  decode_candidates(set, rule_mask, eos, out);
+  if (!body_->dynamic_canonical) {
+    out.canon.assign(out.steps.size(), CanonState{});
+    return;
   }
-
-  const bool check_canon = body_->dynamic_canonical;
-  if (check_canon) {
-    // Scratch = parent body + one placeholder slot, rewritten per step below
-    // (cheaper than re-assembling the prefix for every candidate token).
-    out.body_scratch.assign(body.tokens.begin(), body.tokens.end());
-    out.body_scratch.push_back(0);
-    out.text_scratch.assign(body.text);
-  }
+  out.body.load(body.tokens, body.text);
   std::size_t kept = 0;
   for (const Step& step : out.steps) {
-    if (!masked && !step.prefix_only && rule_mask && !(*rule_mask)[step.token]) {
-      ++out.counters.pruned_by_rules;
-      continue;  // pruned, and transitively all its extensions (§3.3)
-    }
     CanonState canon;  // default: body run resets
-    if (check_canon && step.body_advanced) {
-      // Child body = parent body + this token; resume the settled-boundary
-      // check from the parent's state instead of re-walking the body.
-      out.body_scratch.back() = step.token;
-      out.text_scratch.resize(body.text.size());
-      out.text_scratch.append(tok_->token_string(step.token));
+    if (step.body_advanced) {
       canon = body.canon;
-      canonical_prefix_advance(out.body_scratch, out.text_scratch, canon);
-      if (canon.doomed() &&
-          canon.doomed_at + tok_->max_token_length() <= out.text_scratch.size()) {
-        ++out.counters.pruned_non_canonical;  // the distance rule's cut
+      if (!extend_canon(out.body, step.token, canon)) {
+        ++out.counters.pruned_non_canonical;
         continue;
       }
     }
@@ -302,7 +311,6 @@ void CompiledQuery::decode_step(const StateSet& set,
     out.canon.push_back(canon);
   }
   out.steps.resize(kept);
-  out.eos_allowed = !rule_mask || (*rule_mask)[eos];
 }
 
 }  // namespace relm::core

@@ -164,31 +164,61 @@ class CompiledQuery {
     CanonState canon;
   };
 
+  // Scratch for the canonicality half: a parent's body run with one slot
+  // for the step's token. Loaded once per parent; each extend_canon call
+  // rewrites only that slot and the text after the parent's.
+  struct BodyScratch {
+    std::vector<tokenizer::TokenId> tokens;
+    std::string text;
+    std::size_t parent_bytes = 0;
+
+    void load(std::span<const tokenizer::TokenId> run, std::string_view run_text) {
+      tokens.assign(run.begin(), run.end());
+      tokens.push_back(0);
+      text.assign(run_text);
+      parent_bytes = run_text.size();
+    }
+  };
+
   // One decode_step's result. steps[i] survived the automaton, the decoding
   // rules (prefix edges exempt, §2.4) and canonicality (§3.2); canon[i] is
   // its child's CanonState (default when the body run resets). A step whose
   // canon[i] is doomed is flagged: its body can never end canonically, but
   // only a boundary doomed max_token_length bytes back is dropped here —
   // the cut of the older distance rule, which beam's width cut and the
-  // streams' weighted draw still see. Shortest path drops flagged steps
-  // itself, and a generate stream retires when its draw picks one.
+  // streams' weighted draw still see. A generate stream retires when its
+  // draw picks a flagged step. decode_candidates fills steps, eos_allowed
+  // and the rule counters only, leaving canon empty.
   struct StepOutput {
     std::vector<Step> steps;
     std::vector<CanonState> canon;
     bool eos_allowed = false;  // the rule mask admits EOS
     StepCounters counters;     // this call's prunes only
-    std::vector<tokenizer::TokenId> body_scratch;  // reused across calls
-    std::string text_scratch;
+    BodyScratch body;          // reused across calls
   };
 
-  // The constrained-decoding step every traversal takes (shortest path,
-  // beam, generate streams): automaton edges out of `set` ∩ the rule mask,
-  // then canonical_prefix_advance from `body`'s state. Uses the
-  // mask-and-scan path when the artifact carries masks, the per-edge probe
-  // otherwise; both yield the same steps in the same order.
+  // The constrained-decoding step beam and generate streams take: the
+  // candidate half (decode_candidates), then the canonicality half
+  // (extend_canon) on every body-advancing step, from `body`'s state.
   void decode_step(const StateSet& set, const util::TokenBitset* rule_mask,
                    tokenizer::TokenId eos, const BodyCursor& body,
                    StepOutput& out) const;
+
+  // The candidate half: automaton edges out of `set` ∩ the rule mask. Uses
+  // the mask-and-scan path when the artifact carries masks, the per-edge
+  // probe otherwise; both yield the same steps in the same order. Shortest
+  // path runs it alone on a pool worker and walks canonicality only for
+  // the children it brings to its frontier.
+  void decode_candidates(const StateSet& set, const util::TokenBitset* rule_mask,
+                         tokenizer::TokenId eos, StepOutput& out) const;
+
+  // The canonicality half, for one body-advancing step of a dynamic-canonical
+  // query: `canon` enters as the parent's CanonState and leaves as the
+  // child's, settled over `run` (loaded with the parent's body run) extended
+  // by `token`. Returns false when the distance rule cuts the step: its body
+  // was doomed max_token_length bytes or more before its end.
+  bool extend_canon(BodyScratch& run, tokenizer::TokenId token,
+                    CanonState& canon) const;
 
   const tokenizer::BpeTokenizer& tokenizer() const { return *tok_; }
   const pipeline::QueryArtifact& artifact() const { return *artifact_; }

@@ -112,27 +112,21 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
                                        const SimpleSearchQuery& query)
     : model_(model), compiled_(compiled), query_(query) {
   cache_baseline_ = cache_baseline_of(model_, model_has_cache_);
-  Node root;
-  root.set = compiled_.initial();
-  root.parent = -1;
-  root.token = 0;
-  root.cost = 0.0;
-  root.depth = 0;
-  root.body_len = 0;
-  root.terminal = false;
-  // The node arena grows to roughly branching × expansions; pre-sizing it
-  // keeps retirement from stalling on arena reallocation mid-round.
-  nodes_.reserve(std::min<std::size_t>(
-      std::max<std::size_t>(query_.max_expansions, 1024), 1u << 16));
-  nodes_.push_back(root);
-  frontier_.push(QueueEntry{0.0, 0});
+  // The root is the one child of a brood without a parent.
+  add_brood(-1, {Child{0.0, compiled_.initial(), 0, 0, false, false}});
 }
 
-void ShortestPathSearch::path_tail_into(std::int32_t node, std::size_t len,
-                                        std::vector<TokenId>& out) const {
-  out.resize(len);
+bool ShortestPathSearch::popped_later(const Child& a, const Child& b) {
+  if (a.cost != b.cost) return a.cost > b.cost;
+  return a.index > b.index;
+}
+
+void ShortestPathSearch::append_path_tail(std::int32_t node, std::size_t len,
+                                          std::vector<TokenId>& out) const {
+  const std::size_t begin = out.size();
+  out.resize(begin + len);
   std::int32_t cur = node;
-  for (std::size_t i = len; i > 0; --i) {
+  for (std::size_t i = out.size(); i > begin; --i) {
     out[i - 1] = nodes_[cur].token;
     cur = nodes_[cur].parent;
   }
@@ -152,7 +146,7 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
 
   // Only result nodes pay for a full path reconstruction.
   std::vector<TokenId> tokens;
-  path_tail_into(id, nodes_[id].depth, tokens);
+  append_path_tail(id, nodes_[id].depth, tokens);
   if (nodes_[id].terminal) tokens.pop_back();  // drop EOS from the tuple
   std::string text = compiled_.tokenizer().decode(tokens);
   // Final canonicality gate (§3.2 option 2): the incremental check cannot
@@ -179,59 +173,140 @@ void ShortestPathSearch::emit_if_result(std::int32_t id) {
   // No dedup here: a costlier encoding of a text can reach this point
   // before a cheaper one is discovered (speculative rounds pop ahead of
   // discovery). Dedup happens at release time in next(), once the result
-  // is provably optimal.
-  stats_.elapsed_seconds = timer_.seconds();
+  // is provably optimal; so does the stamping.
   pending_results_.push(PendingResult{
       nodes_[id].cost,
-      SearchResult{std::move(tokens), std::move(text), -nodes_[id].cost,
-                   stats_.llm_calls, stats_.elapsed_seconds}});
+      SearchResult{std::move(tokens), std::move(text), -nodes_[id].cost, 0, 0.0}});
 }
 
 void ShortestPathSearch::make_task(std::int32_t node_id,
                                    SlotTask& task) const {
   const Node& node = nodes_[node_id];
   task.set = node.set;
-  path_tail_into(node_id,
-                 std::min<std::size_t>(node.depth, model_.relevant_context_length()),
-                 task.context);
-  task.body_prefix.clear();
-  task.body_text.clear();
-  task.canon = node.canon;
-  if (compiled_.dynamic_canonical()) {
-    // The body token subsequence is the last body_len tokens of the path;
-    // captured here because workers must not walk nodes_ (the coordinator
-    // reallocates it while they run).
-    path_tail_into(node_id, node.body_len, task.body_prefix);
-    const tokenizer::BpeTokenizer& tok = compiled_.tokenizer();
-    for (TokenId id : task.body_prefix) {
-      task.body_text.append(tok.token_string(id));
-    }
-  }
+  task.cost = node.cost;
+  task.context.clear();
+  append_path_tail(node_id,
+                   std::min<std::size_t>(node.depth, model_.relevant_context_length()),
+                   task.context);
 }
 
 void ShortestPathSearch::evaluate_slot(const SlotTask& task,
                                        SlotOutput& out) const {
   out.row = std::move(model_.next_rows({&task.context, 1}, query_.decoding).front());
-  RELM_DCHECK(out.row.log_probs->size() == model_.vocab_size(),
+  const std::vector<double>& lp = *out.row.log_probs;
+  RELM_DCHECK(lp.size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
   CompiledQuery::StepOutput& step = out.step;
-  compiled_.decode_step(task.set, out.row.mask.get(), model_.eos(),
-                        {task.body_prefix, task.body_text, task.canon}, step);
-  // A flagged (doomed) body can never be emitted, so its subtree is dropped
-  // here, before it reaches the frontier or the model — unless a live
-  // prefix can still restart the body run below it.
-  std::size_t kept = 0;
+  compiled_.decode_candidates(task.set, out.row.mask.get(), model_.eos(), step);
+  out.children.clear();
   for (std::size_t s = 0; s < step.steps.size(); ++s) {
-    if (step.canon[s].doomed() &&
-        step.steps[s].next.prefix_state == automata::kNoState) {
-      ++step.counters.pruned_non_canonical;
-      continue;
-    }
-    step.steps[kept] = step.steps[s];
-    step.canon[kept++] = step.canon[s];
+    const CompiledQuery::Step& st = step.steps[s];
+    RELM_DCHECK(st.token < lp.size(),
+                "compiled query emitted a token outside the vocabulary");
+    const double cost = task.cost - lp[st.token];
+    RELM_DCHECK(!std::isnan(cost) && cost >= task.cost - 1e-9,
+                "Dijkstra edge costs must be non-negative (-log p)");
+    out.children.push_back(Child{cost, st.next, st.token,
+                                 static_cast<std::uint32_t>(s),
+                                 st.body_advanced, false});
   }
-  step.steps.resize(kept);
-  step.canon.resize(kept);
+  // EOS closure (require_eos): a match's terminated child, after its
+  // steps, unless the rule mask cuts EOS.
+  if (query_.require_eos && compiled_.is_match(task.set)) {
+    if (step.eos_allowed) {
+      const TokenId eos = model_.eos();
+      out.children.push_back(Child{task.cost - lp[eos], task.set, eos,
+                                   static_cast<std::uint32_t>(step.steps.size()),
+                                   false, true});
+    } else {
+      ++step.counters.pruned_by_rules;
+    }
+  }
+  std::make_heap(out.children.begin(), out.children.end(), popped_later);
+}
+
+void ShortestPathSearch::add_brood(std::int32_t parent,
+                                   const std::vector<Child>& children) {
+  if (children.empty()) return;
+  const auto b = static_cast<std::uint32_t>(broods_.size());
+  Brood& brood = broods_.emplace_back();
+  brood.parent = parent;
+  brood.begin = static_cast<std::uint32_t>(children_.size());
+  children_.insert(children_.end(), children.begin(), children.end());
+  brood.end = static_cast<std::uint32_t>(children_.size());
+  unpopped_ += children.size();
+  if (parent >= 0 && compiled_.dynamic_canonical()) {
+    // The parent's body run and its text, for the canonicality walks of
+    // the children that surface.
+    brood.run_tokens = static_cast<std::uint32_t>(run_tokens_.size());
+    brood.run_text = static_cast<std::uint32_t>(run_text_.size());
+    append_path_tail(parent, nodes_[parent].body_len, run_tokens_);
+    for (std::size_t i = brood.run_tokens; i < run_tokens_.size(); ++i) {
+      run_text_.append(compiled_.tokenizer().token_string(run_tokens_[i]));
+    }
+    brood.run_bytes = static_cast<std::uint32_t>(run_text_.size() - brood.run_text);
+  }
+  surface(b);
+}
+
+void ShortestPathSearch::surface(std::uint32_t b) {
+  Brood& brood = broods_[b];
+  const auto heap = children_.begin();
+  bool run_loaded = false;
+  while (brood.end > brood.begin) {
+    std::pop_heap(heap + brood.begin, heap + brood.end, popped_later);
+    const Child& head = children_[--brood.end];
+    brood.head_canon = {};
+    if (head.body_advanced && compiled_.dynamic_canonical()) {
+      // A doomed child is dropped when the distance rule cuts it or when no
+      // live prefix can restart the body run below it.
+      const Node& parent = nodes_[brood.parent];
+      if (!run_loaded) {
+        canon_scratch_.load({run_tokens_.data() + brood.run_tokens, parent.body_len},
+                            {run_text_.data() + brood.run_text, brood.run_bytes});
+        run_loaded = true;
+      }
+      brood.head_canon = parent.canon;
+      if (!compiled_.extend_canon(canon_scratch_, head.token, brood.head_canon) ||
+          (brood.head_canon.doomed() &&
+           head.set.prefix_state == automata::kNoState)) {
+        ++stats_.pruned_non_canonical;
+        --unpopped_;
+        continue;
+      }
+    }
+    frontier_.push(QueueEntry{head.cost, b});
+    return;
+  }
+}
+
+std::int32_t ShortestPathSearch::pop_node(std::uint32_t b) {
+  const Brood& brood = broods_[b];
+  const Child& head = children_[brood.end];
+  Node node;
+  node.set = head.set;
+  node.parent = brood.parent;
+  node.token = head.token;
+  node.cost = head.cost;
+  node.terminal = head.terminal;
+  node.depth = 0;
+  node.body_len = 0;
+  node.canon = brood.head_canon;
+  if (brood.parent >= 0) {
+    const Node& parent = nodes_[brood.parent];
+    node.depth = parent.depth + 1;
+    if (head.terminal) {
+      // The EOS child keeps its parent's body run.
+      node.body_len = parent.body_len;
+      node.canon = parent.canon;
+    } else if (head.body_advanced) {
+      node.body_len = parent.body_len + 1;
+    }
+  }
+  nodes_.push_back(node);
+  --unpopped_;
+  surface(b);
+  return static_cast<std::int32_t>(nodes_.size() - 1);
 }
 
 void ShortestPathSearch::pump() {
@@ -252,9 +327,9 @@ void ShortestPathSearch::pump() {
           : 0;
   // Occupancy controller: track frontier depth toward 2x the target (the
   // classic keep-the-pipe-full setpoint), floor 1, ceiling max_in_flight.
-  const std::size_t want = std::min(
-      cap, std::max<std::size_t>(
-               1, std::min(frontier_.size(), 2 * target)));
+  // Depth counts discovered children, not frontier entries (one per brood).
+  const std::size_t want =
+      std::min(cap, std::max<std::size_t>(1, std::min(unpopped_, 2 * target)));
 
   round_slots_.clear();
   round_tasks_.clear();
@@ -262,11 +337,6 @@ void ShortestPathSearch::pump() {
   bool have_min = false;
   while (round_slots_.size() < want && !frontier_.empty()) {
     const QueueEntry top = frontier_.top();
-    const std::int32_t id = top.node;
-    if (nodes_[id].expanded) {  // defensive: ids are pushed exactly once
-      frontier_.pop();
-      continue;
-    }
     if (!have_min) {
       round_min = top.cost;
       have_min = true;
@@ -276,8 +346,10 @@ void ShortestPathSearch::pump() {
       ++stats_.horizon_clips;
       break;
     }
-    const bool needs_eval =
-        !nodes_[id].terminal && nodes_[id].depth < seq_limit;
+    const Brood& brood = broods_[top.brood];
+    const std::size_t depth =
+        brood.parent < 0 ? 0 : nodes_[brood.parent].depth + 1;
+    const bool needs_eval = !children_[brood.end].terminal && depth < seq_limit;
     if (needs_eval && round_tasks_.size() >= budget_left) {
       // Budget clamp mid-selection: defer the node (the first eval of a
       // round is always admitted — next() only pumps with budget left — so
@@ -286,7 +358,9 @@ void ShortestPathSearch::pump() {
       break;
     }
     frontier_.pop();
-    nodes_[id].expanded = true;
+    // The brood's next head surfaces before the round's next pop, so the
+    // round pops exactly the nodes a frontier of every child would.
+    const std::int32_t id = pop_node(top.brood);
     std::size_t eval = SIZE_MAX;
     if (needs_eval) {
       eval = round_tasks_.size();
@@ -317,9 +391,9 @@ void ShortestPathSearch::pump() {
         });
   }
 
-  // ---- Retirement, in submission order: slot i's children/match land
-  // while slots > i are still evaluating. All shared-state mutation (node
-  // allocation, frontier pushes, stats) happens here, on the coordinator.
+  // ---- Retirement, in submission order: slot i's brood/match land while
+  // slots > i are still evaluating. All shared-state mutation (broods,
+  // frontier pushes, stats) happens here, on the coordinator.
   for (const PipeSlot& slot : round_slots_) {
     if (slot.eval == SIZE_MAX) {
       emit_if_result(slot.node);
@@ -330,54 +404,15 @@ void ShortestPathSearch::pump() {
     ++stats_.llm_calls;
     ++stats_.expansions;
     const SlotOutput& out = round_outputs_[slot.eval];
-    const std::vector<double>& lp = *out.row.log_probs;
     stats_ += out.step.counters;
     count_mask(out.row, stats_);
-
-    const Node parent = nodes_[slot.node];  // copy: nodes_ reallocates below
-    for (std::size_t s = 0; s < out.step.steps.size(); ++s) {
-      const CompiledQuery::Step& step = out.step.steps[s];
-      Node child;
-      child.set = step.next;
-      child.parent = slot.node;
-      child.token = step.token;
-      RELM_DCHECK(step.token < lp.size(),
-                  "compiled query emitted a token outside the vocabulary");
-      child.cost = parent.cost - lp[step.token];
-      RELM_DCHECK(!std::isnan(child.cost) && child.cost >= parent.cost - 1e-9,
-                  "Dijkstra edge costs must be non-negative (-log p)");
-      child.depth = parent.depth + 1;
-      child.body_len = step.body_advanced ? parent.body_len + 1 : 0;
-      child.canon = out.step.canon[s];
-      child.terminal = false;
-      nodes_.push_back(child);
-      frontier_.push(
-          QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
-    }
-    // EOS closure (require_eos): a match's terminated child, unless the
-    // rule mask cuts EOS.
-    const bool wants_eos = query_.require_eos && compiled_.is_match(parent.set);
-    if (wants_eos && !out.step.eos_allowed) ++stats_.pruned_by_rules;
-    if (wants_eos && out.step.eos_allowed) {
-      Node child = parent;
-      child.parent = slot.node;
-      child.token = model_.eos();
-      child.cost = parent.cost - lp[child.token];
-      child.depth = parent.depth + 1;
-      child.terminal = true;
-      child.expanded = false;
-      child.evaluated = false;
-      nodes_.push_back(child);
-      frontier_.push(
-          QueueEntry{child.cost, static_cast<std::int32_t>(nodes_.size() - 1)});
-    }
+    add_brood(slot.node, out.children);
     emit_if_result(slot.node);
   }
   batch.wait_all();
   batch.rethrow_if_error();
 
   ++stats_.pump_rounds;
-  refresh_cache_stats();
   metrics.llm_calls.add(n_tasks);
   metrics.expansions.add(n_tasks);
   metrics.add(stats_, counters_before);
@@ -412,6 +447,23 @@ std::optional<SearchResult> ShortestPathSearch::next() {
     stats_.elapsed_seconds = timer_.seconds();
     return std::nullopt;
   }
+  // The cache counters are folded once per call that ran a round, not per
+  // round: no model call happens between a round's end and the return.
+  bool pumped = false;
+  try {
+    std::optional<SearchResult> result = release_next(pumped);
+    if (pumped) refresh_cache_stats();
+    return result;
+  } catch (...) {
+    // The round already popped its nodes; resuming would lose their
+    // subtrees without a signal.
+    error_ = std::current_exception();
+    if (pumped) refresh_cache_stats();
+    throw;
+  }
+}
+
+std::optional<SearchResult> ShortestPathSearch::release_next(bool& pumped) {
   for (;;) {
     // A pending match is settled once no frontier node could still tie it:
     // every undiscovered path must extend some frontier node, so it can only
@@ -440,6 +492,9 @@ std::optional<SearchResult> ShortestPathSearch::next() {
       ++emitted_;
       last_emitted_cost_ = -result.log_prob;
       any_emitted_ = true;
+      stats_.elapsed_seconds = timer_.seconds();
+      result.llm_calls_at_emission = stats_.llm_calls;
+      result.seconds_at_emission = stats_.elapsed_seconds;
       return result;
     }
     if (emitted_ >= query_.max_results) {
@@ -455,14 +510,8 @@ std::optional<SearchResult> ShortestPathSearch::next() {
       count_speculative_waste();
       return std::nullopt;
     }
-    try {
-      pump();
-    } catch (...) {
-      // The round already marked its nodes expanded; resuming would lose
-      // their subtrees without a signal.
-      error_ = std::current_exception();
-      throw;
-    }
+    pumped = true;
+    pump();
   }
 }
 

@@ -22,14 +22,21 @@ struct SearchResult {
   std::vector<tokenizer::TokenId> tokens;  // full token path (EOS excluded)
   std::string text;                        // decoded string
   double log_prob;                         // log p of the path (incl. EOS when required)
-  std::size_t llm_calls_at_emission;       // cumulative model invocations
-  double seconds_at_emission;              // since search start
+  // The search's totals when the result was handed to the caller: model
+  // invocations so far and seconds since the search started. Shortest path
+  // reads them when next() releases the result, which can be rounds after a
+  // pipelined search found it.
+  std::size_t llm_calls_at_emission;
+  double seconds_at_emission;
 };
 
 // The step counters (pruned_by_rules, pruned_non_canonical,
-// mask_words_scanned, mask_pruned) come from CompiledQuery::decode_step;
-// shortest path also counts EOS-closure prunes in pruned_by_rules and the
-// flagged steps it drops in pruned_non_canonical.
+// mask_words_scanned, mask_pruned) count children cut, and come from
+// CompiledQuery::decode_step or its halves; shortest path also counts
+// EOS-closure prunes in pruned_by_rules. Shortest path walks canonicality
+// only for the children it brings to its frontier, so its
+// pruned_non_canonical counts the cut ones among those, not every child
+// cut.
 struct SearchStats : CompiledQuery::StepCounters {
   std::size_t llm_calls = 0;
   std::size_t expansions = 0;          // shortest path: nodes expanded
@@ -115,6 +122,8 @@ class ShortestPathSearch {
   void set_dedup_text(bool dedup) { dedup_text_ = dedup; }
 
  private:
+  // A popped child: the frontier builds a node only when it pops it, so
+  // every node is expanded (or emitted) exactly once.
   struct Node {
     CompiledQuery::StateSet set;
     std::int32_t parent;
@@ -126,18 +135,47 @@ class ShortestPathSearch {
     // settlement walk here instead of re-walking the whole body.
     CompiledQuery::CanonState canon;
     bool terminal;              // EOS attached; emit on pop
-    bool expanded = false;
     bool evaluated = false;     // consumed a model call (waste accounting)
+  };
+
+  // A child an expansion discovered, waiting in its brood (32 bytes).
+  struct Child {
+    double cost;                // parent.cost - lp[token]
+    CompiledQuery::StateSet set;
+    tokenizer::TokenId token;
+    std::uint32_t index;        // step index; the EOS child comes last
+    bool body_advanced;
+    bool terminal;              // the EOS child
+  };
+  // Brood order: (cost, index). As a heap comparator: a is popped after b.
+  static bool popped_later(const Child& a, const Child& b);
+
+  // The children of one expanded node (partial expansion, Yoshizumi et al.
+  // 2000). children_[begin, end) is a heap of those not yet surfaced;
+  // children_[end] is the surfaced head, which the frontier holds. Brood
+  // ids grow in expansion order, so (cost, brood, index) orders children
+  // exactly as (cost, node id) would if every child were a node.
+  struct Brood {
+    std::int32_t parent;        // the expanded node; -1 for the root's brood
+    std::uint32_t begin;
+    std::uint32_t end;
+    CompiledQuery::CanonState head_canon;
+    // The parent's body run, for surfacing's canonicality walk
+    // (dynamic-canonical queries): run_tokens_ from run_tokens (length
+    // nodes_[parent].body_len), run_text_ from run_text (run_bytes).
+    std::uint32_t run_tokens;
+    std::uint32_t run_text;
+    std::uint32_t run_bytes;
   };
   struct QueueEntry {
     double cost;
-    std::int32_t node;
-    // Ties break on node id: node ids are assigned in deterministic order by
-    // the coordinator, so the pop sequence is a pure function of search
+    std::uint32_t brood;
+    // A brood has at most one entry (its head), so (cost, brood) orders
+    // entries totally: the pop sequence is a pure function of search
     // state, never of heap shape or thread count.
     bool operator>(const QueueEntry& other) const {
       if (cost != other.cost) return cost > other.cost;
-      return node > other.node;
+      return brood > other.brood;
     }
   };
 
@@ -162,27 +200,27 @@ class ShortestPathSearch {
 
   // Per-slot input/output of the async pipeline. A task is captured fully at
   // selection time (coordinator) and evaluated by an arbitrary pool thread:
-  // it must not read nodes_ (which the coordinator reallocates while tasks
-  // run) or touch stats_; everything it needs travels by value and every
-  // side effect comes back in the SlotOutput.
+  // it must not read nodes_ or the broods (which the coordinator grows while
+  // tasks run) or touch stats_; everything it needs travels by value and
+  // every side effect comes back in the SlotOutput.
   struct SlotTask {
     CompiledQuery::StateSet set;
-    std::vector<tokenizer::TokenId> context;      // model-relevant suffix
-    std::vector<tokenizer::TokenId> body_prefix;  // dynamic-canonical only
-    std::string body_text;  // decoded body_prefix (dynamic-canonical only)
-    CompiledQuery::CanonState canon;  // the parent's
+    double cost;  // the parent's
+    std::vector<tokenizer::TokenId> context;  // model-relevant suffix
   };
   struct SlotOutput {
     model::LanguageModel::Row row;
-    CompiledQuery::StepOutput step;  // flagged steps already dropped
+    CompiledQuery::StepOutput step;  // decode_candidates: no canonicality
+    std::vector<Child> children;     // a heap in brood order
   };
 
-  // The last `len` tokens of a node's path: its depth for the whole path,
-  // model_.relevant_context_length() for the model-visible context (walking
-  // only that suffix keeps per-pop cost O(window), not O(depth)). It writes
-  // into a caller-owned buffer so hot paths can reuse its capacity.
-  void path_tail_into(std::int32_t node, std::size_t len,
-                      std::vector<tokenizer::TokenId>& out) const;
+  // Appends the last `len` tokens of a node's path to `out`: its depth for
+  // the whole path, model_.relevant_context_length() for the model-visible
+  // context (walking only that suffix keeps per-pop cost O(window), not
+  // O(depth)), body_len for its body run. It writes into a caller-owned
+  // buffer so hot paths can reuse its capacity.
+  void append_path_tail(std::int32_t node, std::size_t len,
+                        std::vector<tokenizer::TokenId>& out) const;
   // One async pipeline round: deterministic selection up to the cost
   // horizon / occupancy target, async submission, in-order retirement
   // overlapping later slots' evaluation. With max_in_flight = 1 a round is
@@ -192,7 +230,17 @@ class ShortestPathSearch {
   // round slot across rounds, so steady-state rounds allocate nothing.
   void make_task(std::int32_t node_id, SlotTask& task) const;
   void evaluate_slot(const SlotTask& task, SlotOutput& out) const;
+  // Stores a retired slot's children as a brood and surfaces its head.
+  void add_brood(std::int32_t parent, const std::vector<Child>& children);
+  // Pushes brood `b`'s cheapest child not yet surfaced onto the frontier,
+  // first dropping those canonicality cuts.
+  void surface(std::uint32_t b);
+  // Builds the node for brood `b`'s head (just popped) and surfaces the
+  // brood's next child; returns the node's id.
+  std::int32_t pop_node(std::uint32_t b);
   void emit_if_result(std::int32_t node_id);
+  // The release loop of next(); sets `pumped` once it runs a round.
+  std::optional<SearchResult> release_next(bool& pumped);
   void count_speculative_waste();
   void refresh_cache_stats();
 
@@ -200,8 +248,17 @@ class ShortestPathSearch {
   const CompiledQuery& compiled_;
   const SimpleSearchQuery& query_;
   std::vector<Node> nodes_;
-  // Min-heap on (cost, node_id). Only the coordinator pushes (at retirement)
-  // and pops (at selection), so it needs no lock.
+  std::vector<Child> children_;
+  std::vector<Brood> broods_;
+  std::vector<tokenizer::TokenId> run_tokens_;
+  std::string run_text_;
+  CompiledQuery::BodyScratch canon_scratch_;
+  // Children discovered and not yet popped or dropped: the round width's
+  // measure of frontier depth.
+  std::size_t unpopped_ = 0;
+  // Min-heap on (cost, brood): one entry per brood with children left. Only
+  // the coordinator pushes (at surfacing) and pops (at selection), so it
+  // needs no lock.
   std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> frontier_;
   // Per-round pipeline scratch, reused across rounds (kept capacity is what
   // makes steady-state rounds allocation-free). round_outputs_ slots are

@@ -80,7 +80,9 @@ struct SimpleSearchQuery {
   std::size_t max_in_flight = 64;
 
   // Pipeline: the controller aims to keep this many evaluations in flight;
-  // per-round batch = min(max_in_flight, max(1, min(frontier, 2*target))).
+  // per-round batch = min(max_in_flight, max(1, min(frontier, 2*target))),
+  // where frontier counts the children discovered and not yet popped or
+  // dropped.
   std::size_t target_occupancy = 16;
 
   // Pipeline: nodes costlier than round_min + horizon are left for a later

@@ -697,10 +697,10 @@ class RecordingModel : public model::LanguageModel {
   mutable std::vector<std::vector<TokenId>> contexts_ RELM_GUARDED_BY(mutex_);
 };
 
-// Shortest path drops flagged steps on the worker, so the model never
-// scores a doomed body: every context it sees still has a canonical
-// continuation. The results stay those of the mask-less copy (the probe
-// path) and of the oracle, which prunes with the weaker distance rule.
+// Shortest path drops a flagged child when it surfaces to the frontier, so
+// the model never scores a doomed body: every context it sees still has a
+// canonical continuation. The results stay those of the mask-less copy (the
+// probe path) and of the oracle, which prunes with the weaker distance rule.
 TEST(ExecutorEdges, ShortestPathNeverEvaluatesDoomedBodies) {
   const Fixture f = settlement_fixture();
   const testing::Oracle oracle =
@@ -791,7 +791,7 @@ TEST(ExecutorEdges, StreamsNeverEvaluateDoomedBodies) {
 // yet z continues the prefix x(a|b|z)* and y then matches a fresh body, so
 // [x, a, b, z, y] is a match — and, under this model, the most probable
 // encoding of "xabzy".
-TEST(ExecutorEdges, LivePrefixKeepsDoomedBodyStep) {
+Fixture live_prefix_fixture() {
   std::vector<std::string> vocab{"", "a", "b", "ab", "x", "y", "z", "zzz"};
   auto tok = std::make_shared<tokenizer::BpeTokenizer>(
       tokenizer::BpeTokenizer::from_vocab(vocab));
@@ -803,14 +803,16 @@ TEST(ExecutorEdges, LivePrefixKeepsDoomedBodyStep) {
   SimpleSearchQuery query;
   query.query_string = {"x(a|b|z)*(a|b)*y", "x(a|b|z)*"};
   query.sequence_length = 5;
+  query.max_results = 1000;
   CompiledQuery compiled = CompiledQuery::compile(query, *tok);
-  ASSERT_TRUE(compiled.dynamic_canonical());
-  const Fixture f{std::move(tok), spec.build(), std::move(query),
-                  std::move(compiled)};
+  return {std::move(tok), spec.build(), std::move(query), std::move(compiled)};
+}
 
-  SimpleSearchQuery all = f.query;
-  all.max_results = 1000;
-  ShortestPathSearch search(*f.model, f.compiled, all);
+TEST(ExecutorEdges, LivePrefixKeepsDoomedBodyStep) {
+  const Fixture f = live_prefix_fixture();
+  ASSERT_TRUE(f.compiled.dynamic_canonical());
+
+  ShortestPathSearch search(*f.model, f.compiled, f.query);
   bool found = false;
   for (const SearchResult& r : search.all()) {
     if (r.text == "xabzy") {
@@ -820,6 +822,136 @@ TEST(ExecutorEdges, LivePrefixKeepsDoomedBodyStep) {
   }
   EXPECT_TRUE(found);
   expect_all_executors_match_oracle(f);
+}
+
+// --------------------------------------------------------------------------
+// Pop order. Each case's digest was recorded from a frontier that held one
+// node per discovered child, keyed (cost, node id); a frontier that builds
+// nodes lazily must pop the same nodes in the same order: the same model
+// calls, results and counters. pruned_non_canonical is left out (it counts
+// only the children a search looks at) and so are the emission stamps.
+
+void mix_results(Fnv& digest, const std::vector<SearchResult>& results) {
+  digest.mix(results.size());
+  for (const SearchResult& r : results) {
+    digest.mix(r.tokens.size());
+    for (TokenId t : r.tokens) digest.mix(t);
+    digest.mix(std::bit_cast<std::uint64_t>(r.log_prob));
+  }
+}
+
+void mix_counters(Fnv& digest, const SearchStats& s) {
+  for (std::size_t v :
+       {s.pruned_by_rules, s.mask_words_scanned, s.mask_pruned, s.llm_calls,
+        s.expansions, s.sample_attempts, s.sample_dead_ends, s.pump_rounds,
+        s.speculative_expanded, s.speculative_cancelled, s.speculative_wasted,
+        s.horizon_clips, s.frontier_shard_steals, s.mask_memo_hits,
+        s.mask_memo_misses, s.cache_hits, s.cache_misses, s.cache_evictions}) {
+    digest.mix(v);
+  }
+}
+
+struct PopOrderCase {
+  const char* name;
+  Fixture (*make)();
+  bool canonical_pruning;   // the search drops children for canonicality
+  std::uint64_t strict;     // contexts, results and counters, max_in_flight 1
+  std::uint64_t pipelined;  // results and counters, max_in_flight 8 and 64
+};
+
+// Uniform costs tie exactly at every depth; the budget cuts the search
+// mid-frontier.
+Fixture tied_budget_fixture() {
+  SimpleSearchQuery base;
+  base.sequence_length = 6;
+  base.max_results = 100;
+  base.max_expansions = 13;
+  return uniform_fixture({"", "a", "b"}, "(a|b)*", base);
+}
+
+// require_eos: every match adds an EOS child after its steps.
+Fixture require_eos_fixture() {
+  SimpleSearchQuery base;
+  base.sequence_length = 5;
+  base.max_results = 100;
+  base.require_eos = true;
+  return skewed_fixture({"", "a", "b"}, "(a|b)+", base);
+}
+
+TEST(ExecutorEdges, ShortestPathPopOrderPinned) {
+  const PopOrderCase cases[] = {
+      {"settlement", settlement_fixture, true, 0x9d77a8df0798988cull,
+       0x1b9bed82933b1391ull},
+      {"live_prefix", live_prefix_fixture, true, 0xdee5180b2b381508ull,
+       0x0990349b88bce60aull},
+      {"tied_budget", tied_budget_fixture, false, 0xb9a9357438348e33ull,
+       0xfe9cc4ecdcca927dull},
+      {"require_eos", require_eos_fixture, false, 0x3674ad6ec6653893ull,
+       0x4a237149eb704b8bull},
+  };
+  const std::size_t restore = util::ThreadPool::shared().threads();
+  for (const PopOrderCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Fixture f = c.make();
+    if (c.canonical_pruning) {
+      ASSERT_TRUE(f.compiled.dynamic_canonical());
+    }
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(threads);
+      util::ThreadPool::set_shared_threads(threads);
+
+      SimpleSearchQuery strict = f.query;
+      strict.max_in_flight = 1;
+      RecordingModel model(*f.model);
+      ShortestPathSearch search(model, f.compiled, strict);
+      const std::vector<SearchResult> results = search.all();
+      Fnv digest;
+      for (const std::vector<TokenId>& context : model.contexts()) {
+        digest.mix(context.size());
+        for (TokenId t : context) digest.mix(t);
+      }
+      mix_results(digest, results);
+      mix_counters(digest, search.stats());
+      EXPECT_EQ(digest.value, c.strict) << std::hex << digest.value;
+      EXPECT_EQ(search.stats().pruned_non_canonical > 0, c.canonical_pruning);
+
+      Fnv piped;
+      for (std::size_t width : {std::size_t{8}, std::size_t{64}}) {
+        SimpleSearchQuery query = f.query;
+        query.max_in_flight = width;
+        ShortestPathSearch pipelined(*f.model, f.compiled, query);
+        mix_results(piped, pipelined.all());
+        mix_counters(piped, pipelined.stats());
+      }
+      EXPECT_EQ(piped.value, c.pipelined) << std::hex << piped.value;
+    }
+  }
+  util::ThreadPool::set_shared_threads(restore);
+}
+
+// A pipelined search holds a match back until no frontier node could beat
+// it, which can be rounds after it was found. Its stamps are read when
+// next() releases it, so each equals the search's totals at that moment.
+TEST(ExecutorEdges, ResultStampsReadAtRelease) {
+  const Fixture fixtures[] = {tied_budget_fixture(), settlement_fixture()};
+  for (const Fixture& f : fixtures) {
+    for (std::size_t width : {std::size_t{8}, std::size_t{64}}) {
+      SCOPED_TRACE(width);
+      SimpleSearchQuery query = f.query;
+      query.max_in_flight = width;
+      query.max_expansions = 20000;
+      ShortestPathSearch search(*f.model, f.compiled, query);
+      std::size_t released = 0;
+      while (const std::optional<SearchResult> r = search.next()) {
+        ++released;
+        EXPECT_EQ(r->llm_calls_at_emission, search.stats().llm_calls)
+            << r->text;
+        EXPECT_EQ(r->seconds_at_emission, search.stats().elapsed_seconds)
+            << r->text;
+      }
+      EXPECT_GT(released, 4u);
+    }
+  }
 }
 
 }  // namespace
