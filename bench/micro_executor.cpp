@@ -247,11 +247,12 @@ BENCHMARK(BM_ShortestPathFirstResult);
 // vocabulary, the regime top-k=40 style rules put the executor in.
 struct MaskBenchFixture {
   std::size_t vocab;
+  automata::Dfa dfa;
   core::TokenMaskTable table;
   util::TokenBitset rule;
 
-  explicit MaskBenchFixture(std::size_t v) : vocab(v), rule(v) {
-    automata::Dfa dfa(static_cast<automata::Symbol>(v));
+  explicit MaskBenchFixture(std::size_t v)
+      : vocab(v), dfa(static_cast<automata::Symbol>(v)), rule(v) {
     automata::StateId s0 = dfa.add_state(false);
     automata::StateId s1 = dfa.add_state(true);
     dfa.set_start(s0);
@@ -301,16 +302,15 @@ void BM_MaskExpand(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskExpand)->Arg(1024)->Arg(8192);
 
-// The pre-mask hot loop: visit every outgoing edge and probe the rule mask
-// per edge. Cost scales with edge count instead of vocab/64 + survivors.
+// The pre-mask hot loop: visit every outgoing edge of the automaton and
+// probe the rule mask per edge. Cost scales with edge count instead of
+// vocab/64 + survivors.
 void BM_MaskExpandProbe(benchmark::State& state) {
   MaskBenchFixture fx(static_cast<std::size_t>(state.range(0)));
-  const std::uint32_t begin = fx.table.edge_offsets[0];
-  const std::uint32_t end = fx.table.edge_offsets[1];
   for (auto _ : state) {
     std::uint64_t sink = 0;
-    for (std::uint32_t e = begin; e < end; ++e) {
-      if (fx.rule[fx.table.edge_tokens[e]]) sink += fx.table.edge_targets[e];
+    for (const automata::Edge& e : fx.dfa.edges(0)) {
+      if (fx.rule[e.symbol]) sink += e.to;
     }
     benchmark::DoNotOptimize(sink);
   }

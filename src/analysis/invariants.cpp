@@ -4,7 +4,6 @@
 #include <deque>
 #include <sstream>
 
-#include "core/token_masks.hpp"
 #include "util/rng.hpp"
 
 namespace relm::analysis {
@@ -456,15 +455,6 @@ void check_component(const core::pipeline::Component& component,
     report.fail("artifact.strategy-flags",
                 name + " uses the all-tokens strategy but has a "
                        "dynamic-canonical flag set");
-  }
-  // A mask table that disagrees with its automaton would silently steer the
-  // executor off it. An empty table is legal (the memory budget skipped it;
-  // executors then probe edges).
-  if (!ta.masks.empty()) {
-    if (auto mismatch = core::masks_mismatch(ta.dfa, ta.masks)) {
-      report.fail("artifact.token-masks",
-                  name + " masks disagree with the automaton: " + *mismatch);
-    }
   }
   if (tok != nullptr && component.vocab_fingerprint == tok->fingerprint()) {
     check_token_automaton(ta.dfa, *tok, report, name);

@@ -139,12 +139,11 @@ void check_compiled_query(const core::CompiledQuery& compiled,
                           const std::string& name = "query");
 
 // Component audit (what `relm verify --cache DIR` runs on every cached
-// .relmc entry): check_dfa and check_trim, a present mask table equal to the
-// recomputed edge set, and a coherent strategy flag (all-tokens never needs
-// dynamic canonical pruning). When `tok` is non-null and the component's
-// vocabulary fingerprint matches it, check_token_automaton too; a mismatch
-// alone is NOT a violation (a shared cache directory can legitimately hold
-// entries for several vocabularies).
+// .relmc entry): check_dfa and check_trim, and a coherent strategy flag
+// (all-tokens never needs dynamic canonical pruning). When `tok` is
+// non-null and the component's vocabulary fingerprint matches it,
+// check_token_automaton too; a mismatch alone is NOT a violation (a shared
+// cache directory can legitimately hold entries for several vocabularies).
 void check_component(const core::pipeline::Component& component,
                      const tokenizer::BpeTokenizer* tok,
                      InvariantReport& report,

@@ -57,7 +57,7 @@ InvariantReport verify_artifact_dir(const std::string& dir,
 
 // Audits an on-disk compile-cache directory (`relm verify --cache DIR`, see
 // src/core/pipeline/cache.hpp): every *.relmc component must load (version,
-// fields, checksums — a corrupt entry is a violation here, even though the
+// fields, checksum — a corrupt entry is a violation here, even though the
 // cache itself tolerates it at lookup time), its stored key must match its
 // filename, and the component must pass check_component. `tok` may be null;
 // when given, entries compiled against that vocabulary get the full

@@ -12,8 +12,9 @@ namespace relm::automata {
 // automata — the all-encodings construction over a large vocabulary is the
 // most expensive compile step (see bench/micro_compiler) and is fully
 // determined by (pattern, vocabulary), so tools can persist it. The query
-// compiler's artifact cache (src/core/pipeline/) embeds this format inside
-// its RELM_COMPONENT container, one section per token automaton.
+// compiler's artifact cache (src/core/pipeline/) embeds this format as the
+// payload of its RELM_COMPONENT container, one section per component; the
+// container stores nothing else that the automaton determines.
 //
 // Format:
 //   RELM_DFA v1
@@ -37,8 +38,8 @@ Dfa load_dfa_file(const std::string& path);
 // state, per-state finality, and every edge in canonical (state, symbol)
 // order. Two structurally equal DFAs (operator==) hash equal; since
 // minimize() renumbers canonically, minimized DFAs of the same language
-// collide exactly. Used as the integrity checksum in RELM_COMPONENT files
-// and to fingerprint preprocessor configuration for cache keys.
+// collide exactly. Hashed into the integrity checksum of RELM_COMPONENT
+// files and used to fingerprint preprocessor configuration for cache keys.
 std::uint64_t dfa_structural_hash(const Dfa& dfa);
 
 }  // namespace relm::automata

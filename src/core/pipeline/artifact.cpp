@@ -5,7 +5,6 @@
 #include <fstream>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "automata/ops.hpp"
 #include "automata/serialize.hpp"
@@ -150,54 +149,17 @@ QueryArtifact assemble_artifact(std::shared_ptr<const Component> prefix,
 
 namespace {
 
-using Sections = std::vector<const TokenAutomaton*>;
-
-// Structural hash of the automata and their flags: a component's `checksum`
-// field, and artifact_checksum over both sides.
-std::uint64_t checksum_of(const Sections& sections) {
+// A component's `checksum` field: every header field and the automaton, so
+// a damaged key, vocabulary or strategy is caught like a damaged DFA.
+std::uint64_t checksum_of(const Component& c) {
   KeyHasher h;
-  for (const TokenAutomaton* ta : sections) {
-    h.u64(automata::dfa_structural_hash(ta->dfa));
-    h.byte(ta->dynamic_canonical ? 1 : 0);
-  }
+  h.u64(c.key.hi);
+  h.u64(c.key.lo);
+  h.u64(c.vocab_fingerprint);
+  h.str(strategy_tag(c.strategy));
+  h.byte(c.automaton.dynamic_canonical ? 1 : 0);
+  h.u64(automata::dfa_structural_hash(c.automaton.dfa));
   return h.a;
-}
-
-// Hash over the mask tables: a component's `masks_checksum` field, and
-// artifact_masks_checksum over both sides.
-std::uint64_t masks_checksum_of(const Sections& sections) {
-  KeyHasher h;
-  for (const TokenAutomaton* ta : sections) {
-    const core::TokenMaskTable& table = ta->masks;
-    h.u64(table.num_states);
-    h.u64(table.words_per_state);
-    h.u64(table.words.size());
-    for (std::uint64_t w : table.words) h.u64(w);
-    h.u64(table.edge_offsets.size());
-    for (std::uint32_t v : table.edge_offsets) h.u64(v);
-    h.u64(table.edge_tokens.size());
-    for (std::uint32_t v : table.edge_tokens) h.u64(v);
-    h.u64(table.edge_targets.size());
-    for (std::uint32_t v : table.edge_targets) h.u64(v);
-  }
-  return h.a;
-}
-
-void save_masks(const core::TokenMaskTable& table, std::ostream& out) {
-  out << "RELM_MASKS v1\n";
-  out << "present " << (table.empty() ? 0 : 1) << "\n";
-  if (table.empty()) return;
-  out << "states " << table.num_states << " words " << table.words_per_state
-      << " edges " << table.edge_offsets.back() << "\n";
-  out << "offsets";
-  for (std::uint32_t v : table.edge_offsets) out << ' ' << v;
-  out << "\ntokens";
-  for (std::uint32_t v : table.edge_tokens) out << ' ' << v;
-  out << "\ntargets";
-  for (std::uint32_t v : table.edge_targets) out << ' ' << v;
-  out << "\nbits";
-  for (std::uint64_t w : table.words) out << ' ' << hex64(w);
-  out << "\n";
 }
 
 // Parses one RELM_COMPONENT container. Every diagnostic names the container.
@@ -209,10 +171,9 @@ class Reader {
     throw relm::Error("RELM_COMPONENT file: " + what);
   }
 
-  // The header, the DFA and its masks, then the checks that need them all:
-  // both checksums, persisted masks against the edge sets recomputed from
-  // the DFA (a consistently forged section passes the checksum), and
-  // strategy/flag coherence.
+  // The header and the DFA, then the checksum over both and strategy/flag
+  // coherence; the mask table is derived from the checked DFA exactly as
+  // the token_masks pass builds it.
   Component component() {
     Component c;
     std::string magic, version;
@@ -236,26 +197,17 @@ class Reader {
     TokenAutomaton& ta = c.automaton;
     ta.dynamic_canonical = flag_field("dynamic_canonical");
     const std::uint64_t checksum = hex_field("checksum");
-    const std::uint64_t masks_checksum = hex_field("masks_checksum");
     ta.dfa = automata::load_dfa(in_);  // throws relm::Error with its own detail
-    ta.masks = masks(ta.dfa);
 
-    if (checksum_of({&ta}) != checksum) {
-      corrupt("checksum mismatch (payload corrupted)");
-    }
-    if (masks_checksum_of({&ta}) != masks_checksum) {
-      corrupt("masks_checksum mismatch (mask payload corrupted)");
-    }
-    if (!ta.masks.empty()) {
-      if (auto mismatch = core::masks_mismatch(ta.dfa, ta.masks)) {
-        corrupt("masks disagree with the automaton: " + *mismatch);
-      }
+    if (checksum_of(c) != checksum) {
+      corrupt("checksum mismatch (header or payload corrupted)");
     }
     // All-tokens automata never need dynamic pruning, so a set flag means
     // the writer was buggy.
     if (c.strategy == TokenizationStrategy::kAllTokens && ta.dynamic_canonical) {
       corrupt("dynamic_canonical set on an all-tokens component");
     }
+    ta.masks = core::budgeted_token_masks(ta.dfa);
     c.empty_language = automata::is_empty_language(ta.dfa);
     return c;
   }
@@ -286,98 +238,16 @@ class Reader {
     return value == "1";
   }
 
-  // Reads a RELM_MASKS section for an automaton whose DFA is already
-  // loaded. Dimensions are validated against the DFA *before* any array
-  // allocation, so a forged header can never trigger a multi-gigabyte
-  // allocation; the bit-for-bit agreement check runs in component().
-  core::TokenMaskTable masks(const automata::Dfa& dfa) {
-    auto here = [&](const std::string& what) { corrupt("masks: " + what); };
-    std::string magic, version;
-    in_ >> magic >> version;
-    if (!in_) here("truncated before RELM_MASKS header");
-    if (magic != "RELM_MASKS") here("bad magic \"" + magic + "\"");
-    if (version != "v1") here("unsupported version \"" + version + "\"");
-
-    std::string present = field("present");
-    if (present == "0") return {};
-    if (present != "1") here("present must be 0/1, got \"" + present + "\"");
-
-    core::TokenMaskTable table;
-    std::uint64_t states = 0, words = 0, edges = 0;
-    std::string label;
-    in_ >> label >> states;
-    if (!in_ || label != "states") here("malformed states field");
-    in_ >> label >> words;
-    if (!in_ || label != "words") here("malformed words field");
-    in_ >> label >> edges;
-    if (!in_ || label != "edges") here("malformed edges field");
-    if (states != dfa.num_states()) {
-      here("declares " + std::to_string(states) + " states, automaton has " +
-           std::to_string(dfa.num_states()));
-    }
-    const std::uint64_t want_words =
-        (static_cast<std::uint64_t>(dfa.num_symbols()) + 63) / 64;
-    if (words != want_words) {
-      here("declares " + std::to_string(words) + " words per state, want " +
-           std::to_string(want_words));
-    }
-    if (edges != dfa.num_edges()) {
-      here("declares " + std::to_string(edges) + " edges, automaton has " +
-           std::to_string(dfa.num_edges()));
-    }
-    table.num_states = static_cast<std::uint32_t>(states);
-    table.words_per_state = static_cast<std::uint32_t>(words);
-
-    auto read_u32_array = [&](const char* what, std::size_t count,
-                              std::vector<std::uint32_t>& out_vec) {
-      in_ >> label;
-      if (!in_ || label != what) {
-        here(std::string("expected \"") + what + "\" array, got \"" + label +
-             "\"");
-      }
-      out_vec.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!(in_ >> out_vec[i])) {
-          here(std::string("truncated in \"") + what + "\" array at entry " +
-               std::to_string(i) + " of " + std::to_string(count));
-        }
-      }
-    };
-    read_u32_array("offsets", states + 1, table.edge_offsets);
-    read_u32_array("tokens", edges, table.edge_tokens);
-    read_u32_array("targets", edges, table.edge_targets);
-
-    in_ >> label;
-    if (!in_ || label != "bits") {
-      here("expected \"bits\" array, got \"" + label + "\"");
-    }
-    const std::size_t num_bit_words = static_cast<std::size_t>(states * words);
-    table.words.resize(num_bit_words);
-    std::string word_hex;
-    for (std::size_t i = 0; i < num_bit_words; ++i) {
-      if (!(in_ >> word_hex)) {
-        here("truncated in \"bits\" array at word " + std::to_string(i) +
-             " of " + std::to_string(num_bit_words));
-      }
-      auto parsed = parse_hex64(word_hex);
-      if (!parsed) here("malformed bitmask word \"" + word_hex + "\"");
-      table.words[i] = *parsed;
-    }
-    return table;
-  }
-
   std::istream& in_;
 };
 
 }  // namespace
 
 std::uint64_t artifact_checksum(const QueryArtifact& artifact) {
-  return checksum_of({&artifact.prefix->automaton, &artifact.body->automaton});
-}
-
-std::uint64_t artifact_masks_checksum(const QueryArtifact& artifact) {
-  return masks_checksum_of(
-      {&artifact.prefix->automaton, &artifact.body->automaton});
+  KeyHasher h;
+  h.u64(checksum_of(*artifact.prefix));
+  h.u64(checksum_of(*artifact.body));
+  return h.a;
 }
 
 void save_component(const Component& component, std::ostream& out) {
@@ -386,10 +256,8 @@ void save_component(const Component& component, std::ostream& out) {
       << component.key.hex() << "\nvocab " << hex64(component.vocab_fingerprint)
       << "\nstrategy " << strategy_tag(component.strategy) << "\n";
   out << "dynamic_canonical " << (ta.dynamic_canonical ? 1 : 0) << "\n";
-  out << "checksum " << hex64(checksum_of({&ta})) << "\n";
-  out << "masks_checksum " << hex64(masks_checksum_of({&ta})) << "\n";
+  out << "checksum " << hex64(checksum_of(component)) << "\n";
   automata::save_dfa(ta.dfa, out);
-  save_masks(ta.masks, out);
 }
 
 Component load_component(std::istream& in) { return Reader(in).component(); }

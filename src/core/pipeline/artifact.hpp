@@ -37,8 +37,9 @@ using Side = Preprocessor::Target;
 // against, and the tokenization strategy. Queries whose prefixes (or bodies)
 // compile alike share one Component; the cache stores components.
 struct Component {
-  // The RELM_COMPONENT container version, folded into every component key.
-  static constexpr std::uint32_t kFormatVersion = 1;
+  // The RELM_COMPONENT container version, folded into every component key,
+  // so files of another version are never looked up.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   ArtifactKey key;                      // zero when the side is unkeyable
   std::uint64_t vocab_fingerprint = 0;  // tokenizer identity at compile time
@@ -103,39 +104,31 @@ std::optional<ArtifactKey> derive_artifact_key(
 QueryArtifact assemble_artifact(std::shared_ptr<const Component> prefix,
                                 std::shared_ptr<const Component> body);
 
-// RELM_COMPONENT v1 — one component; the compile cache's disk format
+// RELM_COMPONENT v2 — one component; the compile cache's disk format
 // (<key hex>.relmc):
 //
-//   RELM_COMPONENT v1
+//   RELM_COMPONENT v2
 //   key <32 hex>
 //   vocab <16 hex>
 //   strategy <all|canonical>
 //   dynamic_canonical <0|1>
-//   checksum <16 hex>          (structural hash over the DFA + flag)
-//   masks_checksum <16 hex>    (hash over the mask table)
+//   checksum <16 hex>          (hash over every field above and the DFA)
 //   RELM_DFA v1 ...
-//   RELM_MASKS v1 ...          (dense bitmask words + CSR edge index)
 //
 // The loader checks every header field, the DFA (hardened
-// automata::load_dfa), mask dimensions against the DFA before any
-// allocation, both payload checksums, persisted masks against the edge set
-// recomputed from the DFA (core::masks_mismatch), and strategy/flag
-// coherence. Any mismatch throws relm::Error with a located diagnostic: a
-// truncated or bit-flipped file is always detected, never half-loaded, and
-// a forged mask section can never silently steer the executor off the
-// automaton. A whole query persists as its two components, reassembled with
-// assemble_artifact.
+// automata::load_dfa), the checksum, and strategy/flag coherence. Any
+// mismatch throws relm::Error with a located diagnostic: a truncated or
+// bit-flipped file is always detected, never half-loaded. The mask table
+// and the empty-language bit are derived from the loaded DFA, as a compile
+// derives them, so a file has no table to forge. A whole query persists as
+// its two components, reassembled with assemble_artifact.
 void save_component(const Component& component, std::ostream& out);
 Component load_component(std::istream& in);
 void save_component_file(const Component& component, const std::string& path);
 Component load_component_file(const std::string& path);
 
-// The hash a component's `checksum` field holds (structural hash of the
-// automaton and its flag), taken over both sides in one stream.
+// A hash over both components' `checksum` fields: artifacts whose
+// components agree field for field hash equal.
 std::uint64_t artifact_checksum(const QueryArtifact& artifact);
-
-// Likewise for `masks_checksum`: dimensions, bitmask words and CSR arrays
-// of both mask tables.
-std::uint64_t artifact_masks_checksum(const QueryArtifact& artifact);
 
 }  // namespace relm::core::pipeline

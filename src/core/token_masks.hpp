@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "automata/automaton.hpp"
@@ -15,8 +13,8 @@ namespace relm::core {
 //
 //   * a dense bitmask of the outgoing token ids (`words_per_state` 64-bit
 //     words, bit t set iff the state has an edge on token t), and
-//   * a CSR edge index: per-state [edge_offsets[s], edge_offsets[s+1]) slices
-//     of `edge_tokens`/`edge_targets`, sorted by token (the Dfa invariant).
+//   * a CSR target index: per-state [edge_offsets[s], edge_offsets[s+1])
+//     slices of `edge_targets`, in token order (the Dfa invariant).
 //
 // The executor intersects a state's mask with the decoding-rule mask word by
 // word and recovers each surviving edge's target by *rank*: the i-th set bit
@@ -24,17 +22,18 @@ namespace relm::core {
 // a running popcount — O(vocab/64 + survivors) per expansion with no per-edge
 // probing and no lockstep pointer walk.
 //
-// An empty table (num_states == 0) means "masks not built" (memory budget
-// exceeded, or a component saved without them); executors then fall back to
-// the per-edge path. Emptiness is decided only by the query-independent
-// budget below, so cached, fresh, and reloaded compiles agree on it.
+// The table is a pure function of its automaton: the token_masks pass builds
+// it, and the component loader derives it again rather than reading it from
+// disk. An empty table (num_states == 0) means "masks not built" (the memory
+// budget below was exceeded); executors then fall back to the per-edge path.
+// Emptiness is decided only by that query-independent budget, so cached,
+// fresh, and reloaded compiles agree on it.
 struct TokenMaskTable {
   std::uint32_t num_states = 0;
   std::uint32_t words_per_state = 0;
   std::vector<std::uint64_t> words;          // num_states * words_per_state
   std::vector<std::uint32_t> edge_offsets;   // num_states + 1
-  std::vector<std::uint32_t> edge_tokens;    // num_edges, per-state sorted
-  std::vector<std::uint32_t> edge_targets;   // num_edges
+  std::vector<std::uint32_t> edge_targets;   // num_edges, per-state token order
 
   bool empty() const { return num_states == 0; }
   std::size_t num_edges() const {
@@ -48,8 +47,7 @@ struct TokenMaskTable {
   // Approximate heap footprint, for the build budget.
   std::size_t memory_bytes() const {
     return words.size() * sizeof(std::uint64_t) +
-           (edge_offsets.size() + edge_tokens.size() + edge_targets.size()) *
-               sizeof(std::uint32_t);
+           (edge_offsets.size() + edge_targets.size()) * sizeof(std::uint32_t);
   }
 
   friend bool operator==(const TokenMaskTable&, const TokenMaskTable&) = default;
@@ -73,13 +71,5 @@ TokenMaskTable build_token_masks(const automata::Dfa& dfa);
 // The table a compile attaches to `dfa`: build_token_masks within
 // kTokenMaskBudgetBytes, an empty table past it.
 TokenMaskTable budgeted_token_masks(const automata::Dfa& dfa);
-
-// Structural cross-check of a (possibly untrusted, e.g. deserialized) table
-// against the automaton it claims to index: state/edge counts, offsets
-// monotonicity, per-edge token/target agreement, and bit-for-bit mask
-// equality. Returns a located diagnostic for the first mismatch, or nullopt
-// when the table is exactly the recomputed edge set. Allocation-free.
-std::optional<std::string> masks_mismatch(const automata::Dfa& dfa,
-                                          const TokenMaskTable& table);
 
 }  // namespace relm::core

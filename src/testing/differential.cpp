@@ -239,10 +239,24 @@ TrialReport run_trial(const TrialCase& trial,
 
     // Configuration D: both components serialized and reloaded as the disk
     // store does, plus the logit cache — the belt-and-braces stack a real
-    // deployment runs with.
+    // deployment runs with. Each reloaded component must equal its fresh
+    // compile, the mask table the loader derives included.
     {
-      CompiledQuery rebound =
-          CompiledQuery::from_artifact(reload_through_components(*artifact), tok);
+      auto reloaded = reload_through_components(*artifact);
+      auto same = [](const core::pipeline::Component& a,
+                     const core::pipeline::Component& b) {
+        return a.key == b.key && a.vocab_fingerprint == b.vocab_fingerprint &&
+               a.automaton.dfa == b.automaton.dfa &&
+               a.automaton.masks == b.automaton.masks &&
+               a.automaton.dynamic_canonical == b.automaton.dynamic_canonical &&
+               a.empty_language == b.empty_language;
+      };
+      if (!same(*reloaded->prefix, *artifact->prefix) ||
+          !same(*reloaded->body, *artifact->body)) {
+        return fail("config:artifact-io",
+                    "a reloaded component differs from its fresh compile");
+      }
+      CompiledQuery rebound = CompiledQuery::from_artifact(reloaded, tok);
       model::CachingModel cached(base_model, /*capacity=*/1 << 12);
       ExecutorOutputs out =
           run_executors(cached, rebound, query, trial.sampler_seed);

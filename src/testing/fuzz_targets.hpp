@@ -21,7 +21,7 @@ int fuzz_regex_parser(const std::uint8_t* data, std::size_t size);
 // the check_dfa structural invariants.
 int fuzz_dfa_loader(const std::uint8_t* data, std::size_t size);
 
-// Compiled-component deserializer (RELM_COMPONENT v1, the compile cache's
+// Compiled-component deserializer (RELM_COMPONENT v2, the compile cache's
 // disk format). A successful load must satisfy check_component.
 int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size);
 

@@ -330,6 +330,7 @@ ThreadPool::AsyncBatch& ThreadPool::AsyncBatch::operator=(
   if (this != &other) {
     if (state_) wait_all();
     state_ = std::move(other.state_);
+    error_ = std::move(other.error_);
   }
   return *this;
 }
@@ -341,6 +342,7 @@ ThreadPool::AsyncBatch::~AsyncBatch() {
 }
 
 void ThreadPool::AsyncBatch::wait(std::size_t i) {
+  if (!state_) return;  // a serial batch ran inside submit()
   State& s = *state_;
   for (;;) {
     if (s.status[i].load() == State::kDone) return;
@@ -397,9 +399,8 @@ void ThreadPool::AsyncBatch::wait_all() {
 }
 
 void ThreadPool::AsyncBatch::rethrow_if_error() {
-  if (!state_) return;
-  std::exception_ptr error;
-  {
+  std::exception_ptr error = error_;
+  if (state_) {
     ScopedLock lock(state_->mutex);
     error = state_->error;
   }
@@ -412,39 +413,48 @@ std::size_t ThreadPool::AsyncBatch::steals() const {
 
 ThreadPool::AsyncBatch ThreadPool::submit(std::size_t n,
                                           std::function<void(std::size_t)> fn) {
-  auto state = std::make_shared<AsyncBatch::State>();
-  state->fn = std::move(fn);
-  state->n = n;
-  state->lanes = impl_->workers.size() + 1;
-  if (n > 0) {
-    state->status = std::make_unique<std::atomic<std::uint8_t>[]>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      state->status[i].store(AsyncBatch::State::kTodo,
-                             std::memory_order_relaxed);
-    }
-    state->unclaimed.store(n);
-  }
   PoolMetrics& metrics = PoolMetrics::get();
   metrics.async_batches.add();
   metrics.async_tasks.add(n);
-  // Publish to workers unless there are none, none could run on a spare
-  // core, or we are already inside a parallel region: then the caller drains
-  // everything in wait()/wait_all(), which is the exact-serial fast path.
   // Wake only as many workers as there are tasks AND spare cores: a surplus
   // worker would wake, find nothing claimable (or preempt the coordinator),
   // and sleep again — pure context-switch churn on oversubscribed machines.
   const std::size_t wake =
       std::min({n, impl_->workers.size(), spare_cores()});
-  if (wake > 0 && !t_in_parallel_region) {
-    {
-      ScopedLock lock(impl_->mutex);
-      impl_->async = state;
+  // No worker to wake (none, none could run on a spare core, or we are
+  // already inside a parallel region): the caller would drain every task
+  // itself, so run them here, in order, keeping the first error — the
+  // exact-serial fast path, with no allocation. Tasks write only their own
+  // slot, so running them before the caller's first wait is unobservable.
+  if (wake == 0 || t_in_parallel_region) {
+    AsyncBatch batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      try {
+        fn(i);
+      } catch (...) {
+        if (!batch.error_) batch.error_ = std::current_exception();
+      }
     }
-    if (wake >= impl_->workers.size()) {
-      impl_->work_cv.notify_all();
-    } else {
-      for (std::size_t w = 0; w < wake; ++w) impl_->work_cv.notify_one();
-    }
+    return batch;
+  }
+
+  auto state = std::make_shared<AsyncBatch::State>();
+  state->fn = std::move(fn);
+  state->n = n;
+  state->lanes = impl_->workers.size() + 1;
+  state->status = std::make_unique<std::atomic<std::uint8_t>[]>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    state->status[i].store(AsyncBatch::State::kTodo, std::memory_order_relaxed);
+  }
+  state->unclaimed.store(n);
+  {
+    ScopedLock lock(impl_->mutex);
+    impl_->async = state;
+  }
+  if (wake >= impl_->workers.size()) {
+    impl_->work_cv.notify_all();
+  } else {
+    for (std::size_t w = 0; w < wake; ++w) impl_->work_cv.notify_one();
   }
   return AsyncBatch(std::move(state));
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
 
@@ -26,9 +27,11 @@ namespace relm::util {
 // barrier at submission. Tasks are claimed one at a time by the pool's
 // workers (striped by index, with cross-stripe stealing once a stripe
 // drains) and by any thread blocked in AsyncBatch::wait — the waiter "helps"
-// by running unclaimed tasks itself instead of sleeping, so a pool with no
-// workers degenerates to exact serial execution with no wakeups. This is the
-// executor's pipeline seam: the coordinator submits a round of expansion
+// by running unclaimed tasks itself instead of sleeping. When no worker
+// could take a task (no workers, no spare core, or a submit from inside a
+// parallel region), submit runs the tasks itself, in index order, before it
+// returns: exact serial execution with no wakeups and no allocation. This is
+// the executor's pipeline seam: the coordinator submits a round of expansion
 // tasks and retires results in submission order while later tasks are still
 // running (docs/PERFORMANCE.md, "Async frontier pipeline").
 class ThreadPool {
@@ -79,12 +82,14 @@ class ThreadPool {
     friend class ThreadPool;
     struct State;
     explicit AsyncBatch(std::shared_ptr<State> state);
-    std::shared_ptr<State> state_;
+    std::shared_ptr<State> state_;  // null for a batch submit() ran serially
+    std::exception_ptr error_;      // a serial batch's first error
   };
 
   // Submits n tasks and returns immediately. Workers start claiming right
   // away (when the pool has any); the caller synchronizes per task with
-  // wait(i) or all at once with wait_all().
+  // wait(i) or all at once with wait_all(). On the serial path above, every
+  // task has run when submit returns.
   AsyncBatch submit(std::size_t n, std::function<void(std::size_t)> fn);
 
   // Process-wide pool used by LanguageModel::next_log_probs_batch. Sized on

@@ -406,6 +406,11 @@ QueryArtifact compile_artifact(const SimpleSearchQuery& query) {
   return core::pipeline::compile_query_artifact(query, fixture_tokenizer());
 }
 
+void expect_same_masks(const QueryArtifact& got, const QueryArtifact& want) {
+  EXPECT_EQ(got.prefix->automaton.masks, want.prefix->automaton.masks);
+  EXPECT_EQ(got.body->automaton.masks, want.body->automaton.masks);
+}
+
 // A query persists as its two components; reassembled, they must give back
 // the same artifact, down to its key and both mask tables.
 TEST(ArtifactSerialize, RoundTripPreservesEverything) {
@@ -640,8 +645,7 @@ TEST(ArtifactCache, DiskStoreSurvivesProcessRestart) {
   EXPECT_EQ(loaded->body->key, compiled->body->key);
   EXPECT_EQ(core::pipeline::artifact_checksum(*loaded),
             core::pipeline::artifact_checksum(*compiled));
-  EXPECT_EQ(core::pipeline::artifact_masks_checksum(*loaded),
-            core::pipeline::artifact_masks_checksum(*compiled));
+  expect_same_masks(*loaded, *compiled);
   EXPECT_EQ(cold.stats().disk_loads, 2u);
   EXPECT_EQ(cold.stats().hits, 1u);
   EXPECT_EQ(cold.stats().misses, 0u);
@@ -750,6 +754,59 @@ TEST(ArtifactCache, CorruptDiskEntryFallsBackToRecompile) {
   EXPECT_EQ(reread.automaton.dfa, artifact->body->automaton.dfa);
 }
 
+// A damaged header field is corruption like a damaged payload: the checksum
+// covers key, vocab and strategy, so an entry whose vocabulary fingerprint
+// was altered is discarded and recompiled, never served to a query that
+// would then refuse it as compiled for another vocabulary.
+TEST(ArtifactCache, DamagedHeaderFieldFallsBackToRecompile) {
+  TempDir dir("damaged_header");
+  SimpleSearchQuery query = make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+  ArtifactCacheConfig config;
+  config.disk_dir = dir.str();
+  std::shared_ptr<const QueryArtifact> compiled;
+  {
+    ArtifactCache warm(config);
+    compiled =
+        core::pipeline::compile_cached(query, fixture_tokenizer(), &warm);
+    ASSERT_EQ(warm.stats().disk_stores, 2u);
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path)) {
+    std::string contents;
+    {
+      std::ifstream in(entry.path());
+      contents.assign(std::istreambuf_iterator<char>(in),
+                      std::istreambuf_iterator<char>());
+    }
+    const std::size_t at = contents.find("\nvocab ");
+    ASSERT_NE(at, std::string::npos);
+    char& digit = contents[at + 7];
+    digit = digit == '0' ? '1' : '0';
+    std::ofstream out(entry.path(), std::ios::trunc);
+    out << contents;
+  }
+
+  ArtifactCache cold(config);
+  auto artifact =
+      core::pipeline::compile_cached(query, fixture_tokenizer(), &cold);
+  ASSERT_TRUE(artifact);
+  EXPECT_EQ(cold.stats().disk_loads, 0u);
+  EXPECT_EQ(cold.stats().disk_errors, 2u);
+  EXPECT_EQ(cold.stats().misses, 1u);
+  EXPECT_EQ(artifact->vocab_fingerprint, fixture_tokenizer().fingerprint());
+  EXPECT_EQ(core::pipeline::artifact_checksum(*artifact),
+            core::pipeline::artifact_checksum(*compiled));
+  EXPECT_NO_THROW(
+      (void)core::CompiledQuery::from_artifact(artifact, fixture_tokenizer()));
+  // The recompile overwrote both entries.
+  for (const auto& side : {artifact->prefix, artifact->body}) {
+    EXPECT_EQ(core::pipeline::load_component_file(dir.str() + "/" +
+                                                  side->key.hex() + ".relmc")
+                  .vocab_fingerprint,
+              fixture_tokenizer().fingerprint());
+  }
+}
+
 TEST(ArtifactCache, MismatchedKeyOnDiskTreatedAsCorrupt) {
   TempDir dir("key_mismatch");
   SimpleSearchQuery query =
@@ -853,8 +910,7 @@ TEST(ArtifactCache, SiblingQueriesShareComponents) {
       EXPECT_EQ((*artifacts)[i]->key, fresh.key);
       EXPECT_EQ(core::pipeline::artifact_checksum(*(*artifacts)[i]),
                 core::pipeline::artifact_checksum(fresh));
-      EXPECT_EQ(core::pipeline::artifact_masks_checksum(*(*artifacts)[i]),
-                core::pipeline::artifact_masks_checksum(fresh));
+      expect_same_masks(*(*artifacts)[i], fresh);
     }
   }
 }
@@ -898,8 +954,7 @@ TEST(ArtifactCache, ConcurrentSiblingCompiles) {
       EXPECT_EQ(got[t][i]->empty_language, fresh[i].empty_language);
       EXPECT_EQ(core::pipeline::artifact_checksum(*got[t][i]),
                 core::pipeline::artifact_checksum(fresh[i]));
-      EXPECT_EQ(core::pipeline::artifact_masks_checksum(*got[t][i]),
-                core::pipeline::artifact_masks_checksum(fresh[i]));
+      expect_same_masks(*got[t][i], fresh[i]);
     }
   }
   const ArtifactCache::Stats stats = cache.stats();

@@ -1,8 +1,8 @@
 // Tests for the precomputed per-state token bitmask fast path: the
 // util::TokenBitset currency, the token_masks compile pass and its
 // TokenMaskTable, the expand_masked executor primitive (vs the per-edge
-// reference path), the RELM_COMPONENT container's mask section, the
-// decoding-rule membership test, and the `relm verify` mask invariants.
+// reference path), the RELM_COMPONENT container (which derives the table on
+// load), and the decoding-rule membership test.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -27,7 +26,6 @@
 #include "core/executor.hpp"
 #include "core/generate/generate_engine.hpp"
 #include "core/pipeline/artifact.hpp"
-#include "core/pipeline/cache.hpp"
 #include "core/pipeline/pipeline.hpp"
 #include "core/token_masks.hpp"
 #include "model/decoding.hpp"
@@ -113,7 +111,7 @@ std::shared_ptr<model::NgramModel> fixture_model() {
 }
 
 // The stable tiny vocabulary the checked-in component seeds
-// (tests/fuzz_corpus/component-v1-*.relmc) were compiled against. from_vocab
+// (tests/fuzz_corpus/component-v2-*.relmc) were compiled against. from_vocab
 // is exact — no training randomness — so the vocab fingerprint is
 // reproducible forever.
 BpeTokenizer tiny_tokenizer() {
@@ -136,21 +134,6 @@ SimpleSearchQuery tiny_fixture_query() {
                                        TokenizationStrategy::kCanonicalTokens);
   return query;
 }
-
-struct TempDir {
-  std::filesystem::path path;
-  explicit TempDir(const std::string& name)
-      : path(std::filesystem::temp_directory_path() /
-             ("relm_token_masks_test_" + name)) {
-    std::filesystem::remove_all(path);
-    std::filesystem::create_directories(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string str() const { return path.string(); }
-};
 
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -215,7 +198,7 @@ TEST(TokenBitset, DefaultConstructedIsEmpty) {
 }
 
 // ---------------------------------------------------------------------------
-// TokenMaskTable: build + mismatch detection
+// TokenMaskTable
 // ---------------------------------------------------------------------------
 
 automata::Dfa tiny_dfa() {
@@ -250,38 +233,7 @@ TEST(TokenMasks, BuildMatchesEdges) {
   EXPECT_EQ(table.state_words(2)[1], 0ull);
   // CSR slices in token order.
   EXPECT_EQ(table.edge_offsets, (std::vector<std::uint32_t>{0, 2, 4, 4}));
-  EXPECT_EQ(table.edge_tokens, (std::vector<std::uint32_t>{2, 65, 0, 69}));
   EXPECT_EQ(table.edge_targets, (std::vector<std::uint32_t>{1, 2, 2, 1}));
-  EXPECT_EQ(core::masks_mismatch(dfa, table), std::nullopt);
-}
-
-TEST(TokenMasks, MismatchDetectsEveryCorruption) {
-  automata::Dfa dfa = tiny_dfa();
-  const TokenMaskTable good = core::build_token_masks(dfa);
-
-  TokenMaskTable bad = good;
-  bad.words[0] |= 1ull << 10;  // phantom token bit
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
-
-  bad = good;
-  bad.words[0] &= ~(1ull << 2);  // dropped token bit
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
-
-  bad = good;
-  bad.edge_targets[1] = 0;  // edge rerouted
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
-
-  bad = good;
-  bad.edge_tokens[2] = 7;  // wrong token label
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
-
-  bad = good;
-  bad.edge_offsets[1] = 1;  // broken CSR slicing
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
-
-  bad = good;
-  bad.num_states = 2;  // wrong dimensions
-  ASSERT_TRUE(core::masks_mismatch(dfa, bad).has_value());
 }
 
 TEST(TokenMasks, PipelineBuildsMasksForBothAutomata) {
@@ -290,12 +242,11 @@ TEST(TokenMasks, PipelineBuildsMasksForBothAutomata) {
                                        "The ");
   auto artifact =
       core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-  ASSERT_FALSE(artifact.prefix->automaton.masks.empty());
-  ASSERT_FALSE(artifact.body->automaton.masks.empty());
-  EXPECT_EQ(core::masks_mismatch(artifact.prefix->automaton.dfa, artifact.prefix->automaton.masks),
-            std::nullopt);
-  EXPECT_EQ(core::masks_mismatch(artifact.body->automaton.dfa, artifact.body->automaton.masks),
-            std::nullopt);
+  for (const auto& component : {artifact.prefix, artifact.body}) {
+    ASSERT_FALSE(component->automaton.masks.empty());
+    EXPECT_EQ(component->automaton.masks,
+              core::build_token_masks(component->automaton.dfa));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -633,7 +584,10 @@ void expect_component_load_fails_with(const std::string& text,
   }
 }
 
-TEST(ComponentV1, RoundTripPreservesEverything) {
+// The mask table is not part of the file: a component saved with its table
+// cleared writes the same bytes, and the loader derives the table a fresh
+// compile builds.
+TEST(ComponentV2, RoundTripPreservesEverything) {
   for (auto strategy : {TokenizationStrategy::kCanonicalTokens,
                         TokenizationStrategy::kAllTokens}) {
     SimpleSearchQuery query = make_query("The a(b|(cd))*e", strategy, "The ");
@@ -642,7 +596,7 @@ TEST(ComponentV1, RoundTripPreservesEverything) {
     for (const auto& component : {artifact.prefix, artifact.body}) {
       std::ostringstream sink;
       core::pipeline::save_component(*component, sink);
-      EXPECT_EQ(sink.str().rfind("RELM_COMPONENT v1\n", 0), 0u);
+      EXPECT_EQ(sink.str().rfind("RELM_COMPONENT v2\n", 0), 0u);
       std::istringstream source(sink.str());
       core::pipeline::Component loaded = core::pipeline::load_component(source);
       EXPECT_EQ(loaded.key, component->key);
@@ -651,41 +605,54 @@ TEST(ComponentV1, RoundTripPreservesEverything) {
       EXPECT_EQ(loaded.automaton.dynamic_canonical,
                 component->automaton.dynamic_canonical);
       EXPECT_EQ(loaded.automaton.dfa, component->automaton.dfa);
+      ASSERT_FALSE(loaded.automaton.masks.empty());
       EXPECT_EQ(loaded.automaton.masks, component->automaton.masks);
       EXPECT_EQ(loaded.empty_language, component->empty_language);
+
+      core::pipeline::Component stripped = *component;
+      stripped.automaton.masks = {};
+      std::ostringstream stripped_sink;
+      core::pipeline::save_component(stripped, stripped_sink);
+      EXPECT_EQ(stripped_sink.str(), sink.str());
     }
   }
 }
 
-TEST(ComponentV1, CorruptionRejectedWithLocation) {
+TEST(ComponentV2, CorruptionRejectedWithLocation) {
   const std::string good = component_text();
-  const std::size_t bits_pos = good.find("\nbits ");
-  ASSERT_NE(bits_pos, std::string::npos);
+  const std::size_t dfa_pos = good.find("RELM_DFA v1\n");
+  ASSERT_NE(dfa_pos, std::string::npos);
 
-  std::string flipped = good;
-  flipped[bits_pos + 6] = flipped[bits_pos + 6] == '0' ? '1' : '0';
-  expect_component_load_fails_with(flipped, "masks_checksum mismatch");
-  expect_component_load_fails_with(good.substr(0, bits_pos + 8), "masks");
+  // Every header field is under the checksum.
+  for (const std::string label : {"key ", "vocab "}) {
+    std::string flipped = good;
+    const std::size_t at = flipped.find("\n" + label) + 1 + label.size();
+    flipped[at] = flipped[at] == '0' ? '1' : '0';
+    expect_component_load_fails_with(flipped, "checksum mismatch");
+  }
+  std::string strategy = good;
+  strategy.replace(strategy.find("strategy canonical"), 18, "strategy all");
+  expect_component_load_fails_with(strategy, "checksum mismatch");
+  std::string flag = good;
+  flag.replace(flag.find("dynamic_canonical 0"), 19, "dynamic_canonical 1");
+  expect_component_load_fails_with(flag, "checksum mismatch");
 
-  std::string forged = good;
-  const std::size_t states = forged.find("states ", forged.find("RELM_MASKS"));
-  ASSERT_NE(states, std::string::npos);
-  forged.replace(states + 7, forged.find(' ', states + 7) - (states + 7),
-                 "99999999");
-  expect_component_load_fails_with(forged, "states");
-
-  // A bit-flip in the DFA payload: the last digit before the masks section.
+  // A bit-flip in the DFA payload: the last digit of the edge list.
   std::string payload = good;
-  const std::size_t digit =
-      payload.find_last_of("0123456789", payload.find("RELM_MASKS"));
-  ASSERT_GT(digit, payload.find("RELM_DFA v1\n"));
+  const std::size_t digit = payload.find_last_of("0123456789");
+  ASSERT_GT(digit, dfa_pos);
   payload[digit] = payload[digit] == '0' ? '1' : '0';
   std::istringstream payload_in(payload);
   EXPECT_THROW((void)core::pipeline::load_component(payload_in), relm::Error);
 
-  expect_component_load_fails_with("RELM_COMPONENT v2\nkey junk\n",
-                                   "this build reads v1)");
-  expect_component_load_fails_with("RELM_NOPE v1\nkey junk\n", "bad magic");
+  // The edge list without its last line.
+  expect_component_load_fails_with(
+      good.substr(0, good.rfind('\n', good.size() - 2) + 1),
+      "truncated at edge");
+
+  expect_component_load_fails_with("RELM_COMPONENT v1\nkey junk\n",
+                                   "this build reads v2)");
+  expect_component_load_fails_with("RELM_NOPE v2\nkey junk\n", "bad magic");
   for (std::size_t cut :
        {std::size_t{0}, std::size_t{10}, good.size() / 2, good.size() - 4}) {
     std::istringstream in(good.substr(0, cut));
@@ -693,7 +660,7 @@ TEST(ComponentV1, CorruptionRejectedWithLocation) {
   }
 }
 
-TEST(ComponentV1, RejectsIncoherentStrategyFlag) {
+TEST(ComponentV2, RejectsIncoherentStrategyFlag) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kAllTokens);
   auto artifact =
@@ -705,7 +672,7 @@ TEST(ComponentV1, RejectsIncoherentStrategyFlag) {
   expect_component_load_fails_with(sink.str(), "dynamic_canonical");
 }
 
-TEST(ComponentV1, DynamicCanonicalReloadDrivesExecutorsIdentically) {
+TEST(ComponentV2, DynamicCanonicalReloadDrivesExecutorsIdentically) {
   SimpleSearchQuery query =
       make_query("ab+e", TokenizationStrategy::kCanonicalTokens);
   query.canonical_enumeration_budget = 1;  // force dynamic canonicality
@@ -737,24 +704,29 @@ TEST(ComponentV1, DynamicCanonicalReloadDrivesExecutorsIdentically) {
 // ---------------------------------------------------------------------------
 
 // The checked-in component seeds: the valid one loads, passes the audit and
-// equals a fresh compile of its query; the two corrupt ones are rejected by
-// both the loader and the fuzz entry point.
+// equals a fresh compile of its query, mask table included; the one with a
+// truncated edge list and the one with a damaged vocabulary field are
+// rejected by the loader and pass through the fuzz entry point cleanly.
 TEST(FuzzCorpus, ComponentSeedsLoadOrRejectWithDiagnostics) {
   const std::string dir = std::string(RELM_FUZZ_CORPUS_DIR) + "/";
   BpeTokenizer tok = tiny_tokenizer();
   core::pipeline::Component valid =
-      core::pipeline::load_component_file(dir + "component-v1-tiny.relmc");
+      core::pipeline::load_component_file(dir + "component-v2-tiny.relmc");
   analysis::InvariantReport report;
   analysis::check_component(valid, &tok, report);
   EXPECT_TRUE(report.ok()) << report.to_string();
   auto fresh = core::pipeline::compile_query_artifact(tiny_fixture_query(), tok);
+  EXPECT_EQ(valid.key, fresh.body->key);
   EXPECT_EQ(valid.vocab_fingerprint, tok.fingerprint());
   EXPECT_EQ(valid.automaton.dfa, fresh.body->automaton.dfa);
   EXPECT_EQ(valid.automaton.masks, fresh.body->automaton.masks);
 
-  for (const char* name : {"component-v1-tiny.relmc",
-                           "component-v1-truncated-masks.relmc",
-                           "component-v1-mask-bitflip.relmc"}) {
+  const std::pair<const char*, const char*> seeds[] = {
+      {"component-v2-tiny.relmc", nullptr},
+      {"component-v2-truncated-edges.relmc", "truncated at edge"},
+      {"component-v2-vocab-flip.relmc", "checksum mismatch"},
+  };
+  for (const auto& [name, diagnostic] : seeds) {
     SCOPED_TRACE(name);
     std::string text = slurp(dir + name);
     ASSERT_FALSE(text.empty());
@@ -762,111 +734,43 @@ TEST(FuzzCorpus, ComponentSeedsLoadOrRejectWithDiagnostics) {
                   reinterpret_cast<const std::uint8_t*>(text.data()),
                   text.size()),
               0);
-    if (std::string(name) == "component-v1-tiny.relmc") continue;
-    expect_component_load_fails_with(text, "masks");
+    if (diagnostic != nullptr) {
+      expect_component_load_fails_with(text, diagnostic);
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Compile cache: a disk entry with a corrupted mask section falls back to
-// recompilation (counted), never crashes or serves wrong masks
+// Half-present masks: legal, and the executors take the probe path
 // ---------------------------------------------------------------------------
 
-TEST(ArtifactCache, CorruptMaskSectionFallsBackToRecompile) {
-  using core::pipeline::ArtifactCache;
-  using core::pipeline::ArtifactCacheConfig;
-  using core::pipeline::ArtifactKey;
-
-  TempDir dir("corrupt_masks");
-  SimpleSearchQuery query = make_query("(cat)|(dog)",
-                                       TokenizationStrategy::kCanonicalTokens);
-  ArtifactCacheConfig config;
-  config.disk_dir = dir.str();
-
-  ArtifactKey key;
-  {
-    ArtifactCache warm(config);
-    key = core::pipeline::compile_cached(query, fixture_tokenizer(), &warm)
-              ->body->key;
-  }
-  const std::string path = dir.str() + "/" + key.hex() + ".relmc";
-  {
-    std::string contents = slurp(path);
-    std::size_t bits_pos = contents.find("\nbits ");
-    ASSERT_NE(bits_pos, std::string::npos);
-    std::size_t digit = bits_pos + 6;
-    contents[digit] = contents[digit] == '0' ? '1' : '0';
-    std::ofstream out(path, std::ios::trunc | std::ios::binary);
-    out << contents;
-  }
-
-  ArtifactCache cold(config);
-  EXPECT_EQ(cold.lookup(key), nullptr);  // corrupt = miss, never a crash
-  EXPECT_EQ(cold.stats().disk_errors, 1u);
-
-  auto artifact = core::pipeline::compile_cached(query, fixture_tokenizer(), &cold);
-  ASSERT_NE(artifact, nullptr);
-  EXPECT_EQ(cold.stats().misses, 1u);  // the body was recompiled
-  EXPECT_EQ(core::masks_mismatch(artifact->body->automaton.dfa,
-                                 artifact->body->automaton.masks),
-            std::nullopt);
-  // The recompile overwrote the bad entry.
-  EXPECT_EQ(core::pipeline::load_component_file(path).automaton.masks,
-            artifact->body->automaton.masks);
-}
-
-// ---------------------------------------------------------------------------
-// relm verify: persisted masks are audited against the automata
-// ---------------------------------------------------------------------------
-
-TEST(CheckQueryArtifact, FlagsMaskMismatchAndHalfPresence) {
+// The mask budget applies per component, so an artifact whose prefix has no
+// table is legal: executors need both tables, and take the probe path.
+TEST(CheckQueryArtifact, HalfPresentMasksTakeProbePath) {
   SimpleSearchQuery query = make_query("(cat)|(dog)",
                                        TokenizationStrategy::kCanonicalTokens);
   auto artifact =
       core::pipeline::compile_query_artifact(query, fixture_tokenizer());
-
-  {
-    analysis::InvariantReport report;
-    testing::check_query_artifact(artifact, nullptr, report);
-    EXPECT_FALSE(report.has("artifact.token-masks")) << report.to_string();
-  }
-  {
-    core::pipeline::QueryArtifact bad = artifact;
-    auto body = std::make_shared<core::pipeline::Component>(*artifact.body);
-    body->automaton.masks.words[0] ^= 1;  // one flipped mask bit
-    bad.body = body;
-    analysis::InvariantReport report;
-    testing::check_query_artifact(bad, nullptr, report);
-    EXPECT_TRUE(report.has("artifact.token-masks")) << report.to_string();
-    analysis::InvariantReport component_report;
-    analysis::check_component(*body, nullptr, component_report);
-    EXPECT_TRUE(component_report.has("artifact.token-masks"))
-        << component_report.to_string();
-  }
-  {
-    // The mask budget applies per component, so a half-present pair is a
-    // legal artifact: executors need both tables, and take the probe path.
-    core::pipeline::QueryArtifact half = artifact;
-    auto prefix = std::make_shared<core::pipeline::Component>(*artifact.prefix);
-    prefix->automaton.masks = core::TokenMaskTable{};
-    half.prefix = prefix;
-    analysis::InvariantReport report;
-    testing::check_query_artifact(half, nullptr, report);
-    EXPECT_FALSE(report.has("artifact.token-masks")) << report.to_string();
-    CompiledQuery probe = CompiledQuery::from_artifact(
-        std::make_shared<const core::pipeline::QueryArtifact>(half),
-        fixture_tokenizer());
-    EXPECT_FALSE(probe.has_masks());
-    CompiledQuery masked = CompiledQuery::from_artifact(
-        std::make_shared<const core::pipeline::QueryArtifact>(artifact),
-        fixture_tokenizer());
-    ASSERT_TRUE(masked.has_masks());
-    core::ShortestPathSearch probe_search(*fixture_model(), probe, query);
-    core::ShortestPathSearch masked_search(*fixture_model(), masked, query);
-    auto masked_results = masked_search.all();
-    ASSERT_FALSE(masked_results.empty());
-    expect_same_results(probe_search.all(), masked_results);
-  }
+  core::pipeline::QueryArtifact half = artifact;
+  auto prefix = std::make_shared<core::pipeline::Component>(*artifact.prefix);
+  prefix->automaton.masks = core::TokenMaskTable{};
+  half.prefix = prefix;
+  analysis::InvariantReport report;
+  testing::check_query_artifact(half, nullptr, report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  CompiledQuery probe = CompiledQuery::from_artifact(
+      std::make_shared<const core::pipeline::QueryArtifact>(half),
+      fixture_tokenizer());
+  EXPECT_FALSE(probe.has_masks());
+  CompiledQuery masked = CompiledQuery::from_artifact(
+      std::make_shared<const core::pipeline::QueryArtifact>(artifact),
+      fixture_tokenizer());
+  ASSERT_TRUE(masked.has_masks());
+  core::ShortestPathSearch probe_search(*fixture_model(), probe, query);
+  core::ShortestPathSearch masked_search(*fixture_model(), masked, query);
+  auto masked_results = masked_search.all();
+  ASSERT_FALSE(masked_results.empty());
+  expect_same_results(probe_search.all(), masked_results);
 }
 
 }  // namespace

@@ -2,14 +2,41 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
+
+// Global allocation counter: replaces the global allocator for this binary so
+// AsyncBatch.SerialSubmitAllocatesNothing can pin the contract. Counting is
+// the only side effect.
+namespace {
+std::atomic<std::size_t> g_alloc_count{0};
+}
+
+// GCC inlines these and then flags free() against the malloc inside the
+// replaced new as a mismatched pair; the pair is internally consistent.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace relm::util {
 namespace {
@@ -193,6 +220,124 @@ TEST(ThreadPool, SharedPoolResizable) {
                                     [&](std::size_t i) { out[i] = 1; });
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 64);
   ThreadPool::set_shared_threads(1);
+}
+
+// ---------------------------------------------------------------------------
+// Async batches (ThreadPool::submit). Pool sizes 1, 2 and 4: a one-thread
+// pool runs every batch inside submit; the others hand tasks to workers when
+// the host has spare cores.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kPoolSizes[] = {1, 2, 4};
+
+TEST(AsyncBatch, EveryIndexRunsExactlyOnce) {
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> runs(257);
+    ThreadPool::AsyncBatch batch =
+        pool.submit(runs.size(), [&](std::size_t i) { runs[i].fetch_add(1); });
+    batch.wait_all();
+    batch.rethrow_if_error();
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
+  }
+}
+
+TEST(AsyncBatch, WaitReturnsOnlyAfterItsTask) {
+  constexpr std::size_t kTasks = 64;
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::vector<std::atomic<bool>> done(kTasks);
+    ThreadPool::AsyncBatch batch = pool.submit(kTasks, [&](std::size_t i) {
+      if (i % 8 == 0) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      done[i].store(true);
+    });
+    // Out of submission order, so some waits land on tasks still running.
+    for (std::size_t k = 0; k < kTasks; ++k) {
+      const std::size_t i = (k * 37) % kTasks;
+      batch.wait(i);
+      EXPECT_TRUE(done[i].load()) << i;
+    }
+    batch.wait_all();
+  }
+}
+
+TEST(AsyncBatch, RethrowsFirstErrorAndPoolRunsAnotherBatch) {
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    ThreadPool::AsyncBatch batch = pool.submit(100, [&](std::size_t i) {
+      ran.fetch_add(1);
+      if (i % 10 == 3) throw std::runtime_error(std::to_string(i));
+    });
+    batch.wait_all();
+    EXPECT_EQ(ran.load(), 100);  // an error does not cancel the other tasks
+    try {
+      batch.rethrow_if_error();
+      ADD_FAILURE() << "no error rethrown";
+    } catch (const std::runtime_error& e) {
+      const int index = std::stoi(e.what());
+      EXPECT_EQ(index % 10, 3);
+      // Serially, tasks run in index order: the first error is task 3's.
+      if (threads == 1) {
+        EXPECT_EQ(index, 3);
+      }
+    }
+
+    std::atomic<int> again{0};
+    ThreadPool::AsyncBatch next =
+        pool.submit(10, [&](std::size_t) { again.fetch_add(1); });
+    next.wait_all();
+    EXPECT_NO_THROW(next.rethrow_if_error());
+    EXPECT_EQ(again.load(), 10);
+  }
+}
+
+TEST(AsyncBatch, SubmitInsideParallelForDrainsSerially) {
+  for (std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::atomic<int> foreign{0};
+    std::atomic<int> total{0};
+    pool.parallel_for(8, [&](std::size_t) {
+      const std::thread::id self = std::this_thread::get_id();
+      std::array<std::thread::id, 16> ran_on{};
+      ThreadPool::AsyncBatch batch = pool.submit(
+          ran_on.size(),
+          [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); });
+      // Every task ran on this thread before submit returned.
+      for (const std::thread::id& id : ran_on) {
+        if (id != self) foreign.fetch_add(1);
+      }
+      batch.wait_all();
+      total.fetch_add(static_cast<int>(ran_on.size()));
+    });
+    EXPECT_EQ(foreign.load(), 0);
+    EXPECT_EQ(total.load(), 8 * 16);
+  }
+}
+
+TEST(AsyncBatch, SerialSubmitAllocatesNothing) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> out(64, 0);
+  // One captured reference: std::function stores it inline.
+  auto body = [&out](std::size_t i) { out[i] = i + 1; };
+  pool.submit(out.size(), body).wait_all();  // warm-up: registers the metrics
+
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  {
+    ThreadPool::AsyncBatch batch = pool.submit(out.size(), body);
+    for (std::size_t i = 0; i < out.size(); ++i) batch.wait(i);
+    batch.wait_all();
+    batch.rethrow_if_error();
+  }
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after, before) << "a serial submit allocated";
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + 1);
 }
 
 }  // namespace
