@@ -95,6 +95,14 @@ void fill_cache_stats(const model::LanguageModel& model,
   stats.cache_evictions = current->evictions - baseline.evictions;
 }
 
+// Pipeline selection (docs/PERFORMANCE.md, "The async frontier pipeline").
+// Both change which nodes a round pops, never what a complete run emits.
+// The occupancy controller aims to keep kTargetOccupancy evaluations in
+// flight; nodes costlier than the round's minimum cost plus
+// kSpeculationHorizon nats are left for a later round.
+constexpr std::size_t kTargetOccupancy = 16;
+constexpr double kSpeculationHorizon = 8.0;
+
 }  // namespace
 
 std::size_t sequence_budget(const SimpleSearchQuery& query,
@@ -316,10 +324,9 @@ void ShortestPathSearch::pump() {
   const std::size_t results_before = pending_results_.size();
   const std::size_t seq_limit = sequence_budget(query_, model_);
 
-  // ---- Selection: a pure function of (frontier, budget, knobs) — never of
-  // thread count or timing, which is what keeps outputs byte-identical
-  // across 1/2/4/8 threads.
-  const std::size_t target = std::max<std::size_t>(query_.target_occupancy, 1);
+  // ---- Selection: a pure function of (frontier, budget, max_in_flight) —
+  // never of thread count or timing, which is what keeps outputs
+  // byte-identical across 1/2/4/8 threads.
   const std::size_t cap = std::max<std::size_t>(query_.max_in_flight, 1);
   const std::size_t budget_left =
       query_.max_expansions > stats_.expansions
@@ -329,7 +336,8 @@ void ShortestPathSearch::pump() {
   // classic keep-the-pipe-full setpoint), floor 1, ceiling max_in_flight.
   // Depth counts discovered children, not frontier entries (one per brood).
   const std::size_t want =
-      std::min(cap, std::max<std::size_t>(1, std::min(unpopped_, 2 * target)));
+      std::min(cap, std::max<std::size_t>(
+                        1, std::min(unpopped_, 2 * kTargetOccupancy)));
 
   round_slots_.clear();
   round_tasks_.clear();
@@ -340,7 +348,7 @@ void ShortestPathSearch::pump() {
     if (!have_min) {
       round_min = top.cost;
       have_min = true;
-    } else if (top.cost > round_min + query_.speculation_horizon) {
+    } else if (top.cost > round_min + kSpeculationHorizon) {
       // Speculating past the horizon is nearly always wasted: this node's
       // children cannot settle before everything cheaper drains.
       ++stats_.horizon_clips;

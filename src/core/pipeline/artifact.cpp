@@ -243,13 +243,6 @@ class Reader {
 
 }  // namespace
 
-std::uint64_t artifact_checksum(const QueryArtifact& artifact) {
-  KeyHasher h;
-  h.u64(checksum_of(*artifact.prefix));
-  h.u64(checksum_of(*artifact.body));
-  return h.a;
-}
-
 void save_component(const Component& component, std::ostream& out) {
   const TokenAutomaton& ta = component.automaton;
   out << "RELM_COMPONENT v" << Component::kFormatVersion << "\nkey "

@@ -127,8 +127,4 @@ Component load_component(std::istream& in);
 void save_component_file(const Component& component, const std::string& path);
 Component load_component_file(const std::string& path);
 
-// A hash over both components' `checksum` fields: artifacts whose
-// components agree field for field hash equal.
-std::uint64_t artifact_checksum(const QueryArtifact& artifact);
-
 }  // namespace relm::core::pipeline

@@ -191,9 +191,9 @@ ArtifactCache::Stats ArtifactCache::stats() const {
 
 namespace {
 
-// Read-mostly: every compile consults the singleton pointer, but it is only
-// written at first use or by configure_global (tests).
-util::SharedMutex g_global_mutex{util::LockRank::kCompileCacheConfig};
+// Written at first use or by configure_global (tests). A compile that uses
+// the global cache holds this lock only to read the pointer.
+util::Mutex g_global_mutex{util::LockRank::kCompileCacheConfig};
 std::unique_ptr<ArtifactCache> g_global RELM_GUARDED_BY(g_global_mutex);
 
 ArtifactCacheConfig global_config_from_env() {
@@ -212,10 +212,6 @@ ArtifactCacheConfig global_config_from_env() {
 }  // namespace
 
 ArtifactCache& ArtifactCache::global() {
-  {
-    util::SharedScopedLock lock(g_global_mutex);
-    if (g_global) return *g_global;
-  }
   util::ScopedLock lock(g_global_mutex);
   if (!g_global) {
     g_global = std::make_unique<ArtifactCache>(global_config_from_env());

@@ -63,10 +63,11 @@ struct SimpleSearchQuery {
   std::size_t beam_width = 8;           // beam search: live paths per step
 
   // Shortest path runs as an asynchronous producer/consumer pipeline. The
-  // coordinator speculatively pops nodes ahead of settlement (up to
-  // `speculation_horizon` beyond the round's minimum cost), submits their
-  // model evaluations as an async batch — the CPU analogue of the paper's
-  // GPU test-vector scheduling (§3.3) — and retires slots in submission
+  // coordinator speculatively pops nodes ahead of settlement (aiming for 16
+  // evaluations in flight, none costlier than 8 nats beyond the round's
+  // minimum cost; both are constants in executor.cpp), submits their model
+  // evaluations as an async batch — the CPU analogue of the paper's GPU
+  // test-vector scheduling (§3.3) — and retires slots in submission
   // order while later slots still evaluate. Matches found ahead of
   // settlement are held back until no frontier node can beat them, so
   // emission stays exact most-probable-first. All scheduling decisions are
@@ -78,17 +79,6 @@ struct SimpleSearchQuery {
   // work after the last true match). 1 = strict Dijkstra: one node is
   // selected, evaluated and settled per round. 0 is treated as 1.
   std::size_t max_in_flight = 64;
-
-  // Pipeline: the controller aims to keep this many evaluations in flight;
-  // per-round batch = min(max_in_flight, max(1, min(frontier, 2*target))),
-  // where frontier counts the children discovered and not yet popped or
-  // dropped.
-  std::size_t target_occupancy = 16;
-
-  // Pipeline: nodes costlier than round_min + horizon are left for a later
-  // round. Speculating past this is nearly always wasted (their children
-  // cannot settle soon); executor.speculative_horizon_clips counts the cut.
-  double speculation_horizon = 8.0;
 
   // Random sampling: weigh prefix edges by walk counts (the paper's
   // normalization, Appendix C). Disabled only by the Figure 9 ablation.

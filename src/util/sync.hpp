@@ -5,15 +5,14 @@
 #include <cstddef>
 #include <cstdio>
 #include <mutex>
-#include <shared_mutex>
 
 #include "obs/metrics.hpp"
 #include "util/errors.hpp"
 
 // Annotated synchronization layer: every mutex, lock, and condition variable
-// in src/ goes through these wrappers (scripts/lint.sh rejects raw std sync
-// primitives outside this header). They buy three things the std types do not
-// give us:
+// in src/ is a Mutex, ScopedLock or CondVar from this header (scripts/lint.sh
+// rejects raw std sync primitives outside it). There is one lock type, an
+// exclusive mutex; the wrappers buy three things std::mutex does not give us:
 //
 //   1. Clang thread-safety analysis. The RELM_* attribute macros below expand
 //      to clang's capability attributes, so a `cmake --preset tsa` build
@@ -22,12 +21,12 @@
 //      gcc the attributes expand to nothing and the wrappers compile to the
 //      plain std types.
 //
-//   2. Lock ranks. Every Mutex/SharedMutex is constructed with a LockRank;
-//      debug builds (NDEBUG unset, or RELM_DCHECKS=ON — same gate as
-//      RELM_DCHECK) keep a per-thread stack of held ranks and abort on any
-//      acquisition that is not strictly rank-increasing. A potential deadlock
-//      (lock-order inversion between two threads) becomes a deterministic
-//      single-thread test failure at the first out-of-order acquisition.
+//   2. Lock ranks. Every Mutex is constructed with a LockRank; debug builds
+//      (NDEBUG unset, or RELM_DCHECKS=ON — same gate as RELM_DCHECK) keep a
+//      per-thread stack of held ranks and abort on any acquisition that is
+//      not strictly rank-increasing. A potential deadlock (lock-order
+//      inversion between two threads) becomes a deterministic single-thread
+//      test failure at the first out-of-order acquisition.
 //
 //   3. Contention observability. In debug builds, a lock() that does not
 //      succeed immediately bumps the `sync.lock.contended` counter and feeds
@@ -60,28 +59,11 @@
 #define RELM_CAPABILITY(x) RELM_THREAD_ANNOTATION(capability(x))
 #define RELM_SCOPED_CAPABILITY RELM_THREAD_ANNOTATION(scoped_lockable)
 #define RELM_GUARDED_BY(x) RELM_THREAD_ANNOTATION(guarded_by(x))
-#define RELM_PT_GUARDED_BY(x) RELM_THREAD_ANNOTATION(pt_guarded_by(x))
-#define RELM_ACQUIRED_BEFORE(...) \
-  RELM_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define RELM_ACQUIRED_AFTER(...) \
-  RELM_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 #define RELM_REQUIRES(...) \
   RELM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define RELM_REQUIRES_SHARED(...) \
-  RELM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define RELM_ACQUIRE(...) RELM_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define RELM_ACQUIRE_SHARED(...) \
-  RELM_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELM_RELEASE(...) RELM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define RELM_RELEASE_SHARED(...) \
-  RELM_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define RELM_RELEASE_GENERIC(...) \
-  RELM_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
-#define RELM_TRY_ACQUIRE(...) \
-  RELM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define RELM_EXCLUDES(...) RELM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 #define RELM_ASSERT_CAPABILITY(x) RELM_THREAD_ANNOTATION(assert_capability(x))
-#define RELM_RETURN_CAPABILITY(x) RELM_THREAD_ANNOTATION(lock_returned(x))
 #define RELM_NO_THREAD_SAFETY_ANALYSIS \
   RELM_THREAD_ANNOTATION(no_thread_safety_analysis)
 
@@ -103,12 +85,12 @@ namespace relm::util {
 // without renumbering its neighbors. Keep this table in sync with
 // docs/STATIC_ANALYSIS.md.
 enum class LockRank : int {
-  // util/thread_pool — outermost: parallel_for loop bodies run arbitrary
-  // library code (model eval, caches, tracing) under kPoolCaller.
+  // util/thread_pool — outermost: tasks run arbitrary library code (model
+  // eval, caches, tracing) with no pool lock held, so no higher-ranked lock
+  // may be held across a submit or a wait.
   kPoolShared = 10,  // shared-pool singleton pointer
-  kPoolCaller = 11,  // serializes concurrent parallel_for callers
-  kPoolState = 12,   // worker wake state: current job + stop flag
-  kPoolJob = 13,     // per-job/batch error slot + completion condvar
+  kPoolState = 12,   // worker wake state: latest batch + stop flag
+  kPoolJob = 13,     // per-batch error slot + completion condvar
 
   // core/pipeline/cache (compiled-artifact cache).
   kCompileCacheConfig = 20,  // global cache singleton pointer
@@ -136,7 +118,6 @@ enum class LockRank : int {
 inline const char* lock_rank_name(LockRank rank) {
   switch (rank) {
     case LockRank::kPoolShared: return "pool.shared";
-    case LockRank::kPoolCaller: return "pool.caller";
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolJob: return "pool.job";
     case LockRank::kCompileCacheConfig: return "compile_cache.config";
@@ -250,8 +231,7 @@ inline SyncMetrics& sync_metrics() {
   return m;
 }
 
-template <typename StdMutex>
-inline void lock_contended(StdMutex& m, bool instrumented) {
+inline void lock_contended(std::mutex& m, bool instrumented) {
   if (!instrumented) {
     m.lock();
     return;
@@ -294,19 +274,6 @@ class RELM_CAPABILITY("mutex") Mutex {
 #endif
   }
 
-  bool try_lock() RELM_TRY_ACQUIRE(true) {
-#if RELM_SYNC_DEBUG
-    // A try_lock that succeeds out of rank order is the same latent deadlock
-    // as a blocking lock, so the check applies before the attempt.
-    sync_detail::check_acquire(rank_);
-    if (!m_.try_lock()) return false;
-    sync_detail::push_rank(rank_);
-    return true;
-#else
-    return m_.try_lock();
-#endif
-  }
-
   void unlock() RELM_RELEASE() {
 #if RELM_SYNC_DEBUG
     sync_detail::pop_rank(rank_);
@@ -333,90 +300,12 @@ class RELM_CAPABILITY("mutex") Mutex {
   const bool instrumented_;
 };
 
-// std::shared_mutex wrapper; shared acquisitions obey the same rank rule as
-// exclusive ones (a reader that blocks a writer can still deadlock).
-class RELM_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank, Instrument instrument = Instrument::kOn)
-      : rank_(rank), instrumented_(instrument == Instrument::kOn) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() RELM_ACQUIRE() {
-#if RELM_SYNC_DEBUG
-    sync_detail::check_acquire(rank_);
-    if (!m_.try_lock()) sync_detail::lock_contended(m_, instrumented_);
-    sync_detail::push_rank(rank_);
-#else
-    m_.lock();
-#endif
-  }
-
-  void unlock() RELM_RELEASE() {
-#if RELM_SYNC_DEBUG
-    sync_detail::pop_rank(rank_);
-#endif
-    m_.unlock();
-  }
-
-  void lock_shared() RELM_ACQUIRE_SHARED() {
-#if RELM_SYNC_DEBUG
-    sync_detail::check_acquire(rank_);
-    if (!m_.try_lock_shared()) {
-      sync_detail::SyncMetrics* metrics =
-          instrumented_ ? &sync_detail::sync_metrics() : nullptr;
-      const auto t0 = std::chrono::steady_clock::now();
-      m_.lock_shared();
-      if (metrics) {
-        metrics->contended.add();
-        metrics->wait_seconds.observe(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                .count());
-      }
-    }
-    sync_detail::push_rank(rank_);
-#else
-    m_.lock_shared();
-#endif
-  }
-
-  void unlock_shared() RELM_RELEASE_SHARED() {
-#if RELM_SYNC_DEBUG
-    sync_detail::pop_rank(rank_);
-#endif
-    m_.unlock_shared();
-  }
-
-  void assert_held() const RELM_ASSERT_CAPABILITY(this) {
-#if RELM_SYNC_DEBUG
-    sync_detail::dcheck_rank_held(rank_);
-#endif
-  }
-
-  LockRank rank() const { return rank_; }
-
- private:
-  std::shared_mutex m_;
-  const LockRank rank_;
-  const bool instrumented_;
-};
-
-// RAII exclusive lock over a Mutex (or, for the rare exclusive phase of a
-// read-mostly path, a SharedMutex). Relockable: unlock()/lock() support the
+// RAII lock over a Mutex. Relockable: unlock()/lock() support the
 // worker-loop pattern of dropping the lock around a long operation, and
 // CondVar::wait releases/reacquires through it.
 class RELM_SCOPED_CAPABILITY ScopedLock {
  public:
-  explicit ScopedLock(Mutex& m) RELM_ACQUIRE(m) : mutex_(&m) {
-    m.lock();
-    owned_ = true;
-  }
-
-  explicit ScopedLock(SharedMutex& m) RELM_ACQUIRE(m) : shared_(&m) {
-    m.lock();
-    owned_ = true;
-  }
+  explicit ScopedLock(Mutex& m) RELM_ACQUIRE(m) : mutex_(m) { m.lock(); }
 
   ScopedLock(const ScopedLock&) = delete;
   ScopedLock& operator=(const ScopedLock&) = delete;
@@ -433,11 +322,7 @@ class RELM_SCOPED_CAPABILITY ScopedLock {
 
   void lock() RELM_ACQUIRE() {
     RELM_DCHECK(!owned_, "ScopedLock::lock while already holding the lock");
-    if (mutex_ != nullptr) {
-      mutex_->lock();
-    } else {
-      shared_->lock();
-    }
+    mutex_.lock();
     owned_ = true;
   }
 
@@ -446,34 +331,10 @@ class RELM_SCOPED_CAPABILITY ScopedLock {
  private:
   friend class CondVar;
 
-  void release_impl() RELM_NO_THREAD_SAFETY_ANALYSIS {
-    if (mutex_ != nullptr) {
-      mutex_->unlock();
-    } else {
-      shared_->unlock();
-    }
-  }
+  void release_impl() RELM_NO_THREAD_SAFETY_ANALYSIS { mutex_.unlock(); }
 
-  Mutex* mutex_ = nullptr;
-  SharedMutex* shared_ = nullptr;
-  bool owned_ = false;
-};
-
-// RAII shared (reader) lock over a SharedMutex.
-class RELM_SCOPED_CAPABILITY SharedScopedLock {
- public:
-  explicit SharedScopedLock(SharedMutex& m) RELM_ACQUIRE_SHARED(m)
-      : mutex_(&m) {
-    m.lock_shared();
-  }
-
-  SharedScopedLock(const SharedScopedLock&) = delete;
-  SharedScopedLock& operator=(const SharedScopedLock&) = delete;
-
-  ~SharedScopedLock() RELM_RELEASE_GENERIC() { mutex_->unlock_shared(); }
-
- private:
-  SharedMutex* mutex_;
+  Mutex& mutex_;
+  bool owned_ = true;
 };
 
 // Condition variable bound to relm::Mutex via ScopedLock. Waits are spurious-
@@ -493,19 +354,18 @@ class CondVar {
   // returning. The lock is held on entry and on exit, which is exactly what
   // the (suppressed) static analysis would conclude.
   void wait(ScopedLock& lock) RELM_NO_THREAD_SAFETY_ANALYSIS {
-    Mutex* m = lock.mutex_;
-    RELM_DCHECK(m != nullptr && lock.owned_,
-                "CondVar::wait needs an owned exclusive Mutex ScopedLock");
+    Mutex& m = lock.mutex_;
+    RELM_DCHECK(lock.owned_, "CondVar::wait needs an owned ScopedLock");
 #if RELM_SYNC_DEBUG
-    sync_detail::pop_rank(m->rank_);
+    sync_detail::pop_rank(m.rank_);
 #endif
-    std::unique_lock<std::mutex> adopted(m->m_, std::adopt_lock);
+    std::unique_lock<std::mutex> adopted(m.m_, std::adopt_lock);
     cv_.wait(adopted);
     adopted.release();
 #if RELM_SYNC_DEBUG
     // No rank re-check: the wake reacquires the same lock from the same
     // nesting position the original (checked) acquisition validated.
-    sync_detail::push_rank(m->rank_);
+    sync_detail::push_rank(m.rank_);
 #endif
   }
 
@@ -521,6 +381,4 @@ using util::Instrument;
 using util::LockRank;
 using util::Mutex;
 using util::ScopedLock;
-using util::SharedMutex;
-using util::SharedScopedLock;
 }  // namespace relm

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -9,36 +10,28 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/sync.hpp"
 
 namespace relm::util {
 
 namespace {
 
-// True while the current thread is executing loop bodies for some pool;
-// nested parallel_for calls fall back to serial execution.
+// True while the current thread runs a task of some pool's batch; nested
+// submit calls run inline.
 thread_local bool t_in_parallel_region = false;
 
-// Scheduling metrics: one jobs/tasks add per parallel_for call (never per
-// index — the loop body is the hot path). "serial" counts the fast-path
-// dispatches (no workers, n == 1, or a nested call).
+// Scheduling metrics. The batch counters are added once per batch (never per
+// task — the task body is the hot path); "serial" counts the batches submit
+// ran inline. A steal is counted when it happens.
 struct PoolMetrics {
-  obs::Counter& jobs;
-  obs::Counter& tasks;
   obs::Counter& serial;
-  obs::Histogram& job_tasks;
   obs::Counter& async_batches;
   obs::Counter& async_tasks;
   obs::Counter& steals;
 
   static PoolMetrics& get() {
     static PoolMetrics m{
-        obs::Registry::instance().counter("pool.jobs"),
-        obs::Registry::instance().counter("pool.tasks"),
         obs::Registry::instance().counter("pool.serial_dispatches"),
-        obs::Registry::instance().histogram(
-            "pool.job.tasks", obs::Histogram::default_size_bounds()),
         obs::Registry::instance().counter("pool.async_batches"),
         obs::Registry::instance().counter("pool.async_tasks"),
         obs::Registry::instance().counter("pool.steals")};
@@ -67,11 +60,9 @@ struct ThreadPool::AsyncBatch::State {
   std::unique_ptr<std::atomic<std::uint8_t>[]> status;
   std::atomic<std::size_t> unclaimed{0};
   std::atomic<std::size_t> completed{0};
-  std::atomic<std::size_t> steals{0};
   // True while some thread may be sleeping in wait()/wait_all(); gates the
   // notify in run_one so uncontended completions never touch the mutex.
   std::atomic<bool> waiter{false};
-  std::atomic<bool> steals_flushed{false};
   Mutex mutex{LockRank::kPoolJob};
   CondVar done;
   std::exception_ptr error RELM_GUARDED_BY(mutex);
@@ -92,7 +83,7 @@ struct ThreadPool::AsyncBatch::State {
   // the next-to-retire task forces the submitter into a futex sleep per
   // hand-off — and is harmless on idle ones. All status transitions are
   // one-way, so a task claimable in the second pass is provably from a
-  // foreign stripe.
+  // foreign stripe: a steal.
   std::size_t claim(std::size_t lane) {
     if (unclaimed.load(std::memory_order_relaxed) == 0) return kNoTask;
     const std::size_t home = lane % lanes;
@@ -105,34 +96,40 @@ struct ThreadPool::AsyncBatch::State {
     }
     for (std::size_t i = n; i > 0; --i) {
       if (try_claim(i - 1)) {
-        steals.fetch_add(1);
+        PoolMetrics::get().steals.add();
         return i - 1;
       }
     }
     return kNoTask;
   }
 
-  // Claim order for a thread blocked on task `want`: that task itself, then
-  // the ones needed soonest after it (retirement is in submission order).
+  // Claim order for the thread that waits on the batch (lane 0): task
+  // `want` itself, then the ones needed soonest after it (retirement is in
+  // submission order).
   std::size_t claim_preferring(std::size_t want) {
     if (unclaimed.load(std::memory_order_relaxed) == 0) return kNoTask;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t i = (want + k) % n;
       if (try_claim(i)) {
-        if (i % lanes != 0) steals.fetch_add(1);
+        if (i % lanes != 0) PoolMetrics::get().steals.add();
         return i;
       }
     }
     return kNoTask;
   }
 
+  // Runs claimed task i. The running thread, worker or waiter, is in a
+  // parallel region until the task returns.
   void run_one(std::size_t i) {
+    const bool outer = t_in_parallel_region;
+    t_in_parallel_region = true;
     try {
       fn(i);
     } catch (...) {
       ScopedLock lock(mutex);
       if (!error) error = std::current_exception();
     }
+    t_in_parallel_region = outer;
     status[i].store(kDone);
     completed.fetch_add(1);
     // Seq-cst ordering of (status/completed store, waiter load) against the
@@ -146,95 +143,59 @@ struct ThreadPool::AsyncBatch::State {
     }
   }
 
-  void flush_steals() {
-    if (!steals_flushed.exchange(true)) {
-      const std::size_t count = steals.load();
-      if (count > 0) PoolMetrics::get().steals.add(count);
+  // The waiter's loop: runs unclaimed tasks in claim_preferring order from
+  // `want` until finished() holds. Each scan resumes after the last claim,
+  // because every task it passed is already claimed; draining m tasks costs
+  // O(n) probes, not O(m * n). When every remaining task is claimed by
+  // another thread, it yields a few quanta first: on an oversubscribed
+  // machine the owner is likely just preempted, and ceding the CPU lets it
+  // finish without the futex round-trip (the owner also skips its notify
+  // when nobody set the waiter flag). Only then does it sleep on the condvar.
+  template <typename Finished>
+  void help_until(std::size_t want, Finished finished) {
+    for (std::size_t from = want; !finished();) {
+      const std::size_t j = claim_preferring(from);
+      if (j == kNoTask) break;
+      run_one(j);
+      from = j + 1;
     }
+    for (int spin = 0; spin < 32; ++spin) {
+      if (finished()) return;
+      std::this_thread::yield();
+    }
+    waiter.store(true);
+    {
+      ScopedLock lock(mutex);
+      while (!finished()) done.wait(lock);
+    }
+    waiter.store(false);
   }
 };
 
 struct ThreadPool::Impl {
-  // One fork-join dispatch. Heap-allocated and shared so a worker woken late
-  // (after the loop already drained) still holds a valid object: it grabs an
-  // index >= n and exits without touching anything.
-  struct Job {
-    // fn and n are written by the dispatching caller before the job is
-    // published through Impl::current (a mutex release/acquire), and are
-    // read-only afterwards — deliberately not lock-guarded.
-    std::function<void(std::size_t)> fn;
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    Mutex mutex{LockRank::kPoolJob};
-    CondVar done;
-    std::exception_ptr error RELM_GUARDED_BY(mutex);
-  };
-
   std::vector<std::thread> workers;
   Mutex mutex{LockRank::kPoolState};
   CondVar work_cv;
-  std::shared_ptr<Job> current RELM_GUARDED_BY(mutex);
   // Most recent submit() batch. A drained batch is left in place (its
   // unclaimed count is 0, so the worker predicate ignores it) and replaced
   // by the next submit; workers never block on a stale pointer.
   std::shared_ptr<AsyncBatch::State> async RELM_GUARDED_BY(mutex);
   bool stop RELM_GUARDED_BY(mutex) = false;
-  // Serializes parallel_for callers; held for the whole loop.
-  Mutex caller_mutex{LockRank::kPoolCaller};
-
-  static void run(Job& job) {
-    t_in_parallel_region = true;
-    for (;;) {
-      const std::size_t i = job.next.fetch_add(1);
-      if (i >= job.n) break;
-      try {
-        job.fn(i);
-      } catch (...) {
-        ScopedLock lock(job.mutex);
-        if (!job.error) job.error = std::current_exception();
-      }
-      if (job.completed.fetch_add(1) + 1 == job.n) {
-        // Lock pairs with the caller's predicate check so the final
-        // notification cannot slip between its check and its wait.
-        ScopedLock lock(job.mutex);
-        job.done.notify_all();
-      }
-    }
-    t_in_parallel_region = false;
-  }
-
-  static void run_async(AsyncBatch::State& batch, std::size_t lane) {
-    t_in_parallel_region = true;
-    for (;;) {
-      const std::size_t i = batch.claim(lane);
-      if (i == kNoTask) break;
-      batch.run_one(i);
-    }
-    t_in_parallel_region = false;
-  }
 
   void worker_loop(std::size_t lane) {
-    std::shared_ptr<Job> last;
     ScopedLock lock(mutex);
     for (;;) {
-      while (!stop && (!current || current == last) &&
-             (!async || async->unclaimed.load() == 0)) {
+      while (!stop && (!async || async->unclaimed.load() == 0)) {
         work_cv.wait(lock);
       }
       if (stop) return;
-      if (current && current != last) {
-        std::shared_ptr<Job> job = current;
-        last = job;
-        lock.unlock();
-        run(*job);
-        lock.lock();
-      } else {
-        std::shared_ptr<AsyncBatch::State> batch = async;
-        lock.unlock();
-        run_async(*batch, lane);
-        lock.lock();
+      std::shared_ptr<AsyncBatch::State> batch = async;
+      lock.unlock();
+      for (std::size_t i = batch->claim(lane); i != kNoTask;
+           i = batch->claim(lane)) {
+        batch->run_one(i);
       }
+      lock.lock();
     }
   }
 };
@@ -281,45 +242,11 @@ std::size_t ThreadPool::threads() const { return impl_->workers.size() + 1; }
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Serial fast paths: no workers, no spare core to run one, a single index,
-  // or a nested call (which would otherwise self-deadlock on caller_mutex).
-  if (impl_->workers.empty() || spare_cores() == 0 || n == 1 ||
-      t_in_parallel_region) {
-    PoolMetrics::get().serial.add();
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-
-  RELM_TRACE_SPAN("pool.parallel_for");
-  PoolMetrics& metrics = PoolMetrics::get();
-  metrics.jobs.add();
-  metrics.tasks.add(n);
-  metrics.job_tasks.observe(static_cast<double>(n));
-
-  ScopedLock caller(impl_->caller_mutex);
-  auto job = std::make_shared<Impl::Job>();
-  job->fn = fn;
-  job->n = n;
-  {
-    ScopedLock lock(impl_->mutex);
-    impl_->current = job;
-  }
-  impl_->work_cv.notify_all();
-
-  Impl::run(*job);  // the calling thread is one of the pool's lanes
-
-  std::exception_ptr error;
-  {
-    ScopedLock lock(job->mutex);
-    while (job->completed.load() != job->n) job->done.wait(lock);
-    error = job->error;
-  }
-  {
-    ScopedLock lock(impl_->mutex);
-    impl_->current.reset();
-  }
-  if (error) std::rethrow_exception(error);
+  // The batch refers to fn instead of copying it. The pool may keep the
+  // drained batch until the next submit, but never calls fn again.
+  AsyncBatch batch = submit(n, std::cref(fn));
+  batch.wait_all();
+  batch.rethrow_if_error();
 }
 
 ThreadPool::AsyncBatch::AsyncBatch(std::shared_ptr<State> state)
@@ -344,58 +271,13 @@ ThreadPool::AsyncBatch::~AsyncBatch() {
 void ThreadPool::AsyncBatch::wait(std::size_t i) {
   if (!state_) return;  // a serial batch ran inside submit()
   State& s = *state_;
-  for (;;) {
-    if (s.status[i].load() == State::kDone) return;
-    const std::size_t j = s.claim_preferring(i);
-    if (j != kNoTask) {
-      s.run_one(j);
-      continue;
-    }
-    // Task i is claimed by another thread and nothing else is claimable.
-    // Yield a few quanta first: on an oversubscribed machine the owner is
-    // likely just preempted, and ceding the CPU lets it finish without the
-    // futex round-trip (the owner also skips its notify when nobody set the
-    // waiter flag). Only then fall back to sleeping on the condvar.
-    bool done = false;
-    for (int spin = 0; spin < 32 && !done; ++spin) {
-      std::this_thread::yield();
-      done = s.status[i].load() == State::kDone;
-    }
-    if (done) return;
-    s.waiter.store(true);
-    {
-      ScopedLock lock(s.mutex);
-      while (s.status[i].load() != State::kDone) s.done.wait(lock);
-    }
-    s.waiter.store(false);
-    return;
-  }
+  s.help_until(i, [&s, i] { return s.status[i].load() == State::kDone; });
 }
 
 void ThreadPool::AsyncBatch::wait_all() {
   if (!state_) return;
   State& s = *state_;
-  for (;;) {
-    const std::size_t j = s.claim_preferring(0);
-    if (j == kNoTask) break;
-    s.run_one(j);
-  }
-  if (s.completed.load() != s.n) {
-    bool done = false;
-    for (int spin = 0; spin < 32 && !done; ++spin) {
-      std::this_thread::yield();
-      done = s.completed.load() == s.n;
-    }
-    if (!done) {
-      s.waiter.store(true);
-      {
-        ScopedLock lock(s.mutex);
-        while (s.completed.load() != s.n) s.done.wait(lock);
-      }
-      s.waiter.store(false);
-    }
-  }
-  s.flush_steals();
+  s.help_until(0, [&s] { return s.completed.load() == s.n; });
 }
 
 void ThreadPool::AsyncBatch::rethrow_if_error() {
@@ -405,10 +287,6 @@ void ThreadPool::AsyncBatch::rethrow_if_error() {
     error = state_->error;
   }
   if (error) std::rethrow_exception(error);
-}
-
-std::size_t ThreadPool::AsyncBatch::steals() const {
-  return state_ ? state_->steals.load() : 0;
 }
 
 ThreadPool::AsyncBatch ThreadPool::submit(std::size_t n,
@@ -421,12 +299,14 @@ ThreadPool::AsyncBatch ThreadPool::submit(std::size_t n,
   // and sleep again — pure context-switch churn on oversubscribed machines.
   const std::size_t wake =
       std::min({n, impl_->workers.size(), spare_cores()});
-  // No worker to wake (none, none could run on a spare core, or we are
-  // already inside a parallel region): the caller would drain every task
-  // itself, so run them here, in order, keeping the first error — the
-  // exact-serial fast path, with no allocation. Tasks write only their own
-  // slot, so running them before the caller's first wait is unobservable.
-  if (wake == 0 || t_in_parallel_region) {
+  // No worker would help (none could wake; one task, which the caller would
+  // claim before a woken worker got to it; or we are already inside a
+  // parallel region): run the tasks here, in order, keeping the first error
+  // — the exact-serial fast path, with no allocation. Tasks write only their
+  // own slot, so running them before the caller's first wait is
+  // unobservable.
+  if (wake == 0 || n <= 1 || t_in_parallel_region) {
+    metrics.serial.add();
     AsyncBatch batch;
     for (std::size_t i = 0; i < n; ++i) {
       try {

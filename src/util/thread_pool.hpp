@@ -7,38 +7,37 @@
 
 namespace relm::util {
 
-// Fixed-size fork-join thread pool for data-parallel loops.
+// Fixed-size thread pool with one scheduler: submit(n, fn), a batch of n
+// tasks in which fn(i) runs exactly once for every i in [0, n). Tasks are
+// claimed one at a time by the pool's workers (striped by index, with
+// cross-stripe stealing once a stripe drains) and by the thread that waits
+// on the batch — the waiter "helps" by running unclaimed tasks itself
+// instead of sleeping. A batch indexed by input position is deterministic by
+// construction: whatever thread computes index i, the result lands in slot i,
+// so outputs are identical for every thread count (docs/PERFORMANCE.md).
 //
-// The only primitive is parallel_for(n, fn): fn(i) runs exactly once for
-// every i in [0, n), distributed across the pool's threads plus the calling
-// thread, and parallel_for returns only after all n indices completed. There
-// is no work stealing and no task graph — the model-evaluation hot path
-// (LanguageModel::next_log_probs_batch) needs exactly a parallel map, and a
-// parallel map indexed by input position is deterministic by construction:
-// whatever thread computes index i, the result lands in slot i, so outputs
-// are identical for every thread count (see docs/PERFORMANCE.md).
+// submit runs the whole batch itself, in index order, before it returns when
+// no worker would help: no workers, no spare core, a batch of at most one
+// task, or a call from inside a parallel region. That is exact serial
+// execution with no wakeups and no allocation.
 //
-// Nested parallel_for calls (fn itself calling parallel_for, on this or any
-// pool) degrade to serial execution on the calling thread instead of
-// deadlocking. Concurrent parallel_for calls from distinct threads are
-// serialized.
+// A thread is in a parallel region while it runs a task, whether it is a
+// worker or a waiter helping, so nested calls (fn itself calling submit or
+// parallel_for, on this or any pool) run inline instead of deadlocking.
+// Concurrent callers are not serialized: each drains its own batch, and idle
+// workers serve the most recent one.
 //
-// The second primitive is submit(n, fn): an asynchronous task batch with no
-// barrier at submission. Tasks are claimed one at a time by the pool's
-// workers (striped by index, with cross-stripe stealing once a stripe
-// drains) and by any thread blocked in AsyncBatch::wait — the waiter "helps"
-// by running unclaimed tasks itself instead of sleeping. When no worker
-// could take a task (no workers, no spare core, or a submit from inside a
-// parallel region), submit runs the tasks itself, in index order, before it
-// returns: exact serial execution with no wakeups and no allocation. This is
-// the executor's pipeline seam: the coordinator submits a round of expansion
-// tasks and retires results in submission order while later tasks are still
-// running (docs/PERFORMANCE.md, "Async frontier pipeline").
+// parallel_for(n, fn) is submit, wait_all and rethrow_if_error in one call:
+// the model-evaluation hot path (LanguageModel::next_log_probs_batch) needs a
+// parallel map. The executor's pipeline uses submit directly: the
+// coordinator submits a round of expansion tasks and retires results in
+// submission order while later tasks are still running (docs/PERFORMANCE.md,
+// "The async frontier pipeline").
 class ThreadPool {
  public:
   // `threads` is the total parallelism including the calling thread:
   // ThreadPool(4) spawns 3 workers and the caller participates as the 4th.
-  // threads <= 1 spawns no workers and parallel_for runs serially.
+  // threads <= 1 spawns no workers and every batch runs serially.
   explicit ThreadPool(std::size_t threads);
   ~ThreadPool();
 
@@ -57,7 +56,7 @@ class ThreadPool {
   // destructor drains the batch (without rethrowing — call wait_all +
   // rethrow_if_error for errors). fn runs exactly once per index on SOME
   // thread; which thread is unspecified, so fn must be a pure function of i
-  // writing only to its own output slot — exactly the parallel_for contract.
+  // writing only to its own output slot.
   class AsyncBatch {
    public:
     AsyncBatch() = default;
@@ -74,9 +73,6 @@ class ThreadPool {
     void wait_all();
     // Rethrows the first exception any task threw (after wait_all).
     void rethrow_if_error();
-    // Tasks executed by a lane other than their home stripe (contended
-    // hand-offs; also surfaced process-wide as the pool.steals counter).
-    std::size_t steals() const;
 
    private:
     friend class ThreadPool;
@@ -87,9 +83,9 @@ class ThreadPool {
   };
 
   // Submits n tasks and returns immediately. Workers start claiming right
-  // away (when the pool has any); the caller synchronizes per task with
-  // wait(i) or all at once with wait_all(). On the serial path above, every
-  // task has run when submit returns.
+  // away; the caller synchronizes per task with wait(i) or all at once with
+  // wait_all(). On the serial path above, every task has run when submit
+  // returns.
   AsyncBatch submit(std::size_t n, std::function<void(std::size_t)> fn);
 
   // Process-wide pool used by LanguageModel::next_log_probs_batch. Sized on
@@ -99,7 +95,7 @@ class ThreadPool {
 
   // Replaces the shared pool with one of the given size (clamped to >= 1).
   // Call at startup (e.g. from a --threads flag) before queries run; the old
-  // pool is joined and destroyed, so no parallel_for may be in flight.
+  // pool is joined and destroyed, so no batch may be in flight.
   static void set_shared_threads(std::size_t threads);
 
  private:

@@ -471,15 +471,30 @@ TEST(ExecutorEdges, PipelineMatchesLockstepAcrossThreadCounts) {
   util::ThreadPool::set_shared_threads(restore);
 }
 
+// A context-independent model over {"", "a", "b"} whose siblings "a" and
+// "b" lie ln(50000) ≈ 10.8 nats apart: further than the pipeline's 8-nat
+// speculation horizon, which the skewed fixture's 12:1 training skew never
+// reaches.
+class FarSiblingsModel : public model::LanguageModel {
+ public:
+  std::size_t vocab_size() const override { return 3; }
+  TokenId eos() const override { return 0; }
+  std::size_t max_sequence_length() const override { return 24; }
+  std::vector<double> next_log_probs(std::span<const TokenId>) const override {
+    return {std::log(0.5), std::log(0.5 - 1e-5), std::log(1e-5)};
+  }
+};
+
 // The selection horizon must defer nodes costlier than round_min + horizon:
-// with a near-zero horizon and strictly skewed sibling costs, at least one
-// selection round clips — and the output is still exactly the strict one,
-// because clipping only DELAYS an expansion, never changes its result.
+// with siblings further apart than the horizon, at least one selection
+// round clips — and the output is still exactly the strict one, because
+// clipping only DELAYS an expansion, never changes its result.
 TEST(ExecutorEdges, SpeculationHorizonClipsCostlierNodes) {
   SimpleSearchQuery base;
   base.sequence_length = 4;
   base.max_results = 8;
-  Fixture f = skewed_fixture({"", "a", "b"}, "(a|b)a?", base);
+  Fixture f = uniform_fixture({"", "a", "b"}, "(a|b)a?", base);
+  f.model = std::make_shared<FarSiblingsModel>();
 
   SimpleSearchQuery strict = f.query;
   strict.max_in_flight = 1;
@@ -487,10 +502,7 @@ TEST(ExecutorEdges, SpeculationHorizonClipsCostlierNodes) {
   const auto want = serial.all();
   ASSERT_FALSE(want.empty());
 
-  SimpleSearchQuery pipe = f.query;
-  pipe.speculation_horizon = 1e-9;
-  pipe.target_occupancy = 8;
-  ShortestPathSearch clipped(*f.model, f.compiled, pipe);
+  ShortestPathSearch clipped(*f.model, f.compiled, f.query);
   const auto got = clipped.all();
   EXPECT_GE(clipped.stats().horizon_clips, 1u);
   expect_exact_match(got, want);
@@ -507,13 +519,11 @@ TEST(ExecutorEdges, BudgetClampCancelsSpeculativeSelection) {
   base.max_results = 100;
   Fixture f = uniform_fixture({"", "a", "b"}, "(a|b)*", base);
 
-  SimpleSearchQuery full_query = f.query;
-  full_query.target_occupancy = 8;
-  ShortestPathSearch full(*f.model, f.compiled, full_query);
+  ShortestPathSearch full(*f.model, f.compiled, f.query);
   const auto full_results = full.all();
   ASSERT_GT(full_results.size(), 4u);
 
-  SimpleSearchQuery starved_query = full_query;
+  SimpleSearchQuery starved_query = f.query;
   starved_query.max_expansions = 2;
   ShortestPathSearch starved(*f.model, f.compiled, starved_query);
   const auto starved_results = starved.all();
@@ -540,19 +550,16 @@ TEST(ExecutorEdges, SpeculativeWasteCountedWhenNothingEmits) {
 }
 
 // Waste accounting, beyond-last-emission branch: with max_results = 1 and a
-// strictly costlier sibling selected in the same round (large horizon), the
-// sibling's evaluation lands above the last emitted cost and is counted as
-// wasted speculation.
+// strictly costlier sibling selected in the same round (the skew keeps it
+// within the 8-nat horizon), the sibling's evaluation lands above the last
+// emitted cost and is counted as wasted speculation.
 TEST(ExecutorEdges, SpeculativeWasteCountsEvalsBeyondLastEmission) {
   SimpleSearchQuery base;
   base.sequence_length = 4;
   base.max_results = 1;
   Fixture f = skewed_fixture({"", "a", "b"}, "(a|b)a?", base);
 
-  SimpleSearchQuery pipe = f.query;
-  pipe.target_occupancy = 8;
-  pipe.speculation_horizon = 100.0;  // admit the costlier sibling
-  ShortestPathSearch search(*f.model, f.compiled, pipe);
+  ShortestPathSearch search(*f.model, f.compiled, f.query);
   const auto results = search.all();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].text, "a");  // the skew makes "a" strictly cheapest

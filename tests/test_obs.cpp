@@ -342,7 +342,6 @@ TEST(ObsTrace, ConcurrentSpansFromThreadPool) {
     RELM_TRACE_SPAN("test.concurrent");
   });
   Trace::stop();
-  // parallel_for itself contributes one span on the calling thread.
   EXPECT_GE(Trace::event_count(), tasks);
   std::ostringstream out;
   Trace::write_chrome_trace(out);

@@ -22,6 +22,7 @@
 #include <new>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "core/compiled_query.hpp"
 #include "core/executor.hpp"
@@ -406,9 +407,22 @@ QueryArtifact compile_artifact(const SimpleSearchQuery& query) {
   return core::pipeline::compile_query_artifact(query, fixture_tokenizer());
 }
 
-void expect_same_masks(const QueryArtifact& got, const QueryArtifact& want) {
-  EXPECT_EQ(got.prefix->automaton.masks, want.prefix->automaton.masks);
-  EXPECT_EQ(got.body->automaton.masks, want.body->automaton.masks);
+// Both components of `got` equal those of `want`: identity, DFA, mask table
+// and the derived empty-language bit.
+void expect_same_components(const QueryArtifact& got,
+                            const QueryArtifact& want) {
+  for (const auto& [side, g, w] :
+       {std::tuple{"prefix", got.prefix.get(), want.prefix.get()},
+        std::tuple{"body", got.body.get(), want.body.get()}}) {
+    SCOPED_TRACE(side);
+    EXPECT_EQ(g->key, w->key);
+    EXPECT_EQ(g->vocab_fingerprint, w->vocab_fingerprint);
+    EXPECT_EQ(g->strategy, w->strategy);
+    EXPECT_EQ(g->automaton.dynamic_canonical, w->automaton.dynamic_canonical);
+    EXPECT_TRUE(g->automaton.dfa == w->automaton.dfa);
+    EXPECT_EQ(g->automaton.masks, w->automaton.masks);
+    EXPECT_EQ(g->empty_language, w->empty_language);
+  }
 }
 
 // A query persists as its two components; reassembled, they must give back
@@ -643,9 +657,7 @@ TEST(ArtifactCache, DiskStoreSurvivesProcessRestart) {
   EXPECT_EQ(loaded->key, compiled->key);
   EXPECT_EQ(loaded->prefix->key, compiled->prefix->key);
   EXPECT_EQ(loaded->body->key, compiled->body->key);
-  EXPECT_EQ(core::pipeline::artifact_checksum(*loaded),
-            core::pipeline::artifact_checksum(*compiled));
-  expect_same_masks(*loaded, *compiled);
+  expect_same_components(*loaded, *compiled);
   EXPECT_EQ(cold.stats().disk_loads, 2u);
   EXPECT_EQ(cold.stats().hits, 1u);
   EXPECT_EQ(cold.stats().misses, 0u);
@@ -794,8 +806,7 @@ TEST(ArtifactCache, DamagedHeaderFieldFallsBackToRecompile) {
   EXPECT_EQ(cold.stats().disk_errors, 2u);
   EXPECT_EQ(cold.stats().misses, 1u);
   EXPECT_EQ(artifact->vocab_fingerprint, fixture_tokenizer().fingerprint());
-  EXPECT_EQ(core::pipeline::artifact_checksum(*artifact),
-            core::pipeline::artifact_checksum(*compiled));
+  expect_same_components(*artifact, *compiled);
   EXPECT_NO_THROW(
       (void)core::CompiledQuery::from_artifact(artifact, fixture_tokenizer()));
   // The recompile overwrote both entries.
@@ -908,9 +919,7 @@ TEST(ArtifactCache, SiblingQueriesShareComponents) {
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       QueryArtifact fresh = core::pipeline::compile_query_artifact(shapes[i], tok);
       EXPECT_EQ((*artifacts)[i]->key, fresh.key);
-      EXPECT_EQ(core::pipeline::artifact_checksum(*(*artifacts)[i]),
-                core::pipeline::artifact_checksum(fresh));
-      expect_same_masks(*(*artifacts)[i], fresh);
+      expect_same_components(*(*artifacts)[i], fresh);
     }
   }
 }
@@ -952,9 +961,7 @@ TEST(ArtifactCache, ConcurrentSiblingCompiles) {
       ASSERT_TRUE(got[t][i]) << t << " " << i;
       EXPECT_EQ(got[t][i]->key, fresh[i].key);
       EXPECT_EQ(got[t][i]->empty_language, fresh[i].empty_language);
-      EXPECT_EQ(core::pipeline::artifact_checksum(*got[t][i]),
-                core::pipeline::artifact_checksum(fresh[i]));
-      expect_same_masks(*got[t][i], fresh[i]);
+      expect_same_components(*got[t][i], fresh[i]);
     }
   }
   const ArtifactCache::Stats stats = cache.stats();

@@ -37,15 +37,15 @@ TEST(SyncTest, OrderedNestingPasses) {
 }
 
 TEST(SyncTest, FullSubsystemChainPasses) {
-  // The deepest realistic nesting: pool caller -> cache shard -> model shard
+  // The deepest realistic nesting: shared pool -> cache shard -> model shard
   // -> trace -> metrics -> logging, strictly increasing all the way down.
-  Mutex caller(LockRank::kPoolCaller);
+  Mutex pool(LockRank::kPoolShared);
   Mutex compile(LockRank::kCompileCacheShard);
   Mutex model(LockRank::kModelCacheShard);
   Mutex sink(LockRank::kTraceSink);
   Mutex registry(LockRank::kMetricsRegistry);
   Mutex logging(LockRank::kLogging);
-  ScopedLock l1(caller);
+  ScopedLock l1(pool);
   ScopedLock l2(compile);
   ScopedLock l3(model);
   ScopedLock l4(sink);
@@ -81,18 +81,6 @@ TEST_F(SyncDeathTest, EqualRankNestingDies) {
       "lock rank order violation");
 }
 
-TEST_F(SyncDeathTest, TryLockCheckedAgainstRank) {
-  // A try_lock that would succeed out of order is the same latent deadlock.
-  EXPECT_DEATH(
-      {
-        Mutex logging(LockRank::kLogging);
-        Mutex shard(LockRank::kModelCacheShard);
-        ScopedLock high(logging);
-        shard.try_lock();
-      },
-      "lock rank order violation");
-}
-
 TEST_F(SyncDeathTest, AssertHeldDiesWhenNotHeld) {
   EXPECT_DEATH(
       {
@@ -113,28 +101,6 @@ TEST(SyncTest, ReleaseRestoresRankHeadroom) {
   SUCCEED();
 }
 
-TEST(SyncTest, TryLockSucceedsAndTracksRank) {
-  Mutex m(LockRank::kPoolJob);
-  ASSERT_TRUE(m.try_lock());
-  m.assert_held();
-  m.unlock();
-}
-
-TEST(SyncTest, TryLockFailsOnContendedMutex) {
-  Mutex m(LockRank::kPoolJob);
-  std::atomic<bool> held{false};
-  std::atomic<bool> done{false};
-  std::thread holder([&] {
-    ScopedLock lock(m);
-    held.store(true);
-    while (!done.load()) std::this_thread::yield();
-  });
-  while (!held.load()) std::this_thread::yield();
-  EXPECT_FALSE(m.try_lock());
-  done.store(true);
-  holder.join();
-}
-
 TEST(SyncTest, ScopedLockUnlockRelock) {
   Mutex m(LockRank::kPoolState);
   ScopedLock lock(m);
@@ -151,11 +117,11 @@ TEST(SyncTest, ScopedLockUnlockAllowsReacquireLowerRank) {
   // While it is dropped the thread's rank headroom must fully reset, so even
   // a lower-ranked acquisition is legal.
   Mutex state(LockRank::kPoolState);
-  Mutex caller(LockRank::kPoolCaller);
+  Mutex shared(LockRank::kPoolShared);
   ScopedLock lock(state);
   lock.unlock();
   {
-    ScopedLock other(caller);  // lower rank: legal only because state is free
+    ScopedLock other(shared);  // lower rank: legal only because state is free
   }
   lock.lock();
 }
@@ -205,43 +171,6 @@ TEST(SyncTest, CondVarWaitReleasesRankWhileBlocked) {
   }
   waiter.join();
   EXPECT_EQ(stage, 3);
-}
-
-TEST(SyncTest, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex m(LockRank::kCompileCacheConfig);
-  std::atomic<int> readers{0};
-  std::atomic<int> peak{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&] {
-      while (!go.load()) std::this_thread::yield();
-      SharedScopedLock lock(m);
-      const int now = readers.fetch_add(1) + 1;
-      int expect = peak.load();
-      while (now > expect && !peak.compare_exchange_weak(expect, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      readers.fetch_sub(1);
-    });
-  }
-  go.store(true);
-  for (auto& t : threads) t.join();
-  // With four readers sleeping 20ms inside the shared section, at least two
-  // must have overlapped unless the scheduler serialized them pathologically.
-  EXPECT_GE(peak.load(), 2);
-}
-
-TEST_F(SyncDeathTest, SharedAcquisitionObeysRankOrder) {
-  // Readers can block writers, so shared acquisitions follow the same rule.
-  EXPECT_DEATH(
-      {
-        Mutex shard(LockRank::kModelCacheShard);
-        SharedMutex config(LockRank::kCompileCacheConfig);
-        ScopedLock high(shard);
-        SharedScopedLock low(config);
-      },
-      "lock rank order violation");
 }
 
 TEST(SyncTest, ContentionCountersIncrement) {
@@ -304,9 +233,9 @@ TEST(SyncTest, InstrumentOffLockSkipsMetrics) {
 
 TEST(SyncTest, LockRankNamesCoverAllRanks) {
   for (LockRank rank :
-       {LockRank::kPoolShared, LockRank::kPoolCaller, LockRank::kPoolState,
-        LockRank::kPoolJob, LockRank::kCompileCacheConfig,
-        LockRank::kCompileCacheShard, LockRank::kModelCacheShard,
+       {LockRank::kPoolShared, LockRank::kPoolState, LockRank::kPoolJob,
+        LockRank::kCompileCacheConfig, LockRank::kCompileCacheShard,
+        LockRank::kModelCacheInflight, LockRank::kModelCacheShard,
         LockRank::kTraceSink, LockRank::kTraceBuffer,
         LockRank::kMetricsRegistry, LockRank::kLogging}) {
     EXPECT_STRNE(lock_rank_name(rank), "?");

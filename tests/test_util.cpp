@@ -212,6 +212,34 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(total.load(), 10);
 }
 
+// Concurrent callers are not serialized: each drains its own batch while
+// idle workers serve the latest one, and every index of every call still
+// runs exactly once.
+TEST(ThreadPool, ConcurrentCallersEachDrainTheirOwnBatch) {
+  ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCalls = 50;
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t call = 0; call < kCalls; ++call) {
+        std::vector<std::atomic<int>> runs(97);
+        pool.parallel_for(runs.size(),
+                          [&](std::size_t i) { runs[i].fetch_add(1); });
+        for (const auto& r : runs) {
+          if (r.load() != 1) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0u);
+}
+
 TEST(ThreadPool, SharedPoolResizable) {
   ThreadPool::set_shared_threads(3);
   EXPECT_EQ(ThreadPool::shared().threads(), 3u);
@@ -224,8 +252,8 @@ TEST(ThreadPool, SharedPoolResizable) {
 
 // ---------------------------------------------------------------------------
 // Async batches (ThreadPool::submit). Pool sizes 1, 2 and 4: a one-thread
-// pool runs every batch inside submit; the others hand tasks to workers when
-// the host has spare cores.
+// pool runs every batch inside submit; the others hand batches of two or
+// more tasks to workers when the host has spare cores.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kPoolSizes[] = {1, 2, 4};
@@ -321,23 +349,65 @@ TEST(AsyncBatch, SubmitInsideParallelForDrainsSerially) {
   }
 }
 
-TEST(AsyncBatch, SerialSubmitAllocatesNothing) {
-  ThreadPool pool(1);
-  std::vector<std::size_t> out(64, 0);
-  // One captured reference: std::function stores it inline.
-  auto body = [&out](std::size_t i) { out[i] = i + 1; };
-  pool.submit(out.size(), body).wait_all();  // warm-up: registers the metrics
-
-  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
-  {
-    ThreadPool::AsyncBatch batch = pool.submit(out.size(), body);
-    for (std::size_t i = 0; i < out.size(); ++i) batch.wait(i);
-    batch.wait_all();
-    batch.rethrow_if_error();
+// A thread is in a parallel region while it runs a task, the submitter too
+// when it helps inside wait(i): a nested submit from such a task runs inline
+// on that thread instead of handing its tasks to idle workers.
+TEST(AsyncBatch, TaskRunByWaiterRunsNestedCallsInline) {
+  ThreadPool pool(4);
+  const std::thread::id self = std::this_thread::get_id();
+  constexpr std::size_t kTasks = 4;
+  std::atomic<bool> submitted{false};
+  std::atomic<int> run_in_wait{0};
+  std::atomic<int> foreign{0};
+  ThreadPool::AsyncBatch batch = pool.submit(kTasks, [&](std::size_t) {
+    const std::thread::id runner = std::this_thread::get_id();
+    if (runner == self && submitted.load()) {
+      run_in_wait.fetch_add(1);
+      // Let the workers finish their own tasks and go idle first.
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    std::array<std::thread::id, 16> ran_on{};
+    pool.submit(ran_on.size(), [&](std::size_t i) {
+          ran_on[i] = std::this_thread::get_id();
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }).wait_all();
+    for (const std::thread::id& id : ran_on) {
+      if (id != runner) foreign.fetch_add(1);
+    }
+  });
+  submitted.store(true);
+  for (std::size_t i = 0; i < kTasks; ++i) batch.wait(i);
+  batch.wait_all();
+  EXPECT_EQ(foreign.load(), 0);
+  // On a host without a spare core, submit ran the whole batch inline.
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GE(run_in_wait.load(), 1);
   }
-  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "a serial submit allocated";
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + 1);
+}
+
+// Inline batches allocate nothing: every batch on a one-thread pool, and a
+// batch of one task on a bigger pool.
+TEST(AsyncBatch, SerialSubmitAllocatesNothing) {
+  for (const auto& [threads, tasks] :
+       {std::pair<std::size_t, std::size_t>{1, 64}, {4, 1}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    std::vector<std::size_t> out(tasks, 0);
+    // One captured reference: std::function stores it inline.
+    auto body = [&out](std::size_t i) { out[i] = i + 1; };
+    pool.submit(out.size(), body).wait_all();  // warm-up: registers the metrics
+
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    {
+      ThreadPool::AsyncBatch batch = pool.submit(out.size(), body);
+      for (std::size_t i = 0; i < out.size(); ++i) batch.wait(i);
+      batch.wait_all();
+      batch.rethrow_if_error();
+    }
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << "a serial submit allocated";
+    for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + 1);
+  }
 }
 
 }  // namespace
