@@ -6,11 +6,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <string>
+
 #include "automata/algebra.hpp"
 #include "automata/determinize.hpp"
 #include "automata/levenshtein.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/regex.hpp"
+#include "automata/thompson.hpp"
 #include "automata/walks.hpp"
 #include "core/compiler.hpp"
 #include "core/pipeline/cache.hpp"
@@ -39,6 +43,21 @@ void BM_RegexCompileUrl(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegexCompileUrl);
+
+// Subset construction of the URL body's Thompson NFA alone (42 subsets,
+// 3,373 edges): one closure and one intern per byte class, not per byte.
+void BM_DeterminizeUrlBody(benchmark::State& state) {
+  const std::string body = std::string(kUrlPattern).substr(std::strlen("https://www."));
+  const automata::Nfa nfa = automata::thompson_construct(*automata::parse_regex(body));
+  automata::Dfa dfa(1);
+  for (auto _ : state) {
+    dfa = automata::determinize(nfa);
+    benchmark::DoNotOptimize(dfa);
+  }
+  state.counters["dfa_states"] = static_cast<double>(dfa.num_states());
+  state.counters["dfa_edges"] = static_cast<double>(dfa.num_edges());
+}
+BENCHMARK(BM_DeterminizeUrlBody);
 
 void BM_RegexCompileDate(benchmark::State& state) {
   for (auto _ : state) {
@@ -138,6 +157,27 @@ void BM_CompileLiteralPrefix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileLiteralPrefix);
+
+// One cloze word-list body component: a 30-word disjunction under the cloze
+// suffix through the full component pipeline (parse, Thompson, subset
+// construction, minimize, canonical lift by enumeration, token masks).
+void BM_CompileWordListBody(benchmark::State& state) {
+  core::SimpleSearchQuery query;
+  query.query_string.query_str =
+      " ((keeper)|(lighthouse)|(boats)|(tide)|(dawn)|(Mara)|(word)|(three)|"
+      "(morning)|(harbor)|(island)|(storm)|(lantern)|(rope)|(sailor)|"
+      "(village)|(mother)|(brother)|(window)|(stairs)|(shore)|(night)|"
+      "(gulls)|(rocks)|(signal)|(captain)|(letter)|(winter)|(beacon)|(ferry))"
+      "(\\.|\\!|\\?)?(\")?";
+  query.tokenization_strategy = core::TokenizationStrategy::kCanonicalTokens;
+  (void)world();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::pipeline::compile_component(
+        query, core::pipeline::Side::kBody, *world().tokenizer,
+        core::pipeline::ArtifactKey{}));
+  }
+}
+BENCHMARK(BM_CompileWordListBody);
 
 void BM_WalkCounts(benchmark::State& state) {
   automata::Dfa lang = automata::levenshtein_expand(

@@ -59,7 +59,8 @@ for target in fuzz_regex_parser fuzz_algebra_compile fuzz_dfa_loader \
     "$BUILD/fuzz/$target" -runs="$RUNS" -seed="$SEED" tests/fuzz_corpus
   else
     "$BUILD/fuzz/$target" --runs "$RUNS" --seed "$SEED" \
-        tests/fuzz_corpus/*.json tests/fuzz_corpus/*.relmc
+        tests/fuzz_corpus/*.json tests/fuzz_corpus/*.relmc \
+        tests/fuzz_corpus/*.regex
   fi
 done
 

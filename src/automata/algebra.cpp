@@ -1,6 +1,5 @@
 #include "automata/algebra.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -9,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "automata/byte_classes.hpp"
 #include "automata/determinize.hpp"
 #include "automata/thompson.hpp"
 #include "obs/metrics.hpp"
@@ -39,32 +39,6 @@ struct BudgetMeter {
     }
   }
 };
-
-// Epsilon closure of a sorted/unsorted state list, returned sorted+deduped.
-std::vector<StateId> closure_of(const Nfa& nfa, std::vector<StateId> states) {
-  std::vector<bool> seen(nfa.num_states(), false);
-  std::deque<StateId> work;
-  for (StateId s : states) {
-    if (!seen[s]) {
-      seen[s] = true;
-      work.push_back(s);
-    }
-  }
-  std::vector<StateId> closure;
-  while (!work.empty()) {
-    StateId s = work.front();
-    work.pop_front();
-    closure.push_back(s);
-    for (const Edge& e : nfa.edges(s)) {
-      if (e.symbol == kEpsilon && !seen[e.to]) {
-        seen[e.to] = true;
-        work.push_back(e.to);
-      }
-    }
-  }
-  std::sort(closure.begin(), closure.end());
-  return closure;
-}
 
 // The boolean expression tree over NFA leaves that one product construction
 // evaluates. Nodes index into AlgebraCompiler::exprs_.
@@ -152,11 +126,8 @@ class AlgebraCompiler {
         }
         case RegexKind::kCharClass: {
           Frag f = fresh();
-          for (unsigned b = 0; b < 256; ++b) {
-            if (node.char_class.test(b)) {
-              nfa_.add_edge(f.start, static_cast<Symbol>(b), f.accept);
-            }
-          }
+          for_each_byte(node.char_class,
+                        [&](unsigned b) { nfa_.add_edge(f.start, b, f.accept); });
           return f;
         }
         case RegexKind::kConcat: {
@@ -334,6 +305,16 @@ class AlgebraCompiler {
     static obs::Counter& states = obs::Registry::instance().counter(
         "automata.algebra.lazy_states");
 
+    // Classes split by every leaf's edges and by the universe: each
+    // explore_symbols result is then a union of classes, and whether a byte
+    // is in the universe is the same across a class.
+    ByteClasses classes(256);
+    for (const Nfa& leaf : leaves) classes.split_runs(leaf);
+    classes.split_set(opts_.universe);
+    std::vector<NfaStepper> steppers;
+    steppers.reserve(leaves.size());
+    for (const Nfa& leaf : leaves) steppers.emplace_back(leaf, classes);
+
     Dfa out(256);
     std::map<PState, StateId> ids;
     std::deque<const PState*> work;
@@ -352,44 +333,46 @@ class AlgebraCompiler {
     };
 
     PState start;
-    start.subsets.reserve(leaves.size());
-    for (const Nfa& leaf : leaves) {
-      start.subsets.push_back(closure_of(leaf, {leaf.start()}));
+    start.subsets.resize(leaves.size());
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      const StateId s = leaves[i].start();
+      steppers[i].close({&s, 1}, start.subsets[i]);
     }
     out.set_start(intern(std::move(start)));
 
+    // One step per explored class, in order of the classes' smallest bytes:
+    // a new product state is interned exactly where a per-byte loop first
+    // meets it, so the numbering and the budget match it.
+    std::vector<StateId> class_target(classes.size(), kNoState);
     while (!work.empty()) {
+      // std::map nodes are stable, so `st` survives the interns below.
       const PState& st = *work.front();
       work.pop_front();
       StateId from = ids.at(st);
       ByteSet syms = explore_symbols(exprs, leaves, root, st);
-      for (unsigned b = 0; b < 256; ++b) {
-        if (!syms.test(b)) continue;
+      for (std::size_t i = 0; i < leaves.size(); ++i) {
+        steppers[i].gather(st.subsets[i]);
+      }
+      for (std::uint32_t c = 1; c < classes.size(); ++c) {
+        const Symbol rep = classes.representative(c);
+        if (!syms.test(rep)) continue;
         PState next;
-        next.subsets.reserve(leaves.size());
+        next.subsets.resize(leaves.size());
         for (std::size_t i = 0; i < leaves.size(); ++i) {
-          next.subsets.push_back(
-              step(leaves[i], st.subsets[i], static_cast<Symbol>(b)));
+          std::span<const StateId> moved = steppers[i].targets(c);
+          if (!moved.empty()) steppers[i].close(moved, next.subsets[i]);
         }
-        next.in_universe = st.in_universe && opts_.universe.test(b);
-        // `st` may dangle after intern() rehashes nothing (std::map nodes
-        // are stable), but `from` was captured before any insertion.
-        StateId to = intern(std::move(next));
-        out.add_edge(from, static_cast<Symbol>(b), to);
+        next.in_universe = st.in_universe && opts_.universe.test(rep);
+        class_target[c] = intern(std::move(next));
+      }
+      for (Symbol b : classes.edge_symbols()) {
+        if (!syms.test(b)) continue;
+        RELM_DCHECK(syms.test(classes.representative(classes.of(b))),
+                    "lazy_product: explored bytes must be a union of classes");
+        out.add_edge(from, b, class_target[classes.of(b)]);
       }
     }
     return trim(out);
-  }
-
-  static Subset step(const Nfa& leaf, const Subset& subset, Symbol symbol) {
-    std::vector<StateId> moved;
-    for (StateId s : subset) {
-      for (const Edge& e : leaf.edges(s)) {
-        if (e.symbol == symbol) moved.push_back(e.to);
-      }
-    }
-    if (moved.empty()) return {};
-    return closure_of(leaf, std::move(moved));
   }
 
   bool eval(const std::vector<Expr>& exprs, const std::vector<Nfa>& leaves,

@@ -7,6 +7,10 @@ namespace relm::automata {
 
 void Dfa::add_edge(StateId from, Symbol symbol, StateId to) {
   auto& list = edges_[from];
+  if (list.empty() || list.back().symbol < symbol) {
+    list.push_back(Edge{symbol, to});
+    return;
+  }
   auto it = std::lower_bound(
       list.begin(), list.end(), symbol,
       [](const Edge& e, Symbol s) { return e.symbol < s; });

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "automata/byte_classes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/errors.hpp"
@@ -15,31 +16,16 @@
 namespace relm::automata {
 namespace {
 
-// Epsilon closure of a sorted state set, returned sorted and deduplicated.
-std::vector<StateId> epsilon_closure(const Nfa& nfa, std::vector<StateId> states) {
-  std::vector<bool> seen(nfa.num_states(), false);
-  std::deque<StateId> work;
-  for (StateId s : states) {
-    if (!seen[s]) {
-      seen[s] = true;
-      work.push_back(s);
+struct SignatureHash {
+  std::size_t operator()(const std::vector<StateId>& sig) const noexcept {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ sig.size();
+    for (StateId v : sig) {
+      h = (h ^ v) * 0xff51afd7ed558ccdull;
+      h ^= h >> 32;
     }
+    return static_cast<std::size_t>(h);
   }
-  std::vector<StateId> closure;
-  while (!work.empty()) {
-    StateId s = work.front();
-    work.pop_front();
-    closure.push_back(s);
-    for (const Edge& e : nfa.edges(s)) {
-      if (e.symbol == kEpsilon && !seen[e.to]) {
-        seen[e.to] = true;
-        work.push_back(e.to);
-      }
-    }
-  }
-  std::sort(closure.begin(), closure.end());
-  return closure;
-}
+};
 
 }  // namespace
 
@@ -49,14 +35,20 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states) {
   runs.add();
   RELM_DCHECK(nfa.num_states() > 0 && nfa.start() < nfa.num_states(),
               "determinize: NFA start state out of range");
+  ByteClasses classes(nfa.num_symbols());
+  classes.split_runs(nfa);
+  NfaStepper stepper(nfa, classes);
   Dfa dfa(nfa.num_symbols());
 
-  std::map<std::vector<StateId>, StateId> subset_ids;
-  std::deque<std::vector<StateId>> work;
+  // subsets[id] is DFA state id's subset, a key of `ids` (whose nodes never
+  // move). States are stepped in id order, which is the order they were
+  // interned: a FIFO worklist without the queue.
+  std::unordered_map<std::vector<StateId>, StateId, SignatureHash> ids;
+  std::vector<const std::vector<StateId>*> subsets;
 
-  auto intern = [&](std::vector<StateId> subset) -> StateId {
-    auto it = subset_ids.find(subset);
-    if (it != subset_ids.end()) return it->second;
+  auto intern = [&](const std::vector<StateId>& subset) -> StateId {
+    auto it = ids.find(subset);
+    if (it != ids.end()) return it->second;
     if (max_states != 0 && dfa.num_states() >= max_states) {
       static obs::Counter& exceeded = obs::Registry::instance().counter(
           "automata.determinize.budget_exceeded");
@@ -65,51 +57,35 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states) {
           "subset construction exceeded the determinization state budget",
           max_states);
     }
-    bool is_final = false;
-    for (StateId s : subset) {
-      if (nfa.is_final(s)) {
-        is_final = true;
-        break;
-      }
-    }
-    StateId id = dfa.add_state(is_final);
-    subset_ids.emplace(subset, id);
-    work.push_back(std::move(subset));
+    const bool is_final = std::any_of(subset.begin(), subset.end(),
+                                      [&](StateId s) { return nfa.is_final(s); });
+    const StateId id = dfa.add_state(is_final);
+    subsets.push_back(&ids.emplace(subset, id).first->first);
     return id;
   };
 
-  std::vector<StateId> start_subset =
-      epsilon_closure(nfa, {nfa.start()});
-  StateId start_id = intern(std::move(start_subset));
-  dfa.set_start(start_id);
+  std::vector<StateId> closure;
+  const StateId start = nfa.start();
+  stepper.close({&start, 1}, closure);
+  dfa.set_start(intern(closure));
 
-  while (!work.empty()) {
-    std::vector<StateId> subset = std::move(work.front());
-    work.pop_front();
-    StateId from_id = subset_ids.at(subset);
-
-    // Group successor NFA states by symbol. Only symbols with outgoing edges
-    // are touched, which keeps 256-ary alphabets cheap for sparse automata.
-    std::unordered_map<Symbol, std::vector<StateId>> moves;
-    for (StateId s : subset) {
-      for (const Edge& e : nfa.edges(s)) {
-        if (e.symbol != kEpsilon) moves[e.symbol].push_back(e.to);
-      }
+  // One closure and one intern per class with a move, in order of the
+  // classes' smallest symbols: a new subset is interned exactly where a
+  // per-symbol loop first meets it, so the numbering (and the state count at
+  // which the budget fires) is the per-symbol construction's. Edges then go
+  // in by ascending symbol.
+  std::vector<StateId> class_target(classes.size(), kNoState);
+  for (StateId from = 0; from < dfa.num_states(); ++from) {
+    stepper.gather(*subsets[from]);
+    for (std::uint32_t c : stepper.touched()) {
+      stepper.close(stepper.targets(c), closure);
+      class_target[c] = intern(closure);
     }
-
-    // Deterministic iteration order for reproducible state numbering.
-    std::vector<Symbol> symbols;
-    symbols.reserve(moves.size());
-    for (const auto& [sym, _] : moves) symbols.push_back(sym);
-    std::sort(symbols.begin(), symbols.end());
-
-    for (Symbol sym : symbols) {
-      RELM_DCHECK(sym < nfa.num_symbols(),
-                  "determinize: NFA edge symbol outside the alphabet");
-      std::vector<StateId> target = epsilon_closure(nfa, std::move(moves[sym]));
-      StateId to_id = intern(std::move(target));
-      dfa.add_edge(from_id, sym, to_id);
+    for (Symbol b : classes.edge_symbols()) {
+      const StateId to = class_target[classes.of(b)];
+      if (to != kNoState) dfa.add_edge(from, b, to);
     }
+    for (std::uint32_t c : stepper.touched()) class_target[c] = kNoState;
   }
   return dfa;
 }
@@ -254,17 +230,6 @@ std::optional<std::vector<StateId>> acyclic_post_order(const Dfa& dfa) {
 }
 
 namespace {
-
-struct SignatureHash {
-  std::size_t operator()(const std::vector<StateId>& sig) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull ^ sig.size();
-    for (StateId v : sig) {
-      h = (h ^ v) * 0xff51afd7ed558ccdull;
-      h ^= h >> 32;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 // Revuz's pass: in post-order every edge's target already has its class, so
 // one exact signature lookup per state classifies it. Two states of a trim

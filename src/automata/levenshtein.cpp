@@ -10,6 +10,10 @@
 namespace relm::automata {
 
 Dfa levenshtein_expand(const Dfa& language, int distance, const ByteSet& alphabet) {
+  return minimize(determinize(levenshtein_nfa(language, distance, alphabet)));
+}
+
+Nfa levenshtein_nfa(const Dfa& language, int distance, const ByteSet& alphabet) {
   if (distance < 0) throw relm::Error("levenshtein distance must be >= 0");
   if (language.num_symbols() != 256) {
     throw relm::Error("levenshtein_expand requires a byte-alphabet automaton");
@@ -28,9 +32,7 @@ Dfa levenshtein_expand(const Dfa& language, int distance, const ByteSet& alphabe
   auto id = [&](StateId q, int e) { return ids[q * budgets + e]; };
 
   std::vector<unsigned> alpha;
-  for (unsigned b = 0; b < 256; ++b) {
-    if (alphabet.test(b)) alpha.push_back(b);
-  }
+  for_each_byte(alphabet, [&](unsigned b) { alpha.push_back(b); });
 
   for (StateId q = 0; q < n; ++q) {
     for (int e = 0; e < budgets; ++e) {
@@ -59,7 +61,7 @@ Dfa levenshtein_expand(const Dfa& language, int distance, const ByteSet& alphabe
     }
   }
   nfa.set_start(id(language.start(), 0));
-  return minimize(determinize(nfa));
+  return nfa;
 }
 
 std::size_t edit_distance(std::string_view a, std::string_view b) {

@@ -19,6 +19,11 @@ namespace relm::automata {
 // The result is determinized and minimized.
 Dfa levenshtein_expand(const Dfa& language, int distance, const ByteSet& alphabet);
 
+// The NFA levenshtein_expand determinizes: state (q, e) is "source automaton
+// at q, having spent e edits", with match, insert, delete (epsilon) and
+// substitute moves.
+Nfa levenshtein_nfa(const Dfa& language, int distance, const ByteSet& alphabet);
+
 // Convenience: edit distance between two strings (used by tests to
 // brute-force-check levenshtein_expand).
 std::size_t edit_distance(std::string_view a, std::string_view b);

@@ -1,8 +1,5 @@
 #include "automata/regex_ast.hpp"
 
-#include <bit>
-#include <cstdint>
-
 namespace relm::automata {
 
 RegexPtr RegexNode::empty_set() {
@@ -107,17 +104,8 @@ bool append_literal(const RegexNode& node, std::string& bytes) {
       return true;
     case RegexKind::kCharClass: {
       if (node.char_class.count() != 1) return false;
-      // The one set bit, found a 64-bit word at a time.
-      const ByteSet low_word(~0ull);
-      for (unsigned word = 0; word < 4; ++word) {
-        std::uint64_t bits =
-            ((node.char_class >> (64 * word)) & low_word).to_ullong();
-        if (bits != 0) {
-          bytes.push_back(
-              static_cast<char>(64 * word + std::countr_zero(bits)));
-          break;
-        }
-      }
+      for_each_byte(node.char_class,
+                    [&](unsigned b) { bytes.push_back(static_cast<char>(b)); });
       return true;
     }
     case RegexKind::kConcat:

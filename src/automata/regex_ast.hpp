@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <bitset>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +15,19 @@ namespace relm::automata {
 // sets (a literal `a` is the singleton set {a}); this collapses literals,
 // escapes like \d, `.` and bracket classes into one node kind.
 using ByteSet = std::bitset<256>;
+
+// Calls f(b) for every member b of `set` in ascending order, a 64-bit word at
+// a time, so a set costs its members rather than 256 bit tests.
+template <class F>
+void for_each_byte(const ByteSet& set, F&& f) {
+  constexpr ByteSet low_word(~0ull);
+  for (unsigned word = 0; word < 4; ++word) {
+    std::uint64_t bits = ((set >> (64 * word)) & low_word).to_ullong();
+    for (; bits != 0; bits &= bits - 1) {
+      f(64 * word + static_cast<unsigned>(std::countr_zero(bits)));
+    }
+  }
+}
 
 enum class RegexKind {
   kEmptySet,    // ∅ — matches nothing

@@ -41,11 +41,8 @@ class Builder {
       }
       case RegexKind::kCharClass: {
         Fragment f = fresh();
-        for (unsigned b = 0; b < 256; ++b) {
-          if (node.char_class.test(b)) {
-            nfa_.add_edge(f.start, static_cast<Symbol>(b), f.accept);
-          }
-        }
+        for_each_byte(node.char_class,
+                      [&](unsigned b) { nfa_.add_edge(f.start, b, f.accept); });
         return f;
       }
       case RegexKind::kConcat: {

@@ -1,9 +1,11 @@
 #include "core/compiler.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "automata/byte_classes.hpp"
 #include "automata/determinize.hpp"
 #include "automata/ops.hpp"
 #include "obs/trace.hpp"
@@ -18,33 +20,45 @@ using automata::StateId;
 using tokenizer::BpeTokenizer;
 using tokenizer::TokenId;
 
-// Appendix B, Algorithms 1 + 2, literally: for every DFA state and every
-// vocabulary token, DFS-match the token's string from that state; surviving
-// walks become shortcut edges. O(V * k * m_max), exactly the paper's bound.
-// A trie-sharing walk (a cross-check in tests/test_core.cpp) is faster only
-// on long literals compiled with all encodings (EXPERIMENTS.md). `source`
-// must be trim.
+// Appendix B, Algorithms 1 + 2: for every DFA state and every vocabulary
+// token, walk the token's string from that state; surviving walks become
+// shortcut edges. O(V * k * m_max), exactly the paper's bound. Each byte is
+// one lookup in a (state x byte class) table of `source` rather than a
+// binary search of the state's edges, and a token holding a byte that lies
+// on no edge (class 0) dies from every state. A trie-sharing walk (a
+// cross-check in tests/test_core.cpp) is faster only on long literals
+// compiled with all encodings (EXPERIMENTS.md). `source` must be trim.
 Dfa build_all_tokens(const Dfa& source, const BpeTokenizer& tok) {
   RELM_TRACE_SPAN("compile.all_tokens");
+  automata::ByteClasses classes(source.num_symbols());
+  classes.split_runs(source);
+  const std::size_t width = classes.size();
+  std::vector<StateId> table(source.num_states() * width, automata::kNoState);
+  for (StateId s = 0; s < source.num_states(); ++s) {
+    for (const automata::Edge& e : source.edges(s)) {
+      table[s * width + classes.of(e.symbol)] = e.to;
+    }
+  }
+
   Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
   for (StateId s = 0; s < source.num_states(); ++s) {
     out.add_state(source.is_final(s));
   }
   out.set_start(source.start());
+  std::vector<std::uint32_t> word_classes;
   for (TokenId token = 0; token < tok.vocab_size(); ++token) {
     const std::string& word = tok.token_string(token);
     if (word.empty()) continue;  // EOS
+    word_classes.clear();
+    for (unsigned char c : word) word_classes.push_back(classes.of(c));
+    if (std::ranges::find(word_classes, 0u) != word_classes.end()) continue;
     for (StateId origin = 0; origin < source.num_states(); ++origin) {
       StateId state = origin;
-      bool alive = true;
-      for (unsigned char c : word) {
-        state = source.next(state, c);
-        if (state == automata::kNoState) {
-          alive = false;
-          break;
-        }
+      for (std::uint32_t c : word_classes) {
+        state = table[state * width + c];
+        if (state == automata::kNoState) break;
       }
-      if (alive) out.add_edge(origin, token, state);
+      if (state != automata::kNoState) out.add_edge(origin, token, state);
     }
   }
   return automata::trim(out);

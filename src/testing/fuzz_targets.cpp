@@ -18,6 +18,7 @@
 #include "core/compiled_query.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
+#include "testing/determinize_per_byte.hpp"
 #include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
 #include "testing/hopcroft.hpp"
@@ -126,10 +127,18 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
   // and subset construction, and minimizes by the post-order pass or Moore;
   // every combination must equal Hopcroft over the Thompson path exactly.
   // compile_ast fit the budget, so this subset construction (of the same
-  // NFA, or one with a chain's n + 1 subsets) does too.
+  // NFA, or one with a chain's n + 1 subsets) does too. Subset construction
+  // over byte classes must equal the per-byte reference structurally, and the
+  // Hopcroft side is built from the reference.
   if (!automata::has_boolean_ops(*ast)) {
-    automata::Dfa reference = minimize_hopcroft(automata::trim(
-        automata::determinize(automata::thompson_construct(*ast))));
+    const automata::Nfa nfa = automata::thompson_construct(*ast);
+    const automata::Dfa subsets = determinize_per_byte(nfa);
+    if (automata::determinize(nfa) != subsets) {
+      die("fuzz_algebra_compile",
+          "subset construction over byte classes differs from the per-byte "
+          "reference on \"" + pattern + "\"");
+    }
+    automata::Dfa reference = minimize_hopcroft(automata::trim(subsets));
     if (automata::minimize(lazy_dfa) != reference) {
       die("fuzz_algebra_compile",
           "minimize(compile_ast) differs from Hopcroft over Thompson on \"" +

@@ -28,9 +28,10 @@ int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size);
 // Boolean-algebra compiler: parse, then compile through the algebra
 // product/subset construction under a small state budget (so adversarial
 // complements terminate). When the eager reference (compile_ast_eager) also
-// fits the budget, the two DFAs must be language-equivalent. A boolean-free
-// pattern's minimized DFA must also equal minimize_hopcroft over Thompson
-// and subset construction structurally.
+// fits the budget, the two DFAs must be language-equivalent. For a
+// boolean-free pattern, subset construction of its Thompson NFA must equal
+// determinize_per_byte structurally, and its minimized DFA must equal
+// minimize_hopcroft over that reference.
 int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size);
 
 // Fuzz-repro JSON reader: strict Json::parse, then TrialCase::from_json on

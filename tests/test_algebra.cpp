@@ -3,7 +3,12 @@
 // the lazy product against the eager reference (testing/eager_algebra.hpp)
 // under a state budget, and the distinguishing-word machinery itself.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,7 +21,9 @@
 #include "automata/regex_ast.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/thompson.hpp"
+#include "testing/determinize_per_byte.hpp"
 #include "testing/eager_algebra.hpp"
+#include "testing/fuzz_targets.hpp"
 #include "testing/generators.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -397,6 +404,44 @@ TEST(DfaEquivalent, ThrowsOnAlphabetMismatch) {
   Dfa tokens(500);
   tokens.add_state(true);
   EXPECT_THROW((void)dfa_equivalent(bytes, tokens), relm::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Fuzz corpus: the regex seeds
+// ---------------------------------------------------------------------------
+
+// tests/fuzz_corpus/*.regex hold patterns random bytes rarely produce:
+// overlapping ranges, negated classes, complements and differences against
+// the universe. Each must compile within fuzz_algebra_compile's budget, agree
+// with the eager reference, determinize (when boolean-free) exactly as the
+// per-byte reference does, and pass the fuzz target itself.
+TEST(FuzzCorpus, RegexSeedsCompileAndAgreeWithReferences) {
+  std::vector<std::filesystem::path> seeds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(RELM_FUZZ_CORPUS_DIR)) {
+    if (entry.path().extension() == ".regex") seeds.push_back(entry.path());
+  }
+  std::sort(seeds.begin(), seeds.end());
+  ASSERT_GE(seeds.size(), 6u);
+  for (const auto& path : seeds) {
+    SCOPED_TRACE(path.filename().string());
+    std::ifstream in(path, std::ios::binary);
+    const std::string pattern{std::istreambuf_iterator<char>(in), {}};
+    ASSERT_FALSE(pattern.empty());
+    RegexPtr ast = automata::parse_regex(pattern);
+    AlgebraOptions options;
+    options.state_budget = 4096;
+    const Dfa lazy = compile_ast(*ast, options);
+    EXPECT_TRUE(dfa_equivalent(lazy, rt::compile_ast_eager(*ast)));
+    if (!automata::has_boolean_ops(*ast)) {
+      const automata::Nfa nfa = automata::thompson_construct(*ast);
+      EXPECT_EQ(automata::determinize(nfa), rt::determinize_per_byte(nfa));
+    }
+    EXPECT_EQ(rt::fuzz_algebra_compile(
+                  reinterpret_cast<const std::uint8_t*>(pattern.data()),
+                  pattern.size()),
+              0);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "automata/byte_classes.hpp"
 #include "automata/determinize.hpp"
 #include "automata/grep.hpp"
 #include "automata/io.hpp"
@@ -14,6 +15,8 @@
 #include "automata/regex_parser.hpp"
 #include "automata/thompson.hpp"
 #include "automata/walks.hpp"
+#include "core/preprocessors.hpp"
+#include "testing/determinize_per_byte.hpp"
 #include "testing/hopcroft.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -835,6 +838,235 @@ TEST(Walks, CountClampsBeyondTable) {
   Dfa dfa = compile_regex("a{0,2}");
   WalkCounts walks(dfa, 4);
   EXPECT_DOUBLE_EQ(walks.count(dfa.start(), 4), walks.count(dfa.start(), 100));
+}
+
+}  // namespace
+}  // namespace relm::automata
+
+namespace relm::automata {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Subset construction over byte classes against the per-byte reference
+// (testing/determinize_per_byte.hpp), mostly on NFAs that Thompson does not
+// build: Levenshtein, union, concatenation, case-insensitive and embedded
+// algebra shapes, interleaved runs, high bytes and a token alphabet.
+// ---------------------------------------------------------------------------
+
+using relm::testing::determinize_per_byte;
+
+// determinize must equal the per-byte construction exactly (same numbering)
+// and fail a state budget at the same state count.
+void expect_matches_per_byte(const Nfa& nfa) {
+  const Dfa reference = determinize_per_byte(nfa);
+  EXPECT_EQ(determinize(nfa), reference);
+  EXPECT_EQ(determinize(nfa, reference.num_states()), reference);
+  if (reference.num_states() > 1) {
+    EXPECT_THROW(determinize(nfa, reference.num_states() - 1),
+                 relm::StateBudgetError);
+    EXPECT_THROW(determinize_per_byte(nfa, reference.num_states() - 1),
+                 relm::StateBudgetError);
+  }
+}
+
+// Copies `dfa`'s states and edges into `nfa`; returns the copy's start.
+StateId copy_into(Nfa& nfa, const Dfa& dfa, bool keep_finals = true) {
+  const StateId base = static_cast<StateId>(nfa.num_states());
+  for (StateId s = 0; s < dfa.num_states(); ++s) {
+    nfa.add_state(keep_finals && dfa.is_final(s));
+  }
+  for (StateId s = 0; s < dfa.num_states(); ++s) {
+    for (const Edge& e : dfa.edges(s)) nfa.add_edge(base + s, e.symbol, base + e.to);
+  }
+  return base + dfa.start();
+}
+
+TEST(ByteClasses, ClassZeroHoldsBytesOnNoEdgeAndOthersNumberBySmallestByte) {
+  Nfa nfa(256);
+  for (int i = 0; i < 3; ++i) nfa.add_state();
+  // One state, runs interleaved in the edge list: {c, a} to 1, {b} to 2,
+  // {d, a} to 1. 'a' and 'c' split apart on the last run.
+  nfa.add_edge(0, 'c', 1);
+  nfa.add_edge(0, 'a', 1);
+  nfa.add_edge(0, 'b', 2);
+  nfa.add_edge(0, 'd', 1);
+  nfa.add_edge(0, 'a', 1);
+  nfa.add_edge(1, kEpsilon, 2);
+  ByteClasses classes(256);
+  classes.split_runs(nfa);
+  ASSERT_EQ(classes.size(), 5u);
+  EXPECT_EQ(classes.of('a'), 1u);
+  EXPECT_EQ(classes.of('b'), 2u);
+  EXPECT_EQ(classes.of('c'), 3u);
+  EXPECT_EQ(classes.of('d'), 4u);
+  EXPECT_EQ(classes.of('e'), 0u);
+  EXPECT_EQ(classes.of(0), 0u);
+  EXPECT_EQ(classes.of(255), 0u);
+  EXPECT_EQ(classes.representative(3), Symbol{'c'});
+  EXPECT_EQ(std::vector<Symbol>(classes.edge_symbols().begin(),
+                                classes.edge_symbols().end()),
+            (std::vector<Symbol>{'a', 'b', 'c', 'd'}));
+
+  // A run covering a whole class keeps it whole: [a-z] to one target.
+  ByteClasses letters(256);
+  letters.split_runs(thompson_construct(*parse_regex("[a-z]+")));
+  EXPECT_EQ(letters.size(), 2u);
+  EXPECT_EQ(letters.of('q'), 1u);
+  EXPECT_EQ(letters.representative(1), Symbol{'a'});
+
+  // The universe leaves class 0 even where no edge reads it, as one class.
+  letters.split_set(printable_ascii());
+  EXPECT_EQ(letters.size(), 3u);
+  EXPECT_EQ(letters.of(' '), 1u);
+  EXPECT_EQ(letters.of('~'), 1u);
+  EXPECT_EQ(letters.of('a'), 2u);
+  EXPECT_EQ(letters.of('\n'), 0u);
+  EXPECT_EQ(letters.representative(1), Symbol{' '});
+}
+
+TEST(ByteClasses, OutOfAlphabetSymbolThrows) {
+  Nfa nfa(4);
+  nfa.add_state();
+  nfa.add_state(true);
+  nfa.add_edge(0, 4, 1);
+  EXPECT_THROW(determinize(nfa), relm::Error);
+}
+
+TEST(DeterminizeByClass, LevenshteinDistanceOneAndTwo) {
+  const Dfa sentence = compile_regex("The man was trained in");
+  for (int distance : {1, 2}) {
+    const Nfa nfa = levenshtein_nfa(sentence, distance, printable_ascii());
+    expect_matches_per_byte(nfa);
+    EXPECT_EQ(levenshtein_expand(sentence, distance, printable_ascii()),
+              minimize(determinize_per_byte(nfa)));
+  }
+  // An alphabet that is not an interval, over a cyclic language.
+  ByteSet vowels;
+  for (char c : std::string("aeiouAEIOU")) vowels.set(static_cast<unsigned char>(c));
+  expect_matches_per_byte(levenshtein_nfa(compile_regex("(ba|ca)+t"), 2, vowels));
+}
+
+TEST(DeterminizeByClass, UnionAndConcatOfDfas) {
+  const Dfa a = compile_regex("[a-m]+x|[0-9]");
+  const Dfa b = compile_regex("[h-z]*y[a-c]");
+  Nfa fork(256);
+  const StateId start = fork.add_state();
+  fork.set_start(start);
+  fork.add_edge(start, kEpsilon, copy_into(fork, a));
+  fork.add_edge(start, kEpsilon, copy_into(fork, b));
+  expect_matches_per_byte(fork);
+  EXPECT_EQ(union_of(a, b), trim(determinize_per_byte(fork)));
+
+  Nfa chained(256);
+  chained.set_start(copy_into(chained, a, /*keep_finals=*/false));
+  const StateId b_start = copy_into(chained, b);
+  for (StateId s = 0; s < a.num_states(); ++s) {
+    if (a.is_final(s)) chained.add_edge(s, kEpsilon, b_start);
+  }
+  expect_matches_per_byte(chained);
+  EXPECT_EQ(concat(a, b), trim(determinize_per_byte(chained)));
+}
+
+TEST(DeterminizeByClass, CaseInsensitiveCopyInterleavesRuns) {
+  // CaseInsensitivePreprocessor's NFA: every letter edge is followed by its
+  // other-case twin to the same target, so runs alternate in case.
+  const Dfa language = compile_regex("(the|a) (cat|dog)s?[.!]");
+  Nfa nfa(256);
+  for (StateId s = 0; s < language.num_states(); ++s) {
+    nfa.add_state(language.is_final(s));
+  }
+  for (StateId s = 0; s < language.num_states(); ++s) {
+    for (const Edge& e : language.edges(s)) {
+      nfa.add_edge(s, e.symbol, e.to);
+      if (e.symbol >= 'a' && e.symbol <= 'z') nfa.add_edge(s, e.symbol - 'a' + 'A', e.to);
+    }
+  }
+  nfa.set_start(language.start());
+  expect_matches_per_byte(nfa);
+  EXPECT_EQ(core::CaseInsensitivePreprocessor().apply(language),
+            minimize(determinize_per_byte(nfa)));
+}
+
+TEST(DeterminizeByClass, EmbeddedAlgebraDfa) {
+  // The algebra compiler's shape for a regular operator over a boolean
+  // subtree: Thompson fragments around an embedded product DFA.
+  const Dfa embedded = compile_regex("~[a-c]");
+  Nfa nfa(256);
+  const StateId start = nfa.add_state();
+  const StateId before = nfa.add_state();
+  const StateId after = nfa.add_state();
+  const StateId accept = nfa.add_state(true);
+  nfa.set_start(start);
+  for (unsigned b = 'w'; b <= 'z'; ++b) nfa.add_edge(start, b, before);
+  const StateId inner = copy_into(nfa, embedded, /*keep_finals=*/false);
+  nfa.add_edge(before, kEpsilon, inner);
+  for (StateId s = 0; s < embedded.num_states(); ++s) {
+    if (embedded.is_final(s)) nfa.add_edge(inner - embedded.start() + s, kEpsilon, after);
+  }
+  nfa.add_edge(after, 'y', accept);
+  nfa.add_edge(after, kEpsilon, start);
+  expect_matches_per_byte(nfa);
+}
+
+TEST(DeterminizeByClass, InterleavedRunsToTwoTargets) {
+  Nfa nfa(256);
+  for (int i = 0; i < 4; ++i) nfa.add_state(i == 3);
+  nfa.set_start(0);
+  for (unsigned b = 'a'; b <= 'j'; ++b) nfa.add_edge(0, b, 1 + (b % 2));
+  for (unsigned b = 'e'; b <= 'p'; b += 3) nfa.add_edge(0, b, 2);
+  nfa.add_edge(1, 'x', 3);
+  nfa.add_edge(2, 'y', 3);
+  nfa.add_edge(2, 'x', 0);
+  nfa.add_edge(1, kEpsilon, 0);
+  expect_matches_per_byte(nfa);
+}
+
+TEST(DeterminizeByClass, HighBytes) {
+  for (const char* pattern : {"[\\x80-\\xff]+\\xff?(\\xfe|[\\xf0-\\xff])",
+                              "(\\xff|a)*\\x80[^\\x00-\\x7f]", "\\xff+\\x00"}) {
+    SCOPED_TRACE(pattern);
+    expect_matches_per_byte(thompson_construct(*parse_regex(pattern)));
+  }
+}
+
+// Random NFAs: interleaved runs, duplicate edges, epsilon cycles, over the
+// byte alphabet and over a 774-token vocabulary.
+TEST(DeterminizeByClass, RandomNfasOverBytesAndTokens) {
+  util::Pcg32 rng(774);
+  for (Symbol alphabet : {Symbol{256}, Symbol{774}}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " trial " +
+                   std::to_string(trial));
+      const StateId n = 2 + rng.bounded(7);
+      // A few hot symbols and ranges make overlapping runs likely.
+      const Symbol lo = rng.bounded(alphabet - 8);
+      Nfa nfa(alphabet);
+      for (StateId s = 0; s < n; ++s) nfa.add_state(rng.bounded(3) == 0);
+      nfa.set_start(0);
+      for (StateId s = 0; s < n; ++s) {
+        const int edges = static_cast<int>(rng.bounded(12));
+        for (int e = 0; e < edges; ++e) {
+          const StateId to = rng.bounded(n);
+          switch (rng.bounded(4)) {
+            case 0:
+              nfa.add_edge(s, kEpsilon, to);
+              break;
+            case 1: {
+              const Symbol first = lo + rng.bounded(8);
+              const Symbol last = first + rng.bounded(6);
+              for (Symbol b = first; b <= last && b < alphabet; ++b) {
+                nfa.add_edge(s, b, to);
+              }
+              break;
+            }
+            default:
+              nfa.add_edge(s, lo + rng.bounded(8), to);
+          }
+        }
+      }
+      expect_matches_per_byte(nfa);
+    }
+  }
 }
 
 }  // namespace

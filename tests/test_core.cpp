@@ -1278,5 +1278,58 @@ INSTANTIATE_TEST_SUITE_P(Patterns, ShortcutEdgeEquivalence,
                                            "(cat)+", "[a-d]{1,3}",
                                            "The cat sat on the mat."));
 
+// Appendix B's loop exactly as written: every token's bytes walked through
+// the trimmed char DFA with one Dfa::next per byte.
+automata::Dfa build_all_tokens_per_byte(const automata::Dfa& char_dfa,
+                                        const BpeTokenizer& tok) {
+  using automata::StateId;
+  automata::Dfa source = automata::trim(char_dfa);
+  automata::Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
+  for (StateId s = 0; s < source.num_states(); ++s) {
+    out.add_state(source.is_final(s));
+  }
+  out.set_start(source.start());
+  for (TokenId token = 0; token < tok.vocab_size(); ++token) {
+    const std::string& word = tok.token_string(token);
+    if (word.empty()) continue;  // EOS
+    for (StateId origin = 0; origin < source.num_states(); ++origin) {
+      StateId state = origin;
+      for (unsigned char c : word) {
+        state = source.next(state, c);
+        if (state == automata::kNoState) break;
+      }
+      if (state != automata::kNoState) out.add_edge(origin, token, state);
+    }
+  }
+  return automata::trim(out);
+}
+
+// The lift steps bytes through a (state x byte class) table; it must add
+// exactly the per-byte loop's edges.
+TEST(AllTokensLift, ClassTableMatchesPerByteLoop) {
+  const BpeTokenizer& tok = fixture_tokenizer();
+  const automata::Dfa inputs[] = {
+      automata::compile_regex(
+          "https://www.([a-zA-Z0-9]|\\-|_|#|%)+.([a-zA-Z0-9]|\\-|_|#|%|/)+"),
+      automata::compile_regex(
+          "((cat)|(dog)|(mat)|(park)|(ran)|(far)|(met)|(sat)|(the)|(and))"
+          "(\\.|\\!|\\?)?"),
+      automata::levenshtein_expand(automata::compile_regex("stupid dog"), 1,
+                                   automata::printable_ascii()),
+      automata::compile_regex(util::regex_escape(
+          "The cat sat on the mat. The dog ran far. The cat and the dog met "
+          "at the park. The cat sat on the mat. The dog ran far. The cat and "
+          "the dog met at the park. The cat sat on the mat. The dog ran far "
+          "and then some.")),
+  };
+  for (const automata::Dfa& chars : inputs) {
+    TokenAutomaton lifted =
+        compile_token_automaton(chars, tok, TokenizationStrategy::kAllTokens);
+    automata::Dfa reference = build_all_tokens_per_byte(chars, tok);
+    EXPECT_GT(reference.num_edges(), 0u);
+    EXPECT_EQ(lifted.dfa, reference);
+  }
+}
+
 }  // namespace
 }  // namespace relm::core
