@@ -63,7 +63,7 @@ class AlgebraCompiler {
       Nfa nfa = thompson_construct(root);
       Dfa dfa = determinize(nfa, meter_.remaining());
       meter_.charge(dfa.num_states());
-      return trim(dfa);
+      return trim(std::move(dfa));
     }
     static obs::Counter& queries =
         obs::Registry::instance().counter("compile.algebra.queries");
@@ -76,7 +76,7 @@ class AlgebraCompiler {
     Nfa nfa = builder.take(frag);
     Dfa dfa = determinize(nfa, meter_.remaining());
     meter_.charge(dfa.num_states());
-    return trim(dfa);
+    return trim(std::move(dfa));
   }
 
  private:
@@ -372,7 +372,7 @@ class AlgebraCompiler {
         out.add_edge(from, b, class_target[classes.of(b)]);
       }
     }
-    return trim(out);
+    return trim(std::move(out));
   }
 
   bool eval(const std::vector<Expr>& exprs, const std::vector<Nfa>& leaves,

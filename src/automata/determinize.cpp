@@ -90,7 +90,7 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states) {
   return dfa;
 }
 
-Dfa trim(const Dfa& dfa) {
+Dfa trim(Dfa dfa) {
   RELM_DCHECK(dfa.num_states() > 0 && dfa.start() < dfa.num_states(),
               "trim: DFA start state out of range");
   const std::size_t n = dfa.num_states();
@@ -145,9 +145,13 @@ Dfa trim(const Dfa& dfa) {
     }
   }
 
+  auto live = [&](StateId s) { return reachable[s] && productive[s]; };
+  bool all_live = true;
+  for (StateId s = 0; s < n && all_live; ++s) all_live = live(s);
+  if (all_live) return dfa;  // the remap would be the identity
+
   std::vector<StateId> remap(n, kNoState);
   Dfa out(dfa.num_symbols());
-  auto live = [&](StateId s) { return reachable[s] && productive[s]; };
 
   for (StateId s = 0; s < n; ++s) {
     if (live(s)) remap[s] = out.add_state(dfa.is_final(s));

@@ -16,8 +16,9 @@ Dfa determinize(const Nfa& nfa, std::size_t max_states = 0);
 // Removes states that are unreachable from the start or cannot reach a final
 // state. The result is "trim"; on a trim DFA, a cycle implies an infinite
 // language. A DFA whose language is empty trims to a single non-final start
-// state with no edges.
-Dfa trim(const Dfa& dfa);
+// state with no edges. A DFA that is already trim comes back as it is
+// (moved, when passed an rvalue), numbering included.
+Dfa trim(Dfa dfa);
 
 // The states reachable from the start in DFS post-order (every state after
 // all of its successors), or nullopt when the DFS meets a back edge, i.e. a

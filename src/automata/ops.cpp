@@ -61,7 +61,7 @@ Dfa product(const Dfa& a, const Dfa& b, bool both_required) {
       }
     }
   }
-  return trim(out);
+  return trim(std::move(out));
 }
 
 // Completes the automaton over `universe` by adding a dead state.
@@ -122,7 +122,7 @@ Dfa complement(const Dfa& a, const ByteSet& universe) {
     completed.set_final(s, !completed.is_final(s));
   }
   // Do not trim before flipping finality is done; trim now.
-  return trim(completed);
+  return trim(std::move(completed));
 }
 
 Dfa difference(const Dfa& a, const Dfa& b, const ByteSet& universe) {

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "automata/byte_classes.hpp"
 #include "automata/determinize.hpp"
+#include "automata/finite.hpp"
 #include "automata/ops.hpp"
 #include "obs/trace.hpp"
 #include "util/errors.hpp"
@@ -61,36 +64,21 @@ Dfa build_all_tokens(const Dfa& source, const BpeTokenizer& tok) {
       if (state != automata::kNoState) out.add_edge(origin, token, state);
     }
   }
-  return automata::trim(out);
+  return automata::trim(std::move(out));
 }
 
-// §3.2 option 1: enumerate every string of the trim, finite `source` (it
-// has `count` strings), encode canonically, build a token trie, minimize.
-Dfa build_canonical_by_enumeration(const Dfa& source, const BpeTokenizer& tok,
-                                   std::uint64_t count) {
+// §3.2 option 1 over a finite language's strings: encode each
+// canonically, sort the encodings, and build their minimal DFA in one pass
+// (Daciuk et al. 2000). Distinct strings have distinct encodings.
+Dfa build_canonical(std::span<const std::string> strings,
+                    const BpeTokenizer& tok) {
   RELM_TRACE_SPAN("compile.canonical_enumeration");
-  std::vector<std::string> strings = automata::enumerate_strings(
-      source, count, /*max_len=*/source.num_states() + 1);
-  RELM_DCHECK(strings.size() == count,
-              "canonical enumeration and finite_string_count disagree on |L|");
-
-  Dfa out(static_cast<automata::Symbol>(tok.vocab_size()));
-  StateId root = out.add_state(false);
-  out.set_start(root);
-  for (const std::string& s : strings) {
-    std::vector<TokenId> tokens = tok.encode(s);
-    StateId cur = root;
-    for (TokenId t : tokens) {
-      StateId next = out.next(cur, t);
-      if (next == automata::kNoState) {
-        next = out.add_state(false);
-        out.add_edge(cur, t, next);
-      }
-      cur = next;
-    }
-    out.set_final(cur);
-  }
-  return automata::minimize(out);
+  std::vector<std::vector<automata::Symbol>> encodings;
+  encodings.reserve(strings.size());
+  for (const std::string& s : strings) encodings.push_back(tok.encode(s));
+  std::sort(encodings.begin(), encodings.end());
+  return automata::minimal_dfa(encodings,
+                               static_cast<automata::Symbol>(tok.vocab_size()));
 }
 
 }  // namespace
@@ -116,7 +104,11 @@ TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
   // Canonical strategy.
   std::optional<std::uint64_t> count = automata::finite_string_count(trimmed);
   if (count && *count <= enumeration_budget) {
-    result.dfa = build_canonical_by_enumeration(trimmed, tok, *count);
+    const std::vector<std::string> strings = automata::enumerate_strings(
+        trimmed, *count, /*max_len=*/trimmed.num_states() + 1);
+    RELM_DCHECK(strings.size() == *count,
+                "canonical enumeration and finite_string_count disagree on |L|");
+    result.dfa = build_canonical(strings, tok);
   } else {
     result.dfa = build_all_tokens(trimmed, tok);
     result.dynamic_canonical = true;
@@ -124,6 +116,12 @@ TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
   RELM_DCHECK(result.dfa.num_symbols() == tok.vocab_size(),
               "token automaton alphabet must equal the vocabulary");
   return result;
+}
+
+TokenAutomaton canonical_token_automaton(std::span<const std::string> strings,
+                                         const tokenizer::BpeTokenizer& tok) {
+  RELM_TRACE_SPAN("compile.token_automaton");
+  return TokenAutomaton{build_canonical(strings, tok), false, {}};
 }
 
 TokenAutomaton epsilon_token_automaton(const tokenizer::BpeTokenizer& tok) {

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <span>
+#include <string>
+
 #include "automata/automaton.hpp"
 #include "core/query.hpp"
 #include "core/token_masks.hpp"
@@ -35,14 +38,22 @@ struct TokenAutomaton {
 //
 // kCanonicalTokens implements §3.2's options in order of preference:
 //   1. if the language is finite and has at most `enumeration_budget`
-//      strings, enumerate them, encode each canonically, and build the exact
-//      token trie (then minimize);
+//      strings, enumerate them and build the exact canonical automaton
+//      (canonical_token_automaton below);
 //   2. otherwise fall back to the full-encodings automaton with
 //      dynamic_canonical = true.
 TokenAutomaton compile_token_automaton(const automata::Dfa& char_dfa,
                                        const tokenizer::BpeTokenizer& tok,
                                        TokenizationStrategy strategy,
                                        std::size_t enumeration_budget = 50000);
+
+// §3.2 option 1 over a finite language's sorted, unique strings: each is
+// encoded canonically, and the minimal DFA of the sorted encodings is built
+// in one pass (automata::minimal_dfa). The result is the one
+// compile_token_automaton gives for any DFA of that language within the
+// enumeration budget.
+TokenAutomaton canonical_token_automaton(std::span<const std::string> strings,
+                                         const tokenizer::BpeTokenizer& tok);
 
 // The trivial token automaton accepting only the empty string (used for
 // empty prefixes).

@@ -2,6 +2,7 @@
 
 #include "automata/algebra.hpp"
 #include "automata/determinize.hpp"
+#include "automata/finite.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/thompson.hpp"
@@ -18,6 +19,33 @@ namespace {
 // Each pass opens its own trace span with a distinct literal (the macro
 // stores names by pointer), so flame graphs show the compile chain stage by
 // stage alongside the aggregate "compile.query" span.
+
+// The determinization state budget: the query's, else the environment's.
+std::size_t state_budget(const CompileState& s) {
+  return s.query->determinize_state_budget != 0
+             ? s.query->determinize_state_budget
+             : automata::determinize_budget_from_env();
+}
+
+// True when the side compiles from its strings (docs/automata.md,
+// "Pipeline"): the canonical lift would enumerate them anyway (canonical
+// strategy, no preprocessor, at most canonical_enumeration_budget strings
+// counted with multiplicity), and the old path could not have run out of
+// states. finite_size rules out dead NFA states, so subset construction
+// makes at most one state per distinct prefix of the language, and there
+// are at most bytes + 1 of those; a literal's bound is its chain's n + 1.
+bool compiles_from_strings(const CompileState& s) {
+  if (s.query->tokenization_strategy != TokenizationStrategy::kCanonicalTokens) {
+    return false;
+  }
+  for (const auto& pre : s.query->preprocessors) {
+    if (pre->target() == s.side || pre->target() == Side::kBoth) return false;
+  }
+  const std::optional<automata::FiniteSize> size = automata::finite_size(*s.ast);
+  const std::size_t budget = state_budget(s);
+  return size && size->strings <= s.query->canonical_enumeration_budget &&
+         (budget == 0 || size->bytes < budget);
+}
 
 class ParsePass : public Pass {
  public:
@@ -36,10 +64,12 @@ class ThompsonPass : public Pass {
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.thompson");
     RELM_TRACE_SPAN("regex.thompson");  // legacy name, kept for trace tooling
-    // Boolean-algebra ASTs have no Thompson form, and a literal needs none;
-    // the determinize pass compiles both through automata::compile_ast (the
-    // algebra product construction, or the literal's chain).
-    if (!automata::has_boolean_ops(*s.ast) && !automata::literal_bytes(*s.ast)) {
+    // Boolean-algebra ASTs have no Thompson form, and a side compiled from
+    // its strings or a literal needs none; the determinize pass compiles
+    // them (minimal_dfa, or the algebra product construction or the
+    // literal's chain in automata::compile_ast).
+    if (!automata::has_boolean_ops(*s.ast) && !compiles_from_strings(s) &&
+        !automata::literal_bytes(*s.ast)) {
       s.nfa = automata::thompson_construct(*s.ast);
     }
   }
@@ -52,10 +82,13 @@ class DeterminizePass : public Pass {
     RELM_TRACE_SPAN("compile.pass.determinize");
     // One state budget covers the whole pass: subset construction for plain
     // NFAs, lazy product/subset construction for boolean-algebra ASTs.
-    const std::size_t budget =
-        s.query->determinize_state_budget != 0
-            ? s.query->determinize_state_budget
-            : automata::determinize_budget_from_env();
+    const std::size_t budget = state_budget(s);
+    if (!s.nfa && compiles_from_strings(s)) {
+      s.strings = automata::finite_strings(
+          *s.ast, s.query->canonical_enumeration_budget);
+      s.chars = automata::minimal_dfa(*s.strings);
+      return;
+    }
     if (s.nfa) {
       s.chars = automata::trim(automata::determinize(*s.nfa, budget));
       return;
@@ -71,7 +104,7 @@ class MinimizePass : public Pass {
   const char* name() const override { return "minimize"; }
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.minimize");
-    s.chars = automata::minimize(*s.chars);
+    if (!s.strings) s.chars = automata::minimize(*s.chars);  // else minimal
   }
 };
 
@@ -97,6 +130,10 @@ class TokenLiftPass : public Pass {
   const char* name() const override { return "token_lift"; }
   void run(CompileState& s) const override {
     RELM_TRACE_SPAN("compile.pass.token_lift");
+    if (s.strings) {
+      s.tokens = canonical_token_automaton(*s.strings, *s.tok);
+      return;
+    }
     s.tokens = compile_token_automaton(*s.chars, *s.tok,
                                        s.query->tokenization_strategy,
                                        s.query->canonical_enumeration_budget);

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "automata/automaton.hpp"
@@ -20,6 +21,11 @@ namespace relm::core::pipeline {
 //   parse -> thompson -> determinize -> minimize -> preprocess
 //         -> token_lift -> token_masks
 //
+// A finite canonical side that no preprocessor rewrites compiles from its
+// strings instead: determinize reads them off the AST and builds the
+// minimal DFA directly, thompson and minimize have nothing to do, and
+// token_lift encodes the strings (docs/automata.md, "Pipeline").
+//
 // Intermediates are write-once (each pass only fills fields that are still
 // empty-for-it), so a completed CompileState is a faithful record of the
 // compilation that tools can inspect — `relm analyze` reports sizes from it
@@ -35,10 +41,14 @@ struct CompileState {
   // parse
   std::string pattern;
   automata::RegexPtr ast;
-  // thompson (unset for boolean-algebra and literal ASTs)
+  // thompson (unset for boolean-algebra and literal ASTs, and for sides
+  // compiled from their strings)
   std::optional<automata::Nfa> nfa;
   // determinize / minimize / preprocess (each pass replaces it)
   std::optional<automata::Dfa> chars;
+  // determinize: the finite language of `chars`, when `chars` was built
+  // from it (sorted, unique; the token_lift pass encodes these)
+  std::optional<std::vector<std::string>> strings;
   // token_lift, then token_masks
   std::optional<TokenAutomaton> tokens;
 };

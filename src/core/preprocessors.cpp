@@ -1,10 +1,12 @@
 #include "core/preprocessors.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string_view>
 
 #include "automata/determinize.hpp"
+#include "automata/finite.hpp"
 #include "automata/levenshtein.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex.hpp"
@@ -58,41 +60,36 @@ std::string LevenshteinPreprocessor::cache_key() const {
 }
 
 namespace {
-automata::Dfa union_of_literals(const std::vector<std::string>& strings) {
-  automata::Nfa nfa(256);
-  automata::StateId start = nfa.add_state();
-  nfa.set_start(start);
-  for (const std::string& s : strings) {
-    automata::StateId cur = start;
-    for (unsigned char c : s) {
-      automata::StateId next = nfa.add_state();
-      nfa.add_edge(cur, c, next);
-      cur = next;
-    }
-    nfa.set_final(cur);
-  }
-  return automata::minimize(automata::determinize(nfa));
+
+automata::Dfa union_of_literals(std::vector<std::string> strings) {
+  std::sort(strings.begin(), strings.end());
+  return automata::minimal_dfa(strings);
 }
+
+// Both constructors normalize to a minimized DFA, whose canonical numbering
+// makes the structural hash a language fingerprint.
+std::string filter_key(const automata::Dfa& forbidden, const char* target_tag) {
+  return std::string("filter:t=") + target_tag + ":l=" +
+         hex64(automata::dfa_structural_hash(forbidden));
+}
+
 }  // namespace
 
 FilterPreprocessor::FilterPreprocessor(std::vector<std::string> forbidden,
                                        Target target)
-    : forbidden_(union_of_literals(forbidden)), target_(target) {}
+    : forbidden_(union_of_literals(std::move(forbidden))),
+      target_(target),
+      key_(filter_key(forbidden_, target_tag(target))) {}
 
 FilterPreprocessor::FilterPreprocessor(const std::string& forbidden_regex,
                                        Target target)
-    : forbidden_(automata::compile_regex(forbidden_regex)), target_(target) {}
+    : forbidden_(automata::compile_regex(forbidden_regex)),
+      target_(target),
+      key_(filter_key(forbidden_, target_tag(target))) {}
 
 automata::Dfa FilterPreprocessor::apply(const automata::Dfa& language) const {
   return automata::minimize(automata::difference(
       language, forbidden_, automata::printable_ascii_and_ws()));
-}
-
-std::string FilterPreprocessor::cache_key() const {
-  // Both constructors normalize to a minimized DFA, whose canonical
-  // numbering makes the structural hash a language fingerprint.
-  return std::string("filter:t=") + target_tag(target_) + ":l=" +
-         hex64(automata::dfa_structural_hash(forbidden_));
 }
 
 std::string CaseInsensitivePreprocessor::cache_key() const {

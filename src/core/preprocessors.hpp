@@ -68,11 +68,12 @@ class FilterPreprocessor : public Preprocessor {
   automata::Dfa apply(const automata::Dfa& language) const override;
   Target target() const override { return target_; }
   std::string name() const override { return "filter"; }
-  std::string cache_key() const override;
+  std::string cache_key() const override { return key_; }
 
  private:
   automata::Dfa forbidden_;
   Target target_;
+  std::string key_;  // derived once: forbidden_ never changes
 };
 
 // Case-insensitivity: every alphabetic transition admits both cases, so the

@@ -11,6 +11,7 @@
 #include "analysis/invariants.hpp"
 #include "automata/algebra.hpp"
 #include "automata/determinize.hpp"
+#include "automata/finite.hpp"
 #include "automata/ops.hpp"
 #include "automata/regex_parser.hpp"
 #include "automata/serialize.hpp"
@@ -18,6 +19,7 @@
 #include "core/compiled_query.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
+#include "core/query.hpp"
 #include "testing/determinize_per_byte.hpp"
 #include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
@@ -143,6 +145,26 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
       die("fuzz_algebra_compile",
           "minimize(compile_ast) differs from Hopcroft over Thompson on \"" +
               pattern + "\"");
+    }
+    // Every tree the pipeline compiles from its strings (at most the
+    // default enumeration budget's strings, fewer bytes than the state
+    // budget) must give that DFA from them too.
+    const std::uint64_t limit =
+        core::SimpleSearchQuery().canonical_enumeration_budget;
+    const std::optional<automata::FiniteSize> size = automata::finite_size(*ast);
+    if (size && size->strings <= limit && size->bytes < options.state_budget) {
+      const std::optional<std::vector<std::string>> strings =
+          automata::finite_strings(*ast, limit);
+      if (!strings) {
+        die("fuzz_algebra_compile",
+            "finite_strings refused a tree finite_size admits: \"" + pattern +
+                "\"");
+      }
+      if (automata::minimal_dfa(*strings) != reference) {
+        die("fuzz_algebra_compile",
+            "minimal_dfa(finite_strings) differs from Hopcroft over Thompson "
+            "on \"" + pattern + "\"");
+      }
     }
   }
   // Differential check against the eager reference when it also fits the

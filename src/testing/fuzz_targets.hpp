@@ -31,7 +31,8 @@ int fuzz_artifact_loader(const std::uint8_t* data, std::size_t size);
 // fits the budget, the two DFAs must be language-equivalent. For a
 // boolean-free pattern, subset construction of its Thompson NFA must equal
 // determinize_per_byte structurally, and its minimized DFA must equal
-// minimize_hopcroft over that reference.
+// minimize_hopcroft over that reference; so must minimal_dfa over its
+// finite_strings, whenever the pipeline would compile it from them.
 int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size);
 
 // Fuzz-repro JSON reader: strict Json::parse, then TrialCase::from_json on

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
 #include <regex>
 #include <string>
 #include <vector>
 
+#include "automata/algebra.hpp"
 #include "automata/byte_classes.hpp"
 #include "automata/determinize.hpp"
+#include "automata/finite.hpp"
 #include "automata/grep.hpp"
 #include "automata/io.hpp"
 #include "automata/levenshtein.hpp"
@@ -16,6 +20,7 @@
 #include "automata/thompson.hpp"
 #include "automata/walks.hpp"
 #include "core/preprocessors.hpp"
+#include "testing/canonical_trie.hpp"
 #include "testing/determinize_per_byte.hpp"
 #include "testing/hopcroft.hpp"
 #include "util/errors.hpp"
@@ -1067,6 +1072,244 @@ TEST(DeterminizeByClass, RandomNfasOverBytesAndTokens) {
       expect_matches_per_byte(nfa);
     }
   }
+}
+
+}  // namespace
+}  // namespace relm::automata
+
+namespace relm::automata {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Finite languages from their strings (finite.hpp): finite_strings against
+// enumeration of the compiled DFA, minimal_dfa against minimize and Hopcroft
+// over the trie (testing/canonical_trie.hpp).
+// ---------------------------------------------------------------------------
+
+using relm::testing::minimize_hopcroft;
+using relm::testing::trie_dfa;
+
+std::vector<std::string> sorted_language(const std::string& pattern) {
+  const Dfa dfa = compile_regex(pattern);
+  std::optional<std::uint64_t> count = finite_string_count(dfa);
+  EXPECT_TRUE(count.has_value()) << pattern;
+  std::vector<std::string> strings =
+      enumerate_strings(dfa, *count, dfa.num_states() + 1);
+  std::sort(strings.begin(), strings.end());
+  return strings;
+}
+
+void expect_strings_of(const std::string& pattern) {
+  SCOPED_TRACE(pattern);
+  const RegexPtr ast = parse_regex(pattern);
+  std::optional<std::vector<std::string>> strings = finite_strings(*ast, 50000);
+  ASSERT_TRUE(strings.has_value());
+  EXPECT_EQ(*strings, sorted_language(pattern));
+  std::optional<FiniteSize> size = finite_size(*ast);
+  ASSERT_TRUE(size.has_value());
+  EXPECT_GE(size->strings, strings->size());
+  std::uint64_t bytes = 0;
+  for (const std::string& s : *strings) bytes += s.size();
+  EXPECT_GE(size->bytes, bytes);
+  // The byte DFA built from the strings is the compiled one, numbering
+  // included.
+  EXPECT_EQ(minimal_dfa(*strings), compile_regex(pattern));
+}
+
+TEST(FiniteStrings, WordListWithOptionalSuffixes) {
+  expect_strings_of("((cat)|(dog)|(cow))(s)?(\\.|\\!|\\?)?(\")?");
+  EXPECT_EQ(*finite_strings(*parse_regex("((cat)|(dog))s?"), 100),
+            (std::vector<std::string>{"cat", "cats", "dog", "dogs"}));
+}
+
+TEST(FiniteStrings, NestedAlternation) {
+  expect_strings_of("a(b|(c|(d|e)f)|)g");
+  expect_strings_of("((x|y)|(z|(w|v)))((1|2)|3)");
+}
+
+TEST(FiniteStrings, BoundedRepeats) {
+  expect_strings_of("(ab){0,3}c?");
+  expect_strings_of("[xy]{2}");
+  expect_strings_of("(a|bc){1,3}d{0,2}");
+  const FiniteSize size = *finite_size(*parse_regex("[xy]{2}"));
+  EXPECT_EQ(size.strings, 4u);
+  EXPECT_EQ(size.bytes, 8u);
+}
+
+TEST(FiniteStrings, DuplicatesCountTwiceButSpellOnce) {
+  expect_strings_of("(a|a)b");
+  const RegexPtr ast = parse_regex("(a|a)b");
+  // The limit applies to the count with multiplicity.
+  EXPECT_FALSE(finite_strings(*ast, 1).has_value());
+  const FiniteSize size = *finite_size(*ast);
+  EXPECT_EQ(size.strings, 2u);
+  EXPECT_EQ(size.bytes, 4u);
+  EXPECT_EQ(*finite_strings(*ast, 2), std::vector<std::string>{"ab"});
+  expect_strings_of("(x?){3}");  // 8 spellings of 4 strings
+}
+
+TEST(FiniteStrings, Epsilon) {
+  EXPECT_EQ(*finite_strings(*parse_regex(""), 1), std::vector<std::string>{""});
+  EXPECT_EQ(*finite_strings(*parse_regex("()"), 1), std::vector<std::string>{""});
+  expect_strings_of("(|x)y");
+  const FiniteSize size = *finite_size(*parse_regex(""));
+  EXPECT_EQ(size.strings, 1u);
+  EXPECT_EQ(size.bytes, 0u);
+}
+
+TEST(FiniteStrings, InfiniteBooleanAndEmptySubtreesAreRefused) {
+  for (const char* pattern :
+       {"a*", "ab+", "(ab){2,}", "x([a-zA-Z]+)", "a&b", "~a", "(ab)-(a)",
+        "a[^\\x00-\\xff]|b", "[^\\x00-\\xff]{0,2}"}) {
+    SCOPED_TRACE(pattern);
+    const RegexPtr ast = parse_regex(pattern);
+    EXPECT_FALSE(finite_size(*ast).has_value());
+    EXPECT_FALSE(finite_strings(*ast, 50000).has_value());
+  }
+  // ∅ anywhere, even where it spells nothing (r{0} is ε).
+  std::vector<RegexPtr> parts;
+  parts.push_back(RegexNode::literal('a'));
+  parts.push_back(RegexNode::repeat(RegexNode::empty_set(), 0, 0));
+  const RegexPtr ast = RegexNode::concat(std::move(parts));
+  EXPECT_FALSE(finite_size(*ast).has_value());
+  EXPECT_FALSE(finite_strings(*ast, 50000).has_value());
+  EXPECT_FALSE(finite_size(*RegexNode::empty_set()).has_value());
+}
+
+TEST(FiniteStrings, LimitIsExactAndCheckedBeforeBuilding) {
+  const RegexPtr ast = parse_regex("[a-c]{2}|d");
+  ASSERT_TRUE(finite_strings(*ast, 10).has_value());
+  EXPECT_EQ(finite_strings(*ast, 10)->size(), 10u);
+  EXPECT_FALSE(finite_strings(*ast, 9).has_value());
+  // 26^12 strings: refused by the count, which saturates instead of
+  // wrapping; building them would not finish.
+  const RegexPtr huge = parse_regex("[a-z]{12}");
+  EXPECT_FALSE(finite_strings(*huge, 50000).has_value());
+  const FiniteSize saturated = *finite_size(*parse_regex("[a-z]{100}"));
+  EXPECT_EQ(saturated.strings, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(saturated.bytes, std::numeric_limits<std::uint64_t>::max());
+}
+
+std::vector<std::vector<Symbol>> as_symbols(const std::vector<std::string>& strings) {
+  std::vector<std::vector<Symbol>> out;
+  for (const std::string& s : strings) {
+    out.emplace_back();
+    for (unsigned char c : s) out.back().push_back(c);
+  }
+  return out;
+}
+
+// minimal_dfa over `sorted` equals minimize and Hopcroft over the trie.
+void expect_matches_trie(const std::vector<std::vector<Symbol>>& sorted,
+                         const Dfa& built, Symbol num_symbols) {
+  const Dfa trie = trie_dfa(sorted, num_symbols);
+  EXPECT_EQ(built, minimize(trie));
+  EXPECT_EQ(built, minimize_hopcroft(trie));
+}
+
+TEST(MinimalDfa, RandomSortedSetsOverBytes) {
+  util::Pcg32 rng(2000);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    // A narrow alphabet shares prefixes and suffixes; a few high bytes
+    // check the unsigned order.
+    const unsigned lo = trial % 3 == 0 ? 0xf0 : 'a';
+    std::vector<std::string> strings(1 + rng.bounded(60));
+    for (std::string& s : strings) {
+      s.resize(rng.bounded(8));
+      for (char& c : s) c = static_cast<char>(lo + rng.bounded(4));
+    }
+    std::sort(strings.begin(), strings.end());
+    strings.erase(std::unique(strings.begin(), strings.end()), strings.end());
+    const Dfa built = minimal_dfa(strings);
+    expect_matches_trie(as_symbols(strings), built, 256);
+    EXPECT_EQ(built, minimal_dfa(as_symbols(strings), 256));
+  }
+}
+
+TEST(MinimalDfa, SequencesOverATokenAlphabet) {
+  constexpr Symbol kVocab = 774;
+  util::Pcg32 rng(774);
+  std::vector<std::vector<Symbol>> endings;
+  for (int i = 0; i < 30; ++i) {
+    std::vector<Symbol> ending(1 + rng.bounded(3));
+    for (Symbol& t : ending) t = rng.bounded(kVocab);
+    endings.push_back(ending);
+  }
+  std::vector<std::vector<Symbol>> sequences;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<Symbol> path(rng.bounded(4));
+    for (Symbol& t : path) t = rng.bounded(kVocab);
+    const auto& ending = endings[rng.bounded(30)];
+    path.insert(path.end(), ending.begin(), ending.end());
+    if (rng.bounded(2) == 0) path.push_back(kVocab - 1 - rng.bounded(3));
+    sequences.push_back(path);
+  }
+  std::sort(sequences.begin(), sequences.end());
+  // Duplicates are ignored.
+  const Dfa built = minimal_dfa(sequences, kVocab);
+  EXPECT_LT(built.num_states(), trie_dfa(sequences, kVocab).num_states());
+  expect_matches_trie(sequences, built, kVocab);
+  sequences.erase(std::unique(sequences.begin(), sequences.end()),
+                  sequences.end());
+  EXPECT_EQ(minimal_dfa(sequences, kVocab), built);
+}
+
+TEST(MinimalDfa, EmptySetAndEmptyString) {
+  const Dfa none = minimal_dfa(std::vector<std::string>{});
+  EXPECT_EQ(none.num_states(), 1u);
+  EXPECT_FALSE(none.is_final(none.start()));
+  expect_matches_trie({}, none, 256);
+  EXPECT_EQ(none, minimize(intersect(compile_regex("a"), compile_regex("b"))));
+
+  const Dfa epsilon = minimal_dfa(std::vector<std::string>{""});
+  EXPECT_EQ(epsilon.num_states(), 1u);
+  EXPECT_TRUE(epsilon.is_final(epsilon.start()));
+  expect_matches_trie({{}}, epsilon, 256);
+  EXPECT_EQ(epsilon, compile_regex(""));
+}
+
+TEST(MinimalDfa, OneStringIsTheLiteralsChain) {
+  const std::string text = "The keeper (of the old lighthouse) \xe2\x80\x94 left.";
+  const Dfa built = minimal_dfa(std::vector<std::string>{text});
+  ASSERT_EQ(built.num_states(), text.size() + 1);
+  for (StateId s = 0; s < built.num_states(); ++s) {
+    EXPECT_EQ(built.is_final(s), s == text.size());
+    if (s < text.size()) {
+      ASSERT_EQ(built.edges(s).size(), 1u);
+      EXPECT_EQ(built.edges(s)[0],
+                (Edge{static_cast<unsigned char>(text[s]), s + 1}));
+    }
+  }
+  EXPECT_EQ(built, compile_ast(*RegexNode::literal_string(text)));
+}
+
+TEST(MinimalDfa, UnsortedInputThrows) {
+  EXPECT_THROW(minimal_dfa(std::vector<std::string>{"b", "a"}), relm::Error);
+  EXPECT_THROW(minimal_dfa(std::vector<std::string>{"ab", "a"}), relm::Error);
+  // Bytes order unsigned: 0x80 sorts after 'z'.
+  EXPECT_THROW(minimal_dfa(std::vector<std::string>{"\x80", "z"}), relm::Error);
+  EXPECT_NO_THROW(minimal_dfa(std::vector<std::string>{"z", "\x80"}));
+  EXPECT_THROW(minimal_dfa(std::vector<std::vector<Symbol>>{{5}, {4, 9}}, 10),
+               relm::Error);
+}
+
+TEST(Trim, KeepsATrimMachineAndItsNumbering) {
+  const Dfa url = compile_regex_unminimized(
+      "https://www.([a-zA-Z0-9]|\\-|_|#|%)+.([a-zA-Z0-9]|\\-|_|#|%|/)+");
+  EXPECT_EQ(trim(url), url);
+  // A dead state and an unreachable one still go.
+  Dfa dead(256);
+  const StateId start = dead.add_state(false);
+  const StateId final_state = dead.add_state(true);
+  const StateId sink = dead.add_state(false);
+  dead.add_state(true);  // unreachable
+  dead.add_edge(start, 'a', final_state);
+  dead.add_edge(start, 'b', sink);
+  dead.set_start(start);
+  const Dfa trimmed = trim(dead);
+  EXPECT_EQ(trimmed.num_states(), 2u);
+  EXPECT_EQ(trimmed, compile_regex("a"));
 }
 
 }  // namespace

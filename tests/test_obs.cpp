@@ -394,8 +394,10 @@ TEST(ObsTrace, QueryTraceContainsExpectedPhases) {
   std::shared_ptr<model::NgramModel> model =
       model::NgramModel::train(tok, docs, model_config);
 
+  // An infinite body, so the compile runs subset construction (a finite
+  // canonical one compiles from its strings instead).
   core::SimpleSearchQuery query;
-  query.query_string.query_str = "The ((cat)|(dog))";
+  query.query_string.query_str = "The ((cat)|(dog))+";
   query.max_results = 2;
 
   Trace::start();

@@ -24,14 +24,23 @@
 #include <thread>
 #include <tuple>
 
+#include "automata/determinize.hpp"
+#include "automata/ops.hpp"
+#include "automata/regex.hpp"
+#include "automata/regex_parser.hpp"
+#include "automata/thompson.hpp"
 #include "core/compiled_query.hpp"
+#include "core/compiler.hpp"
 #include "core/executor.hpp"
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
 #include "core/pipeline/pipeline.hpp"
 #include "core/preprocessors.hpp"
 #include "model/ngram_model.hpp"
+#include "testing/canonical_trie.hpp"
+#include "testing/determinize_per_byte.hpp"
 #include "testing/differential.hpp"
+#include "testing/hopcroft.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
 
@@ -137,8 +146,10 @@ TEST(Pipeline, RunRecordsEveryPass) {
 }
 
 TEST(Pipeline, StateExposesIntermediates) {
+  // An infinite body: Thompson, subset construction, minimize and the
+  // all-encodings lift all run.
   SimpleSearchQuery query = make_query(
-      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+      "The ((cat)|(dog))+", TokenizationStrategy::kCanonicalTokens, "The ");
   const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
   core::pipeline::CompileState body =
       standard.run_to_state(query, Side::kBody, fixture_tokenizer());
@@ -146,16 +157,182 @@ TEST(Pipeline, StateExposesIntermediates) {
       standard.run_to_state(query, Side::kPrefix, fixture_tokenizer());
   ASSERT_TRUE(body.ast != nullptr);
   ASSERT_TRUE(body.nfa.has_value());
+  EXPECT_FALSE(body.strings.has_value());
   ASSERT_TRUE(body.chars.has_value());
   ASSERT_TRUE(prefix.chars.has_value());
   ASSERT_TRUE(body.tokens.has_value());
+  EXPECT_TRUE(body.tokens->dynamic_canonical);
   EXPECT_FALSE(body.tokens->masks.empty());  // token_masks ran last
-  EXPECT_EQ(body.pattern, "((cat)|(dog))");
+  EXPECT_EQ(body.pattern, "((cat)|(dog))+");
   EXPECT_EQ(prefix.pattern, "The ");
   // The char-level DFA operates over bytes; the token automaton over the
   // vocabulary.
   EXPECT_EQ(body.chars->num_symbols(), 256u);
   EXPECT_EQ(body.tokens->dfa.num_symbols(), fixture_tokenizer().vocab_size());
+}
+
+// The reference chain for one side: Thompson, the per-byte subset
+// construction, Hopcroft, the side's preprocessors, and the trie lift
+// (canonical, within budget) or the all-encodings lift.
+core::TokenAutomaton reference_component(const SimpleSearchQuery& query,
+                                         Side side, const BpeTokenizer& tok) {
+  const automata::RegexPtr ast =
+      automata::parse_regex(core::pipeline::component_pattern(query, side));
+  automata::Dfa chars = testing::minimize_hopcroft(automata::trim(
+      testing::determinize_per_byte(automata::thompson_construct(*ast))));
+  for (const auto& pre : query.preprocessors) {
+    if (pre->target() == side || pre->target() == Side::kBoth) {
+      chars = pre->apply(chars);
+    }
+  }
+  core::TokenAutomaton tokens = core::compile_token_automaton(
+      chars, tok, TokenizationStrategy::kAllTokens);
+  if (query.tokenization_strategy == TokenizationStrategy::kCanonicalTokens) {
+    const std::optional<std::uint64_t> count =
+        automata::finite_string_count(automata::trim(chars));
+    if (count && *count <= query.canonical_enumeration_budget) {
+      tokens.dfa = testing::canonical_lift_by_trie(chars, tok);
+    } else {
+      tokens.dynamic_canonical = true;
+    }
+  }
+  tokens.masks = core::budgeted_token_masks(tokens.dfa);
+  return tokens;
+}
+
+void expect_reference_component(const SimpleSearchQuery& query, Side side) {
+  const BpeTokenizer& tok = fixture_tokenizer();
+  const core::TokenAutomaton reference = reference_component(query, side, tok);
+  const std::shared_ptr<const Component> component =
+      core::pipeline::compile_component(query, side, tok, ArtifactKey{});
+  EXPECT_EQ(component->automaton.dfa, reference.dfa);
+  EXPECT_EQ(component->automaton.masks, reference.masks);
+  EXPECT_EQ(component->automaton.dynamic_canonical, reference.dynamic_canonical);
+  EXPECT_EQ(component->empty_language,
+            automata::is_empty_language(reference.dfa));
+}
+
+const char kPassage[] =
+    "\"I can't believe it,\" Mara said\\. The keeper of the old lighthouse "
+    "had left at dawn \\(without a word\\) and the boats \\- all three of "
+    "them \\- were gone before the tide turned\\. Who would follow him "
+    "now\\? Not the";
+const char kWordList[] =
+    " ((keeper)|(lighthouse)|(boats)|(tide)|(dawn)|(Mara)|(word)|(three)|"
+    "(morning)|(harbor)|(island)|(storm)|(lantern)|(rope)|(sailor)|"
+    "(village)|(mother)|(brother)|(window)|(stairs)|(shore)|(night)|"
+    "(gulls)|(rocks)|(signal)|(captain)|(letter)|(winter)|(beacon)|(ferry)|"
+    "(the)|(a)|(of))(\\.|\\!|\\?)?(\")?";
+
+TEST(Pipeline, FiniteCanonicalSideCompilesFromItsStrings) {
+  SimpleSearchQuery query = make_query(
+      "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
+  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
+  std::vector<core::pipeline::PassRecord> records;
+  core::pipeline::CompileState body =
+      standard.run_to_state(query, Side::kBody, fixture_tokenizer(), &records);
+  core::pipeline::CompileState prefix =
+      standard.run_to_state(query, Side::kPrefix, fixture_tokenizer());
+  EXPECT_EQ(records.size(), 7u);  // every pass still runs
+  EXPECT_FALSE(body.nfa.has_value());
+  EXPECT_FALSE(prefix.nfa.has_value());
+  ASSERT_TRUE(body.strings.has_value());
+  EXPECT_EQ(*body.strings, (std::vector<std::string>{"cat", "dog"}));
+  EXPECT_EQ(*prefix.strings, std::vector<std::string>{"The "});
+  EXPECT_EQ(*body.chars,
+            testing::minimize_hopcroft(testing::determinize_per_byte(
+                automata::thompson_construct(*body.ast))));
+  EXPECT_EQ(*prefix.chars, automata::compile_regex("The "));
+  ASSERT_TRUE(body.tokens.has_value());
+  EXPECT_FALSE(body.tokens->dynamic_canonical);
+  EXPECT_EQ(body.tokens->dfa,
+            testing::canonical_lift_by_trie(*body.chars, fixture_tokenizer()));
+  expect_reference_component(query, Side::kBody);
+  expect_reference_component(query, Side::kPrefix);
+}
+
+TEST(Pipeline, ClozeShapedComponentsEqualTheReferenceChain) {
+  // A cloze prefix (a regex-escaped passage) and a word-list body, both
+  // compiled from their strings.
+  SimpleSearchQuery cloze = make_query(std::string(kPassage) + kWordList,
+                                       TokenizationStrategy::kCanonicalTokens,
+                                       kPassage);
+  {
+    SCOPED_TRACE("cloze prefix");
+    expect_reference_component(cloze, Side::kPrefix);
+  }
+  {
+    SCOPED_TRACE("word-list body");
+    expect_reference_component(cloze, Side::kBody);
+  }
+  // The stop-word filter: a preprocessed side compiles through Thompson,
+  // and its lift enumerates the filtered DFA.
+  SimpleSearchQuery filtered = cloze;
+  filtered.preprocessors.push_back(std::make_shared<core::FilterPreprocessor>(
+      " ((the)|(a)|(of))(\\.|\\!|\\?)?(\")?", Side::kBody));
+  {
+    SCOPED_TRACE("stop-word-filtered body");
+    const core::pipeline::CompileState state =
+        core::pipeline::Pipeline::standard().run_to_state(
+            filtered, Side::kBody, fixture_tokenizer());
+    EXPECT_TRUE(state.nfa.has_value());
+    EXPECT_FALSE(state.strings.has_value());
+    expect_reference_component(filtered, Side::kBody);
+  }
+  // A toxicity query: all encodings, Levenshtein-1 edits on the body.
+  SimpleSearchQuery toxic = make_query(std::string(kPassage) + "dim sod",
+                                       TokenizationStrategy::kAllTokens,
+                                       kPassage);
+  toxic.preprocessors.push_back(std::make_shared<core::LevenshteinPreprocessor>(
+      1, core::Preprocessor::Target::kBody));
+  {
+    SCOPED_TRACE("all-tokens prefix");
+    expect_reference_component(toxic, Side::kPrefix);
+  }
+  {
+    SCOPED_TRACE("all-tokens Levenshtein body");
+    expect_reference_component(toxic, Side::kBody);
+  }
+}
+
+TEST(Pipeline, StringsPathKeepsTheStateBudget) {
+  // [ac]b spells 4 bytes, so its bound is 5 states, but subset construction
+  // makes 3: budgets 3 and 4 compile through Thompson, 5 and up from the
+  // strings, and 2 fails as subset construction does.
+  SimpleSearchQuery query =
+      make_query("[ac]b", TokenizationStrategy::kCanonicalTokens);
+  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
+  const BpeTokenizer& tok = fixture_tokenizer();
+  query.determinize_state_budget = 2;
+  EXPECT_THROW(standard.run(query, Side::kBody, tok), relm::StateBudgetError);
+  query.determinize_state_budget = 3;
+  const core::TokenAutomaton reference =
+      standard.run(query, Side::kBody, tok).automaton;
+  for (std::size_t budget : {3u, 4u, 5u, 6u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    query.determinize_state_budget = budget;
+    core::pipeline::CompileState state = standard.run_to_state(query, Side::kBody, tok);
+    EXPECT_EQ(state.nfa.has_value(), budget < 5);
+    EXPECT_EQ(state.strings.has_value(), budget >= 5);
+    EXPECT_EQ(*state.chars, automata::compile_regex("[ac]b"));
+    EXPECT_EQ(state.tokens->dfa, reference.dfa);
+    EXPECT_EQ(state.tokens->masks, reference.masks);
+  }
+  // A literal's bound is its chain's n + 1 states.
+  SimpleSearchQuery literal =
+      make_query("abcdef", TokenizationStrategy::kCanonicalTokens);
+  literal.determinize_state_budget = 6;
+  EXPECT_THROW(standard.run(literal, Side::kBody, tok), relm::StateBudgetError);
+  literal.determinize_state_budget = 7;
+  EXPECT_TRUE(standard.run_to_state(literal, Side::kBody, tok).strings.has_value());
+  // Past the enumeration budget (counted with multiplicity), the old path.
+  SimpleSearchQuery over = make_query("(a|a)b|c", TokenizationStrategy::kCanonicalTokens);
+  over.canonical_enumeration_budget = 2;
+  core::pipeline::CompileState state = standard.run_to_state(over, Side::kBody, tok);
+  EXPECT_TRUE(state.nfa.has_value());
+  EXPECT_FALSE(state.tokens->dynamic_canonical);  // |L| = 2 still enumerates
+  over.canonical_enumeration_budget = 3;
+  EXPECT_TRUE(standard.run_to_state(over, Side::kBody, tok).strings.has_value());
 }
 
 TEST(Pipeline, EmptyPrefixSkipsPrefixStages) {
