@@ -172,13 +172,15 @@ TEST(Pipeline, StateExposesIntermediates) {
 }
 
 // The reference chain for one side: Thompson, the per-byte subset
-// construction, Hopcroft, the side's preprocessors, and the trie lift
-// (canonical, within budget) or the all-encodings lift.
+// construction, Hopcroft, the side's preprocessors (their result is
+// `chars`), and the trie lift (canonical, within budget) or the
+// all-encodings lift.
 core::TokenAutomaton reference_component(const SimpleSearchQuery& query,
-                                         Side side, const BpeTokenizer& tok) {
+                                         Side side, const BpeTokenizer& tok,
+                                         automata::Dfa& chars) {
   const automata::RegexPtr ast =
       automata::parse_regex(core::pipeline::component_pattern(query, side));
-  automata::Dfa chars = testing::minimize_hopcroft(automata::trim(
+  chars = testing::minimize_hopcroft(automata::trim(
       testing::determinize_per_byte(automata::thompson_construct(*ast))));
   for (const auto& pre : query.preprocessors) {
     if (pre->target() == side || pre->target() == Side::kBoth) {
@@ -202,7 +204,13 @@ core::TokenAutomaton reference_component(const SimpleSearchQuery& query,
 
 void expect_reference_component(const SimpleSearchQuery& query, Side side) {
   const BpeTokenizer& tok = fixture_tokenizer();
-  const core::TokenAutomaton reference = reference_component(query, side, tok);
+  automata::Dfa chars(256);
+  const core::TokenAutomaton reference =
+      reference_component(query, side, tok, chars);
+  EXPECT_EQ(*core::pipeline::Pipeline::standard()
+                 .run_to_state(query, side, tok)
+                 .chars,
+            chars);
   const std::shared_ptr<const Component> component =
       core::pipeline::compile_component(query, side, tok, ArtifactKey{});
   EXPECT_EQ(component->automaton.dfa, reference.dfa);
