@@ -51,7 +51,7 @@ struct Expr {
 
 class AlgebraCompiler {
  public:
-  explicit AlgebraCompiler(const AlgebraOptions& options) : opts_(options) {
+  explicit AlgebraCompiler(const AlgebraOptions& options) {
     meter_.budget = options.state_budget;
   }
 
@@ -59,22 +59,15 @@ class AlgebraCompiler {
     if (std::optional<std::string> bytes = literal_bytes(root)) {
       return chain(*bytes);
     }
-    if (!has_boolean_ops(root)) {
-      Nfa nfa = thompson_construct(root);
-      Dfa dfa = determinize(nfa, meter_.remaining());
-      meter_.charge(dfa.num_states());
-      return trim(std::move(dfa));
+    if (has_boolean_ops(root)) {
+      static obs::Counter& queries =
+          obs::Registry::instance().counter("compile.algebra.queries");
+      queries.add();
+      if (is_boolean(root)) return compile_boolean(root);
     }
-    static obs::Counter& queries =
-        obs::Registry::instance().counter("compile.algebra.queries");
-    queries.add();
-    if (is_boolean(root)) return compile_boolean(root);
-    // Regular operators above boolean subtrees: build an NFA whose leaves
-    // embed the boolean results, then determinize the whole thing.
-    FragmentBuilder builder(*this);
-    auto frag = builder.emit(root);
-    Nfa nfa = builder.take(frag);
-    Dfa dfa = determinize(nfa, meter_.remaining());
+    // Regular operators, with the products of any boolean subtrees embedded
+    // in the NFA: one subset construction over the whole tree.
+    Dfa dfa = determinize(thompson(root), meter_.remaining());
     meter_.charge(dfa.num_states());
     return trim(std::move(dfa));
   }
@@ -100,142 +93,12 @@ class AlgebraCompiler {
            node.kind == RegexKind::kDifference;
   }
 
-  // Thompson-style fragment construction that can additionally embed a
-  // finished DFA (the result of a nested boolean product) as a leaf.
-  class FragmentBuilder {
-   public:
-    explicit FragmentBuilder(AlgebraCompiler& owner)
-        : owner_(owner), nfa_(256) {}
-
-    struct Frag {
-      StateId start;
-      StateId accept;
-    };
-
-    Frag emit(const RegexNode& node) {
-      if (AlgebraCompiler::is_boolean(node)) {
-        return embed_dfa(owner_.compile_boolean(node));
-      }
-      switch (node.kind) {
-        case RegexKind::kEmptySet:
-          return fresh();
-        case RegexKind::kEpsilon: {
-          Frag f = fresh();
-          nfa_.add_edge(f.start, kEpsilon, f.accept);
-          return f;
-        }
-        case RegexKind::kCharClass: {
-          Frag f = fresh();
-          for_each_byte(node.char_class,
-                        [&](unsigned b) { nfa_.add_edge(f.start, b, f.accept); });
-          return f;
-        }
-        case RegexKind::kConcat: {
-          Frag whole = emit(*node.children.front());
-          for (std::size_t i = 1; i < node.children.size(); ++i) {
-            Frag next = emit(*node.children[i]);
-            nfa_.add_edge(whole.accept, kEpsilon, next.start);
-            whole.accept = next.accept;
-          }
-          return whole;
-        }
-        case RegexKind::kAlternate: {
-          Frag f = fresh();
-          for (const auto& child : node.children) {
-            Frag branch = emit(*child);
-            nfa_.add_edge(f.start, kEpsilon, branch.start);
-            nfa_.add_edge(branch.accept, kEpsilon, f.accept);
-          }
-          return f;
-        }
-        case RegexKind::kRepeat:
-          return emit_repeat(node);
-        case RegexKind::kIntersect:
-        case RegexKind::kComplement:
-        case RegexKind::kDifference:
-          break;  // handled above
-      }
-      throw relm::Error("unreachable: unknown regex node kind");
-    }
-
-    Nfa take(Frag root) {
-      nfa_.set_start(root.start);
-      nfa_.set_final(root.accept);
-      return std::move(nfa_);
-    }
-
-   private:
-    Frag fresh() {
-      StateId s = nfa_.add_state();
-      StateId a = nfa_.add_state();
-      return Frag{s, a};
-    }
-
-    Frag embed_dfa(const Dfa& dfa) {
-      Frag f = fresh();
-      std::vector<StateId> remap(dfa.num_states());
-      for (StateId s = 0; s < dfa.num_states(); ++s) {
-        remap[s] = nfa_.add_state();
-      }
-      for (StateId s = 0; s < dfa.num_states(); ++s) {
-        for (const Edge& e : dfa.edges(s)) {
-          nfa_.add_edge(remap[s], e.symbol, remap[e.to]);
-        }
-        if (dfa.is_final(s)) nfa_.add_edge(remap[s], kEpsilon, f.accept);
-      }
-      nfa_.add_edge(f.start, kEpsilon, remap[dfa.start()]);
-      return f;
-    }
-
-    Frag emit_repeat(const RegexNode& node) {
-      const RegexNode& child = *node.children.front();
-      int min = node.repeat_min;
-      int max = node.repeat_max;
-      if (min == 0 && max == kUnbounded) return emit_star(child);
-
-      Frag whole{kNoState, kNoState};
-      auto append = [&](Frag next) {
-        if (whole.start == kNoState) {
-          whole = next;
-        } else {
-          nfa_.add_edge(whole.accept, kEpsilon, next.start);
-          whole.accept = next.accept;
-        }
-      };
-      for (int i = 0; i < min; ++i) append(emit(child));
-      if (max == kUnbounded) {
-        append(emit_star(child));
-      } else {
-        for (int i = min; i < max; ++i) {
-          Frag copy = emit(child);
-          Frag opt = fresh();
-          nfa_.add_edge(opt.start, kEpsilon, copy.start);
-          nfa_.add_edge(copy.accept, kEpsilon, opt.accept);
-          nfa_.add_edge(opt.start, kEpsilon, opt.accept);
-          append(opt);
-        }
-      }
-      if (whole.start == kNoState) {
-        Frag f = fresh();
-        nfa_.add_edge(f.start, kEpsilon, f.accept);
-        return f;
-      }
-      return whole;
-    }
-
-    Frag emit_star(const RegexNode& child) {
-      Frag inner = emit(child);
-      Frag f = fresh();
-      nfa_.add_edge(f.start, kEpsilon, inner.start);
-      nfa_.add_edge(f.start, kEpsilon, f.accept);
-      nfa_.add_edge(inner.accept, kEpsilon, inner.start);
-      nfa_.add_edge(inner.accept, kEpsilon, f.accept);
-      return f;
-    }
-
-    AlgebraCompiler& owner_;
-    Nfa nfa_;
-  };
+  // Thompson's NFA of `node`, each boolean subtree compiled by its own
+  // product construction and embedded.
+  Nfa thompson(const RegexNode& node) {
+    return thompson_construct(
+        node, [this](const RegexNode& sub) { return compile_boolean(sub); });
+  }
 
   // Flattens a maximal boolean subtree into an expression over NFA leaves
   // and evaluates it with one product construction.
@@ -261,17 +124,11 @@ class AlgebraCompiler {
         break;
       default: {
         // Maximal boolean-free subtree, or a regular operator with boolean
-        // descendants: either way it becomes one NFA leaf (the fragment
-        // builder recurses back into compile_boolean for nested products).
+        // descendants: either way it becomes one NFA leaf (Thompson recurses
+        // back into compile_boolean for nested products).
         e.kind = Expr::kLeaf;
         e.leaf = static_cast<int>(leaves.size());
-        if (has_boolean_ops(node)) {
-          FragmentBuilder builder(*this);
-          auto frag = builder.emit(node);
-          leaves.push_back(builder.take(frag));
-        } else {
-          leaves.push_back(thompson_construct(node));
-        }
+        leaves.push_back(thompson(node));
         exprs.push_back(std::move(e));
         return static_cast<int>(exprs.size() - 1);
       }
@@ -310,7 +167,7 @@ class AlgebraCompiler {
     // is in the universe is the same across a class.
     ByteClasses classes(256);
     for (const Nfa& leaf : leaves) classes.split_runs(leaf);
-    classes.split_set(opts_.universe);
+    classes.split_set(universe_);
     std::vector<NfaStepper> steppers;
     steppers.reserve(leaves.size());
     for (const Nfa& leaf : leaves) steppers.emplace_back(leaf, classes);
@@ -362,7 +219,7 @@ class AlgebraCompiler {
           std::span<const StateId> moved = steppers[i].targets(c);
           if (!moved.empty()) steppers[i].close(moved, next.subsets[i]);
         }
-        next.in_universe = st.in_universe && opts_.universe.test(rep);
+        next.in_universe = st.in_universe && universe_.test(rep);
         class_target[c] = intern(std::move(next));
       }
       for (Symbol b : classes.edge_symbols()) {
@@ -428,7 +285,7 @@ class AlgebraCompiler {
         return out;
       }
       case Expr::kNot:
-        return opts_.universe;
+        return universe_;
       case Expr::kDiff:
         // If the left side dies the difference rejects every extension, so
         // only its symbols matter; the right side is tracked along them.
@@ -437,13 +294,12 @@ class AlgebraCompiler {
     throw relm::Error("unreachable: unknown algebra expr kind");
   }
 
-  AlgebraOptions opts_;
+  // The complement universe, as `[^...]` has it.
+  const ByteSet universe_ = printable_ascii_and_ws();
   BudgetMeter meter_;
 };
 
 }  // namespace
-
-ByteSet AlgebraOptions::kDefaultUniverse() { return printable_ascii_and_ws(); }
 
 Dfa compile_ast(const RegexNode& root, const AlgebraOptions& options) {
   RELM_TRACE_SPAN("automata.algebra.compile");

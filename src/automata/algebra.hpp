@@ -28,25 +28,22 @@ namespace relm::automata {
 // reachability actually visits — on-the-fly determinization — instead of
 // B's full exponential subset space.
 //
-// Semantics: `~r` is complement RELATIVE to `universe`^* (default printable
-// ASCII plus \t \n \r, matching `[^...]`); `r - s` is exact set difference
-// L(r) \ L(s) with no universe restriction.
+// Semantics: `~r` is complement RELATIVE to printable_ascii_and_ws()^*
+// (printable ASCII plus \t \n \r, the universe of `[^...]`); `r - s` is
+// exact set difference L(r) \ L(s) with no universe restriction.
 struct AlgebraOptions {
   // Maximum DFA states materialized, summed over every subset/product
   // construction in the compile. Exceeding it throws relm::StateBudgetError.
   // 0 = unlimited.
   std::size_t state_budget = 0;
-
-  // Complement universe. Default-constructed to printable_ascii_and_ws().
-  ByteSet universe = kDefaultUniverse();
-
-  static ByteSet kDefaultUniverse();
 };
 
 // Compiles an AST to a trim (not minimized) DFA over the byte alphabet.
 // A literal tree (regex_ast.hpp's literal_bytes) becomes its chain DFA
-// directly, which is already minimal; other boolean-free trees take the
-// classic thompson+determinize path. Both are budgeted.
+// directly, which is already minimal; a boolean root takes the product
+// construction, and every other tree Thompson construction (each boolean
+// subtree's product DFA embedded, thompson.hpp) and subset construction.
+// All are budgeted.
 Dfa compile_ast(const RegexNode& root, const AlgebraOptions& options = {});
 
 // Default determinization state budget when RELM_DETERMINIZE_BUDGET is

@@ -13,15 +13,34 @@ namespace {
 
 using StatePair = std::pair<StateId, StateId>;
 
-// Generic product construction. `both_required`: final iff both finals
-// (intersection) vs either final (union). For union the automata must be
-// completed first so that neither side "dies" early.
-Dfa product(const Dfa& a, const Dfa& b, bool both_required) {
+// Completes the automaton over `universe` by adding a dead state.
+Dfa complete(const Dfa& a, const ByteSet& universe) {
+  Dfa out(a.num_symbols());
+  for (StateId s = 0; s < a.num_states(); ++s) out.add_state(a.is_final(s));
+  for (StateId s = 0; s < a.num_states(); ++s) {
+    for (const Edge& e : a.edges(s)) out.add_edge(s, e.symbol, e.to);
+  }
+  out.set_start(a.start());
+  StateId dead = out.add_state(false);
+  for (StateId s = 0; s < out.num_states(); ++s) {
+    for (unsigned b = 0; b < 256 && b < a.num_symbols(); ++b) {
+      if (!universe.test(b)) continue;
+      if (out.next(s, b) == kNoState) out.add_edge(s, b, dead);
+    }
+  }
+  RELM_DCHECK(out.num_states() == a.num_states() + 1,
+              "complete: exactly one dead state is added");
+  return out;
+}
+
+}  // namespace
+
+Dfa intersect(const Dfa& a, const Dfa& b) {
   if (a.num_symbols() != b.num_symbols()) {
     throw relm::Error("product of automata over different alphabets");
   }
   RELM_DCHECK(a.start() < a.num_states() && b.start() < b.num_states(),
-              "product: input start states out of range");
+              "intersect: input start states out of range");
   Dfa out(a.num_symbols());
   std::map<StatePair, StateId> ids;
   std::deque<StatePair> work;
@@ -29,9 +48,7 @@ Dfa product(const Dfa& a, const Dfa& b, bool both_required) {
   auto intern = [&](StatePair p) {
     auto it = ids.find(p);
     if (it != ids.end()) return it->second;
-    bool fa = a.is_final(p.first);
-    bool fb = b.is_final(p.second);
-    StateId id = out.add_state(both_required ? (fa && fb) : (fa || fb));
+    StateId id = out.add_state(a.is_final(p.first) && b.is_final(p.second));
     ids.emplace(p, id);
     work.push_back(p);
     return id;
@@ -64,58 +81,6 @@ Dfa product(const Dfa& a, const Dfa& b, bool both_required) {
   return trim(std::move(out));
 }
 
-// Completes the automaton over `universe` by adding a dead state.
-Dfa complete(const Dfa& a, const ByteSet& universe) {
-  Dfa out(a.num_symbols());
-  for (StateId s = 0; s < a.num_states(); ++s) out.add_state(a.is_final(s));
-  for (StateId s = 0; s < a.num_states(); ++s) {
-    for (const Edge& e : a.edges(s)) out.add_edge(s, e.symbol, e.to);
-  }
-  out.set_start(a.start());
-  StateId dead = out.add_state(false);
-  for (StateId s = 0; s < out.num_states(); ++s) {
-    for (unsigned b = 0; b < 256 && b < a.num_symbols(); ++b) {
-      if (!universe.test(b)) continue;
-      if (out.next(s, b) == kNoState) out.add_edge(s, b, dead);
-    }
-  }
-  RELM_DCHECK(out.num_states() == a.num_states() + 1,
-              "complete: exactly one dead state is added");
-  return out;
-}
-
-}  // namespace
-
-Dfa intersect(const Dfa& a, const Dfa& b) { return product(a, b, true); }
-
-Dfa union_of(const Dfa& a, const Dfa& b) {
-  // Union via NFA with a fresh start state branching to both; avoids having
-  // to complete the automata as a product-based union would.
-  if (a.num_symbols() != b.num_symbols()) {
-    throw relm::Error("union of automata over different alphabets");
-  }
-  Nfa nfa(a.num_symbols());
-  StateId start = nfa.add_state();
-  nfa.set_start(start);
-
-  auto copy_in = [&](const Dfa& src) {
-    std::vector<StateId> remap(src.num_states());
-    for (StateId s = 0; s < src.num_states(); ++s) {
-      remap[s] = nfa.add_state(src.is_final(s));
-    }
-    for (StateId s = 0; s < src.num_states(); ++s) {
-      for (const Edge& e : src.edges(s)) {
-        nfa.add_edge(remap[s], e.symbol, remap[e.to]);
-      }
-    }
-    return remap[src.start()];
-  };
-
-  nfa.add_edge(start, kEpsilon, copy_in(a));
-  nfa.add_edge(start, kEpsilon, copy_in(b));
-  return trim(determinize(nfa));
-}
-
 Dfa complement(const Dfa& a, const ByteSet& universe) {
   Dfa completed = complete(a, universe);
   for (StateId s = 0; s < completed.num_states(); ++s) {
@@ -127,29 +92,6 @@ Dfa complement(const Dfa& a, const ByteSet& universe) {
 
 Dfa difference(const Dfa& a, const Dfa& b, const ByteSet& universe) {
   return intersect(a, complement(b, universe));
-}
-
-Dfa concat(const Dfa& a, const Dfa& b) {
-  if (a.num_symbols() != b.num_symbols()) {
-    throw relm::Error("concat of automata over different alphabets");
-  }
-  Nfa nfa(a.num_symbols());
-  std::vector<StateId> remap_a(a.num_states()), remap_b(b.num_states());
-  for (StateId s = 0; s < a.num_states(); ++s) remap_a[s] = nfa.add_state(false);
-  for (StateId s = 0; s < b.num_states(); ++s) {
-    remap_b[s] = nfa.add_state(b.is_final(s));
-  }
-  for (StateId s = 0; s < a.num_states(); ++s) {
-    for (const Edge& e : a.edges(s)) nfa.add_edge(remap_a[s], e.symbol, remap_a[e.to]);
-  }
-  for (StateId s = 0; s < b.num_states(); ++s) {
-    for (const Edge& e : b.edges(s)) nfa.add_edge(remap_b[s], e.symbol, remap_b[e.to]);
-  }
-  for (StateId s = 0; s < a.num_states(); ++s) {
-    if (a.is_final(s)) nfa.add_edge(remap_a[s], kEpsilon, remap_b[b.start()]);
-  }
-  nfa.set_start(remap_a[a.start()]);
-  return trim(determinize(nfa));
 }
 
 bool is_empty_language(const Dfa& a) {
@@ -170,8 +112,6 @@ bool is_empty_language(const Dfa& a) {
   }
   return true;
 }
-
-bool contains_epsilon(const Dfa& a) { return a.is_final(a.start()); }
 
 std::optional<std::vector<Symbol>> dfa_distinguishing_word(const Dfa& a,
                                                            const Dfa& b) {
@@ -323,21 +263,6 @@ std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
     frontier = std::move(next);
   }
   return out;
-}
-
-Dfa prefix_closure(const Dfa& a) {
-  // After trim, every state can reach a final state, so every state accepts
-  // some completion: mark them all final.
-  Dfa t = trim(a);
-  for (StateId s = 0; s < t.num_states(); ++s) t.set_final(s);
-  // The empty automaton has one non-final dead start; keep it empty.
-  if (t.num_states() == 1 && t.edges(0).empty() && !a.is_final(a.start()) &&
-      is_empty_language(a)) {
-    Dfa empty(a.num_symbols());
-    empty.set_start(empty.add_state(false));
-    return empty;
-  }
-  return minimize(t);
 }
 
 std::optional<std::size_t> shortest_string_length(const Dfa& a) {

@@ -17,9 +17,6 @@ namespace relm::automata {
 // L(a) ∩ L(b): on-the-fly product construction over reachable pairs.
 Dfa intersect(const Dfa& a, const Dfa& b);
 
-// L(a) ∪ L(b).
-Dfa union_of(const Dfa& a, const Dfa& b);
-
 // Complement within `universe`^*: strings over the given symbol set not in
 // L(a). The automaton is first completed with a dead state over `universe`.
 Dfa complement(const Dfa& a, const ByteSet& universe);
@@ -27,11 +24,7 @@ Dfa complement(const Dfa& a, const ByteSet& universe);
 // L(a) \ L(b), with b complemented over `universe`.
 Dfa difference(const Dfa& a, const Dfa& b, const ByteSet& universe);
 
-// L(a)·L(b) via epsilon concatenation and determinization.
-Dfa concat(const Dfa& a, const Dfa& b);
-
 bool is_empty_language(const Dfa& a);
-bool contains_epsilon(const Dfa& a);
 
 // Decision procedure for language equality: a product walk over reachable
 // state pairs, treating a missing transition as the implicit dead state.
@@ -71,11 +64,5 @@ std::vector<std::string> enumerate_strings(const Dfa& a, std::size_t limit,
 
 // Length of the shortest accepted string, or nullopt for the empty language.
 std::optional<std::size_t> shortest_string_length(const Dfa& a);
-
-// The language of all prefixes of strings in L(a) (every co-reachable state
-// becomes final). Useful for "starts-with" queries: intersecting a pattern
-// with prefix_closure(target) keeps exactly the partial matches — the shape
-// of the URL-fragment candidates ReLM's memorization stream surfaces.
-Dfa prefix_closure(const Dfa& a);
 
 }  // namespace relm::automata

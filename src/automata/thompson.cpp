@@ -1,5 +1,7 @@
 #include "automata/thompson.hpp"
 
+#include <vector>
+
 #include "util/errors.hpp"
 
 namespace relm::automata {
@@ -12,7 +14,8 @@ struct Fragment {
 
 class Builder {
  public:
-  Builder() : nfa_(256) {}
+  explicit Builder(const BooleanCompiler& boolean)
+      : boolean_(boolean), nfa_(256) {}
 
   Nfa build(const RegexNode& root) {
     Fragment frag = emit(root);
@@ -68,13 +71,31 @@ class Builder {
       case RegexKind::kIntersect:
       case RegexKind::kComplement:
       case RegexKind::kDifference:
-        // Boolean-algebra nodes have no Thompson fragment; they compile
-        // through the product/subset construction in automata/algebra.hpp.
-        throw relm::Error(
-            "thompson_construct: boolean-algebra node requires the algebra "
-            "compiler (automata/algebra.hpp)");
+        // Boolean-algebra nodes compile through the product construction in
+        // automata/algebra.hpp, which hands in `boolean_`.
+        if (!boolean_) {
+          throw relm::Error(
+              "thompson_construct: boolean-algebra node requires the algebra "
+              "compiler (automata/algebra.hpp)");
+        }
+        return embed(boolean_(node));
     }
     throw relm::Error("unreachable: unknown regex node kind");
+  }
+
+  // A copy of `dfa` whose final states lead to the fragment's accept state.
+  Fragment embed(const Dfa& dfa) {
+    Fragment f = fresh();
+    std::vector<StateId> remap(dfa.num_states());
+    for (StateId s = 0; s < dfa.num_states(); ++s) remap[s] = nfa_.add_state();
+    for (StateId s = 0; s < dfa.num_states(); ++s) {
+      for (const Edge& e : dfa.edges(s)) {
+        nfa_.add_edge(remap[s], e.symbol, remap[e.to]);
+      }
+      if (dfa.is_final(s)) nfa_.add_edge(remap[s], kEpsilon, f.accept);
+    }
+    nfa_.add_edge(f.start, kEpsilon, remap[dfa.start()]);
+    return f;
   }
 
   Fragment emit_repeat(const RegexNode& node) {
@@ -128,11 +149,14 @@ class Builder {
     return f;
   }
 
+  const BooleanCompiler& boolean_;
   Nfa nfa_;
 };
 
 }  // namespace
 
-Nfa thompson_construct(const RegexNode& root) { return Builder().build(root); }
+Nfa thompson_construct(const RegexNode& root, const BooleanCompiler& boolean) {
+  return Builder(boolean).build(root);
+}
 
 }  // namespace relm::automata

@@ -15,16 +15,15 @@ QueryAnalysis analyze_query(const SimpleSearchQuery& query,
   QueryAnalysis analysis;
 
   // One pipeline run per side yields both the post-preprocessor character
-  // automaton (an intermediate of the preprocess pass) and the final token
+  // automaton (an intermediate of the preprocess stage) and the final token
   // automaton — the analyzer no longer re-derives the char DFAs on its own.
   // An empty prefix never enters the pipeline; its language is {ε}, a
   // single-state machine.
-  const pipeline::Pipeline& standard = pipeline::Pipeline::standard();
   pipeline::CompileState body =
-      standard.run_to_state(query, pipeline::Side::kBody, tok);
+      pipeline::run_to_state(query, pipeline::Side::kBody, tok);
   std::optional<pipeline::CompileState> prefix;
   if (!query.query_string.prefix_str.empty()) {
-    prefix = standard.run_to_state(query, pipeline::Side::kPrefix, tok);
+    prefix = pipeline::run_to_state(query, pipeline::Side::kPrefix, tok);
   }
   const automata::Dfa& body_chars = *body.chars;
   analysis.prefix_char_states = prefix ? prefix->chars->num_states() : 1;

@@ -16,105 +16,105 @@ namespace relm::core::pipeline {
 
 namespace {
 
-// Each pass opens its own trace span with a distinct literal (the macro
-// stores names by pointer), so flame graphs show the compile chain stage by
-// stage alongside the aggregate "compile.query" span.
-
 // The determinization state budget: the query's, else the environment's.
-std::size_t state_budget(const CompileState& s) {
-  return s.query->determinize_state_budget != 0
-             ? s.query->determinize_state_budget
+std::size_t state_budget(const SimpleSearchQuery& query) {
+  return query.determinize_state_budget != 0
+             ? query.determinize_state_budget
              : automata::determinize_budget_from_env();
 }
 
-// True when the side compiles from its strings (docs/automata.md,
-// "Pipeline"): the canonical lift would enumerate them anyway (canonical
-// strategy, no preprocessor, at most canonical_enumeration_budget strings
-// counted with multiplicity), and the old path could not have run out of
-// states. finite_size rules out dead NFA states, so subset construction
-// makes at most one state per distinct prefix of the language, and there
-// are at most bytes + 1 of those; a literal's bound is its chain's n + 1.
-bool compiles_from_strings(const CompileState& s) {
-  if (s.query->tokenization_strategy != TokenizationStrategy::kCanonicalTokens) {
-    return false;
+// How a side's character DFA is built (pipeline.hpp).
+enum class Construction { kStrings, kAlgebra, kThompson };
+
+// A side compiles from its strings (docs/automata.md, "Pipeline") when the
+// canonical lift would enumerate them anyway (canonical strategy, no
+// preprocessor, at most canonical_enumeration_budget strings counted with
+// multiplicity) and subset construction could not have run out of states:
+// finite_size rules out dead NFA states, so subset construction makes at
+// most one state per distinct prefix of the language, and there are at most
+// bytes + 1 of those; a literal's bound is its chain's n + 1. A boolean tree
+// has no finite_size.
+Construction construction_of(const SimpleSearchQuery& query, Side side,
+                             const automata::RegexNode& ast,
+                             std::size_t budget) {
+  bool enumerates = query.tokenization_strategy ==
+                    TokenizationStrategy::kCanonicalTokens;
+  for (const auto& pre : query.preprocessors) {
+    if (pre->target() == side || pre->target() == Side::kBoth) enumerates = false;
   }
-  for (const auto& pre : s.query->preprocessors) {
-    if (pre->target() == s.side || pre->target() == Side::kBoth) return false;
+  if (enumerates) {
+    const std::optional<automata::FiniteSize> size = automata::finite_size(ast);
+    if (size && size->strings <= query.canonical_enumeration_budget &&
+        (budget == 0 || size->bytes < budget)) {
+      return Construction::kStrings;
+    }
   }
-  const std::optional<automata::FiniteSize> size = automata::finite_size(*s.ast);
-  const std::size_t budget = state_budget(s);
-  return size && size->strings <= s.query->canonical_enumeration_budget &&
-         (budget == 0 || size->bytes < budget);
+  if (automata::has_boolean_ops(ast) || automata::literal_bytes(ast)) {
+    return Construction::kAlgebra;
+  }
+  return Construction::kThompson;
 }
 
-class ParsePass : public Pass {
- public:
-  const char* name() const override { return "parse"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.parse");
-    RELM_TRACE_SPAN("regex.parse");  // legacy name, kept for trace tooling
-    s.pattern = component_pattern(*s.query, s.side);
-    s.ast = automata::parse_regex(s.pattern);
+// Runs one stage under its "compile.pass.<name>" span (a literal: spans
+// store names by pointer, and the record names the stage by the span's
+// suffix) and records its wall time.
+template <class Body>
+void stage(const char* span, std::vector<PassRecord>* records, Body&& body) {
+  util::Timer timer;
+  {
+    obs::Span trace(span);
+    body();
   }
-};
+  if (records) {
+    records->push_back({span + sizeof("compile.pass.") - 1, timer.seconds()});
+  }
+}
 
-class ThompsonPass : public Pass {
- public:
-  const char* name() const override { return "thompson"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.thompson");
+}  // namespace
+
+CompileState run_to_state(const SimpleSearchQuery& query, Side side,
+                          const tokenizer::BpeTokenizer& tok,
+                          std::vector<PassRecord>* records) {
+  RELM_TRACE_SPAN("compile.query");
+  CompileState s;
+  const std::size_t budget = state_budget(query);
+  Construction how = Construction::kThompson;
+  stage("compile.pass.parse", records, [&] {
+    RELM_TRACE_SPAN("regex.parse");  // legacy name, kept for trace tooling
+    s.pattern = component_pattern(query, side);
+    s.ast = automata::parse_regex(s.pattern);
+  });
+  stage("compile.pass.thompson", records, [&] {
     RELM_TRACE_SPAN("regex.thompson");  // legacy name, kept for trace tooling
-    // Boolean-algebra ASTs have no Thompson form, and a side compiled from
-    // its strings or a literal needs none; the determinize pass compiles
-    // them (minimal_dfa, or the algebra product construction or the
-    // literal's chain in automata::compile_ast).
-    if (!automata::has_boolean_ops(*s.ast) && !compiles_from_strings(s) &&
-        !automata::literal_bytes(*s.ast)) {
+    how = construction_of(query, side, *s.ast, budget);
+    if (how == Construction::kThompson) {
       s.nfa = automata::thompson_construct(*s.ast);
     }
-  }
-};
-
-class DeterminizePass : public Pass {
- public:
-  const char* name() const override { return "determinize"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.determinize");
-    // One state budget covers the whole pass: subset construction for plain
-    // NFAs, lazy product/subset construction for boolean-algebra ASTs.
-    const std::size_t budget = state_budget(s);
-    if (!s.nfa && compiles_from_strings(s)) {
-      s.strings = automata::finite_strings(
-          *s.ast, s.query->canonical_enumeration_budget);
-      s.chars = automata::minimal_dfa(*s.strings);
-      return;
+  });
+  stage("compile.pass.determinize", records, [&] {
+    // One state budget covers the whole stage: subset construction, the
+    // literal's chain, or the algebra's product and subset constructions.
+    switch (how) {
+      case Construction::kStrings:
+        s.strings = automata::finite_strings(
+            *s.ast, query.canonical_enumeration_budget);
+        s.chars = automata::minimal_dfa(*s.strings);
+        break;
+      case Construction::kAlgebra:
+        s.chars = automata::compile_ast(*s.ast, {.state_budget = budget});
+        break;
+      case Construction::kThompson:
+        s.chars = automata::trim(automata::determinize(*s.nfa, budget));
+        break;
     }
-    if (s.nfa) {
-      s.chars = automata::trim(automata::determinize(*s.nfa, budget));
-      return;
-    }
-    automata::AlgebraOptions options;
-    options.state_budget = budget;
-    s.chars = automata::compile_ast(*s.ast, options);
-  }
-};
-
-class MinimizePass : public Pass {
- public:
-  const char* name() const override { return "minimize"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.minimize");
-    if (!s.strings) s.chars = automata::minimize(*s.chars);  // else minimal
-  }
-};
-
-class PreprocessPass : public Pass {
- public:
-  const char* name() const override { return "preprocess"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.preprocess");
-    for (const auto& pre : s.query->preprocessors) {
-      if (pre->target() == s.side || pre->target() == Side::kBoth) {
+  });
+  stage("compile.pass.minimize", records, [&] {
+    // minimal_dfa's result is minimal already.
+    if (how != Construction::kStrings) s.chars = automata::minimize(*s.chars);
+  });
+  stage("compile.pass.preprocess", records, [&] {
+    for (const auto& pre : query.preprocessors) {
+      if (pre->target() == side || pre->target() == Side::kBoth) {
         s.chars = pre->apply(*s.chars);
       }
     }
@@ -122,82 +122,24 @@ class PreprocessPass : public Pass {
     // preprocessor that filtered everything out) is NOT an error: the
     // component records it and executors return zero matches with zero
     // model calls (the empty-language fast path).
-  }
-};
-
-class TokenLiftPass : public Pass {
- public:
-  const char* name() const override { return "token_lift"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.token_lift");
-    if (s.strings) {
-      s.tokens = canonical_token_automaton(*s.strings, *s.tok);
-      return;
-    }
-    s.tokens = compile_token_automaton(*s.chars, *s.tok,
-                                       s.query->tokenization_strategy,
-                                       s.query->canonical_enumeration_budget);
-  }
-};
-
-class TokenMasksPass : public Pass {
- public:
-  const char* name() const override { return "token_masks"; }
-  void run(CompileState& s) const override {
-    RELM_TRACE_SPAN("compile.pass.token_masks");
+  });
+  stage("compile.pass.token_lift", records, [&] {
+    s.tokens = how == Construction::kStrings
+                   ? canonical_token_automaton(*s.strings, tok)
+                   : compile_token_automaton(
+                         *s.chars, tok, query.tokenization_strategy,
+                         query.canonical_enumeration_budget);
+  });
+  stage("compile.pass.token_masks", records, [&] {
     // The budget depends only on the automaton (never on executor flags),
     // keeping cached/fresh/reloaded compiles byte-identical.
     s.tokens->masks = budgeted_token_masks(s.tokens->dfa);
-  }
-};
-
-}  // namespace
-
-const Pipeline& Pipeline::standard() {
-  static const Pipeline pipeline = [] {
-    Pipeline p;
-    p.add(std::make_unique<ParsePass>());
-    p.add(std::make_unique<ThompsonPass>());
-    p.add(std::make_unique<DeterminizePass>());
-    p.add(std::make_unique<MinimizePass>());
-    p.add(std::make_unique<PreprocessPass>());
-    p.add(std::make_unique<TokenLiftPass>());
-    p.add(std::make_unique<TokenMasksPass>());
-    return p;
-  }();
-  return pipeline;
+  });
+  return s;
 }
 
-Pipeline& Pipeline::add(std::unique_ptr<Pass> pass) {
-  passes_.push_back(std::move(pass));
-  return *this;
-}
-
-std::vector<const char*> Pipeline::pass_names() const {
-  std::vector<const char*> names;
-  names.reserve(passes_.size());
-  for (const auto& pass : passes_) names.push_back(pass->name());
-  return names;
-}
-
-CompileState Pipeline::run_to_state(const SimpleSearchQuery& query, Side side,
-                                    const tokenizer::BpeTokenizer& tok,
-                                    std::vector<PassRecord>* records) const {
-  RELM_TRACE_SPAN("compile.query");
-  CompileState state;
-  state.query = &query;
-  state.side = side;
-  state.tok = &tok;
-  for (const auto& pass : passes_) {
-    util::Timer timer;
-    pass->run(state);
-    if (records) records->push_back({pass->name(), timer.seconds()});
-  }
-  return state;
-}
-
-CompileResult Pipeline::run(const SimpleSearchQuery& query, Side side,
-                            const tokenizer::BpeTokenizer& tok) const {
+CompileResult run(const SimpleSearchQuery& query, Side side,
+                  const tokenizer::BpeTokenizer& tok) {
   std::vector<PassRecord> passes;
   CompileState state = run_to_state(query, side, tok, &passes);
   if (!state.tokens) throw relm::QueryError("pipeline made no token automaton");
@@ -216,7 +158,7 @@ std::shared_ptr<const Component> compile_component(
     component->automaton.masks =
         budgeted_token_masks(component->automaton.dfa);
   } else {
-    component->automaton = Pipeline::standard().run(query, side, tok).automaton;
+    component->automaton = run(query, side, tok).automaton;
   }
   component->empty_language =
       automata::is_empty_language(component->automaton.dfa);

@@ -23,7 +23,8 @@ using automata::StateId;
 class EagerCompiler {
  public:
   explicit EagerCompiler(const automata::AlgebraOptions& options)
-      : budget_(options.state_budget), universe_(options.universe) {}
+      : budget_(options.state_budget),
+        universe_(automata::printable_ascii_and_ws()) {}
 
   Dfa eval(const RegexNode& node) {
     if (!automata::has_boolean_ops(node)) {

@@ -169,7 +169,7 @@ TEST_F(AlgebraLaws, DoubleComplementIsIdentity) {
     std::vector<RegexPtr> children;
     children.push_back(a->clone());
     children.push_back(RegexNode::repeat(
-        RegexNode::char_class_node(AlgebraOptions::kDefaultUniverse()), 0,
+        RegexNode::char_class_node(automata::printable_ascii_and_ws()), 0,
         automata::kUnbounded));
     Dfa rhs = compile_ast(*RegexNode::intersect(std::move(children)));
     EXPECT_TRUE(dfa_equivalent(lhs, rhs));
@@ -327,6 +327,33 @@ TEST(AlgebraBudget, LiteralChainFailsWhereSubsetConstructionDid) {
             7u);
 }
 
+TEST(AlgebraBudget, EmbeddedProductKeepsItsStateCount) {
+  // Regular operators over boolean subtrees. Thompson embeds a subtree's
+  // product DFA once per copy the tree makes, and one subset construction
+  // runs over the whole NFA; the budget is charged with every product's
+  // states, then the subset construction's. `x(a&[ab])+y` charges 2 + 2
+  // product states (`+` makes two copies) and 5 subset states, so it
+  // compiles at 9 and fails at 8. A cached or renumbered embedded fragment
+  // would move these figures.
+  struct Case {
+    const char* pattern;
+    std::size_t states;
+    std::size_t budget;
+  };
+  for (const Case& c : {Case{"x(a&[ab])+y", 5, 9}, Case{"((~a)|b){2}c", 7, 13},
+                        Case{"[w-z](~[a-c])y", 5, 8},
+                        Case{"(a-(b|c))*d", 3, 5}}) {
+    SCOPED_TRACE(c.pattern);
+    RegexPtr ast = automata::parse_regex(c.pattern);
+    EXPECT_EQ(compile_ast(*ast).num_states(), c.states);
+    AlgebraOptions options;
+    options.state_budget = c.budget - 1;
+    EXPECT_THROW(compile_ast(*ast, options), relm::StateBudgetError);
+    options.state_budget = c.budget;
+    EXPECT_EQ(compile_ast(*ast, options).num_states(), c.states);
+  }
+}
+
 TEST(AlgebraBudget, EnvVariableControlsDefault) {
   ASSERT_EQ(setenv("RELM_DETERMINIZE_BUDGET", "12345", 1), 0);
   EXPECT_EQ(automata::determinize_budget_from_env(), 12345u);
@@ -335,6 +362,19 @@ TEST(AlgebraBudget, EnvVariableControlsDefault) {
   ASSERT_EQ(unsetenv("RELM_DETERMINIZE_BUDGET"), 0);
   EXPECT_EQ(automata::determinize_budget_from_env(),
             automata::kDefaultDeterminizeBudget);
+}
+
+// A boolean subtree under regular operators: Thompson embeds the DFA its
+// callback compiles, and without a callback it refuses the node.
+TEST(Thompson, BooleanNodeNeedsACompiler) {
+  for (const char* pattern : {"x(a&b)", "x(a&[ab])+y"}) {
+    SCOPED_TRACE(pattern);
+    RegexPtr ast = automata::parse_regex(pattern);
+    EXPECT_THROW(automata::thompson_construct(*ast), relm::Error);
+    const automata::Nfa nfa = automata::thompson_construct(
+        *ast, [](const RegexNode& node) { return compile_ast(node); });
+    EXPECT_EQ(automata::trim(automata::determinize(nfa)), compile_ast(*ast));
+  }
 }
 
 // ---------------------------------------------------------------------------

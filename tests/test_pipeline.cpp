@@ -119,28 +119,20 @@ struct TempDir {
 // Pipeline structure
 // ---------------------------------------------------------------------------
 
-TEST(Pipeline, StandardPassSequence) {
-  std::vector<std::string> names;
-  for (const char* name : core::pipeline::Pipeline::standard().pass_names()) {
-    names.push_back(name);
-  }
-  EXPECT_THAT(names,
-              ::testing::ElementsAre("parse", "thompson", "determinize",
-                                   "minimize", "preprocess", "token_lift",
-                                   "token_masks"));
-}
-
 TEST(Pipeline, RunRecordsEveryPass) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
-  core::pipeline::CompileResult result = core::pipeline::Pipeline::standard().run(
-      query, Side::kBody, fixture_tokenizer());
-  ASSERT_EQ(result.passes.size(), 7u);
-  EXPECT_STREQ(result.passes.front().name, "parse");
-  EXPECT_STREQ(result.passes.back().name, "token_masks");
+  core::pipeline::CompileResult result =
+      core::pipeline::run(query, Side::kBody, fixture_tokenizer());
+  std::vector<std::string> names;
   for (const auto& record : result.passes) {
+    names.push_back(record.name);
     EXPECT_GE(record.seconds, 0.0) << record.name;
   }
+  EXPECT_THAT(names,
+              ::testing::ElementsAre("parse", "thompson", "determinize",
+                                     "minimize", "preprocess", "token_lift",
+                                     "token_masks"));
   EXPECT_EQ(result.automaton.dfa.num_symbols(), fixture_tokenizer().vocab_size());
   EXPECT_FALSE(result.automaton.masks.empty());
 }
@@ -150,11 +142,10 @@ TEST(Pipeline, StateExposesIntermediates) {
   // all-encodings lift all run.
   SimpleSearchQuery query = make_query(
       "The ((cat)|(dog))+", TokenizationStrategy::kCanonicalTokens, "The ");
-  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
   core::pipeline::CompileState body =
-      standard.run_to_state(query, Side::kBody, fixture_tokenizer());
+      core::pipeline::run_to_state(query, Side::kBody, fixture_tokenizer());
   core::pipeline::CompileState prefix =
-      standard.run_to_state(query, Side::kPrefix, fixture_tokenizer());
+      core::pipeline::run_to_state(query, Side::kPrefix, fixture_tokenizer());
   ASSERT_TRUE(body.ast != nullptr);
   ASSERT_TRUE(body.nfa.has_value());
   EXPECT_FALSE(body.strings.has_value());
@@ -207,10 +198,7 @@ void expect_reference_component(const SimpleSearchQuery& query, Side side) {
   automata::Dfa chars(256);
   const core::TokenAutomaton reference =
       reference_component(query, side, tok, chars);
-  EXPECT_EQ(*core::pipeline::Pipeline::standard()
-                 .run_to_state(query, side, tok)
-                 .chars,
-            chars);
+  EXPECT_EQ(*core::pipeline::run_to_state(query, side, tok).chars, chars);
   const std::shared_ptr<const Component> component =
       core::pipeline::compile_component(query, side, tok, ArtifactKey{});
   EXPECT_EQ(component->automaton.dfa, reference.dfa);
@@ -235,13 +223,12 @@ const char kWordList[] =
 TEST(Pipeline, FiniteCanonicalSideCompilesFromItsStrings) {
   SimpleSearchQuery query = make_query(
       "The ((cat)|(dog))", TokenizationStrategy::kCanonicalTokens, "The ");
-  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
   std::vector<core::pipeline::PassRecord> records;
-  core::pipeline::CompileState body =
-      standard.run_to_state(query, Side::kBody, fixture_tokenizer(), &records);
+  core::pipeline::CompileState body = core::pipeline::run_to_state(
+      query, Side::kBody, fixture_tokenizer(), &records);
   core::pipeline::CompileState prefix =
-      standard.run_to_state(query, Side::kPrefix, fixture_tokenizer());
-  EXPECT_EQ(records.size(), 7u);  // every pass still runs
+      core::pipeline::run_to_state(query, Side::kPrefix, fixture_tokenizer());
+  EXPECT_EQ(records.size(), 7u);  // every stage still runs
   EXPECT_FALSE(body.nfa.has_value());
   EXPECT_FALSE(prefix.nfa.has_value());
   ASSERT_TRUE(body.strings.has_value());
@@ -280,9 +267,8 @@ TEST(Pipeline, ClozeShapedComponentsEqualTheReferenceChain) {
       " ((the)|(a)|(of))(\\.|\\!|\\?)?(\")?", Side::kBody));
   {
     SCOPED_TRACE("stop-word-filtered body");
-    const core::pipeline::CompileState state =
-        core::pipeline::Pipeline::standard().run_to_state(
-            filtered, Side::kBody, fixture_tokenizer());
+    const core::pipeline::CompileState state = core::pipeline::run_to_state(
+        filtered, Side::kBody, fixture_tokenizer());
     EXPECT_TRUE(state.nfa.has_value());
     EXPECT_FALSE(state.strings.has_value());
     expect_reference_component(filtered, Side::kBody);
@@ -309,17 +295,17 @@ TEST(Pipeline, StringsPathKeepsTheStateBudget) {
   // strings, and 2 fails as subset construction does.
   SimpleSearchQuery query =
       make_query("[ac]b", TokenizationStrategy::kCanonicalTokens);
-  const core::pipeline::Pipeline& standard = core::pipeline::Pipeline::standard();
+  using core::pipeline::run;
+  using core::pipeline::run_to_state;
   const BpeTokenizer& tok = fixture_tokenizer();
   query.determinize_state_budget = 2;
-  EXPECT_THROW(standard.run(query, Side::kBody, tok), relm::StateBudgetError);
+  EXPECT_THROW(run(query, Side::kBody, tok), relm::StateBudgetError);
   query.determinize_state_budget = 3;
-  const core::TokenAutomaton reference =
-      standard.run(query, Side::kBody, tok).automaton;
+  const core::TokenAutomaton reference = run(query, Side::kBody, tok).automaton;
   for (std::size_t budget : {3u, 4u, 5u, 6u}) {
     SCOPED_TRACE("budget " + std::to_string(budget));
     query.determinize_state_budget = budget;
-    core::pipeline::CompileState state = standard.run_to_state(query, Side::kBody, tok);
+    core::pipeline::CompileState state = run_to_state(query, Side::kBody, tok);
     EXPECT_EQ(state.nfa.has_value(), budget < 5);
     EXPECT_EQ(state.strings.has_value(), budget >= 5);
     EXPECT_EQ(*state.chars, automata::compile_regex("[ac]b"));
@@ -330,17 +316,17 @@ TEST(Pipeline, StringsPathKeepsTheStateBudget) {
   SimpleSearchQuery literal =
       make_query("abcdef", TokenizationStrategy::kCanonicalTokens);
   literal.determinize_state_budget = 6;
-  EXPECT_THROW(standard.run(literal, Side::kBody, tok), relm::StateBudgetError);
+  EXPECT_THROW(run(literal, Side::kBody, tok), relm::StateBudgetError);
   literal.determinize_state_budget = 7;
-  EXPECT_TRUE(standard.run_to_state(literal, Side::kBody, tok).strings.has_value());
+  EXPECT_TRUE(run_to_state(literal, Side::kBody, tok).strings.has_value());
   // Past the enumeration budget (counted with multiplicity), the old path.
   SimpleSearchQuery over = make_query("(a|a)b|c", TokenizationStrategy::kCanonicalTokens);
   over.canonical_enumeration_budget = 2;
-  core::pipeline::CompileState state = standard.run_to_state(over, Side::kBody, tok);
+  core::pipeline::CompileState state = run_to_state(over, Side::kBody, tok);
   EXPECT_TRUE(state.nfa.has_value());
   EXPECT_FALSE(state.tokens->dynamic_canonical);  // |L| = 2 still enumerates
   over.canonical_enumeration_budget = 3;
-  EXPECT_TRUE(standard.run_to_state(over, Side::kBody, tok).strings.has_value());
+  EXPECT_TRUE(run_to_state(over, Side::kBody, tok).strings.has_value());
 }
 
 TEST(Pipeline, EmptyPrefixSkipsPrefixStages) {
@@ -362,8 +348,7 @@ TEST(Pipeline, EmptyPrefixSkipsPrefixStages) {
 TEST(Pipeline, InvalidRegexThrowsRegexError) {
   SimpleSearchQuery query =
       make_query("(unclosed", TokenizationStrategy::kCanonicalTokens);
-  EXPECT_THROW(core::pipeline::Pipeline::standard().run(query, Side::kBody,
-                                                        fixture_tokenizer()),
+  EXPECT_THROW(core::pipeline::run(query, Side::kBody, fixture_tokenizer()),
                relm::RegexError);
 }
 
