@@ -119,6 +119,39 @@ struct TempDir {
 // Pipeline structure
 // ---------------------------------------------------------------------------
 
+TEST(Pipeline, StandardPassSequence) {
+  // A side runs the same seven stages in the same order whether it compiles
+  // from its strings, through the algebra compiler, or through Thompson and
+  // subset construction.
+  struct Case {
+    const char* pattern;
+    TokenizationStrategy strategy;
+    bool nfa;
+    bool strings;
+  };
+  for (const Case& c : {
+           Case{"(cat)|(dog)", TokenizationStrategy::kCanonicalTokens, false,
+                true},
+           Case{"abcdef", TokenizationStrategy::kAllTokens, false, false},
+           Case{"((cat)|(dog))+", TokenizationStrategy::kAllTokens, true,
+                false},
+       }) {
+    SCOPED_TRACE(c.pattern);
+    std::vector<core::pipeline::PassRecord> records;
+    const core::pipeline::CompileState state = core::pipeline::run_to_state(
+        make_query(c.pattern, c.strategy), Side::kBody, fixture_tokenizer(),
+        &records);
+    EXPECT_EQ(state.nfa.has_value(), c.nfa);
+    EXPECT_EQ(state.strings.has_value(), c.strings);
+    std::vector<std::string> names;
+    for (const auto& record : records) names.push_back(record.name);
+    EXPECT_THAT(names,
+                ::testing::ElementsAre("parse", "thompson", "determinize",
+                                       "minimize", "preprocess", "token_lift",
+                                       "token_masks"));
+  }
+}
+
 TEST(Pipeline, RunRecordsEveryPass) {
   SimpleSearchQuery query =
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens);
