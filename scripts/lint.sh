@@ -11,6 +11,9 @@
 #     annotated relm wrappers so the clang thread-safety build, cmake
 #     --preset tsa, sees the whole library), and
 #     RELM_NO_THREAD_SAFETY_ANALYSIS may appear only inside util/sync.hpp;
+#   * only the pool waits on a condition variable: CondVar appears in src/
+#     only in util/sync.hpp and util/thread_pool.cpp, so no model or cache
+#     sleeps inside a pool task until another thread's work is done;
 #   * production sources (src/ outside src/testing/ and src/tools/) include
 #     no testing/ header: the reference algorithms and oracles there are
 #     what tests compare production code against, never a dependency of it.
@@ -30,7 +33,7 @@ BUILD="$ROOT/build"
 for arg in "$@"; do
   case "$arg" in
     --warnings-as-errors) WERROR=1 ;;
-    -h|--help) sed -n '2,23p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,26p' "$0"; exit 0 ;;
     *) BUILD="$arg" ;;
   esac
 done
@@ -63,6 +66,17 @@ if [ -n "$raw_sync" ]; then
   fail=1
 fi
 
+condvars="$(grep -rn -w 'CondVar' \
+  "$ROOT/src" --include='*.cpp' --include='*.hpp' \
+  | grep -v -e 'src/util/sync\.hpp' -e 'src/util/thread_pool\.cpp' || true)"
+if [ -n "$condvars" ]; then
+  echo "lint: CondVar outside util/sync.hpp and util/thread_pool.cpp (only" >&2
+  echo "lint: the pool may wait for another thread's work; a wait inside a" >&2
+  echo "lint: pool task holds a lane):" >&2
+  echo "$condvars" >&2
+  fail=1
+fi
+
 escapes="$(grep -rn 'RELM_NO_THREAD_SAFETY_ANALYSIS' \
   "$ROOT/src" --include='*.cpp' --include='*.hpp' \
   | grep -v 'src/util/sync\.hpp' || true)"
@@ -86,7 +100,7 @@ fi
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "lint: path case, sync policy and testing/ includes ok"
+echo "lint: path case, sync policy, condition variables and testing/ includes ok"
 
 # --- Stage 2: clang-tidy -------------------------------------------------
 

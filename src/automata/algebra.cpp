@@ -3,8 +3,6 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <optional>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -28,13 +26,12 @@ struct BudgetMeter {
     if (budget == 0) return 0;  // "unlimited" in determinize() terms
     return budget > used ? budget - used : 1;
   }
-  void charge(std::size_t states,
-              const char* construction = "boolean-algebra construction") {
+  void charge(std::size_t states) {
     used += states;
     if (budget != 0 && used > budget) {
       throw relm::StateBudgetError(
-          std::string(construction) +
-              " exceeded the determinization state budget",
+          "boolean-algebra construction exceeded the determinization state "
+          "budget",
           budget);
     }
   }
@@ -56,9 +53,6 @@ class AlgebraCompiler {
   }
 
   Dfa compile(const RegexNode& root) {
-    if (std::optional<std::string> bytes = literal_bytes(root)) {
-      return chain(*bytes);
-    }
     if (has_boolean_ops(root)) {
       static obs::Counter& queries =
           obs::Registry::instance().counter("compile.algebra.queries");
@@ -73,20 +67,6 @@ class AlgebraCompiler {
   }
 
  private:
-  // A literal's minimal DFA: states 0..n in BFS order, byte i from state i
-  // to i + 1, final n. Its n + 1 states are charged as subset construction
-  // would charge them, so the budget fails exactly where it did for Thompson.
-  Dfa chain(const std::string& bytes) {
-    meter_.charge(bytes.size() + 1, "literal chain construction");
-    Dfa dfa(256);
-    dfa.set_start(dfa.add_state(bytes.empty()));
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      StateId next = dfa.add_state(i + 1 == bytes.size());
-      dfa.add_edge(next - 1, static_cast<unsigned char>(bytes[i]), next);
-    }
-    return dfa;
-  }
-
   static bool is_boolean(const RegexNode& node) {
     return node.kind == RegexKind::kIntersect ||
            node.kind == RegexKind::kComplement ||

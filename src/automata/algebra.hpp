@@ -39,11 +39,9 @@ struct AlgebraOptions {
 };
 
 // Compiles an AST to a trim (not minimized) DFA over the byte alphabet.
-// A literal tree (regex_ast.hpp's literal_bytes) becomes its chain DFA
-// directly, which is already minimal; a boolean root takes the product
-// construction, and every other tree Thompson construction (each boolean
-// subtree's product DFA embedded, thompson.hpp) and subset construction.
-// All are budgeted.
+// A boolean root takes the product construction, and every other tree
+// Thompson construction (each boolean subtree's product DFA embedded,
+// thompson.hpp) and subset construction. Both are budgeted.
 Dfa compile_ast(const RegexNode& root, const AlgebraOptions& options = {});
 
 // Default determinization state budget when RELM_DETERMINIZE_BUDGET is

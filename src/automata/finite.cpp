@@ -278,9 +278,9 @@ std::optional<FiniteSize> finite_size(const RegexNode& node) {
   }
 }
 
-std::optional<std::vector<std::string>> finite_strings(const RegexNode& ast,
-                                                       std::uint64_t limit) {
-  std::optional<FiniteSize> size = finite_size(ast);
+std::optional<std::vector<std::string>> finite_strings(
+    const RegexNode& ast, const std::optional<FiniteSize>& size,
+    std::uint64_t limit) {
   if (!size || size->strings > limit) return std::nullopt;
   Strings strings{std::string()};
   extend(strings, ast);

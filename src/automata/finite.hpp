@@ -29,11 +29,13 @@ struct FiniteSize {
 // Thompson NFA has no dead state.
 std::optional<FiniteSize> finite_size(const RegexNode& ast);
 
-// L(ast) as sorted (bytewise), unique strings, or nullopt when finite_size
-// is nullopt or counts more than `limit` strings; the count comes first, so
-// a refused tree builds no string.
-std::optional<std::vector<std::string>> finite_strings(const RegexNode& ast,
-                                                       std::uint64_t limit);
+// L(ast) as sorted (bytewise), unique strings, or nullopt when `size` is
+// nullopt or more than `limit` strings. `size` is finite_size(ast), which
+// the caller has counted already, so a refused tree builds no string and no
+// tree is counted twice.
+std::optional<std::vector<std::string>> finite_strings(
+    const RegexNode& ast, const std::optional<FiniteSize>& size,
+    std::uint64_t limit);
 
 // The minimal DFA of a finite set of sequences, built in one pass over them
 // (Daciuk, Mihov, Watson & Watson, "Incremental construction of minimal

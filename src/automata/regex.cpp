@@ -22,8 +22,7 @@ Dfa compile_regex_unminimized(std::string_view pattern) {
   }
   // Boolean-algebra patterns (and plain ones alike) compile through the
   // algebra compiler under the environment-configured state budget; a
-  // literal becomes its chain, any other boolean-free AST goes through
-  // thompson + budgeted determinize.
+  // boolean-free AST goes through thompson + budgeted determinize.
   AlgebraOptions options;
   options.state_budget = determinize_budget_from_env();
   RELM_TRACE_SPAN("regex.determinize");

@@ -96,36 +96,6 @@ bool has_boolean_ops(const RegexNode& node) {
   return false;
 }
 
-namespace {
-
-bool append_literal(const RegexNode& node, std::string& bytes) {
-  switch (node.kind) {
-    case RegexKind::kEpsilon:
-      return true;
-    case RegexKind::kCharClass: {
-      if (node.char_class.count() != 1) return false;
-      for_each_byte(node.char_class,
-                    [&](unsigned b) { bytes.push_back(static_cast<char>(b)); });
-      return true;
-    }
-    case RegexKind::kConcat:
-      for (const auto& child : node.children) {
-        if (!append_literal(*child, bytes)) return false;
-      }
-      return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
-std::optional<std::string> literal_bytes(const RegexNode& node) {
-  std::string bytes;
-  if (!append_literal(node, bytes)) return std::nullopt;
-  return bytes;
-}
-
 RegexPtr RegexNode::clone() const {
   auto node = std::make_unique<RegexNode>();
   node->kind = kind;

@@ -4,7 +4,6 @@
 #include <bitset>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,12 +74,6 @@ struct RegexNode {
 // kComplement, kDifference). Such trees must compile through
 // automata/algebra.hpp; thompson_construct rejects them.
 bool has_boolean_ops(const RegexNode& node);
-
-// The bytes a literal tree spells, or nullopt for any other tree. A literal
-// is ε, a single-byte class, or a concatenation of literals; its minimal DFA
-// is the chain of its bytes, which automata::compile_ast builds without
-// Thompson or subset construction.
-std::optional<std::string> literal_bytes(const RegexNode& node);
 
 // Named byte sets shared by the parser and the Levenshtein preprocessor.
 // The paper's queries operate over ASCII (§B notes Unicode needs byte-level

@@ -182,17 +182,6 @@ bool CompiledQuery::is_match(const StateSet& set) const {
   return set.body_state != kNoState && body_->dfa.is_final(set.body_state);
 }
 
-bool CompiledQuery::has_continuation(const StateSet& set) const {
-  if (set.body_state != kNoState && !body_->dfa.edges(set.body_state).empty()) {
-    return true;
-  }
-  if (set.prefix_state != kNoState &&
-      !prefix_->dfa.edges(set.prefix_state).empty()) {
-    return true;
-  }
-  return false;
-}
-
 void CompiledQuery::canonical_prefix_advance(
     std::span<const TokenId> body_tokens, std::string_view body_text,
     CanonState& state) const {

@@ -114,10 +114,6 @@ class CompiledQuery {
   // an empty body pattern accepts at the hand-off itself.)
   bool is_match(const StateSet& set) const;
 
-  // Whether any transition leaves the set (false = the only option is to
-  // stop; used for EOS disambiguation in sampling, §3.3).
-  bool has_continuation(const StateSet& set) const;
-
   const automata::Dfa& prefix_automaton() const { return prefix_->dfa; }
   const automata::Dfa& body_automaton() const { return body_->dfa; }
   bool dynamic_canonical() const { return body_->dynamic_canonical; }

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <list>
-#include <unordered_map>
 
 #include <unistd.h>
 
@@ -12,13 +10,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/errors.hpp"
-#include "util/sync.hpp"
 
 namespace relm::core::pipeline {
 
 namespace {
-
-constexpr std::size_t kShards = 8;
 
 struct GlobalCounters {
   obs::Counter& hit = obs::Registry::instance().counter("compile_cache.hit");
@@ -37,59 +32,25 @@ GlobalCounters& counters() {
 
 }  // namespace
 
-struct ArtifactCache::Shard {
-  struct Entry {
-    ArtifactKey key;
-    std::shared_ptr<const Component> component;
-  };
-  struct KeyHash {
-    std::size_t operator()(const ArtifactKey& k) const noexcept {
-      return static_cast<std::size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ull));
-    }
-  };
-
-  mutable util::Mutex mutex{util::LockRank::kCompileCacheShard};
-  // front = most recently used
-  std::list<Entry> lru RELM_GUARDED_BY(mutex);
-  std::unordered_map<ArtifactKey, std::list<Entry>::iterator, KeyHash> index
-      RELM_GUARDED_BY(mutex);
-  // Set once in the ArtifactCache constructor before any concurrent use,
-  // immutable afterwards — so not lock-guarded.
-  std::size_t capacity = 0;
-
-  // Instance counters (the obs registry mirrors are process-global).
-  std::atomic<std::size_t> evictions{0};
-  std::atomic<std::size_t> disk_loads{0};
-  std::atomic<std::size_t> disk_stores{0};
-  std::atomic<std::size_t> disk_errors{0};
-};
-
 ArtifactCache::ArtifactCache(ArtifactCacheConfig config)
-    : config_(std::move(config)), shards_(new Shard[kShards]) {
-  // Ceiling split so capacities below kShards still cache something per
-  // shard they land in.
-  const std::size_t per_shard = (config_.capacity + kShards - 1) / kShards;
-  for (std::size_t i = 0; i < kShards; ++i) shards_[i].capacity = per_shard;
-}
-
-ArtifactCache::~ArtifactCache() = default;
-
-ArtifactCache::Shard& ArtifactCache::shard_for(const ArtifactKey& key) {
-  return shards_[key.lo % kShards];
-}
+    : config_(std::move(config)) {}
 
 std::string ArtifactCache::disk_path(const ArtifactKey& key) const {
   return config_.disk_dir + "/" + key.hex() + ".relmc";
 }
 
+void ArtifactCache::count(std::size_t Stats::*field) {
+  util::ScopedLock lock(mutex_);
+  ++(stats_.*field);
+}
+
 std::shared_ptr<const Component> ArtifactCache::lookup(const ArtifactKey& key) {
   if (!enabled() || key.is_zero()) return nullptr;
-  Shard& shard = shard_for(key);
   {
-    util::ScopedLock lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    util::ScopedLock lock(mutex_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
       return it->second->component;
     }
   }
@@ -104,14 +65,14 @@ std::shared_ptr<const Component> ArtifactCache::lookup(const ArtifactKey& key) {
         if (component->key != key) {
           throw relm::Error("stored key does not match its filename");
         }
-        shard.disk_loads.fetch_add(1, std::memory_order_relaxed);
+        count(&Stats::disk_loads);
         counters().load.add();
-        insert_memory_(shard, key, component);
+        insert_memory_(key, component);
         return component;
       } catch (const relm::Error&) {
         // Corrupt entry: count it and fall through to a miss. The caller
         // recompiles and insert() overwrites the bad file.
-        shard.disk_errors.fetch_add(1, std::memory_order_relaxed);
+        count(&Stats::disk_errors);
         counters().corrupt.add();
       }
     }
@@ -120,21 +81,20 @@ std::shared_ptr<const Component> ArtifactCache::lookup(const ArtifactKey& key) {
 }
 
 void ArtifactCache::insert_memory_(
-    Shard& shard, const ArtifactKey& key,
-    const std::shared_ptr<const Component>& component) {
-  util::ScopedLock lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    const ArtifactKey& key, const std::shared_ptr<const Component>& component) {
+  util::ScopedLock lock(mutex_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
     it->second->component = component;
     return;
   }
-  shard.lru.push_front(Shard::Entry{key, component});
-  shard.index[key] = shard.lru.begin();
-  while (shard.lru.size() > shard.capacity) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    shard.evictions.fetch_add(1, std::memory_order_relaxed);
+  lru_.push_front(Entry{key, component});
+  index_[key] = lru_.begin();
+  while (lru_.size() > config_.capacity) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
     counters().evict.add();
   }
 }
@@ -142,8 +102,7 @@ void ArtifactCache::insert_memory_(
 void ArtifactCache::insert(const ArtifactKey& key,
                            std::shared_ptr<const Component> component) {
   if (!enabled() || key.is_zero() || !component) return;
-  Shard& shard = shard_for(key);
-  insert_memory_(shard, key, component);
+  insert_memory_(key, component);
 
   if (config_.disk_dir.empty()) return;
   try {
@@ -161,31 +120,22 @@ void ArtifactCache::insert(const ArtifactKey& key,
     std::filesystem::rename(tmp, path, ec);
     if (ec) {
       std::filesystem::remove(tmp, ec);
-      shard.disk_errors.fetch_add(1, std::memory_order_relaxed);
+      count(&Stats::disk_errors);
       return;
     }
-    shard.disk_stores.fetch_add(1, std::memory_order_relaxed);
+    count(&Stats::disk_stores);
     counters().store.add();
   } catch (const relm::Error&) {
     // An unwritable disk store degrades to memory-only; it must never fail
     // the compile that produced the component.
-    shard.disk_errors.fetch_add(1, std::memory_order_relaxed);
+    count(&Stats::disk_errors);
   }
 }
 
 ArtifactCache::Stats ArtifactCache::stats() const {
-  Stats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    const Shard& s = shards_[i];
-    stats.evictions += s.evictions.load(std::memory_order_relaxed);
-    stats.disk_loads += s.disk_loads.load(std::memory_order_relaxed);
-    stats.disk_stores += s.disk_stores.load(std::memory_order_relaxed);
-    stats.disk_errors += s.disk_errors.load(std::memory_order_relaxed);
-    util::ScopedLock lock(s.mutex);
-    stats.entries += s.lru.size();
-  }
+  util::ScopedLock lock(mutex_);
+  Stats stats = stats_;
+  stats.entries = lru_.size();
   return stats;
 }
 
@@ -243,7 +193,8 @@ std::shared_ptr<const QueryArtifact> compile_cached(
   auto body = component(Side::kBody);
   auto prefix = component(Side::kPrefix);
   if (cache) {
-    (compiled ? cache->misses_ : cache->hits_).fetch_add(1);
+    cache->count(compiled ? &ArtifactCache::Stats::misses
+                          : &ArtifactCache::Stats::hits);
     (compiled ? counters().miss : counters().hit).add();
   }
   return std::make_shared<const QueryArtifact>(

@@ -1,17 +1,19 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "core/pipeline/artifact.hpp"
+#include "util/sync.hpp"
 
 namespace relm::core::pipeline {
 
 struct ArtifactCacheConfig {
-  // In-memory components across all shards. 0 disables the cache entirely
-  // (lookups miss unconditionally and inserts drop, including disk).
+  // In-memory components, exactly. 0 disables the cache entirely (lookups
+  // miss unconditionally and inserts drop, including disk).
   std::size_t capacity = 256;
 
   // Optional on-disk store. When non-empty, misses fall through to
@@ -20,9 +22,9 @@ struct ArtifactCacheConfig {
   std::string disk_dir;
 };
 
-// Content-addressed cache of compiled query components: a sharded in-memory
-// LRU in front of an optional on-disk store, keyed by component key (see
-// derive_component_key for what it covers — notably the vocabulary
+// Content-addressed cache of compiled query components: an in-memory LRU
+// under one mutex in front of an optional on-disk store, keyed by component
+// key (see derive_component_key for what it covers — notably the vocabulary
 // fingerprint, so a retrained tokenizer can never serve stale automata).
 // Queries that share a prefix or a body share its component.
 //
@@ -32,12 +34,12 @@ struct ArtifactCacheConfig {
 // end-to-end through the executors). A corrupt or truncated disk entry is
 // counted, discarded, and recompiled over — never trusted, never fatal.
 //
-// Thread-safe. Counters also mirror into the obs registry as
+// Thread-safe; the disk store is read and written outside the lock.
+// Counters also mirror into the obs registry as
 // compile_cache.{hit,miss,evict,load,store,corrupt}.
 class ArtifactCache {
  public:
   explicit ArtifactCache(ArtifactCacheConfig config = {});
-  ~ArtifactCache();
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
@@ -78,16 +80,28 @@ class ArtifactCache {
   friend std::shared_ptr<const QueryArtifact> compile_cached(
       const SimpleSearchQuery&, const tokenizer::BpeTokenizer&, ArtifactCache*);
 
-  struct Shard;
-  Shard& shard_for(const ArtifactKey& key);
+  struct Entry {
+    ArtifactKey key;
+    std::shared_ptr<const Component> component;
+  };
+  struct KeyHash {
+    std::size_t operator()(const ArtifactKey& k) const noexcept {
+      return static_cast<std::size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ull));
+    }
+  };
+
   std::string disk_path(const ArtifactKey& key) const;
-  void insert_memory_(Shard& shard, const ArtifactKey& key,
+  void insert_memory_(const ArtifactKey& key,
                       const std::shared_ptr<const Component>& component);
+  void count(std::size_t Stats::*field);
 
   ArtifactCacheConfig config_;
-  std::unique_ptr<Shard[]> shards_;
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
+  mutable util::Mutex mutex_{util::LockRank::kCompileCacheLru};
+  // front = most recently used
+  std::list<Entry> lru_ RELM_GUARDED_BY(mutex_);
+  std::unordered_map<ArtifactKey, std::list<Entry>::iterator, KeyHash> index_
+      RELM_GUARDED_BY(mutex_);
+  Stats stats_ RELM_GUARDED_BY(mutex_);  // every field but entries
 };
 
 // Compile-through-cache: derives the query's two component keys, serves

@@ -26,33 +26,37 @@ std::size_t state_budget(const SimpleSearchQuery& query) {
 // How a side's character DFA is built (pipeline.hpp).
 enum class Construction { kStrings, kAlgebra, kThompson };
 
-// A side compiles from its strings (docs/automata.md, "Pipeline") when the
-// canonical lift would enumerate them anyway (canonical strategy, no
-// preprocessor, at most canonical_enumeration_budget strings counted with
-// multiplicity) and subset construction could not have run out of states:
-// finite_size rules out dead NFA states, so subset construction makes at
-// most one state per distinct prefix of the language, and there are at most
-// bytes + 1 of those; a literal's bound is its chain's n + 1. A boolean tree
-// has no finite_size.
-Construction construction_of(const SimpleSearchQuery& query, Side side,
-                             const automata::RegexNode& ast,
-                             std::size_t budget) {
+struct Plan {
+  Construction how = Construction::kThompson;
+  std::optional<automata::FiniteSize> size;  // finite_size of the side's AST
+  bool encode = false;  // kStrings: token_lift encodes the strings
+};
+
+// A side compiles from its strings (docs/automata.md, "Pipeline") when it
+// spells exactly one string, or when the canonical lift would enumerate its
+// strings anyway (canonical strategy, no preprocessor, at most
+// canonical_enumeration_budget strings counted with multiplicity; only then
+// does token_lift encode them). Either way subset construction could not
+// have run out of states: finite_size rules out dead NFA states, so subset
+// construction makes at most one state per distinct prefix of the language,
+// and there are at most bytes + 1 of those. A boolean tree has no
+// finite_size.
+Plan plan_of(const SimpleSearchQuery& query, Side side,
+             const automata::RegexNode& ast, std::size_t budget) {
   bool enumerates = query.tokenization_strategy ==
                     TokenizationStrategy::kCanonicalTokens;
   for (const auto& pre : query.preprocessors) {
     if (pre->target() == side || pre->target() == Side::kBoth) enumerates = false;
   }
-  if (enumerates) {
-    const std::optional<automata::FiniteSize> size = automata::finite_size(ast);
-    if (size && size->strings <= query.canonical_enumeration_budget &&
-        (budget == 0 || size->bytes < budget)) {
-      return Construction::kStrings;
-    }
+  Plan plan{Construction::kThompson, automata::finite_size(ast), false};
+  if (!plan.size) {
+    if (automata::has_boolean_ops(ast)) plan.how = Construction::kAlgebra;
+  } else if (budget == 0 || plan.size->bytes < budget) {
+    plan.encode = enumerates &&
+                  plan.size->strings <= query.canonical_enumeration_budget;
+    if (plan.encode || plan.size->strings == 1) plan.how = Construction::kStrings;
   }
-  if (automata::has_boolean_ops(ast) || automata::literal_bytes(ast)) {
-    return Construction::kAlgebra;
-  }
-  return Construction::kThompson;
+  return plan;
 }
 
 // Runs one stage under its "compile.pass.<name>" span (a literal: spans
@@ -78,7 +82,7 @@ CompileState run_to_state(const SimpleSearchQuery& query, Side side,
   RELM_TRACE_SPAN("compile.query");
   CompileState s;
   const std::size_t budget = state_budget(query);
-  Construction how = Construction::kThompson;
+  Plan plan;
   stage("compile.pass.parse", records, [&] {
     RELM_TRACE_SPAN("regex.parse");  // legacy name, kept for trace tooling
     s.pattern = component_pattern(query, side);
@@ -86,18 +90,19 @@ CompileState run_to_state(const SimpleSearchQuery& query, Side side,
   });
   stage("compile.pass.thompson", records, [&] {
     RELM_TRACE_SPAN("regex.thompson");  // legacy name, kept for trace tooling
-    how = construction_of(query, side, *s.ast, budget);
-    if (how == Construction::kThompson) {
+    plan = plan_of(query, side, *s.ast, budget);
+    if (plan.how == Construction::kThompson) {
       s.nfa = automata::thompson_construct(*s.ast);
     }
   });
   stage("compile.pass.determinize", records, [&] {
-    // One state budget covers the whole stage: subset construction, the
-    // literal's chain, or the algebra's product and subset constructions.
-    switch (how) {
+    // One state budget covers the whole stage: subset construction, or the
+    // algebra's product and subset constructions.
+    switch (plan.how) {
       case Construction::kStrings:
-        s.strings = automata::finite_strings(
-            *s.ast, query.canonical_enumeration_budget);
+        // plan_of bounded the count already.
+        s.strings = automata::finite_strings(*s.ast, plan.size,
+                                             plan.size->strings);
         s.chars = automata::minimal_dfa(*s.strings);
         break;
       case Construction::kAlgebra:
@@ -110,7 +115,9 @@ CompileState run_to_state(const SimpleSearchQuery& query, Side side,
   });
   stage("compile.pass.minimize", records, [&] {
     // minimal_dfa's result is minimal already.
-    if (how != Construction::kStrings) s.chars = automata::minimize(*s.chars);
+    if (plan.how != Construction::kStrings) {
+      s.chars = automata::minimize(*s.chars);
+    }
   });
   stage("compile.pass.preprocess", records, [&] {
     for (const auto& pre : query.preprocessors) {
@@ -124,7 +131,7 @@ CompileState run_to_state(const SimpleSearchQuery& query, Side side,
     // model calls (the empty-language fast path).
   });
   stage("compile.pass.token_lift", records, [&] {
-    s.tokens = how == Construction::kStrings
+    s.tokens = plan.encode
                    ? canonical_token_automaton(*s.strings, tok)
                    : compile_token_automaton(
                          *s.chars, tok, query.tokenization_strategy,

@@ -22,12 +22,13 @@ namespace relm::core::pipeline {
 //
 // The thompson stage first decides once which construction the side takes
 // (docs/automata.md, "Pipeline"):
-//   * from its strings: a finite canonical side that no preprocessor
-//     rewrites. determinize reads them off the AST and builds the minimal
-//     DFA directly, thompson and minimize have nothing to do, and
-//     token_lift encodes the strings;
+//   * from its strings: a side that spells one string (a literal), or a
+//     finite canonical side that no preprocessor rewrites. determinize reads
+//     them off the AST and builds the minimal DFA directly, thompson and
+//     minimize have nothing to do, and token_lift encodes the strings when
+//     the canonical lift would enumerate them, else lifts `chars`;
 //   * through automata::compile_ast in determinize: a tree with boolean
-//     nodes, or a literal;
+//     nodes;
 //   * otherwise Thompson construction, then subset construction.
 //
 // Intermediates are write-once (each stage only fills fields that are still
@@ -44,8 +45,9 @@ struct CompileState {
   std::optional<automata::Nfa> nfa;
   // determinize / minimize / preprocess (each stage replaces it)
   std::optional<automata::Dfa> chars;
-  // determinize: the finite language of `chars`, when `chars` was built
-  // from it (sorted, unique; the token_lift stage encodes these)
+  // determinize: the side's finite language, when `chars` was built from
+  // it before any preprocessor ran (sorted, unique; token_lift encodes these
+  // when the canonical lift would enumerate them)
   std::optional<std::vector<std::string>> strings;
   // token_lift, then token_masks
   std::optional<TokenAutomaton> tokens;

@@ -8,7 +8,6 @@
 #include <limits>
 #include <list>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "model/decoding.hpp"
@@ -380,7 +379,6 @@ struct CacheMetrics {
   obs::Counter& misses;
   obs::Counter& evictions;
   obs::Counter& batch_dedup;
-  obs::Counter& inflight_dedup;
   obs::Gauge& entries;
 
   static CacheMetrics& get() {
@@ -388,7 +386,6 @@ struct CacheMetrics {
                           obs::Registry::instance().counter("model.cache.misses"),
                           obs::Registry::instance().counter("model.cache.evictions"),
                           obs::Registry::instance().counter("model.cache.batch_dedup"),
-                          obs::Registry::instance().counter("model.cache.inflight_dedup"),
                           obs::Registry::instance().gauge("model.cache.entries")};
     return m;
   }
@@ -435,13 +432,10 @@ struct CachingModel::Shard {
   }
 
   // Looks up `suffix` for one request, refreshing recency and counting the
-  // hit or miss; null on miss. `retry` retracts the miss the request's
-  // previous probe counted (it then waited for another caller's evaluation
-  // of the suffix), so every request counts once. The entry may be read
-  // only while `mutex` is held.
-  const Entry* find(std::uint64_t hash, std::span<const TokenId> suffix,
-                    bool retry) RELM_REQUIRES(mutex) {
-    if (retry) --misses;
+  // hit or miss; null on miss. The entry may be read only while `mutex` is
+  // held.
+  const Entry* find(std::uint64_t hash, std::span<const TokenId> suffix)
+      RELM_REQUIRES(mutex) {
     const Iter entry_it = locate(hash, suffix);
     if (entry_it == lru.end()) {
       ++misses;
@@ -454,8 +448,9 @@ struct CachingModel::Shard {
     return &*entry_it;
   }
 
-  // Stores `row` for `suffix`: a live entry takes its mask, otherwise a new
-  // entry is inserted, evicting the LRU tail to stay within capacity.
+  // Stores `row` for `suffix`: a live entry (another caller may have stored
+  // the suffix since this one missed) takes its mask, otherwise a new entry
+  // is inserted, evicting the LRU tail to stay within capacity.
   void store(std::uint64_t hash, std::span<const TokenId> suffix,
              const Row& row, const DecodingRules& rules) RELM_REQUIRES(mutex) {
     if (const Iter live = locate(hash, suffix); live != lru.end()) {
@@ -485,26 +480,11 @@ struct CachingModel::Shard {
   }
 };
 
-// Dedup table for computations currently in flight: a thread that misses on
-// a suffix another thread is already evaluating waits here instead of
-// evaluating the model a second time. Keyed by suffix hash only — the
-// full-suffix comparison happens at the shard on re-probe, so a hash
-// collision costs a spurious wait, never a wrong result. Ranked BEFORE the
-// cache shards (kModelCacheInflight < kModelCacheShard): the claim/erase
-// sites never hold a shard lock, so the one legal nesting direction is
-// inflight -> shard.
-struct CachingModel::Inflight {
-  mutable util::Mutex mutex{util::LockRank::kModelCacheInflight};
-  util::CondVar done;
-  std::unordered_set<std::uint64_t> pending RELM_GUARDED_BY(mutex);
-};
-
 CachingModel::CachingModel(std::shared_ptr<const LanguageModel> inner,
                            std::size_t capacity)
     : inner_(std::move(inner)),
       capacity_(capacity),
-      shards_(std::make_unique<Shard[]>(kCacheShards)),
-      inflight_(std::make_unique<Inflight>()) {
+      shards_(std::make_unique<Shard[]>(kCacheShards)) {
   // Distribute the entry budget so shard capacities sum exactly to
   // capacity_: the bound counts entries across the whole cache, not keys or
   // shards (a rounded-up per-shard quota would overshoot small capacities).
@@ -534,7 +514,7 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
   CacheMetrics& metrics = CacheMetrics::get();
   const bool restricted = !rules.unrestricted();
 
-  // A distinct suffix this round evaluates (a miss) or masks (a hit whose
+  // A distinct suffix this call evaluates (a miss) or masks (a hit whose
   // stored mask is missing or was built for other rules); job_rows[j] is
   // its row. outputs[0] owns the work, later outputs reuse it.
   struct Job {
@@ -543,117 +523,71 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
     bool evaluate;
     std::vector<std::size_t> outputs;
   };
-  // This round's in-flight claims, released however the round ends so
-  // waiters wake and re-probe (after the entries are stored).
-  struct Claims {
-    Inflight& table;
-    std::vector<std::uint64_t> hashes;
-    ~Claims() { release(); }
-    void release() {
-      if (hashes.empty()) return;
-      util::ScopedLock lock(table.mutex);
-      for (std::uint64_t hash : hashes) table.pending.erase(hash);
-      hashes.clear();
-      table.done.notify_all();
-    }
-  };
-
-  // Rows whose suffix another caller was evaluating; re-probed next round.
-  std::vector<std::size_t> waiting;
-  for (bool retry = false;; retry = true) {
-    const std::vector<std::size_t> todo = std::move(waiting);
-    waiting.clear();
-    std::vector<Job> jobs;
-    std::vector<Row> job_rows;
-    Claims claims{*inflight_, {}};
-    const std::size_t probes = retry ? todo.size() : out.size();
-    for (std::size_t p = 0; p < probes; ++p) {
-      const std::size_t i = retry ? todo[p] : p;
-      const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
-      const std::uint64_t hash = hash_tokens(suffix);
-      Shard& shard = shard_for(hash);
-      bool hit = false;
+  std::vector<Job> jobs;
+  std::vector<Row> job_rows;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
+    const std::uint64_t hash = hash_tokens(suffix);
+    Shard& shard = shard_for(hash);
+    const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
+      return j.hash == hash && std::ranges::equal(j.suffix, suffix);
+    });
+    if (job != jobs.end()) {
+      // A repeat of a suffix this call already serves joins its job: a hit,
+      // so hit rates reflect the evaluations saved.
+      job->outputs.push_back(i);
       {
         util::ScopedLock lock(shard.mutex);
-        if (const Shard::Entry* entry = shard.find(hash, suffix, retry)) {
-          hit = true;
-          out[i].log_probs = entry->log_probs;
-          if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
-        }
+        ++shard.hits;
       }
-      if (hit) {
-        metrics.hits.add();
-        if (!restricted || out[i].mask) {
-          out[i].mask_reused = restricted;
-          continue;
-        }
+      metrics.hits.add();
+      if (job->evaluate) metrics.batch_dedup.add();
+      continue;
+    }
+    bool hit = false;
+    {
+      util::ScopedLock lock(shard.mutex);
+      if (const Shard::Entry* entry = shard.find(hash, suffix)) {
+        hit = true;
+        out[i].log_probs = entry->log_probs;
+        if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
       }
-      const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
-        return j.hash == hash && std::ranges::equal(j.suffix, suffix);
-      });
-      if (job != jobs.end()) {
-        job->outputs.push_back(i);
-        if (!hit) {
-          // The probe counted a miss, but this round's pending evaluation
-          // serves the row without another model call: reclassify, so hit
-          // rates reflect evaluations saved.
-          util::ScopedLock lock(shard.mutex);
-          --shard.misses;
-          ++shard.hits;
-          metrics.hits.add();
-          metrics.batch_dedup.add();
-        }
+    }
+    if (hit) {
+      metrics.hits.add();
+      if (!restricted || out[i].mask) {
+        out[i].mask_reused = restricted;
         continue;
       }
-      if (!hit) {
-        bool claimed = false;
-        {
-          util::ScopedLock lock(inflight_->mutex);
-          claimed = inflight_->pending.insert(hash).second;
-        }
-        if (!claimed) {
-          metrics.inflight_dedup.add();
-          waiting.push_back(i);
-          continue;
-        }
-        claims.hashes.push_back(hash);
-        metrics.misses.add();
-      }
-      jobs.push_back(Job{hash, suffix, !hit, {i}});
-      job_rows.push_back(Row{out[i].log_probs, nullptr, false});
+    } else {
+      metrics.misses.add();
     }
+    jobs.push_back(Job{hash, suffix, !hit, {i}});
+    job_rows.push_back(Row{out[i].log_probs, nullptr, false});
+  }
 
-    std::vector<std::vector<TokenId>> eval_contexts;
-    for (const Job& job : jobs) {
-      if (job.evaluate) eval_contexts.emplace_back(job.suffix.begin(), job.suffix.end());
-    }
-    if (!eval_contexts.empty()) {
-      std::vector<Row> fresh = inner_->next_rows(eval_contexts, DecodingRules{});
-      std::size_t e = 0;
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        if (jobs[j].evaluate) job_rows[j].log_probs = std::move(fresh[e++].log_probs);
-      }
-    }
-    fill_rule_masks(job_rows, rules);
+  std::vector<std::vector<TokenId>> eval_contexts;
+  for (const Job& job : jobs) {
+    if (job.evaluate) eval_contexts.emplace_back(job.suffix.begin(), job.suffix.end());
+  }
+  if (!eval_contexts.empty()) {
+    std::vector<Row> fresh = inner_->next_rows(eval_contexts, DecodingRules{});
+    std::size_t e = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
+      if (jobs[j].evaluate) job_rows[j].log_probs = std::move(fresh[e++].log_probs);
+    }
+  }
+  fill_rule_masks(job_rows, rules);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    {
       Shard& shard = shard_for(jobs[j].hash);
       util::ScopedLock lock(shard.mutex);
       shard.store(jobs[j].hash, jobs[j].suffix, job_rows[j], rules);
     }
-    claims.release();
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      for (std::size_t k = 0; k < jobs[j].outputs.size(); ++k) {
-        Row& row = out[jobs[j].outputs[k]];
-        row = job_rows[j];
-        row.mask_reused = restricted && k > 0;
-      }
-    }
-
-    if (waiting.empty()) return;
-    util::ScopedLock lock(inflight_->mutex);
-    for (const std::size_t i : waiting) {
-      const std::uint64_t hash = hash_tokens(relevant_suffix(*inner_, context_at(i)));
-      while (inflight_->pending.count(hash) > 0) inflight_->done.wait(lock);
+    for (std::size_t k = 0; k < jobs[j].outputs.size(); ++k) {
+      Row& row = out[jobs[j].outputs[k]];
+      row = job_rows[j];
+      row.mask_reused = restricted && k > 0;
     }
   }
 }

@@ -235,9 +235,8 @@ class CachingModel : public LanguageModel {
   // next_rows — so decorators see every evaluation — and their masks, plus
   // those of hits whose stored mask was built for other rules, are built
   // across the shared pool and stored. Misses are deduplicated within the
-  // call and across concurrent callers: a caller that misses on a suffix
-  // another thread is evaluating waits and re-probes instead of evaluating
-  // the model a second time (model.cache.inflight_dedup).
+  // call only: two concurrent callers that miss on one suffix both evaluate
+  // it, and the second store keeps the live entry.
   std::vector<Row> next_rows(std::span<const std::vector<TokenId>> contexts,
                              const DecodingRules& rules) const override;
 
@@ -251,7 +250,6 @@ class CachingModel : public LanguageModel {
 
  private:
   struct Shard;
-  struct Inflight;
 
   Shard& shard_for(std::uint64_t hash) const;
 
@@ -264,7 +262,6 @@ class CachingModel : public LanguageModel {
   std::shared_ptr<const LanguageModel> inner_;
   std::size_t capacity_;
   std::unique_ptr<Shard[]> shards_;
-  std::unique_ptr<Inflight> inflight_;
 };
 
 }  // namespace relm::model

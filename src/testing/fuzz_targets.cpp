@@ -125,13 +125,13 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
   analysis::InvariantReport report;
   analysis::check_dfa(lazy_dfa, report, "algebra-lazy");
   if (!report.ok()) die("fuzz_algebra_compile", report.to_string());
-  // A boolean-free pattern compiles as a literal chain or through Thompson
-  // and subset construction, and minimizes by the post-order pass or Moore;
-  // every combination must equal Hopcroft over the Thompson path exactly.
-  // compile_ast fit the budget, so this subset construction (of the same
-  // NFA, or one with a chain's n + 1 subsets) does too. Subset construction
-  // over byte classes must equal the per-byte reference structurally, and the
-  // Hopcroft side is built from the reference.
+  // A boolean-free pattern compiles through Thompson and subset
+  // construction, and minimizes by the post-order pass or Moore; every
+  // combination must equal Hopcroft over the Thompson path exactly.
+  // compile_ast fit the budget, so this subset construction of the same NFA
+  // does too. Subset construction over byte classes must equal the per-byte
+  // reference structurally, and the Hopcroft side is built from the
+  // reference.
   if (!automata::has_boolean_ops(*ast)) {
     const automata::Nfa nfa = automata::thompson_construct(*ast);
     const automata::Dfa subsets = determinize_per_byte(nfa);
@@ -146,15 +146,15 @@ int fuzz_algebra_compile(const std::uint8_t* data, std::size_t size) {
           "minimize(compile_ast) differs from Hopcroft over Thompson on \"" +
               pattern + "\"");
     }
-    // Every tree the pipeline compiles from its strings (at most the
-    // default enumeration budget's strings, fewer bytes than the state
-    // budget) must give that DFA from them too.
+    // Every tree the pipeline compiles from its strings under the default
+    // enumeration budget (one string, or at most the budget's strings, and
+    // fewer bytes than the state budget) must give that DFA from them too.
     const std::uint64_t limit =
         core::SimpleSearchQuery().canonical_enumeration_budget;
     const std::optional<automata::FiniteSize> size = automata::finite_size(*ast);
     if (size && size->strings <= limit && size->bytes < options.state_budget) {
       const std::optional<std::vector<std::string>> strings =
-          automata::finite_strings(*ast, limit);
+          automata::finite_strings(*ast, size, limit);
       if (!strings) {
         die("fuzz_algebra_compile",
             "finite_strings refused a tree finite_size admits: \"" + pattern +

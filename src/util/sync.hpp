@@ -94,13 +94,10 @@ enum class LockRank : int {
 
   // core/pipeline/cache (compiled-artifact cache).
   kCompileCacheConfig = 20,  // global cache singleton pointer
-  kCompileCacheShard = 21,   // the 8 LRU shards
+  kCompileCacheLru = 21,     // the component LRU
 
-  // model (CachingModel logit cache). The in-flight table ranks BEFORE the
-  // shards: a dedup waiter re-probes its shard while still registered, so
-  // inflight -> shard nesting must be legal (never the reverse).
-  kModelCacheInflight = 29,  // pending-computation dedup table + condvar
-  kModelCacheShard = 30,     // the 16 suffix-keyed LRU shards
+  // model (CachingModel logit cache).
+  kModelCacheShard = 30,  // the 16 suffix-keyed LRU shards
 
   // obs/trace.
   kTraceSink = 40,    // buffer registry + atexit output paths
@@ -121,8 +118,7 @@ inline const char* lock_rank_name(LockRank rank) {
     case LockRank::kPoolState: return "pool.state";
     case LockRank::kPoolJob: return "pool.job";
     case LockRank::kCompileCacheConfig: return "compile_cache.config";
-    case LockRank::kCompileCacheShard: return "compile_cache.shard";
-    case LockRank::kModelCacheInflight: return "model_cache.inflight";
+    case LockRank::kCompileCacheLru: return "compile_cache.lru";
     case LockRank::kModelCacheShard: return "model_cache.shard";
     case LockRank::kTraceSink: return "trace.sink";
     case LockRank::kTraceBuffer: return "trace.buffer";

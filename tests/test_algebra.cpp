@@ -311,9 +311,11 @@ TEST(AlgebraBudget, PlainDeterminizeHonoursBudget) {
   EXPECT_TRUE(unbounded.accepts_bytes("babbbbbbbbbb"));
 }
 
-TEST(AlgebraBudget, LiteralChainFailsWhereSubsetConstructionDid) {
-  // "abcdef" is a 7-state chain; Thompson + subset construction made the
-  // same 7 states, so budgets of 6 and 7 split the same way.
+TEST(AlgebraBudget, LiteralNeedsOneStatePerPrefix) {
+  // "abcdef" takes Thompson + subset construction: one state per prefix, 7
+  // in all, so budgets of 6 and 7 split compile_ast and determinize the
+  // same way (the pipeline's bound for a side built from its strings is the
+  // same bytes + 1).
   RegexPtr ast = automata::parse_regex("abcdef");
   AlgebraOptions options;
   options.state_budget = 6;

@@ -319,18 +319,23 @@ TEST(Ops, InfiniteLanguageDetection) {
 }
 
 TEST(Ops, LiteralChainEqualsSubsetConstruction) {
-  // compile_ast builds a literal's chain directly; Thompson + subset
-  // construction numbers the same n + 1 states in the same BFS order.
-  for (const char* pattern :
-       {"", "a", "abc", "a()b", "(ab)(c(d))", "x\\.y\\-z", "\\x00\\xff"}) {
+  // The pipeline builds a side that spells one string from that string, as
+  // its chain (minimal_dfa); Thompson + subset construction numbers the same
+  // n + 1 states in the same BFS order.
+  for (const char* pattern : {"", "a", "abc", "a()b", "(ab)(c(d))",
+                              "x\\.y\\-z", "\\x00\\xff", "a{2}"}) {
     SCOPED_TRACE(pattern);
-    RegexPtr ast = parse_regex(pattern);
-    ASSERT_TRUE(literal_bytes(*ast).has_value());
-    EXPECT_EQ(compile_regex_unminimized(pattern),
-              trim(determinize(thompson_construct(*ast))));
+    const RegexPtr ast = parse_regex(pattern);
+    const std::optional<FiniteSize> size = finite_size(*ast);
+    ASSERT_TRUE(size.has_value());
+    ASSERT_EQ(size->strings, 1u);
+    const Dfa chain = minimal_dfa(*finite_strings(*ast, size, 1));
+    EXPECT_EQ(chain, trim(determinize(thompson_construct(*ast))));
+    EXPECT_EQ(chain, compile_regex_unminimized(pattern));
   }
-  for (const char* pattern : {"a|b", "[ab]c", "a*", "a{2}", "a&a", "~a"}) {
-    EXPECT_FALSE(literal_bytes(*parse_regex(pattern)).has_value()) << pattern;
+  for (const char* pattern : {"a|b", "[ab]c", "a*", "a&a", "~a", "a|a"}) {
+    const std::optional<FiniteSize> size = finite_size(*parse_regex(pattern));
+    EXPECT_TRUE(!size.has_value() || size->strings != 1) << pattern;
   }
 }
 
@@ -1060,10 +1065,11 @@ std::vector<std::string> sorted_language(const std::string& pattern) {
 void expect_strings_of(const std::string& pattern) {
   SCOPED_TRACE(pattern);
   const RegexPtr ast = parse_regex(pattern);
-  std::optional<std::vector<std::string>> strings = finite_strings(*ast, 50000);
+  std::optional<FiniteSize> size = finite_size(*ast);
+  std::optional<std::vector<std::string>> strings =
+      finite_strings(*ast, size, 50000);
   ASSERT_TRUE(strings.has_value());
   EXPECT_EQ(*strings, sorted_language(pattern));
-  std::optional<FiniteSize> size = finite_size(*ast);
   ASSERT_TRUE(size.has_value());
   EXPECT_GE(size->strings, strings->size());
   std::uint64_t bytes = 0;
@@ -1076,7 +1082,8 @@ void expect_strings_of(const std::string& pattern) {
 
 TEST(FiniteStrings, WordListWithOptionalSuffixes) {
   expect_strings_of("((cat)|(dog)|(cow))(s)?(\\.|\\!|\\?)?(\")?");
-  EXPECT_EQ(*finite_strings(*parse_regex("((cat)|(dog))s?"), 100),
+  const RegexPtr words = parse_regex("((cat)|(dog))s?");
+  EXPECT_EQ(*finite_strings(*words, finite_size(*words), 100),
             (std::vector<std::string>{"cat", "cats", "dog", "dogs"}));
 }
 
@@ -1098,17 +1105,21 @@ TEST(FiniteStrings, DuplicatesCountTwiceButSpellOnce) {
   expect_strings_of("(a|a)b");
   const RegexPtr ast = parse_regex("(a|a)b");
   // The limit applies to the count with multiplicity.
-  EXPECT_FALSE(finite_strings(*ast, 1).has_value());
+  EXPECT_FALSE(finite_strings(*ast, finite_size(*ast), 1).has_value());
   const FiniteSize size = *finite_size(*ast);
   EXPECT_EQ(size.strings, 2u);
   EXPECT_EQ(size.bytes, 4u);
-  EXPECT_EQ(*finite_strings(*ast, 2), std::vector<std::string>{"ab"});
+  EXPECT_EQ(*finite_strings(*ast, finite_size(*ast), 2),
+            std::vector<std::string>{"ab"});
   expect_strings_of("(x?){3}");  // 8 spellings of 4 strings
 }
 
 TEST(FiniteStrings, Epsilon) {
-  EXPECT_EQ(*finite_strings(*parse_regex(""), 1), std::vector<std::string>{""});
-  EXPECT_EQ(*finite_strings(*parse_regex("()"), 1), std::vector<std::string>{""});
+  for (const char* pattern : {"", "()"}) {
+    const RegexPtr ast = parse_regex(pattern);
+    EXPECT_EQ(*finite_strings(*ast, finite_size(*ast), 1),
+              std::vector<std::string>{""});
+  }
   expect_strings_of("(|x)y");
   const FiniteSize size = *finite_size(*parse_regex(""));
   EXPECT_EQ(size.strings, 1u);
@@ -1122,7 +1133,7 @@ TEST(FiniteStrings, InfiniteBooleanAndEmptySubtreesAreRefused) {
     SCOPED_TRACE(pattern);
     const RegexPtr ast = parse_regex(pattern);
     EXPECT_FALSE(finite_size(*ast).has_value());
-    EXPECT_FALSE(finite_strings(*ast, 50000).has_value());
+    EXPECT_FALSE(finite_strings(*ast, finite_size(*ast), 50000).has_value());
   }
   // ∅ anywhere, even where it spells nothing (r{0} is ε).
   std::vector<RegexPtr> parts;
@@ -1130,19 +1141,19 @@ TEST(FiniteStrings, InfiniteBooleanAndEmptySubtreesAreRefused) {
   parts.push_back(RegexNode::repeat(RegexNode::empty_set(), 0, 0));
   const RegexPtr ast = RegexNode::concat(std::move(parts));
   EXPECT_FALSE(finite_size(*ast).has_value());
-  EXPECT_FALSE(finite_strings(*ast, 50000).has_value());
+  EXPECT_FALSE(finite_strings(*ast, finite_size(*ast), 50000).has_value());
   EXPECT_FALSE(finite_size(*RegexNode::empty_set()).has_value());
 }
 
 TEST(FiniteStrings, LimitIsExactAndCheckedBeforeBuilding) {
   const RegexPtr ast = parse_regex("[a-c]{2}|d");
-  ASSERT_TRUE(finite_strings(*ast, 10).has_value());
-  EXPECT_EQ(finite_strings(*ast, 10)->size(), 10u);
-  EXPECT_FALSE(finite_strings(*ast, 9).has_value());
+  ASSERT_TRUE(finite_strings(*ast, finite_size(*ast), 10).has_value());
+  EXPECT_EQ(finite_strings(*ast, finite_size(*ast), 10)->size(), 10u);
+  EXPECT_FALSE(finite_strings(*ast, finite_size(*ast), 9).has_value());
   // 26^12 strings: refused by the count, which saturates instead of
   // wrapping; building them would not finish.
   const RegexPtr huge = parse_regex("[a-z]{12}");
-  EXPECT_FALSE(finite_strings(*huge, 50000).has_value());
+  EXPECT_FALSE(finite_strings(*huge, finite_size(*huge), 50000).has_value());
   const FiniteSize saturated = *finite_size(*parse_regex("[a-z]{100}"));
   EXPECT_EQ(saturated.strings, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(saturated.bytes, std::numeric_limits<std::uint64_t>::max());

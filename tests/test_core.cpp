@@ -204,7 +204,6 @@ TEST(CompiledQuery, InitialStateHasPrefixLive) {
   // "The" does not accept epsilon, so the body is not yet live.
   EXPECT_EQ(init.body_state, automata::kNoState);
   EXPECT_FALSE(compiled.is_match(init));
-  EXPECT_TRUE(compiled.has_continuation(init));
 }
 
 TEST(CompiledQuery, WalkReachesMatch) {

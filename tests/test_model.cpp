@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <barrier>
 #include <bit>
 #include <cmath>
 #include <iomanip>
@@ -460,9 +461,10 @@ TEST(CachingModel, BatchDeduplicatesMisses) {
 TEST(CachingModel, ConcurrentRowsMatchFreshEvaluation) {
   // Pool threads call next_rows at once on overlapping suffixes under two
   // rule sets, in single-row and batch calls, through a cache small enough
-  // to evict: misses race on in-flight claims, hits on stored masks. Every
-  // row must hold the bare model's distribution and the mask built fresh
-  // for its own rules, whichever thread evaluated it.
+  // to evict: concurrent misses on one suffix each evaluate and store it,
+  // hits race on stored masks. Every row must hold the bare model's
+  // distribution and the mask built fresh for its own rules, whichever
+  // thread evaluated it.
   Fixture f;
   CachingModel cached(f.model, /*capacity=*/24);
   std::vector<std::vector<tokenizer::TokenId>> contexts;
@@ -514,10 +516,43 @@ TEST(CachingModel, ConcurrentRowsMatchFreshEvaluation) {
   const auto stats = cached.cache_stats();
   ASSERT_TRUE(stats.has_value());
   EXPECT_LE(stats->entries, cached.capacity());
-  // One outcome per requested row: a probe that waited on another caller's
-  // evaluation counts once, as its final hit or miss.
+  // One outcome per requested row: each probe counts once, as a hit or a
+  // miss.
   EXPECT_EQ(stats->hits + stats->misses,
             (kCalls / 3) * contexts.size() + (kCalls - kCalls / 3));
+}
+
+TEST(CachingModel, ConcurrentMissesOnOneSuffixKeepOneEntry) {
+  // Plain threads (a batch call fans its masks out over the shared pool,
+  // which a pool task may not enter) start together on a barrier and ask
+  // an empty cache for one suffix under one rule set. Several may miss and
+  // evaluate it; a store that finds the suffix live keeps that entry.
+  Fixture f;
+  CachingModel cached(f.model);
+  const std::vector<std::vector<tokenizer::TokenId>> contexts = {
+      f.tok.encode("The cat sat on the")};
+  DecodingRules rules;
+  rules.top_k = 3;
+  constexpr std::size_t kThreads = 4;
+  std::barrier start(kThreads);
+  std::vector<std::vector<LanguageModel::Row>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = cached.next_rows(contexts, rules);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const std::vector<double> fresh = f.model->next_log_probs(contexts[0]);
+  for (const std::vector<LanguageModel::Row>& rows : got) {
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(*rows[0].log_probs, fresh);
+    ASSERT_TRUE(rows[0].mask);
+    EXPECT_EQ(*rows[0].mask, allowed_tokens(*rows[0].log_probs, rules));
+  }
+  EXPECT_EQ(cached.entries(), 1u);
+  EXPECT_EQ(cached.hits() + cached.misses(), kThreads);
 }
 
 // ---------------------------------------------------------------------------

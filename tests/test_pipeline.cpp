@@ -121,8 +121,9 @@ struct TempDir {
 
 TEST(Pipeline, StandardPassSequence) {
   // A side runs the same seven stages in the same order whether it compiles
-  // from its strings, through the algebra compiler, or through Thompson and
-  // subset construction.
+  // from its strings (a finite canonical side, or any side that spells one
+  // string), through the algebra compiler (a boolean tree), or through
+  // Thompson and subset construction.
   struct Case {
     const char* pattern;
     TokenizationStrategy strategy;
@@ -132,7 +133,8 @@ TEST(Pipeline, StandardPassSequence) {
   for (const Case& c : {
            Case{"(cat)|(dog)", TokenizationStrategy::kCanonicalTokens, false,
                 true},
-           Case{"abcdef", TokenizationStrategy::kAllTokens, false, false},
+           Case{"abcdef", TokenizationStrategy::kAllTokens, false, true},
+           Case{"(ab)&(a.)", TokenizationStrategy::kAllTokens, false, false},
            Case{"((cat)|(dog))+", TokenizationStrategy::kAllTokens, true,
                 false},
        }) {
@@ -345,7 +347,7 @@ TEST(Pipeline, StringsPathKeepsTheStateBudget) {
     EXPECT_EQ(state.tokens->dfa, reference.dfa);
     EXPECT_EQ(state.tokens->masks, reference.masks);
   }
-  // A literal's bound is its chain's n + 1 states.
+  // A literal's bound is its n + 1 states, one per prefix.
   SimpleSearchQuery literal =
       make_query("abcdef", TokenizationStrategy::kCanonicalTokens);
   literal.determinize_state_budget = 6;
@@ -823,20 +825,25 @@ TEST(ArtifactCache, DisabledCacheCompilesEveryTime) {
 }
 
 TEST(ArtifactCache, EvictsLeastRecentlyUsed) {
-  // Capacity 8 spread over 8 shards = 1 entry per shard: inserting two keys
-  // landing in the same shard must evict the older one.
+  // Capacity 2 holds exactly two entries: a lookup refreshes k1, so the
+  // third insert evicts k2.
   ArtifactCacheConfig config;
-  config.capacity = 8;
+  config.capacity = 2;
   ArtifactCache cache(config);
   QueryArtifact artifact = compile_artifact(
       make_query("(cat)|(dog)", TokenizationStrategy::kCanonicalTokens));
-  ArtifactKey k1{1, 8};   // shard 0
-  ArtifactKey k2{2, 16};  // shard 0
+  const ArtifactKey k1{1, 1};
+  const ArtifactKey k2{2, 2};
+  const ArtifactKey k3{3, 3};
   cache.insert(k1, artifact.body);
   cache.insert(k2, artifact.body);
-  EXPECT_EQ(cache.lookup(k1), nullptr);
-  EXPECT_NE(cache.lookup(k2), nullptr);
-  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_NE(cache.lookup(k1), nullptr);
+  cache.insert(k3, artifact.body);
+  EXPECT_EQ(cache.lookup(k2), nullptr);
+  EXPECT_NE(cache.lookup(k1), nullptr);
+  EXPECT_NE(cache.lookup(k3), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 }
 
 TEST(ArtifactCache, DiskStoreSurvivesProcessRestart) {

@@ -37,10 +37,10 @@ TEST(SyncTest, OrderedNestingPasses) {
 }
 
 TEST(SyncTest, FullSubsystemChainPasses) {
-  // The deepest realistic nesting: shared pool -> cache shard -> model shard
+  // The deepest realistic nesting: shared pool -> compile cache -> model shard
   // -> trace -> metrics -> logging, strictly increasing all the way down.
   Mutex pool(LockRank::kPoolShared);
-  Mutex compile(LockRank::kCompileCacheShard);
+  Mutex compile(LockRank::kCompileCacheLru);
   Mutex model(LockRank::kModelCacheShard);
   Mutex sink(LockRank::kTraceSink);
   Mutex registry(LockRank::kMetricsRegistry);
@@ -234,8 +234,8 @@ TEST(SyncTest, InstrumentOffLockSkipsMetrics) {
 TEST(SyncTest, LockRankNamesCoverAllRanks) {
   for (LockRank rank :
        {LockRank::kPoolShared, LockRank::kPoolState, LockRank::kPoolJob,
-        LockRank::kCompileCacheConfig, LockRank::kCompileCacheShard,
-        LockRank::kModelCacheInflight, LockRank::kModelCacheShard,
+        LockRank::kCompileCacheConfig, LockRank::kCompileCacheLru,
+        LockRank::kModelCacheShard,
         LockRank::kTraceSink, LockRank::kTraceBuffer,
         LockRank::kMetricsRegistry, LockRank::kLogging}) {
     EXPECT_STRNE(lock_rank_name(rank), "?");
