@@ -7,8 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <mutex>
 #include <set>
 
@@ -17,6 +19,7 @@
 #include "core/token_masks.hpp"
 #include "experiments/setup.hpp"
 #include "model/decoding.hpp"
+#include "model/ngram_model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testing/differential.hpp"
@@ -127,6 +130,38 @@ void BM_CachedBatchSuffixHits(benchmark::State& state) {
           : 0.0;
 }
 BENCHMARK(BM_CachedBatchSuffixHits);
+
+// The cache's miss path: a cheap inner model (16 tokens, rows of constants)
+// so the cache's own work shows, and a cyclic walk over 16,384 distinct
+// two-token suffixes in calls of 32 through 4,096 entries — every lookup
+// misses, and every store past the first 4,096 evicts.
+void BM_CachedBatchMissesEvict(benchmark::State& state) {
+  struct CheapModel : model::LanguageModel {
+    std::size_t vocab_size() const override { return 16; }
+    tokenizer::TokenId eos() const override { return 0; }
+    std::size_t max_sequence_length() const override { return 64; }
+    std::size_t relevant_context_length() const override { return 2; }
+    std::vector<double> next_log_probs(std::span<const tokenizer::TokenId>) const override {
+      return std::vector<double>(16, -std::log(16.0));
+    }
+  };
+  model::CachingModel cached(std::make_shared<CheapModel>(), 4096);
+  std::vector<std::vector<tokenizer::TokenId>> contexts;
+  for (tokenizer::TokenId i = 0; i < 16384; ++i) {
+    contexts.push_back({static_cast<tokenizer::TokenId>(i / 128),
+                        static_cast<tokenizer::TokenId>(i % 128)});
+  }
+  std::size_t at = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cached.next_rows({contexts.data() + at, 32}, {}));
+    at = (at + 32) % contexts.size();
+  }
+  state.counters["hit_rate"] =
+      static_cast<double>(cached.hits()) /
+      static_cast<double>(std::max<std::size_t>(1, cached.hits() + cached.misses()));
+  state.counters["evictions"] = static_cast<double>(cached.evictions());
+}
+BENCHMARK(BM_CachedBatchMissesEvict);
 
 core::SimpleSearchQuery url_query(std::optional<int> top_k) {
   core::SimpleSearchQuery query;
@@ -338,6 +373,36 @@ void BM_AllowedTokensBitset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AllowedTokensBitset)->Arg(1024)->Arg(8192);
+
+// Top-k 40 alone over sim-xl rows of this world: 2,048 distinct rows of
+// full-window corpus contexts, masked in turn. These rows carry large tie
+// classes, and the k-th value comes from the sampled pivot's few survivors.
+void BM_AllowedTokensTopKSimXl(benchmark::State& state) {
+  static const std::vector<std::vector<double>> rows = [] {
+    const std::size_t window = world().xl->relevant_context_length();
+    std::set<std::vector<tokenizer::TokenId>> seen;
+    std::vector<std::vector<double>> out;
+    for (const std::string& doc : world().corpus.documents) {
+      const auto tokens = world().tokenizer->encode(doc);
+      for (std::size_t end = window; end <= tokens.size() && out.size() < 2048; ++end) {
+        std::vector<tokenizer::TokenId> ctx(tokens.begin() + (end - window),
+                                            tokens.begin() + end);
+        if (seen.insert(ctx).second) out.push_back(world().xl->next_log_probs(ctx));
+      }
+      if (out.size() == 2048) break;
+    }
+    return out;
+  }();
+  model::DecodingRules rules;
+  rules.top_k = 40;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model::allowed_tokens(rows[i], rules));
+    i = (i + 1) % rows.size();
+  }
+  state.counters["vocab"] = static_cast<double>(rows.front().size());
+}
+BENCHMARK(BM_AllowedTokensTopKSimXl);
 
 void BM_ShortestPathUnrestricted(benchmark::State& state) {
   core::SimpleSearchQuery query = url_query(std::nullopt);

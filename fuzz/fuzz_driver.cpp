@@ -2,7 +2,8 @@
 // Compiled once per target: CMake defines RELM_FUZZ_TARGET to the entry
 // point's name (fuzz_regex_parser, fuzz_dfa_loader, ...). Most targets parse
 // the bytes; fuzz_canonical_settlement decodes them into a vocabulary and a
-// token path, so any byte string is a valid case.
+// token path, and fuzz_rule_mask into a distribution and decoding rules, so
+// any byte string is a valid case.
 //
 // Two personalities, selected at configure time:
 //   - RELM_LIBFUZZER (Clang only): exports LLVMFuzzerTestOneInput and links

@@ -44,7 +44,7 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRELM_FUZZERS=ON \
 cmake --build "$BUILD" -j --target \
     relm_cli fuzz_regex_parser fuzz_algebra_compile fuzz_dfa_loader \
     fuzz_artifact_loader \
-    fuzz_repro_json fuzz_canonical_settlement >/dev/null
+    fuzz_repro_json fuzz_canonical_settlement fuzz_rule_mask >/dev/null
 
 mkdir -p "$OUT"
 
@@ -54,7 +54,8 @@ mkdir -p "$OUT"
 # -runs; under GCC the plain-loop driver takes the same corpus paths.
 echo "[fuzz] structured targets (runs=$RUNS seed=$SEED)"
 for target in fuzz_regex_parser fuzz_algebra_compile fuzz_dfa_loader \
-              fuzz_artifact_loader fuzz_repro_json fuzz_canonical_settlement; do
+              fuzz_artifact_loader fuzz_repro_json fuzz_canonical_settlement \
+              fuzz_rule_mask; do
   if [ -n "${RELM_FUZZ_LIBFUZZER:-}" ]; then
     "$BUILD/fuzz/$target" -runs="$RUNS" -seed="$SEED" tests/fuzz_corpus
   else

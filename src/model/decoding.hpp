@@ -35,18 +35,16 @@ struct DecodingRules {
 //
 // Rank ties resolve by a fixed total order — token u precedes token t iff
 // lp_u > lp_t, or lp_u == lp_t and u < t — so the admitted set is a pure
-// function of the distribution, shared exactly with token_allowed(). Top-k
-// selects on values: one nth_element over a copy plus a threshold scan.
+// function of the distribution: top-k admits the first k tokens of that
+// order and top-p its shortest prefix with mass >= p, both over the
+// temperature-adjusted row. Top-k selects on values: a pivot sampled from 64
+// strided values bounds the k-th largest from below whenever at least k
+// tokens reach it (V >= 256 and 8k <= V), and one nth_element over those
+// tokens finds it exactly; otherwise nth_element runs over the whole row.
+// With top-p as well, only the k survivors are sorted for the nucleus.
+// testing::token_allowed is the per-token reference.
 util::TokenBitset allowed_tokens(std::span<const double> log_probs,
                                  const DecodingRules& rules);
-
-// True iff `token` survives the rules: a single-membership test in O(vocab)
-// time with NO allocation — it never materializes the full mask (the oracle
-// calls this once per token per step; building the mask each time made that
-// O(vocab log vocab) with three temporaries per call). Agrees with
-// allowed_tokens()[token] via the shared tie-break order above.
-bool token_allowed(std::span<const double> log_probs, const DecodingRules& rules,
-                   TokenId token);
 
 // Applies temperature to log-probs and renormalizes.
 std::vector<double> apply_temperature(std::span<const double> log_probs,

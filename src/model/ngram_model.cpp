@@ -6,11 +6,10 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <list>
-#include <unordered_map>
 #include <utility>
 
 #include "model/decoding.hpp"
+#include "model/logit_cache_table.hpp"
 #include "obs/metrics.hpp"
 #include "util/errors.hpp"
 #include "util/sync.hpp"
@@ -366,7 +365,7 @@ std::vector<double> UniformModel::next_log_probs(std::span<const TokenId>) const
 // ---------------------------------------------------------------------------
 
 namespace {
-constexpr std::size_t kCacheShards = 16;
+constexpr std::size_t kCacheShards = std::size_t{1} << LogitCacheTable::kShardBits;
 
 // Process-wide cache metrics (docs/OBSERVABILITY.md). The per-shard counters
 // below remain the per-instance attribution surface (SearchStats diffs
@@ -394,90 +393,11 @@ struct CacheMetrics {
 }  // namespace
 
 struct CachingModel::Shard {
-  struct Entry {
-    std::uint64_t hash;
-    std::vector<TokenId> suffix;  // stored to rule out hash collisions
-    // Shared so hits hand the buffers out without copying them; eviction
-    // merely drops the cache's references while readers keep theirs.
-    std::shared_ptr<const std::vector<double>> log_probs;
-    // The mask last built over log_probs and the exact rules it was built
-    // for; null until a restricted request fills it.
-    DecodingRules mask_rules;
-    std::shared_ptr<const util::TokenBitset> mask;
-  };
-  using Iter = std::list<Entry>::iterator;
-
   mutable util::Mutex mutex{util::LockRank::kModelCacheShard};
-  // Set once in the CachingModel constructor before any concurrent use, and
-  // immutable afterwards — so not lock-guarded.
-  std::size_t capacity = 0;  // this shard's entry budget
-  // LRU list, front = most recently used; the index maps a suffix hash to
-  // every live entry with that hash (collisions resolved by comparison).
-  std::list<Entry> lru RELM_GUARDED_BY(mutex);
-  std::unordered_map<std::uint64_t, std::vector<Iter>> index RELM_GUARDED_BY(mutex);
+  LogitCacheTable table RELM_GUARDED_BY(mutex);
   std::size_t hits RELM_GUARDED_BY(mutex) = 0;
   std::size_t misses RELM_GUARDED_BY(mutex) = 0;
   std::size_t evictions RELM_GUARDED_BY(mutex) = 0;
-
-  // The live entry for `suffix`, or lru.end().
-  Iter locate(std::uint64_t hash, std::span<const TokenId> suffix)
-      RELM_REQUIRES(mutex) {
-    auto bucket = index.find(hash);
-    if (bucket != index.end()) {
-      for (Iter entry_it : bucket->second) {
-        if (std::ranges::equal(entry_it->suffix, suffix)) return entry_it;
-      }
-    }
-    return lru.end();
-  }
-
-  // Looks up `suffix` for one request, refreshing recency and counting the
-  // hit or miss; null on miss. The entry may be read only while `mutex` is
-  // held.
-  const Entry* find(std::uint64_t hash, std::span<const TokenId> suffix)
-      RELM_REQUIRES(mutex) {
-    const Iter entry_it = locate(hash, suffix);
-    if (entry_it == lru.end()) {
-      ++misses;
-      return nullptr;
-    }
-    ++hits;
-    // Recency order only matters once eviction is plausible; below half
-    // capacity the splice is pure overhead on the hit path.
-    if (lru.size() * 2 >= capacity) lru.splice(lru.begin(), lru, entry_it);
-    return &*entry_it;
-  }
-
-  // Stores `row` for `suffix`: a live entry (another caller may have stored
-  // the suffix since this one missed) takes its mask, otherwise a new entry
-  // is inserted, evicting the LRU tail to stay within capacity.
-  void store(std::uint64_t hash, std::span<const TokenId> suffix,
-             const Row& row, const DecodingRules& rules) RELM_REQUIRES(mutex) {
-    if (const Iter live = locate(hash, suffix); live != lru.end()) {
-      if (row.mask) {
-        live->mask_rules = rules;
-        live->mask = row.mask;
-      }
-      return;
-    }
-    if (capacity == 0) return;
-    while (lru.size() >= capacity) {
-      const Entry& victim = lru.back();
-      auto victim_bucket = index.find(victim.hash);
-      auto& entries = victim_bucket->second;
-      auto last = std::prev(lru.end());
-      entries.erase(std::find(entries.begin(), entries.end(), last));
-      if (entries.empty()) index.erase(victim_bucket);
-      lru.pop_back();
-      ++evictions;
-      CacheMetrics::get().evictions.add();
-      CacheMetrics::get().entries.add(-1.0);
-    }
-    lru.push_front(Entry{hash, std::vector<TokenId>(suffix.begin(), suffix.end()),
-                         row.log_probs, rules, row.mask});
-    index[hash].push_back(lru.begin());
-    CacheMetrics::get().entries.add(1.0);
-  }
 };
 
 CachingModel::CachingModel(std::shared_ptr<const LanguageModel> inner,
@@ -489,8 +409,9 @@ CachingModel::CachingModel(std::shared_ptr<const LanguageModel> inner,
   // capacity_: the bound counts entries across the whole cache, not keys or
   // shards (a rounded-up per-shard quota would overshoot small capacities).
   for (std::size_t s = 0; s < kCacheShards; ++s) {
-    shards_[s].capacity = capacity_ / kCacheShards +
-                          (s < capacity_ % kCacheShards ? 1 : 0);
+    util::ScopedLock lock(shards_[s].mutex);
+    shards_[s].table = LogitCacheTable(capacity_ / kCacheShards +
+                                       (s < capacity_ % kCacheShards ? 1 : 0));
   }
 }
 
@@ -501,11 +422,7 @@ CachingModel::~CachingModel() {
 }
 
 CachingModel::Shard& CachingModel::shard_for(std::uint64_t hash) const {
-  // hash_tokens' per-step mixing leaves the high bits correlated for short
-  // suffixes (nearby token ids cluster into a few shards), so run the value
-  // through a full-avalanche finalizer (MurmurHash3 fmix64) before taking
-  // shard bits. The raw hash still keys the in-shard bucket.
-  return shards_[mix64(hash) & (kCacheShards - 1)];
+  return shards_[hash & (kCacheShards - 1)];
 }
 
 template <typename ContextAt>
@@ -527,7 +444,10 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
   std::vector<Row> job_rows;
   for (std::size_t i = 0; i < out.size(); ++i) {
     const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
-    const std::uint64_t hash = hash_tokens(suffix);
+    // hash_tokens' per-step mixing leaves the high bits correlated for short
+    // suffixes (nearby token ids cluster), so the shard and the slot in it
+    // come from a full-avalanche finalizer of it.
+    const std::uint64_t hash = mix64(hash_tokens(suffix));
     Shard& shard = shard_for(hash);
     const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
       return j.hash == hash && std::ranges::equal(j.suffix, suffix);
@@ -547,10 +467,13 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
     bool hit = false;
     {
       util::ScopedLock lock(shard.mutex);
-      if (const Shard::Entry* entry = shard.find(hash, suffix)) {
+      if (const LogitCacheTable::Entry* entry = shard.table.lookup(hash, suffix)) {
+        ++shard.hits;
         hit = true;
         out[i].log_probs = entry->log_probs;
         if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
+      } else {
+        ++shard.misses;
       }
     }
     if (hit) {
@@ -582,7 +505,12 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
     {
       Shard& shard = shard_for(jobs[j].hash);
       util::ScopedLock lock(shard.mutex);
-      shard.store(jobs[j].hash, jobs[j].suffix, job_rows[j], rules);
+      const std::size_t entries = shard.table.size();
+      if (shard.table.store(jobs[j].hash, jobs[j].suffix, job_rows[j], rules)) {
+        ++shard.evictions;
+        metrics.evictions.add();
+      }
+      if (shard.table.size() > entries) metrics.entries.add(1.0);
     }
     for (std::size_t k = 0; k < jobs[j].outputs.size(); ++k) {
       Row& row = out[jobs[j].outputs[k]];
@@ -625,7 +553,7 @@ std::optional<LanguageModel::CacheStats> CachingModel::cache_stats() const {
     stats.hits += shard.hits;
     stats.misses += shard.misses;
     stats.evictions += shard.evictions;
-    stats.entries += shard.lru.size();
+    stats.entries += shard.table.size();
   }
   return stats;
 }

@@ -207,10 +207,12 @@ class UniformModel : public LanguageModel {
 // entry — full-path keys would make almost every lookup a miss. An entry
 // keeps the distribution and the decoding-rule mask last built over it,
 // tagged with the exact rules that asked for it, so a hit under the same
-// rules returns both from one shard lookup. Eviction is true LRU over a
-// sharded table (one mutex per shard), safe under concurrent callers; the
-// capacity bounds *entries* across all shards, never exceeded regardless of
-// hash collisions.
+// rules returns both from one shard lookup. The suffix hash picks one of 16
+// shards, each under its own mutex and each an exact LRU in one flat
+// LogitCacheTable (model/logit_cache_table.hpp: entries in one array,
+// index-linked recency, an open-addressed index), so it is safe under
+// concurrent callers; the capacity bounds *entries* across all shards,
+// never exceeded regardless of hash collisions.
 class CachingModel : public LanguageModel {
  public:
   CachingModel(std::shared_ptr<const LanguageModel> inner, std::size_t capacity = 1 << 16);

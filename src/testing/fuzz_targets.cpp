@@ -1,8 +1,10 @@
 #include "testing/fuzz_targets.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -26,6 +28,7 @@
 #include "testing/hopcroft.hpp"
 #include "testing/json.hpp"
 #include "testing/oracle.hpp"
+#include "testing/rule_mask.hpp"
 #include "util/errors.hpp"
 
 namespace relm::testing {
@@ -256,6 +259,52 @@ int fuzz_canonical_settlement(const std::uint8_t* data, std::size_t size) {
       }
     }
   }
+  return 0;
+}
+
+int fuzz_rule_mask(const std::uint8_t* data, std::size_t size) {
+  std::size_t at = 0;
+  auto next = [&] { return at < size ? data[at++] : std::uint8_t{0}; };
+  auto next16 = [&] { return static_cast<std::size_t>(next()) << 8 | next(); };
+  const std::size_t V = 1 + next16() % 2048;
+  // A palette byte b is the value -b/8, or -inf for 255.
+  std::vector<double> palette(1 + next() % 8);
+  for (double& v : palette) {
+    const std::uint8_t b = next();
+    v = b == 255 ? -std::numeric_limits<double>::infinity() : -b / 8.0;
+  }
+  const std::uint8_t flags = next();
+  model::DecodingRules rules;
+  switch (flags & 3) {
+    case 0: rules.top_k = 1 + next() % 64; break;
+    case 1: {
+      // V/8 - 2 .. V/8 + 2, the edge of the sampled pivot's range.
+      const std::size_t k = V / 8 + next() % 5;
+      rules.top_k = static_cast<int>(k > 2 ? k - 2 : 1);
+      break;
+    }
+    case 2: rules.top_k = static_cast<int>(V + 1 - next() % 3); break;
+    default: rules.top_k = static_cast<int>(1 + next16() % (V + 1)); break;
+  }
+  if (flags & 4) rules.top_p = (1 + next()) / 256.0;
+  if (flags & 8) {
+    const double temperatures[] = {0.25, 0.5, 0.7, 1.3, 2.0, 4.0};
+    rules.temperature = temperatures[next() % 6];
+  }
+  if (flags & 16) rules.top_k.reset();
+
+  // The rest of the bytes, cycled, pick each token's palette value.
+  const std::size_t rest = at < size ? size - at : 0;
+  std::vector<double> row(V);
+  for (std::size_t t = 0; t < V; ++t) {
+    row[t] = palette[rest == 0 ? 0 : data[at + t % rest] % palette.size()];
+  }
+  // A row needs one finite value: temperature normalizes over them.
+  if (std::none_of(row.begin(), row.end(), [](double v) { return std::isfinite(v); })) {
+    row[V - 1] = 0.0;
+  }
+  const std::string mismatch = rule_mask_mismatch(row, rules);
+  if (!mismatch.empty()) die("fuzz_rule_mask", mismatch);
   return 0;
 }
 

@@ -48,4 +48,11 @@ int fuzz_repro_json(const std::uint8_t* data, std::size_t size);
 // continuation of up to max_token_length + 1 bytes that encodes through it.
 int fuzz_canonical_settlement(const std::uint8_t* data, std::size_t size);
 
+// Decoding-rule mask: the bytes decode into a vocabulary of up to 2,048
+// tokens, a row drawn from a palette of up to 8 values (ties, -inf), top-k
+// at the kernel's edges (small, about V/8, about V, anywhere), and optional
+// top-p and temperature. model::allowed_tokens must agree with the
+// whole-row partition and with token_allowed (testing::rule_mask_mismatch).
+int fuzz_rule_mask(const std::uint8_t* data, std::size_t size);
+
 }  // namespace relm::testing

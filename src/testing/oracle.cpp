@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "model/decoding.hpp"
+#include "testing/rule_mask.hpp"
 
 namespace relm::testing {
 
@@ -322,7 +323,7 @@ std::optional<std::string> check_samples(
         }
         const std::vector<double>& lp = scores.log_probs(context);
         if (!query.decoding.unrestricted()) {
-          if (!model::token_allowed(lp, query.decoding, t)) {
+          if (!token_allowed(lp, query.decoding, t)) {
             ok = false;
             break;
           }
@@ -350,7 +351,7 @@ std::optional<std::string> check_samples(
           const std::vector<double>& lp = scores.log_probs(context);
           TokenId eos = model.eos();
           if (!query.decoding.unrestricted() &&
-              !model::token_allowed(lp, query.decoding, eos)) {
+              !token_allowed(lp, query.decoding, eos)) {
             stop_ok = false;
           } else {
             factor = lp[eos];

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <iomanip>
+#include <list>
 #include <map>
 #include <numeric>
 #include <set>
@@ -13,6 +14,7 @@
 
 #include "experiments/setup.hpp"
 #include "model/decoding.hpp"
+#include "model/logit_cache_table.hpp"
 #include "model/ngram_model.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
@@ -553,6 +555,82 @@ TEST(CachingModel, ConcurrentMissesOnOneSuffixKeepOneEntry) {
   }
   EXPECT_EQ(cached.entries(), 1u);
   EXPECT_EQ(cached.hits() + cached.misses(), kThreads);
+}
+
+TEST(CachingModel, FlatShardMatchesReferenceLru) {
+  // One shard's table against a list + map LRU with the shard's policy: a
+  // hit moves to the front once the table is at least half full, a store of
+  // a live suffix only takes its mask, a new suffix goes to the front and a
+  // full table evicts its tail. Keys crowd onto three home slots, one of
+  // them the last slot (its probe run wraps), and pairs of suffixes share
+  // one full hash, so probing, suffix comparison and backward-shift
+  // deletion run on long clusters. Every hit, miss, eviction, served row
+  // and the whole recency order must match after every operation.
+  using Key = std::vector<tokenizer::TokenId>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      return std::hash<std::uint64_t>()(hash_tokens(key));
+    }
+  };
+  util::Pcg32 rng(23);
+  constexpr std::size_t kKeys = 400;
+  std::vector<Key> keys;
+  std::vector<std::uint64_t> hashes;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back({static_cast<tokenizer::TokenId>(k), 7});
+    const std::uint64_t homes[] = {0x5, 0x2a, ~0ull >> 36};
+    hashes.push_back((static_cast<std::uint64_t>(k / 2) << 40) |
+                     (homes[k / 2 % 3] << LogitCacheTable::kShardBits));
+  }
+  for (const std::size_t capacity : {0, 1, 2, 7, 64, 150}) {
+    LogitCacheTable table(capacity);
+    std::list<std::size_t> lru;  // key indices, front = most recent
+    std::unordered_map<Key, std::list<std::size_t>::iterator, KeyHash> index;
+    std::vector<std::shared_ptr<const std::vector<double>>> stored(kKeys);
+    std::vector<std::shared_ptr<const util::TokenBitset>> masks(kKeys);
+    for (int op = 0; op < 6000; ++op) {
+      const std::size_t k = rng.bounded(capacity < 8 ? 12 : kKeys);
+      const LogitCacheTable::Entry* entry = table.lookup(hashes[k], keys[k]);
+      const auto it = index.find(keys[k]);
+      ASSERT_EQ(entry != nullptr, it != index.end()) << "capacity " << capacity << " op " << op;
+      if (entry) {
+        EXPECT_EQ(entry->log_probs, stored[k]);
+        EXPECT_EQ(entry->mask, masks[k]);
+        if (lru.size() * 2 >= capacity) lru.splice(lru.begin(), lru, it->second);
+      }
+      // A miss stores a fresh row; one hit in five stores again, as a
+      // caller that missed concurrently would, with a new mask.
+      if (!entry || rng.bounded(5) == 0) {
+        LanguageModel::Row row{
+            entry ? entry->log_probs
+                  : std::make_shared<const std::vector<double>>(1, double(op)),
+            std::make_shared<const util::TokenBitset>(4, op % 2 == 0), false};
+        const bool evicted = table.store(hashes[k], keys[k], row, DecodingRules{});
+        bool expect_evicted = false;
+        if (entry) {
+          masks[k] = row.mask;
+        } else if (capacity > 0) {
+          if (lru.size() >= capacity) {
+            index.erase(keys[lru.back()]);
+            lru.pop_back();
+            expect_evicted = true;
+          }
+          lru.push_front(k);
+          index[keys[k]] = lru.begin();
+          stored[k] = row.log_probs;
+          masks[k] = row.mask;
+        }
+        ASSERT_EQ(evicted, expect_evicted) << "capacity " << capacity << " op " << op;
+      }
+      std::vector<std::size_t> order;
+      table.for_each_recent([&](const LogitCacheTable::Entry& e) {
+        order.push_back(e.suffix[0]);
+      });
+      ASSERT_EQ(order, std::vector<std::size_t>(lru.begin(), lru.end()))
+          << "capacity " << capacity << " op " << op;
+      ASSERT_EQ(table.size(), lru.size());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // util::TokenBitset currency, the token_masks compile pass and its
 // TokenMaskTable, the expand_masked executor primitive (vs the per-edge
 // reference path), the RELM_COMPONENT container (which derives the table on
-// load), and the decoding-rule membership test.
+// load), and the decoding-rule mask against its references.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -33,6 +34,7 @@
 #include "testing/artifact_checks.hpp"
 #include "testing/differential.hpp"
 #include "testing/fuzz_targets.hpp"
+#include "testing/rule_mask.hpp"
 #include "tokenizer/bpe.hpp"
 #include "util/errors.hpp"
 #include "util/rng.hpp"
@@ -445,7 +447,7 @@ TEST(Executors, MaskFastPathIsByteIdenticalAndCounted) {
 }
 
 // ---------------------------------------------------------------------------
-// token_allowed: no allocation, agreement with allowed_tokens
+// testing::token_allowed: no allocation, agreement with allowed_tokens
 // ---------------------------------------------------------------------------
 
 std::vector<double> random_log_probs(util::Pcg32& rng, std::size_t vocab,
@@ -483,7 +485,7 @@ TEST(TokenAllowed, AgreesWithAllowedTokensIncludingTies) {
       TokenBitset mask = model::allowed_tokens(lp, rules);
       for (std::size_t t = 0; t < lp.size(); ++t) {
         EXPECT_EQ(mask[t],
-                  model::token_allowed(lp, rules, static_cast<TokenId>(t)))
+                  testing::token_allowed(lp, rules, static_cast<TokenId>(t)))
             << "trial " << trial << " token " << t
             << (uniform ? " (uniform)" : "");
       }
@@ -529,7 +531,7 @@ TEST(TokenAllowed, AgreesWithAllowedTokensIncludingTies) {
         }
         for (std::size_t t = 0; t < vocab; ++t) {
           EXPECT_EQ(mask[t],
-                    model::token_allowed(lp, rules, static_cast<TokenId>(t)))
+                    testing::token_allowed(lp, rules, static_cast<TokenId>(t)))
               << "quantized trial " << trial << " k " << k << " T "
               << temperature << " token " << t;
         }
@@ -545,16 +547,134 @@ TEST(TokenAllowed, NoAllocation) {
   rules.top_k = 7;
   rules.top_p = 0.9;
   rules.temperature = 0.7;
-  (void)model::token_allowed(lp, rules, 3);  // warm-up (lazy runtime state)
+  (void)testing::token_allowed(lp, rules, 3);  // warm-up (lazy runtime state)
 
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   bool any = false;
   for (std::size_t t = 0; t < lp.size(); ++t) {
-    any |= model::token_allowed(lp, rules, static_cast<TokenId>(t));
+    any |= testing::token_allowed(lp, rules, static_cast<TokenId>(t));
   }
   const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after, before) << "token_allowed allocated on a membership test";
   EXPECT_TRUE(any);
+}
+
+// ---------------------------------------------------------------------------
+// allowed_tokens' top-k kernel at real vocabulary sizes: the sampled pivot
+// and its whole-row fallback against the partition reference
+// ---------------------------------------------------------------------------
+
+// True iff the kernel's 64-value sampled pivot admits at least k tokens for
+// this row (the pivot path), as docs/PERFORMANCE.md specifies it; false when
+// the kernel partitions the whole row.
+bool pivot_path_applies(const std::vector<double>& row, std::size_t k) {
+  const std::size_t V = row.size();
+  if (V < 256 || 8 * k > V) return false;
+  std::vector<double> sample;
+  for (std::size_t i = 0; i < 64; ++i) sample.push_back(row[i * (V / 64)]);
+  std::sort(sample.begin(), sample.end(), std::greater<double>());
+  const double pivot = sample[2 * k * 64 / V];
+  return static_cast<std::size_t>(std::count_if(
+             row.begin(), row.end(), [&](double v) { return v >= pivot; })) >= k;
+}
+
+TEST(Decoding, TopKKernelMatchesPartition) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  util::Pcg32 rng(41);
+  auto normalized = [](std::vector<double> weights) {
+    double total = 0.0;
+    for (double w : weights) total += w;
+    for (double& w : weights) w = w > 0.0 ? std::log(w / total) : -kInf;
+    return weights;
+  };
+  const std::pair<double, std::optional<double>> variants[] = {
+      {1.0, std::nullopt}, {1.0, 0.9}, {0.7, std::nullopt}, {1.6, 0.5}};
+  std::size_t pivot_rows = 0;
+  std::size_t fallback_rows = 0;
+  for (const std::size_t V : {256, 774, 1024, 8192}) {
+    std::vector<std::pair<std::string, std::vector<double>>> rows;
+    for (std::uint32_t levels = 1; levels <= 7; ++levels) {
+      std::vector<double> w(V);
+      for (double& v : w) v = 1.0 + rng.bounded(levels);
+      rows.emplace_back("quantized " + std::to_string(levels), normalized(w));
+    }
+    {
+      // A quarter of the tokens ruled out; token 0 always kept.
+      std::vector<double> w(V);
+      for (std::size_t t = 0; t < V; ++t) {
+        w[t] = t > 0 && rng.bounded(4) == 0 ? 0.0 : 1.0 + rng.bounded(5);
+      }
+      rows.emplace_back("-inf entries", normalized(w));
+    }
+    rows.emplace_back("all equal", std::vector<double>(V, -std::log(double(V))));
+    {
+      std::vector<double> w(V);
+      for (double& v : w) v = 0.05 + rng.uniform();
+      rows.emplace_back("continuous", normalized(w));
+    }
+    {
+      // The largest values sit exactly at the sampled positions i*(V/64),
+      // every other token below them: only sampled tokens reach the pivot,
+      // fewer than k at k = 40 and about V/8, which fall back to the whole
+      // row.
+      std::vector<double> w(V, 1.0);
+      for (std::size_t i = 0; i < 64; ++i) w[i * (V / 64)] = 100.0 + double(i % 7);
+      rows.emplace_back("sampled maxima", normalized(w));
+    }
+    {
+      // Neighbours one ulp apart: temperature 1.6 merges every pair into
+      // one tie class at V = 1024 and 8192, which the kernel and both
+      // references then rank by id.
+      std::vector<double> lp = normalized(std::vector<double>(V, 1.0));
+      for (std::size_t t = 1; t < V; t += 2) lp[t] = std::nextafter(lp[t - 1], -kInf);
+      rows.emplace_back("one-ulp pairs", lp);
+    }
+
+    const int v = static_cast<int>(V);
+    const int eighth = v / 8;
+    for (const auto& [kind, lp] : rows) {
+      for (int k : {1, 2, eighth - 1, eighth, eighth + 1, 40, v - 1, v, v + 1}) {
+        if (pivot_path_applies(lp, static_cast<std::size_t>(k))) {
+          ++pivot_rows;
+        } else if (k < v) {
+          ++fallback_rows;
+        }
+        for (const auto& [temperature, top_p] : variants) {
+          DecodingRules rules;
+          rules.top_k = k;
+          rules.top_p = top_p;
+          rules.temperature = temperature;
+          ASSERT_EQ(testing::rule_mask_mismatch(lp, rules), "")
+              << kind << " V " << V << " k " << k << " T " << temperature
+              << " p " << top_p.value_or(0);
+        }
+      }
+    }
+  }
+  // By construction both paths ran: the sampled maxima fall back, the
+  // other rows mostly take the pivot.
+  EXPECT_GT(pivot_rows, 0u);
+  EXPECT_GT(fallback_rows, 0u);
+}
+
+TEST(Decoding, AllowedTokensAllocatesOnlyItsMask) {
+  util::Pcg32 rng(17);
+  const std::vector<double> lp = random_log_probs(rng, 774, /*uniform=*/false);
+  std::vector<DecodingRules> rule_sets(4);
+  rule_sets[0].top_k = 40;
+  rule_sets[1].top_k = 40;
+  rule_sets[1].top_p = 0.9;
+  rule_sets[2].top_p = 0.5;
+  rule_sets[2].temperature = 0.7;
+  rule_sets[3].top_k = 500;  // above V/8: the whole-row partition
+  for (const DecodingRules& rules : rule_sets) {
+    (void)model::allowed_tokens(lp, rules);  // warm-up: per-thread scratch
+    const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+    const TokenBitset mask = model::allowed_tokens(lp, rules);
+    const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 1u) << "allowed_tokens allocated beyond its mask";
+    EXPECT_TRUE(mask.any());
+  }
 }
 
 // ---------------------------------------------------------------------------
