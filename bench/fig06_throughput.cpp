@@ -7,8 +7,8 @@
 // at max_in_flight = 1, one node selected, evaluated and settled per round,
 // no logit cache. On top of the paper comparison, this binary measures the
 // engine-level optimizations: the same query through the speculative
-// pipeline (max_in_flight = 64, occupancy controller) and the suffix-keyed
-// logit cache, once per RELM_BENCH_THREADS entry. The event streams must be
+// pipeline (max_in_flight = 64, occupancy controller) and the logit cache,
+// once per RELM_BENCH_THREADS entry. The event streams must be
 // byte-identical across the whole sweep, and the URL set must equal the
 // strict run's. With RELM_BENCH_JSON=1 a machine-readable BENCH_JSON line is
 // appended for scripts/bench.sh.
@@ -82,7 +82,7 @@ int main() {
 
   // Engine-optimization runs: the async-pipeline sweep runs one
   // configuration per RELM_BENCH_THREADS entry (default "1 2 4 8" via
-  // scripts/bench.sh), each with speculative expansion and the suffix-keyed
+  // scripts/bench.sh), each with speculative expansion and the logit
   // cache. Pipeline scheduling is a pure function of search state — never
   // thread count — so the event streams must be byte-identical across the
   // sweep.

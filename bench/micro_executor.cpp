@@ -3,7 +3,7 @@
 // randomized traversal sampling rates. The top-k comparison quantifies the
 // §3.3 observation that decision rules transitively prune large parts of the
 // search space. The *_Threads/*_Batched benchmarks measure the parallel
-// batch API and the suffix-keyed logit cache on the same workloads.
+// batch API and the logit cache on the same workloads.
 
 #include <benchmark/benchmark.h>
 
@@ -50,9 +50,8 @@ void BM_NgramNextLogProbs(benchmark::State& state) {
 BENCHMARK(BM_NgramNextLogProbs);
 
 // 2,048 fixed distinct contexts, the full-window suffixes of the corpus'
-// first documents, evaluated in turn: the rows come from all over the
-// tables, as in a search.
-void BM_NgramNextLogProbsSpread(benchmark::State& state) {
+// first documents: the rows come from all over the tables, as in a search.
+const std::vector<std::vector<tokenizer::TokenId>>& spread_contexts() {
   static const std::vector<std::vector<tokenizer::TokenId>> contexts = [] {
     const std::size_t window = world().xl->relevant_context_length();
     std::set<std::vector<tokenizer::TokenId>> seen;
@@ -68,6 +67,12 @@ void BM_NgramNextLogProbsSpread(benchmark::State& state) {
     }
     return out;
   }();
+  return contexts;
+}
+
+// The spread contexts evaluated in turn.
+void BM_NgramNextLogProbsSpread(benchmark::State& state) {
+  const auto& contexts = spread_contexts();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(world().xl->next_log_probs(contexts[i]));
@@ -76,6 +81,26 @@ void BM_NgramNextLogProbsSpread(benchmark::State& state) {
   state.counters["contexts"] = static_cast<double>(contexts.size());
 }
 BENCHMARK(BM_NgramNextLogProbsSpread);
+
+// The distribution key of each spread context in turn: one table probe per
+// order tried, from the longest down. This is the most a cache lookup adds
+// (a lookup whose full-length suffix is stored skips it); `key_tokens` is
+// the mean key length.
+void BM_NgramDistributionKey(benchmark::State& state) {
+  const auto& contexts = spread_contexts();
+  std::vector<tokenizer::TokenId> scratch;
+  std::size_t i = 0;
+  std::size_t key_tokens = 0;
+  for (auto _ : state) {
+    const auto key = world().xl->distribution_key(contexts[i], scratch);
+    benchmark::DoNotOptimize(key.data());
+    key_tokens += key.size();
+    i = (i + 1) % contexts.size();
+  }
+  state.counters["key_tokens"] = benchmark::Counter(
+      static_cast<double>(key_tokens), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_NgramDistributionKey);
 
 void BM_CachedNextLogProbs(benchmark::State& state) {
   model::CachingModel cached(world().xl);
@@ -106,9 +131,9 @@ void BM_BatchNextLogProbsThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchNextLogProbsThreads)->Arg(1)->Arg(2)->Arg(4);
 
-// Suffix-keyed cache under batch evaluation: all 32 contexts share their
-// last (order-1) tokens with a previously seen context, so after warmup
-// every lookup is a hit regardless of full-context diversity.
+// The logit cache under batch evaluation: all 32 contexts share their last
+// (order-1) tokens with a previously seen context, so after warmup every
+// lookup is a hit regardless of full-context diversity.
 void BM_CachedBatchSuffixHits(benchmark::State& state) {
   model::CachingModel cached(world().xl);
   std::vector<std::vector<tokenizer::TokenId>> contexts;
@@ -195,7 +220,7 @@ BENCHMARK(BM_ShortestPathTopK40);
 
 // The async frontier pipeline on the same URL query: speculative expansion
 // (the default max_in_flight) with the target-occupancy controller and the
-// suffix-keyed cache, which also serves the rule masks. Arg(0) is the thread
+// logit cache, which also serves the rule masks. Arg(0) is the thread
 // count. Compare against BM_ShortestPathTopK40 (strict serial, no cache) for
 // the end-to-end engine speedup.
 void BM_ShortestPathPipeline(benchmark::State& state) {

@@ -2,8 +2,9 @@
 // Compiled once per target: CMake defines RELM_FUZZ_TARGET to the entry
 // point's name (fuzz_regex_parser, fuzz_dfa_loader, ...). Most targets parse
 // the bytes; fuzz_canonical_settlement decodes them into a vocabulary and a
-// token path, and fuzz_rule_mask into a distribution and decoding rules, so
-// any byte string is a valid case.
+// token path, fuzz_rule_mask into a distribution and decoding rules, and
+// fuzz_distribution_key into a token corpus and contexts, so any byte
+// string is a valid case.
 //
 // Two personalities, selected at configure time:
 //   - RELM_LIBFUZZER (Clang only): exports LLVMFuzzerTestOneInput and links

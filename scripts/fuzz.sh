@@ -44,7 +44,8 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DRELM_FUZZERS=ON \
 cmake --build "$BUILD" -j --target \
     relm_cli fuzz_regex_parser fuzz_algebra_compile fuzz_dfa_loader \
     fuzz_artifact_loader \
-    fuzz_repro_json fuzz_canonical_settlement fuzz_rule_mask >/dev/null
+    fuzz_repro_json fuzz_canonical_settlement fuzz_rule_mask \
+    fuzz_distribution_key >/dev/null
 
 mkdir -p "$OUT"
 
@@ -55,7 +56,7 @@ mkdir -p "$OUT"
 echo "[fuzz] structured targets (runs=$RUNS seed=$SEED)"
 for target in fuzz_regex_parser fuzz_algebra_compile fuzz_dfa_loader \
               fuzz_artifact_loader fuzz_repro_json fuzz_canonical_settlement \
-              fuzz_rule_mask; do
+              fuzz_rule_mask fuzz_distribution_key; do
   if [ -n "${RELM_FUZZ_LIBFUZZER:-}" ]; then
     "$BUILD/fuzz/$target" -runs="$RUNS" -seed="$SEED" tests/fuzz_corpus
   else

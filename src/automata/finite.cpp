@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <string_view>
 
 #include "obs/trace.hpp"
 #include "util/errors.hpp"
@@ -286,11 +287,20 @@ std::optional<std::vector<std::string>> finite_strings(
   extend(strings, ast);
   // A product of sorted sets of equal-length strings (`[a-z]{3}`) comes out
   // sorted already.
-  if (!std::is_sorted(strings.begin(), strings.end())) {
-    std::sort(strings.begin(), strings.end());
+  if (std::is_sorted(strings.begin(), strings.end())) {
+    strings.erase(std::unique(strings.begin(), strings.end()), strings.end());
+    return strings;
   }
-  strings.erase(std::unique(strings.begin(), strings.end()), strings.end());
-  return strings;
+  // Views are trivially copyable, so sorting them moves no string; the
+  // result is then built in one pass, duplicates skipped.
+  std::vector<std::string_view> views(strings.begin(), strings.end());
+  std::sort(views.begin(), views.end());
+  Strings sorted;
+  sorted.reserve(views.size());
+  for (const std::string_view view : views) {
+    if (sorted.empty() || sorted.back() != view) sorted.emplace_back(view);
+  }
+  return sorted;
 }
 
 Dfa minimal_dfa(std::span<const std::string> sorted) {

@@ -126,10 +126,9 @@ bool GenerateEngine::tick() {
     (streams_[id].needs_model() ? needs_eval_ : no_model_).push_back(id);
   }
 
-  // Phase 2: context dedup through the relevant suffix — the same key the
-  // suffix-keyed logit cache uses, so two streams in lock-step (or two
-  // admissions of the same prompt) cost one model evaluation per tick, not
-  // two. Keys compare by full token equality (hash only narrows the scan),
+  // Phase 2: context dedup through the relevant suffix, so two streams in
+  // lock-step (or two admissions of the same prompt) cost one model
+  // evaluation per tick, not two. Keys compare by full token equality (hash only narrows the scan),
   // and slots are assigned in stream order, so the unique-context list is a
   // pure function of the runnable streams' states.
   unique_contexts_.clear();

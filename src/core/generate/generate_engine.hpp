@@ -18,7 +18,8 @@ namespace relm::core::generate {
 //   2. gathers all runnable streams and sets aside the steps that need no
 //      model call (budget retirement, free stops),
 //   3. deduplicates the remaining streams' model contexts through their
-//      relevant suffixes (the same key the suffix-keyed logit cache uses),
+//      relevant suffixes (the logit cache then shares rows by distribution
+//      key, which can be shorter),
 //   4. submits ONE LanguageModel::next_rows over the unique contexts under
 //      the query's decoding rules — the model builds the rows (distribution
 //      plus rule mask) across util::ThreadPool::shared(), and a logit cache

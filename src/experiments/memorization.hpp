@@ -42,7 +42,7 @@ struct MemorizationRun {
 // Dijkstra the paper's comparison uses (max_in_flight = 1); the
 // engine-optimization rows in fig06 raise max_in_flight so the async
 // frontier pipeline evaluates that many nodes per round, and
-// cache_capacity > 0 wraps the model in the suffix-keyed CachingModel.
+// cache_capacity > 0 wraps the model in the CachingModel logit cache.
 // Results are identical across thread counts and max_in_flight values (see
 // docs/PERFORMANCE.md).
 struct RelmRunOptions {

@@ -46,11 +46,17 @@ std::vector<std::vector<double>> LanguageModel::next_log_probs_batch(
   return out;
 }
 
+std::span<const TokenId> LanguageModel::distribution_key(
+    std::span<const TokenId> context, std::vector<TokenId>& /*scratch*/) const {
+  return relevant_suffix(*this, context);
+}
+
 std::vector<LanguageModel::Row> LanguageModel::next_rows(
     std::span<const std::vector<TokenId>> contexts,
     const DecodingRules& rules) const {
   std::vector<std::vector<double>> lps;
   if (contexts.size() == 1) {
+    BatchMetrics::get().evals.add();
     lps.push_back(next_log_probs(contexts.front()));
   } else {
     lps = next_log_probs_batch(contexts);

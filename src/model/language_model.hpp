@@ -58,11 +58,22 @@ class LanguageModel {
   //   tokens of c).
   // An n-gram model of order n depends on at most n-1 tokens; a fixed-window
   // neural model on its window. kUnboundedContext (the default) promises
-  // nothing, and callers must pass full contexts. CachingModel keys and
-  // evaluates on this suffix, which is what gives the cache structural hit
-  // rates (distinct traversal paths share suffixes); ShortestPathSearch uses
-  // it to avoid rebuilding full root-to-node paths per expansion.
+  // nothing, and callers must pass full contexts. CachingModel evaluates
+  // misses on this suffix; ShortestPathSearch uses it to avoid rebuilding
+  // full root-to-node paths per expansion.
   virtual std::size_t relevant_context_length() const { return kUnboundedContext; }
+
+  // The context's distribution key: the shortest token sequence that fixes
+  // its next-token distribution. Two contexts whose keys are equal token
+  // sequences have bit-identical next_log_probs, and a key of
+  // relevant_context_length() tokens is its own key. The returned span
+  // points into `context` or into `scratch`. The default is
+  // relevant_suffix(*this, context); an interpolated n-gram returns the
+  // longest suffix with a stored row. Decorators forward it. CachingModel
+  // keys its entries on it, which is what gives the cache structural hit
+  // rates: distinct traversal paths share keys.
+  virtual std::span<const TokenId> distribution_key(std::span<const TokenId> context,
+                                                    std::vector<TokenId>& scratch) const;
 
   // Batched evaluation: one distribution per context. The paper's Executor
   // "schedules massive sets of test vectors on accelerators" (§3.3); this is
@@ -82,8 +93,9 @@ class LanguageModel {
     // model::allowed_tokens(*log_probs, rules); null when the rules are
     // unrestricted.
     std::shared_ptr<const util::TokenBitset> mask;
-    // The mask was built for an earlier, suffix-equal evaluation and reused
-    // here instead of being computed for this call.
+    // The mask was built for an earlier evaluation with the same
+    // distribution key and reused here instead of being computed for this
+    // call.
     bool mask_reused = false;
   };
 

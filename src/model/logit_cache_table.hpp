@@ -12,11 +12,12 @@
 
 namespace relm::model {
 
-// One shard of CachingModel's logit cache: an exact LRU over relevant
-// suffixes. Entries sit in one array and an evicted entry's index is reused;
+// One shard of CachingModel's logit cache: an exact LRU over distribution
+// keys (LanguageModel::distribution_key, at most relevant_context_length()
+// tokens). Entries sit in one array and an evicted entry's index is reused;
 // prev/next indices link them from the most recent (head) to the least
 // recent (tail); an open-addressed index (linear probing, at most half full,
-// backward-shift deletion) maps a suffix hash to entry index + 1, 0 = empty.
+// backward-shift deletion) maps a key hash to entry index + 1, 0 = empty.
 // Both arrays grow geometrically up to what the capacity needs. The table is
 // not synchronized: CachingModel holds the shard's mutex around every call.
 class LogitCacheTable {
@@ -27,8 +28,8 @@ class LogitCacheTable {
   static constexpr std::uint32_t kNone = 0xffffffffu;
 
   struct Entry {
-    std::uint64_t hash = 0;        // the well-mixed suffix hash
-    std::vector<TokenId> suffix;   // stored to rule out hash collisions
+    std::uint64_t hash = 0;     // the well-mixed key hash
+    std::vector<TokenId> key;   // stored to rule out hash collisions
     // Shared so hits hand the buffers out without copying them; eviction
     // merely drops the cache's references while readers keep theirs.
     std::shared_ptr<const std::vector<double>> log_probs;
@@ -49,11 +50,11 @@ class LogitCacheTable {
   std::size_t size() const { return entries_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  // The live entry for `suffix`, or null. Recency order only matters once
+  // The live entry for `key`, or null. Recency order only matters once
   // eviction is plausible, so a hit moves to the head only while the table
   // is at least half full.
-  const Entry* lookup(std::uint64_t hash, std::span<const TokenId> suffix) {
-    const std::uint32_t i = locate(hash, suffix);
+  const Entry* lookup(std::uint64_t hash, std::span<const TokenId> key) {
+    const std::uint32_t i = locate(hash, key);
     if (i == kNone) return nullptr;
     if (entries_.size() * 2 >= capacity_ && i != head_) {
       unlink(i);
@@ -62,13 +63,13 @@ class LogitCacheTable {
     return &entries_[i];
   }
 
-  // Stores `row` for `suffix`: a live entry (another caller may have stored
-  // the suffix since this one missed) takes its mask and keeps its place;
+  // Stores `row` for `key`: a live entry (another caller may have stored
+  // the key since this one missed) takes its mask and keeps its place;
   // otherwise a new head entry is inserted, reusing the tail's index when
   // the table is full. Returns true iff it evicted the tail.
-  bool store(std::uint64_t hash, std::span<const TokenId> suffix,
+  bool store(std::uint64_t hash, std::span<const TokenId> key,
              const LanguageModel::Row& row, const DecodingRules& rules) {
-    if (const std::uint32_t live = locate(hash, suffix); live != kNone) {
+    if (const std::uint32_t live = locate(hash, key); live != kNone) {
       if (row.mask) {
         entries_[live].mask_rules = rules;
         entries_[live].mask = row.mask;
@@ -90,7 +91,7 @@ class LogitCacheTable {
     }
     Entry& entry = entries_[i];
     entry.hash = hash;
-    entry.suffix.assign(suffix.begin(), suffix.end());
+    entry.key.assign(key.begin(), key.end());
     entry.log_probs = row.log_probs;
     entry.mask_rules = rules;
     entry.mask = row.mask;
@@ -110,12 +111,12 @@ class LogitCacheTable {
     return static_cast<std::size_t>(hash >> kShardBits) & (slots_.size() - 1);
   }
 
-  std::uint32_t locate(std::uint64_t hash, std::span<const TokenId> suffix) const {
+  std::uint32_t locate(std::uint64_t hash, std::span<const TokenId> key) const {
     if (slots_.empty()) return kNone;
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t s = home(hash); slots_[s] != 0; s = (s + 1) & mask) {
       const Entry& entry = entries_[slots_[s] - 1];
-      if (entry.hash == hash && std::ranges::equal(entry.suffix, suffix)) {
+      if (entry.hash == hash && std::ranges::equal(entry.key, key)) {
         return slots_[s] - 1;
       }
     }

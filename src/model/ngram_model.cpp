@@ -238,6 +238,25 @@ std::vector<double> NgramModel::next_log_probs(std::span<const TokenId> context)
   return probs;
 }
 
+std::span<const TokenId> NgramModel::distribution_key(std::span<const TokenId> context,
+                                                      std::vector<TokenId>& scratch) const {
+  // Anchored as next_log_probs anchors it: only the longest order tried can
+  // reach the anchoring EOS.
+  const bool anchored = context.size() + 1 < tables_.size();
+  std::size_t k = std::min(context.size() + (anchored ? 1 : 0), tables_.size() - 1);
+  if (anchored && k > 0) {
+    scratch.assign(1, eos_);
+    scratch.insert(scratch.end(), context.begin(), context.end());
+    if (tables_[k].find(context_key(scratch))) return scratch;
+    --k;
+  }
+  for (; k > 0; --k) {
+    const std::span<const TokenId> suffix = context.last(k);
+    if (tables_[k].find(context_key(suffix))) return suffix;
+  }
+  return {};
+}
+
 void NgramModel::save(std::ostream& out) const {
   out << "RELM_NGRAM v1\n";
   out << config_.order << ' ' << config_.alpha << ' '
@@ -361,7 +380,7 @@ std::vector<double> UniformModel::next_log_probs(std::span<const TokenId>) const
 }
 
 // ---------------------------------------------------------------------------
-// CachingModel: sharded LRU over relevant-suffix keys
+// CachingModel: sharded LRU over distribution keys
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -431,30 +450,38 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
   CacheMetrics& metrics = CacheMetrics::get();
   const bool restricted = !rules.unrestricted();
 
-  // A distinct suffix this call evaluates (a miss) or masks (a hit whose
-  // stored mask is missing or was built for other rules); job_rows[j] is
-  // its row. outputs[0] owns the work, later outputs reuse it.
+  // A distinct key this call evaluates (a miss) or masks (a hit whose stored
+  // mask is missing or was built for other rules); job_rows[j] is its row.
+  // outputs[0] owns the work, later outputs reuse it. A job owns a copy of
+  // its key (a key may point into `scratch`, which the next context reuses)
+  // and evaluates through the relevant suffix of its first context.
   struct Job {
     std::uint64_t hash;
+    std::vector<TokenId> key;
     std::span<const TokenId> suffix;
     bool evaluate;
     std::vector<std::size_t> outputs;
   };
   std::vector<Job> jobs;
   std::vector<Row> job_rows;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
+  std::vector<TokenId> scratch;
+
+  // Serves out[i] under `key` from this call's jobs or the shards. A hit
+  // returns true; a miss counts, opens an evaluating job and returns true
+  // only when `last_try`, so a direct probe that misses leaves no trace.
+  auto probe = [&](std::size_t i, std::span<const TokenId> key,
+                   std::span<const TokenId> suffix, bool last_try) {
     // hash_tokens' per-step mixing leaves the high bits correlated for short
-    // suffixes (nearby token ids cluster), so the shard and the slot in it
-    // come from a full-avalanche finalizer of it.
-    const std::uint64_t hash = mix64(hash_tokens(suffix));
+    // keys (nearby token ids cluster), so the shard and the slot in it come
+    // from a full-avalanche finalizer of it.
+    const std::uint64_t hash = mix64(hash_tokens(key));
     Shard& shard = shard_for(hash);
     const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
-      return j.hash == hash && std::ranges::equal(j.suffix, suffix);
+      return j.hash == hash && std::ranges::equal(j.key, key);
     });
     if (job != jobs.end()) {
-      // A repeat of a suffix this call already serves joins its job: a hit,
-      // so hit rates reflect the evaluations saved.
+      // A repeat of a key this call already serves joins its job: a hit, so
+      // hit rates reflect the evaluations saved.
       job->outputs.push_back(i);
       {
         util::ScopedLock lock(shard.mutex);
@@ -462,17 +489,17 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
       }
       metrics.hits.add();
       if (job->evaluate) metrics.batch_dedup.add();
-      continue;
+      return true;
     }
     bool hit = false;
     {
       util::ScopedLock lock(shard.mutex);
-      if (const LogitCacheTable::Entry* entry = shard.table.lookup(hash, suffix)) {
+      if (const LogitCacheTable::Entry* entry = shard.table.lookup(hash, key)) {
         ++shard.hits;
         hit = true;
         out[i].log_probs = entry->log_probs;
         if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
-      } else {
+      } else if (last_try) {
         ++shard.misses;
       }
     }
@@ -480,13 +507,24 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
       metrics.hits.add();
       if (!restricted || out[i].mask) {
         out[i].mask_reused = restricted;
-        continue;
+        return true;
       }
-    } else {
+    } else if (last_try) {
       metrics.misses.add();
+    } else {
+      return false;
     }
-    jobs.push_back(Job{hash, suffix, !hit, {i}});
+    jobs.push_back(Job{hash, {key.begin(), key.end()}, suffix, !hit, {i}});
     job_rows.push_back(Row{out[i].log_probs, nullptr, false});
+    return true;
+  };
+
+  const std::size_t full = inner_->relevant_context_length();
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
+    // A full-length suffix is its own key if anything is stored under it.
+    if (suffix.size() == full && probe(i, suffix, suffix, false)) continue;
+    probe(i, inner_->distribution_key(suffix, scratch), suffix, true);
   }
 
   std::vector<std::vector<TokenId>> eval_contexts;
@@ -506,7 +544,7 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
       Shard& shard = shard_for(jobs[j].hash);
       util::ScopedLock lock(shard.mutex);
       const std::size_t entries = shard.table.size();
-      if (shard.table.store(jobs[j].hash, jobs[j].suffix, job_rows[j], rules)) {
+      if (shard.table.store(jobs[j].hash, jobs[j].key, job_rows[j], rules)) {
         ++shard.evictions;
         metrics.evictions.add();
       }

@@ -91,6 +91,18 @@ class NgramModel : public LanguageModel {
     return config_.order - 1;
   }
 
+  // The longest suffix of the anchored context (EOS-prepended as
+  // next_log_probs anchors it) that has a stored row, empty when no order
+  // matches; the anchoring EOS, when the key includes it, is written into
+  // `scratch`. next_log_probs interpolates exactly the orders whose last k
+  // tokens have a stored row, and none above the key's length has one, so
+  // the distribution is a function of the key's tokens alone, whether or
+  // not the stored contexts are suffix-closed (KenLM's state minimization,
+  // Heafield 2011). One hash and one table probe per order tried, from the
+  // longest down.
+  std::span<const TokenId> distribution_key(std::span<const TokenId> context,
+                                            std::vector<TokenId>& scratch) const override;
+
   const Config& config() const { return config_; }
   std::size_t num_contexts() const;
 
@@ -201,13 +213,14 @@ class UniformModel : public LanguageModel {
 // Dijkstra siblings share parents), which in the paper is hidden by GPU
 // batching; here a cache fills the same role.
 //
-// Entries are keyed on the inner model's *relevant suffix* (see
-// LanguageModel::relevant_context_length): for an order-n n-gram, two
-// distinct traversal paths ending in the same n-1 tokens share one cache
-// entry — full-path keys would make almost every lookup a miss. An entry
+// Entries are keyed on the inner model's *distribution key* (see
+// LanguageModel::distribution_key): for an order-n n-gram, every context
+// whose longest stored suffix is the same shares one cache entry, however
+// its earlier tokens differ — full-path keys would make almost every lookup
+// a miss, and the last n-1 tokens would store one row many times. An entry
 // keeps the distribution and the decoding-rule mask last built over it,
 // tagged with the exact rules that asked for it, so a hit under the same
-// rules returns both from one shard lookup. The suffix hash picks one of 16
+// rules returns both from one shard lookup. The key's hash picks one of 16
 // shards, each under its own mutex and each an exact LRU in one flat
 // LogitCacheTable (model/logit_cache_table.hpp: entries in one array,
 // index-linked recency, an open-addressed index), so it is safe under
@@ -226,19 +239,26 @@ class CachingModel : public LanguageModel {
   std::size_t relevant_context_length() const override {
     return inner_->relevant_context_length();
   }
+  std::span<const TokenId> distribution_key(std::span<const TokenId> context,
+                                            std::vector<TokenId>& scratch) const override {
+    return inner_->distribution_key(context, scratch);
+  }
   // Both copy their distributions out of next_rows (unrestricted rules).
   std::vector<double> next_log_probs(std::span<const TokenId> context) const override;
   std::vector<std::vector<double>> next_log_probs_batch(
       std::span<const std::vector<TokenId>> contexts) const override;
 
-  // Serves each context from its suffix's entry, with the stored mask when
-  // it was built for exactly `rules` (no O(vocab) work on such a hit).
-  // Distinct missing suffixes are evaluated once through the inner model's
-  // next_rows — so decorators see every evaluation — and their masks, plus
-  // those of hits whose stored mask was built for other rules, are built
-  // across the shared pool and stored. Misses are deduplicated within the
-  // call only: two concurrent callers that miss on one suffix both evaluate
-  // it, and the second store keeps the live entry.
+  // Serves each context from its key's entry, with the stored mask when it
+  // was built for exactly `rules` (no O(vocab) work on such a hit). A
+  // relevant suffix of full length is looked up as it is first, since an
+  // entry stored under it serves it; the key is computed only when that
+  // misses or the suffix is shorter. Distinct missing keys are evaluated
+  // once, through the relevant suffix of the first context that asked,
+  // with the inner model's next_rows — so decorators see every evaluation —
+  // and their masks, plus those of hits whose stored mask was built for
+  // other rules, are built across the shared pool and stored. Misses are
+  // deduplicated within the call only: two concurrent callers that miss on
+  // one key both evaluate it, and the second store keeps the live entry.
   std::vector<Row> next_rows(std::span<const std::vector<TokenId>> contexts,
                              const DecodingRules& rules) const override;
 

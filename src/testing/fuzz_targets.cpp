@@ -1,10 +1,12 @@
 #include "testing/fuzz_targets.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -22,6 +24,8 @@
 #include "core/pipeline/artifact.hpp"
 #include "core/pipeline/cache.hpp"
 #include "core/query.hpp"
+#include "model/decoding.hpp"
+#include "model/ngram_model.hpp"
 #include "testing/determinize_per_byte.hpp"
 #include "testing/eager_algebra.hpp"
 #include "testing/generators.hpp"
@@ -305,6 +309,92 @@ int fuzz_rule_mask(const std::uint8_t* data, std::size_t size) {
   }
   const std::string mismatch = rule_mask_mismatch(row, rules);
   if (!mismatch.empty()) die("fuzz_rule_mask", mismatch);
+  return 0;
+}
+
+int fuzz_distribution_key(const std::uint8_t* data, std::size_t size) {
+  using tokenizer::TokenId;
+  std::size_t at = 0;
+  auto next = [&] { return at < size ? data[at++] : std::uint8_t{0}; };
+  const std::size_t vocab = 2 + next() % 7;  // EOS is token 0
+  model::NgramModel::Config config;
+  config.order = 1 + next() % 5;
+  config.alpha = (1 + next() % 8) / 4.0;
+  const bool reload = next() % 2 == 1;
+  const std::size_t capacity = 4 + next() % 61;
+  std::vector<std::vector<TokenId>> corpus(1 + next() % 8);
+  for (auto& seq : corpus) {
+    seq.resize(next() % 13);
+    for (TokenId& t : seq) t = next() % vocab;
+  }
+  std::shared_ptr<const model::NgramModel> model =
+      model::NgramModel::train_on_tokens(vocab, 0, corpus, config);
+  if (reload) {
+    std::stringstream saved;
+    model->save(saved);
+    model = model::NgramModel::load(saved);
+  }
+
+  // The rest of the bytes: up to 32 contexts of up to order + 1 tokens,
+  // each random or (odd lead byte) a window of the corpus, so that stored
+  // contexts of every order come up.
+  std::vector<std::vector<TokenId>> contexts;
+  while (at < size && contexts.size() < 32) {
+    const std::uint8_t lead = next();
+    std::vector<TokenId>& ctx = contexts.emplace_back(lead / 2 % (config.order + 2));
+    const std::vector<TokenId>& seq = corpus[next() % corpus.size()];
+    const std::size_t end = seq.empty() ? 0 : next() % (seq.size() + 1);
+    for (std::size_t i = 0; i < ctx.size(); ++i) {
+      const bool window = lead % 2 == 1 && i < end;
+      ctx[ctx.size() - 1 - i] = window ? seq[end - 1 - i] : next() % vocab;
+    }
+  }
+
+  auto bitwise_equal = [](const std::vector<double>& a, const std::vector<double>& b) {
+    return std::ranges::equal(a, b, [](double x, double y) {
+      return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+    });
+  };
+  std::vector<std::vector<double>> rows;
+  std::map<std::vector<TokenId>, std::size_t> first_with_key;
+  std::vector<TokenId> scratch;
+  for (std::size_t c = 0; c < contexts.size(); ++c) {
+    const std::span<const TokenId> key = model->distribution_key(contexts[c], scratch);
+    rows.push_back(model->next_log_probs(contexts[c]));
+    if (key.size() > model->relevant_context_length()) {
+      die("fuzz_distribution_key", "key longer than the relevant context");
+    }
+    const auto [it, inserted] =
+        first_with_key.emplace(std::vector<TokenId>(key.begin(), key.end()), c);
+    if (!inserted && !bitwise_equal(rows[it->second], rows[c])) {
+      die("fuzz_distribution_key", "contexts with one key have different rows");
+    }
+    if (key.size() == model->relevant_context_length() &&
+        !std::ranges::equal(model->distribution_key(it->first, scratch), it->first)) {
+      die("fuzz_distribution_key", "a full-length key is not its own key");
+    }
+  }
+
+  // Two rounds through a cache that evicts: one context per call, then the
+  // whole list in one call under a top-k rule.
+  model::CachingModel cached(model, capacity);
+  model::DecodingRules rules;
+  rules.top_k = 2;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t c = 0; c < contexts.size(); ++c) {
+      if (!bitwise_equal(cached.next_log_probs(contexts[c]), rows[c])) {
+        die("fuzz_distribution_key", "cached row differs from the model's");
+      }
+    }
+    const std::vector<model::LanguageModel::Row> served = cached.next_rows(contexts, rules);
+    for (std::size_t c = 0; c < contexts.size(); ++c) {
+      if (!bitwise_equal(*served[c].log_probs, rows[c]) ||
+          *served[c].mask != model::allowed_tokens(rows[c], rules)) {
+        die("fuzz_distribution_key", "cached row or mask differs from the model's");
+      }
+    }
+  }
+  if (cached.entries() > capacity) die("fuzz_distribution_key", "cache over capacity");
   return 0;
 }
 

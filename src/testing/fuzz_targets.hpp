@@ -55,4 +55,13 @@ int fuzz_canonical_settlement(const std::uint8_t* data, std::size_t size);
 // whole-row partition and with token_allowed (testing::rule_mask_mismatch).
 int fuzz_rule_mask(const std::uint8_t* data, std::size_t size);
 
+// Distribution keys: the bytes decode into a token corpus over up to 8
+// tokens, an n-gram order from 1 to 5 and contexts (random, or windows of
+// the corpus). The model is trained on the corpus and, half the time,
+// passed through save -> load. Contexts with equal distribution keys must
+// have bitwise-equal rows, a key of order - 1 tokens must be its own key,
+// and a CachingModel of 4-64 entries (so it evicts) must serve every row,
+// and every mask under a top-k rule, bitwise-equal to the bare model's.
+int fuzz_distribution_key(const std::uint8_t* data, std::size_t size);
+
 }  // namespace relm::testing

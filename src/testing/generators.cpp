@@ -174,6 +174,11 @@ void render(const RegexNode& node, std::string& out) {
       out += "()";
       return;
     case RegexKind::kCharClass: {
+      if (node.char_class.none()) {
+        // `[]` does not parse; the complement of every byte does.
+        out += "[^\\x00-\\xff]";
+        return;
+      }
       if (node.char_class.count() == 1) {
         for (std::size_t b = 0; b < 256; ++b) {
           if (node.char_class.test(b)) {

@@ -48,8 +48,8 @@ std::size_t node_count(const automata::RegexNode& node);
 
 // Renders an AST in this repository's regex dialect such that
 // parse_regex(pattern_of(n)) accepts and describes the same language.
-// Epsilon prints as "()"; kEmptySet has no dialect syntax and throws
-// relm::Error (generators never produce it).
+// Epsilon prints as "()", an empty class as "[^\x00-\xff]"; kEmptySet has
+// no dialect syntax and throws relm::Error (generators never produce it).
 std::string pattern_of(const automata::RegexNode& node);
 
 // ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@
 //       may materialize (default: RELM_DETERMINIZE_BUDGET, else 2^20).
 //       (`relm run` is an alias.)
 //       --threads sizes the shared evaluation pool (default: RELM_THREADS or
-//       hardware concurrency); --cache-capacity bounds the suffix-keyed
-//       logit cache (default 65536 entries, 0 disables). See
+//       hardware concurrency); --cache-capacity bounds the logit cache
+//       (default 65536 entries, 0 disables). See
 //       docs/PERFORMANCE.md.
 //       --compile-cache persists compiled prefix and body components to
 //       DIR (default .relm-cache), so a query whose components were
@@ -363,7 +363,7 @@ int cmd_query(const Args& args) {
   if (threads > 0) {
     util::ThreadPool::set_shared_threads(static_cast<std::size_t>(threads));
   }
-  // Wrap the simulator in the suffix-keyed logit cache unless disabled.
+  // Wrap the simulator in the logit cache unless disabled.
   long cache_capacity = args.get_long("cache-capacity", 1 << 16);
   std::shared_ptr<const model::LanguageModel> model = ngram;
   if (cache_capacity > 0) {

@@ -97,7 +97,7 @@ enum class LockRank : int {
   kCompileCacheLru = 21,     // the component LRU
 
   // model (CachingModel logit cache).
-  kModelCacheShard = 30,  // the 16 suffix-keyed LRU shards
+  kModelCacheShard = 30,  // the 16 logit-cache LRU shards
 
   // obs/trace.
   kTraceSink = 40,    // buffer registry + atexit output paths

@@ -456,7 +456,8 @@ TEST(DfaEquivalent, ThrowsOnAlphabetMismatch) {
 // overlapping ranges, negated classes, complements and differences against
 // the universe. Each must compile within fuzz_algebra_compile's budget, agree
 // with the eager reference, determinize (when boolean-free) exactly as the
-// per-byte reference does, and pass the fuzz target itself.
+// per-byte reference does, and pass the fuzz targets themselves
+// (scripts/fuzz.sh replays them through every structured target).
 TEST(FuzzCorpus, RegexSeedsCompileAndAgreeWithReferences) {
   std::vector<std::filesystem::path> seeds;
   for (const auto& entry :
@@ -482,6 +483,9 @@ TEST(FuzzCorpus, RegexSeedsCompileAndAgreeWithReferences) {
     EXPECT_EQ(rt::fuzz_algebra_compile(
                   reinterpret_cast<const std::uint8_t*>(pattern.data()),
                   pattern.size()),
+              0);
+    EXPECT_EQ(rt::fuzz_regex_parser(reinterpret_cast<const std::uint8_t*>(pattern.data()),
+                                    pattern.size()),
               0);
   }
 }

@@ -244,11 +244,11 @@ std::shared_ptr<NgramModel> reloaded(const NgramModel& model) {
   return NgramModel::load(buffer);
 }
 
-TEST(NgramModel, FlatRowsMatchReferenceBitForBit) {
-  // 200 token sequences over a 40-token vocabulary whose successors are
-  // drawn from three per token, so contexts recur with several
-  // continuations at every order.
-  constexpr std::size_t kVocab = 40;
+// 200 token sequences over a 40-token vocabulary (EOS 0) whose successors
+// are drawn from three per token, so contexts recur with several
+// continuations at every order.
+constexpr std::size_t kVocab = 40;
+Contexts recurring_sequences() {
   util::Pcg32 rng(2023);
   Contexts sequences(200);
   for (auto& seq : sequences) {
@@ -258,6 +258,11 @@ TEST(NgramModel, FlatRowsMatchReferenceBitForBit) {
       t = 1 + (t * 7 + rng.bounded(3)) % (kVocab - 1);
     }
   }
+  return sequences;
+}
+
+TEST(NgramModel, FlatRowsMatchReferenceBitForBit) {
+  const Contexts sequences = recurring_sequences();
   for (std::size_t order : {1u, 3u, 6u}) {
     for (double alpha : {0.15, 1.2}) {
       NgramModel::Config config;
@@ -322,6 +327,168 @@ TEST(NgramModel, FlatRowsMatchReferenceBitForBit) {
                             world.xl.get());
 }
 
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::ranges::equal(a, b, [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+// (context length, key) of every row visit_context_rows reports.
+using StoredRows = std::set<std::pair<std::size_t, std::uint64_t>>;
+
+// The longest suffix of `context`, anchored as next_log_probs anchors it,
+// that has one of `model`'s stored rows: every length tried.
+std::vector<tokenizer::TokenId> brute_force_key(const NgramModel& model,
+                                                const StoredRows& stored,
+                                                std::span<const tokenizer::TokenId> context) {
+  std::vector<tokenizer::TokenId> anchored(context.begin(), context.end());
+  const std::size_t order = model.config().order;
+  if (context.size() + 1 < order) anchored.insert(anchored.begin(), model.eos());
+  for (std::size_t k = std::min(anchored.size(), order - 1); k > 0; --k) {
+    const auto suffix = std::span<const tokenizer::TokenId>(anchored).last(k);
+    if (stored.contains({k, hash_tokens(suffix)})) return {suffix.begin(), suffix.end()};
+  }
+  return {};
+}
+
+// Over `contexts`: every key is the brute-force key, contexts with equal
+// keys have bitwise-equal rows, and a key of order - 1 tokens is its own
+// key. Returns how many contexts share a key with an earlier one and how
+// many keys are shorter than their context's relevant suffix, so callers
+// can check that the comparisons were not vacuous.
+std::pair<std::size_t, std::size_t> expect_keys_exact(const NgramModel& model,
+                                                      const Contexts& contexts,
+                                                      const std::string& label) {
+  StoredRows stored;
+  model.visit_context_rows([&](const NgramModel::ContextRowView& row) {
+    stored.emplace(row.order_k, row.key);
+  });
+  std::map<std::vector<tokenizer::TokenId>, std::vector<double>> row_of_key;
+  std::vector<tokenizer::TokenId> scratch;
+  std::size_t shared = 0;
+  std::size_t shorter = 0;
+  for (const auto& context : contexts) {
+    const auto view = model.distribution_key(context, scratch);
+    const std::vector<tokenizer::TokenId> key(view.begin(), view.end());
+    EXPECT_EQ(key, brute_force_key(model, stored, context))
+        << label << ", " << context.size() << "-token context";
+    if (key.size() < relevant_suffix(model, context).size()) ++shorter;
+    const std::vector<double> row = model.next_log_probs(context);
+    const auto [it, inserted] = row_of_key.emplace(key, row);
+    if (!inserted) {
+      ++shared;
+      EXPECT_TRUE(bitwise_equal(it->second, row)) << label << ", " << key.size() << "-token key";
+    }
+    if (key.size() == model.relevant_context_length()) {
+      EXPECT_TRUE(std::ranges::equal(model.distribution_key(key, scratch), key)) << label;
+    }
+  }
+  return {shared, shorter};
+}
+
+// `per_length` seeded random contexts of every length from 0 to max_len.
+Contexts random_contexts_of_every_length(std::size_t per_length, std::size_t vocab_size,
+                                         std::size_t max_len, std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  Contexts out;
+  for (std::size_t len = 0; len <= max_len; ++len) {
+    for (std::size_t n = 0; n < per_length; ++n) {
+      auto& ctx = out.emplace_back(len);
+      for (auto& t : ctx) t = rng.bounded(static_cast<std::uint32_t>(vocab_size));
+    }
+  }
+  return out;
+}
+
+TEST(NgramModel, DistributionKeyIsLongestStoredSuffix) {
+  const Contexts sequences = recurring_sequences();
+  for (std::size_t order : {1u, 3u, 6u}) {
+    for (double alpha : {0.15, 1.2}) {
+      NgramModel::Config config;
+      config.order = order;
+      config.alpha = alpha;
+      auto model = NgramModel::train_on_tokens(kVocab, /*eos=*/0, sequences, config);
+      Contexts contexts = windows(sequences, order);
+      for (auto& ctx : random_contexts_of_every_length(20, kVocab, order + 1, order)) {
+        contexts.push_back(std::move(ctx));
+      }
+      const std::string label =
+          "order " + std::to_string(order) + " alpha " + std::to_string(alpha);
+      const auto [shared, shorter] = expect_keys_exact(*model, contexts, label);
+      EXPECT_GT(shared, 0u) << label;
+      if (order > 1) {
+        EXPECT_GT(shorter, 0u) << label;
+      }
+    }
+  }
+
+  const experiments::World world =
+      experiments::build_world(experiments::WorldConfig::scaled(0.25));
+  const std::size_t order = world.xl->config().order;
+  Contexts documents;
+  for (std::size_t d = 0; d < 12; ++d) {
+    documents.push_back(world.tokenizer->encode(world.corpus.documents[d]));
+  }
+  Contexts contexts = windows(documents, order);
+  for (auto& ctx : random_contexts_of_every_length(20, world.xl->vocab_size(), order + 1, 5)) {
+    contexts.push_back(std::move(ctx));
+  }
+  const auto [shared, shorter] = expect_keys_exact(*world.xl, contexts, "sim-xl");
+  EXPECT_GT(shared, 0u);
+  EXPECT_GT(shorter, 0u);
+}
+
+// An order-4 model over 8 tokens (EOS 0), written by hand: the order-3 row
+// [1 2 3] has no row for its order-2 suffix [2 3], and the one order-2 row
+// is the document-initial [0 6].
+std::shared_ptr<NgramModel> model_without_suffix_rows() {
+  auto key = [](std::initializer_list<tokenizer::TokenId> tokens) {
+    std::ostringstream hex;
+    hex << std::hex << hash_tokens(std::vector<tokenizer::TokenId>(tokens));
+    return hex.str();
+  };
+  std::istringstream in("RELM_NGRAM v1\n4 0.5 16 8 0\n"
+                        "table 0 1\n" + key({}) + " 6 3 1 2 2 2 3 2\n"
+                        "table 1 2\n" + key({3}) + " 4 2 1 2 4 2\n" +
+                        key({6}) + " 2 1 7 2\n"
+                        "table 2 1\n" + key({0, 6}) + " 3 2 5 1 6 2\n"
+                        "table 3 1\n" + key({1, 2, 3}) + " 3 1 5 3\n");
+  return NgramModel::load(in);
+}
+
+TEST(NgramModel, DistributionKeyOnModelWithoutSuffixRows) {
+  const auto model = model_without_suffix_rows();
+  using Key = std::vector<tokenizer::TokenId>;
+  std::vector<tokenizer::TokenId> scratch;
+  auto key_of = [&](const Key& context) {
+    const auto view = model->distribution_key(context, scratch);
+    return Key(view.begin(), view.end());
+  };
+  EXPECT_EQ(key_of({1, 2, 3}), (Key{1, 2, 3}));
+  // Orders 3 and 2 have no row: the key skips both.
+  EXPECT_EQ(key_of({4, 2, 3}), Key{3});
+  EXPECT_EQ(key_of({2, 3}), Key{3});  // anchored [0 2 3]
+  // The anchoring EOS is part of the key, written into scratch.
+  const Key six{6};
+  EXPECT_EQ(model->distribution_key(six, scratch).data(), scratch.data());
+  EXPECT_EQ(key_of(six), (Key{0, 6}));
+  EXPECT_EQ(key_of({7, 0, 6}), (Key{0, 6}));
+  EXPECT_EQ(key_of({5}), Key{});
+  EXPECT_EQ(key_of({}), Key{});
+
+  const Contexts contexts = {{1, 2, 3}, {4, 2, 3}, {2, 3}, {3}, {6}, {7, 0, 6},
+                             {5}, {}, {1, 2, 3, 3}, {0, 1, 2, 3}};
+  expect_rows_bit_identical(*model, contexts, "hand-written");
+  const auto [shared, shorter] = expect_keys_exact(*model, contexts, "hand-written");
+  // [2 3], [3] and [1 2 3 3] share [3]; [0 1 2 3] shares [1 2 3]; [7 0 6]
+  // shares [0 6]; [] shares the empty key.
+  EXPECT_EQ(shared, 6u);
+  EXPECT_GT(shorter, 0u);
+  // The skipped order matters: [1 2 3] interpolates a row [4 2 3] does not.
+  EXPECT_FALSE(bitwise_equal(model->next_log_probs(Key{1, 2, 3}),
+                             model->next_log_probs(Key{4, 2, 3})));
+}
+
 TEST(NgramModel, OutOfVocabularyRowThrowsOnEvaluation) {
   // Rows that count tokens past the vocabulary are built without writing
   // past it (the base vector included), and evaluating the model throws.
@@ -380,8 +547,8 @@ TEST(CachingModel, DistinguishesContexts) {
 TEST(NgramModel, SuffixEquivalence) {
   // The model's distribution depends on at most order-1 trailing tokens:
   // next_log_probs(ctx) must equal next_log_probs(suffix) exactly. This is
-  // the contract relevant_context_length() advertises and the suffix-keyed
-  // cache relies on.
+  // the contract relevant_context_length() advertises and the logit cache
+  // relies on (it evaluates through the suffix).
   Fixture f;
   ASSERT_EQ(f.model->relevant_context_length(), f.model->config().order - 1);
   auto ctx = f.tok.encode("The dog ran to the park. The cat sat on the");
@@ -557,6 +724,48 @@ TEST(CachingModel, ConcurrentMissesOnOneSuffixKeepOneEntry) {
   EXPECT_EQ(cached.hits() + cached.misses(), kThreads);
 }
 
+TEST(CachingModel, OneEntryPerDistribution) {
+  // [4 2 3] and [5 2 3] differ in their relevant suffix but share the key
+  // [3]: the second is a hit on the first's entry and gets its buffers.
+  const auto model = model_without_suffix_rows();
+  DecodingRules rules;
+  rules.top_k = 2;
+  CachingModel cached(model);
+  const Contexts first = {{4, 2, 3}}, second = {{5, 2, 3}}, third = {{1, 2, 3}};
+  const auto a = cached.next_rows(first, rules);
+  const auto b = cached.next_rows(second, rules);
+  EXPECT_EQ(cached.misses(), 1u);
+  EXPECT_EQ(cached.hits(), 1u);
+  EXPECT_EQ(cached.entries(), 1u);
+  EXPECT_EQ(a[0].log_probs, b[0].log_probs);
+  EXPECT_EQ(a[0].mask, b[0].mask);
+  EXPECT_TRUE(b[0].mask_reused);
+  EXPECT_EQ(*b[0].log_probs, model->next_log_probs(second[0]));
+
+  // Another key misses.
+  const auto c = cached.next_rows(third, rules);
+  EXPECT_EQ(cached.misses(), 2u);
+  EXPECT_EQ(cached.entries(), 2u);
+  EXPECT_EQ(*c[0].log_probs, model->next_log_probs(third[0]));
+
+  // Only a full-length suffix is looked up as it is: [6] is the key of
+  // [5 5 6], but the shorter context [6] is anchored, and its key is [0 6].
+  const Contexts keyed_six = {{5, 5, 6}}, six = {{6}};
+  cached.next_rows(keyed_six, rules);
+  const auto d = cached.next_rows(six, rules);
+  EXPECT_EQ(cached.misses(), 4u);
+  EXPECT_EQ(*d[0].log_probs, model->next_log_probs(six[0]));
+  EXPECT_FALSE(bitwise_equal(*d[0].log_probs, model->next_log_probs(keyed_six[0])));
+
+  // Within one call the two suffixes join one job.
+  CachingModel fresh(model);
+  const auto rows = fresh.next_rows(Contexts{first[0], second[0]}, rules);
+  EXPECT_EQ(fresh.misses(), 1u);
+  EXPECT_EQ(fresh.hits(), 1u);
+  EXPECT_EQ(fresh.entries(), 1u);
+  EXPECT_EQ(rows[0].log_probs, rows[1].log_probs);
+}
+
 TEST(CachingModel, FlatShardMatchesReferenceLru) {
   // One shard's table against a list + map LRU with the shard's policy: a
   // hit moves to the front once the table is at least half full, a store of
@@ -624,7 +833,7 @@ TEST(CachingModel, FlatShardMatchesReferenceLru) {
       }
       std::vector<std::size_t> order;
       table.for_each_recent([&](const LogitCacheTable::Entry& e) {
-        order.push_back(e.suffix[0]);
+        order.push_back(e.key[0]);
       });
       ASSERT_EQ(order, std::vector<std::size_t>(lru.begin(), lru.end()))
           << "capacity " << capacity << " op " << op;
