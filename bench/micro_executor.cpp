@@ -268,15 +268,14 @@ void BM_ShortestPathTopK40MasksOff(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestPathTopK40MasksOff);
 
-// A search to its first result, the shape of Table 1's cloze queries (and of
-// perfbench's cloze_suite): a corpus passage as an escaped literal prefix, a
-// word body, canonical tokens, top-k 40, max_results 1, on the default
+// A search to its first result: a corpus passage as an escaped literal
+// prefix, a word body, canonical tokens, max_results 1, on the default
 // pipeline and a one-thread pool. The logit cache is shared across
 // iterations, so after the first search every row is a hit and the
 // executor's own work (selection, frontier, canonicality) is what is timed.
 // The URL benchmarks above all enumerate; this one stops after a few dozen
 // expansions, most of whose children are never popped.
-void BM_ShortestPathFirstResult(benchmark::State& state) {
+void shortest_path_first_result(benchmark::State& state, std::size_t top_k) {
   util::ThreadPool::set_shared_threads(1);
   const std::string prefix =
       util::regex_escape(world().corpus.cloze_passages.front().context);
@@ -284,21 +283,40 @@ void BM_ShortestPathFirstResult(benchmark::State& state) {
   query.query_string.prefix_str = prefix;
   query.query_string.query_str = prefix + " ([a-zA-Z]+)(\\.|\\!|\\?)?(\")?";
   query.tokenization_strategy = core::TokenizationStrategy::kCanonicalTokens;
-  query.decoding.top_k = 40;
+  query.decoding.top_k = top_k;
   query.max_results = 1;
   core::CompiledQuery compiled =
       core::CompiledQuery::compile(query, *world().tokenizer);
   model::CachingModel cached(world().xl, 1 << 16);
-  std::size_t expansions = 0;
+  std::size_t expansions = 0, discovered = 0, built = 0;
   for (auto _ : state) {
     core::ShortestPathSearch search(cached, compiled, query);
     benchmark::DoNotOptimize(search.next());
     expansions += search.stats().expansions;
+    discovered += search.stats().children_discovered;
+    built += search.stats().children_built;
   }
-  state.counters["expansions/iter"] =
-      static_cast<double>(expansions) / static_cast<double>(state.iterations());
+  const auto per_iter = [&](std::size_t total) {
+    return static_cast<double>(total) / static_cast<double>(state.iterations());
+  };
+  state.counters["expansions/iter"] = per_iter(expansions);
+  state.counters["discovered/iter"] = per_iter(discovered);
+  state.counters["built/iter"] = per_iter(built);
+}
+
+// Top-k 40, narrower than the cloze queries.
+void BM_ShortestPathFirstResult(benchmark::State& state) {
+  shortest_path_first_result(state, 40);
 }
 BENCHMARK(BM_ShortestPathFirstResult);
+
+// Top-k 1000, the shape of Table 1's LAMBADA queries and of perfbench's
+// cloze_suite: more than the vocabulary, so a word-class expansion offers
+// every token the body admits.
+void BM_ShortestPathFirstResultTopK1000(benchmark::State& state) {
+  shortest_path_first_result(state, 1000);
+}
+BENCHMARK(BM_ShortestPathFirstResultTopK1000);
 
 // Isolated expansion primitives on a synthetic dense token automaton, away
 // from model-inference noise. Arg(0) is the vocabulary size; the state under

@@ -1,7 +1,6 @@
 #include "core/compiled_query.hpp"
 
 #include <algorithm>
-#include <bit>
 
 #include "core/pipeline/cache.hpp"
 #include "obs/trace.hpp"
@@ -91,91 +90,49 @@ void CompiledQuery::expand_masked(const StateSet& set,
                                   StepCounters& counters) const {
   const TokenMaskTable& pmask = prefix_->masks;
   const TokenMaskTable& bmask = body_->masks;
-  const automata::Dfa& prefix = prefix_->dfa;
-  const automata::Dfa& body = body_->dfa;
+  const std::uint32_t* btargets =
+      set.body_state != kNoState
+          ? bmask.edge_targets.data() + bmask.edge_offsets[set.body_state]
+          : nullptr;
+  const std::uint32_t* ptargets =
+      set.prefix_state != kNoState
+          ? pmask.edge_targets.data() + pmask.edge_offsets[set.prefix_state]
+          : nullptr;
   out.clear();
+  walk_masks(set, rule_mask, counters,
+             [&](TokenId token, bool body, std::uint32_t rank,
+                 std::uint32_t prank) {
+               if (body) {
+                 Step step{token, StateSet{kNoState, btargets[rank]},
+                           /*prefix_only=*/false, /*body_advanced=*/true};
+                 if (prank != kNoRank) step.next.prefix_state = ptargets[prank];
+                 out.push_back(step);
+                 return;
+               }
+               const StateId to = ptargets[prank];
+               out.push_back(Step{token,
+                                  StateSet{to, prefix_->dfa.is_final(to)
+                                                   ? body_->dfa.start()
+                                                   : kNoState},
+                                  /*prefix_only=*/true, /*body_advanced=*/false});
+             });
+}
 
-  const std::uint32_t W = bmask.words_per_state;  // == pmask.words_per_state
-  const bool body_live = set.body_state != kNoState;
-  const bool prefix_live = set.prefix_state != kNoState;
-  const std::uint64_t* body_row =
-      body_live ? bmask.state_words(set.body_state) : nullptr;
-  const std::uint64_t* prefix_row =
-      prefix_live ? pmask.state_words(set.prefix_state) : nullptr;
-  const std::uint64_t* rule_words =
-      rule_mask && !rule_mask->empty() ? rule_mask->words().data() : nullptr;
-
-  // Body transitions: survivors of (state mask ∩ rule mask), token order.
-  // A surviving bit's edge is found by rank: the number of set bits before
-  // it in the *unmasked* state word, plus the running per-word base — a
-  // popcount, not a pointer walk, so cost is words + survivors.
-  if (body_live) {
-    const std::uint32_t* targets =
-        bmask.edge_targets.data() + bmask.edge_offsets[set.body_state];
-    const std::uint32_t* ptargets =
-        prefix_live ? pmask.edge_targets.data() : nullptr;
-    std::uint32_t body_base = 0;
-    std::uint32_t prefix_base =
-        prefix_live ? pmask.edge_offsets[set.prefix_state] : 0;
-    for (std::uint32_t w = 0; w < W; ++w) {
-      const std::uint64_t word = body_row[w];
-      const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
-      const std::uint64_t pword = prefix_live ? prefix_row[w] : 0;
-      counters.mask_words_scanned += 1;
-      counters.mask_pruned +=
-          std::size_t(std::popcount(word)) - std::size_t(std::popcount(surv));
-      std::uint64_t bits = surv;
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const TokenId token = static_cast<TokenId>(w * 64u + std::uint32_t(b));
-        const std::uint32_t rank =
-            body_base + std::uint32_t(std::popcount(word & ((1ull << b) - 1)));
-        Step step{token, StateSet{kNoState, targets[rank]},
-                  /*prefix_only=*/false, /*body_advanced=*/true};
-        if ((pword >> b) & 1) {
-          // Token reachable through both machines (the slow path's merge):
-          // the body edge already fixed body_state, so only the prefix side
-          // of the state pair is added.
-          const std::uint32_t prank =
-              prefix_base +
-              std::uint32_t(std::popcount(pword & ((1ull << b) - 1)));
-          step.next.prefix_state = ptargets[prank];
-        }
-        out.push_back(step);
-      }
-      body_base += std::uint32_t(std::popcount(word));
-      if (prefix_live) prefix_base += std::uint32_t(std::popcount(pword));
-    }
+CompiledQuery::Step CompiledQuery::resolve(const StateSet& set, TokenId token,
+                                           bool body) const {
+  const automata::Dfa& prefix = prefix_->dfa;
+  if (body) {
+    return Step{token,
+                StateSet{set.prefix_state == kNoState
+                             ? kNoState
+                             : prefix.next(set.prefix_state, token),
+                         body_->dfa.next(set.body_state, token)},
+                /*prefix_only=*/false, /*body_advanced=*/true};
   }
-
-  // Prefix transitions not shadowed by a body edge: appended prefix-only in
-  // token order, exactly like the slow path. Decoding rules never prune
-  // these (§2.4), so the rule mask is not consulted. Note a prefix edge
-  // shadowed by a *rule-pruned* body edge stays dropped — same as the slow
-  // path, where the merge marks it !prefix_only and the rule filter kills it.
-  if (prefix_live) {
-    const std::uint32_t* ptargets = pmask.edge_targets.data();
-    std::uint32_t prefix_base = pmask.edge_offsets[set.prefix_state];
-    for (std::uint32_t w = 0; w < W; ++w) {
-      const std::uint64_t pword = prefix_row[w];
-      counters.mask_words_scanned += 1;
-      std::uint64_t bits = pword & ~(body_live ? body_row[w] : 0ull);
-      while (bits != 0) {
-        const int b = std::countr_zero(bits);
-        bits &= bits - 1;
-        const TokenId token = static_cast<TokenId>(w * 64u + std::uint32_t(b));
-        const std::uint32_t prank =
-            prefix_base +
-            std::uint32_t(std::popcount(pword & ((1ull << b) - 1)));
-        const StateId to = ptargets[prank];
-        const StateId body_after = prefix.is_final(to) ? body.start() : kNoState;
-        out.push_back(Step{token, StateSet{to, body_after},
-                           /*prefix_only=*/true, /*body_advanced=*/false});
-      }
-      prefix_base += std::uint32_t(std::popcount(pword));
-    }
-  }
+  const StateId to = prefix.next(set.prefix_state, token);
+  return Step{token,
+              StateSet{to, prefix.is_final(to) ? body_->dfa.start() : kNoState},
+              /*prefix_only=*/true, /*body_advanced=*/false};
 }
 
 bool CompiledQuery::is_match(const StateSet& set) const {

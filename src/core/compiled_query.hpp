@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <memory>
 #include <span>
 #include <string>
@@ -98,6 +99,10 @@ class CompiledQuery {
   // Requires has_masks().
   void expand_masked(const StateSet& set, const util::TokenBitset* rule_mask,
                      std::vector<Step>& out, StepCounters& counters) const;
+
+  // The step `token` takes out of `set`: a body step (body) or a prefix-only
+  // one, as expand(set) would build it.
+  Step resolve(const StateSet& set, tokenizer::TokenId token, bool body) const;
 
   // True when both automata carry mask tables (the token_masks pass ran and
   // stayed within its memory budget), i.e. expand_masked is available.
@@ -202,11 +207,20 @@ class CompiledQuery {
 
   // The candidate half: automaton edges out of `set` ∩ the rule mask. Uses
   // the mask-and-scan path when the artifact carries masks, the per-edge
-  // probe otherwise; both yield the same steps in the same order. Shortest
-  // path runs it alone on a pool worker and walks canonicality only for
-  // the children it brings to its frontier.
+  // probe otherwise; both yield the same steps in the same order.
   void decode_candidates(const StateSet& set, const util::TokenBitset* rule_mask,
                          tokenizer::TokenId eos, StepOutput& out) const;
+
+  // The candidate half without its Steps: calls visit(token, body) for
+  // each step decode_candidates would return, in its order, and fills
+  // `out`'s eos_allowed and counters as it would. Only the probe path builds
+  // the steps. Shortest path runs it alone on a pool worker: it costs every
+  // child, looks up the next state of those it surfaces (resolve) and walks
+  // canonicality only for those.
+  template <typename Visit>
+  void for_each_candidate(const StateSet& set, const util::TokenBitset* rule_mask,
+                          tokenizer::TokenId eos, StepOutput& out,
+                          Visit&& visit) const;
 
   // The canonicality half, for one body-advancing step of a dynamic-canonical
   // query: `canon` enters as the parent's CanonState and leaves as the
@@ -220,6 +234,18 @@ class CompiledQuery {
   const pipeline::QueryArtifact& artifact() const { return *artifact_; }
 
  private:
+  // The bit walk behind expand_masked: calls
+  //   visit(token, body, body_rank, prefix_rank)
+  // for each step expand_masked would return, in its order, where body is
+  // !prefix_only and each rank is the step's edge in its machine's
+  // mask-table target list, counted from the state's first edge (kNoRank
+  // where that machine has no edge on the token). Counts the scan into
+  // `counters` as expand_masked does. Requires has_masks().
+  static constexpr std::uint32_t kNoRank = 0xffffffffu;
+  template <typename Visit>
+  void walk_masks(const StateSet& set, const util::TokenBitset* rule_mask,
+                  StepCounters& counters, Visit&& visit) const;
+
   CompiledQuery(std::shared_ptr<const pipeline::QueryArtifact> artifact,
                 const tokenizer::BpeTokenizer& tok)
       : artifact_(std::move(artifact)),
@@ -233,5 +259,94 @@ class CompiledQuery {
   const TokenAutomaton* body_;
   const tokenizer::BpeTokenizer* tok_;
 };
+
+template <typename Visit>
+void CompiledQuery::walk_masks(const StateSet& set,
+                               const util::TokenBitset* rule_mask,
+                               StepCounters& counters, Visit&& visit) const {
+  const TokenMaskTable& bmask = body_->masks;
+  const std::uint32_t W = bmask.words_per_state;  // == the prefix table's
+  const bool body_live = set.body_state != automata::kNoState;
+  const bool prefix_live = set.prefix_state != automata::kNoState;
+  const std::uint64_t* body_row =
+      body_live ? bmask.state_words(set.body_state) : nullptr;
+  const std::uint64_t* prefix_row =
+      prefix_live ? prefix_->masks.state_words(set.prefix_state) : nullptr;
+  const std::uint64_t* rule_words =
+      rule_mask && !rule_mask->empty() ? rule_mask->words().data() : nullptr;
+
+  // Body transitions: survivors of (state mask ∩ rule mask), token order.
+  // A surviving bit's edge is found by rank: the number of set bits before
+  // it in the *unmasked* state word, plus the running per-word base — a
+  // popcount, not a pointer walk, so cost is words + survivors.
+  if (body_live) {
+    std::uint32_t body_base = 0;
+    std::uint32_t prefix_base = 0;
+    for (std::uint32_t w = 0; w < W; ++w) {
+      const std::uint64_t word = body_row[w];
+      const std::uint64_t surv = rule_words ? (word & rule_words[w]) : word;
+      const std::uint64_t pword = prefix_live ? prefix_row[w] : 0;
+      counters.mask_words_scanned += 1;
+      counters.mask_pruned +=
+          std::size_t(std::popcount(word)) - std::size_t(std::popcount(surv));
+      std::uint64_t bits = surv;
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        const std::uint64_t below = (1ull << b) - 1;
+        // A token reachable through both machines (the slow path's merge)
+        // also carries its prefix edge.
+        const std::uint32_t prank =
+            (pword >> b) & 1
+                ? prefix_base + std::uint32_t(std::popcount(pword & below))
+                : kNoRank;
+        visit(static_cast<tokenizer::TokenId>(w * 64u + std::uint32_t(b)), true,
+              body_base + std::uint32_t(std::popcount(word & below)), prank);
+      }
+      body_base += std::uint32_t(std::popcount(word));
+      prefix_base += std::uint32_t(std::popcount(pword));
+    }
+  }
+
+  // Prefix transitions not shadowed by a body edge: prefix-only, in token
+  // order, exactly like the slow path. Decoding rules never prune these
+  // (§2.4), so the rule mask is not consulted. Note a prefix edge shadowed
+  // by a *rule-pruned* body edge stays dropped — same as the slow path,
+  // where the merge marks it !prefix_only and the rule filter kills it.
+  if (prefix_live) {
+    std::uint32_t prefix_base = 0;
+    for (std::uint32_t w = 0; w < W; ++w) {
+      const std::uint64_t pword = prefix_row[w];
+      counters.mask_words_scanned += 1;
+      std::uint64_t bits = pword & ~(body_live ? body_row[w] : 0ull);
+      while (bits != 0) {
+        const int b = std::countr_zero(bits);
+        bits &= bits - 1;
+        visit(static_cast<tokenizer::TokenId>(w * 64u + std::uint32_t(b)), false,
+              kNoRank,
+              prefix_base +
+                  std::uint32_t(std::popcount(pword & ((1ull << b) - 1))));
+      }
+      prefix_base += std::uint32_t(std::popcount(pword));
+    }
+  }
+}
+
+template <typename Visit>
+void CompiledQuery::for_each_candidate(const StateSet& set,
+                                       const util::TokenBitset* rule_mask,
+                                       tokenizer::TokenId eos, StepOutput& out,
+                                       Visit&& visit) const {
+  if (!has_masks()) {
+    decode_candidates(set, rule_mask, eos, out);
+    for (const Step& step : out.steps) visit(step.token, step.body_advanced);
+    return;
+  }
+  out.counters = {};
+  walk_masks(set, rule_mask, out.counters,
+             [&](tokenizer::TokenId token, bool body, std::uint32_t,
+                 std::uint32_t) { visit(token, body); });
+  out.eos_allowed = !rule_mask || (*rule_mask)[eos];
+}
 
 }  // namespace relm::core

@@ -40,6 +40,10 @@ struct ExecutorMetrics {
   obs::Counter& speculative_cancelled;
   obs::Counter& speculative_wasted;
   obs::Counter& horizon_clips;
+  // Shortest path: children its expansions offered, and those sorted into a
+  // brood's batch (docs/PERFORMANCE.md, "Children built on demand").
+  obs::Counter& children_discovered;
+  obs::Counter& children_built;
 
   // Adds the step counters accrued since `before`.
   void add(const CompiledQuery::StepCounters& now,
@@ -67,7 +71,9 @@ struct ExecutorMetrics {
         obs::Registry::instance().counter("executor.speculative_expanded"),
         obs::Registry::instance().counter("executor.speculative_cancelled"),
         obs::Registry::instance().counter("executor.speculative_wasted"),
-        obs::Registry::instance().counter("executor.speculative_horizon_clips")};
+        obs::Registry::instance().counter("executor.speculative_horizon_clips"),
+        obs::Registry::instance().counter("executor.children_discovered"),
+        obs::Registry::instance().counter("executor.children_built")};
     return m;
   }
 };
@@ -103,6 +109,16 @@ void fill_cache_stats(const model::LanguageModel& model,
 constexpr std::size_t kTargetOccupancy = 16;
 constexpr double kSpeculationHorizon = 8.0;
 
+// Brood batches (docs/PERFORMANCE.md, "Children built on demand"). The
+// worker that expands a node sorts its kFirstBatch cheapest children; each
+// later batch, taken when the sorted ones run out, is twice the last, so
+// draining a brood stays O(n log n). A seed-0 cloze_suite unit pops 102.6k
+// of the 3.39M children its expansions offer. First batches of 2, 4 and 8
+// spent a median 0.135, 0.124 and 0.137 s of executor self time per traced
+// seed-0 cloze_suite unit (three rounds, 4-vCPU host, GCC 12.2, Release,
+// 1 thread), with queries_per_s inside one another's spread.
+constexpr std::uint32_t kFirstBatch = 4;
+
 }  // namespace
 
 std::size_t sequence_budget(const SimpleSearchQuery& query,
@@ -121,12 +137,13 @@ ShortestPathSearch::ShortestPathSearch(const model::LanguageModel& model,
     : model_(model), compiled_(compiled), query_(query) {
   cache_baseline_ = cache_baseline_of(model_, model_has_cache_);
   // The root is the one child of a brood without a parent.
-  add_brood(-1, {Child{0.0, compiled_.initial(), 0, 0, false, false}});
+  const Candidate root{0.0, 0, 0, kPrefixOnly};
+  add_brood(-1, {&root, 1}, 1);
 }
 
-bool ShortestPathSearch::popped_later(const Child& a, const Child& b) {
-  if (a.cost != b.cost) return a.cost > b.cost;
-  return a.index > b.index;
+bool ShortestPathSearch::cheaper(const Candidate& a, const Candidate& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  return a.index < b.index;
 }
 
 void ShortestPathSearch::append_path_tail(std::int32_t node, std::size_t len,
@@ -204,44 +221,62 @@ void ShortestPathSearch::evaluate_slot(const SlotTask& task,
   const std::vector<double>& lp = *out.row.log_probs;
   RELM_DCHECK(lp.size() == model_.vocab_size(),
               "model distribution size must equal the vocabulary");
-  CompiledQuery::StepOutput& step = out.step;
-  compiled_.decode_candidates(task.set, out.row.mask.get(), model_.eos(), step);
-  out.children.clear();
-  for (std::size_t s = 0; s < step.steps.size(); ++s) {
-    const CompiledQuery::Step& st = step.steps[s];
-    RELM_DCHECK(st.token < lp.size(),
+  std::vector<Candidate>& children = out.children;
+  children.clear();
+  out.batch = 0;
+  // A child's index is its place in the order offered (the step order,
+  // then EOS), so one that ties the batch's last never displaces it: the
+  // batch stays the kFirstBatch least by (cost, index).
+  auto offer = [&](TokenId token, Kind kind) {
+    RELM_DCHECK(token < lp.size(),
                 "compiled query emitted a token outside the vocabulary");
-    const double cost = task.cost - lp[st.token];
-    RELM_DCHECK(!std::isnan(cost) && cost >= task.cost - 1e-9,
+    const Candidate c{task.cost - lp[token],
+                      static_cast<std::uint32_t>(children.size()), token, kind};
+    RELM_DCHECK(!std::isnan(c.cost) && c.cost >= task.cost - 1e-9,
                 "Dijkstra edge costs must be non-negative (-log p)");
-    out.children.push_back(Child{cost, st.next, st.token,
-                                 static_cast<std::uint32_t>(s),
-                                 st.body_advanced, false});
-  }
+    std::uint32_t slot = out.batch;
+    if (slot == kFirstBatch) {
+      if (!(c.cost < children[kFirstBatch - 1].cost)) {
+        children.push_back(c);
+        return;
+      }
+      children.push_back(children[--slot]);
+    } else {
+      children.emplace_back();
+      ++out.batch;
+    }
+    for (; slot > 0 && c.cost < children[slot - 1].cost; --slot) {
+      children[slot] = children[slot - 1];
+    }
+    children[slot] = c;
+  };
+  CompiledQuery::StepOutput& step = out.step;
+  compiled_.for_each_candidate(
+      task.set, out.row.mask.get(), model_.eos(), step,
+      [&](TokenId token, bool body) { offer(token, body ? kBody : kPrefixOnly); });
   // EOS closure (require_eos): a match's terminated child, after its
   // steps, unless the rule mask cuts EOS.
   if (query_.require_eos && compiled_.is_match(task.set)) {
     if (step.eos_allowed) {
-      const TokenId eos = model_.eos();
-      out.children.push_back(Child{task.cost - lp[eos], task.set, eos,
-                                   static_cast<std::uint32_t>(step.steps.size()),
-                                   false, true});
+      offer(model_.eos(), kEos);
     } else {
       ++step.counters.pruned_by_rules;
     }
   }
-  std::make_heap(out.children.begin(), out.children.end(), popped_later);
 }
 
 void ShortestPathSearch::add_brood(std::int32_t parent,
-                                   const std::vector<Child>& children) {
+                                   std::span<const Candidate> children,
+                                   std::uint32_t batch) {
   if (children.empty()) return;
   const auto b = static_cast<std::uint32_t>(broods_.size());
   Brood& brood = broods_.emplace_back();
   brood.parent = parent;
-  brood.begin = static_cast<std::uint32_t>(children_.size());
-  children_.insert(children_.end(), children.begin(), children.end());
-  brood.end = static_cast<std::uint32_t>(children_.size());
+  brood.head = static_cast<std::uint32_t>(candidates_.size());
+  brood.batch_end = brood.head + batch;
+  candidates_.insert(candidates_.end(), children.begin(), children.end());
+  brood.end = static_cast<std::uint32_t>(candidates_.size());
+  brood.batch = 2 * kFirstBatch;
   unpopped_ += children.size();
   if (parent >= 0 && compiled_.dynamic_canonical()) {
     // The parent's body run and its text, for the canonicality walks of
@@ -257,15 +292,38 @@ void ShortestPathSearch::add_brood(std::int32_t parent,
   surface(b);
 }
 
+bool ShortestPathSearch::refill(Brood& brood) {
+  if (brood.batch_end == brood.end) return false;
+  // The next batch: nth_element picks its members, O(rest), and only they
+  // are sorted, so draining a brood of n children costs O(n log n).
+  const auto first = candidates_.begin() + brood.batch_end;
+  const auto last = candidates_.begin() + brood.end;
+  const auto mid = first + std::min(brood.batch, brood.end - brood.batch_end);
+  if (mid != last) std::nth_element(first, mid, last, cheaper);
+  std::sort(first, mid, cheaper);
+  stats_.children_built += static_cast<std::size_t>(mid - first);
+  brood.batch_end = static_cast<std::uint32_t>(mid - candidates_.begin());
+  brood.batch *= 2;
+  return true;
+}
+
 void ShortestPathSearch::surface(std::uint32_t b) {
   Brood& brood = broods_[b];
-  const auto heap = children_.begin();
   bool run_loaded = false;
-  while (brood.end > brood.begin) {
-    std::pop_heap(heap + brood.begin, heap + brood.end, popped_later);
-    const Child& head = children_[--brood.end];
+  for (;; ++brood.head) {
+    if (brood.head == brood.batch_end && !refill(brood)) return;
+    const Candidate& head = candidates_[brood.head];
+    if (brood.parent < 0) {
+      brood.head_set = compiled_.initial();
+    } else if (head.kind == kEos) {
+      brood.head_set = nodes_[brood.parent].set;
+    } else {
+      brood.head_set =
+          compiled_.resolve(nodes_[brood.parent].set, head.token, head.kind == kBody)
+              .next;
+    }
     brood.head_canon = {};
-    if (head.body_advanced && compiled_.dynamic_canonical()) {
+    if (head.kind == kBody && compiled_.dynamic_canonical()) {
       // A doomed child is dropped when the distance rule cuts it or when no
       // live prefix can restart the body run below it.
       const Node& parent = nodes_[brood.parent];
@@ -277,7 +335,7 @@ void ShortestPathSearch::surface(std::uint32_t b) {
       brood.head_canon = parent.canon;
       if (!compiled_.extend_canon(canon_scratch_, head.token, brood.head_canon) ||
           (brood.head_canon.doomed() &&
-           head.set.prefix_state == automata::kNoState)) {
+           brood.head_set.prefix_state == automata::kNoState)) {
         ++stats_.pruned_non_canonical;
         --unpopped_;
         continue;
@@ -289,30 +347,31 @@ void ShortestPathSearch::surface(std::uint32_t b) {
 }
 
 std::int32_t ShortestPathSearch::pop_node(std::uint32_t b) {
-  const Brood& brood = broods_[b];
-  const Child& head = children_[brood.end];
+  Brood& brood = broods_[b];
+  const Candidate& head = candidates_[brood.head];
   Node node;
-  node.set = head.set;
+  node.set = brood.head_set;
   node.parent = brood.parent;
   node.token = head.token;
   node.cost = head.cost;
-  node.terminal = head.terminal;
+  node.terminal = head.kind == kEos;
   node.depth = 0;
   node.body_len = 0;
   node.canon = brood.head_canon;
   if (brood.parent >= 0) {
     const Node& parent = nodes_[brood.parent];
     node.depth = parent.depth + 1;
-    if (head.terminal) {
+    if (node.terminal) {
       // The EOS child keeps its parent's body run.
       node.body_len = parent.body_len;
       node.canon = parent.canon;
-    } else if (head.body_advanced) {
+    } else if (head.kind == kBody) {
       node.body_len = parent.body_len + 1;
     }
   }
   nodes_.push_back(node);
   --unpopped_;
+  ++brood.head;
   surface(b);
   return static_cast<std::int32_t>(nodes_.size() - 1);
 }
@@ -321,6 +380,8 @@ void ShortestPathSearch::pump() {
   RELM_TRACE_SPAN("executor.pump");
   ExecutorMetrics& metrics = ExecutorMetrics::get();
   const CompiledQuery::StepCounters counters_before = stats_;
+  const std::size_t discovered_before = stats_.children_discovered;
+  const std::size_t built_before = stats_.children_built;
   const std::size_t results_before = pending_results_.size();
   const std::size_t seq_limit = sequence_budget(query_, model_);
 
@@ -357,7 +418,8 @@ void ShortestPathSearch::pump() {
     const Brood& brood = broods_[top.brood];
     const std::size_t depth =
         brood.parent < 0 ? 0 : nodes_[brood.parent].depth + 1;
-    const bool needs_eval = !children_[brood.end].terminal && depth < seq_limit;
+    const bool needs_eval =
+        candidates_[brood.head].kind != kEos && depth < seq_limit;
     if (needs_eval && round_tasks_.size() >= budget_left) {
       // Budget clamp mid-selection: defer the node (the first eval of a
       // round is always admitted — next() only pumps with budget left — so
@@ -413,8 +475,10 @@ void ShortestPathSearch::pump() {
     ++stats_.expansions;
     const SlotOutput& out = round_outputs_[slot.eval];
     stats_ += out.step.counters;
+    stats_.children_discovered += out.children.size();
+    stats_.children_built += out.batch;
     count_mask(out.row, stats_);
-    add_brood(slot.node, out.children);
+    add_brood(slot.node, out.children, out.batch);
     emit_if_result(slot.node);
   }
   batch.wait_all();
@@ -424,6 +488,8 @@ void ShortestPathSearch::pump() {
   metrics.llm_calls.add(n_tasks);
   metrics.expansions.add(n_tasks);
   metrics.add(stats_, counters_before);
+  metrics.children_discovered.add(stats_.children_discovered - discovered_before);
+  metrics.children_built.add(stats_.children_built - built_before);
   metrics.results.add(pending_results_.size() - results_before);
   metrics.batch_size.observe(static_cast<double>(round_slots_.size()));
   if (n_tasks > 0) {

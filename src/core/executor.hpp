@@ -53,6 +53,12 @@ struct SearchStats : CompiledQuery::StepCounters {
   std::size_t speculative_cancelled = 0;
   std::size_t speculative_wasted = 0;
   std::size_t horizon_clips = 0;
+  // Shortest path: every child an expansion offers (the EOS child included),
+  // and the children sorted into a brood's batch: the first batch at the
+  // expansion, each later one when the sorted ones run out. A child's next
+  // state is looked up in the automata only when it surfaces.
+  std::size_t children_discovered = 0;
+  std::size_t children_built = 0;
   // Always 0: the frontier is one heap owned by the coordinator. Kept so
   // existing readers of the field still compile.
   std::size_t frontier_shard_steals = 0;
@@ -138,27 +144,32 @@ class ShortestPathSearch {
     bool evaluated = false;     // consumed a model call (waste accounting)
   };
 
-  // A child an expansion discovered, waiting in its brood (32 bytes).
-  struct Child {
+  // A child an expansion offered, waiting in its brood (16 bytes). Its
+  // StateSet is looked up only when it surfaces.
+  enum Kind : std::uint32_t { kBody, kPrefixOnly, kEos };
+  struct Candidate {
     double cost;                // parent.cost - lp[token]
-    CompiledQuery::StateSet set;
-    tokenizer::TokenId token;
     std::uint32_t index;        // step index; the EOS child comes last
-    bool body_advanced;
-    bool terminal;              // the EOS child
+    std::uint32_t token : 30;
+    std::uint32_t kind : 2;     // Kind; the root is kPrefixOnly
   };
-  // Brood order: (cost, index). As a heap comparator: a is popped after b.
-  static bool popped_later(const Child& a, const Child& b);
+  static_assert(sizeof(Candidate) == 16);
+  // Brood order: (cost, index).
+  static bool cheaper(const Candidate& a, const Candidate& b);
 
   // The children of one expanded node (partial expansion, Yoshizumi et al.
-  // 2000). children_[begin, end) is a heap of those not yet surfaced;
-  // children_[end] is the surfaced head, which the frontier holds. Brood
-  // ids grow in expansion order, so (cost, brood, index) orders children
-  // exactly as (cost, node id) would if every child were a node.
+  // 2000). candidates_[head, batch_end) is the sorted batch; its first is the
+  // surfaced head, which the frontier holds. candidates_[batch_end, end) are
+  // the rest, unsorted: the next batch takes the `batch` cheapest of them.
+  // Brood ids grow in expansion order, so (cost, brood, index) orders
+  // children exactly as (cost, node id) would if every child were a node.
   struct Brood {
     std::int32_t parent;        // the expanded node; -1 for the root's brood
-    std::uint32_t begin;
+    std::uint32_t head;
+    std::uint32_t batch_end;
     std::uint32_t end;
+    std::uint32_t batch;        // the next batch's size
+    CompiledQuery::StateSet head_set;  // looked up when the head surfaced
     CompiledQuery::CanonState head_canon;
     // The parent's body run, for surfacing's canonicality walk
     // (dynamic-canonical queries): run_tokens_ from run_tokens (length
@@ -210,8 +221,11 @@ class ShortestPathSearch {
   };
   struct SlotOutput {
     model::LanguageModel::Row row;
-    CompiledQuery::StepOutput step;  // decode_candidates: no canonicality
-    std::vector<Child> children;     // a heap in brood order
+    CompiledQuery::StepOutput step;  // counters and eos_allowed
+    // children[0, batch) is the first batch, sorted in brood order; the
+    // rest follow unsorted.
+    std::vector<Candidate> children;
+    std::uint32_t batch = 0;
   };
 
   // Appends the last `len` tokens of a node's path to `out`: its depth for
@@ -230,11 +244,14 @@ class ShortestPathSearch {
   // round slot across rounds, so steady-state rounds allocate nothing.
   void make_task(std::int32_t node_id, SlotTask& task) const;
   void evaluate_slot(const SlotTask& task, SlotOutput& out) const;
-  // Stores a retired slot's children as a brood and surfaces its head.
-  void add_brood(std::int32_t parent, const std::vector<Child>& children);
+  // Stores an expansion's children as a brood and surfaces its head.
+  void add_brood(std::int32_t parent, std::span<const Candidate> children,
+                 std::uint32_t batch);
   // Pushes brood `b`'s cheapest child not yet surfaced onto the frontier,
   // first dropping those canonicality cuts.
   void surface(std::uint32_t b);
+  // Sorts the brood's next batch out of its rest; false when none is left.
+  bool refill(Brood& brood);
   // Builds the node for brood `b`'s head (just popped) and surfaces the
   // brood's next child; returns the node's id.
   std::int32_t pop_node(std::uint32_t b);
@@ -248,13 +265,13 @@ class ShortestPathSearch {
   const CompiledQuery& compiled_;
   const SimpleSearchQuery& query_;
   std::vector<Node> nodes_;
-  std::vector<Child> children_;
+  std::vector<Candidate> candidates_;
   std::vector<Brood> broods_;
   std::vector<tokenizer::TokenId> run_tokens_;
   std::string run_text_;
   CompiledQuery::BodyScratch canon_scratch_;
-  // Children discovered and not yet popped or dropped: the round width's
-  // measure of frontier depth.
+  // Children discovered and not yet popped or dropped, sorted into a batch
+  // or not: the round width's measure of frontier depth.
   std::size_t unpopped_ = 0;
   // Min-heap on (cost, brood): one entry per brood with children left. Only
   // the coordinator pushes (at surfacing) and pops (at selection), so it

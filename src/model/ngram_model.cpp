@@ -4,8 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "model/decoding.hpp"
@@ -452,29 +454,40 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
 
   // A distinct key this call evaluates (a miss) or masks (a hit whose stored
   // mask is missing or was built for other rules); job_rows[j] is its row.
-  // outputs[0] owns the work, later outputs reuse it. A job owns a copy of
-  // its key (a key may point into `scratch`, which the next context reuses)
-  // and evaluates through the relevant suffix of its first context.
+  // outputs[0] owns the work, later outputs reuse it. A key that points into
+  // `scratch`, which the next context reuses, is copied into `owned`, whose
+  // buffer moves with the job when `jobs` grows; any other key is a span of
+  // the call's own contexts. A job evaluates through the relevant suffix of
+  // its first context.
   struct Job {
     std::uint64_t hash;
-    std::vector<TokenId> key;
+    std::span<const TokenId> key;
+    std::vector<TokenId> owned;
     std::span<const TokenId> suffix;
     bool evaluate;
     std::vector<std::size_t> outputs;
   };
+  static_assert(std::is_nothrow_move_constructible_v<Job>);
   std::vector<Job> jobs;
   std::vector<Row> job_rows;
   std::vector<TokenId> scratch;
 
-  // Serves out[i] under `key` from this call's jobs or the shards. A hit
-  // returns true; a miss counts, opens an evaluating job and returns true
-  // only when `last_try`, so a direct probe that misses leaves no trace.
-  auto probe = [&](std::size_t i, std::span<const TokenId> key,
-                   std::span<const TokenId> suffix, bool last_try) {
-    // hash_tokens' per-step mixing leaves the high bits correlated for short
-    // keys (nearby token ids cluster), so the shard and the slot in it come
-    // from a full-avalanche finalizer of it.
-    const std::uint64_t hash = mix64(hash_tokens(key));
+  auto open_job = [&](std::size_t i, std::uint64_t hash,
+                      std::span<const TokenId> key,
+                      std::span<const TokenId> suffix, bool evaluate) {
+    Job& job = jobs.emplace_back(Job{hash, key, {}, suffix, evaluate, {i}});
+    const std::less_equal<const TokenId*> le;
+    if (!key.empty() && le(scratch.data(), key.data()) &&
+        le(key.data() + key.size(), scratch.data() + scratch.size())) {
+      job.owned.assign(key.begin(), key.end());
+      job.key = job.owned;
+    }
+    job_rows.push_back(Row{out[i].log_probs, nullptr, false});
+  };
+  // Serves out[i] under `key` from this call's jobs or the shards and
+  // returns true, or returns false having changed nothing.
+  auto lookup = [&](std::size_t i, std::uint64_t hash,
+                    std::span<const TokenId> key, std::span<const TokenId> suffix) {
     Shard& shard = shard_for(hash);
     const auto job = std::find_if(jobs.begin(), jobs.end(), [&](const Job& j) {
       return j.hash == hash && std::ranges::equal(j.key, key);
@@ -491,40 +504,46 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
       if (job->evaluate) metrics.batch_dedup.add();
       return true;
     }
-    bool hit = false;
     {
       util::ScopedLock lock(shard.mutex);
-      if (const LogitCacheTable::Entry* entry = shard.table.lookup(hash, key)) {
-        ++shard.hits;
-        hit = true;
-        out[i].log_probs = entry->log_probs;
-        if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
-      } else if (last_try) {
-        ++shard.misses;
-      }
+      const LogitCacheTable::Entry* entry = shard.table.lookup(hash, key);
+      if (!entry) return false;
+      ++shard.hits;
+      out[i].log_probs = entry->log_probs;
+      if (restricted && entry->mask_rules == rules) out[i].mask = entry->mask;
     }
-    if (hit) {
-      metrics.hits.add();
-      if (!restricted || out[i].mask) {
-        out[i].mask_reused = restricted;
-        return true;
-      }
-    } else if (last_try) {
-      metrics.misses.add();
+    metrics.hits.add();
+    if (!restricted || out[i].mask) {
+      out[i].mask_reused = restricted;
     } else {
-      return false;
+      open_job(i, hash, key, suffix, false);
     }
-    jobs.push_back(Job{hash, {key.begin(), key.end()}, suffix, !hit, {i}});
-    job_rows.push_back(Row{out[i].log_probs, nullptr, false});
     return true;
   };
 
+  // hash_tokens' per-step mixing leaves the high bits correlated for short
+  // keys (nearby token ids cluster), so the shard and the slot in it come
+  // from a full-avalanche finalizer of it.
+  auto hash_of = [](std::span<const TokenId> key) { return mix64(hash_tokens(key)); };
   const std::size_t full = inner_->relevant_context_length();
   for (std::size_t i = 0; i < out.size(); ++i) {
     const std::span<const TokenId> suffix = relevant_suffix(*inner_, context_at(i));
     // A full-length suffix is its own key if anything is stored under it.
-    if (suffix.size() == full && probe(i, suffix, suffix, false)) continue;
-    probe(i, inner_->distribution_key(suffix, scratch), suffix, true);
+    std::uint64_t hash = 0;
+    const bool direct = suffix.size() == full;
+    if (direct) {
+      hash = hash_of(suffix);
+      if (lookup(i, hash, suffix, suffix)) continue;
+    }
+    const std::span<const TokenId> key = inner_->distribution_key(suffix, scratch);
+    // A key that is the suffix itself has already missed.
+    if (!direct || !std::ranges::equal(key, suffix)) {
+      hash = hash_of(key);
+      if (lookup(i, hash, key, suffix)) continue;
+    }
+    // A miss; its shard counts it when the job stores the row.
+    metrics.misses.add();
+    open_job(i, hash, key, suffix, true);
   }
 
   std::vector<std::vector<TokenId>> eval_contexts;
@@ -543,6 +562,7 @@ void CachingModel::serve(ContextAt context_at, const DecodingRules& rules,
     {
       Shard& shard = shard_for(jobs[j].hash);
       util::ScopedLock lock(shard.mutex);
+      if (jobs[j].evaluate) ++shard.misses;
       const std::size_t entries = shard.table.size();
       if (shard.table.store(jobs[j].hash, jobs[j].key, job_rows[j], rules)) {
         ++shard.evictions;

@@ -862,6 +862,7 @@ struct PopOrderCase {
   const char* name;
   Fixture (*make)();
   bool canonical_pruning;   // the search drops children for canonicality
+  bool wide;                // every brood offers 40 children or more
   std::uint64_t strict;     // contexts, results and counters, max_in_flight 1
   std::uint64_t pipelined;  // results and counters, max_in_flight 8 and 64
 };
@@ -885,16 +886,72 @@ Fixture require_eos_fixture() {
   return skewed_fixture({"", "a", "b"}, "(a|b)+", base);
 }
 
+// Uniform rows over a two-token window, so the contexts a search evaluates
+// record the order in which it expands nodes.
+class WindowedUniformModel : public model::UniformModel {
+ public:
+  using UniformModel::UniformModel;
+  std::size_t relevant_context_length() const override { return 2; }
+};
+
+// Wide broods: EOS, four prefix digits, then 40 body letters. A body state
+// offers 40 steps (and EOS at a match), the hand-off state 44: its 40 letters
+// come first in step order, its prefix-only digits first in token order.
+Fixture wide_fixture(std::shared_ptr<model::LanguageModel> model,
+                     SimpleSearchQuery query) {
+  std::vector<std::string> vocab{""};
+  for (char c = '0'; c <= '3'; ++c) vocab.emplace_back(1, c);
+  for (char c = 'a'; c <= 'z'; ++c) vocab.emplace_back(1, c);
+  for (char c = 'A'; c <= 'N'; ++c) vocab.emplace_back(1, c);
+  auto tok = std::make_shared<tokenizer::BpeTokenizer>(
+      tokenizer::BpeTokenizer::from_vocab(std::move(vocab)));
+  query.query_string = {"[0-3]*[a-zA-N]+", "[0-3]*"};
+  CompiledQuery compiled = CompiledQuery::compile(query, *tok);
+  return {std::move(tok), std::move(model), std::move(query), std::move(compiled)};
+}
+
+// Uniform costs with require_eos: every sibling ties, the EOS child included,
+// so step index alone orders each brood's pops. The budget runs out inside
+// the second brood of two-letter paths.
+Fixture wide_tied_fixture() {
+  SimpleSearchQuery query;
+  query.sequence_length = 3;
+  query.max_results = 100;
+  query.require_eos = true;
+  query.max_expansions = 105;
+  return wide_fixture(std::make_shared<WindowedUniformModel>(45, 0, 24), query);
+}
+
+// Skewed costs: token frequencies scrambled against token order, so costs,
+// not step indices, decide which candidates each batch takes.
+Fixture wide_skewed_fixture() {
+  testing::ModelSpec spec;
+  spec.kind = testing::ModelSpec::Kind::kNgram;
+  spec.vocab_size = 45;
+  spec.eos = 0;
+  for (TokenId t = 1; t < 45; ++t) {
+    for (TokenId r = 0; r <= (t * 7) % 11; ++r) spec.sequences.push_back({t});
+  }
+  SimpleSearchQuery query;
+  query.sequence_length = 2;
+  query.max_results = 40;
+  return wide_fixture(spec.build(), query);
+}
+
 TEST(ExecutorEdges, ShortestPathPopOrderPinned) {
   const PopOrderCase cases[] = {
-      {"settlement", settlement_fixture, true, 0x9d77a8df0798988cull,
+      {"settlement", settlement_fixture, true, false, 0x9d77a8df0798988cull,
        0x1b9bed82933b1391ull},
-      {"live_prefix", live_prefix_fixture, true, 0xdee5180b2b381508ull,
+      {"live_prefix", live_prefix_fixture, true, false, 0xdee5180b2b381508ull,
        0x0990349b88bce60aull},
-      {"tied_budget", tied_budget_fixture, false, 0xb9a9357438348e33ull,
+      {"tied_budget", tied_budget_fixture, false, false, 0xb9a9357438348e33ull,
        0xfe9cc4ecdcca927dull},
-      {"require_eos", require_eos_fixture, false, 0x3674ad6ec6653893ull,
+      {"require_eos", require_eos_fixture, false, false, 0x3674ad6ec6653893ull,
        0x4a237149eb704b8bull},
+      {"wide_tied", wide_tied_fixture, false, true, 0x2e96cb02aa8138c3ull,
+       0x27780a137fd799f9ull},
+      {"wide_skewed", wide_skewed_fixture, false, true, 0x09889812e20ca89bull,
+       0x457f5975cffcfbb4ull},
   };
   const std::size_t restore = util::ThreadPool::shared().threads();
   for (const PopOrderCase& c : cases) {
@@ -920,7 +977,16 @@ TEST(ExecutorEdges, ShortestPathPopOrderPinned) {
       mix_results(digest, results);
       mix_counters(digest, search.stats());
       EXPECT_EQ(digest.value, c.strict) << std::hex << digest.value;
-      EXPECT_EQ(search.stats().pruned_non_canonical > 0, c.canonical_pruning);
+      const SearchStats& s = search.stats();
+      EXPECT_EQ(s.pruned_non_canonical > 0, c.canonical_pruning);
+      EXPECT_LE(s.children_built, s.children_discovered);
+      if (c.wide) {
+        // Every expansion here offers 40 children or more and sorts the
+        // four cheapest. A brood that pops past them sorts another batch,
+        // and the search ends with children it never sorted.
+        EXPECT_GT(s.children_built, 4 * s.expansions);
+        EXPECT_LT(s.children_built, s.children_discovered);
+      }
 
       Fnv piped;
       for (std::size_t width : {std::size_t{8}, std::size_t{64}}) {
@@ -934,6 +1000,19 @@ TEST(ExecutorEdges, ShortestPathPopOrderPinned) {
     }
   }
   util::ThreadPool::set_shared_threads(restore);
+}
+
+// The wide fixtures, run to exhaustion, on the masked compile and on its
+// probe-path copy.
+TEST(ExecutorEdges, WideBroodsMatchOracle) {
+  for (Fixture (*make)() : {wide_tied_fixture, wide_skewed_fixture}) {
+    Fixture f = make();
+    f.query.max_expansions = SimpleSearchQuery{}.max_expansions;
+    ASSERT_TRUE(f.compiled.has_masks());
+    expect_all_executors_match_oracle(f);
+    f.compiled = testing::without_masks(f.compiled);
+    expect_all_executors_match_oracle(f);
+  }
 }
 
 // A pipelined search holds a match back until no frontier node could beat

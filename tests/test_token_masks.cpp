@@ -310,6 +310,12 @@ void check_expand_equivalence(const SimpleSearchQuery& query) {
       cq.expand_masked(set, rule, fast, stats);
       expect_steps_equal(fast, reference_expand(cq, set, rule));
       EXPECT_GT(stats.mask_words_scanned, 0u);
+      // Shortest path's lookup of one step at a time agrees with the walk.
+      std::vector<CompiledQuery::Step> resolved;
+      for (const CompiledQuery::Step& step : fast) {
+        resolved.push_back(cq.resolve(set, step.token, !step.prefix_only));
+      }
+      expect_steps_equal(resolved, fast);
 
       // mask_pruned must equal the rule-filtered non-prefix-only step count.
       std::size_t want_pruned = 0;
